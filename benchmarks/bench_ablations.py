@@ -42,7 +42,7 @@ def test_jacobi_skew_vs_space_only(benchmark, sweep_config):
     """How much of Jacobi's win is the skew + time-innermost tiling."""
     from repro.exec.compiled import CompiledProgram
     from repro.kernels.registry import get_kernel
-    from repro.machine.perfcounters import measure as measure_report
+    from repro.machine.perfcounters import measure_streaming
     from repro.trans.tiling import tile_program
 
     import numpy as np
@@ -70,8 +70,7 @@ def test_jacobi_skew_vs_space_only(benchmark, sweep_config):
         rng = np.random.default_rng(sweep_config.seed)
         inputs = get_kernel("jacobi").make_inputs(params, rng)
         cp = CompiledProgram(space_only, trace=True)
-        run = cp.run(params, inputs)
-        so = measure_report(run, space_only, params, sweep_config.machine)
+        _, so = measure_streaming(cp, params, sweep_config.machine, inputs)
         return {
             "skew_time_tiled": seq.total_cycles / full.total_cycles,
             "space_only": seq.total_cycles / so.total_cycles,
@@ -87,7 +86,7 @@ def test_copy_widening_reduces_overhead(benchmark, sweep_config):
     """ElimRW's widened copies (paper Fig. 4d shape) vs exact guards."""
     from repro.exec.compiled import CompiledProgram
     from repro.kernels.registry import get_kernel
-    from repro.machine.perfcounters import measure as measure_report
+    from repro.machine.perfcounters import measure_streaming
     from repro.trans.elim_rw import eliminate_rw
     from repro.trans.elim_ww_wr import eliminate_ww_wr
 
@@ -104,8 +103,7 @@ def test_copy_widening_reduces_overhead(benchmark, sweep_config):
             rng = np.random.default_rng(sweep_config.seed)
             inputs = get_kernel("jacobi").make_inputs(params, rng)
             cp = CompiledProgram(program, trace=True)
-            run = cp.run(params, inputs)
-            rep = measure_report(run, program, params, sweep_config.machine)
+            _, rep = measure_streaming(cp, params, sweep_config.machine, inputs)
             out["widened" if widen else "exact"] = rep.branches_resolved
         return out
 

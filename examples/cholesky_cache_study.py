@@ -13,7 +13,7 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.kernels import cholesky
 from repro.machine import octane2_scaled
-from repro.machine.layout import layout_for_run
+from repro.machine.layout import layout_for_program
 from repro.machine.reuse import reuse_profile
 from repro.machine.tlb import TLBConfig, simulate_tlb
 from repro.machine.writeback import simulate_writeback
@@ -23,7 +23,7 @@ from repro.utils.tables import render_table
 def trace_addresses(program, params, inputs):
     cp = CompiledProgram(program, trace=True)
     run = cp.run(params, inputs)
-    layout = layout_for_run(run, program, params)
+    layout = layout_for_program(program, params)
     aid, lin, rw = run.trace.memory_events()
     addrs = layout.addresses(aid, lin, {v: k for k, v in run.array_ids.items()})
     return addrs, rw

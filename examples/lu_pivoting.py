@@ -21,7 +21,7 @@ from repro.exec import run_compiled
 from repro.exec.compiled import CompiledProgram
 from repro.ir import pretty
 from repro.kernels import lu
-from repro.machine import measure, octane2_scaled
+from repro.machine import measure_streaming, octane2_scaled
 
 
 def main() -> None:
@@ -67,7 +67,8 @@ def main() -> None:
 
     def perf(program):
         cp = CompiledProgram(program, trace=True)
-        return measure(cp.run(params, inputs), program, params, machine)
+        _, report = measure_streaming(cp, params, machine, inputs)
+        return report
 
     seq_rep = perf(lu.sequential())
     tiled_rep = perf(tiled)

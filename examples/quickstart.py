@@ -18,7 +18,7 @@ from repro.exec.compiled import CompiledProgram
 from repro.frontend import parse_program
 from repro.ir import pretty
 from repro.kernels import jacobi
-from repro.machine import measure, octane2_scaled
+from repro.machine import measure_streaming, octane2_scaled
 
 SOURCE = """
 program jacobi
@@ -88,8 +88,8 @@ def main() -> None:
 
     def perf(program):
         cp = CompiledProgram(program, trace=True)
-        run = cp.run(params, inputs)
-        return measure(run, program, params, machine)
+        _, report = measure_streaming(cp, params, machine, inputs)
+        return report
 
     seq_rep, tiled_rep = perf(seq), perf(tiled)
     print("\n=== simulated Octane2 (scaled) ===")

@@ -18,7 +18,7 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.ir.stmt import Loop
 from repro.kernels import jacobi
-from repro.machine import measure, octane2_scaled
+from repro.machine import measure_streaming, octane2_scaled
 from repro.trans.tiling import tile_program
 from repro.utils.tables import render_table
 
@@ -55,9 +55,8 @@ def main() -> None:
     baseline = None
     for label, program in variants.items():
         cp = CompiledProgram(program, trace=True)
-        run = cp.run(params, inputs)
+        run, rep = measure_streaming(cp, params, machine, inputs)
         assert np.allclose(run.arrays["A"], reference["A"]), label
-        rep = measure(run, program, params, machine)
         if baseline is None:
             baseline = rep.total_cycles
         rows.append(

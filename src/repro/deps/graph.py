@@ -181,9 +181,8 @@ def dependence_graph(
     before some conflicting instance of statement ``b`` (flow, anti or
     output — all are ordering constraints for distribution).
 
-    The edge set is memoised (in process and on disk) on the loop's
-    serialized content, so every variant of a kernel — and every later
-    cold build — reuses one analysis per distinct loop nest. A fresh
+    The edge set is memoised on the loop's serialized content, so every
+    variant of a kernel reuses one analysis per distinct loop nest. A fresh
     ``DiGraph`` is returned each call; callers may mutate it freely.
     """
     value_ranges = value_ranges or {}
@@ -198,12 +197,10 @@ def dependence_graph(
                 for name, vr in sorted(value_ranges.items())
             },
         }
-        payload = memo.memoize_json(
+        payload = memo.memoize(
             "depgraph",
             (memo.stable_key(key_doc), memo.env_key(param_lo)),
             lambda: _graph_payload(loop, scalars, value_ranges, param_lo),
-            encode=lambda p: p,
-            decode=lambda p: p,
         )
     else:
         payload = _graph_payload(loop, scalars, value_ranges, param_lo)
@@ -219,7 +216,7 @@ def _graph_payload(
     value_ranges: Mapping[str, ValueRange],
     param_lo: int | Mapping[str, int],
 ) -> dict:
-    """Node count and edge list of the dependence graph (JSON-able)."""
+    """Node count and edge list of the dependence graph."""
     outer = (loop.var,)
     base = loop_bound_constraints(loop)
     namer = NameGenerator({loop.var})

@@ -44,7 +44,6 @@ or a later write; ``T`` the trip count):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.errors import NotAffineError
@@ -63,7 +62,7 @@ from repro.ir.stmt import Assign, Loop
 
 #: Default minimum trip count before the block tier is worth entering
 #: (NumPy per-call overhead beats the scalar tier only past a few
-#: elements). Override per-compile or with ``REPRO_BLOCK_MIN_TRIP``.
+#: elements). Override per-compile with ``min_block_trip``.
 DEFAULT_MIN_BLOCK_TRIP = 16
 
 #: Intrinsics with bit-identical NumPy elementwise equivalents.
@@ -78,13 +77,6 @@ STATIC_FALLBACK_REASONS = (
     "non_vector_value",    # value uses Select/Cmp/non-elementwise calls
     "non_affine_subscript",  # a subscript is non-affine or non-integral
 )
-
-
-def resolve_min_block_trip(override: int | None = None) -> int:
-    """The effective block-tier trip threshold (``>= 1``)."""
-    if override is None:
-        override = int(os.environ.get("REPRO_BLOCK_MIN_TRIP", DEFAULT_MIN_BLOCK_TRIP))
-    return max(1, int(override))
 
 
 @dataclass(frozen=True)

@@ -51,11 +51,11 @@ import numpy as np
 from repro import telemetry
 from repro.errors import ExecutionError
 from repro.exec.blocktier import (
+    DEFAULT_MIN_BLOCK_TRIP,
     BlockPlan,
     analyze_block_loop,
     block_guard,
     classify_block_loop,
-    resolve_min_block_trip,
 )
 from repro.exec.events import (
     DEFAULT_CHUNK_EVENTS,
@@ -626,9 +626,9 @@ class CompiledProgram:
     ``REPRO_EXEC_MODE``) vectorizes eligible innermost loops and falls
     back per loop / per entry; ``"scalar"`` is the pure per-iteration
     oracle. Both produce bit-identical traces, counters and values.
-    ``min_block_trip`` (default ``REPRO_BLOCK_MIN_TRIP`` or 16) is the
-    smallest trip count worth vectorizing. :attr:`block_loops` counts the
-    loops that got a block path.
+    ``min_block_trip`` (default 16) is the smallest trip count worth
+    vectorizing. :attr:`block_loops` counts the loops that got a block
+    path.
     """
 
     def __init__(
@@ -637,12 +637,12 @@ class CompiledProgram:
         *,
         trace: bool = False,
         exec_mode: str | None = None,
-        min_block_trip: int | None = None,
+        min_block_trip: int = DEFAULT_MIN_BLOCK_TRIP,
     ):
         self.program = program
         self.trace = trace
         self.exec_mode = resolve_exec_mode(exec_mode)
-        self.min_block_trip = resolve_min_block_trip(min_block_trip)
+        self.min_block_trip = max(1, int(min_block_trip))
         #: Runtime fallback counts (guard-rejected / below-min-trip loop
         #: entries), accumulated across every run of this instance.
         self.fallbacks = TierFallbacks()

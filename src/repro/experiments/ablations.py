@@ -25,7 +25,7 @@ from repro.kernels import jacobi
 from repro.kernels.registry import get_kernel
 from repro.machine.cache import CacheConfig
 from repro.machine.configs import MachineConfig
-from repro.machine.perfcounters import measure
+from repro.machine.perfcounters import measure_streaming
 from repro.utils.tables import render_table
 
 
@@ -190,8 +190,8 @@ def _measure_program(program, kernel: str, n: int, config: SweepConfig):
     rng = np.random.default_rng(config.seed)
     inputs = mod.make_inputs(params, rng)
     cp = CompiledProgram(program, trace=True)
-    run = cp.run(params, inputs)
-    return measure(run, program, params, config.machine)
+    _, report = measure_streaming(cp, params, config.machine, inputs)
+    return report
 
 
 def main(config: SweepConfig | None = None) -> str:

@@ -37,15 +37,11 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.exec.compiled import (
-    CompiledProgram,
-    resolve_exec_mode,
-    resolve_min_block_trip,
-)
+from repro.exec.compiled import CompiledProgram, resolve_exec_mode
 from repro.experiments.sweep import SweepConfig, resolve_jobs
 from repro.ir.program import Program
 from repro.kernels.registry import get_kernel, get_recipe
-from repro.machine.perfcounters import PerfReport, measure, measure_streaming
+from repro.machine.perfcounters import PerfReport, measure_streaming
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
 from repro.pipeline.recipe import VariantRecipe, measurement_fingerprint
@@ -166,15 +162,6 @@ def _params_for(kernel: str, n: int, config: SweepConfig) -> dict[str, int]:
     return params
 
 
-def _trace_mode(override: str | None) -> str:
-    mode = override or os.environ.get("REPRO_TRACE_MODE", "stream")
-    if mode not in ("stream", "materialize"):
-        raise ValueError(
-            f"trace_mode must be 'stream' or 'materialize', got {mode!r}"
-        )
-    return mode
-
-
 def _tile_for(variant: str, n: int, config: SweepConfig, tile: int | None) -> int | None:
     if variant in ("tiled", "tiled_sunk") and tile is None:
         return config.tile_for(n)
@@ -211,17 +198,12 @@ def measure_variant(
     config: SweepConfig,
     *,
     tile: int | None = None,
-    trace_mode: str | None = None,
 ) -> VariantMeasurement:
     """Measure one (kernel, variant, N) point (memoised).
 
-    ``trace_mode`` selects how the trace reaches the machine model:
-    ``"stream"`` (default) drives the fused sink pipeline in bounded
-    memory; ``"materialize"`` builds the full trace first (debugging
-    path). Results are bit-identical, so the cache key is unaffected;
-    the ``REPRO_TRACE_MODE`` env var overrides the default. The same
-    holds for the executor tier (``REPRO_EXEC_MODE``): block and scalar
-    produce bit-identical reports by contract.
+    The trace streams through the fused sink pipeline in bounded memory.
+    The executor tier (``REPRO_EXEC_MODE``) is not part of the cache key:
+    block and scalar produce bit-identical reports by contract.
     """
     tile = _tile_for(variant, n, config, tile)
     program, pipeline, recipe = build_program(kernel, variant, tile=tile)
@@ -253,18 +235,13 @@ def measure_variant(
         def compile_program():
             return CompiledProgram(program, trace=True)
 
-        # The engine memo must key on the effective tier configuration:
-        # flipping REPRO_EXEC_MODE / REPRO_BLOCK_MIN_TRIP mid-process must
-        # not resurrect an engine compiled for the other tier.
+        # The engine memo must key on the effective tier: flipping
+        # REPRO_EXEC_MODE mid-process must not resurrect an engine compiled
+        # for the other tier.
         cp = _compiled.get_or_compute(
-            (kernel, variant, tile, resolve_exec_mode(), resolve_min_block_trip()),
-            compile_program,
+            (kernel, variant, tile, resolve_exec_mode()), compile_program
         )
-        if _trace_mode(trace_mode) == "stream":
-            _, report = measure_streaming(cp, params, config.machine, inputs)
-        else:
-            run = cp.run(params, inputs)
-            report = measure(run, cp.program, params, config.machine)
+        _, report = measure_streaming(cp, params, config.machine, inputs)
         _store_cached(key, report)
         sp.set(source="computed")
         result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)

@@ -20,7 +20,7 @@ exactly those observables from the executor's traces:
   that fuses all trace consumers into one bounded-memory pass.
 """
 
-from repro.machine.branch import StaticTakenPredictor, TwoBitPredictor
+from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheConfig, CacheSink, simulate_cache
 from repro.machine.configs import MachineConfig, octane2, octane2_scaled
 from repro.machine.costmodel import CostModel
@@ -29,7 +29,6 @@ from repro.machine.layout import MemoryLayout
 from repro.machine.perfcounters import (
     MemoryPipelineSink,
     PerfReport,
-    measure,
     measure_streaming,
 )
 from repro.machine.sinks import (
@@ -54,10 +53,8 @@ __all__ = [
     "MemoryLayout",
     "MemoryPipelineSink",
     "PerfReport",
-    "measure",
     "measure_streaming",
     "TwoBitPredictor",
-    "StaticTakenPredictor",
     "TraceSink",
     "MaterializeSink",
     "FanoutSink",

@@ -3,16 +3,14 @@
 Figure 7 of the paper charges 1 cycle per resolved conditional and 5 cycles
 per misprediction. The R10000-family predictor is a per-site 2-bit
 saturating counter table; we model exactly that (without aliasing, since our
-site ids are exact). A static always-taken predictor is provided for
-ablation studies.
+site ids are exact).
 
-Streaming: :func:`sink_for_predictor` wraps a predictor into a
+:class:`TwoBitPredictorSink` is the production model: a
 :class:`~repro.machine.sinks.TraceSink` consuming encoded branch-event
-chunks (``site*2 + taken``). Sites are independent and the sinks preserve
+chunks (``site*2 + taken``). Sites are independent and the sink preserves
 per-site order, so interleaved streaming replay is equivalent to the
-grouped-by-site replay of ``simulate`` — the equivalence tests assert it.
-Unknown predictor types fall back to materializing the (small) branch
-trace and calling their ``simulate`` once at the end.
+grouped-by-site replay of :meth:`TwoBitPredictor.simulate`, which the
+tests keep as the whole-trace oracle.
 """
 
 from __future__ import annotations
@@ -20,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from repro.exec.events import decode_branch_events
 
 
 @dataclass(frozen=True)
@@ -74,15 +70,6 @@ class TwoBitPredictor:
         return BranchStats(resolved=n, mispredicted=mispredicted)
 
 
-class StaticTakenPredictor:
-    """Predicts every branch taken (ablation baseline)."""
-
-    def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:
-        """Mispredict exactly the not-taken outcomes."""
-        n = len(site_ids)
-        return BranchStats(resolved=n, mispredicted=int((np.asarray(taken) == 0).sum()))
-
-
 class TwoBitPredictorSink:
     """Streaming per-site 2-bit counters over encoded branch chunks."""
 
@@ -114,57 +101,3 @@ class TwoBitPredictorSink:
     def finish(self) -> BranchStats:
         """Accumulated prediction statistics."""
         return BranchStats(self._resolved, self._mispredicted)
-
-
-class StaticTakenPredictorSink:
-    """Streaming always-taken predictor (vectorized per chunk)."""
-
-    def __init__(self) -> None:
-        self._resolved = 0
-        self._mispredicted = 0
-
-    def feed(self, codes: np.ndarray) -> None:
-        """Mispredict the not-taken events of one chunk."""
-        _, taken = decode_branch_events(codes)
-        self._resolved += len(taken)
-        self._mispredicted += int((taken == 0).sum())
-
-    def finish(self) -> BranchStats:
-        """Accumulated prediction statistics."""
-        return BranchStats(self._resolved, self._mispredicted)
-
-
-class MaterializingPredictorSink:
-    """Fallback for custom predictors: collect, then ``simulate`` once.
-
-    The branch trace is orders of magnitude smaller than the memory trace
-    (one event per conditional), so materializing it does not threaten the
-    streaming pipeline's memory bound.
-    """
-
-    def __init__(self, predictor) -> None:
-        self._predictor = predictor
-        self._chunks: list[np.ndarray] = []
-
-    def feed(self, codes: np.ndarray) -> None:
-        """Retain a copy of the chunk."""
-        self._chunks.append(np.asarray(codes, dtype=np.int64).copy())
-
-    def finish(self) -> BranchStats:
-        """Replay the collected trace through the wrapped predictor."""
-        codes = (
-            np.concatenate(self._chunks)
-            if self._chunks
-            else np.empty(0, dtype=np.int64)
-        )
-        sid, taken = decode_branch_events(codes)
-        return self._predictor.simulate(sid, taken)
-
-
-def sink_for_predictor(predictor):
-    """Streaming sink equivalent to ``predictor.simulate`` on the full trace."""
-    if type(predictor) is TwoBitPredictor:
-        return TwoBitPredictorSink()
-    if type(predictor) is StaticTakenPredictor:
-        return StaticTakenPredictorSink()
-    return MaterializingPredictorSink(predictor)

@@ -88,8 +88,3 @@ def layout_for_program(program, params, *, align: int = 128) -> MemoryLayout:
         shape = evaluate_extents(decl.extents, params)
         sizes[decl.name] = int(np.prod(shape))
     return MemoryLayout.build(sizes, align=align)
-
-
-def layout_for_run(run_result, program, params, *, align: int = 128) -> MemoryLayout:
-    """Build the layout for a finished run (extents evaluated at *params*)."""
-    return layout_for_program(program, params, align=align)

@@ -1,23 +1,19 @@
 """End-to-end perfex-style measurement of one traced run.
 
-Two equivalent entry points:
+:func:`measure_streaming` executes a compiled program and drives the whole
+machine model in a single fused pass over bounded trace chunks — the trace
+never exists as one object. It lays the arrays out in memory, replays the
+memory trace through the register filter and cache hierarchy and the
+branch trace through the 2-bit predictor, and aggregates cycles with the
+cost model — yielding every observable the paper's Figures 5–8 plot. The
+sinks are chunking-invariant and the pipeline preserves program order, so
+the report equals a whole-trace replay through the reference models
+(``filter_loads``, ``simulate_hierarchy``, ``TwoBitPredictor.simulate``),
+as the equivalence test-suite asserts.
 
-- :func:`measure` takes a fully-materialized traced
-  :class:`~repro.exec.events.RunResult` (the debugging path);
-- :func:`measure_streaming` executes the compiled program itself, driving
-  the whole machine model in a single fused pass over bounded trace
-  chunks — the trace never exists as one object.
-
-Both lay the arrays out in memory, replay the memory trace through the
-register filter and cache hierarchy and the branch trace through the
-predictor, and aggregate cycles with the cost model — yielding every
-observable the paper's Figures 5–8 plot. The two paths are bit-identical
-(asserted by the equivalence test-suite): the streaming sinks are
-chunking-invariant and the pipeline preserves program order.
-
-Neither path cares which codegen tier produced the events: the block
-tier's whole-trip event matrices arrive through the same chunk protocol
-as the scalar tier's appends, in the same program order, so a
+The measurement does not care which codegen tier produced the events:
+the block tier's whole-trip event matrices arrive through the same chunk
+protocol as the scalar tier's appends, in the same program order, so a
 ``PerfReport`` is independent of ``REPRO_EXEC_MODE`` (asserted per recipe
 by the differential suite).
 """
@@ -30,14 +26,13 @@ from typing import Mapping
 import numpy as np
 
 from repro import telemetry
-from repro.errors import MachineError
 from repro.exec.events import Counters, RunResult, decode_memory_events
 from repro.ir.program import Program
-from repro.machine.branch import BranchStats, TwoBitPredictor, sink_for_predictor
+from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.configs import MachineConfig
-from repro.machine.hierarchy import HierarchyResult, HierarchySink, simulate_hierarchy
-from repro.machine.layout import MemoryLayout, layout_for_program, layout_for_run
-from repro.machine.registers import RegisterFilterSink, filter_loads
+from repro.machine.hierarchy import HierarchyResult, HierarchySink
+from repro.machine.layout import MemoryLayout, layout_for_program
+from repro.machine.registers import RegisterFilterSink
 
 
 @dataclass(frozen=True)
@@ -83,8 +78,8 @@ class MemoryPipelineSink:
     """Fused memory-side pipeline over encoded memory-event chunks.
 
     Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass, exactly mirroring the materialized path's
-    whole-trace stages.
+    L1 → L2 in one pass, exactly mirroring the whole-trace reference
+    stages.
     """
 
     def __init__(
@@ -119,7 +114,7 @@ def _assemble_report(
     hier: HierarchyResult,
     branch: BranchStats,
 ) -> PerfReport:
-    """Shared cost aggregation of the materialized and streaming paths."""
+    """Cost aggregation of one measured run."""
     costs = machine.costs
     # Register-elided loads never graduate as instructions.
     effective = Counters(**counters.as_dict())
@@ -144,43 +139,12 @@ def _assemble_report(
     )
 
 
-def measure(
-    result: RunResult,
-    program: Program,
-    params: Mapping[str, int],
-    machine: MachineConfig,
-    *,
-    predictor=None,
-) -> PerfReport:
-    """Replay a materialized traced run on *machine* (debugging path)."""
-    if result.trace is None:
-        raise MachineError("measure() needs a traced run (trace=True)")
-    with telemetry.span(
-        "machine.measure", program=program.name, machine=machine.name
-    ):
-        layout = layout_for_run(result, program, params)
-        aid, lin, rw = result.trace.memory_events()
-        id_to_name = {v: k for k, v in result.array_ids.items()}
-        addresses = layout.addresses(aid, lin, id_to_name)
-        regs = filter_loads(addresses, rw, machine.registers)
-        memory_stream = addresses[regs.to_memory]
-        hier = simulate_hierarchy(machine.l1, machine.l2, memory_stream)
-
-        sid, taken = result.trace.branch_events()
-        predictor = predictor or TwoBitPredictor()
-        branch = predictor.simulate(sid, taken)
-        return _assemble_report(
-            program, machine, result.counters, regs.load_hits, hier, branch
-        )
-
-
 def measure_streaming(
     compiled,
     params: Mapping[str, int],
     machine: MachineConfig,
     inputs: Mapping[str, np.ndarray] | None = None,
     *,
-    predictor=None,
     chunk_events: int | None = None,
 ) -> tuple[RunResult, PerfReport]:
     """Execute *compiled* and measure it in one fused streaming pass.
@@ -197,7 +161,7 @@ def measure_streaming(
         layout = layout_for_program(program, params)
         id_to_name = {v: k for k, v in compiled.array_ids.items()}
         memory_sink = MemoryPipelineSink(machine, layout, id_to_name)
-        branch_sink = sink_for_predictor(predictor or TwoBitPredictor())
+        branch_sink = TwoBitPredictorSink()
         if telemetry.enabled():
             # Per-sink replay spans + chunk/event counters; the wrappers
             # preserve feed/finish semantics bit-exactly, so reports are

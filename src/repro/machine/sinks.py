@@ -71,9 +71,9 @@ class TraceSink(Protocol):
 class MaterializeSink:
     """Collects encoded event chunks back into one array.
 
-    The debugging escape hatch of the streaming architecture
-    (``trace_mode="materialize"``): everything downstream sees the exact
-    full-trace array the pre-streaming executor produced.
+    For consumers that need the whole stream at once, such as a test
+    comparing a streamed run against ``CompiledProgram.run``'s trace: the
+    result is the exact array a materializing run produces.
     """
 
     def __init__(self, dtype=np.int64):

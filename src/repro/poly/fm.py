@@ -11,8 +11,7 @@ over-approximation.
 Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
 
 - ``eliminate`` and ``project_onto`` are memoised per-process on the
-  polyhedron's structural fingerprint (projections additionally persist
-  to the analysis disk cache), and both cache raised
+  polyhedron's structural fingerprint, and both cache raised
   ``CaseSplitError``/``PolyhedronError`` outcomes;
 - the dominant bound combination ``e_lo * (-n) + e_up * p`` takes a
   pure-addition fast path when both coefficients on the eliminated
@@ -193,12 +192,10 @@ def project_onto(
         raise PolyhedronError(f"projection targets {sorted(unknown)} are not dimensions")
     if not memo.caching_enabled():
         return _project_onto(poly, tuple(keep), keep_set, require_exact)
-    return memo.memoize_json(
+    return memo.memoize(
         "proj",
         (poly.fingerprint(), ",".join(keep), require_exact),
         lambda: _project_onto(poly, tuple(keep), keep_set, require_exact),
-        encode=memo.enc_poly,
-        decode=memo.dec_poly,
     )
 
 

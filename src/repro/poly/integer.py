@@ -56,12 +56,8 @@ def rationally_empty(poly: Polyhedron) -> bool:
         return True
     if not memo.caching_enabled():
         return _rationally_empty(poly)
-    return memo.memoize_json(
-        "rempty",
-        (poly.fingerprint(),),
-        lambda: _rationally_empty(poly),
-        encode=bool,
-        decode=bool,
+    return memo.memoize(
+        "rempty", (poly.fingerprint(),), lambda: _rationally_empty(poly)
     )
 
 
@@ -126,7 +122,7 @@ def check_feasibility(
     """Full-detail integer feasibility (see module docstring)."""
     if not memo.caching_enabled():
         return _check_feasibility(poly, param_env, param_lo, param_width)
-    return memo.memoize_json(
+    return memo.memoize(
         "feas",
         (
             poly.fingerprint(),
@@ -135,10 +131,6 @@ def check_feasibility(
             param_width,
         ),
         lambda: _check_feasibility(poly, param_env, param_lo, param_width),
-        encode=lambda r: {"f": r.feasible, "w": r.witness, "d": r.decisive},
-        decode=lambda p: FeasibilityResult(
-            p["f"], dict(p["w"]) if p["w"] is not None else None, p["d"]
-        ),
     )
 
 

@@ -36,12 +36,10 @@ def lexmin_enumerate(
     """Exact lexmin by enumeration (points stream in lexicographic order)."""
     if not memo.caching_enabled():
         return _lexmin_enumerate(poly, param_env)
-    point = memo.memoize_json(
+    point = memo.memoize(
         "lexenum",
         (poly.fingerprint(), memo.env_key(param_env)),
         lambda: _lexmin_enumerate(poly, param_env),
-        encode=lambda p: p,
-        decode=lambda p: p,
     )
     return dict(point) if point is not None else None
 
@@ -71,12 +69,10 @@ def parametric_lexmin(
     if not memo.caching_enabled():
         return _parametric_lexmin(poly, param_domain)
     domain_fp = param_domain.fingerprint() if param_domain is not None else "-"
-    value = memo.memoize_json(
+    value = memo.memoize(
         "plexmin",
         (poly.fingerprint(), domain_fp),
         lambda: _parametric_lexmin(poly, param_domain),
-        encode=lambda r: None if r is None else [memo.enc_linexpr(e) for e in r],
-        decode=lambda p: None if p is None else [memo.dec_linexpr(e) for e in p],
     )
     # Fresh list per call: memo hits alias the stored value.
     return list(value) if value is not None else None

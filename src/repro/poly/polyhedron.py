@@ -82,8 +82,8 @@ class Polyhedron:
     def fingerprint(self) -> str:
         """Stable structural digest (dimension order + ordered constraints).
 
-        Process-independent (unlike ``hash()``), so it keys both the
-        in-process analysis memo and the persisted disk entries.
+        Process-independent (unlike ``hash()``); it keys the analysis
+        memo.
         """
         if self._fp is None:
             h = hashlib.blake2b(digest_size=16)

@@ -188,13 +188,10 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
         lines.append(f"  WARNING: {corrupt:g} corrupt cache entries discarded")
     lines.append("")
     lines.extend(_counter_section("== polyhedral analysis ==", poly))
-    p_hits = counters.get("poly.memo.hit", 0) + counters.get("poly.memo.disk_hit", 0)
+    p_hits = counters.get("poly.memo.hit", 0)
     p_misses = counters.get("poly.memo.miss", 0)
     if p_hits + p_misses:
         lines.append(f"  poly-memo hit rate: {p_hits / (p_hits + p_misses):.1%}")
-    p_corrupt = counters.get("poly.disk.corrupt", 0)
-    if p_corrupt:
-        lines.append(f"  WARNING: {p_corrupt:g} corrupt poly-memo entries discarded")
     lines.append("")
     lines.extend(_counter_section("== other counters ==", other))
 

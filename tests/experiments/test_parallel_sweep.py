@@ -129,7 +129,6 @@ class TestMeasurePoints:
             raise AssertionError("should have been served from disk cache")
 
         monkeypatch.setattr(runner, "measure_streaming", boom)
-        monkeypatch.setattr(runner, "measure", boom)
         m = runner.measure_variant("cholesky", "seq", 8, config)
         assert m.report.total_cycles > 0
 

@@ -1,7 +1,7 @@
 """Differential guarantee of the analysis-layer cache (PR-5 tentpole).
 
-``REPRO_POLY_CACHE=off`` is the oracle: with every memo, intern table,
-disk entry and FM fast path disabled, the compiler must produce exactly
+``REPRO_POLY_CACHE=off`` is the oracle: with every memo, intern table
+and FM fast path disabled, the compiler must produce exactly
 the same dependence graphs, FixDeps output and emitted programs as the
 cached default. The program-hash check runs the full 43-point registry
 matrix in two subprocesses (each mode as a user process would see it);
@@ -26,10 +26,16 @@ json.dump(registry_program_hashes(), sys.stdout)
 """
 
 
-def _hashes(poly_cache: str) -> dict[str, str]:
+def _hashes(poly_cache: str, cache_dir: Path | None = None) -> dict[str, str]:
+    """Registry hashes from a fresh process. With *cache_dir* the
+    measurement disk cache is enabled there; otherwise it is off."""
     env = dict(os.environ)
     env["REPRO_POLY_CACHE"] = poly_cache
-    env["REPRO_NO_CACHE"] = "1"  # isolate from any on-disk analysis state
+    if cache_dir is None:
+        env["REPRO_NO_CACHE"] = "1"
+    else:
+        env.pop("REPRO_NO_CACHE", None)
+        env["REPRO_CACHE_DIR"] = str(cache_dir)
     src = str(Path(__file__).resolve().parents[2] / "src")
     existing = env.get("PYTHONPATH", "")
     env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
@@ -49,6 +55,14 @@ def test_all_43_program_hashes_match_oracle():
     oracle = _hashes("off")
     assert len(oracle) == 43
     assert cached == oracle
+
+
+@pytest.mark.slow
+def test_cold_registry_build_writes_nothing_to_disk(tmp_path):
+    """The analysis memo lives in process only: building every registry
+    program with the disk cache enabled leaves the cache directory empty."""
+    assert len(_hashes("on", cache_dir=tmp_path)) == 43
+    assert list(tmp_path.iterdir()) == []
 
 
 def _toggle(monkeypatch, mode: str) -> None:

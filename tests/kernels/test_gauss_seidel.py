@@ -55,7 +55,7 @@ class TestRegistry:
 
     def test_tiling_pays_off(self):
         from repro.exec.compiled import CompiledProgram
-        from repro.machine import measure, octane2_scaled
+        from repro.machine import measure_streaming, octane2_scaled
 
         # N=88: the field (61 KB) exceeds the scaled 32 KB L2.
         params = {"N": 88, "M": 8}
@@ -64,6 +64,6 @@ class TestRegistry:
         reports = {}
         for label, prog in (("seq", gs.sequential()), ("tiled", gs.tiled(11))):
             cp = CompiledProgram(prog, trace=True)
-            reports[label] = measure(cp.run(params, inputs), prog, params, machine)
+            _, reports[label] = measure_streaming(cp, params, machine, inputs)
         assert reports["tiled"].l2_misses < reports["seq"].l2_misses / 4
         assert reports["tiled"].total_cycles < reports["seq"].total_cycles

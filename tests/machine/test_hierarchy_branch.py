@@ -1,8 +1,8 @@
-"""Unit tests for the cache hierarchy and branch predictors."""
+"""Unit tests for the cache hierarchy and the branch predictor."""
 
 import numpy as np
 
-from repro.machine.branch import StaticTakenPredictor, TwoBitPredictor
+from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import simulate_hierarchy
 
@@ -77,11 +77,3 @@ class TestTwoBit:
     def test_empty(self):
         stats = self.run([], [])
         assert stats.resolved == 0 and stats.misprediction_rate == 0.0
-
-
-class TestStaticTaken:
-    def test_counts_not_taken(self):
-        stats = StaticTakenPredictor().simulate(
-            np.array([0, 0, 1]), np.array([1, 0, 0])
-        )
-        assert stats.resolved == 3 and stats.mispredicted == 2

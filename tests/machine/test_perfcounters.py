@@ -1,13 +1,13 @@
-"""Integration tests for the end-to-end measure() path."""
+"""Integration tests for the end-to-end measure_streaming() path."""
 
 import pytest
 
-from repro.errors import MachineError
-from repro.exec.compiled import CompiledProgram, run_compiled
+from repro.errors import ExecutionError
+from repro.exec.compiled import CompiledProgram
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
 from repro.machine.configs import octane2_scaled
-from repro.machine.perfcounters import measure
+from repro.machine.perfcounters import measure_streaming
 
 N, i, j = sym("N"), sym("i"), sym("j")
 
@@ -21,16 +21,13 @@ def sweep_program() -> Program:
 
 class TestMeasure:
     def test_needs_trace(self):
-        out = run_compiled(sweep_program(), {"N": 8})
-        with pytest.raises(MachineError):
-            measure(out, sweep_program(), {"N": 8}, octane2_scaled())
+        cp = CompiledProgram(sweep_program())
+        with pytest.raises(ExecutionError):
+            measure_streaming(cp, {"N": 8}, octane2_scaled())
 
     def test_column_major_sweep_is_cache_friendly(self):
-        p = sweep_program()
-        cp = CompiledProgram(p, trace=True)
         n = 32
-        out = cp.run({"N": n})
-        rep = measure(out, p, {"N": n}, octane2_scaled())
+        rep = _measure(sweep_program(), {"N": n})
         # Column-major traversal with i innermost: 1 miss per 4-element line
         # (plus register effects on loads).
         lines = n * n / 4
@@ -76,5 +73,4 @@ class TestMeasure:
 
 def _measure(program, params):
     cp = CompiledProgram(program, trace=True)
-    out = cp.run(params)
-    return measure(out, program, params, octane2_scaled())
+    return measure_streaming(cp, params, octane2_scaled())[1]

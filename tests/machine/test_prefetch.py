@@ -63,7 +63,7 @@ class TestPrefetch:
         from repro.exec.compiled import CompiledProgram
         from repro.kernels import cholesky
         from repro.machine.configs import octane2_scaled
-        from repro.machine.layout import layout_for_run
+        from repro.machine.layout import layout_for_program
 
         params = {"N": 96}
         inputs = cholesky.make_inputs(params)
@@ -72,7 +72,7 @@ class TestPrefetch:
         for label, prog in (("seq", cholesky.sequential()), ("tiled", cholesky.tiled(11))):
             cp = CompiledProgram(prog, trace=True)
             run = cp.run(params, inputs)
-            layout = layout_for_run(run, prog, params)
+            layout = layout_for_program(prog, params)
             aid, lin, _ = run.trace.memory_events()
             addrs = layout.addresses(aid, lin, {v: k for k, v in run.array_ids.items()})
             plain = int(simulate_cache(machine.l2, addrs).sum())

@@ -1,13 +1,14 @@
-"""Streaming vs materialized equivalence: the refactor's core guarantee.
+"""Streaming vs whole-trace equivalence: the machine model's core guarantee.
 
-The streaming trace pipeline must be *bit-identical* to the materialized
-path — same miss counts, same counters, same branch stats, on any chunking.
-These tests pin that down three ways:
+The streaming trace pipeline must be *bit-identical* to a whole-trace
+replay — same miss counts, same counters, same branch stats, on any
+chunking. These tests pin that down three ways:
 
 - randomized traces through every sink, chunked at random boundaries,
   against the original whole-trace implementations;
-- every registered kernel recipe at small N, end-to-end through
-  ``measure`` vs ``measure_streaming``;
+- every registered kernel recipe at small N, end-to-end: ``cp.run()``'s
+  materialized trace through one ``MemoryPipelineSink.feed`` plus
+  ``TwoBitPredictor().simulate`` vs ``measure_streaming``;
 - Mattson-inclusion cross-check: the vectorized ``simulate_cache`` at
   full associativity must agree with ``stack_distances``.
 """
@@ -20,11 +21,7 @@ import pytest
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
-from repro.machine.branch import (
-    StaticTakenPredictor,
-    TwoBitPredictor,
-    sink_for_predictor,
-)
+from repro.machine.branch import TwoBitPredictor, TwoBitPredictorSink
 from repro.machine.cache import (
     CacheConfig,
     CacheSink,
@@ -35,7 +32,8 @@ from repro.machine.cache import (
 )
 from repro.machine.configs import octane2_scaled
 from repro.machine.hierarchy import HierarchySink, simulate_hierarchy
-from repro.machine.perfcounters import measure, measure_streaming
+from repro.machine.layout import layout_for_program
+from repro.machine.perfcounters import MemoryPipelineSink, measure_streaming
 from repro.machine.registers import RegisterFilterSink, filter_loads
 from repro.machine.sinks import MaterializeSink
 from repro.machine.tlb import TLBConfig, TLBSink, simulate_tlb
@@ -167,33 +165,36 @@ class TestSinkChunkingInvariance:
         assert np.array_equal(np.concatenate(masks), whole.to_memory)
         assert sink.finish().load_hits == whole.load_hits
 
-    @pytest.mark.parametrize("predictor_cls", [TwoBitPredictor, StaticTakenPredictor])
-    def test_branch_sinks(self, predictor_cls):
+    def test_branch_sink(self):
         sites = self.rng.integers(0, 5, size=400, dtype=np.int64)
         taken = self.rng.integers(0, 2, size=400, dtype=np.int64)
         codes = sites * 2 + taken
-        whole = predictor_cls().simulate(sites, taken)
-        sink = sink_for_predictor(predictor_cls())
+        whole = TwoBitPredictor().simulate(sites, taken)
+        sink = TwoBitPredictorSink()
         for (chunk,) in random_chunks(self.rng, codes):
             sink.feed(chunk)
-        stats = sink.finish()
-        assert (stats.resolved, stats.mispredicted) == (
-            whole.resolved,
-            whole.mispredicted,
-        )
+        assert sink.finish() == whole
 
-    def test_custom_predictor_falls_back_to_materializing(self):
-        class Inverted:
-            def simulate(self, sites, taken):
-                from repro.machine.branch import BranchStats
 
-                return BranchStats(len(sites), int((np.asarray(taken) == 1).sum()))
-
-        codes = np.array([0, 1, 2, 3, 1], dtype=np.int64)
-        sink = sink_for_predictor(Inverted())
-        sink.feed(codes[:2])
-        sink.feed(codes[2:])
-        assert sink.finish().mispredicted == 3
+def _whole_trace_observables(cp, params, machine, inputs) -> dict:
+    """Reference: the materialized trace of ``cp.run()`` fed to the memory
+    pipeline as one chunk and to the whole-trace predictor."""
+    run = cp.run(params, inputs)
+    layout = layout_for_program(cp.program, params)
+    id_to_name = {v: k for k, v in run.array_ids.items()}
+    memory = MemoryPipelineSink(machine, layout, id_to_name)
+    memory.feed(run.trace.memory)
+    load_hits, hier = memory.finish()
+    branch = TwoBitPredictor().simulate(*run.trace.branch_events())
+    return {
+        "counters": run.counters.as_dict(),
+        "accesses": hier.accesses,
+        "register_load_hits": load_hits,
+        "l1_misses": hier.l1_misses,
+        "l2_misses": hier.l2_misses,
+        "branches_resolved": branch.resolved,
+        "branches_mispredicted": branch.mispredicted,
+    }
 
 
 def _measure_both(kernel, variant, n=8):
@@ -206,12 +207,14 @@ def _measure_both(kernel, variant, n=8):
     inputs = mod.make_inputs(params, np.random.default_rng(0))
     cp = CompiledProgram(program, trace=True)
     machine = octane2_scaled()
-    materialized = measure(cp.run(params, inputs), program, params, machine)
+    whole = _whole_trace_observables(cp, params, machine, inputs)
     # A deliberately odd chunk size so runs straddle chunk boundaries.
-    _, streamed = measure_streaming(
+    result, report = measure_streaming(
         cp, params, machine, inputs, chunk_events=97
     )
-    return materialized, streamed
+    streamed = {k: getattr(report, k) for k in whole if k != "counters"}
+    streamed["counters"] = result.counters.as_dict()
+    return whole, streamed
 
 
 @pytest.mark.parametrize(
@@ -226,8 +229,8 @@ def _measure_both(kernel, variant, n=8):
     ],
 )
 def test_every_recipe_streams_bit_identical(kernel, variant):
-    materialized, streamed = _measure_both(kernel, variant)
-    assert materialized.as_dict() == streamed.as_dict()
+    whole, streamed = _measure_both(kernel, variant)
+    assert streamed == whole
 
 
 def test_streaming_executor_reproduces_trace():

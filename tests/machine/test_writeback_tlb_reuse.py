@@ -121,7 +121,7 @@ class TestReuseProfile:
         # distances than sequential Cholesky.
         from repro.exec.compiled import CompiledProgram
         from repro.kernels import cholesky
-        from repro.machine.layout import layout_for_run
+        from repro.machine.layout import layout_for_program
 
         params = {"N": 40}
         inputs = cholesky.make_inputs(params)
@@ -132,7 +132,7 @@ class TestReuseProfile:
         ):
             cp = CompiledProgram(program, trace=True)
             run = cp.run(params, inputs)
-            layout = layout_for_run(run, program, params)
+            layout = layout_for_program(program, params)
             aid, lin, _ = run.trace.memory_events()
             addrs = layout.addresses(aid, lin, {v: k for k, v in run.array_ids.items()})
             profs[label] = reuse_profile(addrs, 5)

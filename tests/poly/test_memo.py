@@ -1,19 +1,18 @@
-"""The analysis-layer memo: in-process + disk caching, interning, stats."""
+"""The analysis-layer memo: caching, keys, interning, stats."""
 
 from __future__ import annotations
 
-import json
 import pickle
 
 import pytest
 
 from repro.errors import CaseSplitError
 from repro.poly import memo
-from repro.poly.constraint import Constraint, Kind, eq0, ge, ge0, le
+from repro.poly.constraint import Constraint, Kind, ge, le
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
-i, j, N = LinExpr.var("i"), LinExpr.var("j"), LinExpr.var("N")
+i, N = LinExpr.var("i"), LinExpr.var("N")
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +44,7 @@ class TestMemoize:
         assert memo.memoize("t", ("k",), compute) == 42
         assert memo.memoize("t", ("k",), compute) == 42
         assert len(calls) == 1
-        assert memo.stats()["ops"]["t"] == {"hit": 1, "miss": 1, "disk_hit": 0}
+        assert memo.stats()["ops"]["t"] == {"hit": 1, "miss": 1}
 
     def test_distinct_keys_distinct_entries(self):
         assert memo.memoize("t", ("a",), lambda: 1) == 1
@@ -92,78 +91,7 @@ class TestMemoize:
         assert s["memo_entries"] == 0 and s["ops"] == {}
 
 
-class TestDiskLayer:
-    @pytest.fixture(autouse=True)
-    def _disk(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        memo.clear_memos()
-        self.path = tmp_path / f"polymemo-v{memo.DISK_FORMAT_VERSION}.jsonl"
-
-    def test_round_trip_after_clear(self):
-        p = _box()
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return p
-
-        out1 = memo.memoize_json(
-            "t", ("k",), compute, encode=memo.enc_poly, decode=memo.dec_poly
-        )
-        memo.clear_memos()  # drops the in-process layer only
-        out2 = memo.memoize_json(
-            "t", ("k",), compute, encode=memo.enc_poly, decode=memo.dec_poly
-        )
-        assert len(calls) == 1
-        assert out1 == out2 and out2.constraints == out1.constraints
-        assert memo.stats()["ops"]["t"]["disk_hit"] == 1
-
-    def test_error_round_trips_through_disk(self):
-        def compute():
-            raise CaseSplitError("disk-cached failure")
-
-        with pytest.raises(CaseSplitError):
-            memo.memoize_json("t", ("k",), compute, encode=str, decode=str)
-        memo.clear_memos()
-        with pytest.raises(CaseSplitError, match="disk-cached failure"):
-            memo.memoize_json(
-                "t", ("k",), lambda: pytest.fail("must not recompute"),
-                encode=str, decode=str,
-            )
-
-    def test_corrupt_lines_skipped(self):
-        memo.memoize_json("t", ("a",), lambda: 1, encode=int, decode=int)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write('{"k": "torn-entr\n')
-        memo.clear_memos()
-        assert (
-            memo.memoize_json("t", ("a",), lambda: 2, encode=int, decode=int)
-            == 1
-        )
-
-    def test_no_cache_env_disables_disk(self, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_CACHE", "1")
-        memo.clear_memos()
-        memo.memoize_json("t", ("k",), lambda: 1, encode=int, decode=int)
-        assert not self.path.exists()
-
-
-class TestCodecs:
-    def test_linexpr_round_trip(self):
-        e = i * 3 - j / 2 + 7
-        assert memo.dec_linexpr(json.loads(json.dumps(memo.enc_linexpr(e)))) == e
-
-    def test_constraint_round_trip(self):
-        for c in (ge0(i - 1), eq0(i * 2 - N)):
-            assert memo.dec_constraint(memo.enc_constraint(c)) == c
-
-    def test_poly_round_trip_preserves_order(self):
-        p = Polyhedron(("i", "j"), [ge(i, 0), le(i, N), ge(j, i)])
-        q = memo.dec_poly(json.loads(json.dumps(memo.enc_poly(p))))
-        assert q.variables == p.variables
-        assert q.constraints == p.constraints
-
+class TestKeys:
     def test_env_key_forms(self):
         assert memo.env_key(None) == "-"
         assert memo.env_key(4) == "4"

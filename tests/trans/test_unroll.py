@@ -114,7 +114,7 @@ class TestUnrollAndJam:
 
 def _measure(program, params):
     from repro.exec.compiled import CompiledProgram
-    from repro.machine import measure, octane2_scaled
+    from repro.machine import measure_streaming, octane2_scaled
 
     cp = CompiledProgram(program, trace=True)
-    return measure(cp.run(params), program, params, octane2_scaled())
+    return measure_streaming(cp, params, octane2_scaled())[1]
