@@ -119,10 +119,6 @@ def violated_dependences(
     (plus every filter argument), so variants of a kernel that share base
     nests share one dependence computation per transform round.
     """
-    if not memo.caching_enabled():
-        return _violated_dependences(
-            nest, kinds, src_group, arrays, value_ranges, param_lo
-        )
     key = (
         nest.fingerprint(),
         ",".join(kinds),

@@ -186,24 +186,21 @@ def dependence_graph(
     ``DiGraph`` is returned each call; callers may mutate it freely.
     """
     value_ranges = value_ranges or {}
-    if memo.caching_enabled():
-        from repro.ir.serialize import expr_to_dict, stmt_to_dict
+    from repro.ir.serialize import expr_to_dict, stmt_to_dict
 
-        key_doc = {
-            "loop": stmt_to_dict(loop),
-            "scalars": sorted(scalars),
-            "ranges": {
-                name: [expr_to_dict(vr.lower), expr_to_dict(vr.upper)]
-                for name, vr in sorted(value_ranges.items())
-            },
-        }
-        payload = memo.memoize(
-            "depgraph",
-            (memo.stable_key(key_doc), memo.env_key(param_lo)),
-            lambda: _graph_payload(loop, scalars, value_ranges, param_lo),
-        )
-    else:
-        payload = _graph_payload(loop, scalars, value_ranges, param_lo)
+    key_doc = {
+        "loop": stmt_to_dict(loop),
+        "scalars": sorted(scalars),
+        "ranges": {
+            name: [expr_to_dict(vr.lower), expr_to_dict(vr.upper)]
+            for name, vr in sorted(value_ranges.items())
+        },
+    }
+    payload = memo.memoize(
+        "depgraph",
+        (memo.stable_key(key_doc), memo.env_key(param_lo)),
+        lambda: _graph_payload(loop, scalars, value_ranges, param_lo),
+    )
     graph = nx.DiGraph()
     graph.add_nodes_from(range(payload["n"]))
     graph.add_edges_from((a, b) for a, b in payload["e"])

@@ -10,14 +10,15 @@ Two engines with identical semantics:
   branch traces the machine model consumes. Itself two-tier: eligible
   innermost affine loops vectorize into whole-trip NumPy blocks
   (:mod:`repro.exec.blocktier`), guarded at runtime, bit-identical to the
-  scalar tier (``exec_mode`` / ``REPRO_EXEC_MODE`` selects).
+  scalar tier, which ``CompiledProgram(exec_mode="scalar")`` selects as
+  the differential oracle.
 
 Both run a :class:`~repro.ir.program.Program` against concrete parameter
 values and named input arrays, and return a :class:`RunResult`.
 """
 
 from repro.exec.events import Counters, RunResult, TraceBuffers
-from repro.exec.compiled import CompiledProgram, resolve_exec_mode, run_compiled
+from repro.exec.compiled import CompiledProgram, run_compiled
 from repro.exec.interp import run_interpreted
 from repro.exec.validate import assert_equivalent, compare_outputs
 
@@ -26,7 +27,6 @@ __all__ = [
     "RunResult",
     "TraceBuffers",
     "CompiledProgram",
-    "resolve_exec_mode",
     "run_compiled",
     "run_interpreted",
     "assert_equivalent",

@@ -21,14 +21,15 @@ selected per innermost loop:
   bit-identical to ``exec_mode="scalar"`` (asserted by the differential
   suite in ``tests/exec/test_block_scalar_differential.py``).
 
-Traced runs come in two modes. :meth:`CompiledProgram.run` materializes
-the full trace into one :class:`~repro.exec.events.TraceBuffers` (the
-debugging path). :meth:`CompiledProgram.run_streaming` instead flushes the
-event buffers to :class:`~repro.machine.sinks.TraceSink` consumers in
-bounded NumPy chunks: the generated scalar-tier code checks the buffer
-level at every loop-iteration boundary and drains through the sinks, and
-block-tier loops hand their event matrices to the same flush machinery as
-ready-made int64 chunks.
+Every run goes through one driver that flushes the event buffers to
+:class:`~repro.machine.sinks.TraceSink` consumers in bounded NumPy
+chunks: the generated scalar-tier code checks the buffer level at every
+loop-iteration boundary and drains through the sinks, and block-tier
+loops hand their event matrices to the same flush machinery as
+ready-made int64 chunks. :meth:`CompiledProgram.run_streaming` exposes
+the sinks; :meth:`CompiledProgram.run` feeds two
+:class:`~repro.machine.sinks.MaterializeSink` instances and returns the
+whole trace as one :class:`~repro.exec.events.TraceBuffers`.
 
 Cost accounting model (documented in DESIGN.md):
 
@@ -43,7 +44,6 @@ Cost accounting model (documented in DESIGN.md):
 from __future__ import annotations
 
 import math
-import os
 from typing import Mapping
 
 import numpy as np
@@ -86,27 +86,8 @@ from repro.ir.stmt import Assign, If, Loop, Stmt, walk_stmts
 
 _CMP_PY = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
-#: Buffer cap used by materializing runs — large enough that the flush
-#: guard in generated code never fires.
-_NEVER_FLUSH = 1 << 62
-
 #: Execution tiers a program can be compiled for.
 EXEC_MODES = ("block", "scalar")
-
-
-def resolve_exec_mode(override: str | None = None) -> str:
-    """The effective executor tier: *override*, else ``REPRO_EXEC_MODE``,
-    else ``"block"`` (the two-tier executor; ``"scalar"`` is the oracle)."""
-    mode = override or os.environ.get("REPRO_EXEC_MODE", "block")
-    if mode not in EXEC_MODES:
-        raise ExecutionError(
-            f"exec_mode must be one of {EXEC_MODES}, got {mode!r}"
-        )
-    return mode
-
-
-def _noop_flush() -> None:
-    return None
 
 
 class TierFallbacks:
@@ -622,10 +603,11 @@ class CompiledProgram:
         cp = CompiledProgram(program, trace=True)
         result = cp.run({"N": 64}, {"A": a0})
 
-    ``exec_mode`` selects the codegen tier: ``"block"`` (default, or via
-    ``REPRO_EXEC_MODE``) vectorizes eligible innermost loops and falls
-    back per loop / per entry; ``"scalar"`` is the pure per-iteration
-    oracle. Both produce bit-identical traces, counters and values.
+    ``exec_mode`` selects the codegen tier: ``"block"`` (the default)
+    vectorizes eligible innermost loops and falls back per loop / per
+    entry; ``"scalar"`` is the pure per-iteration oracle the differential
+    tests compare against. Both produce bit-identical traces, counters
+    and values.
     ``min_block_trip`` (default 16) is the smallest trip count worth
     vectorizing. :attr:`block_loops` counts the loops that got a block
     path.
@@ -636,12 +618,16 @@ class CompiledProgram:
         program: Program,
         *,
         trace: bool = False,
-        exec_mode: str | None = None,
+        exec_mode: str = "block",
         min_block_trip: int = DEFAULT_MIN_BLOCK_TRIP,
     ):
+        if exec_mode not in EXEC_MODES:
+            raise ExecutionError(
+                f"exec_mode must be one of {EXEC_MODES}, got {exec_mode!r}"
+            )
         self.program = program
         self.trace = trace
-        self.exec_mode = resolve_exec_mode(exec_mode)
+        self.exec_mode = exec_mode
         self.min_block_trip = max(1, int(min_block_trip))
         #: Runtime fallback counts (guard-rejected / below-min-trip loop
         #: entries), accumulated across every run of this instance.
@@ -733,18 +719,38 @@ class CompiledProgram:
                 storage[a.name] = [0.0] * size
         return exts, storage
 
-    def _execute(
+    def _drive(
         self,
         params: Mapping[str, int],
-        exts: dict[str, tuple[int, ...]],
-        storage: dict[str, object],
-        mem: list[int],
-        bra: list[int],
-        cap: int,
-        flush,
-        emit_vec,
-    ) -> tuple[Counters, dict[str, float]]:
-        """Call the generated kernel and package counters."""
+        inputs: Mapping[str, np.ndarray] | None,
+        memory_sink,
+        branch_sink,
+        chunk_events: int,
+    ) -> RunResult:
+        """The one execution path behind :meth:`run` and
+        :meth:`run_streaming`: seed storage, call the generated kernel
+        with buffers that drain through the sinks, package the result
+        (``trace=None``)."""
+        exts, storage = self._prepare(params, inputs)
+        mem: list[int] = []
+        bra: list[int] = []
+
+        def drain(buf: list[int], sink) -> None:
+            if buf:
+                if sink is not None:
+                    sink.feed(np.asarray(buf, dtype=np.int64))
+                buf.clear()
+
+        def flush() -> None:
+            drain(mem, memory_sink)
+            drain(bra, branch_sink)
+
+        def emit_vec(chunk: np.ndarray) -> None:
+            drain(mem, memory_sink)
+            if memory_sink is not None:
+                for off in range(0, len(chunk), chunk_events):
+                    memory_sink.feed(chunk[off : off + chunk_events])
+
         fb = self.fallbacks
         guard0, trip0 = fb.guard_rejected, fb.below_min_trip
         with telemetry.span(
@@ -752,12 +758,14 @@ class CompiledProgram:
         ) as sp:
             try:
                 (loads, stores, flops, intops, branches, iters, scalars) = self._fn(
-                    dict(params), storage, exts, mem, bra, cap, flush, emit_vec
+                    dict(params), storage, exts, mem, bra, chunk_events, flush,
+                    emit_vec,
                 )
             except (IndexError, ZeroDivisionError, KeyError, FloatingPointError) as exc:
                 raise ExecutionError(
                     f"runtime failure in {self.program.name}: {exc}"
                 ) from exc
+        flush()  # tail events after the last loop boundary
         if telemetry.enabled():
             dg = fb.guard_rejected - guard0
             dt = fb.below_min_trip - trip0
@@ -766,29 +774,16 @@ class CompiledProgram:
             if dt:
                 telemetry.counter("exec.fallback.below_min_trip", dt)
             sp.set(guard_rejected=dg, below_min_trip=dt)
-        scalars = {
-            k: (v.item() if isinstance(v, np.generic) else v)
-            for k, v in scalars.items()
-        }
-        return Counters(loads, stores, flops, intops, branches, iters), scalars
-
-    def _result(
-        self,
-        exts: dict[str, tuple[int, ...]],
-        storage: dict[str, object],
-        counters: Counters,
-        scalars: dict[str, float],
-        trace: TraceBuffers | None,
-    ) -> RunResult:
-        arrays = {
-            name: np.asarray(vals, dtype=np.float64).reshape(exts[name], order="F")
-            for name, vals in storage.items()
-        }
         return RunResult(
-            arrays=arrays,
-            scalars=scalars,
-            counters=counters,
-            trace=trace,
+            arrays={
+                name: np.asarray(vals, dtype=np.float64).reshape(exts[name], order="F")
+                for name, vals in storage.items()
+            },
+            scalars={
+                k: (v.item() if isinstance(v, np.generic) else v)
+                for k, v in scalars.items()
+            },
+            counters=Counters(loads, stores, flops, intops, branches, iters),
             array_ids=dict(self.array_ids),
             branch_sites=dict(self.branch_sites),
         )
@@ -805,27 +800,15 @@ class CompiledProgram:
         grows with the event count. Use :meth:`run_streaming` to replay
         the trace through sinks in bounded memory instead.
         """
-        exts, storage = self._prepare(params, inputs)
-        mem: list[int] = []
-        bra: list[int] = []
+        from repro.machine.sinks import MaterializeSink
 
-        def emit_vec(chunk: np.ndarray) -> None:
-            # Block-tier event matrices join the same materialized buffer
-            # the scalar tier appends to, preserving program order.
-            mem.extend(chunk.tolist())
-
-        # A cap no run reaches: the flush guard never fires, so the
-        # buffers simply accumulate the whole trace.
-        counters, scalars = self._execute(
-            params, exts, storage, mem, bra, _NEVER_FLUSH, _noop_flush, emit_vec
+        mem_sink, bra_sink = MaterializeSink(), MaterializeSink()
+        result = self._drive(
+            params, inputs, mem_sink, bra_sink, DEFAULT_CHUNK_EVENTS
         )
-        trace = None
         if self.trace:
-            trace = TraceBuffers(
-                np.asarray(mem, dtype=np.int64),
-                np.asarray(bra, dtype=np.int64),
-            )
-        return self._result(exts, storage, counters, scalars, trace)
+            result.trace = TraceBuffers(mem_sink.finish(), bra_sink.finish())
+        return result
 
     def run_streaming(
         self,
@@ -857,34 +840,7 @@ class CompiledProgram:
             raise ExecutionError("run_streaming() needs a traced program (trace=True)")
         if chunk_events <= 0:
             raise ExecutionError(f"chunk_events must be positive, got {chunk_events}")
-        exts, storage = self._prepare(params, inputs)
-        mem: list[int] = []
-        bra: list[int] = []
-
-        def flush() -> None:
-            if mem:
-                if memory_sink is not None:
-                    memory_sink.feed(np.asarray(mem, dtype=np.int64))
-                mem.clear()
-            if bra:
-                if branch_sink is not None:
-                    branch_sink.feed(np.asarray(bra, dtype=np.int64))
-                bra.clear()
-
-        def emit_vec(chunk: np.ndarray) -> None:
-            if mem:
-                if memory_sink is not None:
-                    memory_sink.feed(np.asarray(mem, dtype=np.int64))
-                mem.clear()
-            if memory_sink is not None:
-                for off in range(0, len(chunk), chunk_events):
-                    memory_sink.feed(chunk[off : off + chunk_events])
-
-        counters, scalars = self._execute(
-            params, exts, storage, mem, bra, chunk_events, flush, emit_vec
-        )
-        flush()  # tail events after the last loop boundary
-        return self._result(exts, storage, counters, scalars, trace=None)
+        return self._drive(params, inputs, memory_sink, branch_sink, chunk_events)
 
 
 def run_compiled(
@@ -893,7 +849,7 @@ def run_compiled(
     inputs: Mapping[str, np.ndarray] | None = None,
     *,
     trace: bool = False,
-    exec_mode: str | None = None,
+    exec_mode: str = "block",
 ) -> RunResult:
     """One-shot compile + run."""
     return CompiledProgram(program, trace=trace, exec_mode=exec_mode).run(

@@ -37,7 +37,8 @@ from pathlib import Path
 import numpy as np
 
 from repro import telemetry
-from repro.exec.compiled import CompiledProgram, resolve_exec_mode
+from repro.errors import ReproError
+from repro.exec.compiled import CompiledProgram
 from repro.experiments.sweep import SweepConfig, resolve_jobs
 from repro.ir.program import Program
 from repro.kernels.registry import get_kernel, get_recipe
@@ -202,8 +203,6 @@ def measure_variant(
     """Measure one (kernel, variant, N) point (memoised).
 
     The trace streams through the fused sink pipeline in bounded memory.
-    The executor tier (``REPRO_EXEC_MODE``) is not part of the cache key:
-    block and scalar produce bit-identical reports by contract.
     """
     tile = _tile_for(variant, n, config, tile)
     program, pipeline, recipe = build_program(kernel, variant, tile=tile)
@@ -235,12 +234,7 @@ def measure_variant(
         def compile_program():
             return CompiledProgram(program, trace=True)
 
-        # The engine memo must key on the effective tier: flipping
-        # REPRO_EXEC_MODE mid-process must not resurrect an engine compiled
-        # for the other tier.
-        cp = _compiled.get_or_compute(
-            (kernel, variant, tile, resolve_exec_mode()), compile_program
-        )
+        cp = _compiled.get_or_compute((kernel, variant, tile), compile_program)
         _, report = measure_streaming(cp, params, config.machine, inputs)
         _store_cached(key, report)
         sp.set(source="computed")
@@ -289,7 +283,9 @@ def measure_points(
     memos (see :func:`clear_caches`) but share the disk cache; the
     parent then seeds its own memo from the workers' reports, so
     subsequent serial figure assembly reuses them byte-identically even
-    with ``REPRO_NO_CACHE=1``.
+    with ``REPRO_NO_CACHE=1``. A worker failure re-raises as a
+    :class:`~repro.errors.ReproError` naming the failed point, chained
+    to the worker's exception.
     """
     points = [tuple(p) for p in points]
     jobs = resolve_jobs(jobs)
@@ -308,12 +304,21 @@ def measure_points(
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(todo)), initializer=clear_caches
         ) as pool:
-            futures = [
-                pool.submit(_measure_point_worker, p, config, with_telemetry)
+            futures = {
+                pool.submit(_measure_point_worker, p, config, with_telemetry): p
                 for p in todo
-            ]
+            }
             for fut in as_completed(futures):
-                point, data, state = fut.result()
+                try:
+                    point, data, state = fut.result()
+                except Exception as exc:
+                    for other in futures:
+                        other.cancel()  # fail fast: drop the queued points
+                    kernel, variant, n = futures[fut]
+                    raise ReproError(
+                        f"sweep point (kernel={kernel}, variant={variant}, "
+                        f"N={n}) failed in a worker: {exc}"
+                    ) from exc
                 reports[point] = data
                 # Fold each worker's spans/metrics into the parent so a
                 # parallel sweep yields one coherent trace.

@@ -14,8 +14,8 @@ as the equivalence test-suite asserts.
 The measurement does not care which codegen tier produced the events:
 the block tier's whole-trip event matrices arrive through the same chunk
 protocol as the scalar tier's appends, in the same program order, so a
-``PerfReport`` is independent of ``REPRO_EXEC_MODE`` (asserted per recipe
-by the differential suite).
+``PerfReport`` is independent of ``CompiledProgram``'s ``exec_mode``
+(asserted per recipe by the differential suite).
 """
 
 from __future__ import annotations

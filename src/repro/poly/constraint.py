@@ -38,11 +38,11 @@ class Constraint:
     - canonicalise the sign of ``EQ`` constraints (first variable coefficient
       positive) so equal constraints compare equal.
 
-    Constraints are **hash-consed** (unless ``REPRO_POLY_CACHE=off``):
-    construction from the same raw ``(expr, kind)`` returns the same
-    object, so repeated normalisation is skipped, equality usually
-    short-circuits on identity, and cached hashes/fingerprints amortise
-    across every polyhedron sharing the constraint.
+    Constraints are **hash-consed**: construction from the same raw
+    ``(expr, kind)`` returns the same object, so repeated normalisation
+    is skipped, equality usually short-circuits on identity, and cached
+    hashes/fingerprints amortise across every polyhedron sharing the
+    constraint.
     """
 
     __slots__ = ("expr", "kind", "_hash", "_fp")
@@ -52,19 +52,16 @@ class Constraint:
             raise TypeError(
                 f"Constraint expr must be LinExpr, got {type(expr).__name__}"
             )
-        interning = memo.caching_enabled()
-        if interning:
-            key = (kind, expr.key())
-            cached = _INTERN.get(key)
-            if cached is not None:
-                return cached
+        key = (kind, expr.key())
+        cached = _INTERN.get(key)
+        if cached is not None:
+            return cached
         self = super().__new__(cls)
         self.expr = _normalise(expr, kind)
         self.kind = kind
         self._hash = None
         self._fp = None
-        if interning:
-            _INTERN[key] = self
+        _INTERN[key] = self
         return self
 
     def __init__(self, expr: LinExpr, kind: Kind):

@@ -11,7 +11,8 @@ over-approximation.
 Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
 
 - ``eliminate`` and ``project_onto`` are memoised per-process on the
-  polyhedron's structural fingerprint, and both cache raised
+  polyhedron's structural fingerprint (bypassed under
+  ``REPRO_POLY_CACHE=off``), and both cache raised
   ``CaseSplitError``/``PolyhedronError`` outcomes;
 - the dominant bound combination ``e_lo * (-n) + e_up * p`` takes a
   pure-addition fast path when both coefficients on the eliminated
@@ -19,10 +20,6 @@ Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
   ``LinExpr`` allocations and all ``Fraction`` multiplies;
 - ``_cheapest_variable`` counts bounds for *all* candidates in one pass
   over the constraints instead of one pass per candidate.
-
-All fast paths are disabled together with ``REPRO_POLY_CACHE=off`` so
-the oracle mode doubles as an un-optimised baseline for
-``benchmarks/bench_compile.py``.
 """
 
 from __future__ import annotations
@@ -77,18 +74,14 @@ def eliminate(poly: Polyhedron, var: str, *, require_exact: bool = False) -> Pol
     """
     if var not in poly.variables:
         raise PolyhedronError(f"{var!r} is not a dimension of {poly!r}")
-    if not memo.caching_enabled():
-        return _eliminate(poly, var, require_exact, fast=False)
     return memo.memoize(
         "elim",
         (poly.fingerprint(), var, require_exact),
-        lambda: _eliminate(poly, var, require_exact, fast=True),
+        lambda: _eliminate(poly, var, require_exact),
     )
 
 
-def _eliminate(
-    poly: Polyhedron, var: str, require_exact: bool, *, fast: bool
-) -> Polyhedron:
+def _eliminate(poly: Polyhedron, var: str, require_exact: bool) -> Polyhedron:
     telemetry.counter("poly.fm.eliminations")
     telemetry.observe("poly.fm.constraints_in", len(poly.constraints))
     new_vars = tuple(v for v in poly.variables if v != var)
@@ -126,7 +119,7 @@ def _eliminate(
                 raise CaseSplitError(
                     f"eliminating {var}: bound pair with coefficients {p}, {n}"
                 )
-            if fast and p == 1 and n == -1:
+            if p == 1 and n == -1:
                 # Unit coefficients on both bounds: the combination
                 # degenerates to a plain sum (no Fraction multiplies).
                 new_expr = e_lo + e_up
@@ -190,8 +183,6 @@ def project_onto(
     unknown = keep_set - set(poly.variables)
     if unknown:
         raise PolyhedronError(f"projection targets {sorted(unknown)} are not dimensions")
-    if not memo.caching_enabled():
-        return _project_onto(poly, tuple(keep), keep_set, require_exact)
     return memo.memoize(
         "proj",
         (poly.fingerprint(), ",".join(keep), require_exact),

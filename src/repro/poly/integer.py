@@ -54,8 +54,6 @@ def rationally_empty(poly: Polyhedron) -> bool:
     """True iff the rational relaxation (parameters existential) is empty."""
     if poly.is_trivially_empty():
         return True
-    if not memo.caching_enabled():
-        return _rationally_empty(poly)
     return memo.memoize(
         "rempty", (poly.fingerprint(),), lambda: _rationally_empty(poly)
     )
@@ -120,8 +118,6 @@ def check_feasibility(
     param_width: int = DEFAULT_PARAM_WIDTH,
 ) -> FeasibilityResult:
     """Full-detail integer feasibility (see module docstring)."""
-    if not memo.caching_enabled():
-        return _check_feasibility(poly, param_env, param_lo, param_width)
     return memo.memoize(
         "feas",
         (

@@ -34,8 +34,6 @@ def lexmin_enumerate(
     poly: Polyhedron, param_env: Mapping[str, Coef] | None = None
 ) -> dict[str, int] | None:
     """Exact lexmin by enumeration (points stream in lexicographic order)."""
-    if not memo.caching_enabled():
-        return _lexmin_enumerate(poly, param_env)
     point = memo.memoize(
         "lexenum",
         (poly.fingerprint(), memo.env_key(param_env)),
@@ -66,8 +64,6 @@ def parametric_lexmin(
     *param_domain* (over the parameter names) restricts the parameter values
     considered when proving bound domination; pass e.g. ``{N >= 4}``.
     """
-    if not memo.caching_enabled():
-        return _parametric_lexmin(poly, param_domain)
     domain_fp = param_domain.fingerprint() if param_domain is not None else "-"
     value = memo.memoize(
         "plexmin",

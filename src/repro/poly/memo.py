@@ -15,11 +15,14 @@ parametric solver is as expensive to rediscover as a solution, and
 ``lexmin_with_fallback`` branches on it, so cached errors re-raise with
 the original message.
 
-``REPRO_POLY_CACHE=off`` disables everything in this module (memo,
-hash-consing, and the FM unit-coefficient fast path) and is the
-differential oracle: an ``off`` build must produce byte-identical
-dependence graphs, FixDeps output and program hashes — asserted by
-``tests/experiments/test_poly_cache_differential.py`` and a CI job.
+``REPRO_POLY_CACHE=off`` is the differential oracle, and it bypasses
+exactly one thing: :func:`memoize`, the only reader of
+:func:`caching_enabled`, calls ``compute()`` directly. Every analysis
+operation runs the same code either way (hash-consing and the FM
+unit-coefficient fast path included), so an ``off`` build must produce
+byte-identical dependence graphs, FixDeps output and program hashes —
+asserted by ``tests/experiments/test_poly_cache_differential.py`` and a
+CI job.
 """
 
 from __future__ import annotations
@@ -44,11 +47,11 @@ _enabled: bool | None = None
 
 
 def caching_enabled() -> bool:
-    """Is the analysis-layer cache on? (``REPRO_POLY_CACHE``, default on.)
+    """Is the analysis memo on? (``REPRO_POLY_CACHE``, default on.)
 
-    The answer is cached — this sits on every ``Constraint``/``Polyhedron``
-    construction — and re-read from the environment by :func:`clear_memos`,
-    so toggling ``REPRO_POLY_CACHE`` mid-process requires a
+    The answer is cached — :func:`memoize` asks on every analysis call —
+    and re-read from the environment by :func:`clear_memos`, so toggling
+    ``REPRO_POLY_CACHE`` mid-process requires a
     ``clear_caches()``/``clear_memos()`` call (as the sweep pool
     initializer and the tests already do).
     """
@@ -95,7 +98,8 @@ def memoize(op: str, key: tuple, compute: Callable[[], Any]) -> Any:
     """In-process memoisation of ``compute()`` under ``(op, *key)``.
 
     Deterministic analysis errors (:data:`_CACHEABLE_ERRORS`) are cached
-    and re-raised on later hits.
+    and re-raised on later hits. Under ``REPRO_POLY_CACHE=off`` this is
+    a plain ``compute()`` call: the oracle's single bypass.
     """
     if not caching_enabled():
         return compute()

@@ -43,8 +43,6 @@ def parametric_max(poly: Polyhedron, objective: LinExpr) -> SymExpr | None:
     For the unit-coefficient systems produced by loop nests this equals the
     integer maximum; tests cross-check against enumeration.
     """
-    if not memo.caching_enabled():
-        return _parametric_extreme(poly, objective, want_max=True)
     return memo.memoize(
         "pmax",
         (poly.fingerprint(), objective.fingerprint_text()),
@@ -54,8 +52,6 @@ def parametric_max(poly: Polyhedron, objective: LinExpr) -> SymExpr | None:
 
 def parametric_min(poly: Polyhedron, objective: LinExpr) -> SymExpr | None:
     """Symbolic minimum of *objective* over *poly* (see parametric_max)."""
-    if not memo.caching_enabled():
-        return _parametric_extreme(poly, objective, want_max=False)
     return memo.memoize(
         "pmin",
         (poly.fingerprint(), objective.fingerprint_text()),
@@ -93,14 +89,12 @@ def affine_ge(
     diff = lhs - rhs
     if diff.is_constant():
         return diff.constant >= 0
-    if memo.caching_enabled():
-        domain_fp = param_domain.fingerprint() if param_domain is not None else "-"
-        return memo.memoize(
-            "age",
-            (lhs.fingerprint_text(), rhs.fingerprint_text(), domain_fp),
-            lambda: _affine_ge(lhs, rhs, param_domain, diff),
-        )
-    return _affine_ge(lhs, rhs, param_domain, diff)
+    domain_fp = param_domain.fingerprint() if param_domain is not None else "-"
+    return memo.memoize(
+        "age",
+        (lhs.fingerprint_text(), rhs.fingerprint_text(), domain_fp),
+        lambda: _affine_ge(lhs, rhs, param_domain, diff),
+    )
 
 
 def _affine_ge(

@@ -30,13 +30,13 @@ _INTERN = _make_intern_table()
 class Polyhedron:
     """Immutable conjunction of affine constraints over named dimensions.
 
-    Construction is **hash-consed** (unless ``REPRO_POLY_CACHE=off``):
-    building from the same dimension tuple and the same ordered constraint
-    sequence returns the same object, skipping re-deduplication and
-    sharing the cached hash and structural :meth:`fingerprint`. The intern
-    key keeps constraint *order* — equal sets built in different orders
-    stay distinct objects (and distinct fingerprints) so memoised analysis
-    results can never reorder downstream output.
+    Construction is **hash-consed**: building from the same dimension
+    tuple and the same ordered constraint sequence returns the same
+    object, skipping re-deduplication and sharing the cached hash and
+    structural :meth:`fingerprint`. The intern key keeps constraint
+    *order* — equal sets built in different orders stay distinct objects
+    (and distinct fingerprints) so memoised analysis results can never
+    reorder downstream output.
     """
 
     __slots__ = ("variables", "constraints", "_hash", "_fp")
@@ -44,12 +44,10 @@ class Polyhedron:
     def __new__(cls, variables: Sequence[str], constraints: Iterable[Constraint] = ()):
         vars_tuple = tuple(variables)
         given = tuple(constraints)
-        interning = memo.caching_enabled()
-        if interning:
-            key = (vars_tuple, given)
-            cached = _INTERN.get(key)
-            if cached is not None:
-                return cached
+        key = (vars_tuple, given)
+        cached = _INTERN.get(key)
+        if cached is not None:
+            return cached
         if len(set(vars_tuple)) != len(vars_tuple):
             raise PolyhedronError(f"duplicate dimension names in {vars_tuple}")
         # Deduplicate while preserving order; drop trivially-true constraints.
@@ -67,8 +65,7 @@ class Polyhedron:
         self.constraints: tuple[Constraint, ...] = tuple(kept)
         self._hash = None
         self._fp = None
-        if interning:
-            _INTERN[key] = self
+        _INTERN[key] = self
         return self
 
     def __init__(self, variables: Sequence[str], constraints: Iterable[Constraint] = ()):

@@ -327,8 +327,6 @@ def _implied_by(space: Polyhedron, constraint: Constraint) -> bool:
 
     if constraint.kind is Kind.EQ:
         return constraint in space.constraints
-    if not memo.caching_enabled():
-        return _implied_by_check(space, constraint)
     return memo.memoize(
         "implied",
         (space.fingerprint(), constraint.fingerprint_text()),

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.exec.compiled import CompiledProgram, resolve_exec_mode
+from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
@@ -157,10 +157,12 @@ def test_independent_copy_takes_block_path():
 
 
 def test_exec_mode_resolution(monkeypatch):
-    monkeypatch.delenv("REPRO_EXEC_MODE", raising=False)
-    assert resolve_exec_mode() == "block"
-    assert resolve_exec_mode("scalar") == "scalar"
+    """The tier is a constructor argument only: no environment variable
+    changes it, and an unknown tier is rejected."""
+    p = _flat_program([loop("i", 1, sym("N"), [assign(idx("A", sym("i")), 1.0)])])
     monkeypatch.setenv("REPRO_EXEC_MODE", "scalar")
-    assert resolve_exec_mode() == "scalar"
+    cp = CompiledProgram(p, trace=True, min_block_trip=1)
+    assert cp.exec_mode == "block" and cp.block_loops == 1
+    assert CompiledProgram(p, exec_mode="scalar").exec_mode == "scalar"
     with pytest.raises(ExecutionError):
-        resolve_exec_mode("vector")
+        CompiledProgram(p, exec_mode="vector")

@@ -8,6 +8,7 @@ from dataclasses import replace
 
 import pytest
 
+from repro.errors import ExecutionError, ReproError
 from repro.experiments import figure5, runner
 from repro.experiments.sweep import default_config, resolve_jobs
 
@@ -90,6 +91,16 @@ class TestMeasurePoints:
         [m] = runner.measure_points([("lu", "seq", 8)], _config(), jobs=2)
         again = runner.measure_variant("lu", "seq", 8, _config())
         assert again is m  # identity: memo hit, not a recomputation
+
+    def test_worker_failure_names_the_point(self, monkeypatch):
+        # QR's unfixed fusion divides by a not-yet-computed pivot, so its
+        # point raises inside a worker process; the error must say which.
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        runner.clear_caches()
+        points = [("cholesky", "seq", 8), ("qr", "fused", 8)]
+        with pytest.raises(ReproError, match=r"kernel=qr, variant=fused, N=8") as info:
+            runner.measure_points(points, _config(), jobs=2)
+        assert isinstance(info.value.__cause__, ExecutionError)
 
     def test_workers_hit_cache_written_before(self, tmp_path, monkeypatch):
         """A 2-job sweep serves points already in the shared disk cache:

@@ -1,9 +1,9 @@
 """Differential guarantee of the analysis-layer cache (PR-5 tentpole).
 
-``REPRO_POLY_CACHE=off`` is the oracle: with every memo, intern table
-and FM fast path disabled, the compiler must produce exactly
-the same dependence graphs, FixDeps output and emitted programs as the
-cached default. The program-hash check runs the full 43-point registry
+``REPRO_POLY_CACHE=off`` is the oracle: with the analysis memo bypassed,
+so every operation recomputes, the compiler must produce exactly the same
+dependence graphs, FixDeps output and emitted programs as the cached
+default. The program-hash check runs the full 43-point registry
 matrix in two subprocesses (each mode as a user process would see it);
 the dependence/FixDeps checks toggle the knob in-process through
 ``clear_caches`` to also cover the documented mid-process toggle path.

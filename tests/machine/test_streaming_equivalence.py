@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.exec.blocktier import DEFAULT_MIN_BLOCK_TRIP
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
@@ -233,19 +234,37 @@ def test_every_recipe_streams_bit_identical(kernel, variant):
     assert streamed == whole
 
 
-def test_streaming_executor_reproduces_trace():
-    # The chunked executor must emit the exact same encoded event stream
-    # as the materializing run.
-    program, _, _ = build_program("cholesky", "seq")
-    mod = get_kernel("cholesky")
+@pytest.mark.parametrize("chunk_events", [1, 64])
+@pytest.mark.parametrize(
+    "kernel,variant,tile,min_block_trip",
+    [
+        # N=10 trips stay below the default floor: scalar-tier flushes only.
+        pytest.param("cholesky", "seq", None, DEFAULT_MIN_BLOCK_TRIP, id="cholesky-seq"),
+        # Block-tier loop entries feed event matrices between scalar flushes.
+        pytest.param("lu", "tiled", 4, 1, id="lu-tiled-block"),
+    ],
+)
+def test_streaming_executor_reproduces_trace(
+    kernel, variant, tile, min_block_trip, chunk_events
+):
+    # Streaming at any chunk size must emit the exact encoded event
+    # stream of the scalar oracle's materializing run.
+    program, _, _ = build_program(kernel, variant, tile=tile)
+    mod = get_kernel(kernel)
     params = {"N": 10}
     inputs = mod.make_inputs(params, np.random.default_rng(5))
-    cp = CompiledProgram(program, trace=True)
-    run = cp.run(params, inputs)
+    run = CompiledProgram(program, trace=True, exec_mode="scalar").run(params, inputs)
+    cp = CompiledProgram(program, trace=True, min_block_trip=min_block_trip)
     mem_sink, bra_sink = MaterializeSink(), MaterializeSink()
     streamed = cp.run_streaming(
-        params, inputs, memory_sink=mem_sink, branch_sink=bra_sink, chunk_events=64
+        params,
+        inputs,
+        memory_sink=mem_sink,
+        branch_sink=bra_sink,
+        chunk_events=chunk_events,
     )
+    if min_block_trip == 1:
+        assert cp.block_loops > 0 and cp.fallbacks.guard_rejected == 0
     assert streamed.trace is None
     assert np.array_equal(mem_sink.finish(), run.trace.memory)
     assert np.array_equal(bra_sink.finish(), run.trace.branches)
