@@ -74,7 +74,7 @@ def test_cache_replay_throughput(benchmark, sweep_config):
     benchmark.extra_info.update(info)
 
 
-class _CountSink:
+class _NullSink:
     """Null consumer: counts events so the producer cost dominates."""
 
     def __init__(self) -> None:
@@ -94,7 +94,7 @@ def test_producer_throughput_block_vs_scalar(benchmark):
 
     def produce(mode: str) -> int:
         cp = CompiledProgram(program, trace=True, exec_mode=mode)
-        sink = _CountSink()
+        sink = _NullSink()
         cp.run_streaming(params, dict(inputs), memory_sink=sink)
         return sink.events
 

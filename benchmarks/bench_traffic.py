@@ -13,8 +13,8 @@ from repro.exec.compiled import CompiledProgram
 from repro.kernels.registry import get_kernel
 from repro.machine.layout import layout_for_program
 from repro.machine.reuse import reuse_profile
-from repro.machine.tlb import TLBConfig, simulate_tlb
-from repro.machine.writeback import simulate_writeback
+from repro.machine.tlb import TLBConfig, TLBSink
+from repro.machine.writeback import WritebackSink
 
 
 def _trace(kernel: str, variant: str, n: int, config):
@@ -41,7 +41,9 @@ def test_writeback_traffic_reduced(benchmark, sweep_config):
         out = {}
         for variant in ("seq", "tiled"):
             addrs, rw = _trace("cholesky", variant, n, sweep_config)
-            res = simulate_writeback(sweep_config.machine.l2, addrs, rw)
+            sink = WritebackSink(sweep_config.machine.l2)
+            sink.feed((addrs, rw))
+            res = sink.finish()
             out[variant] = {
                 "misses": res.miss_count,
                 "writebacks": res.total_writeback_lines,
@@ -83,7 +85,9 @@ def test_tlb_footprint_bound(benchmark, sweep_config):
         out = {}
         for variant in ("seq", "tiled"):
             addrs, _ = _trace("cholesky", variant, n, sweep_config)
-            out[variant] = simulate_tlb(TLBConfig(), addrs)
+            sink = TLBSink(TLBConfig())
+            sink.feed(addrs)
+            out[variant] = sink.finish()
         return out
 
     result = benchmark.pedantic(study, rounds=1, iterations=1)
@@ -95,16 +99,18 @@ def test_tlb_footprint_bound(benchmark, sweep_config):
 def test_prefetch_narrows_but_keeps_gap(benchmark, sweep_config):
     """Next-line prefetching: helps sequential column walks, doesn't
     replace tiling (the tiled code still misses less in absolute terms)."""
-    from repro.machine.cache import simulate_cache
-    from repro.machine.prefetch import simulate_prefetch
+    from repro.machine.cache import CacheSink
+    from repro.machine.prefetch import PrefetchSink
 
     def study():
         n = sweep_config.sizes[-1]
         out = {}
         for variant in ("seq", "tiled"):
             addrs, _ = _trace("cholesky", variant, n, sweep_config)
-            plain = int(simulate_cache(sweep_config.machine.l2, addrs).sum())
-            pf = simulate_prefetch(sweep_config.machine.l2, addrs)
+            plain = int(CacheSink(sweep_config.machine.l2).feed(addrs).sum())
+            sink = PrefetchSink(sweep_config.machine.l2)
+            sink.feed(addrs)
+            pf = sink.finish()
             out[variant] = {"plain": plain, "prefetched": pf.demand_misses}
         return out
 

@@ -8,15 +8,13 @@ write-back/TLB models report the traffic the paper didn't measure.
 Run:  python examples/cholesky_cache_study.py
 """
 
-import numpy as np
-
 from repro.exec.compiled import CompiledProgram
 from repro.kernels import cholesky
 from repro.machine import octane2_scaled
 from repro.machine.layout import layout_for_program
 from repro.machine.reuse import reuse_profile
-from repro.machine.tlb import TLBConfig, simulate_tlb
-from repro.machine.writeback import simulate_writeback
+from repro.machine.tlb import TLBConfig, TLBSink
+from repro.machine.writeback import WritebackSink
 from repro.utils.tables import render_table
 
 
@@ -46,8 +44,12 @@ def main() -> None:
         addrs, rw = trace_addresses(program, params, inputs)
         prof = reuse_profile(addrs, line_shift)
         profiles[label] = prof
-        wb = simulate_writeback(machine.l2, addrs, rw)
-        tlb = simulate_tlb(TLBConfig(), addrs)
+        wb_sink = WritebackSink(machine.l2)
+        wb_sink.feed((addrs, rw))
+        wb = wb_sink.finish()
+        tlb_sink = TLBSink(TLBConfig())
+        tlb_sink.feed(addrs)
+        tlb = tlb_sink.finish()
         rows.append(
             [
                 label,

@@ -60,10 +60,6 @@ class SelfDependence:
     #: (source iters, sink iters = var + SINK); one per carrying level.
     polys: tuple[Polyhedron, ...] = ()
 
-    def distance_signs(self) -> tuple[frozenset[Direction], ...]:
-        """Alias with the textbook name."""
-        return self.directions
-
     def sink_minus_source(self, level: int) -> LinExpr:
         """The distance expression of loop level *level* (0-based)."""
         v = self.loop_vars[level]

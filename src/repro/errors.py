@@ -26,10 +26,6 @@ class ParseError(ReproError):
         super().__init__(f"{message}{loc}")
 
 
-class SemanticError(ReproError):
-    """Frontend semantic analysis failure (undeclared names, shape errors)."""
-
-
 class NotAffineError(ReproError):
     """An expression that must be affine (bounds, subscripts) is not."""
 

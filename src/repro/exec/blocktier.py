@@ -10,7 +10,7 @@ vectorized trace consumers.
 
 Eligibility is decided in two stages, both conservative:
 
-**Static** (:func:`analyze_block_loop`, at compile time): the body must be
+**Static** (:func:`classify_block_loop`, once per loop at compile time): the body must be
 straight-line ``Assign`` statements into array elements, the value
 expressions must use only elementwise-safe operations (``+ - * /``,
 unary ``-``, ``sqrt``, ``abs``), and every subscript must be affine with
@@ -148,14 +148,8 @@ def _reads_in_order(expr: Expr) -> list[ArrayRef]:
     return out
 
 
-def analyze_block_loop(loop: Loop) -> BlockPlan | None:
-    """Classify *loop* for the block tier; ``None`` means scalar only."""
-    plan, _reason = classify_block_loop(loop)
-    return plan
-
-
 def classify_block_loop(loop: Loop) -> tuple[BlockPlan | None, str | None]:
-    """Like :func:`analyze_block_loop` but names the rejection.
+    """Classify *loop* for the block tier, naming any rejection.
 
     Returns ``(plan, None)`` for an eligible loop, else ``(None,
     reason)`` with *reason* one of :data:`STATIC_FALLBACK_REASONS`.

@@ -53,7 +53,6 @@ from repro.errors import ExecutionError
 from repro.exec.blocktier import (
     DEFAULT_MIN_BLOCK_TRIP,
     BlockPlan,
-    analyze_block_loop,
     block_guard,
     classify_block_loop,
 )
@@ -164,10 +163,15 @@ class _Codegen:
         self.block_tier = block_tier
         # Storage representation must be fixed before any statement is
         # emitted (scalar-tier subscript/value reads are wrapped for
-        # ndarray storage), so pre-scan for block-eligible loops.
-        self.ndarray_storage = block_tier and any(
-            isinstance(s, Loop) and analyze_block_loop(s) is not None
+        # ndarray storage), so pre-scan for block-eligible loops. Each
+        # loop is classified once, here; _loop reuses the plan.
+        self._plans: dict[int, tuple[BlockPlan | None, str | None]] = {
+            id(s): classify_block_loop(s) if block_tier else (None, "exec_mode")
             for s in walk_stmts(program.body)
+            if isinstance(s, Loop)
+        }
+        self.ndarray_storage = any(
+            plan is not None for plan, _ in self._plans.values()
         )
         self.block_loops = 0
         #: (loop var, tier, static fallback reason | None) per *innermost*
@@ -389,9 +393,7 @@ class _Codegen:
         step = self._expr(stmt.step, head, indent, costs, in_subscript=True)
         self.lines.extend(head)
         costs.emit(self.lines, indent)
-        plan, reason = (
-            classify_block_loop(stmt) if self.block_tier else (None, "exec_mode")
-        )
+        plan, reason = self._plans[id(stmt)]
         if not any(isinstance(s, Loop) for s in walk_stmts(stmt.body)):
             tier = "scalar" if plan is None else "block"
             self.loop_tiers.append((stmt.var, tier, reason))

@@ -88,10 +88,6 @@ class Counters:
     branches: int = 0
     loop_iters: int = 0
 
-    def total_memory_ops(self) -> int:
-        """Loads plus stores."""
-        return self.loads + self.stores
-
     def as_dict(self) -> dict[str, int]:
         """Plain-dict view (stable key order)."""
         return {
@@ -147,14 +143,6 @@ class RunResult:
     array_ids: dict[str, int] = field(default_factory=dict)
     #: branch site id -> human-readable description (source condition).
     branch_sites: dict[int, str] = field(default_factory=dict)
-
-    def output_arrays(self, outputs: tuple[str, ...]) -> dict[str, np.ndarray]:
-        """Subset of arrays/scalars named as program outputs."""
-        result: dict[str, np.ndarray] = {}
-        for name in outputs:
-            if name in self.arrays:
-                result[name] = self.arrays[name]
-        return result
 
 
 def evaluate_extents(

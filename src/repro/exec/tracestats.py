@@ -4,6 +4,10 @@ Break the global perfex numbers down by array: which array's loads
 dominate, how read/write-balanced each array is, and how many distinct
 elements were touched (the footprint). Used by reports and examples to
 attribute the machine-model observations to specific data structures.
+
+:class:`ArrayStatsSink` is the one entry point. Pass it to
+``CompiledProgram.run_streaming`` as the memory sink, or feed it a traced
+run's ``trace.memory`` as one chunk.
 """
 
 from __future__ import annotations
@@ -12,8 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import ExecutionError
-from repro.exec.events import RunResult, decode_memory_events
+from repro.exec.events import decode_memory_events
 
 
 @dataclass(frozen=True)
@@ -84,17 +87,3 @@ class ArrayStatsSink:
             )
         return out
 
-
-def trace_statistics(result: RunResult) -> dict[str, ArrayStats]:
-    """Per-array stats of a traced run (requires ``trace=True``)."""
-    if result.trace is None:
-        raise ExecutionError("trace_statistics needs a traced run")
-    sink = ArrayStatsSink(result.array_ids)
-    sink.feed(result.trace.memory)
-    return sink.finish()
-
-
-def footprint_bytes(result: RunResult, element_bytes: int = 8) -> int:
-    """Total distinct data touched, in bytes."""
-    stats = trace_statistics(result)
-    return sum(s.distinct_elements for s in stats.values()) * element_bytes

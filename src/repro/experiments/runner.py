@@ -11,10 +11,12 @@ Measurements are memoised in-process (capped LRU; :func:`clear_caches`
 resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
 ``REPRO_NO_CACHE=1`` to disable). Disk-cache keys embed a **content
 fingerprint** of the recipe, the emitted program, and the machine config
-(:func:`repro.pipeline.recipe.measurement_fingerprint`) — any change to a
-pass parameter, the emitted code, or the cost model changes the filename,
-so stale entries are simply never read again. No hand-bumped version tag
-to forget.
+(:func:`repro.pipeline.recipe.measurement_fingerprint`), and the run
+parameters it hashes include a digest of the ``repro`` package's own
+sources — any change to a pass parameter, the emitted code, the cost
+model, or the executor and machine model that compute the report changes
+the filename, so stale entries are simply never read again. No
+hand-bumped version tag to forget.
 
 Sweep grids fan out across processes with :func:`measure_points`
 (``REPRO_JOBS``, default 1). Every worker starts with *empty* in-process
@@ -28,6 +30,8 @@ memoised — parallel runs are byte-identical to serial ones.
 
 from __future__ import annotations
 
+import functools
+import hashlib
 import json
 import logging
 import os
@@ -169,6 +173,24 @@ def _tile_for(variant: str, n: int, config: SweepConfig, tile: int | None) -> in
     return tile
 
 
+@functools.cache
+def _source_digest() -> str:
+    """Digest of every ``*.py`` source of the ``repro`` package.
+
+    Part of each measurement key, so an edit anywhere in the
+    implementation (executor, machine model, passes) invalidates the
+    disk cache. Computed once per process, on first use.
+    """
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.blake2b(digest_size=16)
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
 def _point_key(
     kernel: str,
     variant: str,
@@ -187,7 +209,12 @@ def _point_key(
             recipe,
             program,
             config.machine,
-            {"params": params, "tile": tile, "seed": config.seed},
+            {
+                "params": params,
+                "tile": tile,
+                "seed": config.seed,
+                "source": _source_digest(),
+            },
         )
     )
 

@@ -1,8 +1,9 @@
 """Random well-conditioned inputs for the kernels.
 
 Factorisations need matrices that do not blow up numerically in any of the
-(reordered but mathematically identical) variants: diagonally dominated
-random matrices for LU/QR, and SPD matrices for Cholesky.
+(reordered but mathematically identical) variants: SPD matrices for
+Cholesky here; LU builds its own mildly diagonally dominated matrix (so
+that pivoting still triggers) and QR a near-orthogonal one.
 """
 
 from __future__ import annotations
@@ -13,13 +14,6 @@ import numpy as np
 def default_rng(seed: int = 20050615) -> np.random.Generator:
     """The repo-wide deterministic RNG (seeded with the paper's venue date)."""
     return np.random.default_rng(seed)
-
-
-def diagonally_dominant(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random matrix with a dominant diagonal (safe for LU and QR)."""
-    a = rng.uniform(-1.0, 1.0, size=(n, n))
-    a += np.eye(n) * (n + 1.0)
-    return a
 
 
 def spd_matrix(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -3,14 +3,17 @@
 The paper measures, via the SGI ``perfex`` tool: L1/L2 data-cache misses,
 resolved and mispredicted branches, and graduated instructions, and converts
 them to cycles with fixed typical costs (Sec. 4). This package reproduces
-exactly those observables from the executor's traces:
+exactly those observables from the executor's traces. Every trace
+consumer is a streaming :class:`~repro.machine.sinks.TraceSink` (``feed``
+a chunk, ``finish`` for the totals), and that protocol is the only way
+to drive the model:
 
 - :mod:`repro.machine.layout` — column-major array placement in a flat
   address space;
+- :mod:`repro.machine.registers` — the register-window load filter;
 - :mod:`repro.machine.cache` — set-associative LRU data-cache simulation;
 - :mod:`repro.machine.hierarchy` — two-level (L1 + unified L2) filtering;
-- :mod:`repro.machine.branch` — branch predictors (2-bit saturating
-  counters by default);
+- :mod:`repro.machine.branch` — the per-site 2-bit branch predictor;
 - :mod:`repro.machine.configs` — the Octane2 geometry and a scaled-down
   variant for tractable sweeps;
 - :mod:`repro.machine.costmodel` — per-event cycle costs (9.92 / 162.55 /
@@ -18,13 +21,16 @@ exactly those observables from the executor's traces:
 - :mod:`repro.machine.perfcounters` — the end-to-end "perfex" report;
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
   that fuses all trace consumers into one bounded-memory pass.
+
+Three oracles stay for the tests: ``cache.simulate_cache_reference``,
+``cache.stack_distances_reference`` and ``TwoBitPredictor.simulate``.
 """
 
 from repro.machine.branch import TwoBitPredictor
-from repro.machine.cache import CacheConfig, CacheSink, simulate_cache
+from repro.machine.cache import CacheConfig, CacheSink
 from repro.machine.configs import MachineConfig, octane2, octane2_scaled
 from repro.machine.costmodel import CostModel
-from repro.machine.hierarchy import HierarchyResult, HierarchySink, simulate_hierarchy
+from repro.machine.hierarchy import HierarchyResult, HierarchySink
 from repro.machine.layout import MemoryLayout
 from repro.machine.perfcounters import (
     MemoryPipelineSink,
@@ -33,8 +39,6 @@ from repro.machine.perfcounters import (
 )
 from repro.machine.sinks import (
     DEFAULT_CHUNK_EVENTS,
-    CountSink,
-    FanoutSink,
     MaterializeSink,
     TraceSink,
 )
@@ -42,14 +46,12 @@ from repro.machine.sinks import (
 __all__ = [
     "CacheConfig",
     "CacheSink",
-    "simulate_cache",
     "MachineConfig",
     "octane2",
     "octane2_scaled",
     "CostModel",
     "HierarchyResult",
     "HierarchySink",
-    "simulate_hierarchy",
     "MemoryLayout",
     "MemoryPipelineSink",
     "PerfReport",
@@ -57,7 +59,5 @@ __all__ = [
     "TwoBitPredictor",
     "TraceSink",
     "MaterializeSink",
-    "FanoutSink",
-    "CountSink",
     "DEFAULT_CHUNK_EVENTS",
 ]

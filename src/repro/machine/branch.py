@@ -9,8 +9,9 @@ site ids are exact).
 :class:`~repro.machine.sinks.TraceSink` consuming encoded branch-event
 chunks (``site*2 + taken``). Sites are independent and the sink preserves
 per-site order, so interleaved streaming replay is equivalent to the
-grouped-by-site replay of :meth:`TwoBitPredictor.simulate`, which the
-tests keep as the whole-trace oracle.
+grouped-by-site replay of :meth:`TwoBitPredictor.simulate`. That method
+is the branch oracle: it regroups the events by site before replaying,
+so it checks the sink's interleaving rather than repeating it.
 """
 
 from __future__ import annotations

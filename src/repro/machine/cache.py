@@ -11,21 +11,20 @@ distinct lines mapping to it.
 
 :class:`CacheSink` is the streaming production engine. It keeps the whole
 cache state in a ``(num_sets, assoc)`` integer array (MRU order, ``-1`` =
-empty way) and replays each chunk with vectorized NumPy kernels:
+empty way), and the geometry alone picks one of two replay engines:
 
-- ``assoc <= 2`` (every shipped Octane2 level is 2-way): a closed-form
+- ``assoc <= 2`` (every Octane2 level is 2-way): a closed-form, vectorized
   O(n) pass. Within one set's access run, the MRU line after position
   ``i`` is simply the line at ``i``, and the second MRU line is the line
   just before the current run of equal lines — so hits fall out of two
   shifted comparisons, with prior cache state spliced in as virtual
   warm-up accesses at the head of each run.
-- larger associativity: a lock-step "rounds" replay — round ``k`` updates
-  the ``k``-th access of every set simultaneously (sets are independent),
-  vectorized across sets; or the original per-access Python walk when a
-  chunk concentrates on too few sets for rounds to pay.
+- ``assoc > 2`` (only the associativity ablation): a per-access walk over
+  per-set MRU lists.
 
-:func:`simulate_cache_reference` retains the original pure-Python
-implementation verbatim as the oracle the tests cross-check.
+Two oracles stay beside it for the tests: :func:`simulate_cache_reference`
+(the original whole-trace simulator) and :func:`stack_distances_reference`
+(the list-based Mattson stack that :func:`stack_distances` must match).
 """
 
 from __future__ import annotations
@@ -76,13 +75,6 @@ class CacheResult:
 
     accesses: int
     misses: int
-    #: Per-access miss mask in feed order; ``None`` unless requested.
-    miss_mask: np.ndarray | None = None
-
-    @property
-    def miss_rate(self) -> float:
-        """Misses / accesses (0 for an empty stream)."""
-        return self.misses / self.accesses if self.accesses else 0.0
 
 
 class CacheSink:
@@ -94,7 +86,7 @@ class CacheSink:
     L1-miss stream into L2); ``finish()`` returns a :class:`CacheResult`.
     """
 
-    def __init__(self, config: CacheConfig, *, keep_mask: bool = False):
+    def __init__(self, config: CacheConfig):
         self.config = config
         self._shift = config.line_shift
         self._nsets = config.num_sets
@@ -107,7 +99,6 @@ class CacheSink:
         self._state = np.full((self._nsets, self._assoc), -1, dtype=np.int64)
         self._accesses = 0
         self._misses = 0
-        self._mask_chunks: list[np.ndarray] | None = [] if keep_mask else None
 
     # -- public protocol ---------------------------------------------------
     def feed(self, addresses: np.ndarray) -> np.ndarray:
@@ -128,29 +119,14 @@ class CacheSink:
         if self._assoc <= 2:
             miss = self._replay_assoc2(sets, lines)
         else:
-            # Rounds pay off only when accesses spread over many sets:
-            # the round count is the deepest per-set run in the chunk.
-            deepest = int(np.bincount(sets, minlength=1).max())
-            if deepest * 32 <= n:
-                miss = self._replay_rounds(sets, lines)
-            else:
-                miss = self._replay_python(sets, lines)
+            miss = self._replay_python(sets, lines)
         self._accesses += n
         self._misses += int(miss.sum())
-        if self._mask_chunks is not None:
-            self._mask_chunks.append(miss)
         return miss
 
     def finish(self) -> CacheResult:
-        """Totals (and the full miss mask when ``keep_mask=True``)."""
-        mask = None
-        if self._mask_chunks is not None:
-            mask = (
-                np.concatenate(self._mask_chunks)
-                if self._mask_chunks
-                else np.zeros(0, dtype=bool)
-            )
-        return CacheResult(self._accesses, self._misses, mask)
+        """Access and miss totals of the whole stream."""
+        return CacheResult(self._accesses, self._misses)
 
     def _sort_by_set(self, sets: np.ndarray) -> np.ndarray:
         """Stable permutation grouping accesses by set.
@@ -222,50 +198,14 @@ class CacheSink:
         )
         return miss
 
-    # -- general associativity: lock-step rounds ---------------------------
-    def _replay_rounds(self, sets: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        n = len(sets)
-        assoc = self._assoc
-        state = self._state
-        order = self._sort_by_set(sets)
-        s = sets[order]
-        lin = lines[order]
-        run_start = np.empty(n, dtype=bool)
-        run_start[0] = True
-        np.not_equal(s[1:], s[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        run_len = np.diff(np.append(starts, n))
-        # Longest runs first, so round k's active runs are a prefix.
-        depth_order = np.argsort(-run_len, kind="stable")
-        starts_d = starts[depth_order]
-        neg_len_d = -run_len[depth_order]
-        miss_sorted = np.empty(n, dtype=bool)
-        cols = np.arange(assoc)
-        for k in range(int(run_len.max())):
-            active = int(np.searchsorted(neg_len_d, -k, side="left"))
-            pos = starts_d[:active] + k
-            ss = s[pos]
-            ll = lin[pos]
-            ways = state[ss]  # (active, assoc) copy
-            eq = ways == ll[:, None]
-            hit = eq.any(axis=1)
-            # On a hit rotate ways 0..j to the right; on a miss (j = last
-            # way) shift everything, dropping the LRU victim.
-            j = np.where(hit, eq.argmax(axis=1), assoc - 1)
-            shifted = np.empty_like(ways)
-            shifted[:, 0] = ll
-            if assoc > 1:
-                shifted[:, 1:] = ways[:, :-1]
-            state[ss] = np.where(cols[None, :] > j[:, None], ways, shifted)
-            miss_sorted[pos] = ~hit
-        miss = np.empty(n, dtype=bool)
-        miss[order] = miss_sorted
-        return miss
-
-    # -- per-access fallback ------------------------------------------------
+    # -- assoc > 2: per-access walk ---------------------------------------
     def _replay_python(self, sets: np.ndarray, lines: np.ndarray) -> np.ndarray:
-        """Original per-access walk, kept for chunks that concentrate on
-        few sets (rounds would degenerate to per-access NumPy calls)."""
+        """Per-access walk over the touched sets' MRU lists.
+
+        Only the associativity ablation runs it. Its chunks are short and
+        pile onto few sets, where a lock-step vectorized replay measured
+        twice as slow over the whole run.
+        """
         state = self._state
         touched = np.unique(sets)
         ways_by_set = {
@@ -289,21 +229,6 @@ class CacheSink:
             row = ways + [-1] * (assoc - len(ways))
             state[q] = row
         return miss
-
-
-def simulate_cache(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
-    """Replay *addresses* through an initially-cold cache.
-
-    Returns a boolean array: ``True`` where the access missed. One-chunk
-    wrapper around :class:`CacheSink`.
-    """
-    addresses = np.asarray(addresses)
-    if addresses.ndim != 1:
-        raise MachineError("addresses must be a 1-D array")
-    sink = CacheSink(config)
-    if len(addresses) == 0:
-        return np.zeros(0, dtype=bool)
-    return sink.feed(addresses)
 
 
 def simulate_cache_reference(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
@@ -416,10 +341,3 @@ def stack_distances_reference(addresses: np.ndarray, line_shift: int) -> np.ndar
             stack.insert(0, line)
     return out
 
-
-def misses_fully_associative(
-    addresses: np.ndarray, line_shift: int, capacity_lines: int
-) -> int:
-    """Miss count of a fully-associative LRU cache (via stack distances)."""
-    d = stack_distances(addresses, line_shift)
-    return int(((d < 0) | (d >= capacity_lines)).sum())

@@ -61,18 +61,6 @@ class CostModel:
         l1_only = max(l1_misses - l2_misses, 0)
         return l1_only * self.l1_miss_cycles + l2_misses * self.l2_miss_cycles
 
-    def branch_cycles(self, resolved: int, mispredicted: int) -> float:
-        """Fig. 7's two series: resolution plus misprediction penalty.
-
-        Branch resolution cycles are already part of the instruction stream
-        (each resolved conditional graduates as one instruction); only the
-        misprediction penalty is *additional* in the total-cycle model.
-        """
-        return (
-            resolved * self.branch_resolve_cycles
-            + mispredicted * self.branch_mispredict_cycles
-        )
-
     def total_cycles(
         self, counters: Counters, l1_misses: int, l2_misses: int, mispredicted: int
     ) -> float:

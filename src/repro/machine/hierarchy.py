@@ -6,7 +6,8 @@ and matches how perfex's L1/L2 miss counters relate on the R14000A.
 
 :class:`HierarchySink` fuses both levels into one streaming pass: each
 chunk is replayed against L1 and only the missing subset is forwarded to
-L2, so the L2 engine touches a small fraction of the trace.
+L2, so the L2 engine touches a small fraction of the trace. ``feed`` returns
+each chunk's L1 miss mask; ``finish`` returns the miss totals.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ class HierarchyResult:
     accesses: int
     l1_misses: int
     l2_misses: int
-    #: Per-access L1 miss mask; ``None`` unless ``keep_mask=True`` was
-    #: requested — it holds a bool per access and would dominate peak
-    #: memory on large runs.
-    l1_miss_mask: np.ndarray | None = None
 
     @property
     def l1_miss_rate(self) -> float:
@@ -44,8 +41,8 @@ class HierarchyResult:
 class HierarchySink:
     """Streaming L1 → L2 replay over address chunks."""
 
-    def __init__(self, l1: CacheConfig, l2: CacheConfig, *, keep_mask: bool = False):
-        self._l1 = CacheSink(l1, keep_mask=keep_mask)
+    def __init__(self, l1: CacheConfig, l2: CacheConfig):
+        self._l1 = CacheSink(l1)
         self._l2 = CacheSink(l2)
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
@@ -67,23 +64,5 @@ class HierarchySink:
             accesses=l1.accesses,
             l1_misses=l1.misses,
             l2_misses=l2.misses,
-            l1_miss_mask=l1.miss_mask,
         )
 
-
-def simulate_hierarchy(
-    l1: CacheConfig,
-    l2: CacheConfig,
-    addresses: np.ndarray,
-    *,
-    keep_mask: bool = False,
-) -> HierarchyResult:
-    """Replay *addresses* through L1 then L2 (one-chunk wrapper).
-
-    Pass ``keep_mask=True`` to retain the per-access L1 miss mask
-    diagnostic (off by default — it costs a bool per access).
-    """
-    sink = HierarchySink(l1, l2, keep_mask=keep_mask)
-    if len(addresses):
-        sink.feed(addresses)
-    return sink.finish()

@@ -7,9 +7,9 @@ memory trace through the register filter and cache hierarchy and the
 branch trace through the 2-bit predictor, and aggregates cycles with the
 cost model — yielding every observable the paper's Figures 5–8 plot. The
 sinks are chunking-invariant and the pipeline preserves program order, so
-the report equals a whole-trace replay through the reference models
-(``filter_loads``, ``simulate_hierarchy``, ``TwoBitPredictor.simulate``),
-as the equivalence test-suite asserts.
+the report equals one whole-trace chunk through the same sinks, with
+``TwoBitPredictor.simulate`` as the branch oracle, as the equivalence
+test-suite asserts.
 
 The measurement does not care which codegen tier produced the events:
 the block tier's whole-trip event matrices arrive through the same chunk
@@ -78,8 +78,7 @@ class MemoryPipelineSink:
     """Fused memory-side pipeline over encoded memory-event chunks.
 
     Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass, exactly mirroring the whole-trace reference
-    stages.
+    L1 → L2 in one pass.
     """
 
     def __init__(
@@ -102,8 +101,7 @@ class MemoryPipelineSink:
 
     def finish(self) -> tuple[int, HierarchyResult]:
         """(register load hits, hierarchy result)."""
-        regs = self._registers.finish()
-        return regs.load_hits, self._hierarchy.finish()
+        return self._registers.finish(), self._hierarchy.finish()
 
 
 def _assemble_report(

@@ -114,9 +114,3 @@ class PrefetchSink:
             accesses=self._accesses,
         )
 
-
-def simulate_prefetch(config: CacheConfig, addresses: np.ndarray) -> PrefetchResult:
-    """Replay with tagged next-line prefetching (one-chunk wrapper)."""
-    sink = PrefetchSink(config)
-    sink.feed(addresses)
-    return sink.finish()

@@ -14,12 +14,14 @@ The model is a fully-associative LRU window of *element* addresses:
   recently touched distinct elements;
 - stores always reach memory (write-through towards the cache model) and
   make their element register-resident (store-to-load forwarding).
+
+:class:`RegisterFilterSink` is the model: ``feed`` returns each chunk's
+to-memory mask, ``finish`` the number of elided loads.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,17 +29,6 @@ from repro.errors import MachineError
 
 #: Element granularity (doubles).
 ELEMENT_SHIFT = 3
-
-
-@dataclass(frozen=True)
-class RegisterFilterResult:
-    """Outcome of filtering one access stream."""
-
-    #: True where the access must go to memory; ``None`` for streaming
-    #: replays, where the mask is consumed chunk-by-chunk instead.
-    to_memory: np.ndarray | None
-    #: Number of loads elided by register reuse.
-    load_hits: int
 
 
 class RegisterFilterSink:
@@ -87,17 +78,7 @@ class RegisterFilterSink:
         self._hits += hits
         return np.asarray(keep, dtype=bool)
 
-    def finish(self) -> RegisterFilterResult:
-        """Accumulated hit count (no global mask in streaming mode)."""
-        return RegisterFilterResult(to_memory=None, load_hits=self._hits)
+    def finish(self) -> int:
+        """Number of loads elided by register reuse."""
+        return self._hits
 
-
-def filter_loads(
-    addresses: np.ndarray,
-    is_write: np.ndarray,
-    capacity: int = 32,
-) -> RegisterFilterResult:
-    """Filter the access stream through an LRU register window."""
-    sink = RegisterFilterSink(capacity)
-    keep = sink.feed((addresses, is_write))
-    return RegisterFilterResult(to_memory=keep, load_hits=sink.finish().load_hits)

@@ -32,6 +32,11 @@ Chunk types are stream-specific (duck-typed, per sink class):
 Sinks must be chunking-invariant: feeding one big chunk or many small ones
 in the same order yields bit-identical results (the equivalence tests
 exercise exactly this property).
+
+Sinks are the machine model's only interface. There is no separate
+whole-trace API: a caller holding a whole trace feeds it as one chunk,
+and a caller that wants per-access outcomes keeps the masks ``feed``
+returns.
 """
 
 from __future__ import annotations
@@ -46,8 +51,6 @@ __all__ = [
     "DEFAULT_CHUNK_EVENTS",
     "TraceSink",
     "MaterializeSink",
-    "FanoutSink",
-    "CountSink",
 ]
 
 
@@ -89,34 +92,3 @@ class MaterializeSink:
         if not self._chunks:
             return np.empty(0, dtype=self._dtype)
         return np.concatenate(self._chunks)
-
-
-class FanoutSink:
-    """Broadcasts each chunk to several sinks consuming the same stream."""
-
-    def __init__(self, *sinks: TraceSink):
-        self._sinks = sinks
-
-    def feed(self, chunk: Any) -> None:
-        """Feed every registered sink in order."""
-        for sink in self._sinks:
-            sink.feed(chunk)
-
-    def finish(self) -> tuple[Any, ...]:
-        """Finish every sink; results in registration order."""
-        return tuple(sink.finish() for sink in self._sinks)
-
-
-class CountSink:
-    """Counts events without retaining them (cheap smoke-testing sink)."""
-
-    def __init__(self) -> None:
-        self.events = 0
-
-    def feed(self, chunk: np.ndarray) -> None:
-        """Add the chunk length."""
-        self.events += len(chunk)
-
-    def finish(self) -> int:
-        """Total event count."""
-        return self.events

@@ -68,9 +68,3 @@ class TLBSink:
         """Total TLB misses."""
         return self._misses
 
-
-def simulate_tlb(config: TLBConfig, addresses: np.ndarray) -> int:
-    """Number of TLB misses over the address stream (cold-start)."""
-    sink = TLBSink(config)
-    sink.feed(addresses)
-    return sink.finish()

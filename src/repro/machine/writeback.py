@@ -26,8 +26,6 @@ class WritebackResult:
     writebacks: int
     #: dirty lines still resident at the end (flushed at program exit)
     dirty_at_end: int
-    #: Per-access miss mask; ``None`` unless requested (``keep_mask``).
-    misses: np.ndarray | None = None
 
     @property
     def total_writeback_lines(self) -> int:
@@ -42,13 +40,12 @@ class WritebackSink:
     residency state persists across chunks.
     """
 
-    def __init__(self, config: CacheConfig, *, keep_mask: bool = False):
+    def __init__(self, config: CacheConfig):
         self.config = config
         # Per set: list of [line, dirty] in MRU order.
         self._sets: list[list[list]] = [[] for _ in range(config.num_sets)]
         self._writebacks = 0
         self._miss_count = 0
-        self._mask_chunks: list[np.ndarray] | None = [] if keep_mask else None
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
         """Replay one chunk; returns its per-access miss mask."""
@@ -85,32 +82,14 @@ class WritebackSink:
                             self._writebacks += 1
         mask = np.asarray(miss_list, dtype=bool)
         self._miss_count += int(mask.sum())
-        if self._mask_chunks is not None:
-            self._mask_chunks.append(mask)
         return mask
 
     def finish(self) -> WritebackResult:
-        """Accumulated totals (plus the miss mask when requested)."""
+        """Accumulated totals."""
         dirty = sum(1 for ways in self._sets for way in ways if way[1])
-        mask = None
-        if self._mask_chunks is not None:
-            mask = (
-                np.concatenate(self._mask_chunks)
-                if self._mask_chunks
-                else np.zeros(0, dtype=bool)
-            )
         return WritebackResult(
             miss_count=self._miss_count,
             writebacks=self._writebacks,
             dirty_at_end=dirty,
-            misses=mask,
         )
 
-
-def simulate_writeback(
-    config: CacheConfig, addresses: np.ndarray, is_write: np.ndarray
-) -> WritebackResult:
-    """Replay with write-allocate, write-back semantics (one-chunk wrapper)."""
-    sink = WritebackSink(config, keep_mask=True)
-    sink.feed((addresses, is_write))
-    return sink.finish()

@@ -135,10 +135,6 @@ class LinExpr:
             c.denominator == 1 for c in self._terms.values()
         )
 
-    def depends_on(self, names: frozenset[str] | set[str]) -> bool:
-        """True iff any variable of this expression is in *names*."""
-        return any(v in names for v in self._terms)
-
     # -- arithmetic ---------------------------------------------------------
     def __add__(self, other: "LinExpr | Coef") -> "LinExpr":
         other = _coerce(other)

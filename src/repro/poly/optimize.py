@@ -11,7 +11,7 @@ bounds) / ``max`` (of lower bounds), which is exactly what
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from repro.errors import PolyhedronError, UnboundedError
 from repro.poly import memo
@@ -145,9 +145,3 @@ def unique_extreme_bound(
             return cand
     return None
 
-
-def evaluate_objective(
-    objective: LinExpr, point: Mapping[str, int], param_env: Mapping[str, int]
-):
-    """Evaluate an objective at a point under concrete parameters."""
-    return objective.evaluate({**param_env, **point})

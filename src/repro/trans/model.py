@@ -342,27 +342,3 @@ def _implied_by_check(space: Polyhedron, constraint: Constraint) -> bool:
     violating = space.with_constraints([ge0(-constraint.expr - 1)])
     return rationally_empty(violating)
 
-
-def _bound_expr(
-    bounds: list[LinExpr], *, is_lower: bool, param_domain: Polyhedron | None = None
-) -> LinExpr:
-    """Collapse multiple affine bounds; only single-bound cases are emitted
-    (multi-bound sweeps would need min/max intrinsics in loop headers)."""
-    if len(bounds) == 1:
-        return bounds[0]
-    # Prefer a bound that provably dominates; otherwise fail loudly.
-    from repro.poly.optimize import unique_extreme_bound
-
-    best = unique_extreme_bound(bounds, lower=is_lower, param_domain=param_domain)
-    if best is None:
-        raise TransformError(
-            f"multiple irreducible {'lower' if is_lower else 'upper'} bounds: "
-            f"{[str(b) for b in bounds]}"
-        )
-    return best
-
-
-def _always_true():
-    from repro.ir.builder import ceq, val
-
-    return ceq(val(0), val(0))

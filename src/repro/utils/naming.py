@@ -27,10 +27,6 @@ class NameGenerator:
         """Mark *name* as taken."""
         self._used.add(name)
 
-    def reserve_all(self, names: Iterable[str]) -> None:
-        """Mark every name in *names* as taken."""
-        self._used.update(names)
-
     def fresh(self, base: str) -> str:
         """Return *base* if free, else ``base_2``, ``base_3``, ...
 

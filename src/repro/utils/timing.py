@@ -40,17 +40,3 @@ class Timer:
         self.elapsed = 0.0
         self._start = None
 
-
-class StageTimes:
-    """Named stage timers for multi-phase pipelines (analysis, codegen, sim)."""
-
-    def __init__(self) -> None:
-        self._timers: dict[str, Timer] = {}
-
-    def stage(self, name: str) -> Timer:
-        """Return (creating if needed) the timer for *name*."""
-        return self._timers.setdefault(name, Timer())
-
-    def summary(self) -> dict[str, float]:
-        """Elapsed seconds per stage, insertion-ordered."""
-        return {name: t.elapsed for name, t in self._timers.items()}

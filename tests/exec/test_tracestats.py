@@ -1,10 +1,7 @@
 """Unit tests for per-array trace statistics."""
 
-import pytest
-
-from repro.errors import ExecutionError
-from repro.exec.compiled import CompiledProgram, run_compiled
-from repro.exec.tracestats import footprint_bytes, trace_statistics
+from repro.exec.compiled import CompiledProgram
+from repro.exec.tracestats import ArrayStatsSink
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
 
@@ -18,20 +15,22 @@ def copy_program() -> Program:
     )
 
 
-def traced(program, params):
-    return CompiledProgram(program, trace=True).run(params)
+def array_stats(program, params):
+    """Per-array statistics of one run, streamed through ArrayStatsSink."""
+    cp = CompiledProgram(program, trace=True)
+    sink = ArrayStatsSink(cp.array_ids)
+    cp.run_streaming(params, memory_sink=sink)
+    return sink.finish()
 
 
 class TestTraceStatistics:
     def test_loads_and_stores_attributed(self):
-        run = traced(copy_program(), {"N": 10})
-        stats = trace_statistics(run)
+        stats = array_stats(copy_program(), {"N": 10})
         assert stats["A"].loads == 10 and stats["A"].stores == 0
         assert stats["B"].loads == 0 and stats["B"].stores == 10
 
     def test_distinct_elements(self):
-        run = traced(copy_program(), {"N": 10})
-        stats = trace_statistics(run)
+        stats = array_stats(copy_program(), {"N": 10})
         assert stats["A"].distinct_elements == 10
         assert stats["B"].distinct_elements == 10
 
@@ -42,7 +41,7 @@ class TestTraceStatistics:
         p = Program(
             "r", ("N",), (ArrayDecl("A", (N,)), ArrayDecl("B", (N,))), (), (body,)
         )
-        stats = trace_statistics(traced(p, {"N": 8}))
+        stats = array_stats(p, {"N": 8})
         assert stats["A"].reuse_factor == 8.0
 
     def test_untouched_array(self):
@@ -53,27 +52,26 @@ class TestTraceStatistics:
             (),
             (assign(idx("A", 1), 0.0),),
         )
-        stats = trace_statistics(traced(p, {"N": 4}))
+        stats = array_stats(p, {"N": 4})
         assert stats["Z"].accesses == 0
 
     def test_footprint(self):
-        run = traced(copy_program(), {"N": 10})
-        assert footprint_bytes(run) == 20 * 8
+        stats = array_stats(copy_program(), {"N": 10})
+        assert sum(s.distinct_elements for s in stats.values()) * 8 == 20 * 8
 
-    def test_requires_trace(self):
-        run = run_compiled(copy_program(), {"N": 4})
-        with pytest.raises(ExecutionError):
-            trace_statistics(run)
+    def test_whole_trace_chunk_matches_stream(self):
+        run = CompiledProgram(copy_program(), trace=True).run({"N": 10})
+        sink = ArrayStatsSink(run.array_ids)
+        sink.feed(run.trace.memory)
+        assert sink.finish() == array_stats(copy_program(), {"N": 10})
 
     def test_jacobi_fusion_cuts_l_traffic(self):
         from repro.kernels import jacobi
 
         params = {"N": 12, "M": 2}
         inputs = jacobi.make_inputs(params)
-        seq = traced(jacobi.sequential(), params)
-        stats = trace_statistics(seq)
+        stats = array_stats(jacobi.sequential(), params)
         assert stats["L"].loads > 0 and stats["L"].stores > 0
-        fixed = traced(jacobi.fixed(), params)
-        fixed_stats = trace_statistics(fixed)
+        fixed_stats = array_stats(jacobi.fixed(), params)
         assert "L" not in fixed_stats  # scalarised away
         assert "H_A" in fixed_stats

@@ -5,12 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MachineError
-from repro.machine.cache import (
-    CacheConfig,
-    misses_fully_associative,
-    simulate_cache,
-    stack_distances,
-)
+from repro.machine.cache import CacheConfig, CacheSink, stack_distances
+from repro.machine.reuse import reuse_profile
 
 
 def cfg(size=256, line=32, assoc=2):
@@ -38,12 +34,12 @@ class TestConfig:
 class TestSimulate:
     def test_cold_misses(self):
         addrs = np.array([0, 32, 64], dtype=np.int64)
-        misses = simulate_cache(cfg(), addrs)
+        misses = CacheSink(cfg()).feed(addrs)
         assert misses.all()
 
     def test_hit_on_repeat(self):
         addrs = np.array([0, 0, 8, 31], dtype=np.int64)
-        misses = simulate_cache(cfg(), addrs)
+        misses = CacheSink(cfg()).feed(addrs)
         assert list(misses) == [True, False, False, False]
 
     def test_lru_eviction_within_set(self):
@@ -51,7 +47,7 @@ class TestSimulate:
         s = c.num_sets * c.line_bytes  # stride mapping to same set
         a, b, d = 0, s, 2 * s
         addrs = np.array([a, b, d, a], dtype=np.int64)
-        misses = simulate_cache(c, addrs)
+        misses = CacheSink(c).feed(addrs)
         # a,b fill the set; d evicts a (LRU); the re-access to a misses.
         assert list(misses) == [True, True, True, True]
 
@@ -59,16 +55,16 @@ class TestSimulate:
         c = cfg(size=128, line=32, assoc=2)
         s = c.num_sets * c.line_bytes
         addrs = np.array([0, s, 0, 2 * s, 0], dtype=np.int64)
-        misses = simulate_cache(c, addrs)
+        misses = CacheSink(c).feed(addrs)
         # 0 stays MRU; 2s evicts s, not 0.
         assert list(misses) == [True, True, False, True, False]
 
     def test_empty_trace(self):
-        assert len(simulate_cache(cfg(), np.empty(0, dtype=np.int64))) == 0
+        assert len(CacheSink(cfg()).feed(np.empty(0, dtype=np.int64))) == 0
 
     def test_2d_rejected(self):
         with pytest.raises(MachineError):
-            simulate_cache(cfg(), np.zeros((2, 2), dtype=np.int64))
+            CacheSink(cfg()).feed(np.zeros((2, 2), dtype=np.int64))
 
 
 class TestStackDistances:
@@ -82,8 +78,9 @@ class TestStackDistances:
 
     def test_fully_associative_from_distances(self):
         addrs = np.array([0, 64, 128, 0, 64], dtype=np.int64)
-        assert misses_fully_associative(addrs, 5, capacity_lines=2) == 5 - 0  # all miss
-        assert misses_fully_associative(addrs, 5, capacity_lines=3) == 3
+        prof = reuse_profile(addrs, 5)
+        assert prof.misses_at(2) == 5  # all miss
+        assert prof.misses_at(3) == 3
 
 
 @given(
@@ -92,8 +89,9 @@ class TestStackDistances:
 def test_lru_inclusion_property(track):
     """Mattson inclusion: bigger fully-associative LRU never misses more."""
     addrs = np.array(track, dtype=np.int64) * 8
-    m_small = misses_fully_associative(addrs, 3, capacity_lines=2)
-    m_big = misses_fully_associative(addrs, 3, capacity_lines=4)
+    prof = reuse_profile(addrs, 3)
+    m_small = prof.misses_at(2)
+    m_big = prof.misses_at(4)
     assert m_big <= m_small
 
 
@@ -103,12 +101,12 @@ def test_setassoc_agrees_with_stack_distance_when_one_set(track):
     addrs = np.array(track, dtype=np.int64) * 8
     config = CacheConfig("L", 4 * 8, 8, 4)  # one set, 4 ways, line = element
     assert config.num_sets == 1
-    misses = int(simulate_cache(config, addrs).sum())
-    assert misses == misses_fully_associative(addrs, 3, capacity_lines=4)
+    misses = int(CacheSink(config).feed(addrs).sum())
+    assert misses == reuse_profile(addrs, 3).misses_at(4)
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=100))
 def test_determinism(track):
     addrs = np.array(track, dtype=np.int64) * 4
     c = cfg()
-    assert (simulate_cache(c, addrs) == simulate_cache(c, addrs)).all()
+    assert (CacheSink(c).feed(addrs) == CacheSink(c).feed(addrs)).all()

@@ -4,7 +4,7 @@ reference implementation on random traces and geometries."""
 import numpy as np
 from hypothesis import given, strategies as st
 
-from repro.machine.cache import CacheConfig, simulate_cache
+from repro.machine.cache import CacheConfig, CacheSink
 
 
 def reference_lru(config: CacheConfig, addresses) -> list[bool]:
@@ -47,18 +47,18 @@ def geometry(draw):
 )
 def test_simulator_matches_reference(config, track):
     addrs = np.array(track, dtype=np.int64) * 8
-    fast = simulate_cache(config, addrs).tolist()
+    fast = CacheSink(config).feed(addrs).tolist()
     slow = reference_lru(config, addrs)
     assert fast == slow
 
 
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
 def test_writeback_misses_match_reference(track):
-    from repro.machine.writeback import simulate_writeback
+    from repro.machine.writeback import WritebackSink
 
     config = CacheConfig("L", 256, 16, 2)
     addrs = np.array(track, dtype=np.int64) * 8
     writes = np.zeros(len(addrs))
-    wb = simulate_writeback(config, addrs, writes)
+    misses = WritebackSink(config).feed((addrs, writes))
     slow = reference_lru(config, addrs)
-    assert wb.misses.tolist() == slow
+    assert misses.tolist() == slow

@@ -4,7 +4,7 @@ import numpy as np
 
 from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheConfig
-from repro.machine.hierarchy import simulate_hierarchy
+from repro.machine.hierarchy import HierarchySink
 
 
 def l1():
@@ -18,7 +18,9 @@ def l2():
 class TestHierarchy:
     def test_l2_sees_only_l1_misses(self):
         addrs = np.array([0, 0, 0, 32], dtype=np.int64)
-        res = simulate_hierarchy(l1(), l2(), addrs)
+        sink = HierarchySink(l1(), l2())
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.accesses == 4
         assert res.l1_misses == 2  # cold 0 and cold 32
         assert res.l2_misses == 2  # both cold in L2 as well
@@ -27,18 +29,24 @@ class TestHierarchy:
         # Working set bigger than L1 but within L2: repeated sweeps hit L2.
         sweep = np.arange(0, 256, 32, dtype=np.int64)  # 8 lines > L1 (4 lines)
         addrs = np.concatenate([sweep, sweep])
-        res = simulate_hierarchy(l1(), l2(), addrs)
+        sink = HierarchySink(l1(), l2())
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.l1_misses > 8 - 1  # thrashing
         assert res.l2_misses == 8  # only cold misses reach memory
 
     def test_rates(self):
         addrs = np.array([0, 0], dtype=np.int64)
-        res = simulate_hierarchy(l1(), l2(), addrs)
+        sink = HierarchySink(l1(), l2())
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.l1_miss_rate == 0.5
         assert res.l2_miss_rate == 1.0
 
     def test_empty(self):
-        res = simulate_hierarchy(l1(), l2(), np.empty(0, dtype=np.int64))
+        sink = HierarchySink(l1(), l2())
+        sink.feed(np.empty(0, dtype=np.int64))
+        res = sink.finish()
         assert res.l1_miss_rate == 0.0 and res.l2_miss_rate == 0.0
 
 

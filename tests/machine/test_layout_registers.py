@@ -5,7 +5,7 @@ import pytest
 
 from repro.errors import MachineError
 from repro.machine.layout import MemoryLayout
-from repro.machine.registers import filter_loads
+from repro.machine.registers import RegisterFilterSink
 
 
 class TestLayout:
@@ -43,34 +43,36 @@ class TestRegisterFilter:
     def test_repeat_load_elided(self):
         addrs = np.array([0, 0, 0], dtype=np.int64)
         w = np.array([0, 0, 0])
-        res = filter_loads(addrs, w, capacity=4)
-        assert res.load_hits == 2
-        assert list(res.to_memory) == [True, False, False]
+        sink = RegisterFilterSink(capacity=4)
+        assert list(sink.feed((addrs, w))) == [True, False, False]
+        assert sink.finish() == 2
 
     def test_store_always_to_memory_but_makes_resident(self):
         addrs = np.array([0, 0], dtype=np.int64)
         w = np.array([1, 0])
-        res = filter_loads(addrs, w, capacity=4)
-        assert list(res.to_memory) == [True, False]  # forwarding
+        keep = RegisterFilterSink(capacity=4).feed((addrs, w))
+        assert list(keep) == [True, False]  # forwarding
 
     def test_capacity_eviction_lru(self):
         # touch 0,8,16 with capacity 2: 0 evicted, reload misses.
         addrs = np.array([0, 8, 16, 0], dtype=np.int64)
         w = np.zeros(4)
-        res = filter_loads(addrs, w, capacity=2)
-        assert list(res.to_memory) == [True, True, True, True]
+        keep = RegisterFilterSink(capacity=2).feed((addrs, w))
+        assert list(keep) == [True, True, True, True]
 
     def test_zero_capacity_disables(self):
         addrs = np.array([0, 0], dtype=np.int64)
-        res = filter_loads(addrs, np.zeros(2), capacity=0)
-        assert res.load_hits == 0
+        sink = RegisterFilterSink(capacity=0)
+        sink.feed((addrs, np.zeros(2)))
+        assert sink.finish() == 0
 
     def test_element_granularity(self):
         # different elements of the same cache line are distinct registers
         addrs = np.array([0, 4], dtype=np.int64)  # same 8-byte element!
-        res = filter_loads(addrs, np.zeros(2), capacity=4)
-        assert res.load_hits == 1  # 4 >> 3 == 0 too
+        sink = RegisterFilterSink(capacity=4)
+        sink.feed((addrs, np.zeros(2)))
+        assert sink.finish() == 1  # 4 >> 3 == 0 too
 
     def test_negative_capacity(self):
         with pytest.raises(MachineError):
-            filter_loads(np.zeros(1, dtype=np.int64), np.zeros(1), capacity=-1)
+            RegisterFilterSink(capacity=-1)

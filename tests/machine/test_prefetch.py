@@ -2,8 +2,8 @@
 
 import numpy as np
 
-from repro.machine.cache import CacheConfig, simulate_cache
-from repro.machine.prefetch import simulate_prefetch
+from repro.machine.cache import CacheConfig, CacheSink
+from repro.machine.prefetch import PrefetchSink
 
 
 def cfg(size=256, line=32, assoc=2):
@@ -13,20 +13,26 @@ def cfg(size=256, line=32, assoc=2):
 class TestPrefetch:
     def test_sequential_stream_mostly_covered(self):
         addrs = np.arange(0, 32 * 64, 32, dtype=np.int64)  # one new line each
-        res = simulate_prefetch(cfg(), addrs)
-        base = int(simulate_cache(cfg(), addrs).sum())
+        sink = PrefetchSink(cfg())
+        sink.feed(addrs)
+        res = sink.finish()
+        base = int(CacheSink(cfg()).feed(addrs).sum())
         assert res.demand_misses < base / 4
         assert res.covered_fraction > 0.7
 
     def test_random_stream_not_covered(self, rng):
         lines = rng.permutation(512)
         addrs = (lines * 32).astype(np.int64)
-        res = simulate_prefetch(cfg(), addrs)
+        sink = PrefetchSink(cfg())
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.covered_fraction < 0.2
 
     def test_repeat_hits_cost_nothing(self):
         addrs = np.array([0, 0, 0, 0], dtype=np.int64)
-        res = simulate_prefetch(cfg(), addrs)
+        sink = PrefetchSink(cfg())
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.demand_misses == 1
         assert res.prefetch_hits == 0
 
@@ -34,7 +40,9 @@ class TestPrefetch:
         # A prefetch evicts the LRU way, never the MRU way.
         c = cfg(size=64, line=32, assoc=2)  # one set, two ways
         addrs = np.array([0, 0, 0], dtype=np.int64)
-        res = simulate_prefetch(c, addrs)
+        sink = PrefetchSink(c)
+        sink.feed(addrs)
+        res = sink.finish()
         assert res.demand_misses == 1  # line 0 stays resident
 
     def test_prefetch_pollution_in_tiny_cache(self):
@@ -43,8 +51,10 @@ class TestPrefetch:
         # (lines 0 and 2 ping-pong once prefetches of 1 and 3 join).
         c = cfg(size=64, line=32, assoc=2)
         addrs = np.array([0, 64, 0, 64, 0, 64], dtype=np.int64)
-        res = simulate_prefetch(c, addrs)
-        plain = int(simulate_cache(c, addrs).sum())
+        sink = PrefetchSink(c)
+        sink.feed(addrs)
+        res = sink.finish()
+        plain = int(CacheSink(c).feed(addrs).sum())
         assert plain == 2
         assert res.demand_misses == 6
 
@@ -54,8 +64,10 @@ class TestPrefetch:
         addrs = np.concatenate(
             [np.arange(0, 2048, 8), np.arange(0, 2048, 8)]
         ).astype(np.int64)
-        res = simulate_prefetch(cfg(), addrs)
-        plain = int(simulate_cache(cfg(), addrs).sum())
+        sink = PrefetchSink(cfg())
+        sink.feed(addrs)
+        res = sink.finish()
+        plain = int(CacheSink(cfg()).feed(addrs).sum())
         assert res.demand_misses <= plain
 
     def test_untiled_column_walk_benefits_more_than_tiled(self):
@@ -75,8 +87,10 @@ class TestPrefetch:
             layout = layout_for_program(prog, params)
             aid, lin, _ = run.trace.memory_events()
             addrs = layout.addresses(aid, lin, {v: k for k, v in run.array_ids.items()})
-            plain = int(simulate_cache(machine.l2, addrs).sum())
-            pf = simulate_prefetch(machine.l2, addrs)
+            plain = int(CacheSink(machine.l2).feed(addrs).sum())
+            sink = PrefetchSink(machine.l2)
+            sink.feed(addrs)
+            pf = sink.finish()
             results[label] = (plain, pf.demand_misses)
         # prefetching helps the sequential column walks substantially...
         seq_plain, seq_pf = results["seq"]

@@ -9,8 +9,8 @@ chunking. These tests pin that down three ways:
 - every registered kernel recipe at small N, end-to-end: ``cp.run()``'s
   materialized trace through one ``MemoryPipelineSink.feed`` plus
   ``TwoBitPredictor().simulate`` vs ``measure_streaming``;
-- Mattson-inclusion cross-check: the vectorized ``simulate_cache`` at
-  full associativity must agree with ``stack_distances``.
+- Mattson-inclusion cross-check: ``CacheSink`` at full associativity
+  must agree with ``stack_distances``.
 """
 
 from __future__ import annotations
@@ -26,19 +26,18 @@ from repro.machine.branch import TwoBitPredictor, TwoBitPredictorSink
 from repro.machine.cache import (
     CacheConfig,
     CacheSink,
-    simulate_cache,
     simulate_cache_reference,
     stack_distances,
     stack_distances_reference,
 )
 from repro.machine.configs import octane2_scaled
-from repro.machine.hierarchy import HierarchySink, simulate_hierarchy
+from repro.machine.hierarchy import HierarchySink
 from repro.machine.layout import layout_for_program
 from repro.machine.perfcounters import MemoryPipelineSink, measure_streaming
-from repro.machine.registers import RegisterFilterSink, filter_loads
+from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import MaterializeSink
-from repro.machine.tlb import TLBConfig, TLBSink, simulate_tlb
-from repro.machine.writeback import WritebackSink, simulate_writeback
+from repro.machine.tlb import TLBConfig, TLBSink
+from repro.machine.writeback import WritebackSink
 
 
 def random_chunks(rng, array, *extra):
@@ -60,18 +59,15 @@ class TestCacheSinkAgainstOracle:
             n = int(rng.integers(1, 600))
             addrs = rng.integers(0, 64 * nsets * 32, size=n, dtype=np.int64)
             ref = simulate_cache_reference(cfg, addrs)
-            assert np.array_equal(simulate_cache(cfg, addrs), ref)
-            sink = CacheSink(cfg, keep_mask=True)
-            for (chunk,) in random_chunks(rng, addrs):
-                if len(chunk):
-                    sink.feed(chunk)
-            res = sink.finish()
-            assert res.misses == int(ref.sum())
-            assert np.array_equal(res.miss_mask, ref)
+            assert np.array_equal(CacheSink(cfg).feed(addrs), ref)
+            sink = CacheSink(cfg)
+            masks = [sink.feed(chunk) for (chunk,) in random_chunks(rng, addrs)]
+            assert sink.finish().misses == int(ref.sum())
+            assert np.array_equal(np.concatenate(masks), ref)
 
-    def test_forced_rounds_and_python_paths(self):
-        # assoc > 2 dispatches by set concentration: many sets -> rounds,
-        # few sets -> python walk. Exercise both against the oracle, with
+    def test_wide_walk_across_chunks(self):
+        # assoc > 2 takes the per-access walk whatever the chunk looks
+        # like: accesses spread over many sets or piled onto a few, with
         # state carried across chunks.
         rng = np.random.default_rng(3)
         cfg = CacheConfig("t", 16 * 4 * 32, 32, 4)
@@ -79,11 +75,10 @@ class TestCacheSinkAgainstOracle:
         narrow = (rng.integers(0, 8, size=1200, dtype=np.int64) * 16 * 32)
         for addrs in (spread, narrow, np.concatenate([spread, narrow])):
             ref = simulate_cache_reference(cfg, addrs)
-            sink = CacheSink(cfg, keep_mask=True)
+            sink = CacheSink(cfg)
             half = len(addrs) // 2
-            sink.feed(addrs[:half])
-            sink.feed(addrs[half:])
-            assert np.array_equal(sink.finish().miss_mask, ref)
+            miss = np.concatenate([sink.feed(addrs[:half]), sink.feed(addrs[half:])])
+            assert np.array_equal(miss, ref)
 
 
 class TestMattsonInclusion:
@@ -96,7 +91,7 @@ class TestMattsonInclusion:
         d = stack_distances(addrs, line_shift)
         for capacity in (1, 2, 4, 16):
             cfg = CacheConfig("fa", capacity * 32, 32, capacity)
-            miss = simulate_cache(cfg, addrs)
+            miss = CacheSink(cfg).feed(addrs)
             expected = (d < 0) | (d >= capacity)
             assert np.array_equal(miss, expected), capacity
 
@@ -120,51 +115,49 @@ class TestSinkChunkingInvariance:
     def test_hierarchy(self):
         l1 = CacheConfig("L1", 512, 32, 2)
         l2 = CacheConfig("L2", 4096, 64, 2)
-        whole = simulate_hierarchy(l1, l2, self.addrs, keep_mask=True)
-        sink = HierarchySink(l1, l2, keep_mask=True)
-        for (chunk,) in random_chunks(self.rng, self.addrs):
-            sink.feed(chunk)
-        res = sink.finish()
-        assert (res.l1_misses, res.l2_misses) == (whole.l1_misses, whole.l2_misses)
-        assert np.array_equal(res.l1_miss_mask, whole.l1_miss_mask)
-
-    def test_hierarchy_mask_opt_in(self):
-        l1 = CacheConfig("L1", 512, 32, 2)
-        l2 = CacheConfig("L2", 4096, 64, 2)
-        assert simulate_hierarchy(l1, l2, self.addrs).l1_miss_mask is None
-        assert (
-            simulate_hierarchy(l1, l2, self.addrs, keep_mask=True).l1_miss_mask
-            is not None
+        whole_sink = HierarchySink(l1, l2)
+        whole_mask = whole_sink.feed(self.addrs)
+        whole = whole_sink.finish()
+        sink = HierarchySink(l1, l2)
+        masks = [sink.feed(chunk) for (chunk,) in random_chunks(self.rng, self.addrs)]
+        assert sink.finish() == whole
+        assert np.array_equal(np.concatenate(masks), whole_mask)
+        assert whole.l1_misses == int(
+            simulate_cache_reference(l1, self.addrs).sum()
         )
 
     def test_tlb(self):
         cfg = TLBConfig(entries=8, page_bytes=4096)
+        whole = TLBSink(cfg)
+        whole.feed(self.addrs)
         sink = TLBSink(cfg)
         for (chunk,) in random_chunks(self.rng, self.addrs):
             sink.feed(chunk)
-        assert sink.finish() == simulate_tlb(cfg, self.addrs)
+        assert sink.finish() == whole.finish()
 
     def test_writeback(self):
         cfg = CacheConfig("L2", 4096, 64, 2)
-        whole = simulate_writeback(cfg, self.addrs, self.writes)
-        sink = WritebackSink(cfg, keep_mask=True)
-        for chunk, w in random_chunks(self.rng, self.addrs, self.writes):
+        whole_sink = WritebackSink(cfg)
+        whole_mask = whole_sink.feed((self.addrs, self.writes))
+        sink = WritebackSink(cfg)
+        masks = [
             sink.feed((chunk, w))
-        res = sink.finish()
-        assert res.miss_count == whole.miss_count
-        assert res.writebacks == whole.writebacks
-        assert res.dirty_at_end == whole.dirty_at_end
-        assert np.array_equal(res.misses, whole.misses)
+            for chunk, w in random_chunks(self.rng, self.addrs, self.writes)
+        ]
+        assert sink.finish() == whole_sink.finish()
+        assert np.array_equal(np.concatenate(masks), whole_mask)
+        assert np.array_equal(whole_mask, simulate_cache_reference(cfg, self.addrs))
 
     def test_register_filter(self):
-        whole = filter_loads(self.addrs, self.writes, capacity=8)
+        whole = RegisterFilterSink(capacity=8)
+        whole_mask = whole.feed((self.addrs, self.writes))
         sink = RegisterFilterSink(capacity=8)
         masks = [
             sink.feed((chunk, w))
             for chunk, w in random_chunks(self.rng, self.addrs, self.writes)
         ]
-        assert np.array_equal(np.concatenate(masks), whole.to_memory)
-        assert sink.finish().load_hits == whole.load_hits
+        assert np.array_equal(np.concatenate(masks), whole_mask)
+        assert sink.finish() == whole.finish()
 
     def test_branch_sink(self):
         sites = self.rng.integers(0, 5, size=400, dtype=np.int64)

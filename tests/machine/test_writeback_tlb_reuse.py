@@ -6,8 +6,8 @@ import pytest
 from repro.errors import MachineError
 from repro.machine.cache import CacheConfig
 from repro.machine.reuse import reuse_profile
-from repro.machine.tlb import TLBConfig, simulate_tlb
-from repro.machine.writeback import simulate_writeback
+from repro.machine.tlb import TLBConfig, TLBSink
+from repro.machine.writeback import WritebackSink
 
 
 def cache(size=128, line=32, assoc=2):
@@ -19,7 +19,9 @@ class TestWriteback:
         c = cache()
         # read-only stream that thrashes: no writebacks ever.
         addrs = np.arange(0, 32 * 64, 32, dtype=np.int64)
-        res = simulate_writeback(c, addrs, np.zeros(len(addrs)))
+        sink = WritebackSink(c)
+        sink.feed((addrs, np.zeros(len(addrs))))
+        res = sink.finish()
         assert res.writebacks == 0 and res.dirty_at_end == 0
         assert res.miss_count == len(addrs)
 
@@ -27,14 +29,18 @@ class TestWriteback:
         c = cache(size=64, line=32, assoc=2)  # one set, two ways
         addrs = np.array([0, 32, 64], dtype=np.int64)
         writes = np.array([1, 0, 0])
-        res = simulate_writeback(c, addrs, writes)
+        sink = WritebackSink(c)
+        sink.feed((addrs, writes))
+        res = sink.finish()
         # line 0 written, then evicted by line 64 -> one writeback
         assert res.writebacks == 1
 
     def test_final_flush_reported(self):
         c = cache()
         addrs = np.array([0, 32], dtype=np.int64)
-        res = simulate_writeback(c, addrs, np.array([1, 1]))
+        sink = WritebackSink(c)
+        sink.feed((addrs, np.array([1, 1])))
+        res = sink.finish()
         assert res.dirty_at_end == 2
         assert res.total_writeback_lines == 2
 
@@ -42,42 +48,50 @@ class TestWriteback:
         c = cache(size=64, line=32, assoc=2)
         addrs = np.array([0, 0, 0, 32, 64], dtype=np.int64)
         writes = np.array([1, 1, 1, 0, 0])
-        res = simulate_writeback(c, addrs, writes)
+        sink = WritebackSink(c)
+        sink.feed((addrs, writes))
+        res = sink.finish()
         assert res.writebacks == 1  # single eviction of the single dirty line
 
     def test_misses_match_plain_simulator(self):
-        from repro.machine.cache import simulate_cache
+        from repro.machine.cache import CacheSink
 
         rng = np.random.default_rng(0)
         addrs = (rng.integers(0, 64, 500) * 8).astype(np.int64)
         writes = rng.integers(0, 2, 500)
         c = cache()
-        wb = simulate_writeback(c, addrs, writes)
-        plain = simulate_cache(c, addrs)
-        assert (wb.misses == plain).all()
+        wb = WritebackSink(c).feed((addrs, writes))
+        plain = CacheSink(c).feed(addrs)
+        assert (wb == plain).all()
 
     def test_length_mismatch(self):
         with pytest.raises(MachineError):
-            simulate_writeback(cache(), np.zeros(2, dtype=np.int64), np.zeros(3))
+            WritebackSink(cache()).feed((np.zeros(2, dtype=np.int64), np.zeros(3)))
 
 
 class TestTLB:
     def test_within_page_hits(self):
         cfg = TLBConfig(entries=4, page_bytes=4096)
         addrs = np.arange(0, 4096, 8, dtype=np.int64)
-        assert simulate_tlb(cfg, addrs) == 1
+        sink = TLBSink(cfg)
+        sink.feed(addrs)
+        assert sink.finish() == 1
 
     def test_capacity_thrash(self):
         cfg = TLBConfig(entries=2, page_bytes=4096)
         # cycle over 3 pages: every access misses after warmup
         addrs = np.array([0, 4096, 8192] * 10, dtype=np.int64)
-        assert simulate_tlb(cfg, addrs) == 30
+        sink = TLBSink(cfg)
+        sink.feed(addrs)
+        assert sink.finish() == 30
 
     def test_lru_order(self):
         cfg = TLBConfig(entries=2, page_bytes=4096)
         addrs = np.array([0, 4096, 0, 8192, 0], dtype=np.int64)
         # page0 stays hot; 8192 evicts 4096.
-        assert simulate_tlb(cfg, addrs) == 3
+        sink = TLBSink(cfg)
+        sink.feed(addrs)
+        assert sink.finish() == 3
 
     def test_config_validation(self):
         with pytest.raises(MachineError):
@@ -90,7 +104,9 @@ class TestTLB:
         cfg = TLBConfig(entries=8, page_bytes=4096)
         n = 1024  # leading dimension in elements: 8 KB per column
         addrs = np.array([j * n * 8 for j in range(64)] * 2, dtype=np.int64)
-        assert simulate_tlb(cfg, addrs) == 128  # never fits
+        sink = TLBSink(cfg)
+        sink.feed(addrs)
+        assert sink.finish() == 128  # never fits
 
 
 class TestReuseProfile:

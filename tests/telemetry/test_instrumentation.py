@@ -3,6 +3,7 @@ acceptance contracts (bit-identical results, merged parallel traces)."""
 
 from __future__ import annotations
 
+import json
 from dataclasses import replace
 
 from repro import telemetry
@@ -11,6 +12,7 @@ from repro.experiments import runner
 from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
+from repro.machine.perfcounters import PerfReport
 
 
 def _config(sizes=(8,)):
@@ -169,6 +171,55 @@ class TestSweepCounters:
         [point] = _spans("sweep.point")
         assert point.attrs["source"] == "disk"
         assert telemetry.counter_value("sweep.cache.hit") == 1
+
+    def test_torn_entry_recomputed_end_to_end(self, tmp_path, monkeypatch):
+        """A truncated file at a point's real cache path is discarded,
+        counted, recomputed to the cold answer and rewritten whole."""
+        config = _config()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        runner.clear_caches()
+        cold = runner.measure_variant("lu", "seq", 8, config).report
+
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        program, _, recipe = runner.build_program("lu", "seq")
+        key = runner._point_key("lu", "seq", 8, config, None, program, recipe)
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps(cold.as_dict())[:40])
+        runner.clear_caches()
+        telemetry.enable()
+        report = runner.measure_variant("lu", "seq", 8, config).report
+        assert report == cold
+        assert PerfReport(**json.loads(path.read_text())) == cold
+        assert telemetry.counter_value("sweep.cache.corrupt") == 1
+
+    def test_source_edit_invalidates_disk_entry(self, tmp_path, monkeypatch):
+        """The key covers the implementation: after a (simulated) source
+        edit the point is recomputed, and the old entry is never read."""
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = _config()
+        runner.clear_caches()
+        first = runner.measure_variant("lu", "seq", 8, config).report
+        [old] = tmp_path.glob("lu-seq-N8-*.json")
+
+        monkeypatch.setattr(runner, "_source_digest", lambda: "edited")
+        read_keys = []
+        load = runner._load_cached
+
+        def spy(key):
+            read_keys.append(key)
+            return load(key)
+
+        monkeypatch.setattr(runner, "_load_cached", spy)
+        runner.clear_caches()
+        telemetry.enable()
+        again = runner.measure_variant("lu", "seq", 8, config).report
+        assert telemetry.counter_value("sweep.cache.miss") == 1
+        assert telemetry.counter_value("sweep.cache.hit") == 0
+        assert old.stem not in read_keys
+        assert len(list(tmp_path.glob("lu-seq-N8-*.json"))) == 2
+        assert again == first
 
 
 class TestParallelSweepMerge:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.utils.naming import NameGenerator, fresh_name
 from repro.utils.tables import render_table
-from repro.utils.timing import StageTimes, Timer
+from repro.utils.timing import Timer
 from repro.utils.validation import check_nonnegative_int, check_positive_int, check_type
 
 
@@ -72,12 +72,6 @@ class TestTiming:
             pass
         t.reset()
         assert t.elapsed == 0.0
-
-    def test_stage_times(self):
-        st = StageTimes()
-        with st.stage("a"):
-            pass
-        assert "a" in st.summary()
 
 
 class TestValidation:
