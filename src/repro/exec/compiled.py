@@ -24,10 +24,13 @@ selected per innermost loop:
 Every run goes through one driver that flushes the event buffers to
 :class:`~repro.machine.sinks.TraceSink` consumers in bounded NumPy
 chunks: the generated scalar-tier code checks the buffer level at every
-loop-iteration boundary and drains through the sinks, and block-tier
-loops hand their event matrices to the same flush machinery as
-ready-made int64 chunks. :meth:`CompiledProgram.run_streaming` exposes
-the sinks; :meth:`CompiledProgram.run` feeds two
+loop-iteration boundary and drains through the driver, and block-tier
+loops hand it their event matrices as ready-made int64 arrays. Memory
+events from both tiers coalesce, in program order, into one pending
+buffer, so the memory sink sees exactly ``chunk_events`` events per chunk
+and one shorter tail at the end of the run, however the loops fragment
+the stream. :meth:`CompiledProgram.run_streaming` exposes the sinks;
+:meth:`CompiledProgram.run` feeds two
 :class:`~repro.machine.sinks.MaterializeSink` instances and returns the
 whole trace as one :class:`~repro.exec.events.TraceBuffers`.
 
@@ -736,22 +739,49 @@ class CompiledProgram:
         exts, storage = self._prepare(params, inputs)
         mem: list[int] = []
         bra: list[int] = []
+        # Memory events waiting for a full chunk, in program order.
+        pending: list[np.ndarray] = []
+        pending_n = 0
 
-        def drain(buf: list[int], sink) -> None:
-            if buf:
-                if sink is not None:
-                    sink.feed(np.asarray(buf, dtype=np.int64))
-                buf.clear()
+        def push(events: np.ndarray) -> None:
+            """Queue memory events; feed every completed chunk."""
+            nonlocal pending_n
+            n = len(events)
+            if pending_n + n < chunk_events:
+                pending.append(events)
+                pending_n += n
+                return
+            off = 0
+            if pending:
+                off = chunk_events - pending_n
+                pending.append(events[:off])
+                memory_sink.feed(np.concatenate(pending))
+                pending.clear()
+            stop = off + (n - off) // chunk_events * chunk_events
+            for lo in range(off, stop, chunk_events):
+                memory_sink.feed(events[lo : lo + chunk_events])
+            # Copy the tail so a large block-tier matrix is not kept alive.
+            pending_n = n - stop
+            if pending_n:
+                pending.append(events[stop:].copy())
+
+        def drain_mem() -> None:
+            if mem:
+                if memory_sink is not None:
+                    push(np.asarray(mem, dtype=np.int64))
+                mem.clear()
 
         def flush() -> None:
-            drain(mem, memory_sink)
-            drain(bra, branch_sink)
+            drain_mem()
+            if bra:
+                if branch_sink is not None:
+                    branch_sink.feed(np.asarray(bra, dtype=np.int64))
+                bra.clear()
 
         def emit_vec(chunk: np.ndarray) -> None:
-            drain(mem, memory_sink)
+            drain_mem()
             if memory_sink is not None:
-                for off in range(0, len(chunk), chunk_events):
-                    memory_sink.feed(chunk[off : off + chunk_events])
+                push(chunk)
 
         fb = self.fallbacks
         guard0, trip0 = fb.guard_rejected, fb.below_min_trip
@@ -768,6 +798,8 @@ class CompiledProgram:
                     f"runtime failure in {self.program.name}: {exc}"
                 ) from exc
         flush()  # tail events after the last loop boundary
+        if pending:
+            memory_sink.feed(np.concatenate(pending))
         if telemetry.enabled():
             dg = fb.guard_rejected - guard0
             dt = fb.below_min_trip - trip0
@@ -831,12 +863,13 @@ class CompiledProgram:
         chunks. The caller owns the sinks' lifecycle and calls their
         ``finish()`` afterwards.
 
-        Scalar-tier chunks are at most ``chunk_events`` plus the events
-        of one innermost loop iteration (the guard sits at iteration
-        boundaries). A block-tier loop entry materializes its own events
-        as one ``trip * events_per_iteration`` matrix, flushes any
-        pending scalar-tier events first (order is preserved), then feeds
-        the matrix through the sinks in ``chunk_events``-sized slices.
+        Every memory chunk has exactly ``chunk_events`` events except the
+        last, which holds the run's remainder. Scalar-tier events and
+        each block-tier loop entry's ``trip * events_per_iteration``
+        matrix join one pending buffer in program order, and only
+        completed slices reach ``memory_sink``. Branch chunks are at most
+        ``chunk_events`` plus the events of one innermost loop iteration
+        (the flush guard sits at iteration boundaries).
         """
         if not self.trace:
             raise ExecutionError("run_streaming() needs a traced program (trace=True)")

@@ -33,6 +33,7 @@ from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import HierarchyResult, HierarchySink
 from repro.machine.layout import MemoryLayout, layout_for_program
 from repro.machine.registers import RegisterFilterSink
+from repro.telemetry.instrument import InstrumentedSink, stage_clock
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,9 @@ class MemoryPipelineSink:
     """Fused memory-side pipeline over encoded memory-event chunks.
 
     Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass.
+    L1 → L2 in one pass. With telemetry enabled, each stage's time and
+    event count are reported as ``machine.memory.{decode,layout,
+    regfilter,l1l2}``.
     """
 
     def __init__(
@@ -91,16 +94,25 @@ class MemoryPipelineSink:
         self._id_to_name = id_to_name
         self._registers = RegisterFilterSink(machine.registers)
         self._hierarchy = HierarchySink(machine.l1, machine.l2)
+        self._clock = stage_clock("machine.memory")
 
     def feed(self, codes: np.ndarray) -> None:
         """Push one encoded chunk through the whole memory pipeline."""
+        clock = self._clock
+        clock.start()
         aid, lin, rw = decode_memory_events(codes)
+        clock.lap("decode", len(codes))
         addresses = self._layout.addresses(aid, lin, self._id_to_name)
+        clock.lap("layout", len(addresses))
         keep = self._registers.feed((addresses, rw))
-        self._hierarchy.feed(addresses[keep])
+        clock.lap("regfilter", len(addresses))
+        to_memory = addresses[keep]
+        self._hierarchy.feed(to_memory)
+        clock.lap("l1l2", len(to_memory))
 
     def finish(self) -> tuple[int, HierarchyResult]:
         """(register load hits, hierarchy result)."""
+        self._clock.finish()
         return self._registers.finish(), self._hierarchy.finish()
 
 
@@ -164,8 +176,6 @@ def measure_streaming(
             # Per-sink replay spans + chunk/event counters; the wrappers
             # preserve feed/finish semantics bit-exactly, so reports are
             # identical with telemetry on or off.
-            from repro.telemetry.instrument import InstrumentedSink
-
             memory_sink = InstrumentedSink(memory_sink, "memory")
             branch_sink = InstrumentedSink(branch_sink, "branch")
         kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}

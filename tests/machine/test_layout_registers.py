@@ -76,3 +76,10 @@ class TestRegisterFilter:
     def test_negative_capacity(self):
         with pytest.raises(MachineError):
             RegisterFilterSink(capacity=-1)
+
+    @pytest.mark.parametrize("flags", [2, 4])
+    def test_write_mask_length_must_match(self, flags):
+        addrs = np.array([0, 8, 0], dtype=np.int64)
+        sink = RegisterFilterSink(capacity=4)
+        with pytest.raises(MachineError, match=f"3 addresses but {flags} write"):
+            sink.feed((addrs, np.zeros(flags)))

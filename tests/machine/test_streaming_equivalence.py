@@ -227,6 +227,18 @@ def test_every_recipe_streams_bit_identical(kernel, variant):
     assert streamed == whole
 
 
+class _SizeRecordingSink(MaterializeSink):
+    """Materializes the stream and records each chunk's length."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.sizes.append(len(chunk))
+        super().feed(chunk)
+
+
 @pytest.mark.parametrize("chunk_events", [1, 64])
 @pytest.mark.parametrize(
     "kernel,variant,tile,min_block_trip",
@@ -241,14 +253,16 @@ def test_streaming_executor_reproduces_trace(
     kernel, variant, tile, min_block_trip, chunk_events
 ):
     # Streaming at any chunk size must emit the exact encoded event
-    # stream of the scalar oracle's materializing run.
+    # stream of the scalar oracle's materializing run, and the memory
+    # sink must see exact chunk_events-sized chunks plus one tail, however
+    # the scalar flushes and block-tier entries fragment the stream.
     program, _, _ = build_program(kernel, variant, tile=tile)
     mod = get_kernel(kernel)
     params = {"N": 10}
     inputs = mod.make_inputs(params, np.random.default_rng(5))
     run = CompiledProgram(program, trace=True, exec_mode="scalar").run(params, inputs)
     cp = CompiledProgram(program, trace=True, min_block_trip=min_block_trip)
-    mem_sink, bra_sink = MaterializeSink(), MaterializeSink()
+    mem_sink, bra_sink = _SizeRecordingSink(), MaterializeSink()
     streamed = cp.run_streaming(
         params,
         inputs,
@@ -259,6 +273,9 @@ def test_streaming_executor_reproduces_trace(
     if min_block_trip == 1:
         assert cp.block_loops > 0 and cp.fallbacks.guard_rejected == 0
     assert streamed.trace is None
+    assert len(mem_sink.sizes) > 1
+    assert set(mem_sink.sizes[:-1]) == {chunk_events}
+    assert 0 < mem_sink.sizes[-1] <= chunk_events
     assert np.array_equal(mem_sink.finish(), run.trace.memory)
     assert np.array_equal(bra_sink.finish(), run.trace.branches)
     assert streamed.counters.as_dict() == run.counters.as_dict()

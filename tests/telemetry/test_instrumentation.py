@@ -136,6 +136,25 @@ class TestPipelineAndMachineSpans:
                 == s.attrs["events"]
             )
 
+    def test_memory_stage_spans_and_counters(self):
+        telemetry.enable()
+        runner.clear_caches()
+        report = runner.measure_variant("lu", "tiled", 8, _config()).report
+        [ms] = _spans("machine.measure_streaming")
+        [memory] = _spans("machine.sink.memory")
+        events = {}
+        for stage in ("decode", "layout", "regfilter", "l1l2"):
+            [s] = _spans(f"machine.memory.{stage}")
+            assert s.parent_id == ms.span_id
+            assert s.duration <= memory.duration
+            events[stage] = telemetry.counter_value(f"machine.memory.{stage}.events")
+            assert events[stage] == s.attrs["events"]
+        assert events["decode"] == events["layout"] == events["regfilter"]
+        assert events["decode"] == memory.attrs["events"]
+        # Only the loads the register window did not elide reach L1.
+        assert events["l1l2"] == report.accesses
+        assert events["regfilter"] - events["l1l2"] == report.register_load_hits
+
 
 class TestSweepCounters:
     def test_memo_hit_skips_point_span(self):
