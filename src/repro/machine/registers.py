@@ -29,9 +29,9 @@ element touched in between pushes ``e`` one slot down the LRU stack).
    first). Replaying it from an empty window rebuilds the LRU state
    exactly, and every element touched since a resident element's last
    access is itself more recent, hence also in the window, so distinct
-   counts over the prefix equal those over the real history. One sort of
-   (element, position) pairs groups equal elements and gives each
-   position its previous (``prev``) and next occurrence.
+   counts over the prefix equal those over the real history. One stable
+   argsort of the elements groups equal elements in position order and
+   gives each position its previous (``prev``) and next occurrence.
 2. No previous occurrence: miss. Fewer than ``C`` positions between the
    two accesses: hit, since the distinct count cannot exceed the gap.
 3. The remaining reuses have gaps ``g >= C``. Let ``D_W(t)`` be the
@@ -122,18 +122,8 @@ class RegisterFilterSink:
 def _reuse_distances(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per position, the distance back to the previous and forward to the
     next occurrence of its element (``_FAR`` when there is none)."""
-    n = len(elements)
-    shift = n.bit_length()
-    lo = elements.min()
-    if int(elements.max()) - int(lo) < 1 << (62 - shift):
-        # One plain sort of (element, position) keys: NumPy sorts int64
-        # faster than it stably argsorts it.
-        keys = np.sort(((elements - lo) << shift) | np.arange(n))
-        order = keys & ((1 << shift) - 1)
-        grouped = keys >> shift
-    else:
-        order = np.argsort(elements, kind="stable")
-        grouped = elements[order]
+    order = np.argsort(elements, kind="stable")
+    grouped = elements[order]
     same = grouped[1:] == grouped[:-1]
     earlier = order[:-1][same]
     later = order[1:][same]

@@ -61,8 +61,6 @@ TRACES = {
     "jacobi-tiled-like": lambda rng, n, c: _jacobi_tiled_like(rng, n),
     "two-halves": lambda rng, n, c: _two_halves(rng, n, max(c, 2)),
     "all-distinct": lambda rng, n, c: np.arange(n) * 3,
-    # Elements too far apart to pack with a position into one sort key.
-    "huge-span": lambda rng, n, c: _uniform_pool(rng, n, max(2, c + c // 2)) << 50,
     "single-element": lambda rng, n, c: np.full(n, 17),
 }
 
