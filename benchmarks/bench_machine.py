@@ -22,12 +22,12 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
-from repro.machine.cache import CacheSink, simulate_cache_reference
+from repro.machine.cache import CacheSink
 from repro.machine.hierarchy import HierarchySink
 from repro.machine.perfcounters import measure_streaming
 from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import DEFAULT_CHUNK_EVENTS
-from tests.machine.register_reference import register_filter_reference
+from tests.machine.reference import register_filter_reference, simulate_cache_reference
 
 #: Trace length of the throughput comparison.
 N_EVENTS = 1_000_000

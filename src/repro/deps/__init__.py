@@ -10,7 +10,6 @@ rounds of ``ElimWW_WR`` see the effect of earlier tiling.
 from repro.deps.access import Reference, extract_references
 from repro.deps.fusionpreventing import Violation, violated_dependences
 from repro.deps.distances import DistanceReport, dependence_distances
-from repro.deps.bruteforce import trace_violations
 
 __all__ = [
     "Reference",
@@ -19,5 +18,4 @@ __all__ = [
     "violated_dependences",
     "DistanceReport",
     "dependence_distances",
-    "trace_violations",
 ]

@@ -55,6 +55,11 @@ class ExecutionError(ReproError):
     """Runtime failure while interpreting an IR program."""
 
 
+#: What a running program raises on a bad subscript, a division by zero or
+#: a math domain error; both executors re-raise these as ExecutionError.
+RUNTIME_FAILURES = (IndexError, KeyError, ZeroDivisionError, FloatingPointError, ValueError)
+
+
 class MachineError(ReproError):
     """Invalid machine-model configuration or simulation failure."""
 

@@ -52,7 +52,7 @@ from typing import Mapping
 import numpy as np
 
 from repro import telemetry
-from repro.errors import ExecutionError
+from repro.errors import RUNTIME_FAILURES, ExecutionError
 from repro.exec.blocktier import (
     DEFAULT_MIN_BLOCK_TRIP,
     BlockPlan,
@@ -793,7 +793,7 @@ class CompiledProgram:
                     dict(params), storage, exts, mem, bra, chunk_events, flush,
                     emit_vec,
                 )
-            except (IndexError, ZeroDivisionError, KeyError, FloatingPointError) as exc:
+            except RUNTIME_FAILURES as exc:
                 raise ExecutionError(
                     f"runtime failure in {self.program.name}: {exc}"
                 ) from exc

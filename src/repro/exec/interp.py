@@ -15,7 +15,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import ExecutionError
+from repro.errors import RUNTIME_FAILURES, ExecutionError
 from repro.exec.events import Counters, RunResult, evaluate_extents
 from repro.ir.expr import (
     ArrayRef,
@@ -169,7 +169,10 @@ def run_interpreted(
 ) -> RunResult:
     """Interpret *program*; returns a :class:`RunResult` without traces."""
     interp = _Interp(program, params, inputs)
-    interp.run_block(program.body)
+    try:
+        interp.run_block(program.body)
+    except RUNTIME_FAILURES as exc:
+        raise ExecutionError(f"runtime failure in {program.name}: {exc}") from exc
     scalars = {
         s.name: interp.env[s.name] for s in program.scalars if s.name in interp.env
     }

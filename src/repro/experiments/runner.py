@@ -30,6 +30,7 @@ memoised — parallel runs are byte-identical to serial ones.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -125,16 +126,26 @@ def _store_cached(key: str, report: PerfReport) -> None:
     d = _cache_dir()
     if d is None:
         return
-    d.mkdir(parents=True, exist_ok=True)
+    path = d / f"{key}.json"
     # Write-then-rename so concurrent sweep workers never expose a
     # truncated JSON file to a reader; os.replace is atomic within the
     # cache directory.
     tmp = d / f".{key}.{os.getpid()}.tmp"
     try:
+        d.mkdir(parents=True, exist_ok=True)
         tmp.write_text(json.dumps(report.as_dict()))
-        os.replace(tmp, d / f"{key}.json")
-    except OSError:
-        tmp.unlink(missing_ok=True)
+        os.replace(tmp, path)
+    except OSError as exc:
+        # The point is already measured: an unwritable cache costs the
+        # next run a recompute, never this run its report. Counted and
+        # logged like a corrupt entry.
+        with contextlib.suppress(OSError):
+            tmp.unlink(missing_ok=True)
+        telemetry.counter("sweep.cache.write_failed")
+        _log.warning(
+            "sweep cache: cannot write entry %s (%s: %s)",
+            path, type(exc).__name__, exc,
+        )
 
 
 def build_program(

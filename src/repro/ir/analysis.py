@@ -1,9 +1,8 @@
-"""Structural analyses over IR: perfect nests, iteration domains, numbering.
+"""Structural analyses over IR: perfect nests and iteration domains.
 
 These are the building blocks the paper's algorithm assumes: recognising
-perfect loop nests (Eq. 1), turning loop bounds into polyhedral iteration
-spaces, and numbering assignments for the ``alpha(R')`` component of the
-anti-dependence sets (Eq. 6).
+perfect loop nests (Eq. 1) and turning loop bounds into polyhedral
+iteration spaces.
 """
 
 from __future__ import annotations
@@ -11,10 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from repro.errors import IRError, NotAffineError
-from repro.ir.affine import cond_to_constraints, expr_to_linexpr
+from repro.errors import IRError
+from repro.ir.affine import expr_to_linexpr
 from repro.ir.expr import Expr
-from repro.ir.stmt import Assign, If, Loop, Stmt, walk_stmts
+from repro.ir.stmt import Assign, Loop, Stmt, walk_stmts
 from repro.poly.constraint import Constraint, ge0
 from repro.poly.polyhedron import Polyhedron
 
@@ -108,58 +107,6 @@ def iteration_domain(loops: Iterable[Loop]) -> Polyhedron:
     return Polyhedron(tuple(l.var for l in loops), constraints)
 
 
-@dataclass(frozen=True)
-class GuardedStmt:
-    """A statement with the conjunction of enclosing guard info.
-
-    ``affine`` holds the constraints of enclosing affine guards; ``opaque``
-    the conditions that were not conjunctive-affine (kept as IR expressions;
-    the dependence analysis treats statements under opaque guards as
-    may-execute).
-    """
-
-    stmt: Stmt
-    affine: tuple[Constraint, ...]
-    opaque: tuple[Expr, ...]
-
-
-def flatten_guards(stmts: Iterable[Stmt]) -> list[GuardedStmt]:
-    """Flatten nested Ifs into guarded assignments/loops.
-
-    Loops are *not* entered (they appear as guarded Loop statements);
-    ``else`` branches contribute the guard's opaque negation.
-    """
-    out: list[GuardedStmt] = []
-
-    def rec(body: Iterable[Stmt], affine: list[Constraint], opaque: list[Expr]) -> None:
-        for s in body:
-            if isinstance(s, If):
-                try:
-                    cs = cond_to_constraints(s.cond)
-                    rec(s.then, affine + cs, opaque)
-                    if s.orelse:
-                        # Negation of a conjunction is disjunctive: opaque.
-                        rec(s.orelse, affine, opaque + [s.cond])
-                except NotAffineError:
-                    rec(s.then, affine, opaque + [s.cond])
-                    if s.orelse:
-                        rec(s.orelse, affine, opaque + [s.cond])
-            else:
-                out.append(GuardedStmt(s, tuple(affine), tuple(opaque)))
-
-    rec(stmts, [], [])
-    return out
-
-
-def assignments_in_order(stmts: Iterable[Stmt]) -> list[Assign]:
-    """All assignments in textual (pre-order) execution order.
-
-    The position index is the paper's ``alpha(R')``: it orders different
-    writes executed at the same iteration.
-    """
-    return [s for s in walk_stmts(stmts) if isinstance(s, Assign)]
-
-
 def written_names(stmts: Iterable[Stmt]) -> frozenset[str]:
     """Names (arrays and scalars) assigned anywhere in the forest."""
     from repro.ir.expr import ArrayRef, VarRef
@@ -173,30 +120,3 @@ def written_names(stmts: Iterable[Stmt]) -> frozenset[str]:
             elif isinstance(target, VarRef):
                 names.add(target.name)
     return frozenset(names)
-
-
-def loops_on_path(stmts: Iterable[Stmt], target: Stmt) -> list[Loop] | None:
-    """Loops enclosing the first occurrence of *target*, outermost first.
-
-    Returns None when *target* does not occur.
-    """
-
-    def rec(body: Iterable[Stmt], stack: list[Loop]) -> list[Loop] | None:
-        for s in body:
-            if s is target:
-                return list(stack)
-            if isinstance(s, Loop):
-                stack.append(s)
-                found = rec(s.body, stack)
-                stack.pop()
-                if found is not None:
-                    return found
-            elif isinstance(s, If):
-                found = rec(s.then, stack)
-                if found is None:
-                    found = rec(s.orelse, stack)
-                if found is not None:
-                    return found
-        return None
-
-    return rec(stmts, [])

@@ -377,12 +377,3 @@ def free_names(expr: Expr) -> frozenset[str]:
         if isinstance(node, VarRef):
             names.add(node.name)
     return frozenset(names)
-
-
-def array_names(expr: Expr) -> frozenset[str]:
-    """Array names referenced anywhere in the tree."""
-    names = set()
-    for node in walk_expr(expr):
-        if isinstance(node, ArrayRef):
-            names.add(node.name)
-    return frozenset(names)

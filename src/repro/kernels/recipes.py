@@ -273,7 +273,8 @@ def registry_program_hashes() -> dict[str, str]:
 
     The differential guarantee of the analysis-layer cache is stated over
     this mapping: it must be identical with ``REPRO_POLY_CACHE`` on and
-    off.
+    off. The golden corpus (``tests/golden/corpus.json``) stores it as
+    built with the memo off, and tier-1 compares the cached build to it.
     """
     from repro.pipeline.recipe import program_fingerprint
 

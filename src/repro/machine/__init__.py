@@ -22,11 +22,11 @@ to drive the model:
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
   that fuses all trace consumers into one bounded-memory pass.
 
-Three oracles stay for the tests: ``cache.simulate_cache_reference``,
-``cache.stack_distances_reference`` and ``TwoBitPredictor.simulate``.
+No oracle ships here: the per-access test oracles live in
+``tests/machine/reference.py``, and ``tests/golden/corpus.json`` pins every
+recipe's ``PerfReport`` as those oracles compute it.
 """
 
-from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheConfig, CacheSink
 from repro.machine.configs import MachineConfig, octane2, octane2_scaled
 from repro.machine.costmodel import CostModel
@@ -56,7 +56,6 @@ __all__ = [
     "MemoryPipelineSink",
     "PerfReport",
     "measure_streaming",
-    "TwoBitPredictor",
     "TraceSink",
     "MaterializeSink",
     "DEFAULT_CHUNK_EVENTS",

@@ -8,10 +8,9 @@ site ids are exact).
 :class:`TwoBitPredictorSink` is the production model: a
 :class:`~repro.machine.sinks.TraceSink` consuming encoded branch-event
 chunks (``site*2 + taken``). Sites are independent and the sink preserves
-per-site order, so interleaved streaming replay is equivalent to the
-grouped-by-site replay of :meth:`TwoBitPredictor.simulate`. That method
-is the branch oracle: it regroups the events by site before replaying,
-so it checks the sink's interleaving rather than repeating it.
+per-site order, so its interleaved streaming replay equals a replay
+grouped by site; the test oracle (``tests/machine/reference.py``) replays
+that way.
 """
 
 from __future__ import annotations
@@ -19,6 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+#: Initial counter state of every site (weakly taken).
+INITIAL_STATE = 2
 
 
 @dataclass(frozen=True)
@@ -34,45 +36,12 @@ class BranchStats:
         return self.mispredicted / self.resolved if self.resolved else 0.0
 
 
-class TwoBitPredictor:
-    """Per-site 2-bit saturating counter (init: weakly taken).
-
-    States 0..3; predict taken when state >= 2; increment on taken,
-    decrement on not-taken, saturating.
-    """
-
-    #: Initial counter state (weakly taken).
-    INITIAL_STATE = 2
-
-    def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:
-        """Replay (site, outcome) events in order; sites are independent, so
-        events are processed grouped by site (stable order within a site)."""
-        n = len(site_ids)
-        if n == 0:
-            return BranchStats(0, 0)
-        order = np.argsort(site_ids, kind="stable")
-        sid_sorted = site_ids[order]
-        taken_sorted = taken[order].tolist()
-        boundaries = np.flatnonzero(np.diff(sid_sorted)) + 1
-        starts = [0, *boundaries.tolist()]
-        ends = [*boundaries.tolist(), n]
-        mispredicted = 0
-        for start, end in zip(starts, ends):
-            state = self.INITIAL_STATE
-            for pos in range(start, end):
-                outcome = taken_sorted[pos]
-                if (state >= 2) != bool(outcome):
-                    mispredicted += 1
-                if outcome:
-                    if state < 3:
-                        state += 1
-                elif state > 0:
-                    state -= 1
-        return BranchStats(resolved=n, mispredicted=mispredicted)
-
-
 class TwoBitPredictorSink:
-    """Streaming per-site 2-bit counters over encoded branch chunks."""
+    """Streaming per-site 2-bit counters over encoded branch chunks.
+
+    States 0..3, starting at :data:`INITIAL_STATE`; predict taken when
+    state >= 2; increment on taken, decrement on not-taken, saturating.
+    """
 
     def __init__(self) -> None:
         self._states: dict[int, int] = {}
@@ -82,7 +51,7 @@ class TwoBitPredictorSink:
     def feed(self, codes: np.ndarray) -> None:
         """Update every site's counter with one chunk of events."""
         states = self._states
-        init = TwoBitPredictor.INITIAL_STATE
+        init = INITIAL_STATE
         mispredicted = 0
         for code in np.asarray(codes, dtype=np.int64).tolist():
             site = code >> 1

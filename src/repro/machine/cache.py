@@ -22,9 +22,9 @@ empty way), and the geometry alone picks one of two replay engines:
 - ``assoc > 2`` (only the associativity ablation): a per-access walk over
   per-set MRU lists.
 
-Two oracles stay beside it for the tests: :func:`simulate_cache_reference`
-(the original whole-trace simulator) and :func:`stack_distances_reference`
-(the list-based Mattson stack that :func:`stack_distances` must match).
+Both engines, and :func:`stack_distances`, are checked against the
+per-access oracles in ``tests/machine/reference.py`` and, end to end,
+against the golden corpus (``tests/golden/corpus.json``).
 """
 
 from __future__ import annotations
@@ -231,37 +231,6 @@ class CacheSink:
         return miss
 
 
-def simulate_cache_reference(config: CacheConfig, addresses: np.ndarray) -> np.ndarray:
-    """The original per-access pure-Python simulator (oracle).
-
-    Retained verbatim as the cross-check target for :class:`CacheSink`'s
-    vectorized replay; roughly 0.3 µs per access.
-    """
-    if addresses.ndim != 1:
-        raise MachineError("addresses must be a 1-D array")
-    n = len(addresses)
-    misses = np.zeros(n, dtype=bool)
-    if n == 0:
-        return misses
-    lines = (addresses >> config.line_shift).tolist()
-    nsets = config.num_sets
-    assoc = config.assoc
-    sets: list[list[int]] = [[] for _ in range(nsets)]
-    miss_list = [False] * n
-    for pos, line in enumerate(lines):
-        ways = sets[line % nsets]
-        if line in ways:
-            if ways[0] != line:
-                ways.remove(line)
-                ways.insert(0, line)
-        else:
-            miss_list[pos] = True
-            ways.insert(0, line)
-            if len(ways) > assoc:
-                ways.pop()
-    return np.asarray(miss_list, dtype=bool)
-
-
 class _Fenwick:
     """Binary indexed tree over positions (1-based internally)."""
 
@@ -302,8 +271,8 @@ def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
     Position-map/Fenwick formulation: a Fenwick tree marks the *current*
     last-occurrence position of every distinct line; the distance of an
     access is the number of marks strictly between its line's previous
-    occurrence and itself. O(n log n) instead of the old O(n·depth)
-    ``list.index`` walk (kept as :func:`stack_distances_reference`).
+    occurrence and itself: O(n log n) instead of the O(n·depth)
+    ``list.index`` walk of the test oracle.
     """
     lines = (np.asarray(addresses) >> line_shift).tolist()
     n = len(lines)
@@ -320,24 +289,5 @@ def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
             tree.add(prev, -1)
         tree.add(i, 1)
         last_pos[line] = i
-    return out
-
-
-def stack_distances_reference(addresses: np.ndarray, line_shift: int) -> np.ndarray:
-    """Original list-based Mattson stack (oracle for :func:`stack_distances`)."""
-    lines = (np.asarray(addresses) >> line_shift).tolist()
-    stack: list[int] = []
-    out = np.empty(len(lines), dtype=np.int64)
-    for pos, line in enumerate(lines):
-        try:
-            depth = stack.index(line)
-        except ValueError:
-            out[pos] = -1
-            stack.insert(0, line)
-            continue
-        out[pos] = depth
-        if depth:
-            del stack[depth]
-            stack.insert(0, line)
     return out
 

@@ -7,15 +7,15 @@ memory trace through the register filter and cache hierarchy and the
 branch trace through the 2-bit predictor, and aggregates cycles with the
 cost model — yielding every observable the paper's Figures 5–8 plot. The
 sinks are chunking-invariant and the pipeline preserves program order, so
-the report equals one whole-trace chunk through the same sinks, with
-``TwoBitPredictor.simulate`` as the branch oracle, as the equivalence
-test-suite asserts.
+the report equals the one the per-access oracles compute from the whole
+trace; the golden corpus (``tests/golden/corpus.json``) stores that
+report for every recipe, and tier-1 replays this function against it.
 
 The measurement does not care which codegen tier produced the events:
 the block tier's whole-trip event matrices arrive through the same chunk
 protocol as the scalar tier's appends, in the same program order, so a
 ``PerfReport`` is independent of ``CompiledProgram``'s ``exec_mode``
-(asserted per recipe by the differential suite).
+(the corpus replay runs both tier settings).
 """
 
 from __future__ import annotations

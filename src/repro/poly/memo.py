@@ -21,8 +21,9 @@ exactly one thing: :func:`memoize`, the only reader of
 operation runs the same code either way (hash-consing and the FM
 unit-coefficient fast path included), so an ``off`` build must produce
 byte-identical dependence graphs, FixDeps output and program hashes —
-asserted by ``tests/experiments/test_poly_cache_differential.py`` and a
-CI job.
+asserted by ``tests/experiments/test_poly_cache_differential.py``, by the
+golden corpus (``tests/golden``, whose 43 program hashes are written with
+the memo off and compared in tier-1 with it on) and by CI jobs.
 """
 
 from __future__ import annotations

@@ -1,11 +1,9 @@
-"""Exact redundant-constraint elimination.
+"""Exact implication test for a single constraint.
 
-Fourier–Motzkin projections accumulate implied inequalities; guard and
-bound quality (fewer run-time tests) improves when they are pruned. A
-constraint is redundant iff the polyhedron with the constraint *negated*
-(over the integers: ``e >= 0`` becomes ``e <= -1``) is empty given the
-remaining constraints — checked with the sound rational test, so pruning
-never changes the set.
+A constraint is implied by a polyhedron iff the polyhedron with the
+constraint *negated* (over the integers: ``e >= 0`` becomes ``e <= -1``)
+is empty — checked with the sound rational test. Index-set splitting
+uses it to drop guards that a widened domain already guarantees.
 """
 
 from __future__ import annotations
@@ -27,36 +25,3 @@ def is_implied(poly: Polyhedron, constraint: Constraint) -> bool:
         )
     violating = poly.with_constraints([ge0(-constraint.expr - 1)])
     return rationally_empty(violating)
-
-
-def remove_redundant(poly: Polyhedron) -> Polyhedron:
-    """Drop constraints implied by the others (greedy, order-stable).
-
-    Equalities are kept (they define the set's dimensionality and removing
-    one is rarely what a caller wants); duplicate equalities are already
-    deduplicated by the constructor.
-    """
-    kept: list[Constraint] = [c for c in poly.constraints if c.kind is Kind.EQ]
-    inequalities = [c for c in poly.constraints if c.kind is Kind.GE]
-    for pos, c in enumerate(inequalities):
-        others = kept + inequalities[pos + 1 :]
-        if not is_implied(Polyhedron(poly.variables, others), c):
-            kept.append(c)
-    # Preserve original ordering for stable output.
-    order = {c: i for i, c in enumerate(poly.constraints)}
-    kept.sort(key=lambda c: order[c])
-    return Polyhedron(poly.variables, kept)
-
-
-def simplify_under(poly: Polyhedron, context: Polyhedron) -> Polyhedron:
-    """Drop constraints of *poly* that *context* already guarantees.
-
-    Used for guard emission: the fused space (context) makes many domain
-    constraints tautological at run time.
-    """
-    kept = [
-        c
-        for c in poly.constraints
-        if not is_implied(context.with_variables(poly.variables), c)
-    ]
-    return Polyhedron(poly.variables, kept)

@@ -22,7 +22,6 @@ import networkx as nx
 
 from repro.deps.access import ValueRange
 from repro.deps.graph import dependence_graph
-from repro.errors import TransformError
 from repro.ir.stmt import Loop, Stmt
 
 
@@ -67,26 +66,3 @@ def distribute_loop(
         body = tuple(loop.body[pos] for pos in group)
         out.append(Loop(loop.var, loop.lower, loop.upper, body, loop.step))
     return out
-
-
-def distribute_fully(
-    loop: Loop,
-    *,
-    scalars: frozenset[str] = frozenset(),
-    value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
-) -> list[Stmt]:
-    """Distribution demanding a singleton per statement; raises
-    :class:`TransformError` if a dependence cycle forbids it."""
-    partition = distribution_partition(
-        loop, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
-    oversized = [g for g in partition if len(g) > 1]
-    if oversized:
-        raise TransformError(
-            f"distribution blocked by dependence cycles over statements "
-            f"{oversized}"
-        )
-    return distribute_loop(
-        loop, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )

@@ -24,12 +24,3 @@ def check_positive_int(value: Any, what: str) -> int:
     if value <= 0:
         raise ValueError(f"{what} must be positive, got {value}")
     return value
-
-
-def check_nonnegative_int(value: Any, what: str) -> int:
-    """Raise unless *value* is an ``int`` >= 0."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"{what} must be int, got {type(value).__name__}")
-    if value < 0:
-        raise ValueError(f"{what} must be non-negative, got {value}")
-    return value

@@ -1,4 +1,4 @@
-"""Trace-based dependence oracle.
+"""Trace-based dependence oracle (test-only).
 
 Runs the *original* (unfused) program and the *fused* iteration schedule
 symbolically at small concrete sizes, recording every (element, access)

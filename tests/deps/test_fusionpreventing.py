@@ -14,9 +14,9 @@ oracle at small concrete sizes.
 
 import pytest
 
-from repro.deps.bruteforce import trace_violations
 from repro.deps.fusionpreventing import summarize, violated_dependences
 from repro.kernels import cholesky, jacobi, lu, qr
+from tests.deps.bruteforce import trace_violations
 
 
 def names_of(violations):

@@ -1,15 +1,12 @@
 """Unit tests for statement dependence graphs and loop distribution."""
 
 import numpy as np
-import pytest
 
 from repro.deps.graph import dependence_graph
-from repro.errors import TransformError
 from repro.exec import run_compiled
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.trans.distribution import (
-    distribute_fully,
     distribute_loop,
     distribution_partition,
 )
@@ -132,19 +129,6 @@ class TestDistribution:
         )
         out = distribute_loop(l)
         assert len(out) == 1
-
-    def test_distribute_fully_raises_on_cycle(self):
-        l = loop(
-            "i",
-            2,
-            N,
-            [
-                assign(idx("A", i), idx("B", i - 1)),
-                assign(idx("B", i), idx("A", i)),
-            ],
-        )
-        with pytest.raises(TransformError):
-            distribute_fully(l)
 
     def test_partition_stable_order(self):
         l = loop(

@@ -1,11 +1,14 @@
-"""Differential suite: the block tier is bit-identical to the scalar oracle.
+"""The block tier against the scalar oracle.
 
-Every registered recipe (all kernels x all variants, small N) must produce
-the same encoded event streams, counters, output arrays, scalars and
-``PerfReport``s under ``exec_mode="block"`` as under ``exec_mode="scalar"``
-— that is the block tier's entire correctness contract. QR's *unfixed*
-fused program is broken by design (it divides by a not-yet-computed
-pivot); both tiers must fail it with :class:`ExecutionError`.
+Every registered recipe (all kernels x all variants, small N), run with
+every eligible loop on the block tier, must reproduce the golden corpus
+that the scalar tier and the per-access machine oracles wrote
+(``tests/golden/regen.py``): the same encoded event streams, counters,
+output arrays, scalars and ``PerfReport`` — that is the block tier's
+entire correctness contract. QR's *unfixed* fused program is broken by
+design (it divides by a not-yet-computed pivot); the corpus stores its
+``ExecutionError``, and the block tier must raise it too. Hand-built
+programs below pin the fallbacks against a live scalar run.
 """
 
 from __future__ import annotations
@@ -15,86 +18,34 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram
-from repro.experiments.runner import build_program
-from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
-from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
-from repro.machine.perfcounters import measure_streaming
+from tests.golden import corpus
 
-ALL_PAIRS = [
-    (kernel, variant)
-    for kernel in ALL_KERNELS
-    for variant in variants_for(kernel)
-]
-
-N = 12
-TILE = 4
+# min_block_trip=1 so even the short trips of the corpus's N=12 take the
+# block path: the replay must exercise it, not skip it.
+ALL_BLOCK = 1
 
 
-def _setup(kernel, variant):
-    tile = TILE if variant in ("tiled", "tiled_sunk") else None
-    program, _, _ = build_program(kernel, variant, tile=tile)
-    mod = get_kernel(kernel)
-    params = {"N": N}
-    if "M" in mod.PARAMS:
-        params["M"] = 3
-    inputs = mod.make_inputs(params, np.random.default_rng(7))
-    return program, params, inputs
-
-
-def _compile_pair(program):
-    scalar = CompiledProgram(program, trace=True, exec_mode="scalar")
-    # min_block_trip=1 so even the short trips of N=12 take the block
-    # path — the differential coverage must exercise it, not skip it.
-    block = CompiledProgram(
-        program, trace=True, exec_mode="block", min_block_trip=1
-    )
-    return scalar, block
-
-
-@pytest.mark.parametrize("kernel,variant", ALL_PAIRS)
+@pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
 def test_recipe_bit_identical(kernel, variant):
-    program, params, inputs = _setup(kernel, variant)
-    scalar, block = _compile_pair(program)
-    try:
-        rs = scalar.run(params, inputs)
-    except ExecutionError:
-        assert (kernel, variant) == ("qr", "fused")
-        with pytest.raises(ExecutionError):
-            block.run(params, inputs)
-        return
-    rb = block.run(params, inputs)
-    assert np.array_equal(rs.trace.memory, rb.trace.memory)
-    assert np.array_equal(rs.trace.branches, rb.trace.branches)
-    assert rs.counters == rb.counters
-    for name in rs.arrays:
-        assert np.array_equal(rs.arrays[name], rb.arrays[name]), name
-    for name in rs.scalars:
-        assert rs.scalars[name] == rb.scalars[name], name
+    corpus.check_run(kernel, variant, min_block_trip=ALL_BLOCK)
 
 
-@pytest.mark.parametrize("kernel,variant", ALL_PAIRS)
+@pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
 def test_recipe_perfreport_identical(kernel, variant):
-    """Streaming through the machine model: identical PerfReports."""
-    if (kernel, variant) == ("qr", "fused"):
-        pytest.skip("broken by design; cannot execute under either tier")
-    program, params, inputs = _setup(kernel, variant)
-    scalar, block = _compile_pair(program)
-    config = default_config(quick=True)
-    _, rep_s = measure_streaming(scalar, params, config.machine, inputs)
-    _, rep_b = measure_streaming(block, params, config.machine, inputs)
-    assert rep_s == rep_b
+    """Streaming through the machine model: the stored PerfReport."""
+    corpus.check_report(kernel, variant, min_block_trip=ALL_BLOCK)
 
 
 def test_block_tier_actually_engages():
-    """The suite above is vacuous if nothing ever vectorizes: across the
-    registered recipes a healthy number of loops must get a block path."""
+    """The replays above are vacuous if nothing ever vectorizes: across
+    the registered recipes a healthy number of loops must get a block path."""
     total = 0
-    for kernel, variant in ALL_PAIRS:
-        program, _, _ = _setup(kernel, variant)
+    for kernel, variant in corpus.RECIPES:
+        program, _, _ = corpus.instance(kernel, variant)
         total += CompiledProgram(
-            program, trace=True, exec_mode="block", min_block_trip=1
+            program, trace=True, min_block_trip=ALL_BLOCK
         ).block_loops
     assert total >= 20
 

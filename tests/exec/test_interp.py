@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.exec.compiled import run_compiled
+from repro.exec.compiled import CompiledProgram, run_compiled
 from repro.exec.interp import run_interpreted
-from repro.ir.builder import assign, cgt, idx, if_, loop, sym, val
+from repro.ir.builder import assign, cgt, idx, if_, loop, sqrt, sym, val
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 
 N, i, j = sym("N"), sym("i"), sym("j")
@@ -106,3 +106,41 @@ class TestAgreementWithCompiled:
         ra = run_compiled(p, {"N": 6}, {"A": a0})
         rb = run_interpreted(p, {"N": 6}, {"A": a0})
         assert np.allclose(ra.arrays["A"], rb.arrays["A"])
+
+
+def _elementwise(rhs):
+    """B(i) = rhs over i = 1..N: one block-eligible loop."""
+    return Program(
+        "arith",
+        ("N",),
+        (ArrayDecl("A", (N,)), ArrayDecl("B", (N,))),
+        (),
+        (loop("i", 1, N, [assign(idx("B", i), rhs)]),),
+    )
+
+
+# Every executor, and the block tier's below-trip scalar fallback.
+_ENGINES = {
+    "interp": lambda p, n, a: run_interpreted(p, {"N": n}, {"A": a}),
+    "scalar": lambda p, n, a: CompiledProgram(p, exec_mode="scalar").run(
+        {"N": n}, {"A": a}
+    ),
+    "block": lambda p, n, a: CompiledProgram(p, min_block_trip=1).run(
+        {"N": n}, {"A": a}
+    ),
+    "below_trip": lambda p, n, a: CompiledProgram(p).run({"N": 3}, {"A": a[:3]}),
+}
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+@pytest.mark.parametrize(
+    "rhs",
+    [sqrt(idx("A", i)), idx("A", i) / 0.0],
+    ids=["negative_sqrt", "divide_by_zero"],
+)
+def test_arithmetic_failure_is_execution_error(engine, rhs):
+    """A math domain error or a division by zero surfaces as the typed
+    ExecutionError, naming the program, whichever engine runs it."""
+    with pytest.raises(ExecutionError, match="arith"):
+        _ENGINES[engine](_elementwise(rhs), 40, -np.ones(40))
+

@@ -5,15 +5,12 @@ import pytest
 from repro.errors import IRError
 from repro.ir.analysis import (
     as_perfect_nest,
-    assignments_in_order,
-    flatten_guards,
     is_perfect_loop_nest,
     iteration_domain,
     loop_bound_constraints,
-    loops_on_path,
     written_names,
 )
-from repro.ir.builder import and_, assign, ceq, cgt, fabs, idx, if_, loop, sym, val
+from repro.ir.builder import assign, ceq, idx, if_, loop, sym, val
 from repro.poly.enumerate import count_points
 
 i, j, k, N = sym("i"), sym("j"), sym("k"), sym("N")
@@ -67,39 +64,8 @@ class TestIterationDomain:
             loop_bound_constraints(l)
 
 
-class TestGuards:
-    def test_flatten_affine_guard(self):
-        s = if_(and_(ceq(i, k), cgt(j, k)), assign("x", 1))
-        out = flatten_guards([s])
-        assert len(out) == 1 and len(out[0].affine) == 2 and not out[0].opaque
-
-    def test_flatten_opaque_guard(self):
-        s = if_(cgt(fabs(sym("d")), sym("t")), assign("x", 1))
-        out = flatten_guards([s])
-        assert out[0].opaque
-
-    def test_else_branch_is_opaque(self):
-        s = if_(ceq(i, k), assign("x", 1), assign("x", 2))
-        out = flatten_guards([s])
-        assert len(out) == 2
-        assert not out[0].opaque and out[1].opaque
-
-
 class TestMisc:
-    def test_assignments_in_order(self):
-        body = [assign("x", 1), if_(ceq(i, 1), assign("y", 2)), assign("z", 3)]
-        names = [a.target.name for a in assignments_in_order(body)]
-        assert names == ["x", "y", "z"]
-
     def test_written_names(self):
         body = [assign("x", 1), assign(idx("A", i), 0.0)]
         assert written_names(body) == {"x", "A"}
 
-    def test_loops_on_path(self):
-        target = assign("x", 1)
-        nest = loop("j", 1, N, [loop("i", 1, N, [target])])
-        path = loops_on_path([nest], target)
-        assert [l.var for l in path] == ["j", "i"]
-
-    def test_loops_on_path_missing(self):
-        assert loops_on_path([update_nest()], assign("q", 1)) is None

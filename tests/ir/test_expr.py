@@ -14,7 +14,6 @@ from repro.ir.expr import (
     Select,
     UnOp,
     VarRef,
-    array_names,
     as_expr,
     free_names,
     map_expr,
@@ -105,7 +104,6 @@ class TestTraversal:
     def test_free_names_excludes_arrays(self):
         e = ArrayRef("A", [VarRef("i")]) + VarRef("x")
         assert free_names(e) == {"i", "x"}
-        assert array_names(e) == {"A"}
 
     def test_map_expr_renames(self):
         e = ArrayRef("A", [VarRef("i")])

@@ -2,9 +2,9 @@
 
 import numpy as np
 
-from repro.machine.branch import TwoBitPredictor
 from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import HierarchySink
+from tests.machine.reference import TwoBitPredictor
 
 
 def l1():

@@ -14,7 +14,7 @@ import pytest
 
 from repro.machine import registers
 from repro.machine.registers import ELEMENT_SHIFT, RegisterFilterSink
-from tests.machine.register_reference import register_filter_reference
+from tests.machine.reference import register_filter_reference
 
 
 def _uniform_pool(rng, n, pool):

@@ -5,10 +5,10 @@ replay — same miss counts, same counters, same branch stats, on any
 chunking. These tests pin that down three ways:
 
 - randomized traces through every sink, chunked at random boundaries,
-  against the original whole-trace implementations;
-- every registered kernel recipe at small N, end-to-end: ``cp.run()``'s
-  materialized trace through one ``MemoryPipelineSink.feed`` plus
-  ``TwoBitPredictor().simulate`` vs ``measure_streaming``;
+  against the per-access oracles of ``tests/machine/reference.py``;
+- every registered kernel recipe at small N, end-to-end: the streamed
+  report on the default tier, at an odd chunk size, against the golden
+  corpus, whose reports those oracles computed from the whole trace;
 - Mattson-inclusion cross-check: ``CacheSink`` at full associativity
   must agree with ``stack_distances``.
 """
@@ -21,23 +21,20 @@ import pytest
 from repro.exec.blocktier import DEFAULT_MIN_BLOCK_TRIP
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
-from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
-from repro.machine.branch import TwoBitPredictor, TwoBitPredictorSink
-from repro.machine.cache import (
-    CacheConfig,
-    CacheSink,
-    simulate_cache_reference,
-    stack_distances,
-    stack_distances_reference,
-)
-from repro.machine.configs import octane2_scaled
+from repro.kernels.registry import get_kernel
+from repro.machine.branch import TwoBitPredictorSink
+from repro.machine.cache import CacheConfig, CacheSink, stack_distances
 from repro.machine.hierarchy import HierarchySink
-from repro.machine.layout import layout_for_program
-from repro.machine.perfcounters import MemoryPipelineSink, measure_streaming
 from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import MaterializeSink
 from repro.machine.tlb import TLBConfig, TLBSink
 from repro.machine.writeback import WritebackSink
+from tests.golden import corpus
+from tests.machine.reference import (
+    TwoBitPredictor,
+    simulate_cache_reference,
+    stack_distances_reference,
+)
 
 
 def random_chunks(rng, array, *extra):
@@ -170,61 +167,9 @@ class TestSinkChunkingInvariance:
         assert sink.finish() == whole
 
 
-def _whole_trace_observables(cp, params, machine, inputs) -> dict:
-    """Reference: the materialized trace of ``cp.run()`` fed to the memory
-    pipeline as one chunk and to the whole-trace predictor."""
-    run = cp.run(params, inputs)
-    layout = layout_for_program(cp.program, params)
-    id_to_name = {v: k for k, v in run.array_ids.items()}
-    memory = MemoryPipelineSink(machine, layout, id_to_name)
-    memory.feed(run.trace.memory)
-    load_hits, hier = memory.finish()
-    branch = TwoBitPredictor().simulate(*run.trace.branch_events())
-    return {
-        "counters": run.counters.as_dict(),
-        "accesses": hier.accesses,
-        "register_load_hits": load_hits,
-        "l1_misses": hier.l1_misses,
-        "l2_misses": hier.l2_misses,
-        "branches_resolved": branch.resolved,
-        "branches_mispredicted": branch.mispredicted,
-    }
-
-
-def _measure_both(kernel, variant, n=8):
-    tile = 4 if variant in ("tiled", "tiled_sunk") else None
-    program, _, _ = build_program(kernel, variant, tile=tile)
-    mod = get_kernel(kernel)
-    params = {"N": n}
-    if "M" in mod.PARAMS:
-        params["M"] = 4
-    inputs = mod.make_inputs(params, np.random.default_rng(0))
-    cp = CompiledProgram(program, trace=True)
-    machine = octane2_scaled()
-    whole = _whole_trace_observables(cp, params, machine, inputs)
-    # A deliberately odd chunk size so runs straddle chunk boundaries.
-    result, report = measure_streaming(
-        cp, params, machine, inputs, chunk_events=97
-    )
-    streamed = {k: getattr(report, k) for k in whole if k != "counters"}
-    streamed["counters"] = result.counters.as_dict()
-    return whole, streamed
-
-
-@pytest.mark.parametrize(
-    "kernel,variant",
-    [
-        (k, v)
-        for k in ALL_KERNELS
-        for v in variants_for(k)
-        # QR's *unfixed* fused program is broken by design (the paper's
-        # fusion-preventing dependence) and fails at runtime.
-        if (k, v) != ("qr", "fused")
-    ],
-)
+@pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
 def test_every_recipe_streams_bit_identical(kernel, variant):
-    whole, streamed = _measure_both(kernel, variant)
-    assert streamed == whole
+    corpus.check_report(kernel, variant, min_block_trip=DEFAULT_MIN_BLOCK_TRIP)
 
 
 class _SizeRecordingSink(MaterializeSink):

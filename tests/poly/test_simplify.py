@@ -1,10 +1,9 @@
-"""Unit tests for redundancy elimination."""
+"""Unit tests for the constraint implication test."""
 
 from repro.poly.constraint import eq0, ge, le
-from repro.poly.enumerate import enumerate_points
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
-from repro.poly.simplify import is_implied, remove_redundant, simplify_under
+from repro.poly.simplify import is_implied
 
 i, j, N = LinExpr.var("i"), LinExpr.var("j"), LinExpr.var("N")
 
@@ -23,45 +22,3 @@ class TestIsImplied:
         p = Polyhedron(("i",), [ge(i, 3), le(i, 3)])
         assert is_implied(p, eq0(i - 3))
 
-
-class TestRemoveRedundant:
-    def test_drops_weaker_duplicate(self):
-        p = Polyhedron(("i",), [ge(i, 5), ge(i, 3), le(i, N)])
-        out = remove_redundant(p)
-        assert len(out.constraints) == 2
-        assert ge(i, 5) in out.constraints
-
-    def test_keeps_equalities(self):
-        p = Polyhedron(("i", "j"), [eq0(i - j), ge(i, 0), ge(j, 0)])
-        out = remove_redundant(p)
-        assert eq0(i - j) in out.constraints
-
-    def test_set_preserved(self):
-        p = Polyhedron(
-            ("i", "j"),
-            [ge(i, 1), le(i, 6), ge(j, i), le(j, 6), ge(j, 0), le(i, 10)],
-        )
-        out = remove_redundant(p)
-        before = list(enumerate_points(p, {}))
-        after = list(enumerate_points(out, {}))
-        assert before == after
-        assert len(out.constraints) < len(p.constraints)
-
-    def test_triangle_transitive_bound_dropped(self):
-        # i <= N is implied transitively by i <= j and j <= N.
-        p = Polyhedron(("i", "j"), [ge(i, 1), le(i, N), ge(j, i), le(j, N)])
-        out = remove_redundant(p)
-        assert le(i, N) not in out.constraints
-        assert len(out.constraints) == 3
-
-    def test_box_untouched(self):
-        p = Polyhedron(("i", "j"), [ge(i, 1), le(i, N), ge(j, 1), le(j, N)])
-        assert remove_redundant(p) == p
-
-
-class TestSimplifyUnder:
-    def test_context_removes_guard(self):
-        space = Polyhedron(("i",), [ge(i, 2), le(i, N)])
-        domain = Polyhedron(("i",), [ge(i, 2), le(i, N - 1)])
-        out = simplify_under(domain, space)
-        assert out.constraints == (le(i, N - 1),)

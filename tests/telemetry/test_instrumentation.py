@@ -178,6 +178,31 @@ class TestSweepCounters:
         assert telemetry.counter_value("sweep.cache.corrupt") == 1
         assert "discarding unreadable entry" in caplog.text
 
+    def test_unwritable_cache_dir_keeps_report(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A cache dir that is a regular file fails every write: the point
+        is still measured and returned, and the failure is counted and
+        logged with its path."""
+        config = _config()
+        monkeypatch.setenv("REPRO_NO_CACHE", "1")
+        runner.clear_caches()
+        cold = runner.measure_variant("lu", "seq", 8, config).report
+
+        not_a_dir = tmp_path / "cache"
+        not_a_dir.write_text("")
+        monkeypatch.delenv("REPRO_NO_CACHE")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(not_a_dir))
+        runner.clear_caches()
+        telemetry.enable()
+        with caplog.at_level("WARNING", logger="repro.sweep"):
+            report = runner.measure_variant("lu", "seq", 8, config).report
+        assert report == cold
+        assert telemetry.counter_value("sweep.cache.write_failed") == 1
+        assert "cannot write entry" in caplog.text
+        assert str(not_a_dir) in caplog.text
+        assert not_a_dir.read_text() == ""
+
     def test_disk_hit_tagged_on_span(self, tmp_path, monkeypatch):
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))

@@ -7,7 +7,7 @@ import pytest
 from repro.utils.naming import NameGenerator, fresh_name
 from repro.utils.tables import render_table
 from repro.utils.timing import Timer
-from repro.utils.validation import check_nonnegative_int, check_positive_int, check_type
+from repro.utils.validation import check_positive_int, check_type
 
 
 class TestNaming:
@@ -89,8 +89,3 @@ class TestValidation:
             check_positive_int(0, "n")
         with pytest.raises(TypeError):
             check_positive_int(True, "n")
-
-    def test_nonnegative_int(self):
-        assert check_nonnegative_int(0, "n") == 0
-        with pytest.raises(ValueError):
-            check_nonnegative_int(-1, "n")
