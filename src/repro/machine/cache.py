@@ -290,4 +290,3 @@ def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
         tree.add(i, 1)
         last_pos[line] = i
     return out
-

@@ -119,16 +119,13 @@ def _elementwise(rhs):
     )
 
 
-# Every executor, and the block tier's below-trip scalar fallback.
+#: engine -> (run(program, params, inputs), N). N=3 stays below the block
+#: tier's default minimum trip, so that run takes the scalar fallback.
 _ENGINES = {
-    "interp": lambda p, n, a: run_interpreted(p, {"N": n}, {"A": a}),
-    "scalar": lambda p, n, a: CompiledProgram(p, exec_mode="scalar").run(
-        {"N": n}, {"A": a}
-    ),
-    "block": lambda p, n, a: CompiledProgram(p, min_block_trip=1).run(
-        {"N": n}, {"A": a}
-    ),
-    "below_trip": lambda p, n, a: CompiledProgram(p).run({"N": 3}, {"A": a[:3]}),
+    "interp": (run_interpreted, 40),
+    "scalar": (lambda p, *a: CompiledProgram(p, exec_mode="scalar").run(*a), 40),
+    "block": (lambda p, *a: CompiledProgram(p, min_block_trip=1).run(*a), 40),
+    "below_trip": (lambda p, *a: CompiledProgram(p).run(*a), 3),
 }
 
 
@@ -141,6 +138,6 @@ _ENGINES = {
 def test_arithmetic_failure_is_execution_error(engine, rhs):
     """A math domain error or a division by zero surfaces as the typed
     ExecutionError, naming the program, whichever engine runs it."""
+    run, n = _ENGINES[engine]
     with pytest.raises(ExecutionError, match="arith"):
-        _ENGINES[engine](_elementwise(rhs), 40, -np.ones(40))
-
+        run(_elementwise(rhs), {"N": n}, {"A": -np.ones(n)})

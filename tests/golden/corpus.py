@@ -155,4 +155,3 @@ def check_report(kernel: str, variant: str, *, min_block_trip: int) -> None:
     except ExecutionError as exc:
         actual = {"error": type(exc).__name__}
     _check(kernel, variant, f"report, min_block_trip={min_block_trip}", actual)
-

@@ -68,4 +68,3 @@ class TestMisc:
     def test_written_names(self):
         body = [assign("x", 1), assign(idx("A", i), 0.0)]
         assert written_names(body) == {"x", "A"}
-

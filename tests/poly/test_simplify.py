@@ -21,4 +21,3 @@ class TestIsImplied:
     def test_equality_implication(self):
         p = Polyhedron(("i",), [ge(i, 3), le(i, 3)])
         assert is_implied(p, eq0(i - 3))
-
