@@ -12,7 +12,7 @@ Layer map (bottom-up):
 - :mod:`repro.deps` — fusion-preventing dependence sets (paper Eq. 5–6);
 - :mod:`repro.trans` — fusion, FixDeps (ElimWW_WR + ElimRW), tiling,
   skewing, peeling, scalar expansion, cleanups;
-- :mod:`repro.exec` — interpreter and trace-emitting compiled executor;
+- :mod:`repro.exec` — the trace-emitting compiled executor;
 - :mod:`repro.machine` — the simulated SGI Octane2 (caches, branch
   predictor, register window, perfex-style cost model);
 - :mod:`repro.tilesize` — LRW and PDAT tile-size selection;

@@ -52,11 +52,11 @@ class TransformError(ReproError):
 
 
 class ExecutionError(ReproError):
-    """Runtime failure while interpreting an IR program."""
+    """Runtime failure while executing an IR program."""
 
 
 #: What a running program raises on a bad subscript, a division by zero or
-#: a math domain error; both executors re-raise these as ExecutionError.
+#: a math domain error; the executor re-raises these as ExecutionError.
 RUNTIME_FAILURES = (IndexError, KeyError, ZeroDivisionError, FloatingPointError, ValueError)
 
 

@@ -9,7 +9,7 @@ that only reorder *independent* operations are bitwise-exact; reassociation
 
 from __future__ import annotations
 
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -60,7 +60,6 @@ def assert_equivalent(
     outputs: tuple[str, ...] | None = None,
     rtol: float = 1e-10,
     atol: float = 1e-12,
-    runner: Callable[..., RunResult] = run_compiled,
 ) -> None:
     """Run both programs and raise :class:`ValidationError` on divergence.
 
@@ -68,8 +67,8 @@ def assert_equivalent(
     arrays introduced by ``ElimRW`` are therefore ignored automatically.
     """
     outs = outputs if outputs is not None else original.outputs
-    ra = runner(original, params, inputs)
-    rb = runner(transformed, params, inputs)
+    ra = run_compiled(original, params, inputs)
+    rb = run_compiled(transformed, params, inputs)
     problems = compare_outputs(ra, rb, outs, rtol=rtol, atol=atol)
     if problems:
         raise ValidationError(

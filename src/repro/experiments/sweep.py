@@ -14,6 +14,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+from repro.errors import ReproError
 from repro.machine.configs import MachineConfig, default_machine
 from repro.tilesize.lrw import lrw_tile
 from repro.tilesize.pdat import pdat_tile
@@ -44,7 +45,11 @@ def resolve_jobs(override: int | None = None) -> int:
     purely a wall-clock knob.
     """
     if override is None:
-        override = int(os.environ.get("REPRO_JOBS", "1"))
+        text = os.environ.get("REPRO_JOBS", "1")
+        try:
+            override = int(text)
+        except ValueError:
+            raise ReproError(f"REPRO_JOBS={text!r} is not an integer") from None
     return max(1, int(override))
 
 
@@ -83,5 +88,12 @@ def default_config(*, quick: bool | None = None) -> SweepConfig:
         jacobi_m = SCALED_JACOBI_M
     env_sizes = os.environ.get("REPRO_SIZES")
     if env_sizes:
-        sizes = tuple(int(s) for s in env_sizes.split(",") if s.strip())
+        try:
+            sizes = tuple(int(s) for s in env_sizes.split(",") if s.strip())
+        except ValueError:
+            raise ReproError(
+                f"REPRO_SIZES={env_sizes!r} is not a comma-separated list of integers"
+            ) from None
+        if any(n < 1 for n in sizes):
+            raise ReproError(f"REPRO_SIZES={env_sizes!r}: every size must be positive")
     return SweepConfig(machine=machine, sizes=tuple(sizes), jacobi_m=jacobi_m)

@@ -17,7 +17,7 @@ Number = Union[int, float]
 ARITH_OPS = ("+", "-", "*", "/")
 #: Comparison operators (Fortran-style semantics, printed as .EQ. etc.).
 CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-#: Intrinsic functions the interpreter understands.
+#: Intrinsic functions the executor understands.
 INTRINSICS = ("sqrt", "abs", "min", "max")
 
 

@@ -27,7 +27,7 @@ from typing import Iterable
 
 from repro.errors import ReproError
 from repro.ir.program import Program
-from repro.pipeline.manager import PassManager, PipelineReport
+from repro.pipeline.manager import PassManager
 from repro.pipeline.passes import (
     TILE,
     TIME_TILE,
@@ -233,16 +233,13 @@ def build_variant(
     *,
     tile: int | None = None,
     time_tile: int | None = None,
-    manager: PassManager | None = None,
-    with_report: bool = False,
-) -> Program | tuple[Program, PipelineReport]:
+) -> Program:
     """Build one variant program through its registered recipe."""
     from repro.kernels.registry import get_kernel
 
     recipe = get_recipe(kernel, variant)
     ctx = PassContext(kernel=get_kernel(kernel), tile=tile, time_tile=time_tile)
-    program, report = (manager or PassManager()).build(recipe, ctx)
-    return (program, report) if with_report else program
+    return PassManager().build(recipe, ctx)[0]
 
 
 #: Extra tile edges (beyond the default) the registry build matrix covers

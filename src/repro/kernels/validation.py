@@ -1,97 +1,12 @@
-"""Cross-variant validation: the executable Theorems 1–2 as a library API.
+"""Tolerances for comparing a kernel variant's outputs with its numpy
+reference.
 
-``validate_kernel`` runs every variant of a kernel (sequential, fusable,
-fused-unfixed, fixed, tiled at several tile sizes) against the numpy
-reference on deterministic inputs and reports which agree. The *fused*
-variant is expected to diverge exactly when the kernel has
-fusion-preventing dependences — that expectation is part of the report.
+Reordered variants are not bitwise equal to the numpy reference, so the
+comparison is ``np.allclose`` at these tolerances. The variant matrix that
+checks every variant against the reference (the executable Theorems 1–2)
+lives in the tests.
 """
-
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-import numpy as np
-
-from repro.exec.compiled import run_compiled
-from repro.kernels.registry import get_kernel
 
 #: Relative tolerance for fp comparisons across reordered variants.
 RTOL = 1e-8
 ATOL = 1e-10
-
-
-@dataclass(frozen=True)
-class VariantCheck:
-    """Outcome for one (variant, size) pair."""
-
-    variant: str
-    n: int
-    tile: int | None
-    matches_reference: bool
-
-
-@dataclass(frozen=True)
-class ValidationMatrix:
-    """All checks for one kernel."""
-
-    kernel: str
-    checks: tuple[VariantCheck, ...]
-    #: True when the raw fusion is (correctly) not equivalent for some size.
-    fusion_requires_fixing: bool
-
-    def all_fixed_variants_valid(self) -> bool:
-        """Every non-'fused' variant matched the reference everywhere."""
-        return all(c.matches_reference for c in self.checks if c.variant != "fused")
-
-    def failures(self) -> list[VariantCheck]:
-        """Non-'fused' checks that diverged (should be empty)."""
-        return [
-            c for c in self.checks if c.variant != "fused" and not c.matches_reference
-        ]
-
-
-def _matches(mod, program, params, inputs) -> bool:
-    ref = mod.reference(params, inputs)
-    out = run_compiled(program, params, inputs)
-    for name in program.outputs:
-        if name not in ref:
-            continue
-        if not np.allclose(out.arrays[name], ref[name], rtol=RTOL, atol=ATOL):
-            return False
-    return True
-
-
-def validate_kernel(
-    kernel: str,
-    sizes: tuple[int, ...] = (6, 9, 13),
-    tiles: tuple[int, ...] = (3, 5),
-) -> ValidationMatrix:
-    """Run the full variant matrix for *kernel*."""
-    mod = get_kernel(kernel)
-    checks: list[VariantCheck] = []
-    fused_diverged = False
-
-    programs: list[tuple[str, int | None, object]] = [
-        ("sequential", None, mod.sequential()),
-        ("fusable", None, mod.fusable()),
-        ("fused", None, mod.fused_nest().to_program()),
-        ("fixed", None, mod.fixed()),
-    ]
-    programs.extend(("tiled", t, mod.tiled(t)) for t in tiles)
-
-    for n in sizes:
-        params = {"N": n}
-        if "M" in mod.PARAMS:
-            params["M"] = 4
-        inputs = mod.make_inputs(params)
-        for variant, tile, program in programs:
-            ok = _matches(mod, program, params, inputs)
-            checks.append(VariantCheck(variant, n, tile, ok))
-            if variant == "fused" and not ok:
-                fused_diverged = True
-    return ValidationMatrix(
-        kernel=kernel,
-        checks=tuple(checks),
-        fusion_requires_fixing=fused_diverged,
-    )

@@ -9,19 +9,16 @@ Two entry levels:
   :mod:`repro.trans` (:mod:`repro.pipeline.passes`),
   :class:`VariantRecipe` + content fingerprints
   (:mod:`repro.pipeline.recipe`), and :class:`PassManager` with per-pass
-  timing/size evidence and boundary verification
-  (:mod:`repro.pipeline.manager`). The bundled kernels' variants are
-  recipes registered in :mod:`repro.kernels.recipes`.
+  timing/size evidence (:mod:`repro.pipeline.manager`). The bundled
+  kernels' variants are recipes registered in :mod:`repro.kernels.recipes`.
 """
 
 from repro.pipeline.driver import OptimizationResult, optimize_program
 from repro.pipeline.manager import (
-    CHECKED_COUNTERS,
     IRStats,
     PassManager,
     PassRecord,
     PipelineReport,
-    crosscheck_engines,
     ir_stats,
 )
 from repro.pipeline.passes import (
@@ -61,8 +58,6 @@ __all__ = [
     "PipelineReport",
     "IRStats",
     "ir_stats",
-    "crosscheck_engines",
-    "CHECKED_COUNTERS",
     "VariantRecipe",
     "FusionSpec",
     "Source",

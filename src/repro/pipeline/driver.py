@@ -71,7 +71,6 @@ def optimize_program(
     value_ranges: Mapping[str, ValueRange] | None = None,
     machine: MachineConfig | None = None,
     tile: int | None = None,
-    scalarize: bool = True,
     undo_sinking: bool = True,
     validate_inputs: InputFactory | None = None,
     validate_sizes: Sequence[Mapping[str, int]] = (),
@@ -118,12 +117,11 @@ def optimize_program(
     fixed = report.program(f"{program.name}_fixed")
 
     # 3. scalarisation
-    if scalarize:
-        before = {a.name for a in fixed.arrays}
-        fixed = scalarize_arrays(fixed, None)
-        gone = before - {a.name for a in fixed.arrays}
-        if gone:
-            notes.append(f"scalarised temporaries: {sorted(gone)}")
+    before = {a.name for a in fixed.arrays}
+    fixed = scalarize_arrays(fixed, None)
+    gone = before - {a.name for a in fixed.arrays}
+    if gone:
+        notes.append(f"scalarised temporaries: {sorted(gone)}")
 
     def validate(candidate: Program) -> bool:
         if validate_inputs is None or not validate_sizes:

@@ -1,45 +1,25 @@
-"""``PassManager``: run a recipe, record per-pass evidence, verify it.
+"""``PassManager``: run a recipe and record per-pass evidence.
 
 Running a :class:`~repro.pipeline.recipe.VariantRecipe` yields the final
-program plus a :class:`PipelineReport` — per-pass wall time, IR-size
-statistics and (optionally) pretty-printed IR snapshots. With
-``verify=True`` the manager additionally checks, at **every pass
-boundary**, on a small-N instance:
-
-1. *engine agreement* — the compiled engine and the tree-walking
-   interpreter produce the same outputs and the same memory/branch/loop
-   event counts for the current program (reusing
-   :mod:`repro.exec.validate`), and
-2. *semantic preservation* — the current program matches the recipe's
-   source program, wherever the pass chain so far is declared
-   semantics-preserving (fusion deliberately breaks semantics until
-   ``FixDeps`` restores them; those boundaries are skipped — measuring the
-   broken fused program is part of the paper's experiment).
-
-A pass that claims ``preserve`` but miscompiles is therefore caught at its
-own boundary with a :class:`~repro.errors.ValidationError`.
+program plus a :class:`PipelineReport`: per-pass wall time and IR-size
+statistics. Each pass also declares its semantic effect (``preserve`` /
+``break`` / ``restore``); the manager does not act on it. The tests check
+those declarations by execution at every pass boundary
+(``tests/pipeline/verify.py``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping
-
-import numpy as np
+from typing import Any
 
 from repro import telemetry
-from repro.errors import ExecutionError, TransformError, ValidationError
+from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.ir.stmt import If, Loop, Stmt
-from repro.pipeline.passes import BREAK, RESTORE, PassContext
+from repro.pipeline.passes import PassContext
 from repro.pipeline.recipe import VariantRecipe
 from repro.trans.model import FusedNest
-
-#: Small-N parameter values used for boundary verification.
-VERIFY_PARAMS = {"N": 9, "M": 3}
-
-#: Event counters that both execution engines maintain independently.
-CHECKED_COUNTERS = ("loads", "stores", "branches", "loop_iters")
 
 
 @dataclass(frozen=True)
@@ -107,8 +87,6 @@ class PassRecord:
     before: IRStats
     after: IRStats
     detail: str = ""
-    verified: bool = False
-    snapshot: str | None = None
 
 
 @dataclass
@@ -135,7 +113,6 @@ class PipelineReport:
                 "loops_after": r.after.loops,
                 "guards_after": r.after.guards,
                 "depth_after": r.after.depth,
-                "verified": r.verified,
                 "detail": r.detail,
             }
             for r in self.records
@@ -153,13 +130,12 @@ class PipelineReport:
                 r.after.loops,
                 r.after.guards,
                 r.after.depth,
-                "yes" if r.verified else "-",
                 r.detail,
             ]
             for r in self.records
         ]
         return render_table(
-            ["pass", "ms", "stmts", "loops", "guards", "depth", "verified", "notes"],
+            ["pass", "ms", "stmts", "loops", "guards", "depth", "notes"],
             rows,
             title=f"Pipeline — {self.recipe} "
             f"({self.total_seconds * 1e3:.1f} ms total)",
@@ -167,103 +143,9 @@ class PipelineReport:
         )
 
 
-def crosscheck_engines(
-    program: Program,
-    params: Mapping[str, int],
-    inputs: Mapping[str, np.ndarray] | None,
-) -> None:
-    """Compiled vs interpreted: same outputs, same event counts."""
-    from repro.exec.compiled import run_compiled
-    from repro.exec.interp import run_interpreted
-    from repro.exec.validate import compare_outputs
-
-    compiled = run_compiled(program, params, inputs)
-    interpreted = run_interpreted(program, params, inputs)
-    problems = compare_outputs(compiled, interpreted, program.outputs)
-    for name in CHECKED_COUNTERS:
-        a = getattr(compiled.counters, name)
-        b = getattr(interpreted.counters, name)
-        if a != b:
-            problems.append(f"counter {name}: compiled {a} vs interpreted {b}")
-    if problems:
-        raise ValidationError(
-            f"engines disagree on {program.name} at {dict(params)}: "
-            + "; ".join(problems)
-        )
-
-
 class PassManager:
-    """Run recipes, record per-pass evidence, optionally verify boundaries.
+    """Run recipes and record per-pass evidence."""
 
-    ``verify_params`` / ``input_factory`` override the small-N instance the
-    boundary checks run on; by default they come from the kernel module in
-    the :class:`~repro.pipeline.passes.PassContext` (its ``PARAMS`` and
-    ``make_inputs``).
-    """
-
-    def __init__(
-        self,
-        *,
-        verify: bool = False,
-        verify_params: Mapping[str, int] | None = None,
-        input_factory: Callable[[Mapping[str, int]], Mapping[str, np.ndarray]] | None = None,
-        snapshots: bool = False,
-    ):
-        self.verify = verify
-        self.verify_params = dict(verify_params) if verify_params else None
-        self.input_factory = input_factory
-        self.snapshots = snapshots
-
-    # -- verification helpers --------------------------------------------
-    def _instance(self, ctx: PassContext):
-        params = self.verify_params
-        if params is None:
-            if ctx.kernel is None:
-                raise TransformError(
-                    "PassManager(verify=True) needs verify_params or a "
-                    "kernel module in the context"
-                )
-            params = {p: VERIFY_PARAMS[p] for p in ctx.kernel.PARAMS}
-        if self.input_factory is not None:
-            inputs = self.input_factory(params)
-        elif ctx.kernel is not None:
-            inputs = ctx.kernel.make_inputs(params)
-        else:
-            inputs = None
-        return params, inputs
-
-    def _verify_boundary(
-        self,
-        value: Program | FusedNest,
-        baseline: Program | None,
-        trusted: bool,
-        ctx: PassContext,
-    ) -> tuple[bool, str]:
-        """Check one boundary; returns (checks ran, note).
-
-        An *untrusted* boundary (between a ``break`` pass and the next
-        ``restore``) may legitimately fail at runtime — QR's unfixed fused
-        program divides by a not-yet-computed pivot, for instance — so a
-        crash there is recorded, not raised. At a trusted boundary every
-        failure propagates.
-        """
-        from repro.exec.validate import assert_equivalent
-
-        program = value.to_program() if isinstance(value, FusedNest) else value
-        params, inputs = self._instance(ctx)
-        try:
-            crosscheck_engines(program, params, inputs)
-        except ExecutionError as exc:
-            if trusted:
-                raise
-            return False, f"verify skipped (broken-semantics program): {exc}"
-        if trusted and baseline is not None and program is not baseline:
-            assert_equivalent(
-                baseline, program, params, inputs, outputs=baseline.outputs
-            )
-        return True, ""
-
-    # -- execution -------------------------------------------------------
     def run(
         self, recipe: VariantRecipe, ctx: PassContext | None = None
     ) -> tuple[Program | FusedNest, PipelineReport]:
@@ -271,8 +153,6 @@ class PassManager:
         ctx = ctx or PassContext()
         report = PipelineReport(recipe=recipe.name)
         value: Program | FusedNest | None = None
-        baseline: Program | None = None
-        trusted = True
         with telemetry.span("pipeline.recipe", recipe=recipe.name):
             for p in recipe.passes:
                 before = ir_stats(value) if value is not None else IRStats(0, 0, 0, 0)
@@ -283,34 +163,8 @@ class PassManager:
                     "pipeline.pass", **{"recipe": recipe.name, "pass": p.name}
                 ) as psp:
                     value = p.apply(value, ctx)
-                seconds = psp.duration
                 after = ir_stats(value)
-                if p.semantics == BREAK:
-                    trusted = False
-                elif p.semantics == RESTORE:
-                    trusted = True
-                verified, note = False, ""
-                if self.verify:
-                    with telemetry.span(
-                        "pipeline.verify", **{"pass": p.name, "trusted": trusted}
-                    ):
-                        verified, note = self._verify_boundary(
-                            value, baseline, trusted, ctx
-                        )
-                if baseline is None and isinstance(value, Program):
-                    baseline = value
-                snapshot = None
-                if self.snapshots:
-                    from repro.ir.printer import pretty
-
-                    current = (
-                        value.to_program() if isinstance(value, FusedNest) else value
-                    )
-                    snapshot = pretty(current)
                 detail_fn = getattr(p, "detail", None)
-                detail = detail_fn() if callable(detail_fn) else ""
-                if note:
-                    detail = f"{detail}; {note}" if detail else note
                 # IR-stat deltas ride on the pass span (attrs may be set
                 # after exit; the recorded span shares the dict).
                 psp.set(
@@ -319,17 +173,14 @@ class PassManager:
                     loops_after=after.loops,
                     guards_after=after.guards,
                     depth_after=after.depth,
-                    verified=verified,
                 )
                 report.records.append(
                     PassRecord(
                         name=p.name,
-                        seconds=seconds,
+                        seconds=psp.duration,
                         before=before,
                         after=after,
-                        detail=detail,
-                        verified=verified,
-                        snapshot=snapshot,
+                        detail=detail_fn() if callable(detail_fn) else "",
                     )
                 )
         if value is None:

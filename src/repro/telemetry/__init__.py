@@ -66,7 +66,6 @@ __all__ = [
     "export_state",
     "absorb",
     "write_run",
-    "telemetry_dir",
     "perf_counter",
     "Span",
     "SpanCollector",
@@ -88,12 +87,6 @@ _collector = SpanCollector(on_finish=_on_span_finish)
 #: Enabled at import when ``REPRO_TELEMETRY`` names an output directory,
 #: so plain library use (no CLI) is instrumentable from the environment.
 _enabled = bool(os.environ.get("REPRO_TELEMETRY"))
-
-
-def telemetry_dir() -> Path | None:
-    """The ``REPRO_TELEMETRY`` output directory, if set."""
-    d = os.environ.get("REPRO_TELEMETRY")
-    return Path(d) if d else None
 
 
 def enabled() -> bool:

@@ -35,14 +35,12 @@ def _self_interference(cache: CacheConfig, n: int, edge: int, element_bytes: int
     return sum(max(0, len(lines) - cache.assoc) for lines in claimed.values())
 
 
-def lrw_tile(
-    cache: CacheConfig, n: int, *, element_bytes: int = 8, max_edge: int | None = None
-) -> int:
+def lrw_tile(cache: CacheConfig, n: int, *, element_bytes: int = 8) -> int:
     """Largest square tile edge with no self-interference for size *n*."""
     if n <= 0:
         raise MachineError("problem size must be positive")
     capacity = cache.size_bytes // element_bytes
-    limit = min(max_edge or n, int(capacity**0.5), n)
+    limit = min(int(capacity**0.5), n)
     best_edge, best_score = 2, None
     for edge in range(2, max(limit, 2) + 1):
         score = _self_interference(cache, n, edge, element_bytes)

@@ -1,15 +1,10 @@
-"""Small shared utilities: naming, validation, timing, text tables."""
+"""Small shared utilities: naming and text tables."""
 
 from repro.utils.naming import NameGenerator, fresh_name
 from repro.utils.tables import render_table
-from repro.utils.timing import Timer
-from repro.utils.validation import check_positive_int, check_type
 
 __all__ = [
     "NameGenerator",
     "fresh_name",
     "render_table",
-    "Timer",
-    "check_positive_int",
-    "check_type",
 ]

@@ -1,11 +1,15 @@
-"""Tree-walking interpreter: the semantic oracle.
+"""Tree-walking interpreter: the executor's semantic oracle.
 
 Slower than :mod:`repro.exec.compiled` but with no code generation between
-the IR and its meaning; tests require both engines to agree on every kernel,
-which guards the compiler against miscodegen. Memory-op, branch and
+the IR and its meaning; the tests require both engines to agree on every
+kernel, which guards the compiler against miscodegen. Memory-op, branch and
 loop-iteration counters are maintained independently of the compiler's
 static-cost scheme, so the event counts can be cross-checked too (flop /
 intop classification is codegen-specific and left at zero here).
+
+:data:`CHECKED_COUNTERS` names the counters both engines maintain, and
+:func:`crosscheck_engines` compares one program's two runs on them and on
+its outputs.
 """
 
 from __future__ import annotations
@@ -15,8 +19,10 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import RUNTIME_FAILURES, ExecutionError
+from repro.errors import RUNTIME_FAILURES, ExecutionError, ValidationError
+from repro.exec.compiled import run_compiled
 from repro.exec.events import Counters, RunResult, evaluate_extents
+from repro.exec.validate import compare_outputs
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
@@ -33,6 +39,9 @@ from repro.ir.expr import (
 )
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, Stmt
+
+#: Event counters that both execution engines maintain independently.
+CHECKED_COUNTERS = ("loads", "stores", "branches", "loop_iters")
 
 
 class _Interp:
@@ -182,3 +191,24 @@ def run_interpreted(
         counters=interp.counters,
         trace=None,
     )
+
+
+def crosscheck_engines(
+    program: Program,
+    params: Mapping[str, int],
+    inputs: Mapping[str, np.ndarray] | None = None,
+) -> None:
+    """Compiled vs interpreted: same outputs, same event counts."""
+    compiled = run_compiled(program, params, inputs)
+    interpreted = run_interpreted(program, params, inputs)
+    problems = compare_outputs(compiled, interpreted, program.outputs)
+    for name in CHECKED_COUNTERS:
+        a = getattr(compiled.counters, name)
+        b = getattr(interpreted.counters, name)
+        if a != b:
+            problems.append(f"counter {name}: compiled {a} vs interpreted {b}")
+    if problems:
+        raise ValidationError(
+            f"engines disagree on {program.name} at {dict(params)}: "
+            + "; ".join(problems)
+        )

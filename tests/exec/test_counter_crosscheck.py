@@ -8,10 +8,8 @@ iterations across all kernels and variants pins both accounting schemes.
 import pytest
 
 from repro.exec.compiled import run_compiled
-from repro.exec.interp import run_interpreted
 from repro.kernels.registry import KERNELS, get_kernel
-
-CHECKED = ("loads", "stores", "branches", "loop_iters")
+from tests.exec.interp import CHECKED_COUNTERS, run_interpreted
 
 
 _CASES = [
@@ -38,7 +36,7 @@ def test_counters_agree(kernel, variant):
     inputs = mod.make_inputs(params)
     a = run_compiled(program, params, inputs).counters
     b = run_interpreted(program, params, inputs).counters
-    for field in CHECKED:
+    for field in CHECKED_COUNTERS:
         assert getattr(a, field) == getattr(b, field), (kernel, variant, field)
 
 

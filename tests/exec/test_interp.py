@@ -6,9 +6,9 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram, run_compiled
-from repro.exec.interp import run_interpreted
 from repro.ir.builder import assign, cgt, idx, if_, loop, sqrt, sym, val
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from tests.exec.interp import run_interpreted
 
 N, i, j = sym("N"), sym("i"), sym("j")
 

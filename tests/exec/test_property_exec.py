@@ -12,10 +12,10 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.exec.compiled import run_compiled
-from repro.exec.interp import run_interpreted
 from repro.ir.builder import assign, cge, cle, idx, if_, loop, sym, val
 from repro.ir.expr import Expr
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from tests.exec.interp import run_interpreted
 
 N = sym("N")
 

@@ -32,6 +32,19 @@ class TestResolveJobs:
         assert resolve_jobs(0) == 1
         assert resolve_jobs(-3) == 1
 
+    @pytest.mark.parametrize(
+        "var,value,resolve",
+        [
+            ("REPRO_JOBS", "two", resolve_jobs),
+            ("REPRO_SIZES", "24,x", default_config),
+            ("REPRO_SIZES", "0", default_config),
+        ],
+    )
+    def test_bad_env_value_names_variable(self, monkeypatch, var, value, resolve):
+        monkeypatch.setenv(var, value)
+        with pytest.raises(ReproError, match=f"{var}={value!r}"):
+            resolve()
+
 
 class TestAtomicDiskCache:
     @pytest.fixture

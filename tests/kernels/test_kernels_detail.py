@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.exec import run_compiled, run_interpreted
+from repro.exec import run_compiled
 from repro.ir import pretty
 from repro.kernels import cholesky, jacobi, lu, qr
 from repro.kernels.registry import KERNELS, get_kernel
+from tests.exec.interp import run_interpreted
 
 
 class TestRegistry:

@@ -1,5 +1,6 @@
-"""PassManager behaviour: evidence records, boundary verification,
-the break/restore state machine, and the miscompile negative test."""
+"""PassManager evidence records, and boundary verification by execution
+(``tests/pipeline/verify.py``): the break/restore state machine and the
+miscompile negative test."""
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.pipeline import (
     VariantRecipe,
     ir_stats,
 )
+from tests.pipeline.verify import verify_recipe
 
 
 class DropLastStatement(Pass):
@@ -41,9 +43,10 @@ def test_verify_catches_miscompiled_pass():
     boundary."""
     recipe = _sabotaged("cholesky", "seq")
     ctx = PassContext(kernel=get_kernel("cholesky"))
-    with pytest.raises(ValidationError):
-        PassManager(verify=True).build(recipe, ctx)
-    # without verification the broken program builds silently
+    with pytest.raises(ValidationError, match="pass DropLastStatement"):
+        verify_recipe(recipe, ctx)
+    # the unsabotaged prefix verifies; PassManager builds the broken program
+    assert verify_recipe(get_recipe("cholesky", "seq"), ctx) == []
     program, _ = PassManager().build(recipe, ctx)
     assert program.name == "cholesky_seq"
 
@@ -54,10 +57,8 @@ def test_break_boundary_skips_equivalence_but_still_crosschecks():
     engines must still agree on it."""
     recipe = get_recipe("jacobi", "fixed")
     ctx = PassContext(kernel=get_kernel("jacobi"))
-    _, report = PassManager(verify=True).build(recipe, ctx)
-    names = [r.name for r in report.records]
-    assert names == ["Source", "Fuse", "FixDeps", "Scalarize"]
-    assert all(r.verified for r in report.records)
+    assert [p.name for p in recipe.passes] == ["Source", "Fuse", "FixDeps", "Scalarize"]
+    assert verify_recipe(recipe, ctx) == []
 
 
 def test_report_records_timing_and_sizes():
@@ -72,13 +73,6 @@ def test_report_records_timing_and_sizes():
     assert {"pass", "seconds", "stmts_after"} <= set(rows[0])
     rendered = report.render()
     assert "lu/tiled" in rendered and "ms total" in rendered
-
-
-def test_snapshots_capture_ir():
-    recipe = get_recipe("cholesky", "seq")
-    ctx = PassContext(kernel=get_kernel("cholesky"))
-    _, report = PassManager(snapshots=True).build(recipe, ctx)
-    assert report.records[0].snapshot and "do k" in report.records[0].snapshot
 
 
 def test_fixdeps_detail_reports_collapses():
@@ -102,5 +96,5 @@ def test_verify_needs_instance():
             return get_kernel("cholesky").sequential()
 
     recipe = VariantRecipe("x", "y", (MakeNothing(),))
-    with pytest.raises(TransformError, match="verify_params"):
-        PassManager(verify=True).run(recipe, PassContext())
+    with pytest.raises(TransformError, match="kernel module"):
+        verify_recipe(recipe, PassContext())

@@ -10,11 +10,10 @@ import pytest
 
 from repro.exec import run_compiled
 from repro.kernels.registry import KERNELS, get_kernel
+from repro.kernels.validation import ATOL, RTOL
 
 SIZES = (6, 9, 13)
 TILES = (3, 5)
-RTOL = 1e-8
-ATOL = 1e-10
 
 
 def _params(mod, n):

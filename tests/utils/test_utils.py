@@ -1,13 +1,9 @@
 """Unit tests for the utility helpers."""
 
-import time
-
 import pytest
 
 from repro.utils.naming import NameGenerator, fresh_name
 from repro.utils.tables import render_table
-from repro.utils.timing import Timer
-from repro.utils.validation import check_positive_int, check_type
 
 
 class TestNaming:
@@ -56,36 +52,3 @@ class TestTables:
         with pytest.raises(ValueError):
             render_table(["a", "b"], [[1]])
 
-
-class TestTiming:
-    def test_timer_accumulates(self):
-        t = Timer()
-        with t:
-            time.sleep(0.001)
-        with t:
-            pass
-        assert t.elapsed > 0
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
-
-
-class TestValidation:
-    def test_check_type(self):
-        assert check_type(3, int, "x") == 3
-        with pytest.raises(TypeError):
-            check_type("3", int, "x")
-
-    def test_check_type_union(self):
-        assert check_type(3.5, (int, float), "x") == 3.5
-
-    def test_positive_int(self):
-        assert check_positive_int(2, "n") == 2
-        with pytest.raises(ValueError):
-            check_positive_int(0, "n")
-        with pytest.raises(TypeError):
-            check_positive_int(True, "n")
