@@ -1,16 +1,15 @@
 """Machine-model throughput: trace producer and trace consumers.
 
-Three acceptance checks live here. On the consumer side, on a 1M-event
-address trace in 64K chunks, the vectorized
-:class:`~repro.machine.cache.CacheSink` must replay at least 5x faster
-than the per-access reference simulator it replaced, and
-:class:`~repro.machine.registers.RegisterFilterSink` must filter at least
-3x faster than the per-access LRU walk it replaced, with bit-identical
-masks. On the producer side, the block codegen tier must *generate*
-encoded events at least 5x faster than the scalar tier on a >= 1M-event
-kernel. The measured events/sec of every path land in ``extra_info`` so
-``--benchmark-json`` output carries the evidence; under
-``--benchmark-disable`` only the equality checks run.
+Two acceptance checks live here, on a 1M-event address trace in 64K
+chunks: the vectorized :class:`~repro.machine.cache.CacheSink` must
+replay at least 5x faster than the per-access reference simulator it
+replaced, and :class:`~repro.machine.registers.RegisterFilterSink` must
+filter at least 3x faster than the per-access LRU walk it replaced, with
+bit-identical masks. On the producer side, the executor's encoded-event
+rate on a >= 1M-event kernel is recorded. The measured events/sec of
+every path land in ``extra_info`` so ``--benchmark-json`` output carries
+the evidence; under ``--benchmark-disable`` only the equality checks
+run.
 """
 
 from __future__ import annotations
@@ -133,44 +132,32 @@ class _NullSink:
         self.events += len(chunk)
 
 
-def test_producer_throughput_block_vs_scalar(benchmark):
-    """Block-tier event generation is >= 5x the scalar tier on a
-    >= 1M-event kernel (Jacobi: long unit-stride interior sweeps, the
-    shape the block tier exists for)."""
+def test_producer_throughput(benchmark):
+    """Encoded events per second the executor generates on a >= 1M-event
+    kernel (Jacobi: long unit-stride interior sweeps) into a null sink."""
     program, _, _ = build_program("jacobi", "seq")
     params = {"N": 280, "M": 6}
     inputs = get_kernel("jacobi").make_inputs(params, np.random.default_rng(7))
+    cp = CompiledProgram(program, trace=True)
 
-    def produce(mode: str) -> int:
-        cp = CompiledProgram(program, trace=True, exec_mode=mode)
+    def produce() -> int:
         sink = _NullSink()
         cp.run_streaming(params, dict(inputs), memory_sink=sink)
         return sink.events
 
     t0 = time.perf_counter()
-    scalar_events = produce("scalar")
-    t_scalar = time.perf_counter() - t0
-    assert scalar_events >= 1_000_000
-
-    block_events = benchmark.pedantic(
-        lambda: produce("block"), rounds=1, iterations=1
+    events = benchmark.pedantic(produce, rounds=1, iterations=1)
+    elapsed = time.perf_counter() - t0
+    assert events >= 1_000_000
+    benchmark.extra_info.update(
+        events=events, scalar_events_per_sec=round(events / elapsed)
     )
-    t_block = min(benchmark.stats.stats.data) if benchmark.stats else None
-    assert block_events == scalar_events
-    info = {
-        "events": scalar_events,
-        "scalar_events_per_sec": round(scalar_events / t_scalar),
-    }
-    if t_block:
-        info["block_events_per_sec"] = round(block_events / t_block)
-        info["producer_speedup"] = round(t_scalar / t_block, 2)
-    benchmark.extra_info.update(info)
 
 
 def test_telemetry_overhead(benchmark, sweep_config):
     """Enabled telemetry costs < 3% of producer throughput (the PR 4
     observability contract): the fully-instrumented streaming path
-    (``exec.run`` span, per-sink wrappers, fallback counters) on the same
+    (``exec.run`` span, per-sink wrappers) on the same
     >= 1M-event Jacobi run stays within 3% of the uninstrumented time,
     and the PerfReport is bit-identical either way."""
     from repro import telemetry

@@ -3,12 +3,10 @@
 One engine, :mod:`repro.exec.compiled`: it compiles IR to Python source
 (the guides' "move the hot loop to compiled code" advice, applied to our
 own IR) and can emit the memory-access and branch traces the machine model
-consumes. It is itself two-tier: eligible innermost affine loops vectorize
-into whole-trip NumPy blocks (:mod:`repro.exec.blocktier`), guarded at
-runtime, bit-identical to the scalar tier, which
-``CompiledProgram(exec_mode="scalar")`` selects as the differential
-oracle. It runs a :class:`~repro.ir.program.Program` against concrete
-parameter values and named input arrays and returns a :class:`RunResult`.
+consumes: one Python statement per IR statement per iteration, one
+``list.append`` per trace event. It runs a
+:class:`~repro.ir.program.Program` against concrete parameter values and
+named input arrays and returns a :class:`RunResult`.
 
 The tree-walking interpreter the compiler is tested against lives in the
 tests (``tests/exec/interp.py``); :func:`assert_equivalent` is the one

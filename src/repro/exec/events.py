@@ -26,11 +26,12 @@ ADDR_MASK = (1 << ADDR_BITS) - 1
 
 
 def memory_event_base(array_id: int, is_write: bool | int) -> int:
-    """The high bits of a memory event code; OR/add the linear index in.
+    """The high bits of a memory event code; add the linear index in.
 
-    Both codegen tiers build their codes from this one definition, so the
-    scalar per-event appends and the block tier's vectorized
-    ``base + index_vector`` emission cannot drift apart.
+    The index is added, not OR-ed, so a negative index (a subscript below
+    the array's lower bound) borrows from these bits:
+    :meth:`~repro.machine.layout.MemoryLayout.addresses` rejects the
+    decoded event.
     """
     return (array_id * 2 + int(is_write)) << ADDR_BITS
 

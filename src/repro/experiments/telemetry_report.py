@@ -12,9 +12,8 @@ the ``metrics.json`` written by two ``--telemetry`` runs and renders:
 - **cache behaviour** — disk-cache hit rate, flagged when it drops by
   more than :data:`HIT_RATE_DROP`; corrupt-entry count, flagged on any
   increase;
-- **fallback counts** — every ``exec.fallback.*`` counter, flagged on
-  any increase (a new guard rejection or static rejection means the
-  block tier silently stopped covering a loop).
+- **other counters** — every remaining counter, side by side, never
+  flagged.
 
 The function layer (:func:`diff_metrics`) is pure — it takes two
 snapshot dicts and returns structured rows — so tests and other tooling
@@ -42,7 +41,7 @@ HIT_RATE_DROP = 0.05
 class DiffRow:
     """One compared metric."""
 
-    section: str  # "time" | "cache" | "fallback" | "counter"
+    section: str  # "time" | "cache" | "counter"
     name: str
     base: float
     new: float
@@ -117,22 +116,9 @@ def diff_metrics(base: dict[str, Any], new: dict[str, Any]) -> list[DiffRow]:
             )
         )
 
-    # -- fallback counts ---------------------------------------------------
-    names = sorted(
-        k
-        for k in set(base_c) | set(new_c)
-        if k.startswith("exec.fallback.")
-    )
-    for name in names:
-        b, n = base_c.get(name, 0), new_c.get(name, 0)
-        rows.append(DiffRow("fallback", name, b, n, n > b))
-
     # -- remaining counters (informational, never flagged) ----------------
     other = sorted(
-        k
-        for k in set(base_c) | set(new_c)
-        if not k.startswith("exec.fallback.")
-        and not k.startswith("sweep.cache.")
+        k for k in set(base_c) | set(new_c) if not k.startswith("sweep.cache.")
     )
     for name in other:
         rows.append(
@@ -150,7 +136,6 @@ def render(rows: list[DiffRow], base_label: str, new_label: str) -> str:
     sections = (
         ("time", "Time per layer (span seconds)"),
         ("cache", "Sweep cache"),
-        ("fallback", "Block-tier fallbacks"),
         ("counter", "Other counters"),
     )
     parts: list[str] = [f"Telemetry diff — base: {base_label}  new: {new_label}"]

@@ -65,13 +65,52 @@ class MemoryLayout:
     def addresses(
         self, array_ids: np.ndarray, linear: np.ndarray, id_to_name: dict[int, str]
     ) -> np.ndarray:
-        """Vectorised address computation for a whole trace."""
-        max_id = int(array_ids.max(initial=0))
-        base_by_id = np.zeros(max_id + 1, dtype=np.int64)
+        """Vectorised address computation for a whole trace of decoded
+        (hence non-negative) linear indices.
+
+        Raises :class:`MachineError`, naming the array and index, for an
+        event outside the layout: an array id *id_to_name* does not map,
+        or an index past the end of its array. Only the flat index is
+        checked: a subscript that overflows one dimension but stays inside
+        the array (``A(N+1, 1)`` is ``A(1, 2)``) addresses a real element
+        and passes.
+        """
+        n = max(id_to_name, default=-1) + 1
+        base_by_id = np.zeros(n, dtype=np.int64)
+        size_by_id = np.zeros(n, dtype=np.int64)  # unmapped ids hold nothing
         for aid, name in id_to_name.items():
-            if aid <= max_id:
-                base_by_id[aid] = self.bases[name]
+            base_by_id[aid] = self.bases[name]
+            size_by_id[aid] = self.sizes[name]
+        if len(array_ids) and (array_ids.min() < 0 or array_ids.max() >= n):
+            bad = (array_ids < 0) | (array_ids >= n)
+        else:
+            bad = linear >= size_by_id[array_ids]
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise self._outside(int(array_ids[i]), int(linear[i]), id_to_name)
         return base_by_id[array_ids] + linear * self.element_bytes
+
+    def _outside(self, aid: int, lin: int, id_to_name: dict[int, str]) -> MachineError:
+        """The error for one decoded event outside the layout."""
+        from repro.exec.events import ADDR_BITS
+
+        name = id_to_name.get(aid)
+        if name is None:
+            msg = f"array id {aid} (index {lin}) is not in the layout"
+        else:
+            msg = f"{name}[{lin}] outside 0..{self.sizes[name] - 1}"
+        if lin >= 1 << (ADDR_BITS - 1):
+            # A negative index borrows from the event code's array-id
+            # bits: this event is a read of array aid+1 or a write of aid.
+            off = lin - (1 << ADDR_BITS)
+            guesses = [
+                f"{verb} {id_to_name[a]}[{off}]"
+                for verb, a in (("a read of", aid + 1), ("a write of", aid))
+                if a in id_to_name
+            ]
+            if guesses:
+                msg += f"; likely a negative index: {' or '.join(guesses)}"
+        return MachineError(msg)
 
 
 def layout_for_program(program, params, *, align: int = 128) -> MemoryLayout:

@@ -10,12 +10,6 @@ sinks are chunking-invariant and the pipeline preserves program order, so
 the report equals the one the per-access oracles compute from the whole
 trace; the golden corpus (``tests/golden/corpus.json``) stores that
 report for every recipe, and tier-1 replays this function against it.
-
-The measurement does not care which codegen tier produced the events:
-the block tier's whole-trip event matrices arrive through the same chunk
-protocol as the scalar tier's appends, in the same program order, so a
-``PerfReport`` is independent of ``CompiledProgram``'s ``exec_mode``
-(the corpus replay runs both tier settings).
 """
 
 from __future__ import annotations

@@ -39,8 +39,9 @@ from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from repro.telemetry.metrics import MetricsRegistry, merge_snapshots  # noqa: F401
 from repro.telemetry.spans import (
@@ -57,6 +58,8 @@ __all__ = [
     "reset",
     "span",
     "record_span",
+    "current_span",
+    "nested",
     "counter",
     "gauge",
     "observe",
@@ -132,10 +135,28 @@ def span(name: str, **attrs: Any) -> ActiveSpan | DisabledSpan:
     return _collector.span(name, attrs)
 
 
-def record_span(name: str, start: float, duration: float, **attrs: Any) -> None:
-    """Record a pre-timed span (for piecewise-accumulated work)."""
-    if _enabled:
-        _collector.record(name, start, duration, attrs)
+def record_span(name: str, start: float, duration: float, **attrs: Any) -> Span | None:
+    """Record a pre-timed span (for piecewise-accumulated work), parented
+    to the innermost open span; returns it (``None`` when disabled)."""
+    if not _enabled:
+        return None
+    return _collector.record(name, start, duration, attrs)
+
+
+def current_span() -> ActiveSpan | Span | None:
+    """The innermost open span of this thread (``None`` when disabled)."""
+    return _collector.current() if _enabled else None
+
+
+@contextmanager
+def nested(span: ActiveSpan | Span | None) -> Iterator[None]:
+    """Parent the spans opened or recorded in this block to *span*, open
+    or already recorded, even after it closed (``None``: no effect)."""
+    if span is None:
+        yield
+        return
+    with _collector.nest(span):
+        yield
 
 
 def spans() -> list[Span]:

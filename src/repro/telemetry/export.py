@@ -9,9 +9,9 @@ Four consumers of the same span/metric data:
   ``chrome://tracing`` or https://ui.perfetto.dev for flamegraph viewing
   (``trace_chrome.json``);
 - :func:`render_tree` — hierarchical aggregation of spans by name path
-  (count, total/mean milliseconds), the "where did the time go" view;
-- :func:`render_summary` — the tree plus counters (with the block-tier
-  fallback and sweep-cache sections broken out) and histogram stats
+  (count, total/self/mean milliseconds), the "where did the time go" view;
+- :func:`render_summary` — the tree plus counters (with the sweep-cache
+  and polyhedral-analysis sections broken out) and histogram stats
   (``summary.txt``).
 """
 
@@ -117,7 +117,11 @@ def _span_paths(spans: list[Span]) -> list[tuple[tuple[str, ...], Span]]:
 
 
 def render_tree(spans: list[Span]) -> str:
-    """Aggregated span tree: one line per distinct name path."""
+    """Aggregated span tree: one line per distinct name path.
+
+    A node's *self* time is its total minus its children's totals: for
+    ``exec.run`` that is trace production without the sinks it feeds.
+    """
     root = _Node()
     for path, span in _span_paths(spans):
         node = root
@@ -130,10 +134,11 @@ def render_tree(spans: list[Span]) -> str:
 
     def emit(node: _Node, name: str, depth: int) -> None:
         mean_ms = node.total * 1e3 / node.count if node.count else 0.0
+        self_s = node.total - sum(c.total for c in node.children.values())
         lines.append(
             f"{'  ' * depth}{name:<{max(40 - 2 * depth, 8)}} "
             f"x{node.count:<6} total {node.total * 1e3:10.2f} ms  "
-            f"mean {mean_ms:8.3f} ms"
+            f"self {self_s * 1e3:10.2f} ms  mean {mean_ms:8.3f} ms"
         )
         for child_name in sorted(node.children):
             emit(node.children[child_name], child_name, depth + 1)
@@ -157,26 +162,21 @@ def _counter_section(title: str, items: list[tuple[str, float]]) -> list[str]:
 def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
     """Human-readable run summary: span tree, counters, histograms.
 
-    Block-tier fallback reasons (``exec.fallback.*``) and sweep cache
-    behaviour (``sweep.cache.*`` with the derived hit rate) get their own
-    sections so regressions are visible at a glance.
+    Sweep cache behaviour (``sweep.cache.*`` with the derived hit rate)
+    and the polyhedral-analysis memo get their own sections so
+    regressions are visible at a glance.
     """
     counters = dict(metrics.get("counters", {}))
-    fallback = sorted(
-        (k, v) for k, v in counters.items() if k.startswith("exec.fallback.")
-    )
     cache = sorted((k, v) for k, v in counters.items() if k.startswith("sweep."))
     poly = sorted((k, v) for k, v in counters.items() if k.startswith("poly."))
     other = sorted(
         (k, v)
         for k, v in counters.items()
-        if not k.startswith(("exec.fallback.", "sweep.", "poly."))
+        if not k.startswith(("sweep.", "poly."))
     )
 
     lines: list[str] = ["== span tree =="]
     lines.append(render_tree(spans))
-    lines.append("")
-    lines.extend(_counter_section("== block-tier fallbacks ==", fallback))
     lines.append("")
     lines.extend(_counter_section("== sweep cache ==", cache))
     hits = counters.get("sweep.cache.hit", 0)

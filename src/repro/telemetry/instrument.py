@@ -3,7 +3,8 @@
 :class:`InstrumentedSink` wraps any
 :class:`~repro.machine.sinks.TraceSink`, accumulating per-``feed`` wall
 time and chunk/event counts, and emits — at ``finish()`` — one
-synthesized replay span (``machine.sink.<name>``) plus
+synthesized replay span (``machine.sink.<name>``), parented to the span
+open at its first ``feed`` (``exec.run``), plus
 ``machine.sink.<name>.chunks`` / ``.events`` counters. It is only ever
 constructed when telemetry is enabled, so the disabled path pays
 nothing; the per-chunk cost when enabled is two integer adds and one
@@ -46,11 +47,13 @@ class InstrumentedSink:
         self._events = 0
         self._seconds = 0.0
         self._first_start: float | None = None
+        self._parent = None
 
     def feed(self, chunk: Any) -> Any:
         t0 = time.perf_counter()
         if self._first_start is None:
             self._first_start = t0
+            self._parent = telemetry.current_span()
         out = self._inner.feed(chunk)
         self._seconds += time.perf_counter() - t0
         self._chunks += 1
@@ -58,14 +61,18 @@ class InstrumentedSink:
         return out
 
     def finish(self) -> Any:
-        result = self._inner.finish()
-        telemetry.record_span(
-            f"machine.sink.{self._name}",
-            start=self._first_start if self._first_start is not None else time.perf_counter(),
-            duration=self._seconds,
-            chunks=self._chunks,
-            events=self._events,
-        )
+        with telemetry.nested(self._parent):
+            span = telemetry.record_span(
+                f"machine.sink.{self._name}",
+                start=self._first_start if self._first_start is not None else time.perf_counter(),
+                duration=self._seconds,
+                chunks=self._chunks,
+                events=self._events,
+            )
+        # Spans the inner sink records at finish (its stage spans) nest
+        # under this one, whose feed time contains theirs.
+        with telemetry.nested(span):
+            result = self._inner.finish()
         telemetry.counter(f"machine.sink.{self._name}.chunks", self._chunks)
         telemetry.counter(f"machine.sink.{self._name}.events", self._events)
         return result

@@ -23,13 +23,20 @@ on the telemetry state.
 
 from __future__ import annotations
 
+import itertools
 import os
 import threading
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 __all__ = ["Span", "ActiveSpan", "DisabledSpan", "SpanCollector"]
+
+#: Span ids, unique per process across collectors: a sweep worker resets
+#: its collector per point, and the parent merges every point's spans,
+#: keyed by ``(pid, span_id)``, into one tree.
+_SPAN_IDS = itertools.count(1)
 
 
 @dataclass
@@ -143,7 +150,6 @@ class SpanCollector:
         self._finished: list[Span] = []
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._next_id = 0
         self._on_finish = on_finish
 
     # -- stack bookkeeping -----------------------------------------------
@@ -154,9 +160,7 @@ class SpanCollector:
         return stack
 
     def _issue_id(self) -> int:
-        with self._lock:
-            self._next_id += 1
-            return self._next_id
+        return next(_SPAN_IDS)  # one C call: atomic under the GIL
 
     def _push(self, span: ActiveSpan) -> None:
         stack = self._stack()
@@ -197,6 +201,12 @@ class SpanCollector:
         """An open span context manager, parented to the current top."""
         return ActiveSpan(self, name, dict(attrs or {}))
 
+    def current(self) -> ActiveSpan | Span | None:
+        """The top of this thread's stack: the parent of a span opened or
+        recorded now."""
+        stack = self._stack()
+        return stack[-1] if stack else None
+
     def record(
         self, name: str, start: float, duration: float, attrs: dict[str, Any] | None = None
     ) -> Span:
@@ -216,6 +226,18 @@ class SpanCollector:
         )
         self._record(span)
         return span
+
+    @contextmanager
+    def nest(self, span: ActiveSpan | Span) -> Iterator[None]:
+        """Parent the spans opened or recorded in this block to *span*,
+        open or already recorded."""
+        stack = self._stack()
+        stack.append(span)
+        try:
+            yield
+        finally:
+            while stack and stack.pop() is not span:
+                pass
 
     def absorb(self, spans: list[Span]) -> None:
         """Merge spans serialized by another process (ids are unique per

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
-from repro.exec.compiled import CompiledProgram, run_compiled
+from repro.exec.compiled import run_compiled
 from repro.ir.builder import assign, cgt, idx, if_, loop, sqrt, sym, val
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from tests.exec.interp import run_interpreted
@@ -109,7 +109,7 @@ class TestAgreementWithCompiled:
 
 
 def _elementwise(rhs):
-    """B(i) = rhs over i = 1..N: one block-eligible loop."""
+    """B(i) = rhs over i = 1..N."""
     return Program(
         "arith",
         ("N",),
@@ -119,14 +119,8 @@ def _elementwise(rhs):
     )
 
 
-#: engine -> (run(program, params, inputs), N). N=3 stays below the block
-#: tier's default minimum trip, so that run takes the scalar fallback.
-_ENGINES = {
-    "interp": (run_interpreted, 40),
-    "scalar": (lambda p, *a: CompiledProgram(p, exec_mode="scalar").run(*a), 40),
-    "block": (lambda p, *a: CompiledProgram(p, min_block_trip=1).run(*a), 40),
-    "below_trip": (lambda p, *a: CompiledProgram(p).run(*a), 3),
-}
+#: engine -> run(program, params, inputs)
+_ENGINES = {"interp": run_interpreted, "compiled": run_compiled}
 
 
 @pytest.mark.parametrize("engine", sorted(_ENGINES))
@@ -138,6 +132,5 @@ _ENGINES = {
 def test_arithmetic_failure_is_execution_error(engine, rhs):
     """A math domain error or a division by zero surfaces as the typed
     ExecutionError, naming the program, whichever engine runs it."""
-    run, n = _ENGINES[engine]
     with pytest.raises(ExecutionError, match="arith"):
-        run(_elementwise(rhs), {"N": n}, {"A": -np.ones(n)})
+        _ENGINES[engine](_elementwise(rhs), {"N": 40}, {"A": -np.ones(40)})

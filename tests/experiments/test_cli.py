@@ -71,7 +71,7 @@ class TestTelemetryCLI:
             assert f"telemetry {artifact}" in text
         summary = (run_dir / "summary.txt").read_text()
         assert "== span tree ==" in summary
-        assert "== block-tier fallbacks ==" in summary
+        assert "== sweep cache ==" in summary
 
     def test_env_var_equivalent(self, tmp_path):
         run_dir = tmp_path / "envrun"

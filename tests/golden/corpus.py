@@ -17,8 +17,8 @@ one comparison all corpus checks go through.
 ``regen.py`` writes the corpus from the oracle paths only. The tier-1
 checks replay the production paths against it: :func:`check_run` runs
 ``cp.run()`` and :func:`check_report` streams the run through the machine
-model, both on the production executor, and both fail through
-:func:`assert_matches` with a unified diff of the entry.
+model, and both fail through :func:`assert_matches` with a unified diff
+of the entry.
 """
 
 from __future__ import annotations
@@ -130,23 +130,23 @@ def _check(kernel: str, variant: str, how: str, actual: dict) -> None:
     assert_matches(f"{label(kernel, variant)} ({how})", expected, actual)
 
 
-def check_run(kernel: str, variant: str, *, min_block_trip: int) -> None:
-    """``cp.run()`` on the production executor reproduces the stored
-    program, source, counters and digests."""
+def check_run(kernel: str, variant: str) -> None:
+    """``cp.run()`` reproduces the stored program, source, counters and
+    digests."""
     program, params, inputs = instance(kernel, variant)
-    cp = CompiledProgram(program, trace=True, min_block_trip=min_block_trip)
+    cp = CompiledProgram(program, trace=True)
     try:
         actual = run_observables(program, cp.run(params, inputs))
     except ExecutionError as exc:
         actual = {"error": type(exc).__name__}
-    _check(kernel, variant, f"run, min_block_trip={min_block_trip}", actual)
+    _check(kernel, variant, "run", actual)
 
 
-def check_report(kernel: str, variant: str, *, min_block_trip: int) -> None:
-    """``measure_streaming`` on the production executor and sinks
-    reproduces the stored report."""
+def check_report(kernel: str, variant: str) -> None:
+    """``measure_streaming`` on the production sinks reproduces the stored
+    report."""
     program, params, inputs = instance(kernel, variant)
-    cp = CompiledProgram(program, trace=True, min_block_trip=min_block_trip)
+    cp = CompiledProgram(program, trace=True)
     try:
         _, report = measure_streaming(
             cp, params, octane2_scaled(), inputs, chunk_events=CHUNK_EVENTS
@@ -154,4 +154,4 @@ def check_report(kernel: str, variant: str, *, min_block_trip: int) -> None:
         actual = {"report": report.as_dict()}
     except ExecutionError as exc:
         actual = {"error": type(exc).__name__}
-    _check(kernel, variant, f"report, min_block_trip={min_block_trip}", actual)
+    _check(kernel, variant, "report", actual)

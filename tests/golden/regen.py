@@ -3,7 +3,7 @@
     PYTHONPATH=src python tests/golden/regen.py
 
 Programs are built with the analysis memo off (``REPRO_POLY_CACHE=off``)
-and run on the scalar tier. Each report comes from the whole materialized
+and run materialized. Each report comes from the whole materialized
 trace: the production decode and layout (they have no oracle), then the
 per-access oracles of ``tests/machine/reference.py`` for the register
 filter, L1, L2 on the L1 misses, and the branch predictor, then the
@@ -59,7 +59,7 @@ def oracle_report(program, params, run) -> PerfReport:
 
 def oracle_entry(kernel: str, variant: str) -> dict:
     program, params, inputs = corpus.instance(kernel, variant)
-    cp = CompiledProgram(program, trace=True, exec_mode="scalar")
+    cp = CompiledProgram(program, trace=True)
     try:
         run = cp.run(params, inputs)
     except ExecutionError as exc:

@@ -1,12 +1,10 @@
 """The golden corpus itself: it covers the registry, the production build
-reproduces its 43 program fingerprints, and drift fails readably.
+reproduces its 43 program fingerprints and every recipe's materialized
+run, and drift fails readably.
 
-The per-recipe replays sit beside the tier each one guards:
-``tests/exec/test_block_scalar_differential.py`` (``cp.run()`` and the
-streamed report with every loop on the block tier) and
-``tests/machine/test_streaming_equivalence.py`` (the streamed report on
-the default tier). All of them compare through
-:func:`tests.golden.corpus.assert_matches`.
+The streamed reports are replayed beside the machine model, in
+``tests/machine/test_streaming_equivalence.py``. All replays compare
+through :func:`tests.golden.corpus.assert_matches`.
 """
 
 from __future__ import annotations
@@ -33,6 +31,12 @@ def test_program_fingerprints_match_corpus():
     """The cached (memo on) build emits the 43 programs the oracle build
     (``REPRO_POLY_CACHE=off``) stored."""
     corpus.assert_matches("programs", corpus.load()["programs"], registry_program_hashes())
+
+
+@pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
+def test_recipe_bit_identical(kernel, variant):
+    """``cp.run()``: program, source, counters, traces, arrays, scalars."""
+    corpus.check_run(kernel, variant)
 
 
 def _changed_lines(err) -> list[str]:

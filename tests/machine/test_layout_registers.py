@@ -30,6 +30,22 @@ class TestLayout:
         out = layout.addresses(aid, lin, {0: "A", 1: "B"})
         assert list(out) == [0, 64, 24]
 
+    def test_vectorised_addresses_bounds_checked(self):
+        """An index past its array's end, or an array id outside the
+        layout, raises a MachineError naming the array and index."""
+        layout = MemoryLayout.build({"A": 8, "B": 8}, align=64)
+        names = {0: "A", 1: "B"}
+        with pytest.raises(MachineError, match=r"B\[8\] outside 0\.\.7"):
+            layout.addresses(np.array([0, 1]), np.array([7, 8]), names)
+        with pytest.raises(MachineError, match="array id 2 .* not in the layout"):
+            layout.addresses(np.array([0, 2]), np.array([0, 0]), names)
+        # A(0) read: index -1 added to A's event code decodes as array id
+        # -1 with index 2**40 - 1, which the message traces back to A.
+        with pytest.raises(MachineError, match=r"array id -1 .*a read of A\[-1\]"):
+            layout.addresses(np.array([-1]), np.array([2**40 - 1]), names)
+        empty = np.array([], dtype=np.int64)
+        assert len(layout.addresses(empty, empty, names)) == 0
+
     def test_bad_alignment(self):
         with pytest.raises(MachineError):
             MemoryLayout.build({"A": 4}, align=3)

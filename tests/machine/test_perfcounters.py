@@ -2,10 +2,12 @@
 
 import pytest
 
-from repro.errors import ExecutionError
+import numpy as np
+
+from repro.errors import ExecutionError, MachineError
 from repro.exec.compiled import CompiledProgram
 from repro.ir.builder import assign, idx, loop, sym
-from repro.ir.program import ArrayDecl, Program
+from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.machine.configs import octane2_scaled
 from repro.machine.perfcounters import measure_streaming
 
@@ -24,6 +26,19 @@ class TestMeasure:
         cp = CompiledProgram(sweep_program())
         with pytest.raises(ExecutionError):
             measure_streaming(cp, {"N": 8}, octane2_scaled())
+
+    def test_subscript_below_lower_bound_is_rejected(self):
+        """``x = A(0)`` must not wrap to ``A(N)``: the decoded event lies
+        outside the layout, and the error names the array."""
+        p = Program(
+            "under", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("x"),),
+            (assign("x", idx("A", 0)),),
+        )
+        cp = CompiledProgram(p, trace=True)
+        with pytest.raises(MachineError, match=r"\bA\[-1\]"):
+            measure_streaming(
+                cp, {"N": 3}, octane2_scaled(), {"A": np.array([1.0, 2.0, 3.0])}
+            )
 
     def test_column_major_sweep_is_cache_friendly(self):
         n = 32

@@ -7,8 +7,8 @@ chunking. These tests pin that down three ways:
 - randomized traces through every sink, chunked at random boundaries,
   against the per-access oracles of ``tests/machine/reference.py``;
 - every registered kernel recipe at small N, end-to-end: the streamed
-  report on the default tier, at an odd chunk size, against the golden
-  corpus, whose reports those oracles computed from the whole trace;
+  report, at an odd chunk size, against the golden corpus, whose reports
+  those oracles computed from the whole trace;
 - Mattson-inclusion cross-check: ``CacheSink`` at full associativity
   must agree with ``stack_distances``.
 """
@@ -18,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exec.blocktier import DEFAULT_MIN_BLOCK_TRIP
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
@@ -169,7 +168,7 @@ class TestSinkChunkingInvariance:
 
 @pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
 def test_every_recipe_streams_bit_identical(kernel, variant):
-    corpus.check_report(kernel, variant, min_block_trip=DEFAULT_MIN_BLOCK_TRIP)
+    corpus.check_report(kernel, variant)
 
 
 class _SizeRecordingSink(MaterializeSink):
@@ -186,27 +185,23 @@ class _SizeRecordingSink(MaterializeSink):
 
 @pytest.mark.parametrize("chunk_events", [1, 64])
 @pytest.mark.parametrize(
-    "kernel,variant,tile,min_block_trip",
+    "kernel,variant,tile",
     [
-        # N=10 trips stay below the default floor: scalar-tier flushes only.
-        pytest.param("cholesky", "seq", None, DEFAULT_MIN_BLOCK_TRIP, id="cholesky-seq"),
-        # Block-tier loop entries feed event matrices between scalar flushes.
-        pytest.param("lu", "tiled", 4, 1, id="lu-tiled-block"),
+        pytest.param("cholesky", "seq", None, id="cholesky-seq"),
+        pytest.param("lu", "tiled", 4, id="lu-tiled"),
     ],
 )
-def test_streaming_executor_reproduces_trace(
-    kernel, variant, tile, min_block_trip, chunk_events
-):
+def test_streaming_executor_reproduces_trace(kernel, variant, tile, chunk_events):
     # Streaming at any chunk size must emit the exact encoded event
-    # stream of the scalar oracle's materializing run, and the memory
-    # sink must see exact chunk_events-sized chunks plus one tail, however
-    # the scalar flushes and block-tier entries fragment the stream.
+    # stream of the materializing run, and the memory sink must see exact
+    # chunk_events-sized chunks plus one tail, however far each flush at
+    # an iteration boundary overshoots the cap.
     program, _, _ = build_program(kernel, variant, tile=tile)
     mod = get_kernel(kernel)
     params = {"N": 10}
     inputs = mod.make_inputs(params, np.random.default_rng(5))
-    run = CompiledProgram(program, trace=True, exec_mode="scalar").run(params, inputs)
-    cp = CompiledProgram(program, trace=True, min_block_trip=min_block_trip)
+    cp = CompiledProgram(program, trace=True)
+    run = cp.run(params, inputs)
     mem_sink, bra_sink = _SizeRecordingSink(), MaterializeSink()
     streamed = cp.run_streaming(
         params,
@@ -215,8 +210,6 @@ def test_streaming_executor_reproduces_trace(
         branch_sink=bra_sink,
         chunk_events=chunk_events,
     )
-    if min_block_trip == 1:
-        assert cp.block_loops > 0 and cp.fallbacks.guard_rejected == 0
     assert streamed.trace is None
     assert len(mem_sink.sizes) > 1
     assert set(mem_sink.sizes[:-1]) == {chunk_events}

@@ -69,11 +69,16 @@ class TestChromeTrace:
 class TestTextRenderers:
     def test_tree_aggregates_by_path(self):
         spans = _spans() + [
-            Span("child", 3.0, 0.25, span_id=3, parent_id=1, pid=10, tid=1)
+            Span("child", 3.0, 0.25, span_id=3, parent_id=1, pid=10, tid=1),
+            Span("leaf", 1.6, 0.125, span_id=4, parent_id=2, pid=10, tid=1),
         ]
-        tree = render_tree(spans)
-        assert "root" in tree
-        assert "x2" in tree  # both child spans fold into one path line
+        root, child, leaf = render_tree(spans).splitlines()
+        assert root.split()[:2] == ["root", "x1"]
+        assert child.split()[:2] == ["child", "x2"]  # both fold into one line
+        # self = total minus the children's totals, at every level.
+        assert "total    2000.00 ms  self    1250.00 ms" in root
+        assert "total     750.00 ms  self     625.00 ms" in child
+        assert "total     125.00 ms  self     125.00 ms" in leaf
 
     def test_empty_tree(self):
         assert render_tree([]) == "(no spans recorded)"
@@ -81,7 +86,7 @@ class TestTextRenderers:
     def test_summary_sections(self):
         metrics = {
             "counters": {
-                "exec.fallback.guard_rejected": 2,
+                "poly.memo.hit": 2,
                 "sweep.cache.hit": 3,
                 "sweep.cache.miss": 1,
                 "sweep.cache.corrupt": 1,
@@ -91,8 +96,8 @@ class TestTextRenderers:
             "histograms": {},
         }
         text = render_summary(_spans(), metrics)
-        assert "== block-tier fallbacks ==" in text
-        assert "exec.fallback.guard_rejected" in text
+        assert "== polyhedral analysis ==" in text
+        assert "poly-memo hit rate: 100.0%" in text
         assert "disk-cache hit rate: 75.0%" in text
         assert "WARNING: 1 corrupt cache entries discarded" in text
         assert "machine.sink.memory.chunks" in text

@@ -30,7 +30,6 @@ BASE = _metrics(
     counters=[
         ("sweep.cache.hit", 8),
         ("sweep.cache.miss", 2),
-        ("exec.fallback.guard_rejected", 1),
         ("sweep.memo.hit", 4),
     ],
 )
@@ -64,26 +63,12 @@ class TestDiff:
         names = [r.name for r in regressions(diff_metrics(BASE, new))]
         assert "sweep.cache hit rate" in names
 
-    def test_fallback_increase_flagged(self):
-        new = _metrics(
-            span_totals=[("span.exec.run", 1.0), ("span.pipeline.pass", 0.5)],
-            counters=[
-                ("sweep.cache.hit", 8),
-                ("sweep.cache.miss", 2),
-                ("exec.fallback.guard_rejected", 3),
-            ],
-        )
-        [row] = regressions(diff_metrics(BASE, new))
-        assert row.name == "exec.fallback.guard_rejected"
-        assert row.section == "fallback"
-
     def test_corrupt_entries_flagged_on_increase(self):
         new = _metrics(
             span_totals=[("span.exec.run", 1.0), ("span.pipeline.pass", 0.5)],
             counters=[
                 ("sweep.cache.hit", 8),
                 ("sweep.cache.miss", 2),
-                ("exec.fallback.guard_rejected", 1),
                 ("sweep.cache.corrupt", 1),
             ],
         )
