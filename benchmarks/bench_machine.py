@@ -1,15 +1,18 @@
 """Machine-model throughput: trace producer and trace consumers.
 
-Two acceptance checks live here, on a 1M-event address trace in 64K
-chunks: the vectorized :class:`~repro.machine.cache.CacheSink` must
+Three acceptance checks live here. On a 1M-event address trace in 64K
+chunks, the vectorized :class:`~repro.machine.cache.CacheSink` must
 replay at least 5x faster than the per-access reference simulator it
 replaced, and :class:`~repro.machine.registers.RegisterFilterSink` must
 filter at least 3x faster than the per-access LRU walk it replaced, with
-bit-identical masks. On the producer side, the executor's encoded-event
-rate on a >= 1M-event kernel is recorded. The measured events/sec of
-every path land in ``extra_info`` so ``--benchmark-json`` output carries
-the evidence; under ``--benchmark-disable`` only the equality checks
-run.
+bit-identical masks. On the branch trace of qr ``tiled_sunk`` at N=72
+(1.1M guard events, in the executor's chunks),
+:class:`~repro.machine.branch.TwoBitPredictorSink` must replay at least
+5x faster than the per-event oracle, with identical counts. On the
+producer side, the executor's encoded-event rate on a >= 1M-event kernel
+is recorded. The measured events/sec of every path land in
+``extra_info`` so ``--benchmark-json`` output carries the evidence;
+under ``--benchmark-disable`` only the equality checks run.
 """
 
 from __future__ import annotations
@@ -21,12 +24,17 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
+from repro.machine.branch import TwoBitPredictorSink
 from repro.machine.cache import CacheSink
 from repro.machine.hierarchy import HierarchySink
 from repro.machine.perfcounters import measure_streaming
 from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import DEFAULT_CHUNK_EVENTS
-from tests.machine.reference import register_filter_reference, simulate_cache_reference
+from tests.machine.reference import (
+    TwoBitPredictor,
+    register_filter_reference,
+    simulate_cache_reference,
+)
 
 #: Trace length of the throughput comparison.
 N_EVENTS = 1_000_000
@@ -119,6 +127,54 @@ def test_register_filter_throughput(benchmark):
         info["vectorized_events_per_sec"] = round(len(addrs) / t_vec)
         info["speedup"] = round(t_ref / t_vec, 2)
         assert t_ref / t_vec >= 3, f"register filter speedup {t_ref / t_vec:.2f}x < 3x"
+    benchmark.extra_info.update(info)
+
+
+class _ChunkSink:
+    """Keeps the chunks it is fed, as the executor cut them."""
+
+    def __init__(self) -> None:
+        self.chunks: list[np.ndarray] = []
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.chunks.append(chunk)
+
+
+def test_branch_predictor_throughput(benchmark):
+    """The run-replay branch predictor is >= 5x the per-event oracle on a
+    guard trace, with identical counts."""
+    program, _, _ = build_program("qr", "tiled_sunk")
+    params = {"N": 72}
+    inputs = get_kernel("qr").make_inputs(params, np.random.default_rng(7))
+    recorder = _ChunkSink()
+    CompiledProgram(program, trace=True).run_streaming(
+        params, dict(inputs), branch_sink=recorder
+    )
+    codes = np.concatenate(recorder.chunks)
+
+    t0 = time.perf_counter()
+    ref = TwoBitPredictor().simulate(codes >> 1, codes & 1)
+    t_ref = time.perf_counter() - t0
+
+    def streaming():
+        sink = TwoBitPredictorSink()
+        for chunk in recorder.chunks:
+            sink.feed(chunk)
+        return sink.finish()
+
+    stats = benchmark.pedantic(streaming, rounds=1, iterations=1)
+    t_run = min(benchmark.stats.stats.data) if benchmark.stats else None
+    assert stats == ref
+    info = {
+        "events": len(codes),
+        "chunks": len(recorder.chunks),
+        "reference_events_per_sec": round(len(codes) / t_ref),
+        "mispredicted": stats.mispredicted,
+    }
+    if t_run:
+        info["streaming_events_per_sec"] = round(len(codes) / t_run)
+        info["speedup"] = round(t_ref / t_run, 2)
+        assert t_ref / t_run >= 5, f"branch predictor speedup {t_ref / t_run:.2f}x < 5x"
     benchmark.extra_info.update(info)
 
 

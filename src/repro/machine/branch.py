@@ -7,10 +7,28 @@ site ids are exact).
 
 :class:`TwoBitPredictorSink` is the production model: a
 :class:`~repro.machine.sinks.TraceSink` consuming encoded branch-event
-chunks (``site*2 + taken``). Sites are independent and the sink preserves
-per-site order, so its interleaved streaming replay equals a replay
-grouped by site; the test oracle (``tests/machine/reference.py``) replays
-that way.
+chunks (``site*2 + taken``). It replays a chunk by runs rather than by
+events, and the replay is exact for three reasons:
+
+- sites are independent: a counter only ever sees its own site's events,
+  so any interleaving of the sites gives the same counts;
+- a stable sort by site keeps each site's events in program order, and
+  the per-site states carry across chunks, so the replay grouped by site
+  is the streaming replay;
+- the counter saturates, so a run of ``L`` equal outcomes from state
+  ``s`` has a closed form. A taken run mispredicts
+  ``min(L, max(0, 2 - s))`` times and ends at ``min(3, s + L)``; a
+  not-taken run mispredicts ``min(L, max(0, s - 1))`` times and ends at
+  ``max(0, s - L)``.
+
+Three equal outcomes saturate the counter from any state, so a run's
+effect depends on ``L`` only through ``min(L, 3)``; the replay looks each
+run up in a table of the closed form over (state, outcome, ``min(L, 3)``).
+
+The guards behind the sinking variants are biased, so a chunk holds far
+fewer runs than events (qr ``tiled_sunk`` at N=72: 1,143,180 events in
+16,349 runs), and only the runs reach Python. The test oracle
+(``tests/machine/reference.py``) replays event by event, site by site.
 """
 
 from __future__ import annotations
@@ -21,6 +39,18 @@ import numpy as np
 
 #: Initial counter state of every site (weakly taken).
 INITIAL_STATE = 2
+
+
+def _run(state: int, taken: int, length: int) -> tuple[int, int]:
+    """(end state, mispredictions) of ``length`` equal outcomes from ``state``."""
+    if taken:
+        return min(3, state + length), min(length, max(0, 2 - state))
+    return max(0, state - length), min(length, max(0, state - 1))
+
+
+#: ``_RUNS[state][taken * 4 + min(length, 3)]`` is ``_run(state, taken,
+#: length)``; entries 0 and 4 (empty runs) are never read.
+_RUNS = [[_run(s, step >> 2, step & 3) for step in range(8)] for s in range(4)]
 
 
 @dataclass(frozen=True)
@@ -44,28 +74,41 @@ class TwoBitPredictorSink:
     """
 
     def __init__(self) -> None:
-        self._states: dict[int, int] = {}
+        # Counter state per site id, grown to the largest id seen.
+        self._states: list[int] = []
         self._resolved = 0
         self._mispredicted = 0
 
     def feed(self, codes: np.ndarray) -> None:
-        """Update every site's counter with one chunk of events."""
+        """Update every site's counter with one chunk of events.
+
+        Raises ``ValueError`` on a negative code, which encodes no site.
+        """
+        codes = np.asarray(codes, dtype=np.int64)
+        n = len(codes)
+        if n == 0:
+            return
+        if codes.min() < 0:
+            first = int(codes[np.argmax(codes < 0)])
+            raise ValueError(f"negative branch code {first}: codes are site*2 + taken")
+        sites = codes >> 1
+        top = int(sites.max())
         states = self._states
-        init = INITIAL_STATE
+        if top >= len(states):
+            states.extend([INITIAL_STATE] * (top + 1 - len(states)))
+        # Site ids are small, so the key is narrow and the stable sort a
+        # radix sort.
+        order = np.argsort(sites.astype(np.min_scalar_type(top)), kind="stable")
+        grouped = codes[order]
+        starts = np.flatnonzero(grouped[1:] != grouped[:-1]) + 1
+        lengths = np.diff(starts, prepend=0, append=n)
+        run_codes = grouped[np.concatenate(([0], starts))]
+        steps = (run_codes & 1) << 2 | np.minimum(lengths, 3)
         mispredicted = 0
-        for code in np.asarray(codes, dtype=np.int64).tolist():
-            site = code >> 1
-            outcome = code & 1
-            state = states.get(site, init)
-            if (state >= 2) != bool(outcome):
-                mispredicted += 1
-            if outcome:
-                if state < 3:
-                    state += 1
-            elif state > 0:
-                state -= 1
-            states[site] = state
-        self._resolved += len(codes)
+        for site, step in zip((run_codes >> 1).tolist(), steps.tolist()):
+            states[site], missed = _RUNS[states[site]][step]
+            mispredicted += missed
+        self._resolved += n
         self._mispredicted += mispredicted
 
     def finish(self) -> BranchStats:

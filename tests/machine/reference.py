@@ -11,8 +11,9 @@ bit on every chunking:
   set-associative LRU simulator (:class:`~repro.machine.cache.CacheSink`);
 - :func:`stack_distances_reference` — the list-based Mattson stack
   (:func:`~repro.machine.cache.stack_distances`);
-- :class:`TwoBitPredictor` — per-site 2-bit counters replayed site by site
-  (:class:`~repro.machine.branch.TwoBitPredictorSink`).
+- :class:`TwoBitPredictor` — per-site 2-bit counters replayed site by
+  site, one event at a time (:class:`~repro.machine.branch.TwoBitPredictorSink`,
+  which settles whole runs of equal outcomes in closed form).
 
 ``tests/golden/regen.py`` builds the golden corpus's reports from these.
 """
@@ -111,9 +112,9 @@ class TwoBitPredictor:
     """Per-site 2-bit saturating counter (init: weakly taken).
 
     States 0..3; predict taken when state >= 2; increment on taken,
-    decrement on not-taken, saturating. :meth:`simulate` regroups the
-    events by site before replaying, so it checks the sink's interleaved
-    replay rather than repeating it.
+    decrement on not-taken, saturating. :meth:`simulate` steps through
+    every event, so it checks the sink's closed-form run replay rather
+    than repeating it.
     """
 
     def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:

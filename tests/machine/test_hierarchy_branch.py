@@ -1,7 +1,9 @@
 """Unit tests for the cache hierarchy and the branch predictor."""
 
 import numpy as np
+import pytest
 
+from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import HierarchySink
 from tests.machine.reference import TwoBitPredictor
@@ -50,11 +52,53 @@ class TestHierarchy:
         assert res.l1_miss_rate == 0.0 and res.l2_miss_rate == 0.0
 
 
+def replay_oracle(sites, taken):
+    return TwoBitPredictor().simulate(
+        np.array(sites, dtype=np.int64), np.array(taken, dtype=np.int64)
+    )
+
+
+def replay_sink(sites, taken):
+    sink = TwoBitPredictorSink()
+    sink.feed(np.array(sites, dtype=np.int64) * 2 + np.array(taken, dtype=np.int64))
+    return sink.finish()
+
+
+def replay_sink_per_event(sites, taken):
+    """One chunk per event: every counter state is carried across chunks."""
+    sink = TwoBitPredictorSink()
+    for site, outcome in zip(sites, taken):
+        sink.feed(np.array([site * 2 + outcome], dtype=np.int64))
+    return sink.finish()
+
+
+REPLAYS = (replay_oracle, replay_sink, replay_sink_per_event)
+
+
+#: Events from the weakly-taken start that reach each counter state, and
+#: the mispredictions they cost.
+PREFIXES = {0: ([0, 0], 1), 1: ([0], 1), 2: ([], 0), 3: ([1], 0)}
+
+#: (start state, outcome) -> mispredictions of runs of length 1..4.
+RUN_MISSES = {
+    (0, 1): [1, 2, 2, 2],
+    (1, 1): [1, 1, 1, 1],
+    (2, 1): [0, 0, 0, 0],
+    (3, 1): [0, 0, 0, 0],
+    (0, 0): [0, 0, 0, 0],
+    (1, 0): [0, 0, 0, 0],
+    (2, 0): [1, 1, 1, 1],
+    (3, 0): [1, 2, 2, 2],
+}
+
+
 class TestTwoBit:
-    def run(self, sids, taken):
-        return TwoBitPredictor().simulate(
-            np.array(sids, dtype=np.int64), np.array(taken, dtype=np.int64)
-        )
+    def run(self, sites, taken):
+        """Replay through the oracle and the sink, fed one chunk and one
+        chunk per event; all three must agree."""
+        results = {replay.__name__: replay(sites, taken) for replay in REPLAYS}
+        assert len(set(results.values())) == 1, results
+        return results["replay_oracle"]
 
     def test_always_taken_learns(self):
         stats = self.run([0] * 10, [1] * 10)
@@ -67,8 +111,9 @@ class TestTwoBit:
         assert stats.mispredicted == 1
 
     def test_alternating_is_bad(self):
+        # 2 -> 3 on taken, then every not-taken from 3 mispredicts.
         stats = self.run([0] * 8, [1, 0] * 4)
-        assert stats.mispredicted >= 4
+        assert stats.mispredicted == 4
 
     def test_sites_independent(self):
         stats = self.run([0, 1, 0, 1], [1, 0, 1, 0])
@@ -78,10 +123,25 @@ class TestTwoBit:
         assert stats.mispredicted == 1
 
     def test_order_within_site_preserved(self):
-        a = self.run([0, 0, 0, 0], [0, 0, 1, 1])
-        b = self.run([0, 0, 0, 0], [1, 1, 0, 0])
-        assert a.mispredicted != b.mispredicted or a.resolved == b.resolved
+        assert self.run([0, 0, 0, 0], [0, 0, 1, 1]).mispredicted == 3
+        assert self.run([0, 0, 0, 0], [1, 1, 0, 0]).mispredicted == 2
+
+    @pytest.mark.parametrize("state,outcome", sorted(RUN_MISSES))
+    def test_run_from_every_state(self, state, outcome):
+        prefix, prefix_misses = PREFIXES[state]
+        for length, misses in enumerate(RUN_MISSES[state, outcome], start=1):
+            taken = prefix + [outcome] * length
+            stats = self.run([3] * len(taken), taken)
+            assert stats.resolved == len(taken)
+            assert stats.mispredicted == prefix_misses + misses, (length, misses)
 
     def test_empty(self):
         stats = self.run([], [])
         assert stats.resolved == 0 and stats.misprediction_rate == 0.0
+
+
+def test_sink_rejects_negative_codes():
+    sink = TwoBitPredictorSink()
+    with pytest.raises(ValueError, match="negative branch code -3"):
+        sink.feed(np.array([4, -3, 5, -1], dtype=np.int64))
+    assert sink.finish() == BranchStats(0, 0)

@@ -165,6 +165,28 @@ class TestSinkChunkingInvariance:
             sink.feed(chunk)
         assert sink.finish() == whole
 
+    def test_branch_sink_guard_traces(self):
+        """Guard-like traces: 1-40 sites with sparse ids and a per-site
+        bias, so runs are long, fed in chunkings that include empty and
+        1-event chunks, so every site's state carries across chunks."""
+        rng = np.random.default_rng(22)
+        for _ in range(200):
+            nsites = int(rng.integers(1, 41))
+            ids = rng.choice(4096, size=nsites, replace=False)
+            bias = rng.beta(0.2, 0.2, size=nsites)
+            n = int(rng.integers(1, 2000))
+            which = rng.integers(0, nsites, size=n)
+            sites = ids[which].astype(np.int64)
+            taken = (rng.random(n) < bias[which]).astype(np.int64)
+            codes = sites * 2 + taken
+            cuts = rng.integers(0, n + 1, size=int(rng.integers(0, 12)))
+            singles = rng.integers(0, n, size=int(rng.integers(1, 4)))
+            bounds = np.sort(np.concatenate(([0, 0, n], cuts, singles, singles + 1)))
+            sink = TwoBitPredictorSink()
+            for lo, hi in zip(bounds.tolist(), bounds[1:].tolist()):
+                sink.feed(codes[lo:hi])
+            assert sink.finish() == TwoBitPredictor().simulate(sites, taken)
+
 
 @pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
 def test_every_recipe_streams_bit_identical(kernel, variant):
