@@ -9,8 +9,9 @@ bit-identical masks. On the branch trace of qr ``tiled_sunk`` at N=72
 (1.1M guard events, in the executor's chunks),
 :class:`~repro.machine.branch.TwoBitPredictorSink` must replay at least
 5x faster than the per-event oracle, with identical counts. On the
-producer side, the executor's encoded-event rate on a >= 1M-event kernel
-is recorded. The measured events/sec of every path land in
+producer side, the executor's encoded-event rate is recorded on a
+>= 1M-event kernel and on the guarded qr ``tiled_sunk`` kernel, whose
+streamed traces must equal its materialized run's. The measured events/sec of every path land in
 ``extra_info`` so ``--benchmark-json`` output carries the evidence;
 under ``--benchmark-disable`` only the equality checks run.
 """
@@ -208,6 +209,35 @@ def test_producer_throughput(benchmark):
     benchmark.extra_info.update(
         events=events, scalar_events_per_sec=round(events / elapsed)
     )
+
+
+def test_trace_producer_throughput(benchmark):
+    """Encoded events per second the executor streams on a guarded kernel
+    (qr ``tiled_sunk`` at N=72: memory and branch events, short innermost
+    loops under guards) into discarding sinks. The streamed traces equal
+    the materialized run's, timed or not."""
+    program, _, _ = build_program("qr", "tiled_sunk")
+    params = {"N": 72}
+    inputs = get_kernel("qr").make_inputs(params, np.random.default_rng(7))
+    cp = CompiledProgram(program, trace=True)
+
+    run = cp.run(params, dict(inputs))
+    mem, bra = _ChunkSink(), _ChunkSink()
+    cp.run_streaming(params, dict(inputs), memory_sink=mem, branch_sink=bra)
+    assert np.array_equal(np.concatenate(mem.chunks), run.trace.memory)
+    assert np.array_equal(np.concatenate(bra.chunks), run.trace.branches)
+
+    def produce() -> int:
+        mem, bra = _NullSink(), _NullSink()
+        cp.run_streaming(params, dict(inputs), memory_sink=mem, branch_sink=bra)
+        return mem.events + bra.events
+
+    events = benchmark.pedantic(produce, rounds=3, iterations=1)
+    t_run = min(benchmark.stats.stats.data) if benchmark.stats else None
+    assert events == len(run.trace.memory) + len(run.trace.branches)
+    benchmark.extra_info["events"] = events
+    if t_run:
+        benchmark.extra_info["events_per_sec"] = round(events / t_run)
 
 
 def test_telemetry_overhead(benchmark, sweep_config):

@@ -7,9 +7,15 @@ loop-iteration counters are maintained independently of the compiler's
 static-cost scheme, so the event counts can be cross-checked too (flop /
 intop classification is codegen-specific and left at zero here).
 
-:data:`CHECKED_COUNTERS` names the counters both engines maintain, and
+A traced interpretation records memory and branch events in the
+:mod:`repro.exec.events` encoding, with branch sites numbered in the
+compiler's order (pre-order over the IR, a statement's value before its
+target), so the two engines' traces can be compared event for event.
+
+:data:`CHECKED_COUNTERS` names the counters both engines maintain;
 :func:`crosscheck_engines` compares one program's two runs on them and on
-its outputs.
+its outputs, and :func:`crosscheck_traces` compares two traced runs on
+their traces as well.
 """
 
 from __future__ import annotations
@@ -21,7 +27,13 @@ import numpy as np
 
 from repro.errors import RUNTIME_FAILURES, ExecutionError, ValidationError
 from repro.exec.compiled import run_compiled
-from repro.exec.events import Counters, RunResult, evaluate_extents
+from repro.exec.events import (
+    Counters,
+    RunResult,
+    TraceBuffers,
+    evaluate_extents,
+    memory_event_base,
+)
 from repro.exec.validate import compare_outputs
 from repro.ir.expr import (
     ArrayRef,
@@ -44,10 +56,56 @@ from repro.ir.stmt import Assign, If, Loop, Stmt
 CHECKED_COUNTERS = ("loads", "stores", "branches", "loop_iters")
 
 
+def _number_sites(program: Program) -> dict[int, tuple[int, Expr]]:
+    """``id`` of every ``If``/``Select`` node -> (branch site, condition),
+    numbered in the order the compiler visits them."""
+    sites: dict[int, tuple[int, Expr]] = {}
+
+    def site(node, cond: Expr) -> None:
+        if id(node) in sites:
+            raise ExecutionError(f"branch node {node} occurs twice in the IR")
+        sites[id(node)] = (len(sites), cond)
+
+    def expr(e: Expr) -> None:
+        if isinstance(e, Select):
+            expr(e.cond)
+            site(e, e.cond)
+            expr(e.if_true)
+            expr(e.if_false)
+            return
+        for child in e.children():
+            expr(child)
+
+    def block(stmts) -> None:
+        for s in stmts:
+            if isinstance(s, Assign):
+                expr(s.value)
+                expr(s.target)
+            elif isinstance(s, If):
+                expr(s.cond)
+                site(s, s.cond)
+                block(s.then)
+                block(s.orelse)
+            elif isinstance(s, Loop):
+                for e in (s.lower, s.upper, s.step):
+                    expr(e)
+                block(s.body)
+
+    block(program.body)
+    return sites
+
+
 class _Interp:
-    def __init__(self, program: Program, params: Mapping[str, int], inputs):
+    def __init__(
+        self, program: Program, params: Mapping[str, int], inputs, trace: bool = False
+    ):
         self.program = program
         self.counters = Counters()
+        self.array_ids = {a.name: i for i, a in enumerate(program.arrays)}
+        #: Encoded events, or None when not tracing.
+        self.mem: list[int] | None = [] if trace else None
+        self.bra: list[int] | None = [] if trace else None
+        self.sites = _number_sites(program) if trace else {}
         self.env: dict[str, float | int] = dict(params)
         self.exts: dict[str, tuple[int, ...]] = {}
         self.arrays: dict[str, np.ndarray] = {}
@@ -68,8 +126,16 @@ class _Interp:
         for s in program.scalars:
             self.env[s.name] = 0 if s.dtype == "i8" else 0.0
 
+    def _branch(self, node, taken) -> bool:
+        """Record the branch event of *node* and return its outcome."""
+        taken = bool(taken)
+        if self.bra is not None:
+            self.bra.append(self.sites[id(node)][0] * 2 + taken)
+        return taken
+
     # -- expressions ----------------------------------------------------------
-    def _index(self, ref: ArrayRef) -> tuple[int, ...]:
+    def _index(self, ref: ArrayRef, is_write: bool) -> tuple[int, ...]:
+        """The element *ref* addresses, recording its memory event."""
         idx = []
         shape = self.exts[ref.name]
         for d, sub in enumerate(ref.indices):
@@ -82,6 +148,11 @@ class _Interp:
                     f"subscript {v} out of bounds 1..{shape[d]} in {ref}"
                 )
             idx.append(v - 1)
+        if self.mem is not None:
+            flat = np.ravel_multi_index(idx, shape, order="F")
+            self.mem.append(
+                memory_event_base(self.array_ids[ref.name], is_write) + int(flat)
+            )
         return tuple(idx)
 
     def eval(self, expr: Expr):
@@ -94,7 +165,7 @@ class _Interp:
                 raise ExecutionError(f"unbound variable {expr.name}") from None
         if isinstance(expr, ArrayRef):
             self.counters.loads += 1
-            return float(self.arrays[expr.name][self._index(expr)])
+            return float(self.arrays[expr.name][self._index(expr, False)])
         if isinstance(expr, BinOp):
             lhs, rhs = self.eval(expr.lhs), self.eval(expr.rhs)
             if expr.op == "+":
@@ -132,7 +203,7 @@ class _Interp:
         if isinstance(expr, LogicalNot):
             return not self.eval(expr.arg)
         if isinstance(expr, Select):
-            taken = self.eval(expr.cond)
+            taken = self._branch(expr, self.eval(expr.cond))
             self.counters.branches += 1
             return self.eval(expr.if_true if taken else expr.if_false)
         raise ExecutionError(f"cannot interpret {expr!r}")
@@ -150,10 +221,10 @@ class _Interp:
                 self.env[target.name] = value
             else:
                 self.counters.stores += 1
-                self.arrays[target.name][self._index(target)] = value
+                self.arrays[target.name][self._index(target, True)] = value
         elif isinstance(stmt, If):
             self.counters.branches += 1
-            if self.eval(stmt.cond):
+            if self._branch(stmt, self.eval(stmt.cond)):
                 self.run_block(stmt.then)
             else:
                 self.run_block(stmt.orelse)
@@ -175,9 +246,12 @@ def run_interpreted(
     program: Program,
     params: Mapping[str, int],
     inputs: Mapping[str, np.ndarray] | None = None,
+    *,
+    trace: bool = False,
 ) -> RunResult:
-    """Interpret *program*; returns a :class:`RunResult` without traces."""
-    interp = _Interp(program, params, inputs)
+    """Interpret *program*; with *trace*, the result carries its encoded
+    memory and branch traces and its branch sites."""
+    interp = _Interp(program, params, inputs, trace)
     try:
         interp.run_block(program.body)
     except RUNTIME_FAILURES as exc:
@@ -189,8 +263,35 @@ def run_interpreted(
         arrays=interp.arrays,
         scalars=scalars,
         counters=interp.counters,
-        trace=None,
+        trace=(
+            TraceBuffers(
+                np.array(interp.mem, dtype=np.int64),
+                np.array(interp.bra, dtype=np.int64),
+            )
+            if trace
+            else None
+        ),
+        array_ids=dict(interp.array_ids) if trace else {},
+        branch_sites={site: str(cond) for site, cond in interp.sites.values()},
     )
+
+
+def _disagreements(compiled: RunResult, interpreted: RunResult, outputs) -> list[str]:
+    problems = compare_outputs(compiled, interpreted, outputs)
+    for name in CHECKED_COUNTERS:
+        a = getattr(compiled.counters, name)
+        b = getattr(interpreted.counters, name)
+        if a != b:
+            problems.append(f"counter {name}: compiled {a} vs interpreted {b}")
+    return problems
+
+
+def _raise_if(problems: list[str], program: Program, params) -> None:
+    if problems:
+        raise ValidationError(
+            f"engines disagree on {program.name} at {dict(params)}: "
+            + "; ".join(problems)
+        )
 
 
 def crosscheck_engines(
@@ -201,14 +302,34 @@ def crosscheck_engines(
     """Compiled vs interpreted: same outputs, same event counts."""
     compiled = run_compiled(program, params, inputs)
     interpreted = run_interpreted(program, params, inputs)
-    problems = compare_outputs(compiled, interpreted, program.outputs)
-    for name in CHECKED_COUNTERS:
-        a = getattr(compiled.counters, name)
-        b = getattr(interpreted.counters, name)
-        if a != b:
-            problems.append(f"counter {name}: compiled {a} vs interpreted {b}")
-    if problems:
-        raise ValidationError(
-            f"engines disagree on {program.name} at {dict(params)}: "
-            + "; ".join(problems)
+    _raise_if(_disagreements(compiled, interpreted, program.outputs), program, params)
+
+
+def crosscheck_traces(
+    program: Program,
+    params: Mapping[str, int],
+    inputs: Mapping[str, np.ndarray] | None = None,
+) -> tuple[RunResult, RunResult]:
+    """Traced compiled vs traced interpreted: same outputs, same event
+    counts, and the same memory and branch traces, event for event.
+    Returns the (compiled, interpreted) runs."""
+    compiled = run_compiled(program, params, inputs, trace=True)
+    interpreted = run_interpreted(program, params, inputs, trace=True)
+    problems = _disagreements(compiled, interpreted, program.outputs)
+    for name in ("memory", "branches"):
+        a = getattr(compiled.trace, name)
+        b = getattr(interpreted.trace, name)
+        if not np.array_equal(a, b):
+            n = min(len(a), len(b))
+            diff = np.flatnonzero(a[:n] != b[:n])
+            at = int(diff[0]) if len(diff) else n
+            problems.append(
+                f"{name} trace ({len(a)} vs {len(b)} events) differs from event {at}"
+            )
+    if compiled.branch_sites != interpreted.branch_sites:
+        problems.append(
+            f"branch sites: compiled {compiled.branch_sites} vs "
+            f"interpreted {interpreted.branch_sites}"
         )
+    _raise_if(problems, program, params)
+    return compiled, interpreted

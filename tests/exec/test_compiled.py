@@ -1,10 +1,13 @@
 """Unit tests for the compiling executor."""
 
+import ast
+
 import numpy as np
 import pytest
 
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram, run_compiled
+from repro.experiments.runner import build_program
 from repro.ir.builder import (
     assign,
     ceq,
@@ -156,3 +159,92 @@ class TestTrace:
     def test_untraced_has_no_buffers(self):
         out = run_compiled(prog([assign(idx("A", val(1)), 0.0)]), {"N": 1})
         assert out.trace is None
+
+
+class TestReservedNames:
+    """Generated code owns the names starting with ``_``: an IR name there
+    is rejected at compile time, naming the identifier."""
+
+    @staticmethod
+    def program_naming(kind: str, name: str) -> Program:
+        if kind == "param":
+            return prog([assign(idx("A", val(1)), sym(name))], params=("N", name))
+        if kind == "array":
+            return prog([assign(idx(name, val(1)), 1.0)], arrays=((name, 1),))
+        if kind == "scalar":
+            return prog([assign(name, 1.0)], scalars=(name,))
+        return prog([loop(name, 1, N, [assign(idx("A", sym(name)), 1.0)])])
+
+    @pytest.mark.parametrize(
+        "kind,name",
+        [("param", "_ma"), ("array", "_mem"), ("scalar", "_c_loads"), ("loop", "_t")],
+    )
+    def test_rejected(self, kind, name):
+        program = self.program_naming(kind, name)
+        for trace in (True, False):
+            with pytest.raises(ExecutionError, match=repr(name)):
+                CompiledProgram(program, trace=trace)
+
+
+def _innermost_loops(source: str) -> list[ast.For]:
+    tree = ast.parse(source)
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and not any(isinstance(n, ast.For) for n in ast.walk(node) if n is not node)
+    ]
+
+
+def _names(node: ast.AST) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+
+
+class TestHotLoop:
+    """The innermost loops of generated kernels run little besides their
+    subscript arithmetic, trace appends and real computation."""
+
+    @pytest.mark.parametrize("kernel,variant", [("lu", "seq"), ("qr", "tiled_sunk")])
+    def test_innermost_loops_are_lean(self, kernel, variant):
+        program, _, _ = build_program(kernel, variant, tile=4)
+        loops = _innermost_loops(CompiledProgram(program, trace=True).source)
+        assert loops
+        for node in loops:
+            # Unconditional costs are added before the loop, and the flush
+            # guard sits in the loops around it.
+            for stmt in node.body:
+                assert not _names(stmt) & {"_flush"}, ast.unparse(stmt)
+                if isinstance(stmt, ast.AugAssign):
+                    assert not stmt.target.id.startswith("_c_"), ast.unparse(stmt)
+            # Every stride product left inside reads a name the loop binds.
+            bound = {node.target.id} | {
+                t.id
+                for n in ast.walk(node)
+                if isinstance(n, ast.Assign)
+                for t in n.targets
+                if isinstance(t, ast.Name) and not t.id.startswith("_")
+            }
+            for n in ast.walk(node):
+                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
+                    if isinstance(n.left, ast.Name) and n.left.id.startswith("_s_"):
+                        assert _names(n.right) & bound, ast.unparse(n)
+
+    def test_lu_update_loop(self):
+        """``A(i,j) = A(i,j) - A(i,k)*A(k,j)``: four appends, one store,
+        and no counter statement at all."""
+        program, _, _ = build_program("lu", "seq")
+        loops = _innermost_loops(CompiledProgram(program, trace=True).source)
+        (update,) = [
+            node
+            for node in loops
+            if any(
+                isinstance(n, ast.Assign)
+                and isinstance(n.targets[0], ast.Subscript)
+                and isinstance(n.value, ast.BinOp)
+                and isinstance(n.value.op, ast.Sub)
+                for n in node.body
+            )
+        ]
+        calls = [n.func.id for n in ast.walk(update) if isinstance(n, ast.Call)]
+        assert calls == ["_ma"] * 4
+        assert not any(isinstance(n, (ast.AugAssign, ast.If)) for n in ast.walk(update))

@@ -1,15 +1,21 @@
 """Cross-check: compiled static counters == interpreter dynamic counters.
 
-The compiler accumulates costs statically per block; the interpreter counts
+The compiler accumulates costs statically per block and adds a loop
+body's unconditional costs once per loop entry; the interpreter counts
 every event as it happens. Agreement on loads/stores/branches/loop
 iterations across all kernels and variants pins both accounting schemes.
+Every registry recipe's traced run must also match the interpreter's
+memory and branch traces event for event.
 """
 
+import numpy as np
 import pytest
 
+from repro.errors import ExecutionError
 from repro.exec.compiled import run_compiled
-from repro.kernels.registry import KERNELS, get_kernel
-from tests.exec.interp import CHECKED_COUNTERS, run_interpreted
+from repro.experiments.runner import build_program
+from repro.kernels.registry import ALL_KERNELS, KERNELS, get_kernel, variants_for
+from tests.exec.interp import CHECKED_COUNTERS, crosscheck_traces, run_interpreted
 
 
 _CASES = [
@@ -38,6 +44,27 @@ def test_counters_agree(kernel, variant):
     b = run_interpreted(program, params, inputs).counters
     for field in CHECKED_COUNTERS:
         assert getattr(a, field) == getattr(b, field), (kernel, variant, field)
+
+
+@pytest.mark.parametrize(
+    "kernel,variant",
+    [pytest.param(k, v, id=f"{k}-{v}") for k in ALL_KERNELS for v in variants_for(k)],
+)
+def test_traces_agree(kernel, variant):
+    tile = 4 if variant in ("tiled", "tiled_sunk") else None
+    program, _, _ = build_program(kernel, variant, tile=tile)
+    mod = get_kernel(kernel)
+    params = {"N": 8}
+    if "M" in mod.PARAMS:
+        params["M"] = 3
+    inputs = mod.make_inputs(params, np.random.default_rng(7))
+    if (kernel, variant) == ("qr", "fused"):
+        # Fusion without FixDeps breaks QR: both engines divide by zero.
+        for engine in (run_compiled, run_interpreted):
+            with pytest.raises(ExecutionError, match="division by zero"):
+                engine(program, params, inputs)
+        return
+    crosscheck_traces(program, params, inputs)
 
 
 def test_select_arm_loads_counted_dynamically():

@@ -1,9 +1,12 @@
 """Property test: the compiled executor agrees with the interpreter on
-randomly generated affine programs.
+randomly generated affine programs, traces included.
 
 The generator builds small but adversarial programs: nested triangular
-loops, guards, scalar accumulators, array-to-array assignments with
-shifted subscripts — the constructs every kernel variant combines.
+loops that may run zero times, guards, a float accumulator, an integer
+pivot index assigned inside the nest and used in subscripts (LU's ``m``),
+a 2-D array subscripted by outer and inner loop variables, and ``Select``
+arms that load the same element: the shapes whose index arithmetic the
+code generator hoists out of loops or reuses within a straight-line run.
 """
 
 from __future__ import annotations
@@ -13,75 +16,92 @@ from hypothesis import given, settings, strategies as st
 
 from repro.exec.compiled import run_compiled
 from repro.ir.builder import assign, cge, cle, idx, if_, loop, sym, val
-from repro.ir.expr import Expr
+from repro.ir.expr import ArrayRef, BinOp, Expr, Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
-from tests.exec.interp import run_interpreted
+from tests.exec.interp import crosscheck_traces
 
 N = sym("N")
+S = sym("s")
+
+
+def _ref(draw, names: list[str]) -> ArrayRef:
+    """``A(x)`` or ``B(x, y)``; every name in *names* holds a value in
+    [1, N] wherever it is read, so the subscripts stay in bounds."""
+    first = sym(draw(st.sampled_from(names)))
+    if draw(st.booleans()):
+        return idx("A", first)
+    return idx("B", first, sym(draw(st.sampled_from(names))))
 
 
 @st.composite
-def small_expr(draw, depth: int, loop_vars: list[str]) -> Expr:
-    """A float-valued expression over A(...), s and the loop vars."""
+def small_expr(draw, depth: int, names: list[str]) -> Expr:
+    """A float-valued expression over A, B, s and the index names."""
     if depth <= 0 or draw(st.booleans()):
-        choice = draw(st.integers(0, 2))
+        choice = draw(st.integers(0, 3))
         if choice == 0:
             return val(draw(st.floats(-2, 2, allow_nan=False, width=32)))
-        if choice == 1 and loop_vars:
-            v = draw(st.sampled_from(loop_vars))
-            return idx("A", _clamped_index(draw, v, loop_vars))
-        return sym("s")
+        if choice == 1:
+            return _ref(draw, names)
+        if choice == 2:
+            # Both arms load the same element: an index temporary of one
+            # arm must not be reused in the other.
+            ref = _ref(draw, names)
+            cond = cge(sym(draw(st.sampled_from(names))), val(draw(st.integers(1, 4))))
+            return Select(cond, ref * val(2.0), ref + S)
+        return S
     op = draw(st.sampled_from(["+", "-", "*"]))
-    lhs = draw(small_expr(depth - 1, loop_vars))
-    rhs = draw(small_expr(depth - 1, loop_vars))
-    from repro.ir.expr import BinOp
-
+    lhs = draw(small_expr(depth - 1, names))
+    rhs = draw(small_expr(depth - 1, names))
     return BinOp(op, lhs, rhs)
 
 
-def _clamped_index(draw, v: str, loop_vars: list[str]) -> Expr:
-    # index in [1, N] guaranteed: loop vars run within [1, N] and we only
-    # use the bare var (shifts are exercised via dedicated tests).
-    return sym(v)
+@st.composite
+def small_stmt(draw, names: list[str], loop_vars: list[str]):
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        # The pivot index: an integer scalar assigned inside the loop.
+        return assign("m", sym(draw(st.sampled_from(loop_vars))))
+    value = draw(small_expr(2, names))
+    if kind == 1:
+        return assign("s", value)
+    return assign(_ref(draw, names), value)
 
 
 @st.composite
 def small_program(draw) -> Program:
     depth = draw(st.integers(1, 3))
     loop_vars = [f"v{d}" for d in range(depth)]
-    stmts = []
-    n_stmts = draw(st.integers(1, 3))
-    for _ in range(n_stmts):
-        target_kind = draw(st.integers(0, 1))
-        value = draw(small_expr(2, loop_vars))
-        if target_kind == 0:
-            stmts.append(assign(idx("A", sym(loop_vars[-1])), value))
-        else:
-            stmts.append(assign("s", value))
+    names = loop_vars + ["m"]
+    body = draw(st.lists(small_stmt(names, loop_vars), min_size=1, max_size=4))
     if draw(st.booleans()):
         guard = cge(sym(loop_vars[-1]), val(2))
-        stmts = [if_(guard, stmts, [assign("s", val(0.5))])]
-    body = stmts
+        body = [if_(guard, body, [assign("s", val(0.5))])]
     for d in reversed(range(depth)):
-        lo = 1 if d == 0 else sym(loop_vars[d - 1])
-        body = [loop(loop_vars[d], lo, N, body)]
+        outer = sym(loop_vars[d - 1]) if d else None
+        # v + 1 runs zero times at v = N, and N - 1 at N = 1.
+        lo = draw(st.sampled_from([outer, outer + 1])) if d else val(1)
+        hi = draw(st.sampled_from([N, N - 1]))
+        nest = [loop(loop_vars[d], lo, hi, body)]
+        if d and draw(st.booleans()):
+            # The pivot changes between entries of the inner loop.
+            nest.insert(0, assign("m", outer))
+        body = nest
     return Program(
         "rand",
         ("N",),
-        (ArrayDecl("A", (N,)),),
-        (ScalarDecl("s"),),
-        tuple(body),
+        (ArrayDecl("A", (N,)), ArrayDecl("B", (N, N))),
+        (ScalarDecl("s"), ScalarDecl("m", "i8")),
+        (assign("m", val(1)), *body),
+        outputs=("A", "B", "m"),
     )
 
 
 @given(small_program(), st.integers(1, 6), st.integers(0, 2**31 - 1))
-@settings(max_examples=40)
+@settings(max_examples=60)
 def test_compiled_matches_interpreted(program, n, seed):
     rng = np.random.default_rng(seed)
-    a0 = rng.uniform(-1, 1, n)
-    ra = run_compiled(program, {"N": n}, {"A": a0})
-    rb = run_interpreted(program, {"N": n}, {"A": a0})
-    assert np.allclose(ra.arrays["A"], rb.arrays["A"], equal_nan=True)
+    inputs = {"A": rng.uniform(-1, 1, n), "B": rng.uniform(-1, 1, (n, n))}
+    ra, rb = crosscheck_traces(program, {"N": n}, inputs)
     assert np.isclose(ra.scalars["s"], rb.scalars["s"], equal_nan=True)
 
 
