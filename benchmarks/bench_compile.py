@@ -1,10 +1,10 @@
 """Compile-layer (analysis-side) performance: full-registry build times.
 
-With the in-process analysis memo (``REPRO_POLY_CACHE``, see
-``docs/architecture.md``) a **cold** build of all 43 registered program
-points must be >= 3x faster than the un-cached oracle mode. Each mode
-runs in its own subprocess so interning tables and memos start exactly as
-a user's process would; the oracle and cold program hashes are asserted
+With the in-process analysis memo (see ``docs/architecture.md``) a
+**cold** build of all 43 registered program points must be >= 3x faster
+than the oracle, which bypasses the memo (``tests/poly/memo_oracle.py``).
+Each mode runs in its own subprocess so interning tables and memos start
+exactly as a user's process would; the oracle and cold program hashes are asserted
 byte-identical every run, so this file doubles as the differential smoke
 check in CI (where it runs under ``--benchmark-disable``, which skips only
 the timing threshold — never the differential assert).
@@ -25,8 +25,13 @@ from pathlib import Path
 #: Executed in a fresh interpreter per mode. Imports complete before the
 #: clock starts, so the measured seconds are build-only.
 _CHILD = """
-import json, time
+import json, sys, time
 from repro import telemetry
+
+if sys.argv[1] == "off":
+    from tests.poly.memo_oracle import bypass_memo
+
+    bypass_memo()
 
 telemetry.enable()
 from repro.kernels.recipes import registry_program_hashes
@@ -50,13 +55,14 @@ print(json.dumps({
 
 def _run_build(cache: str) -> dict:
     env = dict(os.environ)
-    env["REPRO_POLY_CACHE"] = cache
     env["REPRO_NO_CACHE"] = "1"
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    root = Path(__file__).resolve().parent.parent
     existing = env.get("PYTHONPATH", "")
-    env["PYTHONPATH"] = src + (os.pathsep + existing if existing else "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(root / "src"), str(root)] + ([existing] if existing else [])
+    )
     out = subprocess.run(
-        [sys.executable, "-c", _CHILD],
+        [sys.executable, "-c", _CHILD, cache],
         env=env,
         capture_output=True,
         text=True,
@@ -66,8 +72,8 @@ def _run_build(cache: str) -> dict:
 
 
 def test_compile_cache_speedup(benchmark, request):
-    """Cold >= 3x vs the ``REPRO_POLY_CACHE=off`` oracle, with
-    byte-identical program hashes in both modes."""
+    """Cold >= 3x vs the memo-bypassed oracle, with byte-identical
+    program hashes in both modes."""
     baseline = _run_build("off")
     cold = benchmark.pedantic(lambda: _run_build("on"), rounds=1, iterations=1)
 

@@ -94,27 +94,3 @@ def test_tlb_footprint_bound(benchmark, sweep_config):
     benchmark.extra_info.update(result)
     hi, lo = max(result.values()), min(result.values())
     assert hi <= lo * 3 + 16  # same order of magnitude
-
-
-def test_prefetch_narrows_but_keeps_gap(benchmark, sweep_config):
-    """Next-line prefetching: helps sequential column walks, doesn't
-    replace tiling (the tiled code still misses less in absolute terms)."""
-    from repro.machine.cache import CacheSink
-    from repro.machine.prefetch import PrefetchSink
-
-    def study():
-        n = sweep_config.sizes[-1]
-        out = {}
-        for variant in ("seq", "tiled"):
-            addrs, _ = _trace("cholesky", variant, n, sweep_config)
-            plain = int(CacheSink(sweep_config.machine.l2).feed(addrs).sum())
-            sink = PrefetchSink(sweep_config.machine.l2)
-            sink.feed(addrs)
-            pf = sink.finish()
-            out[variant] = {"plain": plain, "prefetched": pf.demand_misses}
-        return out
-
-    result = benchmark.pedantic(study, rounds=1, iterations=1)
-    benchmark.extra_info.update(result)
-    assert result["seq"]["prefetched"] < result["seq"]["plain"]
-    assert result["tiled"]["prefetched"] < result["seq"]["prefetched"]

@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-import networkx as nx
-
 from repro.deps.access import ValueRange
 from repro.errors import DependenceError, NotAffineError
 from repro.ir.affine import cond_to_constraints, expr_to_linexpr
@@ -174,16 +172,16 @@ def dependence_graph(
     scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
-) -> nx.DiGraph:
-    """Dependence graph of the statements directly inside *loop*.
+) -> frozenset[tuple[int, int]]:
+    """Edges of the dependence graph of the statements directly inside
+    *loop*, as ``(a, b)`` pairs of statement positions.
 
     Edge ``a -> b`` means some instance of statement ``a`` must execute
     before some conflicting instance of statement ``b`` (flow, anti or
     output — all are ordering constraints for distribution).
 
     The edge set is memoised on the loop's serialized content, so every
-    variant of a kernel reuses one analysis per distinct loop nest. A fresh
-    ``DiGraph`` is returned each call; callers may mutate it freely.
+    variant of a kernel reuses one analysis per distinct loop nest.
     """
     value_ranges = value_ranges or {}
     from repro.ir.serialize import expr_to_dict, stmt_to_dict
@@ -201,10 +199,7 @@ def dependence_graph(
         (memo.stable_key(key_doc), memo.env_key(param_lo)),
         lambda: _graph_payload(loop, scalars, value_ranges, param_lo),
     )
-    graph = nx.DiGraph()
-    graph.add_nodes_from(range(payload["n"]))
-    graph.add_edges_from((a, b) for a, b in payload["e"])
-    return graph
+    return frozenset((a, b) for a, b in payload["e"])
 
 
 def _graph_payload(

@@ -269,9 +269,10 @@ def registry_program_hashes() -> dict[str, str]:
     """Content hash of every emitted program in the registry build matrix.
 
     The differential guarantee of the analysis-layer cache is stated over
-    this mapping: it must be identical with ``REPRO_POLY_CACHE`` on and
-    off. The golden corpus (``tests/golden/corpus.json``) stores it as
-    built with the memo off, and tier-1 compares the cached build to it.
+    this mapping: it must be identical with the memo on and bypassed
+    (``tests/poly/memo_oracle.py``). The golden corpus
+    (``tests/golden/corpus.json``) stores it as built with the memo
+    bypassed, and tier-1 compares the cached build to it.
     """
     from repro.pipeline.recipe import program_fingerprint
 

@@ -18,13 +18,12 @@ Chunk types are stream-specific (duck-typed, per sink class):
 
 - **encoded event chunks** — 1-D ``int64`` arrays straight from the
   executor (see :mod:`repro.exec.events` for the encodings). Consumed by
-  :class:`~repro.machine.perfcounters.MemoryPipelineSink`, branch
-  predictor sinks, and :class:`~repro.exec.tracestats.ArrayStatsSink`.
+  :class:`~repro.machine.perfcounters.MemoryPipelineSink` and the branch
+  predictor sinks.
 - **address chunks** — 1-D ``int64`` byte-address arrays. Consumed by
   :class:`~repro.machine.cache.CacheSink`,
-  :class:`~repro.machine.hierarchy.HierarchySink`,
-  :class:`~repro.machine.tlb.TLBSink` and
-  :class:`~repro.machine.prefetch.PrefetchSink`.
+  :class:`~repro.machine.hierarchy.HierarchySink` and
+  :class:`~repro.machine.tlb.TLBSink`.
 - **access chunks** — ``(addresses, is_write)`` pairs. Consumed by
   :class:`~repro.machine.registers.RegisterFilterSink` and
   :class:`~repro.machine.writeback.WritebackSink`.

@@ -11,8 +11,7 @@ over-approximation.
 Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
 
 - ``eliminate`` and ``project_onto`` are memoised per-process on the
-  polyhedron's structural fingerprint (bypassed under
-  ``REPRO_POLY_CACHE=off``), and both cache raised
+  polyhedron's structural fingerprint, and both cache raised
   ``CaseSplitError``/``PolyhedronError`` outcomes;
 - the dominant bound combination ``e_lo * (-n) + e_up * p`` takes a
   pure-addition fast path when both coefficients on the eliminated

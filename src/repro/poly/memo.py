@@ -15,22 +15,22 @@ parametric solver is as expensive to rediscover as a solution, and
 ``lexmin_with_fallback`` branches on it, so cached errors re-raise with
 the original message.
 
-``REPRO_POLY_CACHE=off`` is the differential oracle, and it bypasses
-exactly one thing: :func:`memoize`, the only reader of
-:func:`caching_enabled`, calls ``compute()`` directly. Every analysis
+The memo has no off switch. Its oracle lives in tests
+(``tests/poly/memo_oracle.py``): it replaces :func:`memoize` with a plain
+``compute()`` call, which reaches every analysis operation because each
+caller looks the function up as ``memo.memoize`` at call time. Every
 operation runs the same code either way (hash-consing and the FM
-unit-coefficient fast path included), so an ``off`` build must produce
+unit-coefficient fast path included), so a bypassed build must produce
 byte-identical dependence graphs, FixDeps output and program hashes —
 asserted by ``tests/experiments/test_poly_cache_differential.py``, by the
 golden corpus (``tests/golden``, whose 43 program hashes are written with
-the memo off and compared in tier-1 with it on) and by CI jobs.
+the memo bypassed and compared in tier-1 with it on) and by CI jobs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 from typing import Any, Callable
 
 from repro import telemetry
@@ -42,26 +42,6 @@ _MEMO_SIZE = 65536
 
 #: Deterministic analysis failures worth caching (re-raised on hit).
 _CACHEABLE_ERRORS = (CaseSplitError, UnboundedError, PolyhedronError)
-
-
-_enabled: bool | None = None
-
-
-def caching_enabled() -> bool:
-    """Is the analysis memo on? (``REPRO_POLY_CACHE``, default on.)
-
-    The answer is cached — :func:`memoize` asks on every analysis call —
-    and re-read from the environment by :func:`clear_memos`, so toggling
-    ``REPRO_POLY_CACHE`` mid-process requires a
-    ``clear_caches()``/``clear_memos()`` call (as the sweep pool
-    initializer and the tests already do).
-    """
-    global _enabled
-    if _enabled is None:
-        _enabled = os.environ.get("REPRO_POLY_CACHE", "on").lower() not in (
-            "off", "0", "no", "false",
-        )
-    return _enabled
 
 
 _memo: LRUCache = LRUCache(maxsize=_MEMO_SIZE)
@@ -99,11 +79,8 @@ def memoize(op: str, key: tuple, compute: Callable[[], Any]) -> Any:
     """In-process memoisation of ``compute()`` under ``(op, *key)``.
 
     Deterministic analysis errors (:data:`_CACHEABLE_ERRORS`) are cached
-    and re-raised on later hits. Under ``REPRO_POLY_CACHE=off`` this is
-    a plain ``compute()`` call: the oracle's single bypass.
+    and re-raised on later hits.
     """
-    if not caching_enabled():
-        return compute()
     full = (op, *key)
     try:
         value = _memo[full]
@@ -128,14 +105,12 @@ def memoize(op: str, key: tuple, compute: Callable[[], Any]) -> Any:
 
 
 def clear_memos() -> None:
-    """Drop every analysis memo and intern table, and re-read
-    ``REPRO_POLY_CACHE``."""
-    global _memo, _stats, _enabled
+    """Drop every analysis memo and intern table."""
+    global _memo, _stats
     _memo = LRUCache(maxsize=_MEMO_SIZE)
     for cache in _registered:
         cache.clear()
     _stats = {}
-    _enabled = None
 
 
 def stats() -> dict[str, Any]:
@@ -146,7 +121,6 @@ def stats() -> dict[str, Any]:
         for k in totals:
             totals[k] += per_op[k]
     return {
-        "enabled": caching_enabled(),
         "ops": {op: dict(v) for op, v in sorted(_stats.items())},
         "totals": totals,
         "memo_entries": len(_memo),

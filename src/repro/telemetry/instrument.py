@@ -5,9 +5,10 @@
 time and chunk/event counts, and emits — at ``finish()`` — one
 synthesized replay span (``machine.sink.<name>``), parented to the span
 open at its first ``feed`` (``exec.run``), plus
-``machine.sink.<name>.chunks`` / ``.events`` counters. It is only ever
-constructed when telemetry is enabled, so the disabled path pays
-nothing; the per-chunk cost when enabled is two integer adds and one
+``machine.sink.<name>.chunks`` / ``.events`` counters; a sink that was
+never fed (the branch sink of a guard-free program) records neither. It
+is only ever constructed when telemetry is enabled, so the disabled path
+pays nothing; the per-chunk cost when enabled is two integer adds and one
 clock read per ~64k events.
 
 :func:`stage_clock` times the stages *inside* one sink's ``feed`` (the
@@ -61,10 +62,12 @@ class InstrumentedSink:
         return out
 
     def finish(self) -> Any:
+        if self._first_start is None:
+            return self._inner.finish()
         with telemetry.nested(self._parent):
             span = telemetry.record_span(
                 f"machine.sink.{self._name}",
-                start=self._first_start if self._first_start is not None else time.perf_counter(),
+                start=self._first_start,
                 duration=self._seconds,
                 chunks=self._chunks,
                 events=self._events,

@@ -15,6 +15,21 @@ settings.register_profile(
 settings.load_profile("ci")
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--memo-off",
+        action="store_true",
+        help="bypass the polyhedral analysis memo (tests/poly/memo_oracle.py)",
+    )
+
+
+def pytest_configure(config):
+    if config.getoption("memo_off"):
+        from tests.poly.memo_oracle import bypass_memo
+
+        bypass_memo()
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     """Deterministic RNG for test inputs."""

@@ -1,13 +1,13 @@
-"""Differential guarantee of the analysis-layer cache (PR-5 tentpole).
+"""Differential guarantee of the analysis-layer cache.
 
-``REPRO_POLY_CACHE=off`` is the oracle: with the analysis memo bypassed,
-so every operation recomputes, the compiler must produce exactly the same
+The oracle is the memo bypassed (``tests/poly/memo_oracle.py``): with
+every operation recomputing, the compiler must produce exactly the same
 dependence graphs, FixDeps output and emitted programs as the cached
 default. The 43 registry programs are pinned by the golden corpus, which
 the oracle writes (``tests/golden``); the cold-build check here runs the
 registry matrix in a subprocess, as a user process would see it, and
-the dependence/FixDeps checks toggle the knob in-process through
-``clear_caches`` to also cover the documented mid-process toggle path.
+the dependence/FixDeps checks switch the memo in-process, clearing every
+cache through ``clear_caches`` in between.
 """
 
 from __future__ import annotations
@@ -20,6 +20,9 @@ from pathlib import Path
 
 import pytest
 
+from repro.poly import memo
+from tests.poly.memo_oracle import MEMOIZE, bypass_memo
+
 _CHILD = """
 import json, sys
 from repro.kernels.recipes import registry_program_hashes
@@ -31,7 +34,6 @@ def _cold_hashes(cache_dir: Path) -> dict[str, str]:
     """Registry hashes from a fresh process, analysis memo on, with the
     measurement disk cache enabled in *cache_dir*."""
     env = dict(os.environ)
-    env["REPRO_POLY_CACHE"] = "on"
     env.pop("REPRO_NO_CACHE", None)
     env["REPRO_CACHE_DIR"] = str(cache_dir)
     src = str(Path(__file__).resolve().parents[2] / "src")
@@ -58,7 +60,10 @@ def test_cold_registry_build_writes_nothing_to_disk(tmp_path):
 def _toggle(monkeypatch, mode: str) -> None:
     from repro.experiments import runner
 
-    monkeypatch.setenv("REPRO_POLY_CACHE", mode)
+    if mode == "on":
+        monkeypatch.setattr(memo, "memoize", MEMOIZE)
+    else:
+        bypass_memo(monkeypatch)
     runner.clear_caches()
 
 
@@ -80,7 +85,7 @@ def test_dependence_graph_matches_oracle(monkeypatch):
     ]
 
     def edges() -> list:
-        return [sorted(dependence_graph(l).edges) for l in loops]
+        return [sorted(dependence_graph(l)) for l in loops]
 
     _toggle(monkeypatch, "on")
     cached = edges()
@@ -130,10 +135,8 @@ def test_clear_caches_rebuilds_bit_identically(monkeypatch):
     from repro.experiments import runner
     from repro.ir.serialize import dumps
     from repro.kernels.recipes import build_variant
-    from repro.poly import memo
 
-    monkeypatch.setenv("REPRO_POLY_CACHE", "on")
-    runner.clear_caches()
+    _toggle(monkeypatch, "on")
     first = dumps(build_variant("lu", "tiled", tile=16))
     assert memo.stats()["memo_entries"] > 0
     runner.clear_caches()

@@ -2,12 +2,12 @@
 
     PYTHONPATH=src python tests/golden/regen.py
 
-Programs are built with the analysis memo off (``REPRO_POLY_CACHE=off``)
-and run materialized. Each report comes from the whole materialized
-trace: the production decode and layout (they have no oracle), then the
-per-access oracles of ``tests/machine/reference.py`` for the register
-filter, L1, L2 on the L1 misses, and the branch predictor, then the
-production cost aggregation. Regenerate only when a change is meant to
+Programs are built with the analysis memo bypassed
+(``tests/poly/memo_oracle.py``) and run materialized. Each report comes
+from the whole materialized trace: the production decode and layout
+(they have no oracle), then the per-access oracles of
+``tests/machine/reference.py`` for the register filter, L1, L2 on the L1
+misses, and the branch predictor, then the production cost aggregation. Regenerate only when a change is meant to
 alter these answers, and say so.
 """
 
@@ -19,10 +19,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[2]
 
-# No ambient knob may change the answers; the memo is the oracle's "off".
+# No ambient knob may change the answers.
 for key in [k for k in os.environ if k.startswith("REPRO_")]:
     del os.environ[key]
-os.environ["REPRO_POLY_CACHE"] = "off"
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.errors import ExecutionError  # noqa: E402
@@ -39,6 +38,7 @@ from tests.machine.reference import (  # noqa: E402
     register_filter_reference,
     simulate_cache_reference,
 )
+from tests.poly.memo_oracle import bypass_memo  # noqa: E402
 
 
 def oracle_report(program, params, run) -> PerfReport:
@@ -70,6 +70,7 @@ def oracle_entry(kernel: str, variant: str) -> dict:
 
 
 def main() -> None:
+    bypass_memo()
     data = {
         "programs": registry_program_hashes(),
         "recipes": {

@@ -29,7 +29,7 @@ def test_corpus_covers_registry():
 
 def test_program_fingerprints_match_corpus():
     """The cached (memo on) build emits the 43 programs the oracle build
-    (``REPRO_POLY_CACHE=off``) stored."""
+    (memo bypassed, ``tests/poly/memo_oracle.py``) stored."""
     corpus.assert_matches("programs", corpus.load()["programs"], registry_program_hashes())
 
 

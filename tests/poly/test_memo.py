@@ -11,19 +11,20 @@ from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind, ge, le
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
+from tests.poly.memo_oracle import MEMOIZE, bypass_memo
 
 i, N = LinExpr.var("i"), LinExpr.var("N")
 
 
 @pytest.fixture(autouse=True)
 def _fresh_memo(monkeypatch):
-    """Every test starts caching-enabled with empty analysis memos.
+    """Every test starts with the memo on and empty.
 
-    Forcing the knob makes this module self-contained: it also passes
-    under the CI job that exports ``REPRO_POLY_CACHE=off`` globally.
-    Tests that exercise off-mode set the variable themselves.
+    Restoring the production ``memoize`` makes this module self-contained:
+    it also passes under ``--memo-off``. Tests that exercise the bypass
+    apply it themselves.
     """
-    monkeypatch.setenv("REPRO_POLY_CACHE", "on")
+    monkeypatch.setattr(memo, "memoize", MEMOIZE)
     memo.clear_memos()
     yield
     memo.clear_memos()
@@ -76,13 +77,12 @@ class TestMemoize:
         assert len(calls) == 2
 
     def test_disabled_mode_computes_every_time(self, monkeypatch):
-        monkeypatch.setenv("REPRO_POLY_CACHE", "off")
-        memo.clear_memos()
+        bypass_memo(monkeypatch)
         calls = []
         for _ in range(2):
             memo.memoize("t", ("k",), lambda: calls.append(1))
         assert len(calls) == 2
-        assert not memo.caching_enabled()
+        assert memo.stats()["memo_entries"] == 0
 
     def test_clear_memos_drops_entries_and_stats(self):
         memo.memoize("t", ("k",), lambda: 1)
@@ -106,10 +106,9 @@ class TestInterning:
         assert _box() is _box()
 
     def test_interning_holds_when_memo_disabled(self, monkeypatch):
-        # ``off`` bypasses only the analysis memo; hash-consing is part of
+        # The bypass skips only the analysis memo; hash-consing is part of
         # the one construction path.
-        monkeypatch.setenv("REPRO_POLY_CACHE", "off")
-        memo.clear_memos()
+        bypass_memo(monkeypatch)
         assert _box() is _box()
         assert ge(i, 3) is ge(i, 3)
 

@@ -85,6 +85,15 @@ class TestPipelineAndMachineSpans:
                 == s.attrs["events"]
             )
 
+    def test_unfed_sink_records_no_span(self):
+        # Sequential Cholesky has no guards, so its branch sink is never fed.
+        telemetry.enable()
+        runner.clear_caches()
+        runner.measure_variant("cholesky", "seq", 8, _config())
+        assert len(_spans("machine.sink.memory")) == 1
+        assert _spans("machine.sink.branch") == []
+        assert telemetry.counter_value("machine.sink.branch.events") == 0
+
     def test_memory_stage_spans_and_counters(self):
         telemetry.enable()
         runner.clear_caches()
