@@ -1,6 +1,6 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-- :mod:`repro.experiments.runner` — run one kernel variant under the
+- :mod:`repro.experiments.runner` — run one variant recipe under the
   machine model and collect its perfex-style report;
 - :mod:`repro.experiments.sweep` — problem-size sweeps and scaling rules
   (paper sizes vs. scaled-machine sizes);
@@ -31,6 +31,7 @@ from repro.experiments.runner import (
     build_program,
     clear_caches,
     measure_points,
+    measure_recipe,
     measure_variant,
     run_pair,
 )
@@ -41,6 +42,7 @@ __all__ = [
     "build_program",
     "clear_caches",
     "measure_points",
+    "measure_recipe",
     "measure_variant",
     "run_pair",
     "SweepConfig",

@@ -13,6 +13,7 @@ from dataclasses import asdict
 from pathlib import Path
 
 from repro.experiments import (
+    ablations,
     figure5,
     figure678,
     jacobi_stats,
@@ -84,6 +85,11 @@ def write_all(
     md = out / "jacobi_stats.md"
     md.write_text(jacobi_stats.render(js_rows) + "\n")
     written["jacobi_stats"] = md
+
+    # Ablations (design-choice studies beyond the paper's figures).
+    md = out / "ablations.md"
+    md.write_text(ablations.main(config) + "\n")
+    written["ablations"] = md
 
     # Per-pass pipeline evidence (build provenance for every variant).
     pl_reports = pipeline_report.generate(config)

@@ -1,11 +1,15 @@
 """Running kernel variants under the machine model.
 
-``measure_variant`` is the single code path every figure uses: resolve the
-variant through the **recipe registry** (:mod:`repro.kernels.recipes`),
-build its program with the :class:`~repro.pipeline.manager.PassManager`
-(keeping the per-pass timing report), compile with tracing, run on
-deterministic inputs, replay the traces through the simulated Octane2, and
-return the :class:`~repro.machine.perfcounters.PerfReport`.
+:func:`measure_recipe` is the single code path behind every printed
+number: take a :class:`~repro.pipeline.recipe.VariantRecipe`, bind the
+sweep's tile if its ``Tile`` passes ask for one, build its program with
+the :class:`~repro.pipeline.manager.PassManager` (keeping the per-pass
+timing report), compile with tracing, run on deterministic inputs, replay
+the traces through the simulated Octane2, and return the
+:class:`~repro.machine.perfcounters.PerfReport`. :func:`measure_variant`
+is the same call for a recipe looked up in the **recipe registry**
+(:mod:`repro.kernels.recipes`); the ablations measure their unregistered
+recipes directly.
 
 Measurements are memoised in-process (capped LRU; :func:`clear_caches`
 resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
@@ -148,6 +152,22 @@ def _store_cached(key: str, report: PerfReport) -> None:
         )
 
 
+def _build(
+    recipe: VariantRecipe, tile: int | None, time_tile: int | None = None
+) -> tuple[Program, PipelineReport]:
+    """Build *recipe* at one tile binding (memoised on the recipe's
+    content, so two recipes share a build only if they describe the same
+    passes)."""
+
+    def compute():
+        ctx = PassContext(
+            kernel=get_kernel(recipe.kernel), tile=tile, time_tile=time_tile
+        )
+        return PassManager().build(recipe, ctx)
+
+    return _built.get_or_compute((recipe.fingerprint(), tile, time_tile), compute)
+
+
 def build_program(
     kernel: str, variant: str, *, tile: int | None = None,
     time_tile: int | None = None,
@@ -158,16 +178,7 @@ def build_program(
     listing the registered choices.
     """
     recipe = get_recipe(kernel, variant)
-
-    def compute():
-        ctx = PassContext(
-            kernel=get_kernel(kernel), tile=tile, time_tile=time_tile
-        )
-        return PassManager().build(recipe, ctx)
-
-    program, pipeline = _built.get_or_compute(
-        (kernel, variant, tile, time_tile), compute
-    )
+    program, pipeline = _build(recipe, tile, time_tile)
     return program, pipeline, recipe
 
 
@@ -176,12 +187,6 @@ def _params_for(kernel: str, n: int, config: SweepConfig) -> dict[str, int]:
     if "M" in get_kernel(kernel).PARAMS:
         params["M"] = config.jacobi_m
     return params
-
-
-def _tile_for(variant: str, n: int, config: SweepConfig, tile: int | None) -> int | None:
-    if variant in ("tiled", "tiled_sunk") and tile is None:
-        return config.tile_for(n)
-    return tile
 
 
 @functools.cache
@@ -202,32 +207,77 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _point_key(
-    kernel: str,
-    variant: str,
+def _point(
+    recipe: VariantRecipe, n: int, config: SweepConfig, tile: int | None
+) -> tuple[int | None, Program, PipelineReport, str]:
+    """Resolve one measurement point: tile policy, build, and the memo/disk
+    key (a human-readable prefix plus the content fingerprint, shared by
+    the parent and every sweep worker).
+
+    A recipe whose :class:`~repro.pipeline.passes.Tile` passes read the
+    ``TILE`` placeholder takes the sweep's tile unless *tile* is given.
+    """
+    if tile is None and recipe.takes_tile:
+        tile = config.tile_for(n)
+    program, pipeline = _build(recipe, tile)
+    key = f"{recipe.kernel}-{recipe.variant}-N{n}-" + measurement_fingerprint(
+        recipe,
+        program,
+        config.machine,
+        {
+            "params": _params_for(recipe.kernel, n, config),
+            "tile": tile,
+            "seed": config.seed,
+            "source": _source_digest(),
+        },
+    )
+    return tile, program, pipeline, key
+
+
+def measure_recipe(
+    recipe: VariantRecipe,
     n: int,
     config: SweepConfig,
-    tile: int | None,
-    program: Program,
-    recipe: VariantRecipe,
-) -> str:
-    """Memo/disk key of one measurement: human-readable prefix plus the
-    content fingerprint (shared by the parent and every sweep worker)."""
-    params = _params_for(kernel, n, config)
-    return (
-        f"{kernel}-{variant}-N{n}-"
-        + measurement_fingerprint(
-            recipe,
-            program,
-            config.machine,
-            {
-                "params": params,
-                "tile": tile,
-                "seed": config.seed,
-                "source": _source_digest(),
-            },
-        )
-    )
+    *,
+    tile: int | None = None,
+) -> VariantMeasurement:
+    """Measure *recipe* at size *n* (memoised in-process and on disk).
+
+    Every printed number goes through here; the recipe need not be
+    registered. The trace streams through the fused sink pipeline in
+    bounded memory.
+    """
+    tile, program, pipeline, key = _point(recipe, n, config, tile)
+    if key in _memo:
+        telemetry.counter("sweep.memo.hit")
+        return _memo[key]
+
+    kernel, variant = recipe.kernel, recipe.variant
+    # One span per *measured* grid point: memo hits above never reach
+    # here, so a sweep's `sweep.point` span count equals the number of
+    # points that actually went to disk or to the machine model.
+    with telemetry.span(
+        "sweep.point", kernel=kernel, variant=variant, n=n
+    ) as sp:
+        report = _load_cached(key)
+        if report is not None:
+            telemetry.counter("sweep.cache.hit")
+            sp.set(source="disk")
+        else:
+            telemetry.counter("sweep.cache.miss")
+            params = _params_for(kernel, n, config)
+            rng = np.random.default_rng(config.seed)
+            inputs = get_kernel(kernel).make_inputs(params, rng)
+            cp = _compiled.get_or_compute(
+                (recipe.fingerprint(), tile),
+                lambda: CompiledProgram(program, trace=True),
+            )
+            _, report = measure_streaming(cp, params, config.machine, inputs)
+            _store_cached(key, report)
+            sp.set(source="computed")
+        result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)
+        _memo[key] = result
+        return result
 
 
 def measure_variant(
@@ -238,47 +288,9 @@ def measure_variant(
     *,
     tile: int | None = None,
 ) -> VariantMeasurement:
-    """Measure one (kernel, variant, N) point (memoised).
-
-    The trace streams through the fused sink pipeline in bounded memory.
-    """
-    tile = _tile_for(variant, n, config, tile)
-    program, pipeline, recipe = build_program(kernel, variant, tile=tile)
-    params = _params_for(kernel, n, config)
-    key = _point_key(kernel, variant, n, config, tile, program, recipe)
-    if key in _memo:
-        telemetry.counter("sweep.memo.hit")
-        return _memo[key]
-
-    # One span per *measured* grid point: memo hits above never reach
-    # here, so a sweep's `sweep.point` span count equals the number of
-    # points that actually went to disk or to the machine model.
-    with telemetry.span(
-        "sweep.point", kernel=kernel, variant=variant, n=n
-    ) as sp:
-        cached = _load_cached(key)
-        if cached is not None:
-            telemetry.counter("sweep.cache.hit")
-            sp.set(source="disk")
-            result = VariantMeasurement(kernel, variant, n, tile, cached, pipeline)
-            _memo[key] = result
-            return result
-        telemetry.counter("sweep.cache.miss")
-
-        mod = get_kernel(kernel)
-        rng = np.random.default_rng(config.seed)
-        inputs = mod.make_inputs(params, rng)
-
-        def compile_program():
-            return CompiledProgram(program, trace=True)
-
-        cp = _compiled.get_or_compute((kernel, variant, tile), compile_program)
-        _, report = measure_streaming(cp, params, config.machine, inputs)
-        _store_cached(key, report)
-        sp.set(source="computed")
-        result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)
-        _memo[key] = result
-        return result
+    """Measure one registered (kernel, variant, N) point: a registry
+    lookup in front of :func:`measure_recipe`."""
+    return measure_recipe(get_recipe(kernel, variant), n, config, tile=tile)
 
 
 def _measure_point_worker(
@@ -327,18 +339,16 @@ def measure_points(
     """
     points = [tuple(p) for p in points]
     jobs = resolve_jobs(jobs)
-    todo = []
-    for kernel, variant, n in dict.fromkeys(points):
-        tile = _tile_for(variant, n, config, None)
-        program, _, recipe = build_program(kernel, variant, tile=tile)
-        key = _point_key(kernel, variant, n, config, tile, program, recipe)
+    todo: dict[tuple[str, str, int], tuple[int | None, PipelineReport, str]] = {}
+    for point in dict.fromkeys(points):
+        kernel, variant, n = point
+        tile, _, pipeline, key = _point(get_recipe(kernel, variant), n, config, None)
         if key not in _memo:
-            todo.append((kernel, variant, n))
+            todo[point] = (tile, pipeline, key)
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
         with_telemetry = telemetry.enabled()
-        reports: dict[tuple[str, str, int], dict[str, float]] = {}
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(todo)), initializer=clear_caches
         ) as pool:
@@ -357,18 +367,12 @@ def measure_points(
                         f"sweep point (kernel={kernel}, variant={variant}, "
                         f"N={n}) failed in a worker: {exc}"
                     ) from exc
-                reports[point] = data
                 # Fold each worker's spans/metrics into the parent so a
                 # parallel sweep yields one coherent trace.
                 telemetry.absorb(state)
-        for kernel, variant, n in todo:
-            tile = _tile_for(variant, n, config, None)
-            program, pipeline, recipe = build_program(kernel, variant, tile=tile)
-            key = _point_key(kernel, variant, n, config, tile, program, recipe)
-            if key not in _memo:
-                report = PerfReport(**reports[(kernel, variant, n)])
+                tile, pipeline, key = todo[point]
                 _memo[key] = VariantMeasurement(
-                    kernel, variant, n, tile, report, pipeline
+                    *point, tile, PerfReport(**data), pipeline
                 )
     return [measure_variant(k, v, n, config) for k, v, n in points]
 

@@ -78,7 +78,7 @@ SKEWS = {1: {0: 1}, 2: {0: 1}}
 ORDER = (0, 1, 2)
 
 
-def tiled(tile: int = 8, *, time_tile: int | None = None, undo_sinking: bool = True) -> Program:
+def tiled(tile: int = 8, *, time_tile: int | None = None) -> Program:
     """Skew the space loops by t and tile all three loops."""
     from repro.kernels.recipes import build_variant
 

@@ -18,7 +18,6 @@ import numpy as np
 from repro.ir import ArrayDecl, Program, assign, idx, loop, sym, val
 from repro.kernels.inputs import default_rng, grid_field
 from repro.pipeline.passes import FusionSpec
-from repro.trans.cleanup import scalarize_arrays
 from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding
 from repro.trans.model import FusedNest
@@ -80,17 +79,11 @@ def fused_nest() -> FusedNest:
     return build_fused_nest(NAME)
 
 
-def fixed(*, simplify_copies: bool = True, scalarize: bool = True) -> Program:
+def fixed() -> Program:
     """The Figure-4(d) form: copies inserted, ``L`` scalarised."""
-    if simplify_copies and scalarize:
-        from repro.kernels.recipes import build_variant
+    from repro.kernels.recipes import build_variant
 
-        return build_variant(NAME, "fixed")
-    report = fix_dependences(fused_nest(), simplify_copies=simplify_copies)
-    program = report.program("jacobi_fixed")
-    if scalarize:
-        program = scalarize_arrays(program, ["L"])
-    return program
+    return build_variant(NAME, "fixed")
 
 
 def fixdeps_report() -> FixDepsReport:
@@ -98,12 +91,12 @@ def fixdeps_report() -> FixDepsReport:
     return fix_dependences(fused_nest())
 
 
-def tiled(tile: int = 8, *, time_tile: int | None = None, undo_sinking: bool = True) -> Program:
+def tiled(tile: int = 8, *, time_tile: int | None = None) -> Program:
     """Sec. 4 tiling: skew space loops by time, time innermost, tile all.
 
-    ``tile`` is the space tile; ``time_tile`` defaults to the same.
-    ``undo_sinking`` is accepted for interface uniformity; the skewed
-    Jacobi carries no guards ("no extra conditionals are introduced").
+    ``tile`` is the space tile; ``time_tile`` defaults to the same. The
+    skewed Jacobi carries no guards ("no extra conditionals are
+    introduced"), so there is no sinking to undo.
     """
     from repro.kernels.recipes import build_variant
 

@@ -204,7 +204,7 @@ def fixed() -> Program:
     return build_variant(NAME, "fixed")
 
 
-def tiled(tile: int = 8, *, undo_sinking: bool = True) -> Program:
+def tiled(tile: int = 8) -> Program:
     """Sec. 4: tile the outermost ``k`` loop (point loop inside ``j``).
 
     The pivot row ``m`` is array-expanded over ``k`` first: with ``k``
@@ -213,7 +213,7 @@ def tiled(tile: int = 8, *, undo_sinking: bool = True) -> Program:
     """
     from repro.kernels.recipes import build_variant
 
-    return build_variant(NAME, "tiled" if undo_sinking else "tiled_sunk", tile=tile)
+    return build_variant(NAME, "tiled", tile=tile)
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

@@ -179,11 +179,11 @@ def fixed() -> Program:
     return build_variant(NAME, "fixed")
 
 
-def tiled(tile: int = 8, *, undo_sinking: bool = True) -> Program:
+def tiled(tile: int = 8) -> Program:
     """Sec. 4: tile the outermost ``i`` and ``j`` loops."""
     from repro.kernels.recipes import build_variant
 
-    return build_variant(NAME, "tiled" if undo_sinking else "tiled_sunk", tile=tile)
+    return build_variant(NAME, "tiled", tile=tile)
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

@@ -1,13 +1,15 @@
 """The bundled kernels' variants as declarative pass recipes.
 
-One table replaces five hand-rolled builder families: every (kernel,
-variant) the experiment harness can measure is a
-:class:`~repro.pipeline.recipe.VariantRecipe` built here from the kernel
-modules' *definitions* (source programs, fusion embeddings, value ranges)
-plus the Section-4 schedule data (tile orders, skews). Adding a variant —
-a fused-without-fix ablation, an alternate tile shape — is one entry in
-this module, measurable immediately by name through
-:func:`repro.experiments.runner.measure_variant`.
+One table replaces five hand-rolled builder families: every standard
+(kernel, variant) is a :class:`~repro.pipeline.recipe.VariantRecipe` built
+here from the kernel modules' *definitions* (source programs, fusion
+embeddings, value ranges) plus the Section-4 schedule data (tile orders,
+skews), and is measurable by name through
+:func:`repro.experiments.runner.measure_variant`. The table is fixed; a
+further variant — an alternate tile shape, an ablation — is a recipe built
+where it is used and measured with
+:func:`repro.experiments.runner.measure_recipe` (see
+:mod:`repro.experiments.ablations`).
 
 The standard variants mirror the paper:
 
@@ -190,12 +192,6 @@ def _registry() -> dict[str, dict[str, VariantRecipe]]:
     return _REGISTRY
 
 
-def register(recipe: VariantRecipe) -> VariantRecipe:
-    """Register a custom recipe (overrides any same-named entry)."""
-    _registry().setdefault(recipe.kernel, {})[recipe.variant] = recipe
-    return recipe
-
-
 def variants_for(kernel: str) -> tuple[str, ...]:
     """Registered variant names for *kernel* (standard grid order first)."""
     table = _registry().get(kernel)
@@ -252,14 +248,15 @@ MATRIX_EXTRA_TILES = (16, 32)
 def registry_build_matrix() -> tuple[tuple[str, str, int | None], ...]:
     """Every (kernel, variant, tile) build point of the full registry.
 
-    All recipes at the default tile, plus each ``tiled``/``tiled_sunk``
-    recipe at :data:`MATRIX_EXTRA_TILES`.
+    All recipes at the default tile, plus each recipe that takes the
+    sweep tile (:attr:`~repro.pipeline.recipe.VariantRecipe.takes_tile`)
+    at :data:`MATRIX_EXTRA_TILES`.
     """
     points: list[tuple[str, str, int | None]] = [
         (r.kernel, r.variant, None) for r in all_recipes()
     ]
     for r in all_recipes():
-        if r.variant in ("tiled", "tiled_sunk"):
+        if r.takes_tile:
             for t in MATRIX_EXTRA_TILES:
                 points.append((r.kernel, r.variant, t))
     return tuple(points)

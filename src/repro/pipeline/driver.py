@@ -30,14 +30,13 @@ from repro.ir.expr import Expr
 from repro.ir.program import Program
 from repro.machine.configs import MachineConfig, octane2_scaled
 from repro.tilesize.pdat import pdat_tile
+from repro.trans import splitting
 from repro.trans.autofuse import auto_fuse
-from repro.trans.cleanup import propagate_guard_facts, scalarize_arrays
+from repro.trans.cleanup import scalarize_arrays
 from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding, fuse_siblings
 from repro.trans.legality import fully_permutable
-from repro.trans.splitting import split_point_guards
 from repro.trans.tiling import tile_program
-from repro.trans.unswitch import unswitch_invariant_guards
 
 #: An input factory: params -> {array name: ndarray}.
 InputFactory = Callable[[Mapping[str, int]], Mapping[str, np.ndarray]]
@@ -170,11 +169,7 @@ def optimize_program(
                     name=f"{program.name}_tiled",
                 )
                 if undo_sinking:
-                    candidate = split_point_guards(
-                        propagate_guard_facts(
-                            unswitch_invariant_guards(candidate)
-                        )
-                    )
+                    candidate = splitting.undo_sinking(candidate)
                 if proven:
                     notes.append(
                         f"tiling proven legal (fully permutable), tile {chosen_tile}"

@@ -194,11 +194,12 @@ class ToProgram(Pass):
 @dataclass(frozen=True)
 class FixDeps(Pass):
     """Repair every fusion-preventing dependence (paper Sec. 3) and emit
-    the fixed program. Declared ``restore``."""
+    the fixed program. Declared ``restore``. ``widen_copies=False`` keeps
+    ElimRW's exact violating-write guards (the copy-widening ablation)."""
 
     rename: str | None = None
     value_ranges: Mapping[str, Any] | None = None
-    simplify_copies: bool = True
+    widen_copies: bool = True
     semantics = RESTORE
 
     def describe(self) -> dict[str, Any]:
@@ -212,7 +213,7 @@ class FixDeps(Pass):
             "pass": self.name,
             "rename": self.rename,
             "value_ranges": ranges,
-            "simplify_copies": self.simplify_copies,
+            "widen_copies": self.widen_copies,
         }
 
     def apply(self, value, ctx: PassContext) -> Program:
@@ -222,7 +223,7 @@ class FixDeps(Pass):
         report = fix_dependences(
             nest,
             value_ranges=self.value_ranges,
-            simplify_copies=self.simplify_copies,
+            widen_copies=self.widen_copies,
         )
         program = report.program(self.rename)
         object.__setattr__(self, "_last_report", report)
@@ -380,11 +381,6 @@ class UndoSinking(Pass):
     semantics = PRESERVE
 
     def apply(self, value, ctx: PassContext) -> Program:
-        from repro.trans.cleanup import propagate_guard_facts
-        from repro.trans.splitting import split_point_guards
-        from repro.trans.unswitch import unswitch_invariant_guards
+        from repro.trans.splitting import undo_sinking
 
-        program = _expect_program(value, self.name)
-        return split_point_guards(
-            propagate_guard_facts(unswitch_invariant_guards(program))
-        )
+        return undo_sinking(_expect_program(value, self.name))

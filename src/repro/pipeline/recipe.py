@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.ir.program import Program
-from repro.pipeline.passes import Pass
+from repro.pipeline.passes import TILE, Pass, Tile
 
 
 def stable_hash(data: Any, *, length: int = 16) -> str:
@@ -51,6 +51,14 @@ class VariantRecipe:
     def name(self) -> str:
         """``kernel/variant`` display name."""
         return f"{self.kernel}/{self.variant}"
+
+    @property
+    def takes_tile(self) -> bool:
+        """Whether a :class:`Tile` pass reads the :data:`TILE` placeholder,
+        i.e. whether the sweep's tile policy decides this recipe's build."""
+        return any(
+            isinstance(p, Tile) and TILE in p.sizes.values() for p in self.passes
+        )
 
 
 def program_fingerprint(program: Program) -> str:

@@ -38,10 +38,14 @@ def fix_dependences(
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
-    simplify_copies: bool = True,
+    widen_copies: bool = True,
     verify: bool = True,
 ) -> FixDepsReport:
     """Eliminate every fusion-preventing dependence of *nest*.
+
+    ``widen_copies`` is :func:`~repro.trans.elim_rw.eliminate_rw`'s: copy
+    at every instance of a violating write (default) or only at the
+    exactly-violating ones.
 
     With ``verify`` (default), the final nest is re-analysed and must be
     free of violations of any kind — the mechanical counterpart of the
@@ -52,7 +56,8 @@ def fix_dependences(
         nest, value_ranges=value_ranges, param_lo=param_lo, verify=verify
     )
     rw = eliminate_rw(
-        ww.nest, value_ranges=value_ranges, param_lo=param_lo, simplify=simplify_copies
+        ww.nest, value_ranges=value_ranges, param_lo=param_lo,
+        widen_copies=widen_copies,
     )
     if verify:
         remaining = violated_dependences(

@@ -167,3 +167,15 @@ def split_point_guards(program: Program) -> Program:
     for s in program.body:
         body.extend(rec_stmt(s, []))
     return program.with_body(tuple(body))
+
+
+def undo_sinking(program: Program) -> Program:
+    """Paper Sec. 4: "the effect of code sinking is undone as much as
+    possible" — unswitch invariant guards, propagate guard facts, then
+    split the per-point guards out of the loops."""
+    from repro.trans.cleanup import propagate_guard_facts
+    from repro.trans.unswitch import unswitch_invariant_guards
+
+    return split_point_guards(
+        propagate_guard_facts(unswitch_invariant_guards(program))
+    )

@@ -46,6 +46,15 @@ class TestCLI:
         text = run_cli("jacobi")
         assert "Jacobi in-text statistics" in text
 
+    def test_ablations_tiny(self):
+        text = run_cli("ablations")
+        for title in (
+            "tile-size policy", "Jacobi skewing", "ElimRW copy widening",
+            "cache associativity", "undoing code sinking (N = 12)",
+        ):
+            assert f"Ablation — {title}" in text
+        assert "exact    12" in text
+
     def test_output_dir(self, tmp_path):
         text = run_cli("table1", "--output", str(tmp_path))
         assert (tmp_path / "figure5.csv").exists()

@@ -11,6 +11,7 @@ import pytest
 from repro.errors import ExecutionError, ReproError
 from repro.experiments import figure5, runner
 from repro.experiments.sweep import default_config, resolve_jobs
+from repro.kernels.registry import get_recipe
 
 
 def _config(sizes=(8,)):
@@ -125,8 +126,8 @@ class TestMeasurePoints:
         runner.clear_caches()
         real = runner.measure_variant("cholesky", "seq", 8, config)
         sentinel = replace(real.report, total_cycles=12345.0)
-        program, _, recipe = runner.build_program("cholesky", "seq")
-        key = runner._point_key("cholesky", "seq", 8, config, None, program, recipe)
+        recipe = get_recipe("cholesky", "seq")
+        *_, key = runner._point(recipe, 8, config, None)
         runner._store_cached(key, sentinel)
         runner.clear_caches()  # workers must go to disk, not inherit memos
         results = runner.measure_points(

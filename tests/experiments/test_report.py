@@ -1,5 +1,6 @@
 """Tests for the report writer."""
 
+from repro.experiments import ablations
 from repro.experiments.report import write_all
 from repro.experiments.sweep import SweepConfig
 from repro.machine.configs import octane2_scaled
@@ -11,7 +12,7 @@ def test_write_all_artifacts(tmp_path):
     )
     written = write_all(tmp_path, config)
     assert set(written) == {
-        "figure5", "figure678", "table1", "jacobi_stats", "pipeline"
+        "figure5", "figure678", "table1", "jacobi_stats", "ablations", "pipeline"
     }
     for path in written.values():
         assert path.exists() and path.read_text().strip()
@@ -24,5 +25,8 @@ def test_write_all_artifacts(tmp_path):
     pipeline_md = (tmp_path / "pipeline.md").read_text()
     assert "ms total" in pipeline_md and "FixDeps" in pipeline_md
     assert "seconds" in (tmp_path / "pipeline.csv").read_text().splitlines()[0]
+    # the ablations file is exactly what the CLI target prints
+    ablations_md = (tmp_path / "ablations.md").read_text()
+    assert ablations_md == ablations.main(config) + "\n"
     # provenance
     assert "octane2-scaled" in (tmp_path / "config.md").read_text()

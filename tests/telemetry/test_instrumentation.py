@@ -11,6 +11,7 @@ from repro.exec.compiled import CompiledProgram
 from repro.experiments import runner
 from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
+from repro.kernels.registry import get_recipe
 from repro.ir.program import ArrayDecl, Program
 from repro.machine.perfcounters import PerfReport
 
@@ -183,8 +184,8 @@ class TestSweepCounters:
 
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        program, _, recipe = runner.build_program("lu", "seq")
-        key = runner._point_key("lu", "seq", 8, config, None, program, recipe)
+        recipe = get_recipe("lu", "seq")
+        *_, key = runner._point(recipe, 8, config, None)
         path = tmp_path / f"{key}.json"
         path.write_text(json.dumps(cold.as_dict())[:40])
         runner.clear_caches()

@@ -92,11 +92,12 @@ class TestSplitPointGuards:
     def test_branch_counts_drop_dramatically(self):
         from repro.exec.compiled import run_compiled as rc
         from repro.kernels import cholesky
+        from repro.kernels.recipes import build_variant
 
         n = 32
         p = {"N": n}
         inputs = cholesky.make_inputs(p)
-        sunk = rc(cholesky.tiled(8, undo_sinking=False), p, inputs).counters
+        sunk = rc(build_variant("cholesky", "tiled_sunk", tile=8), p, inputs).counters
         clean = rc(cholesky.tiled(8), p, inputs).counters
         assert clean.branches < sunk.branches / 5
 
