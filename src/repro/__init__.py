@@ -5,7 +5,7 @@ Tiling for Cache Performance by Fixing Fusion-Preventing Data Dependences"
 Layer map (bottom-up):
 
 - :mod:`repro.poly` — exact integer polyhedra (FM elimination, integer
-  feasibility, parametric lexmin/max): the isl/Omega/PIP substitute;
+  feasibility): the isl/Omega substitute;
 - :mod:`repro.ir` — FORTRAN-like loop-nest IR with a builder eDSL,
   pretty-printer and affine bridges;
 - :mod:`repro.frontend` — a mini-Fortran text frontend for the IR;

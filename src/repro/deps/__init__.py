@@ -9,13 +9,12 @@ rounds of ``ElimWW_WR`` see the effect of earlier tiling.
 
 from repro.deps.access import Reference, extract_references
 from repro.deps.fusionpreventing import Violation, violated_dependences
-from repro.deps.distances import DistanceReport, dependence_distances
+from repro.deps.distances import collapse_dims
 
 __all__ = [
     "Reference",
     "extract_references",
     "Violation",
     "violated_dependences",
-    "DistanceReport",
-    "dependence_distances",
+    "collapse_dims",
 ]

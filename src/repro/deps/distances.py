@@ -1,45 +1,26 @@
-"""Dependence distance bounds ``d_i`` (paper Fig. 2, lines 19–24).
+"""The collapse set of one ``ElimWW_WR`` round (paper Fig. 2, lines 19–24).
 
-For the violated set ``W(k)`` of a group, ``d_i`` bounds how far (in fused
-dimension ``i``) a violating sink instance can precede its source::
+The paper computes the distance bounds ``d_i`` of the violated set ``W(k)``
+to pick tile sizes ``T_i > d_i``. This reproduction tiles with full extents
+instead (the paper's own choice for LU and QR), so no ``d_i`` value is ever
+read: only the set ``{ i : d_i > 0 }`` matters, the fused dimensions in
+which some violating sink instance precedes its source::
 
-    d_i = max{ exec_src_i(I) - exec_dst_i(I') | (I, I') in W(k) }
+    exec_src_i(I) - exec_dst_i(I') >= 1   for some (I, I') in W(k)
 
 (the paper writes ``I_i - I'_i``; we use execution coordinates so earlier
-collapsing rounds are taken into account). The collapse set of the tiling
-step is ``{ i : d_i > 0 }`` — every dimension that carries a violation.
+collapsing rounds are taken into account), decided by integer feasibility.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.deps.fusionpreventing import Violation
 from repro.poly.constraint import ge0
 from repro.poly.integer import integer_feasible
 from repro.poly.linexpr import LinExpr
-from repro.poly.optimize import parametric_max
-from repro.symbolic.terms import SymExpr, sym_const, sym_max
 from repro.trans.model import FusedNest, primed
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    """Per-dimension distance information for one group's violations."""
-
-    #: fused variable order
-    fused_vars: tuple[str, ...]
-    #: symbolic d_i per fused dimension (paper's convention: max of the
-    #: empty set is 0)
-    distances: tuple[SymExpr, ...]
-    #: dimensions (names) proven able to carry a violation (d_i > 0 for
-    #: some parameter values)
-    positive: frozenset[str]
-
-    def collapse_dims(self) -> tuple[str, ...]:
-        """Dimensions to collapse, in fused order."""
-        return tuple(v for v in self.fused_vars if v in self.positive)
 
 
 def _distance_objective(
@@ -53,30 +34,24 @@ def _distance_objective(
     return e_src - e_dst
 
 
-def dependence_distances(
+def collapse_dims(
     nest: FusedNest,
     violations: Sequence[Violation],
     *,
     param_lo: int | Mapping[str, int] = 4,
-) -> DistanceReport:
-    """Compute ``d_i`` and the positive-distance dimension set."""
-    fused = nest.fused_vars
-    distances: list[SymExpr] = []
-    positive: set[str] = set()
-    for var in fused:
-        per_violation: list[SymExpr] = []
-        for v in violations:
-            objective = _distance_objective(nest, v, var)
-            m = parametric_max(v.poly, objective)
-            if m is not None:
-                per_violation.append(m)
-            # Positivity: does some instance have distance >= 1?
-            carried = v.poly.with_constraints([ge0(objective - 1)])
-            if integer_feasible(carried, param_lo=param_lo):
-                positive.add(var)
-        distances.append(sym_max(per_violation) if per_violation else sym_const(0))
-    return DistanceReport(
-        fused_vars=fused,
-        distances=tuple(distances),
-        positive=frozenset(positive),
+) -> tuple[str, ...]:
+    """Fused dimensions (in fused order) in which some violation has a
+    distance >= 1."""
+    return tuple(
+        var
+        for var in nest.fused_vars
+        if any(
+            integer_feasible(
+                v.poly.with_constraints(
+                    [ge0(_distance_objective(nest, v, var) - 1)]
+                ),
+                param_lo=param_lo,
+            )
+            for v in violations
+        )
     )

@@ -35,12 +35,12 @@ class PolyhedronError(ReproError):
 
 
 class UnboundedError(PolyhedronError):
-    """An optimisation over a polyhedron is unbounded."""
+    """Enumeration met a variable with no lower or no upper bound."""
 
 
 class CaseSplitError(PolyhedronError):
-    """A parametric solution would require a case split the solver does not
-    perform; callers should fall back to enumeration or refine constraints."""
+    """An integer-exact elimination (``require_exact``) met a non-unit
+    coefficient, so the rational shadow may contain non-integer points."""
 
 
 class DependenceError(ReproError):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.experiments.runner import measure_variant
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels.registry import KERNELS
+from repro.machine.configs import MachineConfig
 from repro.utils.tables import render_table
 
 
@@ -57,11 +58,12 @@ def generate(config: SweepConfig | None = None) -> list[Crossover]:
     return [find_crossover(k, config) for k in KERNELS]
 
 
-def render(results: list[Crossover]) -> str:
-    """Text table with the break-even sizes in L2-fill units."""
+def render(results: list[Crossover], machine: MachineConfig) -> str:
+    """Text table with the break-even sizes in units of *machine*'s
+    L2-fill order."""
+    fill = machine.l2_fill_order()
     rows = []
     for r in results:
-        fill = 64  # scaled L2-fill order
         rows.append(
             [
                 r.kernel,
@@ -79,4 +81,5 @@ def render(results: list[Crossover]) -> str:
 
 def main(config: SweepConfig | None = None) -> str:
     """Generate and render."""
-    return render(generate(config))
+    config = config or default_config()
+    return render(generate(config), config.machine)

@@ -35,7 +35,8 @@ from repro.trans.autofuse import auto_fuse
 from repro.trans.cleanup import scalarize_arrays
 from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding, fuse_siblings
-from repro.trans.legality import fully_permutable
+from repro.trans.legality import fully_permutable_under
+from repro.trans.skew import permutation_matrix
 from repro.trans.tiling import tile_program
 
 #: An input factory: params -> {array name: ndarray}.
@@ -146,8 +147,9 @@ def optimize_program(
     else:
         proven = False
         try:
-            proven = fully_permutable(
-                nest_stmt, value_ranges=value_ranges,
+            proven = fully_permutable_under(
+                nest_stmt, permutation_matrix(range(depth)), range(depth),
+                value_ranges=value_ranges,
                 scalars=frozenset(s.name for s in fixed.scalars),
             )
         except ReproError:

@@ -13,20 +13,17 @@ PIP functionality the paper's algorithm needs:
   unit-coefficient integer-exactness tracking.
 - :mod:`repro.poly.integer` — integer feasibility via substitution of
   equalities + bounded branch-and-bound search.
-- :mod:`repro.poly.optimize` — parametric max/min of an affine objective.
-- :mod:`repro.poly.lexmin` — parametric lexicographic minimum (PIP-lite) and
-  an exact enumeration fallback.
-- :mod:`repro.poly.enumerate` — integer-point enumeration oracles used by
-  tests and by non-parametric fallbacks.
+- :mod:`repro.poly.optimize` — proofs of affine inequalities over a
+  parameter domain (loop-bound domination).
+- :mod:`repro.poly.enumerate` — integer-point enumeration, the witness
+  search behind integer feasibility and the oracle used by tests.
 """
 
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import eliminate, project_onto
 from repro.poly.integer import find_integer_point, integer_feasible
-from repro.poly.lexmin import lexmin_enumerate, parametric_lexmin
 from repro.poly.linexpr import LinExpr
-from repro.poly.optimize import parametric_max, parametric_min
 from repro.poly.polyhedron import Polyhedron
 
 __all__ = [
@@ -39,9 +36,5 @@ __all__ = [
     "project_onto",
     "integer_feasible",
     "find_integer_point",
-    "parametric_max",
-    "parametric_min",
-    "parametric_lexmin",
-    "lexmin_enumerate",
     "enumerate_points",
 ]

@@ -1,9 +1,9 @@
 """Integer-point enumeration over polyhedra with concrete parameters.
 
 Enumeration is the ground-truth oracle for the symbolic solvers: tests check
-Fourier–Motzkin projections, feasibility answers, parametric maxima and
-lexmins against brute force on small instances. It is also the runtime
-fallback whenever a parametric solve would need a case split.
+Fourier–Motzkin projections and feasibility answers against brute force on
+small instances. It is also how integer feasibility finds a witness point
+once every parameter is concrete.
 
 Points are yielded in lexicographic order of the polyhedron's dimension
 tuple, which makes ``next(iter(...))`` the lexicographic minimum.
@@ -12,7 +12,6 @@ tuple, which makes ``next(iter(...))`` the lexicographic minimum.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Iterator, Mapping
 
 from repro.errors import UnboundedError
@@ -104,17 +103,3 @@ def count_points(poly: Polyhedron, param_env: Mapping[str, Coef] | None = None) 
     """Number of integer points (brute force)."""
     return sum(1 for _ in enumerate_points(poly, param_env))
 
-
-def max_objective_enumerate(
-    poly: Polyhedron,
-    objective,
-    param_env: Mapping[str, Coef] | None = None,
-) -> Fraction | None:
-    """Brute-force maximum of an affine *objective* (None when empty)."""
-    best: Fraction | None = None
-    env = dict(param_env or {})
-    for point in enumerate_points(poly, param_env):
-        value = objective.evaluate({**env, **point})
-        if best is None or value > best:
-            best = value
-    return best

@@ -1,7 +1,7 @@
 """Process-wide memoisation for the exact polyhedral engine.
 
 Every expensive polyhedral operation (Fourier–Motzkin elimination and
-projection, rational emptiness, integer feasibility, parametric lexmin)
+projection, rational emptiness, integer feasibility, bound domination)
 is a pure function of immutable inputs, so its result can be keyed by the
 inputs' structural fingerprints and reused through one capped in-process
 LRU memo (65536 entries), shared by all operations and cleared
@@ -10,10 +10,10 @@ sweep-pool workers start from a clean slate). Nothing is persisted: a
 cold 43-program registry build takes about a second, so an on-disk layer
 would save nothing measurable and could replay answers from older code.
 
-Negative results are cached too: a ``CaseSplitError`` raised by the
-parametric solver is as expensive to rediscover as a solution, and
-``lexmin_with_fallback`` branches on it, so cached errors re-raise with
-the original message.
+Negative results are cached too: a deterministic failure (an FM blow-up,
+an inexact elimination under ``require_exact``) is as expensive to
+rediscover as a solution, so cached errors re-raise with the original
+message.
 
 The memo has no off switch. Its oracle lives in tests
 (``tests/poly/memo_oracle.py``): it replaces :func:`memoize` with a plain

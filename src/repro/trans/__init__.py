@@ -37,13 +37,7 @@ _EXPORTS = {
     "propagate_guard_facts": ("repro.trans.cleanup", "propagate_guard_facts"),
     "scalarize_arrays": ("repro.trans.cleanup", "scalarize_arrays"),
     "distribute_loop": ("repro.trans.distribution", "distribute_loop"),
-    "try_fuse_adjacent": ("repro.trans.fuse_direct", "try_fuse_adjacent"),
-    "fuse_all_legal": ("repro.trans.fuse_direct", "fuse_all_legal"),
     "expand_scalar": ("repro.trans.expand", "expand_scalar"),
-    "unroll_program": ("repro.trans.unroll", "unroll_program"),
-    "unroll_and_jam_program": ("repro.trans.unroll", "unroll_and_jam_program"),
-    "permutation_legal": ("repro.trans.legality", "permutation_legal"),
-    "fully_permutable": ("repro.trans.legality", "fully_permutable"),
     "fully_permutable_under": ("repro.trans.legality", "fully_permutable_under"),
 }
 

@@ -4,14 +4,12 @@
   lives only within one iteration of the surrounding nest by a scalar
   (the paper eliminates Jacobi's ``L`` this way: "L(j,i) can be replaced by
   a scalar").
-- :func:`simplify_trivial_guards` removes ``if (0 .EQ. 0)``-style guards
-  that upstream passes may generate.
 """
 
 from __future__ import annotations
 
 from repro.errors import TransformError
-from repro.ir.expr import ArrayRef, Cmp, Const, Expr, VarRef, map_expr, walk_expr
+from repro.ir.expr import ArrayRef, Cmp, Expr, VarRef, map_expr, walk_expr
 from repro.ir.program import Program, ScalarDecl
 from repro.ir.stmt import Assign, If, Loop, Stmt, map_stmt_exprs, walk_stmts
 
@@ -191,34 +189,3 @@ def propagate_guard_facts(program: Program) -> Program:
 
     return program.with_body(tuple(rec(program.body, frozenset(), frozenset())))
 
-
-def _is_trivially_true(cond: Expr) -> bool:
-    return (
-        isinstance(cond, Cmp)
-        and cond.op == "=="
-        and isinstance(cond.lhs, Const)
-        and isinstance(cond.rhs, Const)
-        and cond.lhs.value == cond.rhs.value
-    )
-
-
-def simplify_trivial_guards(program: Program) -> Program:
-    """Inline the bodies of guards whose condition is a constant truth."""
-
-    def simp(stmts: tuple[Stmt, ...]) -> tuple[Stmt, ...]:
-        out: list[Stmt] = []
-        for s in stmts:
-            if isinstance(s, If):
-                then = simp(s.then)
-                orelse = simp(s.orelse)
-                if _is_trivially_true(s.cond):
-                    out.extend(then)
-                else:
-                    out.append(If(s.cond, then, orelse))
-            elif isinstance(s, Loop):
-                out.append(Loop(s.var, s.lower, s.upper, simp(s.body), s.step))
-            else:
-                out.append(s)
-        return tuple(out)
-
-    return program.with_body(simp(program.body))

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.deps.access import ValueRange
-from repro.deps.distances import DistanceReport, dependence_distances
+from repro.deps.distances import collapse_dims
 from repro.deps.fusionpreventing import Violation, violated_dependences
 from repro.errors import TransformError
 from repro.trans.model import FusedNest
@@ -30,7 +30,6 @@ class TilingRound:
 
     group: int
     violations: tuple[Violation, ...]
-    distances: DistanceReport | None
     collapsed_dims: tuple[str, ...]
 
 
@@ -66,10 +65,9 @@ def eliminate_ww_wr(
             param_lo=param_lo,
         )
         if not violations:
-            rounds.append(TilingRound(groups[k - 1].index, (), None, ()))
+            rounds.append(TilingRound(groups[k - 1].index, (), ()))
             continue
-        report = dependence_distances(current, violations, param_lo=param_lo)
-        dims = report.collapse_dims()
+        dims = collapse_dims(current, violations, param_lo=param_lo)
         if not dims:
             raise TransformError(
                 f"group {groups[k - 1].index}: violations found "
@@ -80,7 +78,7 @@ def eliminate_ww_wr(
         groups[k - 1] = groups[k - 1].with_collapsed(origins)
         current = current.with_groups(tuple(groups))
         rounds.append(
-            TilingRound(groups[k - 1].index, tuple(violations), report, dims)
+            TilingRound(groups[k - 1].index, tuple(violations), dims)
         )
         if verify:
             remaining = violated_dependences(

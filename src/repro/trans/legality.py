@@ -1,17 +1,15 @@
-"""Legality proofs for loop reordering, from direction vectors.
+"""The legality proof for rectangular tiling: full permutability.
 
-Sound (conservative) checks used before the Sec.-4 tiling stage:
-
-- :func:`permutation_legal` — a loop permutation preserves semantics iff
-  every plausible dependence vector stays lexicographically non-negative
-  after permutation (all-zero vectors are loop-independent and keep their
-  statement order);
-- :func:`fully_permutable` — a nest can be rectangularly tiled (any band
-  interleaving of strip-mined loops) iff no dependence has a negative
-  component in any band dimension;
-- :func:`skewed_directions` — dependence vectors under a unimodular map,
-  so skewing choices (Jacobi's time skew) can be *proven* to make a band
-  permutable rather than just tested by execution.
+A band of loops can be rectangularly tiled (any interleaving of its
+strip-mined loops) iff it is *fully permutable*: no dependence has a
+negative distance in any band dimension. :func:`fully_permutable_under`
+decides this exactly on the dependence polyhedra after a unimodular map
+(the identity for the nest as written), so skewing choices (Jacobi's and
+Gauss–Seidel's time skews) are *proven* to make a band permutable rather
+than just tested by execution. A one-row band ``[0]`` under a loop
+permutation is the outermost-level half of permutation legality: on an
+affine nest, ``False`` there means the permuted nest runs some dependence
+backwards.
 
 A ``False`` answer means "not proven", not "illegal" — callers (LU, whose
 pivot machinery is non-affine) fall back to execution validation.
@@ -19,108 +17,32 @@ pivot machinery is non-affine) fall back to execution validation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Mapping, Sequence
 
 from repro.deps.access import ValueRange
-from repro.deps.selfdeps import SelfDependence, self_dependences
+from repro.deps.selfdeps import self_dependences
 from repro.errors import TransformError
 from repro.ir.stmt import Stmt
-
-#: Numeric stand-ins for provable signs ('<' = +1: sink later).
-_SIGN = {"<": 1, "=": 0, ">": -1}
-
-
-def plausible_vectors(dep: SelfDependence) -> list[tuple[int, ...]]:
-    """All sign combinations consistent with the per-level summary that are
-    lexicographically non-negative in the original order (negative ones
-    cannot correspond to real source-before-sink instances)."""
-    pools = [[_SIGN[s] for s in sorted(level)] for level in dep.directions]
-    out = []
-    for combo in itertools.product(*pools):
-        # lexicographically non-negative?
-        for c in combo:
-            if c > 0:
-                out.append(combo)
-                break
-            if c < 0:
-                break
-        else:
-            out.append(combo)  # all zero: loop-independent
-    return out
+from repro.poly.constraint import ge0
+from repro.poly.integer import check_feasibility
 
 
-def permutation_legal(
+def fully_permutable_under(
     stmt: Stmt,
-    order: Sequence[int],
-    *,
-    scalars: frozenset[str] = frozenset(),
-    value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
-) -> bool:
-    """Prove that permuting the nest's loops by *order* (0-based: new level
-    ``r`` is old level ``order[r]``) preserves every dependence."""
-    deps = self_dependences(
-        stmt, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
-    depth = len(deps[0].loop_vars) if deps else None
-    if depth is None:
-        return True
-    if sorted(order) != list(range(depth)):
-        raise TransformError(f"{order} is not a permutation of 0..{depth - 1}")
-    for dep in deps:
-        for vec in plausible_vectors(dep):
-            permuted = tuple(vec[order[r]] for r in range(depth))
-            if not _lex_nonneg(permuted):
-                return False
-    return True
-
-
-def fully_permutable(
-    stmt: Stmt,
+    U: Sequence[Sequence[int]],
     band: Sequence[int] | None = None,
     *,
     scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
 ) -> bool:
-    """Prove the band (default: all loops) is fully permutable — the
-    rectangular-tiling legality condition."""
-    deps = self_dependences(
-        stmt, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
-    if not deps:
-        return True
-    depth = len(deps[0].loop_vars)
-    levels = list(band) if band is not None else list(range(depth))
-    for dep in deps:
-        for vec in plausible_vectors(dep):
-            if any(vec[l] < 0 for l in levels):
-                return False
-    return True
+    """Prove that after the unimodular map ``u = U @ x`` the *band* of
+    transformed dimensions (default: all) is fully permutable.
 
-
-def fully_permutable_under(
-    stmt: Stmt,
-    U: Sequence[Sequence[int]],
-    *,
-    scalars: frozenset[str] = frozenset(),
-    value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
-) -> bool:
-    """Exact check: after the unimodular map ``u = U @ x`` is the whole
-    nest fully permutable (hence rectangularly tileable)?
-
-    Works on the dependence *polyhedra* (no direction-vector summarising):
-    for each dependence component and each transformed dimension ``r``,
-    the set of instances with ``(U @ (sink - source))_r <= -1`` must be
+    For each dependence component polyhedron and each band row ``r``, the
+    set of instances with ``(U @ (sink - source))_r <= -1`` must be
     infeasible.
-
-    Proves the paper's Jacobi treatment: skewing both space loops by time
-    and moving time innermost makes the fused stencil fully permutable.
     """
-    from repro.poly.constraint import ge0
-
     deps = self_dependences(
         stmt, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
     )
@@ -129,11 +51,10 @@ def fully_permutable_under(
     depth = len(deps[0].loop_vars)
     if len(U) != depth or any(len(row) != depth for row in U):
         raise TransformError(f"U must be {depth}x{depth}")
-    from repro.poly.integer import check_feasibility
-
+    rows = [U[r] for r in band] if band is not None else list(U)
     for dep in deps:
         diffs = [dep.sink_minus_source(level) for level in range(depth)]
-        for row in U:
+        for row in rows:
             transformed = sum(
                 (diffs[c] * row[c] for c in range(depth) if row[c]),
                 start=diffs[0] * 0,
@@ -142,78 +63,4 @@ def fully_permutable_under(
                 probe = poly.with_constraints([ge0(-transformed - 1)])
                 if check_feasibility(probe, param_lo=param_lo).feasible:
                     return False
-    return True
-
-
-def permutation_legal_exact(
-    stmt: Stmt,
-    order: Sequence[int],
-    *,
-    scalars: frozenset[str] = frozenset(),
-    value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
-) -> bool:
-    """Exact permutation legality on the dependence polyhedra: every
-    component must keep a lexicographically non-negative distance in the
-    new loop order."""
-    from repro.poly.constraint import eq0, ge0
-    from repro.poly.integer import check_feasibility
-
-    deps = self_dependences(
-        stmt, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
-    if not deps:
-        return True
-    depth = len(deps[0].loop_vars)
-    if sorted(order) != list(range(depth)):
-        raise TransformError(f"{order} is not a permutation of 0..{depth - 1}")
-    for dep in deps:
-        diffs = [dep.sink_minus_source(level) for level in range(depth)]
-        for poly in dep.polys:
-            # Violation: permuted distance lexicographically negative —
-            # union over prefixes (= at earlier new levels, < at this one).
-            for upto in range(depth):
-                constraints = [
-                    eq0(diffs[order[r]]) for r in range(upto)
-                ] + [ge0(-diffs[order[upto]] - 1)]
-                probe = poly.with_constraints(constraints)
-                if check_feasibility(probe, param_lo=param_lo).feasible:
-                    return False
-    return True
-
-
-def skewed_directions(
-    dep_vectors: list[tuple[int, ...]], U: Sequence[Sequence[int]]
-) -> list[tuple[int, ...]]:
-    """Transform sign vectors by a unimodular map, conservatively.
-
-    Each input component is a *sign*; the transformed component's sign is
-    determined when every contributing term agrees (or is zero), else both
-    signs are possible and two vectors are emitted. Practical for the small
-    matrices used here.
-    """
-    out: set[tuple[int, ...]] = set()
-    for vec in dep_vectors:
-        per_row: list[list[int]] = []
-        for row in U:
-            terms = [row[c] * vec[c] for c in range(len(vec))]
-            if all(t == 0 for t in terms):
-                per_row.append([0])
-            elif all(t >= 0 for t in terms):
-                per_row.append([1] if any(t > 0 for t in terms) else [0])
-            elif all(t <= 0 for t in terms):
-                per_row.append([-1])
-            else:
-                per_row.append([-1, 0, 1])
-        for combo in itertools.product(*per_row):
-            out.add(combo)
-    return sorted(out)
-
-
-def _lex_nonneg(vec: tuple[int, ...]) -> bool:
-    for c in vec:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
     return True

@@ -1,6 +1,6 @@
-"""Unit tests for dependence distance bounds (d_i)."""
+"""Unit tests for the ElimWW_WR collapse set (dimensions with d_i > 0)."""
 
-from repro.deps.distances import dependence_distances
+from repro.deps.distances import collapse_dims
 from repro.deps.fusionpreventing import violated_dependences
 from repro.kernels import lu, qr
 
@@ -9,22 +9,12 @@ class TestQRDistances:
     def test_norm_violation_carried_by_k(self):
         nest = qr.fused_nest()
         vios = violated_dependences(nest, ("flow", "output"), src_group=2)
-        report = dependence_distances(nest, vios)
-        assert report.collapse_dims() == ("k",)
-
-    def test_distance_value_parametric(self):
-        nest = qr.fused_nest()
-        vios = violated_dependences(nest, ("flow", "output"), src_group=2)
-        report = dependence_distances(nest, vios)
-        d_k = dict(zip(report.fused_vars, report.distances))["k"]
-        # max over (i, k): k - i with k <= N and i >= 1  =>  N - 1
-        assert d_k.evaluate_int({"N": 9}) == 8
+        assert collapse_dims(nest, vios) == ("k",)
 
     def test_scale_violation_carried_by_j(self):
         nest = qr.fused_nest()
         vios = violated_dependences(nest, ("flow", "output"), src_group=6)
-        report = dependence_distances(nest, vios)
-        assert report.collapse_dims() == ("j",)
+        assert collapse_dims(nest, vios) == ("j",)
 
 
 class TestLUDistances:
@@ -33,11 +23,7 @@ class TestLUDistances:
         vios = violated_dependences(
             nest, ("flow", "output"), src_group=3, value_ranges=lu.VALUE_RANGES
         )
-        report = dependence_distances(nest, vios)
-        assert report.collapse_dims() == ("i",)
+        assert collapse_dims(nest, vios) == ("i",)
 
     def test_empty_violations_mean_no_collapse(self):
-        nest = lu.fused_nest()
-        report = dependence_distances(nest, [])
-        assert report.collapse_dims() == ()
-        assert all(d.evaluate_int({"N": 5}) == 0 for d in report.distances)
+        assert collapse_dims(lu.fused_nest(), []) == ()

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.experiments.costguide import TileChoice, choose_tile, choose_variant
-from repro.experiments.crossover import Crossover, find_crossover
+from repro.experiments.crossover import Crossover, find_crossover, render
 from repro.experiments.sweep import SweepConfig
-from repro.machine.configs import octane2_scaled
+from repro.machine.configs import octane2, octane2_scaled
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +62,13 @@ class TestCrossover:
         # LU's sunk-guard code does not break even below the L2 transition.
         result = find_crossover("lu", config, lo=16, hi=24, step=8)
         assert result.break_even_n is None
+
+    @pytest.mark.parametrize("machine,fills", [(octane2, 2.0), (octane2_scaled, 16.0)])
+    def test_l2_fill_column_follows_machine(self, machine, fills):
+        # N=1024 is twice the paper's 512 landmark and 16x the scaled 64.
+        result = Crossover("lu", 1024, ((1024, 1.1),))
+        row = next(
+            line for line in render([result], machine()).splitlines()
+            if line.lstrip().startswith("lu")
+        )
+        assert float(row.split()[2]) == fills

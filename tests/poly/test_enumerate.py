@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import UnboundedError
 from repro.poly.constraint import eq0, ge, le
-from repro.poly.enumerate import count_points, enumerate_points, max_objective_enumerate
+from repro.poly.enumerate import count_points, enumerate_points
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -50,10 +50,3 @@ class TestEnumerate:
         pts = [(p_["i"], p_["j"]) for p_ in enumerate_points(p, {})]
         assert pts == [(1, 1), (2, 2), (3, 3)]
 
-
-class TestMaxObjective:
-    def test_max_over_triangle(self):
-        assert max_objective_enumerate(triangle(), j - i, {"N": 6}) == 5
-
-    def test_empty_gives_none(self):
-        assert max_objective_enumerate(triangle(), j, {"N": 0}) is None

@@ -6,8 +6,8 @@ from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError, TransformError
 from repro.poly import memo
 from repro.poly.constraint import eq0, ge, le
-from repro.poly.fm import MAX_CONSTRAINTS, _prune, eliminate
-from repro.poly.lexmin import lexmin_with_fallback, parametric_lexmin
+from repro.poly.fm import MAX_CONSTRAINTS, _prune, eliminate, project_onto
+from repro.poly.integer import check_feasibility
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -106,45 +106,44 @@ class TestRequireExact:
         assert exact == loose
 
 
-class TestLexminFallback:
-    def test_empty_polyhedron_returns_none(self):
+class TestFMOutcomes:
+    """Empty sets, equality-only systems and non-unit eliminations, asserted
+    on projection and feasibility directly."""
+
+    def test_empty_polyhedron_projects_empty(self):
         p = Polyhedron(("i",), [ge(i, 1), le(i, 0)])
-        assert parametric_lexmin(p) is None
-        assert lexmin_with_fallback(p, param_env={"N": 5}) is None
+        assert project_onto(p, []).is_trivially_empty()
+        assert not check_feasibility(p).feasible
+        assert not check_feasibility(p, {"N": 5}).feasible
 
     def test_equality_only_system(self):
         p = Polyhedron(("i", "j"), [eq0(i - 3), eq0(j - i - 1)])
-        out = parametric_lexmin(p)
-        assert out == [LinExpr.const(3), LinExpr.const(4)]
+        assert project_onto(p, ["i"]).bounds_on("i") == (
+            [LinExpr.const(3)], [LinExpr.const(3)]
+        )
+        assert project_onto(p, ["j"]).bounds_on("j") == (
+            [LinExpr.const(4)], [LinExpr.const(4)]
+        )
+        assert check_feasibility(p).witness == {"i": 3, "j": 4}
 
     def test_parametric_equality_system(self):
         p = Polyhedron(("i",), [eq0(i - N)])
-        out = parametric_lexmin(p)
-        assert out == [N]
+        assert project_onto(p, ["i"]).bounds_on("i") == ([N], [N])
 
-    def test_nonunit_raises_case_split_without_env(self):
-        # 2i == N has no single affine integer lexmin over all N.
-        p = Polyhedron(("i",), [eq0(i * 2 - N), ge(i, 0)])
+    def test_nonunit_projection_raises_case_split(self):
+        # 2i == N has no integer-exact shadow over all N.
+        p = Polyhedron(("i", "j"), [eq0(i * 2 - N), ge(i, 0), eq0(j - i)])
         with pytest.raises(CaseSplitError):
-            lexmin_with_fallback(p)
+            project_onto(p, ["j"], require_exact=True)
 
-    def test_nonunit_falls_back_to_enumeration_with_env(self):
+    def test_nonunit_feasible_with_concrete_params(self):
         p = Polyhedron(("i",), [eq0(i * 2 - N), ge(i, 0)])
-        out = lexmin_with_fallback(p, param_env={"N": 8})
-        assert out == [LinExpr.const(4)]
+        assert check_feasibility(p, {"N": 8}).witness == {"i": 4}
 
-    def test_fallback_empty_under_env_returns_none(self):
+    def test_nonunit_infeasible_under_odd_param(self):
         # 2i == N is infeasible for odd N: enumeration finds nothing.
         p = Polyhedron(("i",), [eq0(i * 2 - N), ge(i, 0), le(i, N)])
-        assert lexmin_with_fallback(p, param_env={"N": 7}) is None
-
-    def test_fallback_results_cached_consistently(self):
-        # Same query twice: the memoised error and the memoised enumeration
-        # must reproduce the first answers exactly.
-        p = Polyhedron(("i",), [eq0(i * 2 - N), ge(i, 0)])
-        first = lexmin_with_fallback(p, param_env={"N": 8})
-        second = lexmin_with_fallback(p, param_env={"N": 8})
-        assert first == second == [LinExpr.const(4)]
+        assert not check_feasibility(p, {"N": 7}).feasible
 
 
 class TestLoopgenEdges:

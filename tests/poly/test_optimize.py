@@ -1,51 +1,11 @@
-"""Unit tests for parametric optimisation."""
+"""Unit tests for affine-inequality proofs."""
 
-import pytest
-
-from repro.errors import UnboundedError
-from repro.poly.constraint import ge, le
+from repro.poly.constraint import ge
 from repro.poly.linexpr import LinExpr
-from repro.poly.optimize import (
-    affine_ge,
-    parametric_max,
-    parametric_min,
-    unique_extreme_bound,
-)
+from repro.poly.optimize import affine_ge
 from repro.poly.polyhedron import Polyhedron
 
-i, j, N, M = (LinExpr.var(v) for v in ("i", "j", "N", "M"))
-
-
-def triangle():
-    return Polyhedron(("i", "j"), [ge(i, 1), le(i, N), ge(j, i), le(j, N)])
-
-
-class TestParametricMax:
-    def test_distance_objective(self):
-        m = parametric_max(triangle(), j - i)
-        assert m.evaluate_int({"N": 7}) == 6
-
-    def test_sum_objective(self):
-        m = parametric_max(triangle(), i + j)
-        assert m.evaluate_int({"N": 5}) == 10
-
-    def test_min_objective(self):
-        m = parametric_min(triangle(), i + j)
-        assert m.evaluate_int({"N": 5}) == 2
-
-    def test_empty_returns_none(self):
-        p = triangle().with_constraints([ge(i, N + 1)])
-        assert parametric_max(p, j) is None
-
-    def test_unbounded_raises(self):
-        p = Polyhedron(("i",), [ge(i, 0)])
-        with pytest.raises(UnboundedError):
-            parametric_max(p, i)
-
-    def test_two_params(self):
-        p = Polyhedron(("i",), [ge(i, M), le(i, N)])
-        m = parametric_max(p, i)
-        assert m.evaluate_int({"N": 9, "M": 2}) == 9
+N = LinExpr.var("N")
 
 
 class TestAffineGe:
@@ -65,17 +25,3 @@ class TestAffineGe:
     def test_identity(self):
         assert affine_ge(N, N)
 
-
-class TestUniqueExtremeBound:
-    def test_picks_dominating_lower(self):
-        dom = Polyhedron(("N",), [ge(N, 4)])
-        best = unique_extreme_bound([LinExpr.const(1), N - 1], lower=True, param_domain=dom)
-        assert best == N - 1
-
-    def test_picks_dominating_upper(self):
-        dom = Polyhedron(("N",), [ge(N, 4)])
-        best = unique_extreme_bound([N, N + 3], lower=False, param_domain=dom)
-        assert best == N
-
-    def test_incomparable_returns_none(self):
-        assert unique_extreme_bound([N, M], lower=True) is None

@@ -1,25 +1,18 @@
-"""Property-based tests: symbolic polyhedral results vs brute force.
+"""Property-based tests: polyhedral results vs brute force.
 
 Random small conjunctive systems are generated and every solver answer is
 checked against enumeration — the strongest guard we have on the
-FM/feasibility/optimisation stack that the dependence analysis trusts.
+FM/feasibility stack that the dependence analysis trusts.
 """
 
 from __future__ import annotations
 
-import math
-
 from hypothesis import given, strategies as st
 
-from repro.poly.constraint import ge, ge0, le
-from repro.poly.enumerate import (
-    count_points,
-    enumerate_points,
-    max_objective_enumerate,
-)
+from repro.poly.constraint import equals, ge, ge0, le
+from repro.poly.enumerate import count_points, enumerate_points
 from repro.poly.fm import project_onto
 from repro.poly.integer import integer_feasible, rationally_empty
-from repro.poly.lexmin import lexmin_enumerate
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -72,37 +65,23 @@ def test_projection_is_superset_and_rationally_tight(poly):
 
 
 @given(small_polyhedron())
-def test_lexmin_enumerate_is_minimal(poly):
-    first = lexmin_enumerate(poly, {})
+def test_enumeration_is_lexicographic(poly):
     pts = [tuple(p[v] for v in VARS) for p in enumerate_points(poly, {})]
-    if first is None:
-        assert not pts
-    else:
-        assert tuple(first[v] for v in VARS) == min(pts)
+    assert pts == sorted(set(pts))
 
 
 @given(small_polyhedron(), small_objective())
-def test_parametric_max_bounds_brute_force(poly, objective):
-    from repro.errors import UnboundedError
-    from repro.poly.optimize import parametric_max
-
-    brute = max_objective_enumerate(poly, objective, {})
-    try:
-        sym = parametric_max(poly, objective)
-    except UnboundedError:
+def test_objective_shadow_bounds_brute_force(poly, objective):
+    # Project onto t == objective: the shadow's upper bounds on t bound the
+    # integer maximum from above (FM gives the rational shadow).
+    widened = poly.with_variables(VARS + ("t",)).with_constraints(
+        [equals(LinExpr.var("t"), objective)]
+    )
+    _, uppers = project_onto(widened, ["t"]).bounds_on("t")
+    values = [objective.evaluate(p) for p in enumerate_points(poly, {})]
+    if not values or not uppers:
         return
-    if brute is None:
-        # Rational relaxation may be non-empty; nothing to compare.
-        return
-    assert sym is not None
-    # The rational maximum bounds the integer maximum from above.
-    value = sym.evaluate({})
-    assert value >= brute
-    # And is exact when integral.
-    if value == math.floor(value):
-        # For unit-coefficient-dominated random systems this is the common
-        # case; allow slack only when the rational optimum is fractional.
-        assert value >= brute
+    assert min(u.evaluate({}) for u in uppers) >= max(values)
 
 
 @given(small_polyhedron())

@@ -1,7 +1,6 @@
 """End-to-end tests of the optimisation driver."""
 
 import numpy as np
-import pytest
 
 from repro.ir import val
 from repro.ir.builder import assign, idx, loop, sym
@@ -34,6 +33,14 @@ def shift_scale() -> Program:
     )
 
 
+#: Audit trail of ``shift_scale`` optimised without validation inputs.
+UNVALIDATED_NOTES = [
+    "fused with derived boundary embeddings",
+    "ElimWW_WR collapsed dimensions: {1: ('i',)}",
+    "tiling proven legal (fully permutable), tile 11",
+]
+
+
 def inputs_for(params):
     rng = np.random.default_rng(11)
     return {"A": rng.uniform(-1, 1, params["N"]), "B": np.zeros(params["N"])}
@@ -48,17 +55,21 @@ class TestOptimizeProgram:
             validate_sizes=({"N": 10}, {"N": 17}),
         )
         assert result.fixdeps.ww_wr.collapsed_groups() == {1: ("i",)}
-        assert any("validated" in n for n in result.notes)
+        assert result.notes == [
+            "fused with derived boundary embeddings",
+            "ElimWW_WR collapsed dimensions: {1: ('i',)}",
+            "fixed program validated at [{'N': 10}, {'N': 17}]",
+            "tiling proven legal (fully permutable), tile 11",
+        ]
+        assert result.tile == 11 and result.tiled is not None
         assert result.best is not None
 
     def test_without_validation_tiling_gated_by_proof(self):
         result = optimize_program(shift_scale(), [("i", val(3), N - 2)])
-        # the collapsed sweep makes the nest non-trivially-dependent; the
-        # conservative proof declines, so tiling is skipped with a note.
-        if result.tiled is None:
-            assert any("tiling skipped" in n for n in result.notes)
-        else:
-            assert any("proven" in n for n in result.notes)
+        # without validation inputs, tiling happens only because the
+        # full-permutability proof succeeds on the fixed nest.
+        assert result.notes == UNVALIDATED_NOTES
+        assert result.tile == 11 and result.tiled is not None
 
     def test_jacobi_through_driver(self):
         from repro.kernels import jacobi
@@ -70,8 +81,16 @@ class TestOptimizeProgram:
             validate_inputs=lambda p: jacobi.make_inputs(p),
             validate_sizes=({"N": 9, "M": 3},),
         )
-        assert any("H_A" in n for n in result.notes)
-        assert any("scalarised" in n for n in result.notes)
+        # the fixed Jacobi nest is not fully permutable as it stands (its
+        # time loop needs the skew), so tiling is validated by execution.
+        assert result.notes == [
+            "fused with derived boundary embeddings",
+            "ElimRW introduced 'H_A' for 'A' (2 pre-copied, 0 guarded reads)",
+            "scalarised temporaries: ['L']",
+            "fixed program validated at [{'N': 9, 'M': 3}]",
+            "tiling validated by execution, tile 11",
+        ]
+        assert result.tile == 11 and result.tiled is not None
         # sanity: the driver's best program reproduces the reference
         from repro.exec import run_compiled
 
@@ -93,9 +112,16 @@ class TestOptimizeProgram:
             validate_inputs=lambda params: {"A": np.zeros(params["N"])},
             validate_sizes=({"N": 8},),
         )
-        assert any("changed nothing" in n for n in result.notes)
-        assert result.tiled is not None  # 1-D "tiling" = strip-mining, legal
+        assert result.notes == [
+            "fused with derived boundary embeddings",
+            "fusion already legal; FixDeps changed nothing",
+            "fixed program validated at [{'N': 8}]",
+            "tiling proven legal (fully permutable), tile 11",
+        ]
+        # 1-D "tiling" = strip-mining, legal
+        assert result.tile == 11 and result.tiled is not None
 
     def test_audit_trail_nonempty(self):
         result = optimize_program(shift_scale(), [("i", val(3), N - 2)])
-        assert len(result.notes) >= 2
+        assert result.notes == UNVALIDATED_NOTES
+        assert result.tile == 11 and result.tiled is not None

@@ -60,5 +60,5 @@ class TestGeneratedCode:
     def test_rounds_audit(self):
         out = eliminate_ww_wr(qr.fused_nest())
         touched = [r for r in out.rounds if r.collapsed_dims]
+        assert [r.group for r in touched] == [2, 6, 8]
         assert all(r.violations for r in touched)
-        assert all(r.distances is not None for r in touched)

@@ -9,19 +9,17 @@ These tests upgrade the tiled kernels from "validated by execution" to
   fully permutable;
 - LU: the pivot machinery is non-affine — the conservative analysis must
   *refuse* to prove it (execution validation covers LU).
+
+Every answer comes from the one check, :func:`fully_permutable_under`.
 """
 
 import pytest
 
 from repro.deps.selfdeps import self_dependences
 from repro.kernels import cholesky, jacobi, lu, qr
-from repro.trans.legality import (
-    fully_permutable,
-    fully_permutable_under,
-    permutation_legal,
-    permutation_legal_exact,
-    plausible_vectors,
-)
+from repro.poly.constraint import eq0, ge0
+from repro.poly.integer import integer_feasible
+from repro.trans.legality import fully_permutable_under
 from repro.trans.skew import matmul, permutation_matrix, skew_matrix
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
@@ -44,42 +42,61 @@ class TestSelfDependences:
         kinds = {d.kind for d in deps}
         assert kinds == {"flow", "anti", "output"}
 
-    def test_directions_are_lex_nonnegative(self, cholesky_nest):
+    def test_components_are_lex_nonnegative(self, cholesky_nest):
+        # No component holds an instance whose sink runs before its source.
         for dep in self_dependences(cholesky_nest):
-            for vec in plausible_vectors(dep):
-                # every plausible vector is lex >= 0 by construction
-                lead = next((c for c in vec if c != 0), 0)
-                assert lead >= 0
+            diffs = [dep.sink_minus_source(d) for d in range(3)]
+            for poly in dep.polys:
+                for level in range(3):
+                    earlier_equal = [eq0(diffs[d]) for d in range(level)]
+                    backwards = ge0(-diffs[level] - 1)
+                    probe = poly.with_constraints(earlier_equal + [backwards])
+                    assert not integer_feasible(probe)
 
     def test_jacobi_time_carried_dependence(self, jacobi_nest):
-        deps = self_dependences(jacobi_nest)
         # some dependence is carried by t with a negative space component —
         # the reason raw time tiling is illegal.
+        def carried_backwards(dep, poly):
+            t, i, j = (dep.sink_minus_source(d) for d in range(3))
+            return any(
+                integer_feasible(poly.with_constraints([ge0(t - 1), ge0(-s - 1)]))
+                for s in (i, j)
+            )
+
         assert any(
-            "<" in d.directions[0] and ">" in d.directions[1] | d.directions[2]
-            for d in deps
+            carried_backwards(d, p)
+            for d in self_dependences(jacobi_nest)
+            for p in d.polys
         )
 
 
 class TestCholesky:
     def test_interchange_j_k_proven(self, cholesky_nest):
-        assert permutation_legal_exact(cholesky_nest, (1, 0, 2))
-        assert permutation_legal(cholesky_nest, (1, 0, 2))
+        # fully permutable after the interchange, hence the interchange is legal
+        U = permutation_matrix((1, 0, 2))
+        assert fully_permutable_under(cholesky_nest, U)
 
     def test_fully_permutable(self, cholesky_nest):
-        assert fully_permutable(cholesky_nest)
         assert fully_permutable_under(cholesky_nest, IDENT3)
 
 
 class TestQR:
     def test_tiling_band_i_j_permutable(self):
         nest = qr.fixed().body[0]
-        assert fully_permutable(nest, band=[0, 1])
+        assert fully_permutable_under(nest, IDENT3, band=[0, 1])
+        # optimize_program's query (identity map, full band, the program's
+        # scalars) declines: k is not permutable with (i, j)
+        scalars = frozenset(s.name for s in qr.fixed().scalars)
+        assert not fully_permutable_under(
+            nest, IDENT3, band=[0, 1, 2], scalars=scalars
+        )
 
     def test_k_not_interchangeable_to_front(self):
         nest = qr.fixed().body[0]
-        # moving k outermost reverses the X flow dependences
-        assert not permutation_legal_exact(nest, (2, 0, 1))
+        # moving k outermost reverses the X flow dependences: the new
+        # outermost level alone carries a negative distance.
+        U = permutation_matrix((2, 0, 1))
+        assert not fully_permutable_under(nest, U, band=[0])
 
 
 class TestJacobi:
@@ -102,8 +119,10 @@ class TestLU:
     def test_conservative_analysis_declines(self):
         nest = lu.fixed().body[0]
         # With the fuzzy pivot row, the analysis must not *prove* the
-        # k-tiling band permutable — LU stays execution-validated.
-        assert not fully_permutable(
-            nest, band=[0, 1], value_ranges=lu.VALUE_RANGES,
-            scalars=frozenset({"temp", "m", "d"}),
-        )
+        # k-tiling band (nor optimize_program's full band) permutable — LU stays
+        # execution-validated.
+        for band in ([0, 1], [0, 1, 2]):
+            assert not fully_permutable_under(
+                nest, IDENT3, band=band, value_ranges=lu.VALUE_RANGES,
+                scalars=frozenset({"temp", "m", "d"}),
+            )

@@ -5,10 +5,10 @@ import pytest
 
 from repro.errors import TransformError
 from repro.exec import run_compiled
-from repro.ir.builder import assign, ceq, cne, idx, if_, loop, sym, val
+from repro.ir.builder import assign, ceq, cne, idx, if_, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.ir.stmt import If, Loop
-from repro.trans.cleanup import scalarize_arrays, simplify_trivial_guards
+from repro.trans.cleanup import scalarize_arrays
 from repro.trans.expand import expand_scalar
 from repro.trans.peel import peel_last, substitute_var
 from repro.trans.sinking import sink_guards
@@ -147,9 +147,3 @@ class TestCleanup:
         body = loop("i", 1, N, [assign(idx("A", i), 0.0)])
         p = Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (body,), outputs=("A",))
         assert scalarize_arrays(p, None) is p or scalarize_arrays(p, None).has_array("A")
-
-    def test_simplify_trivial_guards(self):
-        s = if_(ceq(val(0), val(0)), assign("x", 1))
-        p = Program("p", (), (), (ScalarDecl("x"),), (s,))
-        out = simplify_trivial_guards(p)
-        assert not isinstance(out.body[0], If)
