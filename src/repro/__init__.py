@@ -12,6 +12,8 @@ Layer map (bottom-up):
 - :mod:`repro.deps` — fusion-preventing dependence sets (paper Eq. 5–6);
 - :mod:`repro.trans` — fusion, FixDeps (ElimWW_WR + ElimRW), tiling,
   skewing, peeling, scalar expansion, cleanups;
+- :mod:`repro.pipeline` — variant recipes run pass by pass: the one
+  transformation pipeline;
 - :mod:`repro.exec` — the trace-emitting compiled executor;
 - :mod:`repro.machine` — the simulated SGI Octane2 (caches, branch
   predictor, register window, perfex-style cost model);
@@ -34,12 +36,4 @@ __version__ = "1.0.0"
 
 from repro.errors import ReproError
 
-
-def optimize_program(*args, **kwargs):
-    """Top-level driver; see :func:`repro.pipeline.optimize_program`."""
-    from repro.pipeline import optimize_program as _impl
-
-    return _impl(*args, **kwargs)
-
-
-__all__ = ["ReproError", "optimize_program", "__version__"]
+__all__ = ["ReproError", "__version__"]

@@ -9,8 +9,7 @@ This module computes, for a perfect nest with (possibly guarded) body, the
 dependences as polyhedra over (source iter, sink iter), one component per
 carrying loop level (plus the loop-independent one). Fuzzy subscripts and
 opaque guards widen the polyhedra conservatively, so a legality proof is
-sound; failure to prove means "unknown", and callers fall back to
-execution validation (LU's data-dependent swaps).
+sound; failure to prove means "unknown" (LU's data-dependent swaps).
 """
 
 from __future__ import annotations

@@ -3,14 +3,12 @@
 Targets: figure5, figure6, figure7, figure8, table1, jacobi, ablations,
 telemetry_report, all. Flags: ``--quick`` (4-point sweep), ``--full``
 (7-point scaled sweep), ``--telemetry DIR`` (write span/metric run
-artefacts; ``REPRO_TELEMETRY`` does the same), ``--diff BASE NEW``
-(directories for ``telemetry_report``).
+artefacts), ``--diff BASE NEW`` (directories for ``telemetry_report``).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro import telemetry
@@ -38,8 +36,7 @@ def main(argv: list[str] | None = None) -> int:
         "--telemetry",
         metavar="DIR",
         help="record spans/metrics and write trace.jsonl, metrics.json, "
-        "summary.txt, trace_chrome.json to DIR (REPRO_TELEMETRY=DIR "
-        "is equivalent)",
+        "summary.txt, trace_chrome.json to DIR",
     )
     parser.add_argument(
         "--diff",
@@ -50,8 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    telemetry_dir = args.telemetry or os.environ.get("REPRO_TELEMETRY")
-    if telemetry_dir:
+    if args.telemetry:
         telemetry.enable()
 
     quick = True if args.quick else (False if args.full else None)
@@ -109,8 +105,8 @@ def main(argv: list[str] | None = None) -> int:
 
         outputs.append(pipeline_report.main(config))
     print("\n\n".join(outputs))
-    if telemetry_dir:
-        for name, path in sorted(telemetry.write_run(telemetry_dir).items()):
+    if args.telemetry:
+        for name, path in sorted(telemetry.write_run(args.telemetry).items()):
             print(f"telemetry {name}: {path}")
     return 0
 

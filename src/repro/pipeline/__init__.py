@@ -1,19 +1,17 @@
-"""The pass-pipeline subsystem.
+"""The pass-pipeline subsystem: the one way a program gets transformed.
 
-Two entry levels:
-
-- :mod:`repro.pipeline.driver` — ``optimize_program``, the one-call
-  Figure-1-in / tiled-code-out driver (fuse → FixDeps → scalarise → tile →
-  un-sink), kept from the original flat module;
-- the declarative layer — :class:`Pass` implementations wrapping
-  :mod:`repro.trans` (:mod:`repro.pipeline.passes`),
-  :class:`VariantRecipe` + content fingerprints
-  (:mod:`repro.pipeline.recipe`), and :class:`PassManager` with per-pass
-  timing/size evidence (:mod:`repro.pipeline.manager`). The bundled
-  kernels' variants are recipes registered in :mod:`repro.kernels.recipes`.
+:class:`Pass` implementations wrap :mod:`repro.trans`
+(:mod:`repro.pipeline.passes`), :class:`VariantRecipe` + content
+fingerprints (:mod:`repro.pipeline.recipe`) name a variant as a pass
+sequence, and :class:`PassManager` runs it with per-pass timing/size
+evidence (:mod:`repro.pipeline.manager`). The bundled kernels' variants
+are recipes registered in :mod:`repro.kernels.recipes`; each tiled
+recipe carries its kernel's schedule (the paper's Sec. 4: plain tiling,
+or a skew + permutation for the stencils), so a tiling is legal because
+:func:`repro.trans.legality.fully_permutable_under` proves it or because
+the recipe's skew makes it so, never because a small run agreed.
 """
 
-from repro.pipeline.driver import OptimizationResult, optimize_program
 from repro.pipeline.manager import (
     IRStats,
     PassManager,
@@ -49,8 +47,6 @@ from repro.pipeline.recipe import (
 )
 
 __all__ = [
-    "OptimizationResult",
-    "optimize_program",
     "Pass",
     "PassContext",
     "PassManager",

@@ -13,17 +13,16 @@ about exporters or each other::
 
 **Disabled is free(ish):** with telemetry off (the default),
 :func:`span` returns a stack-allocated timer that records nothing, and
-:func:`counter` / :func:`gauge` / :func:`observe` return immediately.
+:func:`counter` / :func:`observe` return immediately.
 Instrumented code paths therefore stay bit-identical and within noise of
 their un-instrumented cost (the overhead benchmark in
 ``benchmarks/bench_machine.py`` bounds the *enabled* cost at <3% of
 producer throughput).
 
-**Enabling:** set ``REPRO_TELEMETRY=<dir>`` (the CLI's ``--telemetry``
-flag does the same) or call :func:`enable` programmatically (tests use
-the in-memory collector this way). :func:`write_run` exports one run's
-evidence as ``trace.jsonl`` + ``metrics.json`` + ``summary.txt`` +
-``trace_chrome.json``.
+**Enabling:** the CLI's ``--telemetry DIR`` flag, or call :func:`enable`
+programmatically (tests use the in-memory collector this way).
+:func:`write_run` exports one run's evidence as ``trace.jsonl`` +
+``metrics.json`` + ``summary.txt`` + ``trace_chrome.json``.
 
 **Cross-process merge:** sweep workers call :func:`export_state` and the
 parent :func:`absorb`\\ s it, so a parallel sweep yields one coherent
@@ -37,7 +36,6 @@ Every finished span also feeds a duration histogram named
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from pathlib import Path
@@ -61,7 +59,6 @@ __all__ = [
     "current_span",
     "nested",
     "counter",
-    "gauge",
     "observe",
     "counter_value",
     "snapshot",
@@ -87,9 +84,7 @@ def _on_span_finish(name: str, duration: float) -> None:
 
 _collector = SpanCollector(on_finish=_on_span_finish)
 
-#: Enabled at import when ``REPRO_TELEMETRY`` names an output directory,
-#: so plain library use (no CLI) is instrumentable from the environment.
-_enabled = bool(os.environ.get("REPRO_TELEMETRY"))
+_enabled = False
 
 
 def enabled() -> bool:
@@ -170,11 +165,6 @@ def spans() -> list[Span]:
 def counter(name: str, n: float = 1) -> None:
     if _enabled:
         _registry.counter_add(name, n)
-
-
-def gauge(name: str, value: float) -> None:
-    if _enabled:
-        _registry.gauge_set(name, value)
 
 
 def observe(name: str, value: float) -> None:

@@ -195,11 +195,6 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
     lines.append("")
     lines.extend(_counter_section("== other counters ==", other))
 
-    gauges = sorted(metrics.get("gauges", {}).items())
-    if gauges:
-        lines.append("")
-        lines.extend(_counter_section("== gauges ==", gauges))
-
     histograms = metrics.get("histograms", {})
     if histograms:
         lines.append("")

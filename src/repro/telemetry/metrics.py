@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, duration histograms.
+"""Metrics registry: counters and duration histograms.
 
 Snapshots are plain JSON-able dicts, and :func:`merge_snapshots` is
 **associative and commutative**, so per-worker snapshots from a parallel
@@ -6,8 +6,6 @@ sweep can be folded into the parent in any order (asserted by the
 telemetry test-suite):
 
 - counters add;
-- gauges keep the maximum (a deliberate choice: "high-water mark"
-  semantics is the only order-free merge for set-style metrics);
 - histograms add counts/totals per bucket and extremize min/max.
 
 Histogram buckets are powers of two (the bucket of value ``v`` is
@@ -89,21 +87,16 @@ class Histogram:
 
 
 class MetricsRegistry:
-    """Thread-safe named counters/gauges/histograms with snapshot export."""
+    """Thread-safe named counters/histograms with snapshot export."""
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
-        self._gauges: dict[str, float] = {}
         self._histograms: dict[str, Histogram] = {}
 
     def counter_add(self, name: str, n: float = 1) -> None:
         with self._lock:
             self._counters[name] = self._counters.get(name, 0) + n
-
-    def gauge_set(self, name: str, value: float) -> None:
-        with self._lock:
-            self._gauges[name] = value
 
     def observe(self, name: str, value: float) -> None:
         with self._lock:
@@ -118,11 +111,10 @@ class MetricsRegistry:
             return self._counters.get(name, 0)
 
     def snapshot(self) -> dict[str, Any]:
-        """JSON-able state: ``{"counters", "gauges", "histograms"}``."""
+        """JSON-able state: ``{"counters", "histograms"}``."""
         with self._lock:
             return {
                 "counters": dict(sorted(self._counters.items())),
-                "gauges": dict(sorted(self._gauges.items())),
                 "histograms": {
                     k: h.as_dict() for k, h in sorted(self._histograms.items())
                 },
@@ -134,8 +126,6 @@ class MetricsRegistry:
         with self._lock:
             for k, v in snap.get("counters", {}).items():
                 self._counters[k] = self._counters.get(k, 0) + v
-            for k, v in snap.get("gauges", {}).items():
-                self._gauges[k] = max(self._gauges.get(k, -math.inf), v)
             for k, d in snap.get("histograms", {}).items():
                 h = self._histograms.get(k)
                 if h is None:

@@ -26,7 +26,6 @@ _EXPORTS = {
     "StmtGroup": ("repro.trans.model", "StmtGroup"),
     "NestEmbedding": ("repro.trans.fusion", "NestEmbedding"),
     "fuse_siblings": ("repro.trans.fusion", "fuse_siblings"),
-    "auto_fuse": ("repro.trans.autofuse", "auto_fuse"),
     "fix_dependences": ("repro.trans.fixdeps", "fix_dependences"),
     "tile_program": ("repro.trans.tiling", "tile_program"),
     "skew_and_permute": ("repro.trans.skew", "skew_and_permute"),

@@ -11,8 +11,12 @@ permutation is the outermost-level half of permutation legality: on an
 affine nest, ``False`` there means the permuted nest runs some dependence
 backwards.
 
-A ``False`` answer means "not proven", not "illegal" — callers (LU, whose
-pivot machinery is non-affine) fall back to execution validation.
+A ``False`` answer means "not proven", not "illegal". A recipe's tiling is
+legal because this check proves it or because the recipe's schedule (a
+skew) makes it so; it is never inferred from a run at a small size. LU,
+whose pivot machinery is non-affine, is declined; its recipe keeps the
+paper's k-tiling, which the tests compare with the reference at sizes
+spanning several tiles.
 """
 
 from __future__ import annotations

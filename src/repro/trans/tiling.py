@@ -3,9 +3,9 @@
 Strip-mines each selected loop into a (tile, point) pair and regenerates
 the nest in a caller-chosen loop order, with bounds recomputed from the
 iteration-space polyhedron (so triangular spaces — LU, QR, Cholesky — get
-the correct ``max``/``min`` clamps). Legality is not re-checked here; the
-kernels' tiled variants are validated by execution equivalence against the
-sequential programs.
+the correct ``max``/``min`` clamps). Legality is not re-checked here: the
+caller proves it (:func:`repro.trans.legality.fully_permutable_under`) or
+tiles a schedule the paper gives (Sec. 4).
 """
 
 from __future__ import annotations

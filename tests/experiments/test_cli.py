@@ -3,20 +3,12 @@
 import subprocess
 import sys
 
-import pytest
 
-
-def run_cli(*args: str, env_extra: dict | None = None) -> str:
+def run_cli(*args: str) -> str:
     import os
 
     env = dict(os.environ)
-    env.update(
-        {
-            "REPRO_NO_CACHE": "1",
-            "REPRO_SIZES": "12",
-            **(env_extra or {}),
-        }
-    )
+    env.update({"REPRO_NO_CACHE": "1", "REPRO_SIZES": "12"})
     out = subprocess.run(
         [sys.executable, "-m", "repro.experiments", *args],
         capture_output=True,
@@ -81,11 +73,6 @@ class TestTelemetryCLI:
         summary = (run_dir / "summary.txt").read_text()
         assert "== span tree ==" in summary
         assert "== sweep cache ==" in summary
-
-    def test_env_var_equivalent(self, tmp_path):
-        run_dir = tmp_path / "envrun"
-        run_cli("table1", env_extra={"REPRO_TELEMETRY": str(run_dir)})
-        assert (run_dir / "trace.jsonl").exists()
 
     def test_stdout_identical_with_and_without_telemetry(self, tmp_path):
         plain = run_cli("table1")

@@ -92,7 +92,6 @@ class TestTextRenderers:
                 "sweep.cache.corrupt": 1,
                 "machine.sink.memory.chunks": 7,
             },
-            "gauges": {"peak": 5.0},
             "histograms": {},
         }
         text = render_summary(_spans(), metrics)
@@ -101,7 +100,6 @@ class TestTextRenderers:
         assert "disk-cache hit rate: 75.0%" in text
         assert "WARNING: 1 corrupt cache entries discarded" in text
         assert "machine.sink.memory.chunks" in text
-        assert "== gauges ==" in text
 
     def test_write_run_artifacts(self, tmp_path):
         telemetry.enable()

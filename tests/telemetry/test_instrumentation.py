@@ -30,7 +30,7 @@ def _spans(name):
 
 class TestBitIdentical:
     def test_reports_identical_enabled_vs_disabled(self):
-        """REPRO_TELEMETRY must be a pure observer: same PerfReport."""
+        """Telemetry must be a pure observer: same PerfReport."""
         runner.clear_caches()
         baseline = runner.measure_variant("cholesky", "seq", 8, _config()).report
         runner.clear_caches()

@@ -12,12 +12,10 @@ from repro.telemetry.metrics import (
 )
 
 
-def _snap(counters=(), gauges=(), observations=()):
+def _snap(counters=(), observations=()):
     reg = MetricsRegistry()
     for name, n in counters:
         reg.counter_add(name, n)
-    for name, v in gauges:
-        reg.gauge_set(name, v)
     for name, v in observations:
         reg.observe(name, v)
     return reg.snapshot()
@@ -25,12 +23,10 @@ def _snap(counters=(), gauges=(), observations=()):
 
 A = _snap(
     counters=[("hits", 3), ("misses", 1)],
-    gauges=[("peak", 10.0)],
     observations=[("lat", 0.5), ("lat", 2.0)],
 )
 B = _snap(
     counters=[("hits", 4)],
-    gauges=[("peak", 7.0), ("depth", 2.0)],
     observations=[("lat", 0.0), ("other", 1.5)],
 )
 C = _snap(
@@ -51,7 +47,6 @@ class TestMergeAlgebra:
     def test_merge_rules(self):
         m = merge_snapshots(A, B)
         assert m["counters"]["hits"] == 7  # counters add
-        assert m["gauges"]["peak"] == 10.0  # gauges high-water mark
         lat = m["histograms"]["lat"]
         assert lat["count"] == 3
         assert lat["total"] == 2.5

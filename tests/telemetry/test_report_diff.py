@@ -17,7 +17,6 @@ from repro.experiments.telemetry_report import (
 def _metrics(span_totals=(), counters=()):
     return {
         "counters": dict(counters),
-        "gauges": {},
         "histograms": {
             name: {"count": 1, "total": total, "min": total, "max": total, "buckets": {}}
             for name, total in span_totals

@@ -90,10 +90,9 @@ class TestDisabled:
 
     def test_counters_disabled_are_free(self):
         telemetry.counter("nope")
-        telemetry.gauge("nope.g", 3)
         telemetry.observe("nope.h", 1.0)
         snap = telemetry.snapshot()
-        assert snap == {"counters": {}, "gauges": {}, "histograms": {}}
+        assert snap == {"counters": {}, "histograms": {}}
 
 
 class TestAttrs:

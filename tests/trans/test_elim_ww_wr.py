@@ -6,6 +6,7 @@ from repro.deps.fusionpreventing import violated_dependences
 from repro.exec import run_compiled
 from repro.kernels import cholesky, jacobi, lu, qr
 from repro.trans.elim_ww_wr import eliminate_ww_wr
+from tests.trans import shift_scale
 
 
 class TestPerKernel:
@@ -30,6 +31,7 @@ class TestPerKernel:
         for nest, vr in [
             (lu.fused_nest(), lu.VALUE_RANGES),
             (qr.fused_nest(), None),
+            (shift_scale.fused_nest(), None),
         ]:
             fixed = eliminate_ww_wr(nest, value_ranges=vr)
             assert (

@@ -8,9 +8,13 @@ program — and so must the fusable pre-form and the final tiled variant.
 import numpy as np
 import pytest
 
-from repro.exec import run_compiled
+from repro.exec import assert_equivalent, run_compiled
 from repro.kernels.registry import KERNELS, get_kernel
 from repro.kernels.validation import ATOL, RTOL
+from repro.trans.fixdeps import fix_dependences
+from repro.trans.splitting import undo_sinking
+from repro.trans.tiling import tile_program
+from tests.trans import shift_scale
 
 SIZES = (6, 9, 13)
 TILES = (3, 5)
@@ -101,3 +105,26 @@ class TestPaperFindings:
         assert "H_A(j,i) = A(j,i)" in text  # per-iteration copy
         assert text.count("do c") >= 2  # boundary pre-copy loops
         assert "merge(" not in text  # guards simplified away
+
+
+class TestShiftScale:
+    """A user kernel through the public building blocks: fuse with identity
+    embeddings, FixDeps, scalarise, tile, undo sinking."""
+
+    def test_flow_violation_collapses_i(self):
+        report = fix_dependences(shift_scale.fused_nest())
+        assert report.ww_wr.collapsed_groups() == {1: ("i",)}
+        assert report.rw.insertions == ()
+
+    @pytest.mark.parametrize("tile", [3, 11])
+    def test_fixed_and_tiled_match_source(self, tile):
+        source = shift_scale.shift_scale()
+        fixed = shift_scale.fixed()
+        tiled = undo_sinking(tile_program(fixed, {"i": tile}))
+        # N = 17 spans several tiles of 3 and two of 11
+        for n in (10, 17):
+            params = {"N": n}
+            for candidate in (fixed, tiled):
+                assert_equivalent(
+                    source, candidate, params, shift_scale.make_inputs(params)
+                )

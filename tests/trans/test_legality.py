@@ -1,14 +1,17 @@
 """Legality proofs for the Section-4 reorderings.
 
-These tests upgrade the tiled kernels from "validated by execution" to
-"proven legal" wherever the dependences are affine:
+These tests prove the tiled kernels' reorderings legal wherever the
+dependences are affine:
 
 - Cholesky: the (kt, j, k, i) tiling needs the (k, j) band permutable;
 - QR: the (it, jt, i, j, k) tiling needs the (i, j) band permutable;
 - Jacobi: raw time tiling is illegal; after the paper's skew it is proven
   fully permutable;
 - LU: the pivot machinery is non-affine — the conservative analysis must
-  *refuse* to prove it (execution validation covers LU).
+  *refuse* to prove it (the reference tests in ``test_fixdeps_kernels``
+  cover LU's tiling at sizes spanning several tiles);
+- a user kernel (``shift_scale``): its fixed 1-D nest is proven fully
+  permutable, so strip-mining it is legal.
 
 Every answer comes from the one check, :func:`fully_permutable_under`.
 """
@@ -21,6 +24,7 @@ from repro.poly.constraint import eq0, ge0
 from repro.poly.integer import integer_feasible
 from repro.trans.legality import fully_permutable_under
 from repro.trans.skew import matmul, permutation_matrix, skew_matrix
+from tests.trans import shift_scale
 
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -84,8 +88,8 @@ class TestQR:
     def test_tiling_band_i_j_permutable(self):
         nest = qr.fixed().body[0]
         assert fully_permutable_under(nest, IDENT3, band=[0, 1])
-        # optimize_program's query (identity map, full band, the program's
-        # scalars) declines: k is not permutable with (i, j)
+        # the full band (identity map, the program's scalars) is declined:
+        # k is not permutable with (i, j)
         scalars = frozenset(s.name for s in qr.fixed().scalars)
         assert not fully_permutable_under(
             nest, IDENT3, band=[0, 1, 2], scalars=scalars
@@ -119,10 +123,19 @@ class TestLU:
     def test_conservative_analysis_declines(self):
         nest = lu.fixed().body[0]
         # With the fuzzy pivot row, the analysis must not *prove* the
-        # k-tiling band (nor optimize_program's full band) permutable — LU stays
-        # execution-validated.
+        # k-tiling band (nor the full band) permutable.
         for band in ([0, 1], [0, 1, 2]):
             assert not fully_permutable_under(
                 nest, IDENT3, band=band, value_ranges=lu.VALUE_RANGES,
                 scalars=frozenset({"temp", "m", "d"}),
             )
+
+
+class TestShiftScale:
+    def test_fixed_nest_fully_permutable(self):
+        fixed = shift_scale.fixed()
+        (nest,) = fixed.body
+        assert fully_permutable_under(
+            nest, permutation_matrix(range(1)), range(1),
+            scalars=frozenset(s.name for s in fixed.scalars),
+        )
