@@ -267,7 +267,8 @@ def measure_recipe(
             telemetry.counter("sweep.cache.miss")
             params = _params_for(kernel, n, config)
             rng = np.random.default_rng(config.seed)
-            inputs = get_kernel(kernel).make_inputs(params, rng)
+            with telemetry.span("sweep.inputs", kernel=kernel, n=n):
+                inputs = get_kernel(kernel).make_inputs(params, rng)
             cp = _compiled.get_or_compute(
                 (recipe.fingerprint(), tile),
                 lambda: CompiledProgram(program, trace=True),

@@ -29,29 +29,39 @@ element touched in between pushes ``e`` one slot down the LRU stack).
    first). Replaying it from an empty window rebuilds the LRU state
    exactly, and every element touched since a resident element's last
    access is itself more recent, hence also in the window, so distinct
-   counts over the prefix equal those over the real history. One stable
-   argsort of the elements groups equal elements in position order and
-   gives each position its previous (``prev``) and next occurrence.
+   counts over the prefix equal those over the real history. One sort of
+   ``(element - min) << b | position`` keys (``b`` bits hold a position)
+   groups equal elements in position order and gives each position its
+   previous (``prev``) and next occurrence; a chunk whose element span
+   does not fit the key's other ``63 - b`` bits raises ``MachineError``.
 2. No previous occurrence: miss. Fewer than ``C`` positions between the
    two accesses: hit, since the distinct count cannot exceed the gap.
 3. The remaining reuses have gaps ``g >= C``. Let ``D_W(t)`` be the
    distinct count of the ``W`` positions before ``t``; for a fixed ``W``
    it is one cumulative sum, because sliding the window by one position
    adds an element iff its previous occurrence fell out of the window and
-   removes one iff its next occurrence lies beyond it. With ``W = C*2**k``
-   the largest ladder step ``<= g``, the windows ending at ``i - 1`` and
-   starting at ``p + 1`` both lie inside the gap and together cover it
-   (``2W > g``), sharing at least one position. So if either holds
-   ``>= C`` distinct elements the access misses; if their counts sum to
-   ``<= C`` it hits (the shared position's element is counted twice, so
-   the gap holds at most the sum minus one); and ``W == g`` is exact.
-4. The residual (each window ``< C``, sum ``> C``) is counted exactly:
+   removes one iff its next occurrence lies beyond it. Any window of
+   ``W <= g`` positions inside the gap that holds ``>= C`` distinct
+   elements proves a miss. The screen applies this at ``W = 2C`` to every
+   gap ``>= 2C``: first to its last ``2C`` positions (one slice of
+   ``D_2C`` over the chunk), then to its first ``2C`` for what that leaves
+   open. On the N=72 Figure-5 traces it settles 87-100% of the reuses
+   with gaps ``>= C``.
+4. What the screen leaves open climbs a ladder: with ``W = C*2**k`` the
+   largest step ``<= g``, the windows ending at ``i - 1`` and starting at
+   ``p + 1`` both lie inside the gap and together cover it (``2W > g``),
+   sharing at least one position. So if either holds ``>= C`` distinct
+   elements the access misses; if their counts sum to ``<= C`` it hits
+   (the shared position's element is counted twice, so the gap holds at
+   most the sum minus one); and ``W == g`` is exact. Only the steps some
+   open access needs are summed, and step 1 reuses the screen's ``D_2C``.
+5. The residual (each window ``< C``, sum ``> C``) is counted exactly:
    the left window's count plus the positions after it whose previous
    occurrence is ``<= p``. Every residual gap holds fewer than ``2C``
    distinct elements, and a position lies inside the gaps of at most
    ``2C`` such accesses, so this costs ``O(C)`` per event at worst and is
    a small fraction of the chunk in practice.
-5. Carry the last ``C`` distinct elements forward as the new window.
+6. Carry the last ``C`` distinct elements forward as the new window.
 
 Every step is a counting identity, so the masks equal the per-access LRU
 walk's bit for bit on any chunking; the walk lives on as the test oracle.
@@ -122,15 +132,30 @@ class RegisterFilterSink:
 def _reuse_distances(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per position, the distance back to the previous and forward to the
     next occurrence of its element (``_FAR`` when there is none)."""
-    order = np.argsort(elements, kind="stable")
-    grouped = elements[order]
-    same = grouped[1:] == grouped[:-1]
-    earlier = order[:-1][same]
-    later = order[1:][same]
-    back = np.full(len(elements), _FAR, dtype=np.int32)
-    fwd = np.full(len(elements), _FAR, dtype=np.int32)
-    back[later] = later - earlier
-    fwd[earlier] = later - earlier
+    n = len(elements)
+    bits = n.bit_length()
+    low = elements.min()
+    if int(elements.max()) - int(low) >= 1 << (63 - bits):
+        raise MachineError(
+            f"register filter chunk of {n} accesses spans more than "
+            f"2**{63 - bits} elements"
+        )
+    # One sort of (element, position) keys groups equal elements in
+    # position order.
+    keys = elements - low
+    keys <<= bits
+    keys |= np.arange(n)
+    keys.sort()
+    order = keys & ((1 << bits) - 1)
+    keys >>= bits
+    dist = np.diff(order).astype(np.int32)
+    dist[keys[1:] != keys[:-1]] = _FAR
+    back = np.empty(n, dtype=np.int32)
+    fwd = np.empty(n, dtype=np.int32)
+    back[order[0]] = _FAR
+    back[order[1:]] = dist
+    fwd[order[:-1]] = dist
+    fwd[order[-1]] = _FAR
     return back, fwd
 
 
@@ -140,25 +165,39 @@ def _resident(
     """Residency of every position from *start* on (see module docstring)."""
     gap = back[start:] - 1  # positions strictly between the two accesses
     resident = gap < capacity
-    far = np.flatnonzero(~resident & (back[start:] != _FAR))
-    if not len(far):
-        return resident
-    pos = far + start
-    gap = gap[far]
+    # The 2C screen (module docstring, step 3): the last 2C positions of
+    # every gap >= 2C, then the first 2C of each gap still open.
+    d2c = _window_distinct(back, fwd, 2 * capacity)
+    last_miss = (gap >= 2 * capacity) & (d2c[start:-1] >= capacity)
+    far = np.flatnonzero(~resident & ~last_miss & (back[start:] != _FAR))
+    long_ = far[gap[far] >= 2 * capacity]
+    first_miss = long_[d2c[long_ + start - gap[long_] + 2 * capacity] >= capacity]
+    far = np.setdiff1d(far, first_miss, assume_unique=True)
+    if len(far):
+        resident[far] = _ladder(back, fwd, d2c, far + start, gap[far], capacity)
+    return resident
+
+
+def _ladder(
+    back: np.ndarray,
+    fwd: np.ndarray,
+    d2c: np.ndarray,
+    pos: np.ndarray,
+    gap: np.ndarray,
+    capacity: int,
+) -> np.ndarray:
+    """Residency of the reuses at *pos* (gaps ``>= capacity``) that the
+    screen left open: the window ladder, then the exact residual count
+    (module docstring, steps 4 and 5). *d2c* is ``D_2C``."""
     prev = pos - gap - 1
     # Largest ladder step W = capacity * 2**k with W <= gap.
     k = np.frexp(gap // capacity)[1].astype(np.int64) - 1
     width = capacity << k
-    right = np.empty(len(far), dtype=np.int64)
-    left = np.empty(len(far), dtype=np.int64)
-    distinct = np.empty(len(back) + 1, dtype=np.int32)
-    distinct[0] = 0
-    for level in np.unique(k).tolist():
+    right = np.empty(len(pos), dtype=np.int64)
+    left = np.empty(len(pos), dtype=np.int64)
+    for level in np.bincount(k).nonzero()[0].tolist():
         w = capacity << level
-        # D_W(t) = distinct[t]: the window of w positions before t.
-        step = (back >= w).astype(np.int32)
-        step[w:] -= fwd[:-w] >= w
-        np.cumsum(step, out=distinct[1:])
+        distinct = d2c if level == 1 else _window_distinct(back, fwd, w)
         sel = np.flatnonzero(k == level)
         right[sel] = distinct[pos[sel]]
         left[sel] = distinct[prev[sel] + 1 + w]
@@ -176,8 +215,18 @@ def _resident(
                 hit[part] = _exact_count(
                     back, prev[part], pos[part], width[part], left[part]
                 ) < capacity
-    resident[far] = hit
-    return resident
+    return hit
+
+
+def _window_distinct(back: np.ndarray, fwd: np.ndarray, w: int) -> np.ndarray:
+    """``D_w``: entry ``t`` is the distinct count of the ``w`` positions
+    before ``t``."""
+    step = (back >= w).astype(np.int32)
+    step[w:] -= fwd[:-w] >= w
+    distinct = np.empty(len(back) + 1, dtype=np.int32)
+    distinct[0] = 0
+    np.cumsum(step, out=distinct[1:])
+    return distinct
 
 
 def _exact_count(

@@ -22,7 +22,6 @@ from __future__ import annotations
 from repro.errors import NotAffineError
 from repro.ir.affine import cond_to_constraints, expr_to_linexpr
 from repro.ir.builder import cle
-from repro.ir.expr import Expr
 from repro.ir.program import Program
 from repro.ir.stmt import If, Loop, Stmt
 from repro.poly.constraint import Constraint, eq0, ge0

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.deps.access import ValueRange, extract_references
+from repro.deps.access import extract_references
 from repro.errors import DependenceError
 from repro.kernels import jacobi, lu
 

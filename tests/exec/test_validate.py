@@ -1,6 +1,5 @@
 """Unit tests for the equivalence checker."""
 
-import numpy as np
 import pytest
 
 from repro.errors import ValidationError

@@ -7,7 +7,7 @@ from repro.errors import IRError
 from repro.frontend import parse_program
 from repro.frontend.emit import to_source
 from repro.ir.builder import assign, cge, cle, idx, if_, loop, or_, sym, val
-from repro.ir.expr import BinOp, Select
+from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 
 N = sym("N")

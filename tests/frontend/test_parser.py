@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IRError, ParseError
 from repro.frontend import parse_program
-from repro.ir.expr import BinOp, Call, Cmp, Const, LogicalAnd, LogicalOr
+from repro.ir.expr import BinOp, Call, Const, LogicalAnd, LogicalOr
 from repro.ir.stmt import Assign, If, Loop
 
 

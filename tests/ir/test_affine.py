@@ -14,7 +14,7 @@ from repro.ir.affine import (
 )
 from repro.ir.builder import and_, ceq, cge, cgt, cle, clt, cne, idx, or_, sym, val
 from repro.ir.builder import fabs
-from repro.poly.constraint import Kind, ge
+from repro.poly.constraint import ge
 from repro.poly.linexpr import LinExpr
 
 i, j, N = sym("i"), sym("j"), sym("N")

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.exec.events import Counters
-from repro.machine.configs import MachineConfig, octane2, octane2_scaled
+from repro.machine.configs import octane2, octane2_scaled
 from repro.machine.costmodel import CostModel
 
 

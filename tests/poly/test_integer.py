@@ -1,6 +1,6 @@
 """Unit tests for integer feasibility."""
 
-from repro.poly.constraint import eq0, ge, ge0, le
+from repro.poly.constraint import eq0, ge, le
 from repro.poly.integer import (
     check_feasibility,
     find_integer_point,

@@ -174,6 +174,26 @@ class TestSweepCounters:
         assert point.attrs["source"] == "disk"
         assert telemetry.counter_value("sweep.cache.hit") == 1
 
+    def test_inputs_span_only_on_computed_points(self, tmp_path, monkeypatch):
+        """Input generation (QR's np.linalg.qr) has its own span under a
+        computed point; a disk hit generates no inputs."""
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        config = _config()
+        runner.clear_caches()
+        telemetry.enable()
+        runner.measure_variant("qr", "seq", 8, config)
+        [point] = _spans("sweep.point")
+        [inputs] = _spans("sweep.inputs")
+        assert point.attrs["source"] == "computed"
+        assert inputs.parent_id == point.span_id
+        assert inputs.attrs == {"kernel": "qr", "n": 8}
+        telemetry.reset()
+        runner.clear_caches()
+        runner.measure_variant("qr", "seq", 8, config)
+        assert _spans("sweep.point")[0].attrs["source"] == "disk"
+        assert _spans("sweep.inputs") == []
+
     def test_torn_entry_recomputed_end_to_end(self, tmp_path, monkeypatch):
         """A truncated file at a point's real cache path is discarded,
         counted, recomputed to the cold answer and rewritten whole."""

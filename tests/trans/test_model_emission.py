@@ -1,7 +1,6 @@
 """Edge-case tests for fused-nest code emission (trans.model)."""
 
 import numpy as np
-import pytest
 
 from repro.exec import run_compiled
 from repro.ir import pretty, val

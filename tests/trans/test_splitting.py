@@ -1,7 +1,6 @@
 """Unit tests for index-set splitting (first-iteration peeling)."""
 
 import numpy as np
-import pytest
 
 from repro.exec import run_compiled
 from repro.ir.builder import assign, ceq, cge, idx, if_, loop, sym

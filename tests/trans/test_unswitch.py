@@ -1,10 +1,9 @@
 """Unit tests for loop unswitching and guard-fact propagation."""
 
 import numpy as np
-import pytest
 
 from repro.exec import run_compiled
-from repro.ir.builder import and_, assign, ceq, cge, cne, idx, if_, loop, sym
+from repro.ir.builder import and_, assign, ceq, cne, idx, if_, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.ir.stmt import If, Loop
 from repro.trans.cleanup import propagate_guard_facts
