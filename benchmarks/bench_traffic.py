@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exec.compiled import CompiledProgram
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import get_kernel
 from repro.machine.layout import layout_for_program
 from repro.machine.reuse import reuse_profile
@@ -24,7 +25,8 @@ def _trace(kernel: str, variant: str, n: int, config):
         params["M"] = config.jacobi_m
     rng = np.random.default_rng(config.seed)
     inputs = mod.make_inputs(params, rng)
-    program = mod.sequential() if variant == "seq" else mod.tiled(config.tile_for(n))
+    tile = None if variant == "seq" else config.tile_for(n)
+    program = build_variant(kernel, variant, tile=tile)
     cp = CompiledProgram(program, trace=True)
     run = cp.run(params, inputs)
     layout = layout_for_program(program, params)

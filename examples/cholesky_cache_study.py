@@ -10,6 +10,7 @@ Run:  python examples/cholesky_cache_study.py
 
 from repro.exec.compiled import CompiledProgram
 from repro.kernels import cholesky
+from repro.kernels.recipes import build_variant
 from repro.machine import octane2_scaled
 from repro.machine.layout import layout_for_program
 from repro.machine.reuse import reuse_profile
@@ -36,7 +37,7 @@ def main() -> None:
 
     variants = {
         "sequential": cholesky.sequential(),
-        "tiled": cholesky.tiled(tile),
+        "tiled": build_variant("cholesky", "tiled", tile=tile),
     }
     profiles = {}
     rows = []

@@ -21,12 +21,14 @@ from repro.exec import run_compiled
 from repro.exec.compiled import CompiledProgram
 from repro.ir import pretty
 from repro.kernels import lu
+from repro.kernels.recipes import build_fused_nest, build_variant
 from repro.machine import measure_streaming, octane2_scaled
+from repro.trans.fixdeps import fix_dependences
 
 
 def main() -> None:
     # 1. What prevents the fusion?
-    nest = lu.fused_nest()
+    nest = build_fused_nest("lu")
     violations = violated_dependences(nest, value_ranges=lu.VALUE_RANGES)
     print("=== fusion-preventing dependences in the fused LU ===")
     for key, count in sorted(summarize(violations).items()):
@@ -37,10 +39,10 @@ def main() -> None:
     )
 
     # 2. FixDeps discovers the paper's fix automatically.
-    report = lu.fixdeps_report()
+    report = fix_dependences(nest, value_ranges=lu.VALUE_RANGES)
     print("\ncollapsed dimensions per group:", report.ww_wr.collapsed_groups())
     print("copy arrays introduced:", [i.copy_array for i in report.rw.insertions] or "none")
-    fixed = lu.fixed()
+    fixed = build_variant("lu", "fixed")
     print("\n=== the fixed LU (compare Figure 4a) ===")
     print(pretty(fixed))
 
@@ -54,7 +56,7 @@ def main() -> None:
     print("fixed LU matches the pivoting reference at N = 8, 16, 24.")
 
     # 4. Tiled LU: scalar expansion of m, then k-loop tiling.
-    tiled = lu.tiled(11)
+    tiled = build_variant("lu", "tiled", tile=11)
     assert any(a.name == "m_x" for a in tiled.arrays)
     params = {"N": 88}
     inputs = lu.make_inputs(params)

@@ -2,7 +2,8 @@
 
 Walks the whole pipeline on Jacobi in ~a minute of reading:
 
-1. write the kernel in the paper's FORTRAN-like notation and parse it;
+1. parse the kernel's Figure-1d listing, written in the paper's
+   FORTRAN-like notation (``jacobi.SOURCE``);
 2. fuse its two sweeps (Figure 3d) — and see that the fusion alone is WRONG;
 3. run FixDeps (Figure 4d): the anti-dependences get fixed by array copying;
 4. tile it (skew + time-innermost) and compare cache behaviour on the
@@ -18,28 +19,9 @@ from repro.exec.compiled import CompiledProgram
 from repro.frontend import parse_program
 from repro.ir import pretty
 from repro.kernels import jacobi
+from repro.kernels.recipes import build_fused_nest, build_variant
 from repro.machine import measure_streaming, octane2_scaled
-
-SOURCE = """
-program jacobi
-  param N, M
-  real A(N, N), L(N, N)
-  output A
-begin
-  do t = 0, M
-    do i = 2, N - 1
-      do j = 2, N - 1
-        L(j,i) = (A(j,i-1) + A(j-1,i) + A(j+1,i) + A(j,i+1)) * 0.25
-      end do
-    end do
-    do i = 2, N - 1
-      do j = 2, N - 1
-        A(j,i) = L(j,i)
-      end do
-    end do
-  end do
-end
-"""
+from repro.trans.fixdeps import fix_dependences
 
 
 def main() -> None:
@@ -47,9 +29,9 @@ def main() -> None:
     inputs = jacobi.make_inputs(params)
 
     # 1. Parse the paper-notation source into the IR.
-    seq = parse_program(SOURCE)
-    print("=== the sequential kernel (parsed) ===")
-    print(pretty(seq))
+    print("=== the Figure-1d listing ===")
+    print(jacobi.SOURCE.strip())
+    seq = parse_program(jacobi.SOURCE)
 
     reference = jacobi.reference(params, inputs)
     seq_result = run_compiled(seq, params, inputs)
@@ -57,7 +39,8 @@ def main() -> None:
     print("\nsequential kernel matches the numpy reference.")
 
     # 2. Fuse the two sweeps — the naive fusion is incorrect.
-    fused = jacobi.fused_nest().to_program()
+    nest = build_fused_nest("jacobi")
+    fused = nest.to_program()
     fused_result = run_compiled(fused, params, inputs)
     print(
         "naively fused kernel correct?",
@@ -66,7 +49,7 @@ def main() -> None:
     )
 
     # 3. FixDeps: the violated anti-dependences are repaired by copying.
-    report = jacobi.fixdeps_report()
+    report = fix_dependences(nest)
     print("\n=== FixDeps audit ===")
     print("loop-tiling collapses:", report.ww_wr.collapsed_groups() or "none")
     for ins in report.rw.insertions:
@@ -75,7 +58,7 @@ def main() -> None:
             f"{ins.guarded_copies} copy site(s), "
             f"{ins.precopied_reads} pre-copied read(s)"
         )
-    fixed = jacobi.fixed()
+    fixed = build_variant("jacobi", "fixed")
     print("\n=== the fixed kernel (Figure 4d) ===")
     print(pretty(fixed))
     fixed_result = run_compiled(fixed, params, inputs)
@@ -84,7 +67,7 @@ def main() -> None:
 
     # 4. Tile and measure on the scaled Octane2 model.
     machine = octane2_scaled()
-    tiled = jacobi.tiled(11)
+    tiled = build_variant("jacobi", "tiled", tile=11)
 
     def perf(program):
         cp = CompiledProgram(program, trace=True)

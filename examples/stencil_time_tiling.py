@@ -18,13 +18,14 @@ import numpy as np
 from repro.exec.compiled import CompiledProgram
 from repro.ir.stmt import Loop
 from repro.kernels import jacobi
+from repro.kernels.recipes import build_variant
 from repro.machine import measure_streaming, octane2_scaled
 from repro.trans.tiling import tile_program
 from repro.utils.tables import render_table
 
 
 def space_only_tiled(tile: int):
-    fixed = jacobi.fixed()
+    fixed = build_variant("jacobi", "fixed")
     nest_index = next(
         pos for pos, s in enumerate(fixed.body) if isinstance(s, Loop) and s.var == "t"
     )
@@ -46,9 +47,9 @@ def main() -> None:
 
     variants = {
         "A sequential": jacobi.sequential(),
-        "B fused+fixed": jacobi.fixed(),
+        "B fused+fixed": build_variant("jacobi", "fixed"),
         "C space-tiled": space_only_tiled(tile),
-        "D skew+time-tiled": jacobi.tiled(tile),
+        "D skew+time-tiled": build_variant("jacobi", "tiled", tile=tile),
     }
 
     rows = []

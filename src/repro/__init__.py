@@ -18,18 +18,20 @@ Layer map (bottom-up):
 - :mod:`repro.machine` — the simulated SGI Octane2 (caches, branch
   predictor, register window, perfex-style cost model);
 - :mod:`repro.tilesize` — LRW and PDAT tile-size selection;
-- :mod:`repro.kernels` — LU/QR/Cholesky/Jacobi in all paper variants;
+- :mod:`repro.kernels` — LU/QR/Cholesky/Jacobi, each its Figure-1
+  listing in frontend notation, and every paper variant as a recipe;
 - :mod:`repro.experiments` — the figure/table regeneration harness.
 
 Quickstart::
 
-    from repro.kernels import get_kernel
     from repro.exec import run_compiled
+    from repro.kernels import get_kernel
+    from repro.kernels.recipes import build_variant
 
-    jacobi = get_kernel("jacobi")
-    program = jacobi.tiled(8)
-    result = run_compiled(program, {"N": 64, "M": 10},
-                          jacobi.make_inputs({"N": 64, "M": 10}))
+    program = build_variant("jacobi", "tiled", tile=8)
+    params = {"N": 64, "M": 10}
+    result = run_compiled(program, params,
+                          get_kernel("jacobi").make_inputs(params))
 """
 
 __version__ = "1.0.0"

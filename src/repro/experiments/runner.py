@@ -78,11 +78,14 @@ _log = logging.getLogger("repro.sweep")
 _memo: LRUCache = LRUCache(maxsize=4096)
 _built: LRUCache = LRUCache(maxsize=256)
 _compiled: LRUCache = LRUCache(maxsize=256)
+#: Sweep inputs per (kernel, params, seed): the variants of one point run
+#: on the same arrays, so they are made once and shared read-only.
+_inputs: LRUCache = LRUCache(maxsize=4)
 
 
 def clear_caches() -> None:
     """Drop every in-process memo (measurements, built programs,
-    compiled engines). Disk cache is untouched.
+    compiled engines, sweep inputs). Disk cache is untouched.
 
     Also the :func:`measure_points` pool initializer: forked workers
     inherit the parent's memos, and a sweep worker must re-measure (or
@@ -94,6 +97,7 @@ def clear_caches() -> None:
     _memo.clear()
     _built.clear()
     _compiled.clear()
+    _inputs.clear()
     poly_memo.clear_memos()
 
 
@@ -266,9 +270,16 @@ def measure_recipe(
         else:
             telemetry.counter("sweep.cache.miss")
             params = _params_for(kernel, n, config)
-            rng = np.random.default_rng(config.seed)
-            with telemetry.span("sweep.inputs", kernel=kernel, n=n):
-                inputs = get_kernel(kernel).make_inputs(params, rng)
+            inputs_key = (kernel, tuple(sorted(params.items())), config.seed)
+            inputs = _inputs.get(inputs_key)
+            if inputs is None:
+                rng = np.random.default_rng(config.seed)
+                with telemetry.span("sweep.inputs", kernel=kernel, n=n):
+                    inputs = get_kernel(kernel).make_inputs(params, rng)
+                # Read-only: the executor copies inputs into its own storage.
+                for array in inputs.values():
+                    array.flags.writeable = False
+                _inputs[inputs_key] = inputs
             cp = _compiled.get_or_compute(
                 (recipe.fingerprint(), tile),
                 lambda: CompiledProgram(program, trace=True),

@@ -26,6 +26,7 @@ from repro.ir.affine import is_affine_condition
 from repro.ir.expr import ArrayRef, BinOp, Const, VarRef, walk_expr
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, stmt_expressions, walk_stmts
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import KERNELS, get_kernel
 from repro.utils.tables import render_table
 
@@ -159,7 +160,7 @@ def has_cross_nest_scalar_reduction(program: Program) -> bool:
 def _this_work_handles(kernel: str) -> bool:
     """Computed: does the FixDeps pipeline produce a fixed program?"""
     try:
-        get_kernel(kernel).fixed()
+        build_variant(kernel, "fixed")
         return True
     except ReproError:
         return False

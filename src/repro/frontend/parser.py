@@ -122,7 +122,12 @@ class _Parser:
         elif self.at("kw", "real") or self.at("kw", "integer"):
             dtype = "f8" if self.next().text == "real" else "i8"
             while True:
-                name = self.expect("name").text
+                name_tok = self.expect("name")
+                name = name_tok.text
+                if name in self.params or name in self.arrays or name in self.scalars:
+                    raise ParseError(
+                        f"{name!r} declared twice", name_tok.line, name_tok.col
+                    )
                 if self.at("op", "("):
                     self.next()
                     extents = [self._expr()]

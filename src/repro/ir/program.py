@@ -163,7 +163,7 @@ class Program:
                     raise IRError(f"duplicate declaration of {n!r} in {self.name}")
                 names.add(n)
         array_ranks = {a.name: a.rank for a in self.arrays}
-        declared = names | self.loop_variables()
+        declared = (names - array_ranks.keys()) | self.loop_variables()
         for out in self.outputs:
             if out not in names:
                 raise IRError(f"output {out!r} is not a declared array/scalar")
@@ -182,6 +182,10 @@ class Program:
                                 f"indexed with {len(node.indices)} subscripts"
                             )
                     elif isinstance(node, VarRef) and node.name not in declared:
+                        if node.name in array_ranks:
+                            raise IRError(
+                                f"{self.name}: array {node.name!r} used as a scalar"
+                            )
                         raise IRError(
                             f"{self.name}: reference to undeclared name {node.name!r}"
                         )

@@ -3,16 +3,17 @@
 
 Each kernel module exposes the same surface:
 
-- ``sequential()`` — the Figure-1 program as IR;
+- ``SOURCE`` — the Figure-1 listing, in the frontend's paper notation;
+- ``sequential()`` — that listing parsed (once per process);
 - ``fusable()`` — the (possibly peeled/distributed) equivalent program the
-  fusion step consumes;
-- ``fused_nest()`` — the Figure-3 fused form (before dependence fixing);
-- ``fixed()`` — the Figure-4 form: ``FixDeps`` applied, plus cleanups;
-- ``tiled(tile)`` — the Section-4 cache-tiled variant;
+  fusion step consumes, derived from ``sequential()`` by transforms;
 - ``make_inputs(params, rng)`` — well-conditioned random inputs;
 - ``reference(params, inputs)`` — an independent numpy implementation.
 
-All variants are validated against each other by the test suite (the
+The fused (Figure 3), fixed (Figure 4) and tiled (Section 4) variants are
+recipes in :mod:`repro.kernels.recipes`: build them with
+``build_variant(kernel, variant)`` or ``build_fused_nest(kernel)``. All
+variants are validated against each other by the test suite (the
 executable Theorems 1–2).
 """
 

@@ -10,28 +10,49 @@ variant blocks the ``k`` loop and sinks the point loop inside ``j``
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
-from repro.ir import ArrayDecl, Program, assign, idx, loop, sym
-from repro.ir.builder import sqrt
+from repro.frontend import parse_program
+from repro.ir import Program, sym
 from repro.kernels.inputs import default_rng, spd_matrix
 from repro.pipeline.passes import FusionSpec
-from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding
-from repro.trans.model import FusedNest
+from repro.trans.peel import peel_last
 
 NAME = "cholesky"
 PARAMS = ("N",)
 DEFAULT_PARAMS = {"N": 32}
 
+#: The Figure-1(c) program (lower-triangular, in place).
+SOURCE = """
+program cholesky_seq
+  param N
+  real A(N,N)
+  output A
+begin
+  do k = 1, N
+    A(k,k) = sqrt(A(k,k))
+    do i = k+1, N
+      A(i,k) = A(i,k) / A(k,k)
+    end do
+    do j = k+1, N
+      do i = j, N
+        A(i,j) = A(i,j) - A(i,k) * A(j,k)
+      end do
+    end do
+  end do
+end
+"""
+
 _N = sym("N")
-_k, _j, _i = sym("k"), sym("j"), sym("i")
+_k = sym("k")
 
 #: The Figure-3(c) fused form: dims (j, i), triangular ``i >= j``.
 FUSION = FusionSpec(
-    fused_loops=(("j", _k + 1, _N), ("i", _j, _N)),
+    fused_loops=(("j", _k + 1, _N), ("i", sym("j"), _N)),
     embeddings=(
         NestEmbedding(placement={"j": _k + 1, "i": _k + 1}),  # sqrt
         NestEmbedding(var_map={"i": "i"}, placement={"j": _k + 1}),  # scale
@@ -42,40 +63,13 @@ FUSION = FusionSpec(
 )
 
 
+@functools.cache
 def sequential() -> Program:
-    """The Figure-1(c) program (lower-triangular, in place)."""
-    body = loop(
-        "k",
-        1,
-        _N,
-        [
-            assign(idx("A", _k, _k), sqrt(idx("A", _k, _k))),
-            loop("i", _k + 1, _N, [assign(idx("A", _i, _k), idx("A", _i, _k) / idx("A", _k, _k))]),
-            loop(
-                "j",
-                _k + 1,
-                _N,
-                [
-                    loop(
-                        "i",
-                        _j,
-                        _N,
-                        [
-                            assign(
-                                idx("A", _i, _j),
-                                idx("A", _i, _j) - idx("A", _i, _k) * idx("A", _j, _k),
-                            )
-                        ],
-                    )
-                ],
-            ),
-        ],
-    )
-    return Program(
-        "cholesky_seq", PARAMS, (ArrayDecl("A", (_N, _N)),), (), (body,), outputs=("A",)
-    )
+    """The Figure-1(c) program, parsed from :data:`SOURCE`."""
+    return parse_program(SOURCE)
 
 
+@functools.cache
 def fusable() -> Program:
     """Figure-3(c)'s peeled form: ``k`` to N-1 with the last sqrt split off.
 
@@ -83,38 +77,9 @@ def fusable() -> Program:
     ``A(N,N) = sqrt(A(N,N))``.
     """
     seq = sequential()
-    outer = seq.body[0]
-    from repro.trans.peel import peel_last
-
-    shortened, peeled = peel_last(outer)
+    shortened, peeled = peel_last(seq.body[0])
     epilogue = (peeled[0],)  # the sqrt; the peeled empty loops are dropped
     return seq.with_body((shortened,) + epilogue).with_name("cholesky_fusable")
-
-
-def fused_nest() -> FusedNest:
-    """The Figure-3(c) fused form (:data:`FUSION` on :func:`fusable`)."""
-    from repro.kernels.recipes import build_fused_nest
-
-    return build_fused_nest(NAME)
-
-
-def fixdeps_report() -> FixDepsReport:
-    """FixDeps audit; expected: no collapses, no copies (legal as fused)."""
-    return fix_dependences(fused_nest())
-
-
-def fixed() -> Program:
-    """The Figure-4(c) program."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "fixed")
-
-
-def tiled(tile: int = 8) -> Program:
-    """Sec. 4: tile the outermost ``k`` loop (point loop sunk inside j)."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "tiled", tile=tile)
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

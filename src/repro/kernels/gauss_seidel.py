@@ -14,59 +14,35 @@ names.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
-from repro.ir import ArrayDecl, Program, assign, idx, loop, sym
+from repro.frontend import parse_program
+from repro.ir import Program
 from repro.kernels.inputs import default_rng, grid_field
 
 NAME = "gauss_seidel"
 PARAMS = ("N", "M")
 DEFAULT_PARAMS = {"N": 32, "M": 8}
 
-_N, _M = sym("N"), sym("M")
-_t, _i, _j = sym("t"), sym("i"), sym("j")
-
-
-def sequential() -> Program:
-    """In-place 4-point Gauss–Seidel sweeps."""
-    body = loop(
-        "t",
-        0,
-        _M,
-        [
-            loop(
-                "i",
-                2,
-                _N - 1,
-                [
-                    loop(
-                        "j",
-                        2,
-                        _N - 1,
-                        [
-                            assign(
-                                idx("A", _j, _i),
-                                (
-                                    idx("A", _j, _i - 1)
-                                    + idx("A", _j - 1, _i)
-                                    + idx("A", _j + 1, _i)
-                                    + idx("A", _j, _i + 1)
-                                )
-                                * 0.25,
-                            )
-                        ],
-                    )
-                ],
-            )
-        ],
-    )
-    return Program(
-        "gauss_seidel_seq", PARAMS, (ArrayDecl("A", (_N, _N)),), (), (body,),
-        outputs=("A",),
-    )
-
+#: In-place 4-point sweeps: Jacobi's stencil (Fig. 1d) without ``L``.
+SOURCE = """
+program gauss_seidel_seq
+  param N, M
+  real A(N,N)
+  output A
+begin
+  do t = 0, M
+    do i = 2, N-1
+      do j = 2, N-1
+        A(j,i) = (A(j,i-1) + A(j-1,i) + A(j+1,i) + A(j,i+1)) * 0.25
+      end do
+    end do
+  end do
+end
+"""
 
 #: The (t, i, j) skew making the nest fully permutable. Gauss–Seidel's
 #: dependences are (0,1,0), (0,0,1) (within a sweep, via the west/north
@@ -78,11 +54,10 @@ SKEWS = {1: {0: 1}, 2: {0: 1}}
 ORDER = (0, 1, 2)
 
 
-def tiled(tile: int = 8, *, time_tile: int | None = None) -> Program:
-    """Skew the space loops by t and tile all three loops."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "tiled", tile=tile, time_tile=time_tile)
+@functools.cache
+def sequential() -> Program:
+    """In-place 4-point Gauss–Seidel sweeps, parsed from :data:`SOURCE`."""
+    return parse_program(SOURCE)
 
 
 def fusable() -> Program:

@@ -11,23 +11,44 @@ three loops.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
-from repro.ir import ArrayDecl, Program, assign, idx, loop, sym, val
+from repro.frontend import parse_program
+from repro.ir import Program, sym, val
 from repro.kernels.inputs import default_rng, grid_field
 from repro.pipeline.passes import FusionSpec
-from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding
-from repro.trans.model import FusedNest
 
 NAME = "jacobi"
 PARAMS = ("N", "M")
 DEFAULT_PARAMS = {"N": 32, "M": 8}
 
-_N, _M = sym("N"), sym("M")
-_t, _i, _j = sym("t"), sym("i"), sym("j")
+#: The Figure-1(d) program.
+SOURCE = """
+program jacobi_seq
+  param N, M
+  real A(N,N), L(N,N)
+  output A
+begin
+  do t = 0, M
+    do i = 2, N-1
+      do j = 2, N-1
+        L(j,i) = (A(j,i-1) + A(j-1,i) + A(j+1,i) + A(j,i+1)) * 0.25
+      end do
+    end do
+    do i = 2, N-1
+      do j = 2, N-1
+        A(j,i) = L(j,i)
+      end do
+    end do
+  end do
+end
+"""
+
+_N = sym("N")
 
 _IDENTITY = NestEmbedding(var_map={"i": "i", "j": "j"})
 
@@ -39,68 +60,15 @@ FUSION = FusionSpec(
 )
 
 
-def _stencil_value():
-    return (
-        idx("A", _j, _i - 1)
-        + idx("A", _j - 1, _i)
-        + idx("A", _j + 1, _i)
-        + idx("A", _j, _i + 1)
-    ) * 0.25
-
-
+@functools.cache
 def sequential() -> Program:
-    """The Figure-1(d) program."""
-    compute = loop(
-        "i", 2, _N - 1, [loop("j", 2, _N - 1, [assign(idx("L", _j, _i), _stencil_value())])]
-    )
-    writeback = loop(
-        "i", 2, _N - 1, [loop("j", 2, _N - 1, [assign(idx("A", _j, _i), idx("L", _j, _i))])]
-    )
-    body = loop("t", 0, _M, [compute, writeback])
-    return Program(
-        "jacobi_seq",
-        PARAMS,
-        (ArrayDecl("A", (_N, _N)), ArrayDecl("L", (_N, _N))),
-        (),
-        (body,),
-        outputs=("A",),
-    )
+    """The Figure-1(d) program, parsed from :data:`SOURCE`."""
+    return parse_program(SOURCE)
 
 
 def fusable() -> Program:
     """Jacobi fuses as-is (no peeling or distribution needed)."""
     return sequential()
-
-
-def fused_nest() -> FusedNest:
-    """The Figure-3(d) fused form (:data:`FUSION` on :func:`fusable`)."""
-    from repro.kernels.recipes import build_fused_nest
-
-    return build_fused_nest(NAME)
-
-
-def fixed() -> Program:
-    """The Figure-4(d) form: copies inserted, ``L`` scalarised."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "fixed")
-
-
-def fixdeps_report() -> FixDepsReport:
-    """Full FixDeps audit (used by tests and reports)."""
-    return fix_dependences(fused_nest())
-
-
-def tiled(tile: int = 8, *, time_tile: int | None = None) -> Program:
-    """Sec. 4 tiling: skew space loops by time, time innermost, tile all.
-
-    ``tile`` is the space tile; ``time_tile`` defaults to the same. The
-    skewed Jacobi carries no guards ("no extra conditionals are
-    introduced"), so there is no sinking to undo.
-    """
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "tiled", tile=tile, time_tile=time_tile)
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

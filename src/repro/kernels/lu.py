@@ -17,38 +17,67 @@ space is introduced for these kernels").
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
 from repro.deps.access import ValueRange
-from repro.ir import (
-    ArrayDecl,
-    Program,
-    ScalarDecl,
-    assign,
-    cgt,
-    cne,
-    idx,
-    if_,
-    loop,
-    sym,
-)
-from repro.ir.builder import fabs
+from repro.frontend import parse_program
+from repro.ir import Program, sym
+from repro.ir.stmt import If, Loop
 from repro.kernels.inputs import default_rng
 from repro.pipeline.passes import FusionSpec
-from repro.trans.fixdeps import FixDepsReport, fix_dependences
 from repro.trans.fusion import NestEmbedding
-from repro.trans.model import FusedNest
-from repro.trans.peel import peel_last
+from repro.trans.peel import peel_last, substitute_var
 
 NAME = "lu"
 PARAMS = ("N",)
 DEFAULT_PARAMS = {"N": 32}
 
+#: The Figure-1(a) program.
+SOURCE = """
+program lu_seq
+  param N
+  real A(N,N)
+  real temp
+  integer m
+  real d
+  output A
+begin
+  do k = 1, N
+    temp = 0.0
+    m = k
+    do i = k, N
+      d = A(i,k)
+      if (abs(d) .GT. temp) then
+        temp = abs(d)
+        m = i
+      end if
+    end do
+    ! Deviation: fusable() splits column k off this swap, so that the
+    ! trailing columns embed along fused j, not along i as in Fig. 3a.
+    if (m .NE. k) then
+      do j = k, N
+        temp = A(k,j)
+        A(k,j) = A(m,j)
+        A(m,j) = temp
+      end do
+    end if
+    do i = k+1, N
+      A(i,k) = A(i,k) / A(k,k)
+    end do
+    do j = k+1, N
+      do i = k+1, N
+        A(i,j) = A(i,j) - A(i,k) * A(k,j)
+      end do
+    end do
+  end do
+end
+"""
+
 _N = sym("N")
-_k, _j, _i = sym("k"), sym("j"), sym("i")
-_m, _temp, _d = sym("m"), sym("temp"), sym("d")
+_k = sym("k")
 
 #: The pivot row is always found in the trailing column: k <= m <= N.
 VALUE_RANGES = {"m": ValueRange(_k, _N)}
@@ -75,68 +104,16 @@ FUSION = FusionSpec(
 )
 
 
-def _step_items():
-    """The five items of one elimination step (Fig. 1a body)."""
-    search = loop(
-        "i",
-        _k,
-        _N,
-        [
-            assign("d", idx("A", _i, _k)),
-            if_(cgt(fabs(_d), _temp), [assign("temp", fabs(_d)), assign("m", _i)]),
-        ],
-    )
-    swap = if_(
-        cne(_m, _k),
-        loop(
-            "j",
-            _k,
-            _N,
-            [
-                assign("temp", idx("A", _k, _j)),
-                assign(idx("A", _k, _j), idx("A", _m, _j)),
-                assign(idx("A", _m, _j), _temp),
-            ],
-        ),
-    )
-    scale = loop(
-        "i", _k + 1, _N, [assign(idx("A", _i, _k), idx("A", _i, _k) / idx("A", _k, _k))]
-    )
-    update = loop(
-        "j",
-        _k + 1,
-        _N,
-        [
-            loop(
-                "i",
-                _k + 1,
-                _N,
-                [
-                    assign(
-                        idx("A", _i, _j),
-                        idx("A", _i, _j) - idx("A", _i, _k) * idx("A", _k, _j),
-                    )
-                ],
-            )
-        ],
-    )
-    return [assign("temp", 0.0), assign("m", _k), search, swap, scale, update]
+@functools.cache
+def sequential() -> Program:
+    """The Figure-1(a) program, parsed from :data:`SOURCE`."""
+    return parse_program(SOURCE)
 
 
-def _swap_col(col):
-    """Exchange rows k and m within one column (guarded by m != k)."""
-    return if_(
-        cne(_m, _k),
-        [
-            assign("temp", idx("A", _k, col)),
-            assign(idx("A", _k, col), idx("A", _m, col)),
-            assign(idx("A", _m, col), _temp),
-        ],
-    )
-
-
-def _fusable_items():
-    """The Fig-1a step with the swap's first column peeled off.
+@functools.cache
+def fusable() -> Program:
+    """The form fed to fusion: the swap's first column split off, then
+    ``k`` to N-1 with the last step peeled as an epilogue (as in Fig. 3a).
 
     The swap loop ``do j = k, N`` becomes the column-k exchange plus a loop
     over the trailing columns. This lets the trailing swaps be embedded
@@ -146,74 +123,17 @@ def _fusable_items():
     every pending update of earlier steps in the same tile, making the
     ``k`` loop unblockable under conservative (fuzzy-``m``) dependences.
     """
-    items = _step_items()
-    swap_cols = loop("j", _k + 1, _N, list(_swap_col(_j).then))
+    seq = sequential()
+    (outer,) = seq.body
+    items = list(outer.body)
+    swap = items[3]
+    (cols,) = swap.then
+    col_k = [substitute_var(s, cols.var, cols.lower) for s in cols.body]
+    trailing = Loop(cols.var, cols.lower + 1, cols.upper, cols.body)
     # Keep the guard outside the loop as in Fig. 1; sinking pushes it in.
-    swap_cols = if_(cne(_m, _k), swap_cols)
-    items[3:4] = [_swap_col(_k), swap_cols]
-    return items
-
-
-def _decls():
-    return (
-        (ArrayDecl("A", (_N, _N)),),
-        (ScalarDecl("temp"), ScalarDecl("m", "i8"), ScalarDecl("d")),
-    )
-
-
-def sequential() -> Program:
-    """The Figure-1(a) program."""
-    arrays, scalars = _decls()
-    body = loop("k", 1, _N, _step_items())
-    return Program("lu_seq", PARAMS, arrays, scalars, (body,), outputs=("A",))
-
-
-def fusable() -> Program:
-    """The peeled form fed to fusion: ``k`` to N-1 with the last step as an
-    epilogue (as in Fig. 3a), and the swap's first column split off (see
-    :func:`_fusable_items`)."""
-    arrays, scalars = _decls()
-    outer = loop("k", 1, _N, _fusable_items())
-    shortened, peeled = peel_last(outer)
-    return Program(
-        "lu_fusable",
-        PARAMS,
-        arrays,
-        scalars,
-        (shortened,) + peeled,
-        outputs=("A",),
-    )
-
-
-def fused_nest() -> FusedNest:
-    """The fused form (:data:`FUSION` applied to :func:`fusable`)."""
-    from repro.kernels.recipes import build_fused_nest
-
-    return build_fused_nest(NAME)
-
-
-def fixdeps_report() -> FixDepsReport:
-    """FixDeps audit; expected: collapse i of the pivot search, no copies."""
-    return fix_dependences(fused_nest(), value_ranges=VALUE_RANGES)
-
-
-def fixed() -> Program:
-    """The Figure-4(a) form (pivot search as the ``P`` sweep loop)."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "fixed")
-
-
-def tiled(tile: int = 8) -> Program:
-    """Sec. 4: tile the outermost ``k`` loop (point loop inside ``j``).
-
-    The pivot row ``m`` is array-expanded over ``k`` first: with ``k``
-    inside ``j``, searches of different steps interleave with the lazy
-    column swaps, so each step needs its own pivot cell.
-    """
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "tiled", tile=tile)
+    items[3:4] = [If(swap.cond, col_k), If(swap.cond, [trailing])]
+    shortened, peeled = peel_last(Loop(outer.var, outer.lower, outer.upper, items))
+    return seq.with_body((shortened, *peeled)).with_name("lu_fusable")
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

@@ -23,25 +23,62 @@ into two perfect nests before fusion.
 
 from __future__ import annotations
 
+import functools
 from typing import Mapping
 
 import numpy as np
 
-from repro.ir import ArrayDecl, Program, ScalarDecl, assign, idx, loop, sym
-from repro.ir.builder import sqrt
+from repro.frontend import parse_program
+from repro.ir import Program, sym
+from repro.ir.stmt import Loop
 from repro.kernels.inputs import default_rng
 from repro.pipeline.passes import FusionSpec
-from repro.trans.fixdeps import FixDepsReport, fix_dependences
+from repro.trans.distribution import distribute_loop
 from repro.trans.fusion import NestEmbedding
-from repro.trans.model import FusedNest
 
 NAME = "qr"
 PARAMS = ("N",)
 DEFAULT_PARAMS = {"N": 32}
 
+#: The Figure-1(b) program (imperfect X nest intact).
+SOURCE = """
+program qr_seq
+  param N
+  real A(N,N), X(N,N)
+  real norm, norm2, asqr
+  output A, X
+begin
+  do i = 1, N
+    norm = 0.0
+    do j = i, N
+      norm = norm + A(j,i) * A(j,i)
+    end do
+    norm2 = sqrt(norm)
+    asqr = A(i,i) * A(i,i)
+    A(i,i) = sqrt(norm - asqr + (A(i,i) - norm2) * (A(i,i) - norm2))
+    do j = i+1, N
+      A(j,i) = A(j,i) / A(i,i)
+    end do
+    ! Deviation: Figs. 3b/4b print some of these subscripts transposed;
+    ! with Fig. 1b's subscripts, as here, the scaling feeds X and X feeds
+    ! the update, two flow dependences those figures elide.
+    do j = i+1, N
+      X(j,i) = 0.0
+      do k = i, N
+        X(j,i) = X(j,i) + A(k,i) * A(k,j)
+      end do
+    end do
+    do j = i+1, N
+      do k = i+1, N
+        A(k,j) = A(k,j) - A(k,i) * X(j,i)
+      end do
+    end do
+  end do
+end
+"""
+
 _N = sym("N")
-_i, _j, _k = sym("i"), sym("j"), sym("k")
-_norm, _norm2, _asqr = sym("norm"), sym("norm2"), sym("asqr")
+_i = sym("i")
 
 _AT_ORIGIN = NestEmbedding(placement={"j": _i, "k": _i})
 
@@ -63,77 +100,13 @@ FUSION = FusionSpec(
 )
 
 
-def _decls():
-    return (
-        (ArrayDecl("A", (_N, _N)), ArrayDecl("X", (_N, _N))),
-        (ScalarDecl("norm"), ScalarDecl("norm2"), ScalarDecl("asqr")),
-    )
-
-
-def _householder_pivot():
-    """norm2 = sqrt(norm); asqr = A(i,i)^2; A(i,i) = ||v||."""
-    aii = idx("A", _i, _i)
-    return [
-        assign("norm2", sqrt(_norm)),
-        assign("asqr", aii * aii),
-        assign(aii, sqrt(_norm - _asqr + (aii - _norm2) * (aii - _norm2))),
-    ]
-
-
+@functools.cache
 def sequential() -> Program:
-    """The Figure-1(b) program (imperfect X nest intact)."""
-    arrays, scalars = _decls()
-    body = loop(
-        "i",
-        1,
-        _N,
-        [
-            assign("norm", 0.0),
-            loop("j", _i, _N, [assign("norm", _norm + idx("A", _j, _i) * idx("A", _j, _i))]),
-            *_householder_pivot(),
-            loop("j", _i + 1, _N, [assign(idx("A", _j, _i), idx("A", _j, _i) / idx("A", _i, _i))]),
-            loop(
-                "j",
-                _i + 1,
-                _N,
-                [
-                    assign(idx("X", _j, _i), 0.0),
-                    loop(
-                        "k",
-                        _i,
-                        _N,
-                        [
-                            assign(
-                                idx("X", _j, _i),
-                                idx("X", _j, _i) + idx("A", _k, _i) * idx("A", _k, _j),
-                            )
-                        ],
-                    ),
-                ],
-            ),
-            loop(
-                "j",
-                _i + 1,
-                _N,
-                [
-                    loop(
-                        "k",
-                        _i + 1,
-                        _N,
-                        [
-                            assign(
-                                idx("A", _k, _j),
-                                idx("A", _k, _j) - idx("A", _k, _i) * idx("X", _j, _i),
-                            )
-                        ],
-                    )
-                ],
-            ),
-        ],
-    )
-    return Program("qr_seq", PARAMS, arrays, scalars, (body,), outputs=("A", "X"))
+    """The Figure-1(b) program, parsed from :data:`SOURCE`."""
+    return parse_program(SOURCE)
 
 
+@functools.cache
 def fusable() -> Program:
     """Figure-1(b) with the imperfect X nest distributed into init +
     accumulation loops.
@@ -143,47 +116,17 @@ def fusable() -> Program:
     (each ``X(j,i)`` is private to its ``j`` iteration), so
     :func:`repro.trans.distribution.distribute_loop` may separate them.
     """
-    from repro.trans.distribution import distribute_loop
-
-    arrays, scalars = _decls()
     seq = sequential()
-    outer = seq.body[0]
+    (outer,) = seq.body
     items = list(outer.body)
-    x_nest = items[6]
-    distributed = distribute_loop(x_nest, scalars=frozenset(s.name for s in scalars))
+    distributed = distribute_loop(
+        items[6], scalars=frozenset(s.name for s in seq.scalars)
+    )
     if len(distributed) != 2:
         raise AssertionError("X nest must distribute into init + accumulation")
     items[6:7] = distributed
-    body = loop("i", 1, _N, items)
-    return Program(
-        "qr_fusable", PARAMS, arrays, scalars, (body,), outputs=("A", "X")
-    )
-
-
-def fused_nest() -> FusedNest:
-    """The Figure-3(b) fused form (:data:`FUSION` on :func:`fusable`)."""
-    from repro.kernels.recipes import build_fused_nest
-
-    return build_fused_nest(NAME)
-
-
-def fixdeps_report() -> FixDepsReport:
-    """FixDeps audit; expected collapses: G2.k, G4.j, G6.k; no copies."""
-    return fix_dependences(fused_nest())
-
-
-def fixed() -> Program:
-    """The Figure-4(b) form."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "fixed")
-
-
-def tiled(tile: int = 8) -> Program:
-    """Sec. 4: tile the outermost ``i`` and ``j`` loops."""
-    from repro.kernels.recipes import build_variant
-
-    return build_variant(NAME, "tiled", tile=tile)
+    body = Loop(outer.var, outer.lower, outer.upper, items)
+    return seq.with_body((body,)).with_name("qr_fusable")
 
 
 def make_inputs(params: Mapping[str, int], rng=None) -> dict[str, np.ndarray]:

@@ -4,12 +4,13 @@ import pytest
 
 from repro.deps.access import extract_references
 from repro.errors import DependenceError
-from repro.kernels import jacobi, lu
+from repro.kernels import lu
+from repro.kernels.recipes import build_fused_nest
 
 
 class TestJacobiExtraction:
     def test_reference_inventory(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         g1, g2 = nest.groups
         refs1 = extract_references(nest, g1)
         # L(j,i) write, four A reads
@@ -22,13 +23,13 @@ class TestJacobiExtraction:
         assert [r.name for r in refs2 if not r.is_write] == ["L"]
 
     def test_subscripts_in_fused_coordinates(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         refs = extract_references(nest, nest.groups[0])
         write = next(r for r in refs if r.is_write)
         assert {str(s) for s in write.subscripts} == {"j", "i"}
 
     def test_domains_include_context(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         refs = extract_references(nest, nest.groups[0])
         dom = refs[0].domain
         assert dom.variables[:1] == ("t",)
@@ -36,19 +37,19 @@ class TestJacobiExtraction:
         assert not dom.contains({"t": 0, "i": 1, "j": 2, "N": 5, "M": 3})
 
     def test_alpha_numbering(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         refs = extract_references(nest, nest.groups[0])
         assert all(r.alpha == 1 for r in refs)
 
     def test_exactness(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         refs = extract_references(nest, nest.groups[0])
         assert all(r.exact for r in refs)
 
 
 class TestLUExtraction:
     def test_fuzzy_pivot_subscript(self):
-        nest = lu.fused_nest()
+        nest = build_fused_nest("lu")
         swap_cols = nest.groups[4]  # trailing-column swaps
         refs = extract_references(nest, swap_cols, lu.VALUE_RANGES)
         fuzzy = [r for r in refs if r.fuzzy]
@@ -56,19 +57,19 @@ class TestLUExtraction:
         assert all(not r.exact for r in fuzzy)
 
     def test_fuzzy_requires_value_range(self):
-        nest = lu.fused_nest()
+        nest = build_fused_nest("lu")
         swap_cols = nest.groups[4]
         with pytest.raises(DependenceError):
             extract_references(nest, swap_cols, {})
 
     def test_opaque_guard_marks_inexact(self):
-        nest = lu.fused_nest()
+        nest = build_fused_nest("lu")
         search = nest.groups[2]
         refs = extract_references(nest, search, lu.VALUE_RANGES)
         m_writes = [r for r in refs if r.name == "m" and r.is_write]
         assert m_writes and all(not r.exact for r in m_writes)
 
     def test_scalar_rank_zero(self):
-        nest = lu.fused_nest()
+        nest = build_fused_nest("lu")
         refs = extract_references(nest, nest.groups[0], lu.VALUE_RANGES)
         assert all(r.subscripts == () for r in refs if r.name == "temp")

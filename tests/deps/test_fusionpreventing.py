@@ -15,7 +15,8 @@ oracle at small concrete sizes.
 import pytest
 
 from repro.deps.fusionpreventing import summarize, violated_dependences
-from repro.kernels import cholesky, jacobi, lu, qr
+from repro.kernels import lu
+from repro.kernels.recipes import build_fused_nest
 from tests.deps.bruteforce import trace_violations
 
 
@@ -25,19 +26,19 @@ def names_of(violations):
 
 class TestJacobi:
     def test_only_anti_on_A(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         vios = violated_dependences(nest)
         assert names_of(vios) == {("anti", "A", 1, 2)}
 
     def test_witness_is_valid(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         vios = violated_dependences(nest)
         for v in vios:
             assert v.witness is not None
             assert v.poly.contains(v.witness)
 
     def test_matches_bruteforce(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         sym = {
             (v.kind, v.name, v.src.group, v.dst.group)
             for v in violated_dependences(nest)
@@ -48,18 +49,18 @@ class TestJacobi:
 
 class TestCholesky:
     def test_fused_is_legal(self):
-        nest = cholesky.fused_nest()
+        nest = build_fused_nest("cholesky")
         assert violated_dependences(nest) == []
 
     def test_bruteforce_agrees(self):
-        nest = cholesky.fused_nest()
+        nest = build_fused_nest("cholesky")
         assert trace_violations(nest, {"N": 7}) == set()
 
 
 class TestQR:
     @pytest.fixture(scope="class")
     def vios(self):
-        return violated_dependences(qr.fused_nest())
+        return violated_dependences(build_fused_nest("qr"))
 
     def test_norm_violation_present(self, vios):
         # The paper's WR_norm(2,3): group 2 writes norm, group 3 reads it.
@@ -74,7 +75,7 @@ class TestQR:
         assert any(k[1] == "X" and k[0] == "flow" and k[2] == 8 for k in kinds)
 
     def test_matches_bruteforce(self, vios):
-        brute = trace_violations(qr.fused_nest(), {"N": 6})
+        brute = trace_violations(build_fused_nest("qr"), {"N": 6})
         assert names_of(vios) == brute
 
 
@@ -82,7 +83,7 @@ class TestLU:
     @pytest.fixture(scope="class")
     def vios(self):
         return violated_dependences(
-            lu.fused_nest(), value_ranges=lu.VALUE_RANGES
+            build_fused_nest("lu"), value_ranges=lu.VALUE_RANGES
         )
 
     def test_pivot_scalar_violations(self, vios):
@@ -100,7 +101,7 @@ class TestLU:
         # origin, no anti-dependence remains — hence LU needs no copies.
         from repro.trans.elim_ww_wr import eliminate_ww_wr
 
-        fixed = eliminate_ww_wr(lu.fused_nest(), value_ranges=lu.VALUE_RANGES)
+        fixed = eliminate_ww_wr(build_fused_nest("lu"), value_ranges=lu.VALUE_RANGES)
         remaining = violated_dependences(
             fixed.nest, ("anti",), value_ranges=lu.VALUE_RANGES
         )
@@ -109,26 +110,26 @@ class TestLU:
     def test_bruteforce_is_subset(self, vios):
         # The oracle expands fuzzy refs the same way, so sets coincide.
         brute = trace_violations(
-            lu.fused_nest(), {"N": 6}, value_ranges=lu.VALUE_RANGES
+            build_fused_nest("lu"), {"N": 6}, value_ranges=lu.VALUE_RANGES
         )
         assert brute <= names_of(vios)
 
 
 class TestFilters:
     def test_src_group_filter(self):
-        nest = qr.fused_nest()
+        nest = build_fused_nest("qr")
         vios = violated_dependences(nest, src_group=2)
         assert {v.src.group for v in vios} == {2}
 
     def test_kind_filter(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         assert violated_dependences(nest, ("flow", "output")) == []
 
     def test_array_filter(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         assert violated_dependences(nest, arrays=["L"]) == []
 
     def test_summarize(self):
-        nest = jacobi.fused_nest()
+        nest = build_fused_nest("jacobi")
         counts = summarize(violated_dependences(nest))
         assert any(key.startswith("RW_A(1,2)") for key in counts)

@@ -14,6 +14,7 @@ import pytest
 from repro.errors import ExecutionError
 from repro.exec.compiled import run_compiled
 from repro.experiments.runner import build_program
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import ALL_KERNELS, KERNELS, get_kernel, variants_for
 from tests.exec.interp import CHECKED_COUNTERS, crosscheck_traces, run_interpreted
 
@@ -31,9 +32,9 @@ _CASES = [
 def test_counters_agree(kernel, variant):
     mod = get_kernel(kernel)
     if variant == "tiled":
-        program = mod.tiled(4)
+        program = build_variant(kernel, "tiled", tile=4)
     elif variant == "fixed":
-        program = mod.fixed()
+        program = build_variant(kernel, "fixed")
     else:
         program = mod.sequential()
     params = {"N": 8}

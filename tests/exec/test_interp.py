@@ -67,10 +67,14 @@ class TestAgreementWithCompiled:
     @pytest.mark.parametrize("kernel_name", ["lu", "qr", "cholesky", "jacobi"])
     @pytest.mark.parametrize("variant", ["sequential", "fixed"])
     def test_kernels_agree(self, kernel_name, variant):
+        from repro.kernels.recipes import build_variant
         from repro.kernels.registry import get_kernel
 
         mod = get_kernel(kernel_name)
-        program = getattr(mod, variant)()
+        if variant == "sequential":
+            program = mod.sequential()
+        else:
+            program = build_variant(kernel_name, variant)
         params = {"N": 7}
         if "M" in mod.PARAMS:
             params["M"] = 3

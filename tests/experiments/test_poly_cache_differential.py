@@ -114,12 +114,12 @@ def test_fixdeps_output_matches_oracle(monkeypatch):
 
 def test_violated_dependences_match_oracle(monkeypatch):
     from repro.deps.fusionpreventing import summarize, violated_dependences
-    from repro.kernels import jacobi, qr
+    from repro.kernels.recipes import build_fused_nest
 
     def counts() -> list[dict[str, int]]:
         return [
-            summarize(violated_dependences(jacobi.fused_nest())),
-            summarize(violated_dependences(qr.fused_nest())),
+            summarize(violated_dependences(build_fused_nest("jacobi"))),
+            summarize(violated_dependences(build_fused_nest("qr"))),
         ]
 
     _toggle(monkeypatch, "on")

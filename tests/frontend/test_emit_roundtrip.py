@@ -9,11 +9,14 @@ from repro.frontend.emit import to_source
 from repro.ir.builder import assign, cge, cle, idx, if_, loop, or_, sym, val
 from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from repro.kernels.recipes import build_variant, registry_build_matrix
+from repro.kernels.registry import ALL_KERNELS, get_kernel
+from repro.pipeline.recipe import program_fingerprint
 
 N = sym("N")
 
 
-def roundtrip(program: Program) -> None:
+def roundtrip(program: Program) -> Program:
     text = to_source(program)
     back = parse_program(text)
     assert back.name == program.name
@@ -22,26 +25,25 @@ def roundtrip(program: Program) -> None:
     assert back.scalars == program.scalars
     assert back.outputs == program.outputs
     assert back.body == program.body
+    return back
 
 
 class TestRoundtripKernels:
-    @pytest.mark.parametrize("kernel", ["lu", "qr", "cholesky", "jacobi"])
+    @pytest.mark.parametrize("kernel", ALL_KERNELS)
     def test_sequential_kernels(self, kernel):
-        from repro.kernels.registry import get_kernel
+        """Each kernel's listing parses to a program that round-trips."""
+        roundtrip(parse_program(get_kernel(kernel).SOURCE))
 
-        roundtrip(get_kernel(kernel).sequential())
-
-    @pytest.mark.parametrize("kernel", ["qr", "cholesky", "jacobi"])
-    def test_fixed_kernels(self, kernel):
-        from repro.kernels.registry import get_kernel
-
-        roundtrip(get_kernel(kernel).fixed())
-
-    @pytest.mark.parametrize("kernel", ["cholesky", "jacobi"])
-    def test_tiled_kernels(self, kernel):
-        from repro.kernels.registry import get_kernel
-
-        roundtrip(get_kernel(kernel).tiled(5))
+    @pytest.mark.parametrize(
+        "kernel,variant,tile",
+        registry_build_matrix(),
+        ids=[f"{k}/{v}" + ("" if t is None else f"@t{t}")
+             for k, v, t in registry_build_matrix()],
+    )
+    def test_registry_programs(self, kernel, variant, tile):
+        program = build_variant(kernel, variant, tile=tile)
+        back = roundtrip(program)
+        assert program_fingerprint(back) == program_fingerprint(program)
 
 
 class TestRoundtripConstructs:

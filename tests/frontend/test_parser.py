@@ -113,6 +113,21 @@ class TestErrors:
         with pytest.raises(ParseError):
             parse_body("if (x) then\n x = 1.0\n end if")
 
+    @pytest.mark.parametrize(
+        "decls,line,col",
+        [
+            ("param N\n real A(N)\n real A(2)", 4, 7),
+            ("param N\n real A(N)\n real x, x", 4, 10),
+            ("param N\n real A(N)\n integer N", 4, 10),
+        ],
+        ids=["array", "scalar", "param"],
+    )
+    def test_repeated_declaration(self, decls, line, col):
+        src = f"program p\n {decls}\nbegin\n A(1) = 0.0\nend\n"
+        with pytest.raises(ParseError, match="declared twice") as err:
+            parse_program(src)
+        assert (err.value.line, err.value.col) == (line, col)
+
 
 class TestRoundtrip:
     def test_kernels_reparse_from_pretty_like_source(self):

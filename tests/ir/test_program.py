@@ -54,6 +54,16 @@ class TestValidation:
         with pytest.raises(IRError):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
 
+    def test_array_assigned_as_scalar_rejected(self):
+        body = loop("i", 1, N, [assign("A", 1.0)])
+        with pytest.raises(IRError, match="array 'A' used as a scalar"):
+            Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
+
+    def test_array_read_as_scalar_rejected(self):
+        body = loop("i", 1, N, [assign("x", sym("A") + 1.0)])
+        with pytest.raises(IRError, match="array 'A' used as a scalar"):
+            Program("p", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("x"),), (body,))
+
     def test_unknown_output_rejected(self):
         with pytest.raises(IRError):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (), outputs=("B",))

@@ -4,23 +4,25 @@ import pytest
 
 from repro.errors import IRError
 from repro.ir.serialize import dumps, loads, program_from_dict, program_to_dict
+from repro.kernels.recipes import build_fused_nest, build_variant
 from repro.kernels.registry import KERNELS, get_kernel
 
 
 @pytest.mark.parametrize("kernel", KERNELS)
 @pytest.mark.parametrize("variant", ["sequential", "fixed", "tiled"])
 def test_kernel_variants_roundtrip(kernel, variant):
-    mod = get_kernel(kernel)
-    program = getattr(mod, variant)() if variant != "tiled" else mod.tiled(5)
+    if variant == "sequential":
+        program = get_kernel(kernel).sequential()
+    else:
+        program = build_variant(kernel, variant, tile=5 if variant == "tiled" else None)
     assert loads(dumps(program)) == program
 
 
 def test_select_survives():
-    from repro.kernels import jacobi
     from repro.trans.elim_rw import eliminate_rw
     from repro.trans.elim_ww_wr import eliminate_ww_wr
 
-    prepared = eliminate_ww_wr(jacobi.fused_nest()).nest
+    prepared = eliminate_ww_wr(build_fused_nest("jacobi")).nest
     with_selects = eliminate_rw(prepared, simplify=False).nest.to_program()
     assert loads(dumps(with_selects)) == with_selects
 

@@ -5,6 +5,7 @@ import pytest
 
 from repro.exec import run_compiled
 from repro.kernels import gauss_seidel as gs
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import EXTENSION_KERNELS, get_kernel
 
 
@@ -20,7 +21,8 @@ class TestSemantics:
     def test_tiled_matches_reference(self, tile):
         params = {"N": 14, "M": 4}
         inputs = gs.make_inputs(params)
-        out = run_compiled(gs.tiled(tile), params, inputs)
+        program = build_variant("gauss_seidel", "tiled", tile=tile)
+        out = run_compiled(program, params, inputs)
         assert np.allclose(out.arrays["A"], gs.reference(params, inputs)["A"])
 
     def test_in_place_update_differs_from_jacobi(self):
@@ -62,7 +64,8 @@ class TestRegistry:
         inputs = gs.make_inputs(params)
         machine = octane2_scaled()
         reports = {}
-        for label, prog in (("seq", gs.sequential()), ("tiled", gs.tiled(11))):
+        tiled = build_variant("gauss_seidel", "tiled", tile=11)
+        for label, prog in (("seq", gs.sequential()), ("tiled", tiled)):
             cp = CompiledProgram(prog, trace=True)
             _, reports[label] = measure_streaming(cp, params, machine, inputs)
         assert reports["tiled"].l2_misses < reports["seq"].l2_misses / 4

@@ -6,7 +6,7 @@ elsewhere.
 """
 
 from repro.ir import pretty
-from repro.kernels import cholesky, jacobi, lu
+from repro.kernels.recipes import build_variant
 
 
 JACOBI_FIXED = """\
@@ -59,15 +59,15 @@ end program"""
 
 
 def test_jacobi_fixed_golden():
-    assert pretty(jacobi.fixed()) == JACOBI_FIXED
+    assert pretty(build_variant("jacobi", "fixed")) == JACOBI_FIXED
 
 
 def test_cholesky_fixed_golden():
-    assert pretty(cholesky.fixed()) == CHOLESKY_FIXED
+    assert pretty(build_variant("cholesky", "fixed")) == CHOLESKY_FIXED
 
 
 def test_lu_fixed_landmarks():
-    text = pretty(lu.fixed())
+    text = pretty(build_variant("lu", "fixed"))
     # Figure 4a landmarks, independent of exact variable naming:
     landmarks = [
         "temp = 0.0",                 # search initialisation at the origin
@@ -85,5 +85,5 @@ def test_lu_fixed_landmarks():
 
 
 def test_fixed_programs_stable_across_calls():
-    assert pretty(jacobi.fixed()) == pretty(jacobi.fixed())
-    assert pretty(lu.fixed()) == pretty(lu.fixed())
+    assert pretty(build_variant("jacobi", "fixed")) == pretty(build_variant("jacobi", "fixed"))
+    assert pretty(build_variant("lu", "fixed")) == pretty(build_variant("lu", "fixed"))

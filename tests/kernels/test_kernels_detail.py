@@ -6,6 +6,7 @@ import pytest
 from repro.exec import run_compiled
 from repro.ir import pretty
 from repro.kernels import cholesky, jacobi, lu, qr
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import KERNELS, get_kernel
 from tests.exec.interp import run_interpreted
 
@@ -22,9 +23,12 @@ class TestRegistry:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_uniform_surface(self, kernel):
         mod = get_kernel(kernel)
-        for attr in ("sequential", "fusable", "fused_nest", "fixed", "tiled",
-                     "make_inputs", "reference", "PARAMS", "DEFAULT_PARAMS"):
+        for attr in ("SOURCE", "sequential", "fusable", "FUSION", "make_inputs",
+                     "reference", "PARAMS", "DEFAULT_PARAMS"):
             assert hasattr(mod, attr), f"{kernel} missing {attr}"
+        for attr in ("fused_nest", "fixed", "tiled", "fixdeps_report"):
+            assert not hasattr(mod, attr), f"{kernel}.{attr} duplicates a recipe"
+        assert mod.sequential() is mod.sequential()  # parsed once
 
 
 class TestLU:
@@ -57,13 +61,13 @@ class TestLU:
         assert np.allclose(L @ U, a0)
 
     def test_fixed_matches_figure4a_structure(self):
-        text = pretty(lu.fixed())
+        text = pretty(build_variant("lu", "fixed"))
         assert "temp = 0.0" in text
         assert "do is" in text  # the P sweep loop
         assert "abs(d) .GT. temp" in text
 
     def test_tiled_expands_pivot_scalar(self):
-        tiled = lu.tiled(4)
+        tiled = build_variant("lu", "tiled", tile=4)
         assert any(a.name == "m_x" for a in tiled.arrays)
 
     def test_epilogue_handles_last_step(self):
@@ -109,7 +113,7 @@ class TestCholesky:
         assert np.allclose(np.triu(out.arrays["A"], 1), np.triu(inputs["A"], 1))
 
     def test_tiled_guard_structure(self):
-        text = pretty(cholesky.tiled(4))
+        text = pretty(build_variant("cholesky", "tiled", tile=4))
         assert "do kt = 1, N - 1, 4" in text
         # point loop clamped by tile and by the triangular bound
         assert "min(" in text
@@ -119,7 +123,7 @@ class TestJacobi:
     def test_boundary_preserved(self):
         params = {"N": 10, "M": 4}
         inputs = jacobi.make_inputs(params)
-        out = run_compiled(jacobi.fixed(), params, inputs)
+        out = run_compiled(build_variant("jacobi", "fixed"), params, inputs)
         a0, a1 = inputs["A"], out.arrays["A"]
         assert np.allclose(a0[0, :], a1[0, :]) and np.allclose(a0[-1, :], a1[-1, :])
         assert np.allclose(a0[:, 0], a1[:, 0]) and np.allclose(a0[:, -1], a1[:, -1])
@@ -127,13 +131,13 @@ class TestJacobi:
     def test_m_zero_single_step(self):
         params = {"N": 8, "M": 0}
         inputs = jacobi.make_inputs(params)
-        out = run_compiled(jacobi.tiled(3), params, inputs)
+        out = run_compiled(build_variant("jacobi", "tiled", tile=3), params, inputs)
         assert np.allclose(out.arrays["A"], jacobi.reference(params, inputs)["A"])
 
     def test_interpreted_agrees_on_tiled(self):
         params = {"N": 8, "M": 2}
         inputs = jacobi.make_inputs(params)
-        t = jacobi.tiled(3)
+        t = build_variant("jacobi", "tiled", tile=3)
         a = run_compiled(t, params, inputs)
         b = run_interpreted(t, params, inputs)
         assert np.allclose(a.arrays["A"], b.arrays["A"])

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from repro.exec import run_compiled
+from repro.kernels.recipes import build_variant
 from repro.kernels.registry import KERNELS, get_kernel
 
 
@@ -21,8 +22,12 @@ def test_variants_at_minimum_size(kernel, n):
         params["M"] = 1
     inputs = mod.make_inputs(params)
     ref = mod.reference(params, inputs)
-    for build in (mod.sequential, mod.fusable, mod.fixed, lambda: mod.tiled(3)):
-        program = build()
+    for program in (
+        mod.sequential(),
+        mod.fusable(),
+        build_variant(kernel, "fixed"),
+        build_variant(kernel, "tiled", tile=3),
+    ):
         out = run_compiled(program, params, inputs)
         for name in program.outputs:
             if name in ref:
@@ -36,7 +41,7 @@ def test_jacobi_n4_boundary_only():
     mod = get_kernel("jacobi")
     params = {"N": 4, "M": 2}
     inputs = mod.make_inputs(params)
-    out = run_compiled(mod.fixed(), params, inputs)
+    out = run_compiled(build_variant("jacobi", "fixed"), params, inputs)
     assert np.allclose(out.arrays["A"], mod.reference(params, inputs)["A"])
 
 
@@ -44,5 +49,5 @@ def test_gauss_seidel_minimum():
     mod = get_kernel("gauss_seidel")
     params = {"N": 4, "M": 1}
     inputs = mod.make_inputs(params)
-    out = run_compiled(mod.tiled(2), params, inputs)
+    out = run_compiled(build_variant("gauss_seidel", "tiled", tile=2), params, inputs)
     assert np.allclose(out.arrays["A"], mod.reference(params, inputs)["A"])

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.exec.compiled import run_compiled
+from repro.kernels.recipes import build_fused_nest, build_variant
 from repro.kernels.registry import get_kernel
 from repro.kernels.validation import ATOL, RTOL
 
@@ -73,10 +74,12 @@ def validate_kernel(
     programs: list[tuple[str, int | None, object]] = [
         ("sequential", None, mod.sequential()),
         ("fusable", None, mod.fusable()),
-        ("fused", None, mod.fused_nest().to_program()),
-        ("fixed", None, mod.fixed()),
+        ("fused", None, build_fused_nest(kernel).to_program()),
+        ("fixed", None, build_variant(kernel, "fixed")),
     ]
-    programs.extend(("tiled", t, mod.tiled(t)) for t in tiles)
+    programs.extend(
+        ("tiled", t, build_variant(kernel, "tiled", tile=t)) for t in tiles
+    )
 
     for n in sizes:
         params = {"N": n}

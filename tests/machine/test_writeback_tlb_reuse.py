@@ -137,6 +137,7 @@ class TestReuseProfile:
         # distances than sequential Cholesky.
         from repro.exec.compiled import CompiledProgram
         from repro.kernels import cholesky
+        from repro.kernels.recipes import build_variant
         from repro.machine.layout import layout_for_program
 
         params = {"N": 40}
@@ -144,7 +145,7 @@ class TestReuseProfile:
         profs = {}
         for label, program in (
             ("seq", cholesky.sequential()),
-            ("tiled", cholesky.tiled(8)),
+            ("tiled", build_variant("cholesky", "tiled", tile=8)),
         ):
             cp = CompiledProgram(program, trace=True)
             run = cp.run(params, inputs)

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ExecutionError, ReproError
 from repro.kernels import recipes
 from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
-from repro.pipeline import PassContext, program_fingerprint
+from repro.pipeline import PassContext
 from tests.exec.interp import crosscheck_engines
 from tests.pipeline.verify import VERIFY_PARAMS, verify_recipe
 
@@ -90,21 +90,6 @@ GOLDEN_NAMES = {
 def test_program_names_preserved(pair, name):
     """PerfReports key on program names; recipes must reproduce them."""
     assert recipes.build_variant(*pair).name == name
-
-
-def test_builders_delegate_to_recipes():
-    """The kernel modules' builder functions and the registry produce
-    byte-identical programs (one code path)."""
-    lu = get_kernel("lu")
-    assert program_fingerprint(lu.tiled(5)) == program_fingerprint(
-        recipes.build_variant("lu", "tiled", tile=5)
-    )
-    jacobi = get_kernel("jacobi")
-    assert program_fingerprint(
-        jacobi.tiled(4, time_tile=2)
-    ) == program_fingerprint(
-        recipes.build_variant("jacobi", "tiled", tile=4, time_tile=2)
-    )
 
 
 def test_unknown_kernel_and_variant():

@@ -6,13 +6,14 @@ import pytest
 from repro.exec import run_compiled
 from repro.ir import pretty
 from repro.kernels import jacobi
+from repro.kernels.recipes import build_fused_nest
 from repro.trans.elim_rw import eliminate_rw
 from repro.trans.elim_ww_wr import eliminate_ww_wr
 
 
 @pytest.fixture(scope="module")
 def jacobi_prepared():
-    return eliminate_ww_wr(jacobi.fused_nest()).nest
+    return eliminate_ww_wr(build_fused_nest("jacobi")).nest
 
 
 class TestJacobiCopies:
@@ -62,9 +63,7 @@ class TestJacobiCopies:
         assert g2.prologue, "copies must precede the writeback group"
 
     def test_no_violations_no_changes(self):
-        from repro.kernels import cholesky
-
-        nest = eliminate_ww_wr(cholesky.fused_nest()).nest
+        nest = eliminate_ww_wr(build_fused_nest("cholesky")).nest
         out = eliminate_rw(nest)
         assert out.insertions == ()
         assert out.nest is nest

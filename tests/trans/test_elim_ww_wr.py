@@ -4,33 +4,34 @@ import numpy as np
 
 from repro.deps.fusionpreventing import violated_dependences
 from repro.exec import run_compiled
-from repro.kernels import cholesky, jacobi, lu, qr
+from repro.kernels import lu, qr
+from repro.kernels.recipes import build_fused_nest
 from repro.trans.elim_ww_wr import eliminate_ww_wr
 from tests.trans import shift_scale
 
 
 class TestPerKernel:
     def test_cholesky_untouched(self):
-        out = eliminate_ww_wr(cholesky.fused_nest())
+        out = eliminate_ww_wr(build_fused_nest("cholesky"))
         assert out.collapsed_groups() == {}
 
     def test_jacobi_untouched(self):
-        out = eliminate_ww_wr(jacobi.fused_nest())
+        out = eliminate_ww_wr(build_fused_nest("jacobi"))
         assert out.collapsed_groups() == {}
 
     def test_lu_collapses_search_i(self):
-        out = eliminate_ww_wr(lu.fused_nest(), value_ranges=lu.VALUE_RANGES)
+        out = eliminate_ww_wr(build_fused_nest("lu"), value_ranges=lu.VALUE_RANGES)
         assert out.collapsed_groups() == {3: ("i",)}
 
     def test_qr_collapses_three_groups(self):
-        out = eliminate_ww_wr(qr.fused_nest())
+        out = eliminate_ww_wr(build_fused_nest("qr"))
         assert out.collapsed_groups() == {2: ("k",), 6: ("j",), 8: ("k",)}
 
     def test_theorem1_no_remaining_flow_output(self):
         # Mechanical Theorem 1: after the pass, zero flow/output violations.
         for nest, vr in [
-            (lu.fused_nest(), lu.VALUE_RANGES),
-            (qr.fused_nest(), None),
+            (build_fused_nest("lu"), lu.VALUE_RANGES),
+            (build_fused_nest("qr"), None),
             (shift_scale.fused_nest(), None),
         ]:
             fixed = eliminate_ww_wr(nest, value_ranges=vr)
@@ -44,14 +45,14 @@ class TestPerKernel:
 
 class TestGeneratedCode:
     def test_lu_p_loop_emitted(self):
-        out = eliminate_ww_wr(lu.fused_nest(), value_ranges=lu.VALUE_RANGES)
+        out = eliminate_ww_wr(build_fused_nest("lu"), value_ranges=lu.VALUE_RANGES)
         text = str(out.nest.to_program())
         # the collapsed pivot search becomes a sweep loop at the origin
         assert "do is" in text
         assert "i .EQ. k" in text
 
     def test_qr_collapsed_code_correct(self):
-        out = eliminate_ww_wr(qr.fused_nest())
+        out = eliminate_ww_wr(build_fused_nest("qr"))
         program = out.nest.to_program("qr_elim")
         params = {"N": 9}
         inputs = qr.make_inputs(params)
@@ -60,7 +61,7 @@ class TestGeneratedCode:
         assert np.allclose(result.arrays["A"], ref["A"], rtol=1e-9)
 
     def test_rounds_audit(self):
-        out = eliminate_ww_wr(qr.fused_nest())
+        out = eliminate_ww_wr(build_fused_nest("qr"))
         touched = [r for r in out.rounds if r.collapsed_dims]
         assert [r.group for r in touched] == [2, 6, 8]
         assert all(r.violations for r in touched)

@@ -9,6 +9,8 @@ import numpy as np
 import pytest
 
 from repro.exec import assert_equivalent, run_compiled
+from repro.kernels import lu
+from repro.kernels.recipes import build_fused_nest, build_variant
 from repro.kernels.registry import KERNELS, get_kernel
 from repro.kernels.validation import ATOL, RTOL
 from repro.trans.fixdeps import fix_dependences
@@ -53,40 +55,38 @@ class TestVariantsEquivalent:
 
     def test_fixed_matches_reference(self, kernel):
         mod = get_kernel(kernel)
-        fixed = mod.fixed()
+        fixed = build_variant(kernel, "fixed")
         for n in SIZES:
             _check(mod, fixed, n)
 
     def test_tiled_matches_reference(self, kernel):
         mod = get_kernel(kernel)
         for tile in TILES:
-            tiled = mod.tiled(tile)
+            tiled = build_variant(kernel, "tiled", tile=tile)
             for n in SIZES:
                 _check(mod, tiled, n)
 
 
 class TestPaperFindings:
     def test_lu_fix_is_the_p_loop(self):
-        lu = get_kernel("lu")
-        report = lu.fixdeps_report()
+        report = fix_dependences(
+            build_fused_nest("lu"), value_ranges=lu.VALUE_RANGES
+        )
         assert report.ww_wr.collapsed_groups() == {3: ("i",)}
         assert report.rw.insertions == ()
 
     def test_qr_fix_includes_norm_collapse(self):
-        qr = get_kernel("qr")
-        report = qr.fixdeps_report()
+        report = fix_dependences(build_fused_nest("qr"))
         assert 2 in report.ww_wr.collapsed_groups()
         assert report.rw.insertions == ()
 
     def test_cholesky_needs_nothing(self):
-        ch = get_kernel("cholesky")
-        report = ch.fixdeps_report()
+        report = fix_dependences(build_fused_nest("cholesky"))
         assert report.ww_wr.collapsed_groups() == {}
         assert report.rw.insertions == ()
 
     def test_jacobi_fixed_by_copying_only(self):
-        ja = get_kernel("jacobi")
-        report = ja.fixdeps_report()
+        report = fix_dependences(build_fused_nest("jacobi"))
         assert report.ww_wr.collapsed_groups() == {}
         assert [i.array for i in report.rw.insertions] == ["A"]
 
@@ -95,13 +95,13 @@ class TestPaperFindings:
         for kernel in ("lu", "qr", "cholesky"):
             mod = get_kernel(kernel)
             seq_arrays = {a.name for a in mod.sequential().arrays}
-            fixed_arrays = {a.name for a in mod.fixed().arrays}
+            fixed_arrays = {a.name for a in build_variant(kernel, "fixed").arrays}
             assert fixed_arrays == seq_arrays
 
     def test_jacobi_fixed_matches_figure4d_shape(self):
         from repro.ir import pretty
 
-        text = pretty(get_kernel("jacobi").fixed())
+        text = pretty(build_variant("jacobi", "fixed"))
         assert "H_A(j,i) = A(j,i)" in text  # per-iteration copy
         assert text.count("do c") >= 2  # boundary pre-copy loops
         assert "merge(" not in text  # guards simplified away

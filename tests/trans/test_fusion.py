@@ -8,8 +8,9 @@ from repro.exec import run_compiled
 from repro.ir import pretty
 from repro.ir.builder import assign, idx, loop, sym, val
 from repro.ir.program import ArrayDecl, Program
+from repro.kernels import jacobi
+from repro.kernels.recipes import build_fused_nest
 from repro.trans.fusion import NestEmbedding, fuse_siblings
-from repro.kernels import cholesky, jacobi
 
 N, i, j, k = sym("N"), sym("i"), sym("j"), sym("k")
 
@@ -82,12 +83,12 @@ class TestFuseSiblings:
 
 class TestKernelFusions:
     def test_jacobi_matches_figure3d_shape(self):
-        text = pretty(jacobi.fused_nest().to_program())
+        text = pretty(build_fused_nest("jacobi").to_program())
         # one t loop, one i loop, one j loop, both statements in one body
         assert text.count("do ") == 3
 
     def test_cholesky_matches_figure3c_guards(self):
-        text = pretty(cholesky.fused_nest().to_program())
+        text = pretty(build_fused_nest("cholesky").to_program())
         assert "j .EQ. k + 1 .AND. i .EQ. k + 1" in text or (
             "i .EQ. k + 1" in text and "j .EQ. k + 1" in text
         )
@@ -95,11 +96,11 @@ class TestKernelFusions:
     def test_fused_jacobi_is_wrong_without_fixing(self):
         params = {"N": 8, "M": 2}
         inputs = jacobi.make_inputs(params)
-        fused = jacobi.fused_nest().to_program()
+        fused = build_fused_nest("jacobi").to_program()
         out = run_compiled(fused, params, inputs)
         ref = jacobi.reference(params, inputs)
         assert not np.allclose(out.arrays["A"], ref["A"])
 
     def test_epilogue_preserved(self):
-        prog = cholesky.fused_nest().to_program()
+        prog = build_fused_nest("cholesky").to_program()
         assert "A(N,N) = sqrt(A(N,N))" in pretty(prog)

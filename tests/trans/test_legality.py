@@ -19,7 +19,8 @@ Every answer comes from the one check, :func:`fully_permutable_under`.
 import pytest
 
 from repro.deps.selfdeps import self_dependences
-from repro.kernels import cholesky, jacobi, lu, qr
+from repro.kernels import lu
+from repro.kernels.recipes import build_variant
 from repro.poly.constraint import eq0, ge0
 from repro.poly.integer import integer_feasible
 from repro.trans.legality import fully_permutable_under
@@ -31,12 +32,12 @@ IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 @pytest.fixture(scope="module")
 def jacobi_nest():
-    return jacobi.fixed().body[-1]
+    return build_variant("jacobi", "fixed").body[-1]
 
 
 @pytest.fixture(scope="module")
 def cholesky_nest():
-    return cholesky.fixed().body[0]
+    return build_variant("cholesky", "fixed").body[0]
 
 
 class TestSelfDependences:
@@ -86,17 +87,17 @@ class TestCholesky:
 
 class TestQR:
     def test_tiling_band_i_j_permutable(self):
-        nest = qr.fixed().body[0]
+        nest = build_variant("qr", "fixed").body[0]
         assert fully_permutable_under(nest, IDENT3, band=[0, 1])
         # the full band (identity map, the program's scalars) is declined:
         # k is not permutable with (i, j)
-        scalars = frozenset(s.name for s in qr.fixed().scalars)
+        scalars = frozenset(s.name for s in build_variant("qr", "fixed").scalars)
         assert not fully_permutable_under(
             nest, IDENT3, band=[0, 1, 2], scalars=scalars
         )
 
     def test_k_not_interchangeable_to_front(self):
-        nest = qr.fixed().body[0]
+        nest = build_variant("qr", "fixed").body[0]
         # moving k outermost reverses the X flow dependences: the new
         # outermost level alone carries a negative distance.
         U = permutation_matrix((2, 0, 1))
@@ -121,7 +122,7 @@ class TestJacobi:
 
 class TestLU:
     def test_conservative_analysis_declines(self):
-        nest = lu.fixed().body[0]
+        nest = build_variant("lu", "fixed").body[0]
         # With the fuzzy pivot row, the analysis must not *prove* the
         # k-tiling band (nor the full band) permutable.
         for band in ([0, 1], [0, 1, 2]):

@@ -78,9 +78,9 @@ class TestSplitFirstIteration:
 class TestSplitPointGuards:
     def test_cholesky_hot_loops_guard_free(self):
         from repro.ir import pretty
-        from repro.kernels import cholesky
+        from repro.kernels.recipes import build_variant
 
-        text = pretty(cholesky.tiled(4))
+        text = pretty(build_variant("cholesky", "tiled", tile=4))
         # The innermost i loops carry no conditionals at all.
         import re
 
@@ -97,10 +97,11 @@ class TestSplitPointGuards:
         p = {"N": n}
         inputs = cholesky.make_inputs(p)
         sunk = rc(build_variant("cholesky", "tiled_sunk", tile=8), p, inputs).counters
-        clean = rc(cholesky.tiled(8), p, inputs).counters
+        clean = rc(build_variant("cholesky", "tiled", tile=8), p, inputs).counters
         assert clean.branches < sunk.branches / 5
 
     def test_all_kernels_correct_after_split(self):
+        from repro.kernels.recipes import build_variant
         from repro.kernels.registry import KERNELS, get_kernel
 
         for kernel in KERNELS:
@@ -109,7 +110,7 @@ class TestSplitPointGuards:
             if "M" in mod.PARAMS:
                 params["M"] = 3
             inputs = mod.make_inputs(params)
-            out = run_compiled(mod.tiled(5), params, inputs)
+            out = run_compiled(build_variant(kernel, "tiled", tile=5), params, inputs)
             ref = mod.reference(params, inputs)
             assert np.allclose(
                 out.arrays["A"], ref["A"], rtol=1e-8

@@ -6,6 +6,7 @@ from repro.exec import run_compiled
 from repro.ir.builder import and_, assign, ceq, cne, idx, if_, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.ir.stmt import If, Loop
+from repro.kernels.recipes import build_variant
 from repro.trans.cleanup import propagate_guard_facts
 from repro.trans.unswitch import unswitch_invariant_guards
 
@@ -133,14 +134,13 @@ class TestPropagateGuardFacts:
 
         p = {"N": 11}
         inputs = cholesky.make_inputs(p)
-        out = run_compiled(cholesky.tiled(3), p, inputs)
+        out = run_compiled(build_variant("cholesky", "tiled", tile=3), p, inputs)
         assert np.allclose(out.arrays["A"], cholesky.reference(p, inputs)["A"])
 
     def test_unswitched_cholesky_hot_path_guard_free(self):
         from repro.ir import pretty
-        from repro.kernels import cholesky
 
-        text = pretty(cholesky.tiled(4))
+        text = pretty(build_variant("cholesky", "tiled", tile=4))
         # the else branch (j > k+1, the bulk of iterations) has a bare update
         assert "else" in text
         tail = text[text.index("else"):]
