@@ -1,10 +1,10 @@
 """Benchmark-suite configuration.
 
-Each benchmark regenerates one of the paper's tables/figures through the
-full pipeline (kernel build -> traced execution -> machine simulation) and
-attaches the regenerated rows/series to the benchmark record via
-``extra_info``, so ``--benchmark-json`` output contains the reproduced
-numbers alongside the timings.
+The benchmarks time the machine model, the compile path, the ablation
+studies and the traffic instruments, and attach the rows they measure to
+the benchmark record via ``extra_info``, so ``--benchmark-json`` output
+contains the numbers alongside the timings. The paper's own claims are
+checked by ``python -m repro.experiments claims`` instead.
 
 Measurements are disk-cached across processes (``.repro_cache``) because a
 full sweep point costs seconds; delete the directory (or set
@@ -20,5 +20,5 @@ from repro.experiments.sweep import SweepConfig, default_config
 
 @pytest.fixture(scope="session")
 def sweep_config() -> SweepConfig:
-    """Quick sweep by default; REPRO_FULL_SWEEP=1 for the full curve."""
+    """The quick sweep (``REPRO_SIZES`` overrides its sizes)."""
     return default_config()

@@ -11,8 +11,8 @@
 - :mod:`repro.experiments.paperpoint` — one measurement on the *true*
   Octane2 geometry at a paper problem size (the scaling anchor);
 - :mod:`repro.experiments.crossover` — locating the break-even sizes;
-- :mod:`repro.experiments.costguide` — the Sec.-6 future work: using the
-  machine model to guide tile-size and tile-or-not decisions;
+- :mod:`repro.experiments.claims` — the paper's Sec. 4 claims as bounds
+  over the rows above, each printed as ``holds`` or ``FAILS``;
 - :mod:`repro.experiments.ablations` — design-choice studies beyond the
   paper (tile-size policy, skewing, copy widening, associativity,
   guard-cleanup contribution);
@@ -23,7 +23,7 @@
 Run from the command line::
 
     python -m repro.experiments figure5
-    python -m repro.experiments all --quick
+    python -m repro.experiments claims --full
 """
 
 from repro.experiments.runner import (

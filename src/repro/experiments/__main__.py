@@ -1,9 +1,14 @@
 """Command-line entry point: ``python -m repro.experiments <target>``.
 
-Targets: figure5, figure6, figure7, figure8, table1, jacobi, ablations,
-telemetry_report, all. Flags: ``--quick`` (4-point sweep), ``--full``
-(7-point scaled sweep), ``--telemetry DIR`` (write span/metric run
-artefacts), ``--diff BASE NEW`` (directories for ``telemetry_report``).
+Targets: figure5, figure6, figure7, figure8, table1, jacobi, claims,
+ablations, paperpoint, crossover, pipeline, telemetry_report, all. Flags:
+``--quick`` (4-point sweep, the default), ``--full`` (6-point scaled
+sweep), ``--output DIR`` (write markdown + CSV artefacts), ``--telemetry
+DIR`` (write span/metric run artefacts), ``--diff BASE NEW`` (directories
+for ``telemetry_report``).
+
+``claims``, ``all``, ``paperpoint`` and ``crossover`` print their claim
+rows (:mod:`repro.experiments.claims`) and exit 1 when any row FAILS.
 """
 
 from __future__ import annotations
@@ -12,7 +17,9 @@ import argparse
 import sys
 
 from repro import telemetry
-from repro.experiments import figure5, figure678, jacobi_stats, table1
+from repro.experiments import (
+    claims, crossover, figure5, figure678, jacobi_stats, paperpoint, table1,
+)
 from repro.experiments.sweep import default_config
 
 
@@ -22,12 +29,12 @@ def main(argv: list[str] | None = None) -> int:
         "target",
         choices=[
             "figure5", "figure6", "figure7", "figure8", "table1", "jacobi",
-            "ablations", "paperpoint", "crossover", "pipeline",
+            "claims", "ablations", "paperpoint", "crossover", "pipeline",
             "telemetry_report", "all",
         ],
     )
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--quick", action="store_true", help="4-point sweep")
+    mode.add_argument("--quick", action="store_true", help="4-point sweep (default)")
     mode.add_argument("--full", action="store_true", help="full scaled sweep")
     parser.add_argument(
         "--output", metavar="DIR", help="also write markdown + CSV artefacts"
@@ -50,8 +57,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry:
         telemetry.enable()
 
-    quick = True if args.quick else (False if args.full else None)
-    config = default_config(quick=quick)
+    config = default_config(quick=not args.full)
 
     if args.target == "telemetry_report":
         if not args.diff:
@@ -74,6 +80,12 @@ def main(argv: list[str] | None = None) -> int:
         return renderer(rows)
 
     outputs: list[str] = []
+    checked: list[claims.Claim] = []
+
+    def check(rows: list[claims.Claim], title: str = claims.TITLE) -> str:
+        checked.extend(rows)
+        return claims.render(rows, title)
+
     if args.target in ("figure5", "all"):
         outputs.append(figure5.main(config))
     if args.target == "figure6":
@@ -88,18 +100,25 @@ def main(argv: list[str] | None = None) -> int:
         outputs.append(table1.main(config))
     if args.target in ("jacobi", "all"):
         outputs.append(jacobi_stats.main(config))
+    if args.target in ("claims", "all"):
+        outputs.append(check(claims.generate(config)))
     if args.target in ("ablations", "all"):
         from repro.experiments import ablations
 
         outputs.append(ablations.main(config))
     if args.target == "paperpoint":
-        from repro.experiments import paperpoint
-
         outputs.append(paperpoint.main(config))
+        outputs.append(
+            check(claims.paperpoint_claims(paperpoint.measure()), "Claims — anchor point")
+        )
     if args.target == "crossover":
-        from repro.experiments import crossover
-
         outputs.append(crossover.main(config))
+        outputs.append(
+            check(
+                claims.crossover_claims(crossover.generate(config), config.machine),
+                "Claims — crossover",
+            )
+        )
     if args.target == "pipeline":
         from repro.experiments import pipeline_report
 
@@ -108,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.telemetry:
         for name, path in sorted(telemetry.write_run(args.telemetry).items()):
             print(f"telemetry {name}: {path}")
-    return 0
+    return 1 if any(not c.holds for c in checked) else 0
 
 
 if __name__ == "__main__":

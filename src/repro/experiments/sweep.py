@@ -4,9 +4,9 @@ The paper sweeps N = 200..2500 at multiples of 238 (about 10 points
 bracketing the size where one array fills the 2 MB L2: 512x512 doubles)
 with Jacobi's M fixed at 500. The scaled machine's L2 holds 64x64 doubles,
 so the default scaled sweep brackets 64 the same way. Quick mode (the
-default for the pytest benchmarks) uses a 4-point subset; set
-``REPRO_FULL_SWEEP=1`` for the full curve and ``REPRO_FULL_MACHINE=1`` to
-run the real Octane2 geometry (very slow in pure Python).
+default) uses a 4-point subset; ``quick=False`` (the CLI's ``--full``)
+selects the full curve, and ``REPRO_FULL_MACHINE=1`` runs the real Octane2
+geometry (very slow in pure Python).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ PAPER_SIZES = tuple(238 * i for i in range(1, 11))
 #: dimensions, whose column stride aliases the 2-way sets pathologically
 #: (use REPRO_SIZES=128,... to study exactly that effect).
 SCALED_SIZES = (24, 56, 88, 120, 152, 184)
-#: Quick subset used by default in the benchmark suite.
+#: Quick subset, the default sweep.
 QUICK_SIZES = (24, 56, 88, 120)
 
 #: Jacobi time steps: paper 500; scaled runs use 12 (the miss behaviour is
@@ -74,13 +74,11 @@ class SweepConfig:
         raise ValueError(f"unknown tile policy {self.tile_policy!r}")
 
 
-def default_config(*, quick: bool | None = None) -> SweepConfig:
-    """Environment-aware default configuration."""
+def default_config(*, quick: bool = True) -> SweepConfig:
+    """The quick (default) or full sweep on the default machine;
+    ``REPRO_SIZES`` overrides the sizes."""
     machine = default_machine()
-    full = os.environ.get("REPRO_FULL_SWEEP", "") == "1"
-    if quick is None:
-        quick = not full
-    sizes = SCALED_SIZES if not quick else QUICK_SIZES
+    sizes = QUICK_SIZES if quick else SCALED_SIZES
     if machine.name == "octane2":
         sizes = PAPER_SIZES[:3] if quick else PAPER_SIZES
         jacobi_m = PAPER_JACOBI_M

@@ -162,8 +162,14 @@ class Program:
                 if n in names:
                     raise IRError(f"duplicate declaration of {n!r} in {self.name}")
                 names.add(n)
+        loops = self.loop_variables()
+        shadowed = sorted(loops.intersection(self.params))
+        if shadowed:
+            raise IRError(
+                f"{self.name}: loop 'do {shadowed[0]}' shadows parameter {shadowed[0]!r}"
+            )
         array_ranks = {a.name: a.rank for a in self.arrays}
-        declared = (names - array_ranks.keys()) | self.loop_variables()
+        declared = (names - array_ranks.keys()) | loops
         for out in self.outputs:
             if out not in names:
                 raise IRError(f"output {out!r} is not a declared array/scalar")

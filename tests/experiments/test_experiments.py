@@ -6,7 +6,7 @@ import pytest
 
 from repro.experiments import default_config
 from repro.experiments.runner import measure_variant, run_pair
-from repro.experiments.sweep import SweepConfig
+from repro.experiments.sweep import QUICK_SIZES, SCALED_SIZES, SweepConfig
 from repro.machine.configs import octane2_scaled
 
 
@@ -21,10 +21,10 @@ class TestSweepConfig:
     def test_default_config_scaled(self, monkeypatch):
         monkeypatch.delenv("REPRO_FULL_MACHINE", raising=False)
         monkeypatch.delenv("REPRO_SIZES", raising=False)
-        monkeypatch.delenv("REPRO_FULL_SWEEP", raising=False)
         cfg = default_config()
         assert cfg.machine.name == "octane2-scaled"
-        assert len(cfg.sizes) >= 4
+        assert cfg.sizes == QUICK_SIZES
+        assert default_config(quick=False).sizes == SCALED_SIZES
 
     def test_env_sizes(self, monkeypatch):
         monkeypatch.setenv("REPRO_SIZES", "10,20")

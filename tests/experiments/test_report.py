@@ -12,7 +12,8 @@ def test_write_all_artifacts(tmp_path):
     )
     written = write_all(tmp_path, config)
     assert set(written) == {
-        "figure5", "figure678", "table1", "jacobi_stats", "ablations", "pipeline"
+        "figure5", "figure678", "table1", "jacobi_stats", "claims", "ablations",
+        "pipeline",
     }
     for path in written.values():
         assert path.exists() and path.read_text().strip()
@@ -28,5 +29,9 @@ def test_write_all_artifacts(tmp_path):
     # the ablations file is exactly what the CLI target prints
     ablations_md = (tmp_path / "ablations.md").read_text()
     assert ablations_md == ablations.main(config) + "\n"
+    # the claims are checked on the same rows; one size cannot show a trend
+    claims_md = (tmp_path / "claims.md").read_text()
+    assert "| Each kernel gains more at the largest N than at the smallest |" in claims_md
+    assert "claims FAIL" in claims_md
     # provenance
     assert "octane2-scaled" in (tmp_path / "config.md").read_text()

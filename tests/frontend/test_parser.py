@@ -128,6 +128,12 @@ class TestErrors:
             parse_program(src)
         assert (err.value.line, err.value.col) == (line, col)
 
+    def test_loop_shadowing_param_rejected(self):
+        # Extents would read the param while the body reads the loop.
+        src = "program p\n param N\n real A(N)\nbegin\n do N = 1, 3\n A(N) = 2.0\n end do\nend\n"
+        with pytest.raises(IRError, match="loop 'do N' shadows parameter 'N'"):
+            parse_program(src)
+
 
 class TestRoundtrip:
     def test_kernels_reparse_from_pretty_like_source(self):

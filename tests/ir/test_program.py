@@ -64,6 +64,11 @@ class TestValidation:
         with pytest.raises(IRError, match="array 'A' used as a scalar"):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("x"),), (body,))
 
+    def test_loop_shadowing_param_rejected(self):
+        body = loop("N", 1, 3, [assign(idx("A", N), 2.0)])
+        with pytest.raises(IRError, match="loop 'do N' shadows parameter 'N'"):
+            Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
+
     def test_unknown_output_rejected(self):
         with pytest.raises(IRError):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (), outputs=("B",))
