@@ -1,11 +1,11 @@
 """Machine-model throughput: trace producer and trace consumers.
 
 Three acceptance checks live here. On a 1M-event address trace in 64K
-chunks, the vectorized :class:`~repro.machine.cache.CacheSink` must
-replay at least 5x faster than the per-access reference simulator it
-replaced, and :class:`~repro.machine.registers.RegisterFilterSink` must
-filter at least 3x faster than the per-access LRU walk it replaced, with
-bit-identical masks. On the branch trace of qr ``tiled_sunk`` at N=72
+chunks, :class:`~repro.machine.cache.CacheSink` (a C loop over per-set
+MRU lists) must replay at least 5x faster than the per-access reference
+simulator, and :class:`~repro.machine.registers.RegisterFilterSink` (a C
+loop over the register window) must filter at least 3x faster than the
+per-access LRU walk, with bit-identical masks. On the branch trace of qr ``tiled_sunk`` at N=72
 (1.1M guard events, in the executor's chunks),
 :class:`~repro.machine.branch.TwoBitPredictorSink` must replay at least
 5x faster than the per-event oracle, with identical counts. On the
@@ -101,7 +101,7 @@ def _register_trace(n: int = N_EVENTS) -> tuple[np.ndarray, np.ndarray]:
 
 
 def test_register_filter_throughput(benchmark):
-    """Vectorized register filter is >= 3x the per-access LRU walk, with
+    """The register filter is >= 3x the per-access LRU walk, with
     bit-identical masks."""
     addrs, writes = _register_trace()
     chunks = list(zip(_chunks(addrs), _chunks(writes)))
@@ -111,11 +111,11 @@ def test_register_filter_throughput(benchmark):
     ref_masks, ref_hits = register_filter_reference(chunks, capacity)
     t_ref = time.perf_counter() - t0
 
-    def vectorized():
+    def streaming():
         sink = RegisterFilterSink(capacity)
         return [sink.feed(chunk) for chunk in chunks], sink.finish()
 
-    masks, hits = benchmark.pedantic(vectorized, rounds=1, iterations=1)
+    masks, hits = benchmark.pedantic(streaming, rounds=1, iterations=1)
     t_vec = min(benchmark.stats.stats.data) if benchmark.stats else None
     assert hits == ref_hits
     assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
@@ -125,7 +125,7 @@ def test_register_filter_throughput(benchmark):
         "load_hits": hits,
     }
     if t_vec:
-        info["vectorized_events_per_sec"] = round(len(addrs) / t_vec)
+        info["streaming_events_per_sec"] = round(len(addrs) / t_vec)
         info["speedup"] = round(t_ref / t_vec, 2)
         assert t_ref / t_vec >= 3, f"register filter speedup {t_ref / t_vec:.2f}x < 3x"
     benchmark.extra_info.update(info)

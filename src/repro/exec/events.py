@@ -39,14 +39,25 @@ def memory_event_base(array_id: int, is_write: bool | int) -> int:
 def decode_memory_events(
     codes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Decode encoded memory events into (array_id, linear_index, is_write).
+    """Decode encoded memory events into (array_id, linear_index, is_write):
+    two ``int64`` arrays and a ``bool`` one, in one C loop (``decode`` in
+    :mod:`repro.machine.native`).
 
     Works on any chunk of the stream — the encoding is stateless — so the
     streaming sinks and the materialized :class:`TraceBuffers` share it.
     """
-    codes = np.asarray(codes, dtype=np.int64)
-    head = codes >> ADDR_BITS
-    return head >> 1, codes & ADDR_MASK, head & 1
+    from repro.machine import native
+
+    codes = np.ascontiguousarray(codes, dtype=np.int64)
+    n = len(codes)
+    aid = np.empty(n, dtype=np.int64)
+    lin = np.empty(n, dtype=np.int64)
+    is_write = np.empty(n, dtype=bool)
+    native.lib().decode(
+        codes.ctypes.data, n, ADDR_BITS,
+        aid.ctypes.data, lin.ctypes.data, is_write.ctypes.data,
+    )
+    return aid, lin, is_write
 
 
 def decode_branch_events(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

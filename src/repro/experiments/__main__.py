@@ -7,7 +7,8 @@ sweep), ``--output DIR`` (write markdown + CSV artefacts), ``--telemetry
 DIR`` (write span/metric run artefacts), ``--diff BASE NEW`` (directories
 for ``telemetry_report``).
 
-``claims``, ``all``, ``paperpoint`` and ``crossover`` print their claim
+``crossover`` scans a fixed N = 16..120 and rejects ``--quick`` and
+``--full``. ``claims``, ``all``, ``paperpoint`` and ``crossover`` print their claim
 rows (:mod:`repro.experiments.claims`) and exit 1 when any row FAILS.
 """
 
@@ -53,6 +54,11 @@ def main(argv: list[str] | None = None) -> int:
         "(required by the telemetry_report target)",
     )
     args = parser.parse_args(argv)
+    if args.target == "crossover" and (args.quick or args.full):
+        parser.error(
+            "crossover always scans N = 16..120 in steps of 8; "
+            "it takes no --quick or --full"
+        )
 
     if args.telemetry:
         telemetry.enable()

@@ -15,9 +15,9 @@ Measurements are memoised in-process (capped LRU; :func:`clear_caches`
 resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
 ``REPRO_NO_CACHE=1`` to disable). Disk-cache keys embed a **content
 fingerprint** of the recipe, the emitted program, and the machine config
-(:func:`repro.pipeline.recipe.measurement_fingerprint`), and the run
-parameters it hashes include a digest of the ``repro`` package's own
-sources — any change to a pass parameter, the emitted code, the cost
+(:func:`repro.pipeline.recipe.measurement_fingerprint`), including a
+digest of the ``repro`` package's own sources, the machine model's C core
+among them — any change to a pass parameter, the emitted code, the cost
 model, or the executor and machine model that compute the report changes
 the filename, so stale entries are simply never read again. No
 hand-bumped version tag to forget.
@@ -35,13 +35,10 @@ memoised — parallel runs are byte-identical to serial ones.
 from __future__ import annotations
 
 import contextlib
-import functools
-import hashlib
 import json
 import logging
 import os
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -55,7 +52,7 @@ from repro.machine.perfcounters import PerfReport, measure_streaming
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
 from repro.pipeline.recipe import VariantRecipe, measurement_fingerprint
-from repro.utils.caching import LRUCache
+from repro.utils.caching import LRUCache, cache_dir
 
 
 @dataclass(frozen=True)
@@ -101,14 +98,8 @@ def clear_caches() -> None:
     poly_memo.clear_memos()
 
 
-def _cache_dir() -> Path | None:
-    if os.environ.get("REPRO_NO_CACHE", "") == "1":
-        return None
-    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
-
-
 def _load_cached(key: str) -> PerfReport | None:
-    d = _cache_dir()
+    d = cache_dir()
     if d is None:
         return None
     path = d / f"{key}.json"
@@ -131,7 +122,7 @@ def _load_cached(key: str) -> PerfReport | None:
 
 
 def _store_cached(key: str, report: PerfReport) -> None:
-    d = _cache_dir()
+    d = cache_dir()
     if d is None:
         return
     path = d / f"{key}.json"
@@ -193,24 +184,6 @@ def _params_for(kernel: str, n: int, config: SweepConfig) -> dict[str, int]:
     return params
 
 
-@functools.cache
-def _source_digest() -> str:
-    """Digest of every ``*.py`` source of the ``repro`` package.
-
-    Part of each measurement key, so an edit anywhere in the
-    implementation (executor, machine model, passes) invalidates the
-    disk cache. Computed once per process, on first use.
-    """
-    root = Path(__file__).resolve().parents[1]
-    h = hashlib.blake2b(digest_size=16)
-    for path in sorted(root.rglob("*.py")):
-        h.update(path.relative_to(root).as_posix().encode())
-        h.update(b"\0")
-        h.update(path.read_bytes())
-        h.update(b"\0")
-    return h.hexdigest()
-
-
 def _point(
     recipe: VariantRecipe, n: int, config: SweepConfig, tile: int | None
 ) -> tuple[int | None, Program, PipelineReport, str]:
@@ -232,7 +205,6 @@ def _point(
             "params": _params_for(recipe.kernel, n, config),
             "tile": tile,
             "seed": config.seed,
-            "source": _source_digest(),
         },
     )
     return tile, program, pipeline, key

@@ -21,6 +21,8 @@ to drive the model:
 - :mod:`repro.machine.perfcounters` — the end-to-end "perfex" report;
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
   that fuses all trace consumers into one bounded-memory pass.
+- :mod:`repro.machine.native` — the C memory core (decode, layout,
+  register window, L1/L2 loops), compiled on first use.
 
 No oracle ships here: the per-access test oracles live in
 ``tests/machine/reference.py``, and ``tests/golden/corpus.json`` pins every

@@ -5,9 +5,12 @@ is replayed against L2 in order. This is the standard trace-filtering model
 and matches how perfex's L1/L2 miss counters relate on the R14000A.
 
 :class:`HierarchySink` fuses both levels into one streaming pass: each
-chunk is replayed against L1 and only the missing subset is forwarded to
-L2, so the L2 engine touches a small fraction of the trace. ``feed`` returns
-each chunk's L1 miss mask; ``finish`` returns the miss totals.
+chunk goes through one C loop (:func:`~repro.machine.cache.replay`) that
+walks every access through L1's per-set MRU lists and, on an L1 miss,
+straight on through L2's, so L2 sees the misses in program order without
+a second pass. The loop is compiled once per key (C source, compiler,
+flags) by :mod:`repro.machine.native`. ``feed`` returns each chunk's L1
+miss mask; ``finish`` returns the miss totals.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.machine.cache import CacheConfig, CacheSink
+from repro.machine.cache import CacheConfig, CacheSink, replay
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,7 @@ class HierarchySink:
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Replay one chunk; returns its L1 miss mask."""
-        addresses = np.asarray(addresses)
-        if len(addresses) == 0:
-            return np.zeros(0, dtype=bool)
-        l1_mask = self._l1.feed(addresses)
-        l2_stream = addresses[l1_mask]
-        if len(l2_stream):
-            self._l2.feed(l2_stream)
-        return l1_mask
+        return replay(self._l1, self._l2, addresses)
 
     def finish(self) -> HierarchyResult:
         """Accumulated miss statistics."""

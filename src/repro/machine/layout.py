@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine import native
 
 #: Size of a double-precision element (all paper kernels use doubles).
 ELEMENT_BYTES = 8
@@ -65,12 +66,12 @@ class MemoryLayout:
     def addresses(
         self, array_ids: np.ndarray, linear: np.ndarray, id_to_name: dict[int, str]
     ) -> np.ndarray:
-        """Vectorised address computation for a whole trace of decoded
-        (hence non-negative) linear indices.
+        """Byte addresses of a whole trace of decoded (hence non-negative)
+        linear indices, in one C loop (``layout`` in ``native.c``).
 
-        Raises :class:`MachineError`, naming the array and index, for an
-        event outside the layout: an array id *id_to_name* does not map,
-        or an index past the end of its array. Only the flat index is
+        Raises :class:`MachineError`, naming the array and index, for the
+        first event outside the layout: an array id *id_to_name* does not
+        map, or an index past the end of its array. Only the flat index is
         checked: a subscript that overflows one dimension but stays inside
         the array (``A(N+1, 1)`` is ``A(1, 2)``) addresses a real element
         and passes.
@@ -81,14 +82,21 @@ class MemoryLayout:
         for aid, name in id_to_name.items():
             base_by_id[aid] = self.bases[name]
             size_by_id[aid] = self.sizes[name]
-        if len(array_ids) and (array_ids.min() < 0 or array_ids.max() >= n):
-            bad = (array_ids < 0) | (array_ids >= n)
-        else:
-            bad = linear >= size_by_id[array_ids]
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise self._outside(int(array_ids[i]), int(linear[i]), id_to_name)
-        return base_by_id[array_ids] + linear * self.element_bytes
+        array_ids = np.ascontiguousarray(array_ids, dtype=np.int64)
+        linear = np.ascontiguousarray(linear, dtype=np.int64)
+        if len(linear) != len(array_ids):
+            raise MachineError(
+                f"{len(array_ids)} array ids but {len(linear)} linear indices"
+            )
+        out = np.empty(len(array_ids), dtype=np.int64)
+        bad = native.lib().layout(
+            array_ids.ctypes.data, linear.ctypes.data, len(array_ids),
+            base_by_id.ctypes.data, size_by_id.ctypes.data, n,
+            self.element_bytes, out.ctypes.data,
+        )
+        if bad >= 0:
+            raise self._outside(int(array_ids[bad]), int(linear[bad]), id_to_name)
+        return out
 
     def _outside(self, aid: int, lin: int, id_to_name: dict[int, str]) -> MachineError:
         """The error for one decoded event outside the layout."""

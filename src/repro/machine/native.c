@@ -1,0 +1,144 @@
+/* The machine model's memory core: four sequential loops over one chunk,
+ * loaded by repro/machine/native.py. The Python entry points own the state
+ * arrays carried across chunks; every loop must equal the per-access
+ * oracles in tests/machine/reference.py bit for bit. */
+#include <stdint.h>
+
+/* code = ((array_id * 2 + is_write) << addr_bits) | linear_index */
+void decode(const int64_t *codes, int64_t n, int64_t addr_bits,
+            int64_t *aid, int64_t *lin, uint8_t *write)
+{
+    const int64_t mask = ((int64_t)1 << addr_bits) - 1;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t head = codes[i] >> addr_bits;
+        aid[i] = head >> 1;
+        lin[i] = codes[i] & mask;
+        write[i] = (uint8_t)(head & 1);
+    }
+}
+
+/* out = base[aid] + lin * element_bytes. Returns the position of the first
+ * event outside the layout (id not in 0..nids-1, or index past its array's
+ * size), or -1. */
+int64_t layout(const int64_t *aid, const int64_t *lin, int64_t n,
+               const int64_t *base, const int64_t *size, int64_t nids,
+               int64_t element_bytes, int64_t *out)
+{
+    for (int64_t i = 0; i < n; i++) {
+        int64_t a = aid[i];
+        if ((uint64_t)a >= (uint64_t)nids || (uint64_t)lin[i] >= (uint64_t)size[a])
+            return i;
+        out[i] = base[a] + lin[i] * element_bytes;
+    }
+    return -1;
+}
+
+static inline uint64_t slot_hash(int64_t e, int64_t hbits)
+{
+    return ((uint64_t)e * 0x9E3779B97F4A7C15ull) >> (64 - hbits);
+}
+
+/* The register window: the `cap` most recently touched distinct elements
+ * as a doubly linked recency list over `cap` slots plus an element -> slot
+ * table of 2**hbits entries (linear probing). State, -1 meaning "none":
+ *   [used, head (most recent), tail | elem | prev | next (cap each) | table]
+ * A resident element moves to the head; any other takes a free slot or
+ * evicts the tail's. Loads to resident elements are elided (keep = 0);
+ * returns their count. */
+int64_t regfilter(int64_t *st, int64_t cap, int64_t hbits,
+                  const int64_t *addr, const uint8_t *write, int64_t n,
+                  int64_t element_shift, uint8_t *keep)
+{
+    int64_t *elem = st + 3, *prev = elem + cap, *next = prev + cap, *table = next + cap;
+    const uint64_t hmask = ((uint64_t)1 << hbits) - 1;
+    int64_t used = st[0], head = st[1], tail = st[2], elided = 0;
+    for (int64_t i = 0; i < n; i++) {
+        int64_t e = addr[i] >> element_shift, s;
+        uint64_t h = slot_hash(e, hbits);
+        while ((s = table[h]) >= 0 && elem[s] != e)
+            h = (h + 1) & hmask;
+        keep[i] = s < 0 || write[i];
+        elided += !keep[i];
+        if (s >= 0) {
+            if (s == head)
+                continue;
+        } else if (used < cap) {
+            s = used++;
+            elem[s] = e;
+            table[h] = s;
+            goto push;
+        } else {
+            /* Evict the tail's element: backward-shift deletion. */
+            s = tail;
+            uint64_t j = slot_hash(elem[s], hbits);
+            while (table[j] != s)
+                j = (j + 1) & hmask;
+            for (uint64_t k = (j + 1) & hmask; table[k] >= 0; k = (k + 1) & hmask)
+                if (((k - slot_hash(elem[table[k]], hbits)) & hmask) >= ((k - j) & hmask)) {
+                    table[j] = table[k];
+                    j = k;
+                }
+            table[j] = -1;
+            for (h = slot_hash(e, hbits); table[h] >= 0; h = (h + 1) & hmask)
+                ;
+            elem[s] = e;
+            table[h] = s;
+            if (s == head)  /* cap == 1 */
+                continue;
+        }
+        /* Unlink s, which is not the head. */
+        next[prev[s]] = next[s];
+        if (next[s] >= 0)
+            prev[next[s]] = prev[s];
+        else
+            tail = prev[s];
+    push:
+        prev[s] = -1;
+        next[s] = head;
+        if (head >= 0)
+            prev[head] = s;
+        else
+            tail = s;
+        head = s;
+    }
+    st[0] = used;
+    st[1] = head;
+    st[2] = tail;
+    return elided;
+}
+
+/* One set-associative LRU level: each set's resident lines, most recent
+ * first (-1 = empty way). Moves `line` to the front; returns 1 on a miss. */
+static inline int cache_access(int64_t *ways, int64_t nsets, int64_t assoc, int64_t line)
+{
+    int64_t *w = ways + assoc * ((nsets & (nsets - 1)) ? line % nsets : line & (nsets - 1));
+    int64_t k = 0;
+    while (k < assoc - 1 && w[k] != line)
+        k++;
+    int missed = w[k] != line;
+    for (; k > 0; k--)
+        w[k] = w[k - 1];
+    w[0] = line;
+    return missed;
+}
+
+/* Byte addresses through L1 (ways1) and each L1 miss, in order, through L2
+ * (ways2; nsets2 = 0 for a single level). Writes the L1 miss mask and
+ * *l2_misses; returns the L1 miss count, or -1 at a negative address. */
+int64_t cache(int64_t *ways1, int64_t nsets1, int64_t assoc1, int64_t shift1,
+              int64_t *ways2, int64_t nsets2, int64_t assoc2, int64_t shift2,
+              const int64_t *addr, int64_t n, uint8_t *miss, int64_t *l2_misses)
+{
+    int64_t misses1 = 0, misses2 = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (addr[i] < 0)
+            return -1;
+        int m = cache_access(ways1, nsets1, assoc1, addr[i] >> shift1);
+        miss[i] = (uint8_t)m;
+        misses1 += m;
+        if (m && nsets2)
+            misses2 += cache_access(ways2, nsets2, assoc2, addr[i] >> shift2);
+    }
+    *l2_misses = misses2;
+    return misses1;
+}

@@ -22,6 +22,7 @@ import numpy as np
 from repro import telemetry
 from repro.exec.events import Counters, RunResult, decode_memory_events
 from repro.ir.program import Program
+from repro.machine import native
 from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import HierarchyResult, HierarchySink
@@ -73,9 +74,9 @@ class MemoryPipelineSink:
     """Fused memory-side pipeline over encoded memory-event chunks.
 
     Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass. With telemetry enabled, each stage's time and
-    event count are reported as ``machine.memory.{decode,layout,
-    regfilter,l1l2}``.
+    L1 → L2 in one pass, one C loop per stage (:mod:`repro.machine.native`).
+    With telemetry enabled, each stage's time and event count are
+    reported as ``machine.memory.{decode,layout,regfilter,l1l2}``.
     """
 
     def __init__(
@@ -84,6 +85,7 @@ class MemoryPipelineSink:
         layout: MemoryLayout,
         id_to_name: dict[int, str],
     ):
+        native.lib()  # build or load the C core before any stage is timed
         self._layout = layout
         self._id_to_name = id_to_name
         self._registers = RegisterFilterSink(machine.registers)

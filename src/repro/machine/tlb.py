@@ -9,12 +9,12 @@ pages; we model 64 entries x 4 KB by default.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine.cache import CacheConfig, CacheSink
 
 
 @dataclass(frozen=True)
@@ -37,34 +37,21 @@ class TLBConfig:
 
 
 class TLBSink:
-    """Streaming TLB replay over address chunks.
-
-    The LRU window persists across chunks; most chunks touch few distinct
-    pages, so the per-access Python walk is cheap relative to the caches.
-    """
+    """Streaming TLB replay over address chunks: one fully-associative
+    set of ``entries`` pages in the cache model's C loop, so the LRU
+    window persists across chunks."""
 
     def __init__(self, config: TLBConfig):
         self.config = config
-        self._window: OrderedDict[int, None] = OrderedDict()
-        self._misses = 0
+        self._pages = CacheSink(
+            CacheConfig("TLB", config.entries * config.page_bytes, config.page_bytes,
+                        config.entries)
+        )
 
     def feed(self, addresses: np.ndarray) -> None:
         """Translate one chunk of byte addresses."""
-        pages = (np.asarray(addresses) >> self.config.page_shift).tolist()
-        window = self._window
-        entries = self.config.entries
-        misses = 0
-        for page in pages:
-            if page in window:
-                window.move_to_end(page)
-            else:
-                misses += 1
-                window[page] = None
-                if len(window) > entries:
-                    window.popitem(last=False)
-        self._misses += misses
+        self._pages.feed(addresses)
 
     def finish(self) -> int:
         """Total TLB misses."""
-        return self._misses
-
+        return self._pages.finish().misses

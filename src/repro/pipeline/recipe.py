@@ -11,9 +11,11 @@ cost-semantics change that nobody remembered to bump past).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Any, Mapping
 
 from repro.ir.program import Program
@@ -79,6 +81,27 @@ def machine_fingerprint(machine) -> str:
     return stable_hash(asdict(machine))
 
 
+def tree_digest(root: Path) -> str:
+    """Digest of every ``*.py`` and ``*.c`` file under *root*, with its
+    relative path."""
+    h = hashlib.blake2b(digest_size=16)
+    for path in sorted([*root.rglob("*.py"), *root.rglob("*.c")]):
+        h.update(path.relative_to(root).as_posix().encode())
+        h.update(b"\0")
+        h.update(path.read_bytes())
+        h.update(b"\0")
+    return h.hexdigest()
+
+
+@functools.cache
+def implementation_digest() -> str:
+    """:func:`tree_digest` of the ``repro`` package: the executor, the
+    machine model and its C core (``machine/native.c``), and everything
+    else that turns a recipe into a report. Computed once per process, on
+    first use."""
+    return tree_digest(Path(__file__).resolve().parents[1])
+
+
 def measurement_fingerprint(
     recipe: VariantRecipe,
     program: Program,
@@ -88,10 +111,13 @@ def measurement_fingerprint(
     """The disk-cache key core for one measurement.
 
     ``run_params`` carries everything else that determines the numbers:
-    problem size, tile edge, input seed, Jacobi's M, …
+    problem size, tile edge, input seed, Jacobi's M, … The key also holds
+    :func:`implementation_digest`, so an edit to the code that computes a
+    report (a replay loop in C included) is never served a stale one.
     """
     return stable_hash(
         {
+            "implementation": implementation_digest(),
             "recipe": recipe.describe(),
             "program": program_fingerprint(program),
             "machine": machine_fingerprint(machine),

@@ -10,19 +10,23 @@ Four consumers of the same span/metric data:
   (``trace_chrome.json``);
 - :func:`render_tree` — hierarchical aggregation of spans by name path
   (count, total/self/mean milliseconds), the "where did the time go" view;
-- :func:`render_summary` — the tree plus counters (with the sweep-cache
-  and polyhedral-analysis sections broken out) and histogram stats
-  (``summary.txt``).
+- :func:`render_point_table` — one row per measured sweep point: its
+  events, and seconds and events/s per layer;
+- :func:`render_summary` — the tree, the point table, counters (with the
+  sweep-cache and polyhedral-analysis sections broken out) and histogram
+  stats (``summary.txt``).
 """
 
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from pathlib import Path
 from typing import Any
 
 from repro.telemetry.metrics import Histogram
 from repro.telemetry.spans import Span
+from repro.utils.tables import render_table
 
 __all__ = [
     "write_jsonl",
@@ -30,6 +34,7 @@ __all__ = [
     "chrome_trace",
     "write_chrome_trace",
     "render_tree",
+    "render_point_table",
     "render_summary",
 ]
 
@@ -148,6 +153,59 @@ def render_tree(spans: list[Span]) -> str:
     return "\n".join(lines) if lines else "(no spans recorded)"
 
 
+#: The point table's layers: column name -> the span that times it.
+#: ``produce`` is ``exec.run``'s self time (trace production without the
+#: sinks it feeds), rated by the point's memory events.
+POINT_LAYERS = {
+    "produce": "exec.run",
+    "decode": "machine.memory.decode",
+    "layout": "machine.memory.layout",
+    "regfilter": "machine.memory.regfilter",
+    "l1l2": "machine.memory.l1l2",
+    "branch": "machine.sink.branch",
+}
+
+
+def render_point_table(spans: list[Span]) -> str:
+    """One row per ``sweep.point`` that ran the machine model: kernel,
+    variant, N and memory events, then seconds and events/s per layer
+    (:data:`POINT_LAYERS`; a layer's events are those its span counts).
+    Points served from the disk cache have no row.
+    """
+    children: dict[tuple, list[Span]] = defaultdict(list)
+    for s in spans:
+        if s.parent_id is not None:
+            children[s.pid, s.parent_id].append(s)
+    headers = ["kernel", "variant", "N", "events"]
+    for column in POINT_LAYERS:
+        headers += [f"{column} s", f"{column} ev/s"]
+    rows = []
+    for point in spans:
+        if point.name != "sweep.point":
+            continue
+        seconds: dict[str, float] = defaultdict(float)
+        events: dict[str, int] = defaultdict(int)
+        stack = [point]
+        while stack:
+            s = stack.pop()
+            kids = children[s.pid, s.span_id]
+            stack.extend(kids)
+            self_only = s.name == "exec.run"
+            seconds[s.name] += s.duration - self_only * sum(k.duration for k in kids)
+            events[s.name] += int(s.attrs.get("events", 0))
+        if "exec.run" not in seconds:
+            continue
+        events["exec.run"] = events["machine.sink.memory"]
+        row = [point.attrs.get("kernel"), point.attrs.get("variant"), point.attrs.get("n"),
+               events["exec.run"]]
+        for name in POINT_LAYERS.values():
+            row += [seconds[name], round(events[name] / seconds[name]) if seconds[name] > 0 else 0]
+        rows.append(row)
+    if not rows:
+        return "(no measured points)"
+    return render_table(headers, rows)
+
+
 def _counter_section(title: str, items: list[tuple[str, float]]) -> list[str]:
     lines = [title]
     if not items:
@@ -160,7 +218,8 @@ def _counter_section(title: str, items: list[tuple[str, float]]) -> list[str]:
 
 
 def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
-    """Human-readable run summary: span tree, counters, histograms.
+    """Human-readable run summary: span tree, per-point layer table,
+    counters, histograms.
 
     Sweep cache behaviour (``sweep.cache.*`` with the derived hit rate)
     and the polyhedral-analysis memo get their own sections so
@@ -177,6 +236,9 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
 
     lines: list[str] = ["== span tree =="]
     lines.append(render_tree(spans))
+    lines.append("")
+    lines.append("== per-point layers ==")
+    lines.append(render_point_table(spans))
     lines.append("")
     lines.extend(_counter_section("== sweep cache ==", cache))
     hits = counters.get("sweep.cache.hit", 0)

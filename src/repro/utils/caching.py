@@ -1,15 +1,27 @@
-"""A small capped LRU mapping for in-process memoisation.
+"""Caching helpers: a capped LRU mapping and the on-disk cache directory.
 
 The experiment runner used to memoise builds and measurements in plain
 module-level dicts — unbounded, and with no way to reset them between
 sweeps. :class:`LRUCache` bounds the footprint (oldest-used entries fall
-out first) and supports explicit clearing.
+out first) and supports explicit clearing. :func:`cache_dir` is the one
+directory that holds the measurement cache and the machine model's
+compiled C core.
 """
 
 from __future__ import annotations
 
+import os
 from collections import OrderedDict
+from pathlib import Path
 from typing import Any, Callable, Hashable, Iterator, MutableMapping
+
+
+def cache_dir() -> Path | None:
+    """``REPRO_CACHE_DIR`` (default ``.repro_cache``), or ``None`` under
+    ``REPRO_NO_CACHE=1``."""
+    if os.environ.get("REPRO_NO_CACHE", "") == "1":
+        return None
+    return Path(os.environ.get("REPRO_CACHE_DIR", ".repro_cache"))
 
 
 class LRUCache(MutableMapping):

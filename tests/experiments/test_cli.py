@@ -3,6 +3,8 @@
 import subprocess
 import sys
 
+import pytest
+
 
 def run_cli(*args: str) -> str:
     import os
@@ -59,6 +61,17 @@ class TestCLI:
             text=True,
         )
         assert out.returncode != 0
+
+
+    @pytest.mark.parametrize("flag", ["--quick", "--full"])
+    def test_crossover_rejects_sweep_flags(self, flag, capsys):
+        # The scan is fixed; a sweep-size flag would only look meaningful.
+        from repro.experiments.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["crossover", flag])
+        assert exc.value.code == 2
+        assert "crossover always scans N = 16..120" in capsys.readouterr().err
 
 
 class TestTelemetryCLI:

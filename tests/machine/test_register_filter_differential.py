@@ -1,12 +1,11 @@
 """RegisterFilterSink against the per-access LRU walk, on any chunking.
 
-The vectorized filter settles most reuses with sliding-window distinct
-counts and counts the rest exactly (see :mod:`repro.machine.registers`).
-These traces are chosen so that every path runs: short reuses, the 2C
-screen's misses, the window ladder's miss and hit proofs, and the exact
-residual, across chunk boundaries that cut through the carried window.
-Real Figure-5 traces, cut into full-size chunks, take the ladder higher
-than these short synthetic ones.
+The filter is one C loop over a linked recency list and an
+open-addressed element table (see :mod:`repro.machine.registers`). These
+traces mix short and long reuses, tiny and wide element pools, and
+windows that fill, evict and refill, across chunk boundaries that cut
+through the carried window: whole traces, 1-event chunks, random cuts
+and full 64K chunks. Real Figure-5 traces at N=72 run through it too.
 """
 
 from __future__ import annotations
@@ -19,7 +18,6 @@ from repro.exec.events import decode_memory_events
 from repro.experiments.runner import build_program
 from repro.experiments.sweep import SCALED_JACOBI_M, SweepConfig
 from repro.kernels.registry import get_kernel
-from repro.machine import registers
 from repro.machine.configs import octane2_scaled
 from repro.machine.layout import layout_for_program
 from repro.machine.registers import ELEMENT_SHIFT, RegisterFilterSink
@@ -47,8 +45,8 @@ def _jacobi_tiled_like(rng, n):
 
 def _two_halves(rng, n, capacity):
     """Gaps made of two runs of just under ``capacity`` distinct elements
-    each, overlapping by a random amount: the window ladder cannot decide
-    these, so they reach the exact count."""
+    each, overlapping by a random amount: the probe's reuse is a hit or
+    a miss by one element."""
     out = []
     while len(out) < n:
         half = max(1, capacity - int(rng.integers(1, 4)))
@@ -66,8 +64,7 @@ def _two_halves(rng, n, capacity):
 
 def _hot_set(rng, n, capacity):
     """Long gaps over few distinct elements: a probe, 2C to 8C accesses
-    to fewer than C/2 others, the probe again. The ladder's window sums
-    prove these hits above its first step."""
+    to fewer than C/2 others, the probe again: long reuses that hit."""
     out = []
     hot = max(1, capacity // 2 - 2)
     while len(out) < n:
@@ -107,7 +104,7 @@ def _chunks(addresses, writes, bounds):
     ]
 
 
-@pytest.mark.parametrize("capacity", [0, 1, 2, 32, 300])
+@pytest.mark.parametrize("capacity", [0, 1, 2, 32, 64, 300])
 @pytest.mark.parametrize("kind", sorted(TRACES))
 def test_matches_walk_on_any_chunking(kind, capacity):
     rng = np.random.default_rng([capacity, len(kind)])
@@ -127,81 +124,36 @@ def test_matches_walk_on_any_chunking(kind, capacity):
         assert sink.finish() == ref_hits
 
 
-@pytest.mark.parametrize("kind", ["uniform-small-pool", "two-halves", "jacobi-tiled-like"])
-def test_adversarial_traces_reach_exact_residual(kind, monkeypatch):
-    # Guard the suite's coverage: these traces must exercise the exact
-    # residual count, not only the window ladder, and with a batch size
-    # below most gap lengths the count must split into several batches
-    # per chunk (some of them empty).
-    monkeypatch.setattr(registers, "_EXACT_BATCH", 16)
-    calls = []
-    exact = registers._exact_count
-
-    def counting(*args):
-        out = exact(*args)
-        calls.append(len(out))
-        return out
-
-    monkeypatch.setattr(registers, "_exact_count", counting)
-    rng = np.random.default_rng(3)
-    elements = TRACES[kind](rng, 4000, 32)
-    addresses = elements.astype(np.int64) << ELEMENT_SHIFT
+@pytest.mark.parametrize("kind", sorted(TRACES))
+def test_matches_walk_across_a_one_event_chunk(kind):
+    # 4000 events at C = 32, cut so that a 1-event chunk sits between two
+    # long ones: the window carries through a chunk that barely moves it.
+    rng = np.random.default_rng(5)
+    addresses = TRACES[kind](rng, 4000, 32).astype(np.int64) << ELEMENT_SHIFT
     writes = np.zeros(len(addresses), dtype=bool)
     chunks = _chunks(addresses, writes, [0, 1500, 1501, 4000])
     sink = RegisterFilterSink(32)
     masks = [sink.feed(chunk) for chunk in chunks]
     ref_masks, ref_hits = register_filter_reference(chunks, 32)
-    assert len(calls) > len(chunks)
     assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
     assert sink.finish() == ref_hits
 
 
-def test_every_filter_path_runs(monkeypatch):
-    # Guard the suite's coverage: over the synthetic traces, the 2C screen
-    # settles misses, the level-0 windows decide C <= gap < 2C reuses on
-    # their own, the ladder above level 0 proves hits, and the rest
-    # reaches the exact count.
-    seen = dict.fromkeys(("screen", "level0", "ladder_hit", "exact"), 0)
-    resident, ladder, exact = (
-        registers._resident, registers._ladder, registers._exact_count
-    )
-    counted = []
-
-    def counting_resident(back, fwd, start, capacity):
-        long_ = (back[start:] - 1 >= 2 * capacity) & (back[start:] != registers._FAR)
-        seen["screen"] += int(np.count_nonzero(long_))
-        return resident(back, fwd, start, capacity)
-
-    def counting_ladder(back, fwd, d2c, pos, gap, capacity):
-        counted.clear()
-        hit = ladder(back, fwd, d2c, pos, gap, capacity)
-        windows = ~np.isin(pos, np.concatenate([[], *counted]))
-        short = gap < 2 * capacity
-        seen["screen"] -= int(np.count_nonzero(~short))
-        seen["level0"] += int(np.count_nonzero(windows & short))
-        seen["ladder_hit"] += int(np.count_nonzero(windows & hit & ~short))
-        return hit
-
-    def counting_exact(back, prev, pos, width, left):
-        counted.append(pos)
-        seen["exact"] += len(pos)
-        return exact(back, prev, pos, width, left)
-
-    monkeypatch.setattr(registers, "_resident", counting_resident)
-    monkeypatch.setattr(registers, "_ladder", counting_ladder)
-    monkeypatch.setattr(registers, "_exact_count", counting_exact)
-    rng = np.random.default_rng(5)
-    for kind in sorted(TRACES):
-        elements = TRACES[kind](rng, 4000, 32)
-        addresses = elements.astype(np.int64) << ELEMENT_SHIFT
-        writes = np.zeros(len(addresses), dtype=bool)
-        chunks = _chunks(addresses, writes, [0, 1500, 1501, 4000])
-        sink = RegisterFilterSink(32)
-        masks = [sink.feed(chunk) for chunk in chunks]
-        ref_masks, ref_hits = register_filter_reference(chunks, 32)
-        assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
-        assert sink.finish() == ref_hits
-    assert all(seen.values()), seen
+@pytest.mark.parametrize("capacity", [1, 32, 64])
+@pytest.mark.parametrize("kind", ["uniform-wide-pool", "two-halves", "hot-set"])
+def test_matches_walk_in_full_size_chunks(kind, capacity):
+    # The production chunk size: 64K-event chunks plus a tail, so the
+    # window and its element table carry across a few real boundaries.
+    rng = np.random.default_rng([capacity, len(kind), 64])
+    n = 3 * 65_536 + 1_000
+    addresses = TRACES[kind](rng, n, capacity).astype(np.int64) << ELEMENT_SHIFT
+    writes = rng.random(n) < 0.2
+    chunks = _chunks(addresses, writes, [*range(0, n, 65_536), n])
+    sink = RegisterFilterSink(capacity)
+    masks = [sink.feed(chunk) for chunk in chunks]
+    ref_masks, ref_hits = register_filter_reference(chunks, capacity)
+    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
+    assert sink.finish() == ref_hits
 
 
 def _recipe_trace(kernel, variant, n):
@@ -222,22 +174,12 @@ def _recipe_trace(kernel, variant, n):
 
 
 @pytest.mark.parametrize("kernel, variant, n", [("jacobi", "tiled", 72), ("qr", "seq", 72)])
-def test_real_recipe_traces(kernel, variant, n, monkeypatch):
+def test_real_recipe_traces(kernel, variant, n):
     # Figure-5 traces in full-size chunks: jacobi tiled's time loop puts
-    # long gaps between reuses, and on both the ladder climbs past
-    # W = 4C, which the N=12 golden corpus never reaches.
-    widths = []
-    window_distinct = registers._window_distinct
-
-    def recording(back, fwd, w):
-        widths.append(w)
-        return window_distinct(back, fwd, w)
-
-    monkeypatch.setattr(registers, "_window_distinct", recording)
+    # long gaps between reuses, far longer than the N=12 golden corpus's.
     addresses, writes = _recipe_trace(kernel, variant, n)
     [want], want_hits = register_filter_reference([(addresses, writes)], 32)
     for size in (65_536, 49_999):
-        widths.clear()
         sink = RegisterFilterSink(32)
         masks = [
             sink.feed((addresses[lo : lo + size], writes[lo : lo + size]))
@@ -246,7 +188,6 @@ def test_real_recipe_traces(kernel, variant, n, monkeypatch):
         assert len(masks) > 1
         assert np.array_equal(np.concatenate(masks), want)
         assert sink.finish() == want_hits
-        assert max(widths) > 4 * 32
 
 
 def test_long_stream_in_large_chunks():

@@ -18,6 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.errors import MachineError
 from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
@@ -46,7 +47,7 @@ def random_chunks(rng, array, *extra):
 
 
 class TestCacheSinkAgainstOracle:
-    @pytest.mark.parametrize("assoc", [1, 2, 4])
+    @pytest.mark.parametrize("assoc", [1, 2, 4, 8, 16])
     @pytest.mark.parametrize("nsets", [1, 4, 32, 100])
     def test_randomized_traces(self, assoc, nsets):
         rng = np.random.default_rng(nsets * 10 + assoc)
@@ -62,9 +63,8 @@ class TestCacheSinkAgainstOracle:
             assert np.array_equal(np.concatenate(masks), ref)
 
     def test_wide_walk_across_chunks(self):
-        # assoc > 2 takes the per-access walk whatever the chunk looks
-        # like: accesses spread over many sets or piled onto a few, with
-        # state carried across chunks.
+        # Accesses spread over many sets or piled onto a few, with state
+        # carried across chunks.
         rng = np.random.default_rng(3)
         cfg = CacheConfig("t", 16 * 4 * 32, 32, 4)
         spread = rng.integers(0, 16 * 64 * 32, size=1200, dtype=np.int64)
@@ -75,6 +75,32 @@ class TestCacheSinkAgainstOracle:
             half = len(addrs) // 2
             miss = np.concatenate([sink.feed(addrs[:half]), sink.feed(addrs[half:])])
             assert np.array_equal(miss, ref)
+
+
+    @pytest.mark.parametrize("assoc1, assoc2", [(1, 2), (2, 2), (2, 8), (4, 16), (16, 1)])
+    @pytest.mark.parametrize("sets1, sets2", [(16, 64), (12, 100)])
+    def test_hierarchy_chains_l1_misses_into_l2(self, assoc1, assoc2, sets1, sets2):
+        # One call walks L1 and, on each L1 miss, L2: L2 must see exactly
+        # the L1-miss stream in order, on any chunking, for any geometry.
+        rng = np.random.default_rng([assoc1, assoc2, sets1])
+        l1 = CacheConfig("L1", sets1 * assoc1 * 32, 32, assoc1)
+        l2 = CacheConfig("L2", sets2 * assoc2 * 64, 64, assoc2)
+        addrs = rng.integers(0, 8 * sets2 * assoc2 * 64, size=5000, dtype=np.int64)
+        l1_ref = simulate_cache_reference(l1, addrs)
+        l2_ref = simulate_cache_reference(l2, addrs[l1_ref])
+        for bounds in ([0, 5000], list(range(0, 5001, 1)), [0, 1, 2, 777, 4000, 5000]):
+            sink = HierarchySink(l1, l2)
+            masks = [sink.feed(addrs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            assert np.array_equal(np.concatenate(masks), l1_ref)
+            result = sink.finish()
+            assert result.accesses == len(addrs)
+            assert result.l1_misses == int(l1_ref.sum())
+            assert result.l2_misses == int(l2_ref.sum())
+
+    def test_negative_address_rejected(self):
+        sink = CacheSink(CacheConfig("t", 256, 32, 2))
+        with pytest.raises(MachineError, match="non-negative"):
+            sink.feed(np.array([0, -8], dtype=np.int64))
 
 
 class TestMattsonInclusion:

@@ -108,6 +108,16 @@ class TestTLB:
         sink.feed(addrs)
         assert sink.finish() == 128  # never fits
 
+    def test_matches_stack_distances(self):
+        # A fully-associative LRU TLB of E entries misses exactly the
+        # accesses whose page stack distance is cold or >= E.
+        addrs = np.random.default_rng(5).integers(0, 40 * 4096, size=3000, dtype=np.int64)
+        for entries in (1, 4, 16, 64):
+            sink = TLBSink(TLBConfig(entries=entries))
+            for lo in range(0, 3000, 700):
+                sink.feed(addrs[lo : lo + 700])
+            assert sink.finish() == reuse_profile(addrs, 12).misses_at(entries)
+
 
 class TestReuseProfile:
     def test_cold_only(self):

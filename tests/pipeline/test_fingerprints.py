@@ -2,6 +2,8 @@
 fingerprint-keyed disk cache."""
 
 import dataclasses
+import shutil
+from pathlib import Path
 
 from repro.experiments import clear_caches, measure_variant
 from repro.experiments.sweep import SweepConfig
@@ -12,6 +14,27 @@ from repro.pipeline import (
     measurement_fingerprint,
     program_fingerprint,
 )
+from repro.pipeline import recipe as recipe_mod
+
+
+def test_measurement_key_tracks_the_implementation(monkeypatch):
+    recipe = get_recipe("lu", "seq")
+    program = build_variant("lu", "seq")
+    key = measurement_fingerprint(recipe, program, octane2_scaled(), {"n": 8})
+    monkeypatch.setattr(recipe_mod, "implementation_digest", lambda: "edited")
+    assert measurement_fingerprint(recipe, program, octane2_scaled(), {"n": 8}) != key
+
+
+def test_implementation_digest_covers_the_c_core(tmp_path):
+    # An edit to the C replay loops changes the digest, as a .py edit does.
+    package = Path(recipe_mod.__file__).resolve().parents[1]
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    assert recipe_mod.tree_digest(copy) == recipe_mod.implementation_digest()
+    before = recipe_mod.tree_digest(copy)
+    with (copy / "machine" / "native.c").open("a") as f:
+        f.write("\n")
+    assert recipe_mod.tree_digest(copy) != before
 
 
 def test_recipe_fingerprint_is_stable():

@@ -8,6 +8,7 @@ from repro import telemetry
 from repro.telemetry.export import (
     chrome_trace,
     read_jsonl,
+    render_point_table,
     render_summary,
     render_tree,
     write_jsonl,
@@ -82,6 +83,31 @@ class TestTextRenderers:
 
     def test_empty_tree(self):
         assert render_tree([]) == "(no spans recorded)"
+
+    def test_point_table_one_row_per_measured_point(self):
+        def span(name, sid, parent, duration, **attrs):
+            return Span(name, 0.0, duration, span_id=sid, parent_id=parent,
+                        pid=10, tid=1, attrs=attrs)
+
+        spans = [
+            span("sweep.point", 1, None, 3.0, kernel="lu", variant="seq", n=72),
+            span("exec.run", 2, 1, 2.5),
+            span("machine.sink.memory", 3, 2, 1.0, events=1000),
+            span("machine.memory.decode", 4, 3, 0.1, events=1000),
+            span("machine.memory.l1l2", 5, 3, 0.4, events=800),
+            span("machine.sink.branch", 6, 2, 0.5, events=50),
+            # A disk-cache hit runs no machine model: no row.
+            span("sweep.point", 7, None, 0.01, kernel="lu", variant="tiled", n=72),
+        ]
+        header, _, row = render_point_table(spans).splitlines()
+        assert header.split()[:6] == ["kernel", "variant", "N", "events", "produce", "s"]
+        cells = row.split()
+        assert cells[:4] == ["lu", "seq", "72", "1000"]
+        # produce = exec.run minus the sinks it fed, rated by memory events.
+        assert cells[4:8] == ["1.000", "1000", "0.100", "10000"]
+        assert cells[12:14] == ["0.400", "2000"]  # l1l2
+        assert cells[14:16] == ["0.500", "100"]  # branch
+        assert render_point_table(spans[-1:]) == "(no measured points)"
 
     def test_summary_sections(self):
         metrics = {

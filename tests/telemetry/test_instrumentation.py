@@ -14,6 +14,7 @@ from repro.ir.builder import assign, idx, loop, sym
 from repro.kernels.registry import get_recipe
 from repro.ir.program import ArrayDecl, Program
 from repro.machine.perfcounters import PerfReport
+from repro.pipeline import recipe as recipe_mod
 
 
 def _config(sizes=(8,)):
@@ -225,7 +226,7 @@ class TestSweepCounters:
         first = runner.measure_variant("lu", "seq", 8, config).report
         [old] = tmp_path.glob("lu-seq-N8-*.json")
 
-        monkeypatch.setattr(runner, "_source_digest", lambda: "edited")
+        monkeypatch.setattr(recipe_mod, "implementation_digest", lambda: "edited")
         read_keys = []
         load = runner._load_cached
 
