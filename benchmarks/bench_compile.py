@@ -42,13 +42,12 @@ hashes = registry_program_hashes()
 elapsed = time.perf_counter() - t0
 
 stats = memo.stats()
-hist = telemetry.snapshot()["histograms"].get("poly.fm.constraints_in", {})
 print(json.dumps({
     "seconds": elapsed,
     "hashes": hashes,
     "memo": stats["totals"],
     "fm_eliminations": telemetry.counter_value("poly.fm.eliminations"),
-    "fm_constraints": hist,
+    "fm_constraints": telemetry.counter_value("poly.fm.constraints_in"),
 }))
 """
 

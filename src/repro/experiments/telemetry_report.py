@@ -1,22 +1,26 @@
-"""Diff two telemetry runs' metrics to flag performance regressions.
+"""Diff two telemetry runs to flag performance regressions.
 
 ``python -m repro.experiments telemetry_report --diff BASE NEW`` loads
-the ``metrics.json`` written by two ``--telemetry`` runs and renders:
+the ``trace.jsonl`` and ``metrics.json`` written by two ``--telemetry``
+runs and renders:
 
-- **time per layer** — total seconds per span-name histogram
-  (``span.pipeline.pass``, ``span.exec.run``,
-  ``span.machine.measure_streaming``, ``span.sweep.point``, ...), with
-  the ratio flagged when the new run is slower than the baseline by more
-  than :data:`TIME_REGRESSION_RATIO` (and by more than measurement
-  noise, :data:`MIN_REGRESSION_SECONDS`);
+- **time per layer** — the *self* seconds of each span name path
+  (:func:`~repro.telemetry.export.aggregate`, the aggregation the
+  summary's span tree prints), flagged when the new run is slower than
+  the baseline by more than :data:`TIME_REGRESSION_RATIO` (and by more
+  than measurement noise, :data:`MIN_REGRESSION_SECONDS`). Self time
+  leaves out the children, so one slower stage flags its own path only,
+  not every span that encloses it: a slower L1/L2 flags
+  ``.../exec.run/machine.memory.l1l2``, slower trace production
+  ``.../exec.run``;
 - **cache behaviour** — disk-cache hit rate, flagged when it drops by
   more than :data:`HIT_RATE_DROP`; corrupt-entry count, flagged on any
   increase;
 - **other counters** — every remaining counter, side by side, never
   flagged.
 
-The function layer (:func:`diff_metrics`) is pure — it takes two
-snapshot dicts and returns structured rows — so tests and other tooling
+The function layer (:func:`diff_runs`) is pure — it takes two
+:class:`Run`\\ s and returns structured rows — so tests and other tooling
 can drive it without touching the filesystem.
 """
 
@@ -25,16 +29,25 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import NamedTuple
 
+from repro.telemetry.export import aggregate, read_jsonl
+from repro.telemetry.spans import Span
 from repro.utils.tables import render_table
 
-#: New/base total-seconds ratio above which a layer's time is flagged.
+#: New/base self-seconds ratio above which a span path is flagged.
 TIME_REGRESSION_RATIO = 1.10
 #: Absolute floor below which time deltas are considered noise.
 MIN_REGRESSION_SECONDS = 1e-3
 #: Hit-rate percentage-point drop (0..1) that flags the cache section.
 HIT_RATE_DROP = 0.05
+
+
+class Run(NamedTuple):
+    """One telemetry run: its spans and its counters."""
+
+    spans: list[Span]
+    counters: dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -49,18 +62,15 @@ class DiffRow:
     note: str = ""
 
 
-def load_metrics(directory: str | Path) -> dict[str, Any]:
-    """Read a telemetry run's ``metrics.json``."""
-    path = Path(directory) / "metrics.json"
-    return json.loads(path.read_text())
+def load_run(directory: str | Path) -> Run:
+    """Read a telemetry run's ``trace.jsonl`` and ``metrics.json``."""
+    directory = Path(directory)
+    metrics = json.loads((directory / "metrics.json").read_text())
+    return Run(read_jsonl(directory / "trace.jsonl"), metrics.get("counters", {}))
 
 
-def _hist_totals(metrics: dict[str, Any]) -> dict[str, float]:
-    return {
-        name: float(h.get("total", 0.0))
-        for name, h in metrics.get("histograms", {}).items()
-        if name.startswith("span.")
-    }
+def _self_times(spans: list[Span]) -> dict[str, float]:
+    return {"/".join(path): node.self_time for path, node in aggregate(spans).items()}
 
 
 def _hit_rate(counters: dict[str, float]) -> float | None:
@@ -69,12 +79,12 @@ def _hit_rate(counters: dict[str, float]) -> float | None:
     return hits / (hits + misses) if hits + misses else None
 
 
-def diff_metrics(base: dict[str, Any], new: dict[str, Any]) -> list[DiffRow]:
-    """Structured comparison of two metrics snapshots."""
+def diff_runs(base: Run, new: Run) -> list[DiffRow]:
+    """Structured comparison of two runs."""
     rows: list[DiffRow] = []
 
-    # -- time per layer (span-duration histogram totals) ------------------
-    base_t, new_t = _hist_totals(base), _hist_totals(new)
+    # -- self time per span path ------------------------------------------
+    base_t, new_t = _self_times(base.spans), _self_times(new.spans)
     for name in sorted(set(base_t) | set(new_t)):
         b, n = base_t.get(name, 0.0), new_t.get(name, 0.0)
         flagged = (
@@ -82,11 +92,13 @@ def diff_metrics(base: dict[str, Any], new: dict[str, Any]) -> list[DiffRow]:
             and n - b > MIN_REGRESSION_SECONDS
             and n / b > TIME_REGRESSION_RATIO
         )
-        note = f"{n / b:.2f}x" if b > 0 else ("new" if n > 0 else "")
+        if b > 0:
+            note = f"{n / b:.2f}x" if n > 0 else "gone"
+        else:
+            note = "new" if n > 0 else ""
         rows.append(DiffRow("time", name, b, n, flagged, note))
 
-    base_c = base.get("counters", {})
-    new_c = new.get("counters", {})
+    base_c, new_c = base.counters, new.counters
 
     # -- cache behaviour ---------------------------------------------------
     base_rate, new_rate = _hit_rate(base_c), _hit_rate(new_c)
@@ -134,7 +146,7 @@ def regressions(rows: list[DiffRow]) -> list[DiffRow]:
 def render(rows: list[DiffRow], base_label: str, new_label: str) -> str:
     """Aligned diff tables plus a verdict line."""
     sections = (
-        ("time", "Time per layer (span seconds)"),
+        ("time", "Time per layer (self seconds per span path)"),
         ("cache", "Sweep cache"),
         ("counter", "Other counters"),
     )
@@ -172,5 +184,5 @@ def render(rows: list[DiffRow], base_label: str, new_label: str) -> str:
 
 
 def main(baseline_dir: str, current_dir: str) -> str:
-    rows = diff_metrics(load_metrics(baseline_dir), load_metrics(current_dir))
+    rows = diff_runs(load_run(baseline_dir), load_run(current_dir))
     return render(rows, baseline_dir, current_dir)

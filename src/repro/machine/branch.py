@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.telemetry.instrument import stage_clock
+
 #: Initial counter state of every site (weakly taken).
 INITIAL_STATE = 2
 
@@ -71,6 +73,8 @@ class TwoBitPredictorSink:
 
     States 0..3, starting at :data:`INITIAL_STATE`; predict taken when
     state >= 2; increment on taken, decrement on not-taken, saturating.
+    With telemetry enabled, the replay's time, events and chunks are
+    recorded as one ``machine.branch`` span.
     """
 
     def __init__(self) -> None:
@@ -78,6 +82,7 @@ class TwoBitPredictorSink:
         self._states: list[int] = []
         self._resolved = 0
         self._mispredicted = 0
+        self._clock = stage_clock("machine")
 
     def feed(self, codes: np.ndarray) -> None:
         """Update every site's counter with one chunk of events.
@@ -88,6 +93,7 @@ class TwoBitPredictorSink:
         n = len(codes)
         if n == 0:
             return
+        self._clock.start()
         if codes.min() < 0:
             first = int(codes[np.argmax(codes < 0)])
             raise ValueError(f"negative branch code {first}: codes are site*2 + taken")
@@ -110,7 +116,9 @@ class TwoBitPredictorSink:
             mispredicted += missed
         self._resolved += n
         self._mispredicted += mispredicted
+        self._clock.lap("branch", n)
 
     def finish(self) -> BranchStats:
         """Accumulated prediction statistics."""
+        self._clock.finish()
         return BranchStats(self._resolved, self._mispredicted)

@@ -1,4 +1,4 @@
-/* The machine model's memory core: four sequential loops over one chunk,
+/* The machine model's memory core: sequential loops over one chunk,
  * loaded by repro/machine/native.py. The Python entry points own the state
  * arrays carried across chunks; every loop must equal the per-access
  * oracles in tests/machine/reference.py bit for bit. */
@@ -109,9 +109,14 @@ int64_t regfilter(int64_t *st, int64_t cap, int64_t hbits,
 
 /* One set-associative LRU level: each set's resident lines, most recent
  * first (-1 = empty way). Moves `line` to the front; returns 1 on a miss. */
+static inline int64_t set_of(int64_t nsets, int64_t line)
+{
+    return (nsets & (nsets - 1)) ? line % nsets : line & (nsets - 1);
+}
+
 static inline int cache_access(int64_t *ways, int64_t nsets, int64_t assoc, int64_t line)
 {
-    int64_t *w = ways + assoc * ((nsets & (nsets - 1)) ? line % nsets : line & (nsets - 1));
+    int64_t *w = ways + assoc * set_of(nsets, line);
     int64_t k = 0;
     while (k < assoc - 1 && w[k] != line)
         k++;
@@ -141,4 +146,39 @@ int64_t cache(int64_t *ways1, int64_t nsets1, int64_t assoc1, int64_t shift1,
     }
     *l2_misses = misses2;
     return misses1;
+}
+
+/* One write-allocate, write-back LRU level: `ways` as in cache(), plus a
+ * dirty flag per way that moves with its line. A store dirties its line;
+ * a miss evicts the set's last way, and a dirty victim adds one to
+ * *writebacks. Writes the miss mask; returns the miss count, or -1 at a
+ * negative address. */
+int64_t writeback(int64_t *ways, uint8_t *dirty, int64_t nsets, int64_t assoc,
+                  int64_t shift, const int64_t *addr, const uint8_t *write,
+                  int64_t n, uint8_t *miss, int64_t *writebacks)
+{
+    int64_t misses = 0, evicted = 0;
+    for (int64_t i = 0; i < n; i++) {
+        if (addr[i] < 0)
+            return -1;
+        int64_t line = addr[i] >> shift, set = assoc * set_of(nsets, line);
+        int64_t *w = ways + set;
+        uint8_t *d = dirty + set;
+        int64_t k = 0;
+        while (k < assoc - 1 && w[k] != line)
+            k++;
+        int m = w[k] != line;
+        uint8_t was_dirty = d[k];
+        evicted += m & was_dirty;
+        for (; k > 0; k--) {
+            w[k] = w[k - 1];
+            d[k] = d[k - 1];
+        }
+        w[0] = line;
+        d[0] = (uint8_t)((!m & was_dirty) | write[i]);
+        miss[i] = (uint8_t)m;
+        misses += m;
+    }
+    *writebacks += evicted;
+    return misses;
 }

@@ -1,7 +1,7 @@
 """The machine model's C memory core (``native.c``), compiled on first use.
 
-:func:`lib` compiles the four loops (decode, layout, register window,
-L1/L2) with ``cc -O2 -shared -fPIC`` and loads them with :mod:`ctypes`;
+:func:`lib` compiles the loops (decode, layout, register window, L1/L2
+and the write-back level) with ``cc -O2 -shared -fPIC`` and loads them with :mod:`ctypes`;
 nothing compiles or loads at import time. The object is cached in the
 sweep cache directory (a per-process temporary one under
 ``REPRO_NO_CACHE=1``) as ``native-<key>-<digest>.so``: the key hashes the
@@ -39,6 +39,7 @@ _SIGNATURES = {
     "layout": ((_P, _P, _I, _P, _P, _I, _I, _P), _I),
     "regfilter": ((_P, _I, _I, _P, _P, _I, _I, _P), _I),
     "cache": ((_P, _I, _I, _I, _P, _I, _I, _I, _P, _I, _P, _P), _I),
+    "writeback": ((_P, _P, _I, _I, _I, _P, _P, _I, _P, _P), _I),
 }
 
 _lib: ctypes.CDLL | None = None

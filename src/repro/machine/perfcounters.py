@@ -28,7 +28,7 @@ from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import HierarchyResult, HierarchySink
 from repro.machine.layout import MemoryLayout, layout_for_program
 from repro.machine.registers import RegisterFilterSink
-from repro.telemetry.instrument import InstrumentedSink, stage_clock
+from repro.telemetry.instrument import stage_clock
 
 
 @dataclass(frozen=True)
@@ -75,8 +75,9 @@ class MemoryPipelineSink:
 
     Each chunk flows decode → address mapping → register filter →
     L1 → L2 in one pass, one C loop per stage (:mod:`repro.machine.native`).
-    With telemetry enabled, each stage's time and event count are
-    reported as ``machine.memory.{decode,layout,regfilter,l1l2}``.
+    With telemetry enabled, each stage's time, events and chunks are
+    recorded as a ``machine.memory.{decode,layout,regfilter,l1l2}`` span
+    under the ``exec.run`` span that fed the chunks.
     """
 
     def __init__(
@@ -168,12 +169,6 @@ def measure_streaming(
         id_to_name = {v: k for k, v in compiled.array_ids.items()}
         memory_sink = MemoryPipelineSink(machine, layout, id_to_name)
         branch_sink = TwoBitPredictorSink()
-        if telemetry.enabled():
-            # Per-sink replay spans + chunk/event counters; the wrappers
-            # preserve feed/finish semantics bit-exactly, so reports are
-            # identical with telemetry on or off.
-            memory_sink = InstrumentedSink(memory_sink, "memory")
-            branch_sink = InstrumentedSink(branch_sink, "branch")
         kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}
         result = compiled.run_streaming(
             params, inputs, memory_sink=memory_sink, branch_sink=branch_sink, **kwargs

@@ -6,15 +6,22 @@ every store dirties its line, and evicting a dirty line costs a write of
 one line to the next level. Tiling changes not only the miss count but the
 *dirty* eviction count (tiled kernels overwrite resident lines many times
 before eviction).
+
+:class:`WritebackSink` replays each chunk in one C loop (``writeback`` in
+``native.c``): the LRU walk of :class:`~repro.machine.cache.CacheSink`
+plus a dirty flag per way. The per-access oracle is
+``writeback_reference`` in ``tests/machine/reference.py``.
 """
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.errors import MachineError
+from repro.machine import native
 from repro.machine.cache import CacheConfig
 
 
@@ -36,15 +43,16 @@ class WritebackResult:
 class WritebackSink:
     """Streaming write-allocate/write-back replay.
 
-    Consumes ``(addresses, is_write)`` chunks; per-set ``[line, dirty]``
-    residency state persists across chunks.
+    Consumes ``(addresses, is_write)`` chunks; each set's resident lines
+    (most recent first, ``-1`` = empty way) and their dirty flags persist
+    across chunks.
     """
 
     def __init__(self, config: CacheConfig):
         self.config = config
-        # Per set: list of [line, dirty] in MRU order.
-        self._sets: list[list[list]] = [[] for _ in range(config.num_sets)]
-        self._writebacks = 0
+        self._ways = np.full(config.num_sets * config.assoc, -1, dtype=np.int64)
+        self._dirty = np.zeros(len(self._ways), dtype=np.uint8)
+        self._writebacks = ctypes.c_int64(0)
         self._miss_count = 0
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -52,44 +60,26 @@ class WritebackSink:
         addresses, is_write = chunk
         if len(addresses) != len(is_write):
             raise MachineError("addresses and is_write must align")
+        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
+        writes = np.ascontiguousarray(is_write, dtype=bool)
         n = len(addresses)
-        miss_list = [False] * n
-        if n:
-            lines = (np.asarray(addresses) >> self.config.line_shift).tolist()
-            writes = np.asarray(is_write).astype(bool).tolist()
-            nsets = self.config.num_sets
-            assoc = self.config.assoc
-            sets = self._sets
-            for pos, line in enumerate(lines):
-                ways = sets[line % nsets]
-                hit = None
-                for way in ways:
-                    if way[0] == line:
-                        hit = way
-                        break
-                if hit is not None:
-                    if ways[0] is not hit:
-                        ways.remove(hit)
-                        ways.insert(0, hit)
-                    if writes[pos]:
-                        hit[1] = True
-                else:
-                    miss_list[pos] = True
-                    ways.insert(0, [line, writes[pos]])
-                    if len(ways) > assoc:
-                        victim = ways.pop()
-                        if victim[1]:
-                            self._writebacks += 1
-        mask = np.asarray(miss_list, dtype=bool)
-        self._miss_count += int(mask.sum())
-        return mask
+        miss = np.empty(n, dtype=bool)
+        config = self.config
+        misses = native.lib().writeback(
+            self._ways.ctypes.data, self._dirty.ctypes.data,
+            config.num_sets, config.assoc, config.line_shift,
+            addresses.ctypes.data, writes.ctypes.data, n,
+            miss.ctypes.data, ctypes.byref(self._writebacks),
+        )
+        if misses < 0:
+            raise MachineError("addresses must be non-negative")
+        self._miss_count += misses
+        return miss
 
     def finish(self) -> WritebackResult:
         """Accumulated totals."""
-        dirty = sum(1 for ways in self._sets for way in ways if way[1])
         return WritebackResult(
             miss_count=self._miss_count,
-            writebacks=self._writebacks,
-            dirty_at_end=dirty,
+            writebacks=self._writebacks.value,
+            dirty_at_end=int(self._dirty.sum()),
         )
-

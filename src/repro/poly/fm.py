@@ -82,7 +82,7 @@ def eliminate(poly: Polyhedron, var: str, *, require_exact: bool = False) -> Pol
 
 def _eliminate(poly: Polyhedron, var: str, require_exact: bool) -> Polyhedron:
     telemetry.counter("poly.fm.eliminations")
-    telemetry.observe("poly.fm.constraints_in", len(poly.constraints))
+    telemetry.counter("poly.fm.constraints_in", len(poly.constraints))
     new_vars = tuple(v for v in poly.variables if v != var)
 
     # Prefer solving an equality for var.
@@ -135,7 +135,7 @@ def _eliminate(poly: Polyhedron, var: str, require_exact: bool) -> Polyhedron:
             f"{len(passthrough)} passthrough) while projecting a polyhedron "
             f"over dims {list(poly.variables)}"
         )
-    telemetry.observe("poly.fm.constraints_out", len(combined))
+    telemetry.counter("poly.fm.constraints_out", len(combined))
     return Polyhedron(new_vars, _prune(combined))
 
 

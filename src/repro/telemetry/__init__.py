@@ -1,4 +1,4 @@
-"""Unified telemetry: span tracing, metrics, exporters — off by default.
+"""Unified telemetry: spans and counters, off by default.
 
 One module-level facade instruments every layer of the reproduction
 (pipeline, executor, machine model, sweep) without any of them knowing
@@ -11,9 +11,12 @@ about exporters or each other::
         sp.set(source="computed")
     telemetry.counter("sweep.cache.miss")
 
+A span is the one record of time, and a counter the one record of a
+count; nothing is recorded twice.
+
 **Disabled is free(ish):** with telemetry off (the default),
 :func:`span` returns a stack-allocated timer that records nothing, and
-:func:`counter` / :func:`observe` return immediately.
+:func:`counter` returns immediately.
 Instrumented code paths therefore stay bit-identical and within noise of
 their un-instrumented cost (the overhead benchmark in
 ``benchmarks/bench_machine.py`` bounds the *enabled* cost at <3% of
@@ -26,12 +29,7 @@ programmatically (tests use the in-memory collector this way).
 
 **Cross-process merge:** sweep workers call :func:`export_state` and the
 parent :func:`absorb`\\ s it, so a parallel sweep yields one coherent
-trace (spans keep their origin pid; metric snapshots merge
-associatively).
-
-Every finished span also feeds a duration histogram named
-``span.<span name>`` in the metrics registry, which is what the
-``telemetry_report`` experiment target diffs for per-layer time.
+trace (spans keep their origin pid; counters add).
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "current_span",
     "nested",
     "counter",
-    "observe",
     "counter_value",
     "snapshot",
     "spans",
@@ -76,13 +73,7 @@ __all__ = [
 perf_counter = time.perf_counter  # the one clock every span uses
 
 _registry = MetricsRegistry()
-
-
-def _on_span_finish(name: str, duration: float) -> None:
-    _registry.observe(f"span.{name}", duration)
-
-
-_collector = SpanCollector(on_finish=_on_span_finish)
+_collector = SpanCollector()
 
 _enabled = False
 
@@ -112,7 +103,7 @@ def reset() -> None:
     """
     global _collector, _registry
     _registry = MetricsRegistry()
-    _collector = SpanCollector(on_finish=_on_span_finish)
+    _collector = SpanCollector()
 
 
 # -- spans ----------------------------------------------------------------
@@ -138,15 +129,15 @@ def record_span(name: str, start: float, duration: float, **attrs: Any) -> Span 
     return _collector.record(name, start, duration, attrs)
 
 
-def current_span() -> ActiveSpan | Span | None:
+def current_span() -> ActiveSpan | None:
     """The innermost open span of this thread (``None`` when disabled)."""
     return _collector.current() if _enabled else None
 
 
 @contextmanager
-def nested(span: ActiveSpan | Span | None) -> Iterator[None]:
-    """Parent the spans opened or recorded in this block to *span*, open
-    or already recorded, even after it closed (``None``: no effect)."""
+def nested(span: ActiveSpan | None) -> Iterator[None]:
+    """Parent the spans opened or recorded in this block to *span*, even
+    after it closed (``None``: no effect)."""
     if span is None:
         yield
         return
@@ -167,18 +158,13 @@ def counter(name: str, n: float = 1) -> None:
         _registry.counter_add(name, n)
 
 
-def observe(name: str, value: float) -> None:
-    if _enabled:
-        _registry.observe(name, value)
-
-
 def counter_value(name: str) -> float:
     """Current counter value (0 when absent) — test/report convenience."""
     return _registry.counter_value(name)
 
 
 def snapshot() -> dict[str, Any]:
-    """JSON-able metrics snapshot."""
+    """JSON-able counters snapshot (``{"counters": {...}}``)."""
     return _registry.snapshot()
 
 
@@ -207,7 +193,7 @@ def absorb(state: dict[str, Any] | None) -> None:
 def write_run(directory: str | Path) -> dict[str, Path]:
     """Export the run's telemetry into *directory*.
 
-    Writes ``trace.jsonl`` (raw spans), ``metrics.json`` (snapshot),
+    Writes ``trace.jsonl`` (raw spans), ``metrics.json`` (counters),
     ``summary.txt`` (human-readable tree + counters) and
     ``trace_chrome.json`` (flamegraph; load in ``chrome://tracing`` or
     Perfetto). Returns ``{artifact name: path}``.

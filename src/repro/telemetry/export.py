@@ -8,23 +8,26 @@ Four consumers of the same span/metric data:
   ``trace_event`` "complete" (``ph: "X"``) events, loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev for flamegraph viewing
   (``trace_chrome.json``);
-- :func:`render_tree` — hierarchical aggregation of spans by name path
-  (count, total/self/mean milliseconds), the "where did the time go" view;
+- :func:`aggregate` — spans grouped by name path (count, total and self
+  seconds, events), the one aggregation the text views and the
+  ``telemetry_report`` diff read;
+- :func:`render_tree` — that aggregation as a tree (count, total/self/mean
+  milliseconds), the "where did the time go" view;
 - :func:`render_point_table` — one row per measured sweep point: its
   events, and seconds and events/s per layer;
-- :func:`render_summary` — the tree, the point table, counters (with the
-  sweep-cache and polyhedral-analysis sections broken out) and histogram
-  stats (``summary.txt``).
+- :func:`render_summary` — the tree, the point table and the counters,
+  with the sweep-cache and polyhedral-analysis sections broken out
+  (``summary.txt``).
 """
 
 from __future__ import annotations
 
 import json
 from collections import defaultdict
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from repro.telemetry.metrics import Histogram
 from repro.telemetry.spans import Span
 from repro.utils.tables import render_table
 
@@ -33,6 +36,8 @@ __all__ = [
     "read_jsonl",
     "chrome_trace",
     "write_chrome_trace",
+    "PathStats",
+    "aggregate",
     "render_tree",
     "render_point_table",
     "render_summary",
@@ -95,15 +100,6 @@ def write_chrome_trace(spans: list[Span], path: str | Path) -> Path:
 # -- text rendering -------------------------------------------------------
 
 
-class _Node:
-    __slots__ = ("count", "total", "children")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.total = 0.0
-        self.children: dict[str, _Node] = {}
-
-
 def _span_paths(spans: list[Span]) -> list[tuple[tuple[str, ...], Span]]:
     """Each span's name path from its root ancestor, via parent links."""
     by_id = {(s.pid, s.span_id): s for s in spans}
@@ -121,56 +117,72 @@ def _span_paths(spans: list[Span]) -> list[tuple[tuple[str, ...], Span]]:
     return out
 
 
-def render_tree(spans: list[Span]) -> str:
-    """Aggregated span tree: one line per distinct name path.
+@dataclass
+class PathStats:
+    """The spans that share one name path."""
 
-    A node's *self* time is its total minus its children's totals: for
+    count: int = 0
+    total: float = 0.0  #: seconds
+    #: seconds: the total minus the totals of the paths one level below
+    self_time: float = 0.0
+    #: the spans' ``events`` attributes, summed
+    events: int = 0
+
+
+def aggregate(spans: list[Span]) -> dict[tuple[str, ...], PathStats]:
+    """Group *spans* by name path from their root ancestor.
+
+    A path's self time is its total minus its children's totals: for
     ``exec.run`` that is trace production without the sinks it feeds.
     """
-    root = _Node()
+    stats: dict[tuple[str, ...], PathStats] = defaultdict(PathStats)
     for path, span in _span_paths(spans):
-        node = root
-        for name in path:
-            node = node.children.setdefault(name, _Node())
+        node = stats[path]
         node.count += 1
         node.total += span.duration
+        node.self_time += span.duration
+        node.events += int(span.attrs.get("events", 0))
+        if len(path) > 1:
+            stats[path[:-1]].self_time -= span.duration
+    return dict(stats)
 
+
+def render_tree(spans: list[Span]) -> str:
+    """The :func:`aggregate` of *spans*, one line per name path, children
+    indented under their parent in name order."""
     lines: list[str] = []
-
-    def emit(node: _Node, name: str, depth: int) -> None:
-        mean_ms = node.total * 1e3 / node.count if node.count else 0.0
-        self_s = node.total - sum(c.total for c in node.children.values())
+    # Sorted name tuples are the tree's preorder, children by name.
+    for path, node in sorted(aggregate(spans).items()):
+        depth = len(path) - 1
+        mean_ms = node.total * 1e3 / node.count
         lines.append(
-            f"{'  ' * depth}{name:<{max(40 - 2 * depth, 8)}} "
+            f"{'  ' * depth}{path[-1]:<{max(40 - 2 * depth, 8)}} "
             f"x{node.count:<6} total {node.total * 1e3:10.2f} ms  "
-            f"self {self_s * 1e3:10.2f} ms  mean {mean_ms:8.3f} ms"
+            f"self {node.self_time * 1e3:10.2f} ms  mean {mean_ms:8.3f} ms"
         )
-        for child_name in sorted(node.children):
-            emit(node.children[child_name], child_name, depth + 1)
-
-    for name in sorted(root.children):
-        emit(root.children[name], name, 0)
     return "\n".join(lines) if lines else "(no spans recorded)"
 
 
-#: The point table's layers: column name -> the span that times it.
-#: ``produce`` is ``exec.run``'s self time (trace production without the
-#: sinks it feeds), rated by the point's memory events.
+#: The point table's layers: column name -> the span that times it. A
+#: layer's seconds are its span's self time: for ``produce`` that is
+#: ``exec.run`` without the sinks it feeds, rated by the point's memory
+#: events.
 POINT_LAYERS = {
     "produce": "exec.run",
     "decode": "machine.memory.decode",
     "layout": "machine.memory.layout",
     "regfilter": "machine.memory.regfilter",
     "l1l2": "machine.memory.l1l2",
-    "branch": "machine.sink.branch",
+    "branch": "machine.branch",
 }
 
 
 def render_point_table(spans: list[Span]) -> str:
     """One row per ``sweep.point`` that ran the machine model: kernel,
     variant, N and memory events, then seconds and events/s per layer
-    (:data:`POINT_LAYERS`; a layer's events are those its span counts).
-    Points served from the disk cache have no row.
+    (:data:`POINT_LAYERS`; a layer's events are those its span counts),
+    from the :func:`aggregate` of the point's subtree. Points served from
+    the disk cache have no row.
     """
     children: dict[tuple, list[Span]] = defaultdict(list)
     for s in spans:
@@ -183,19 +195,19 @@ def render_point_table(spans: list[Span]) -> str:
     for point in spans:
         if point.name != "sweep.point":
             continue
-        seconds: dict[str, float] = defaultdict(float)
-        events: dict[str, int] = defaultdict(int)
-        stack = [point]
+        subtree, stack = [], [point]
         while stack:
             s = stack.pop()
-            kids = children[s.pid, s.span_id]
-            stack.extend(kids)
-            self_only = s.name == "exec.run"
-            seconds[s.name] += s.duration - self_only * sum(k.duration for k in kids)
-            events[s.name] += int(s.attrs.get("events", 0))
+            subtree.append(s)
+            stack.extend(children[s.pid, s.span_id])
+        seconds: dict[str, float] = defaultdict(float)
+        events: dict[str, int] = defaultdict(int)
+        for path, node in aggregate(subtree).items():
+            seconds[path[-1]] += node.self_time
+            events[path[-1]] += node.events
         if "exec.run" not in seconds:
             continue
-        events["exec.run"] = events["machine.sink.memory"]
+        events["exec.run"] = events["machine.memory.decode"]
         row = [point.attrs.get("kernel"), point.attrs.get("variant"), point.attrs.get("n"),
                events["exec.run"]]
         for name in POINT_LAYERS.values():
@@ -218,8 +230,8 @@ def _counter_section(title: str, items: list[tuple[str, float]]) -> list[str]:
 
 
 def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
-    """Human-readable run summary: span tree, per-point layer table,
-    counters, histograms.
+    """Human-readable run summary: span tree, per-point layer table and
+    counters.
 
     Sweep cache behaviour (``sweep.cache.*`` with the derived hit rate)
     and the polyhedral-analysis memo get their own sections so
@@ -256,17 +268,4 @@ def render_summary(spans: list[Span], metrics: dict[str, Any]) -> str:
         lines.append(f"  poly-memo hit rate: {p_hits / (p_hits + p_misses):.1%}")
     lines.append("")
     lines.extend(_counter_section("== other counters ==", other))
-
-    histograms = metrics.get("histograms", {})
-    if histograms:
-        lines.append("")
-        lines.append("== histograms ==")
-        width = max(len(k) for k in histograms)
-        for name in sorted(histograms):
-            h = Histogram.from_dict(histograms[name])
-            lines.append(
-                f"  {name:<{width}}  n={h.count:<8} total={h.total:.6g} "
-                f"mean={h.mean:.6g} min={0 if h.count == 0 else h.min:.6g} "
-                f"max={0 if h.count == 0 else h.max:.6g}"
-            )
     return "\n".join(lines) + "\n"

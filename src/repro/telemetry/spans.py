@@ -29,7 +29,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Iterator
 
 __all__ = ["Span", "ActiveSpan", "DisabledSpan", "SpanCollector"]
 
@@ -141,16 +141,12 @@ class SpanCollector:
 
     Thread-safe: each thread has its own open-span stack
     (``threading.local``) and finished spans are appended under a lock.
-    ``on_finish(name, duration)`` is invoked for every finished span —
-    the facade uses it to feed per-span-name duration histograms into the
-    metrics registry.
     """
 
-    def __init__(self, on_finish: Callable[[str, float], None] | None = None):
+    def __init__(self) -> None:
         self._finished: list[Span] = []
         self._local = threading.local()
         self._lock = threading.Lock()
-        self._on_finish = on_finish
 
     # -- stack bookkeeping -----------------------------------------------
     def _stack(self) -> list[ActiveSpan]:
@@ -193,15 +189,13 @@ class SpanCollector:
     def _record(self, span: Span) -> None:
         with self._lock:
             self._finished.append(span)
-        if self._on_finish is not None:
-            self._on_finish(span.name, span.duration)
 
     # -- public API -------------------------------------------------------
     def span(self, name: str, attrs: dict[str, Any] | None = None) -> ActiveSpan:
         """An open span context manager, parented to the current top."""
         return ActiveSpan(self, name, dict(attrs or {}))
 
-    def current(self) -> ActiveSpan | Span | None:
+    def current(self) -> ActiveSpan | None:
         """The top of this thread's stack: the parent of a span opened or
         recorded now."""
         stack = self._stack()
@@ -228,9 +222,9 @@ class SpanCollector:
         return span
 
     @contextmanager
-    def nest(self, span: ActiveSpan | Span) -> Iterator[None]:
+    def nest(self, span: ActiveSpan) -> Iterator[None]:
         """Parent the spans opened or recorded in this block to *span*,
-        open or already recorded."""
+        open or already closed."""
         stack = self._stack()
         stack.append(span)
         try:

@@ -9,6 +9,8 @@ bit on every chunking:
   semantics of :mod:`repro.machine.registers`);
 - :func:`simulate_cache_reference` — the original whole-trace
   set-associative LRU simulator (:class:`~repro.machine.cache.CacheSink`);
+- :func:`writeback_reference` — the same walk with a dirty bit per
+  resident line (:class:`~repro.machine.writeback.WritebackSink`);
 - :func:`stack_distances_reference` — the list-based Mattson stack
   (:func:`~repro.machine.cache.stack_distances`);
 - :class:`TwoBitPredictor` — per-site 2-bit counters replayed site by
@@ -29,6 +31,7 @@ from repro.errors import MachineError
 from repro.machine.branch import INITIAL_STATE, BranchStats
 from repro.machine.cache import CacheConfig
 from repro.machine.registers import ELEMENT_SHIFT
+from repro.machine.writeback import WritebackResult
 
 
 def register_filter_reference(
@@ -86,6 +89,38 @@ def simulate_cache_reference(config: CacheConfig, addresses: np.ndarray) -> np.n
             if len(ways) > assoc:
                 ways.pop()
     return np.asarray(miss_list, dtype=bool)
+
+
+def writeback_reference(
+    config: CacheConfig, chunks: Iterable[tuple[np.ndarray, np.ndarray]]
+) -> tuple[list[np.ndarray], WritebackResult]:
+    """Walk ``(addresses, is_write)`` chunks through one cold
+    write-allocate, write-back LRU cache of per-set ``[line, dirty]``
+    lists; returns each chunk's miss mask and the totals."""
+    nsets, assoc = config.num_sets, config.assoc
+    sets: list[list[list]] = [[] for _ in range(nsets)]
+    masks: list[np.ndarray] = []
+    writebacks = 0
+    for addresses, is_write in chunks:
+        lines = (np.asarray(addresses) >> config.line_shift).tolist()
+        writes = np.asarray(is_write).astype(bool).tolist()
+        miss_list = [False] * len(lines)
+        for pos, line in enumerate(lines):
+            ways = sets[line % nsets]
+            hit = next((way for way in ways if way[0] == line), None)
+            if hit is not None:
+                ways.remove(hit)
+                ways.insert(0, hit)
+                hit[1] = hit[1] or writes[pos]
+            else:
+                miss_list[pos] = True
+                ways.insert(0, [line, writes[pos]])
+                if len(ways) > assoc and ways.pop()[1]:
+                    writebacks += 1
+        masks.append(np.asarray(miss_list, dtype=bool))
+    dirty = sum(1 for ways in sets for way in ways if way[1])
+    misses = sum(int(m.sum()) for m in masks)
+    return masks, WritebackResult(misses, writebacks, dirty)
 
 
 def stack_distances_reference(addresses: np.ndarray, line_shift: int) -> np.ndarray:

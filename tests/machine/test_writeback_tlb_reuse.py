@@ -2,12 +2,15 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.errors import MachineError
 from repro.machine.cache import CacheConfig
 from repro.machine.reuse import reuse_profile
 from repro.machine.tlb import TLBConfig, TLBSink
 from repro.machine.writeback import WritebackSink
+from tests.machine.reference import writeback_reference
 
 
 def cache(size=128, line=32, assoc=2):
@@ -67,6 +70,28 @@ class TestWriteback:
     def test_length_mismatch(self):
         with pytest.raises(MachineError):
             WritebackSink(cache()).feed((np.zeros(2, dtype=np.int64), np.zeros(3)))
+
+    def test_negative_address_rejected(self):
+        with pytest.raises(MachineError, match="non-negative"):
+            WritebackSink(cache()).feed((np.array([0, -8]), np.array([1, 0])))
+
+    @given(
+        st.sampled_from([1, 2, 4, 8]),  # associativity
+        st.sampled_from([1, 3, 4, 12]),  # sets, power of two or not
+        st.lists(st.tuples(st.integers(0, 127), st.booleans()), max_size=300),
+        st.lists(st.integers(0, 300), max_size=6),  # chunk boundaries
+    )
+    def test_matches_reference_on_any_chunking(self, assoc, nsets, track, cuts):
+        config = cache(size=nsets * assoc * 32, line=32, assoc=assoc)
+        addrs = np.array([a for a, _ in track], dtype=np.int64) * 16
+        writes = np.array([w for _, w in track], dtype=bool)
+        bounds = [0, *sorted(min(c, len(track)) for c in cuts), len(track)]
+        chunks = [(addrs[lo:hi], writes[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+        sink = WritebackSink(config)
+        masks = [sink.feed(chunk) for chunk in chunks]
+        ref_masks, ref = writeback_reference(config, chunks)
+        assert sink.finish() == ref
+        assert [m.tolist() for m in masks] == [m.tolist() for m in ref_masks]
 
 
 class TestTLB:
