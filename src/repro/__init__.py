@@ -7,7 +7,7 @@ Layer map (bottom-up):
 - :mod:`repro.poly` — exact integer polyhedra (FM elimination, integer
   feasibility): the isl/Omega substitute;
 - :mod:`repro.ir` — FORTRAN-like loop-nest IR with a builder eDSL,
-  pretty-printer and affine bridges;
+  printer (its text is the frontend grammar) and affine bridges;
 - :mod:`repro.frontend` — a mini-Fortran text frontend for the IR;
 - :mod:`repro.deps` — fusion-preventing dependence sets (paper Eq. 5–6);
 - :mod:`repro.trans` — fusion, FixDeps (ElimWW_WR + ElimRW), tiling,

@@ -48,6 +48,7 @@ from repro.exec.compiled import CompiledProgram
 from repro.experiments.sweep import SweepConfig, resolve_jobs
 from repro.ir.program import Program
 from repro.kernels.registry import get_kernel, get_recipe
+from repro.machine import native
 from repro.machine.perfcounters import PerfReport, measure_streaming
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
@@ -317,7 +318,9 @@ def measure_points(
     memos (see :func:`clear_caches`) but share the disk cache; the
     parent then seeds its own memo from the workers' reports, so
     subsequent serial figure assembly reuses them byte-identically even
-    with ``REPRO_NO_CACHE=1``. A worker failure re-raises as a
+    with ``REPRO_NO_CACHE=1``. The parent loads the C memory core
+    (:func:`repro.machine.native.lib`) before it forks the pool, so the
+    workers share one build. A worker failure re-raises as a
     :class:`~repro.errors.ReproError` naming the failed point, chained
     to the worker's exception.
     """
@@ -332,6 +335,9 @@ def measure_points(
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 
+        # Load the C core before forking: the workers inherit it instead
+        # of each compiling its own (under REPRO_NO_CACHE=1).
+        native.lib()
         with_telemetry = telemetry.enabled()
         with ProcessPoolExecutor(
             max_workers=min(jobs, len(todo)), initializer=clear_caches

@@ -5,8 +5,8 @@ bracketing the size where one array fills the 2 MB L2: 512x512 doubles)
 with Jacobi's M fixed at 500. The scaled machine's L2 holds 64x64 doubles,
 so the default scaled sweep brackets 64 the same way. Quick mode (the
 default) uses a 4-point subset; ``quick=False`` (the CLI's ``--full``)
-selects the full curve, and ``REPRO_FULL_MACHINE=1`` runs the real Octane2
-geometry (very slow in pure Python).
+selects the full curve. Only ``paperpoint`` runs the real Octane2 geometry,
+at one size.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from repro.machine.configs import MachineConfig, default_machine
 from repro.tilesize.lrw import lrw_tile
 from repro.tilesize.pdat import pdat_tile
 
-#: Paper problem sizes (multiples of 238 within [200, 2500]).
-PAPER_SIZES = tuple(238 * i for i in range(1, 11))
 #: Scaled sweep: same ratio band around the L2-filling order (64). Like the
 #: paper's multiples of 238, the sizes avoid power-of-two leading
 #: dimensions, whose column stride aliases the 2-way sets pathologically
@@ -31,7 +29,6 @@ QUICK_SIZES = (24, 56, 88, 120)
 
 #: Jacobi time steps: paper 500; scaled runs use 12 (the miss behaviour is
 #: periodic in t once the working set is established).
-PAPER_JACOBI_M = 500
 SCALED_JACOBI_M = 12
 
 
@@ -77,13 +74,7 @@ class SweepConfig:
 def default_config(*, quick: bool = True) -> SweepConfig:
     """The quick (default) or full sweep on the default machine;
     ``REPRO_SIZES`` overrides the sizes."""
-    machine = default_machine()
     sizes = QUICK_SIZES if quick else SCALED_SIZES
-    if machine.name == "octane2":
-        sizes = PAPER_SIZES[:3] if quick else PAPER_SIZES
-        jacobi_m = PAPER_JACOBI_M
-    else:
-        jacobi_m = SCALED_JACOBI_M
     env_sizes = os.environ.get("REPRO_SIZES")
     if env_sizes:
         try:
@@ -94,4 +85,4 @@ def default_config(*, quick: bool = True) -> SweepConfig:
             ) from None
         if any(n < 1 for n in sizes):
             raise ReproError(f"REPRO_SIZES={env_sizes!r}: every size must be positive")
-    return SweepConfig(machine=machine, sizes=tuple(sizes), jacobi_m=jacobi_m)
+    return SweepConfig(default_machine(), tuple(sizes), SCALED_JACOBI_M)

@@ -20,7 +20,11 @@ into the IR::
     ''')
 
 Comparison operators accept both Fortran (``.EQ.``, ``.LT.`` ...) and C
-(``==``, ``<`` ...) spellings; ``!`` starts a comment.
+(``==``, ``<`` ...) spellings; ``!`` starts a comment;
+``merge(if_true, if_false, cond)`` is the expression-level select.
+``str(program)`` (:func:`repro.ir.pretty`) prints this same grammar, so
+``parse_program(str(p)) == p`` (:mod:`repro.ir.printer` names the two
+exceptions).
 """
 
 from repro.frontend.lexer import Token, tokenize

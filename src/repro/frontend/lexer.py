@@ -11,7 +11,7 @@ from repro.errors import ParseError
 KEYWORDS = frozenset(
     {
         "program", "param", "real", "integer", "output", "begin", "end",
-        "do", "if", "then", "else", "sqrt", "abs", "min", "max",
+        "do", "if", "then", "else", "sqrt", "abs", "min", "max", "merge",
     }
 )
 

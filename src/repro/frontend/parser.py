@@ -16,7 +16,11 @@ Grammar (newline-separated statements)::
     atom      := '!!' atom | expr CMP expr | '(' cond ')'
     expr      := term (('+'|'-') term)*
     term      := factor (('*'|'/') factor)*
-    factor    := ['-'] (NUMBER | call | lvalue | NAME | '(' expr ')')
+    factor    := ['-'] (NUMBER | call | merge | lvalue | NAME | '(' expr ')')
+    merge     := 'merge' '(' expr ',' expr ',' cond ')'
+
+``-`` directly before a number is part of the literal (``-2`` is
+``Const(-2)``); ``-(2)`` is a negation.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from repro.ir.expr import (
     LogicalAnd,
     LogicalNot,
     LogicalOr,
+    Select,
     UnOp,
     VarRef,
 )
@@ -271,11 +276,9 @@ class _Parser:
     def _factor(self) -> Expr:
         if self.at("op", "-"):
             self.next()
-            inner = self._factor()
-            # Fold negative literals so `-2` round-trips as Const(-2).
-            if isinstance(inner, Const):
-                return Const(-inner.value)
-            return UnOp("-", inner)
+            if self.peek().kind in ("int", "float"):
+                return Const(-self._factor().value)
+            return UnOp("-", self._factor())
         tok = self.peek()
         if tok.kind == "int":
             self.next()
@@ -292,6 +295,16 @@ class _Parser:
                 args.append(self._expr())
             self.expect("op", ")")
             return Call(tok.text, args)
+        if tok.kind == "kw" and tok.text == "merge":
+            self.next()
+            self.expect("op", "(")
+            if_true = self._expr()
+            self.expect("op", ",")
+            if_false = self._expr()
+            self.expect("op", ",")
+            cond = self._cond()
+            self.expect("op", ")")
+            return Select(cond, if_true, if_false)
         if tok.kind == "name":
             self.next()
             if self.at("op", "("):

@@ -1,8 +1,11 @@
-"""FORTRAN-flavoured pretty printer for IR.
+"""The one program text: a FORTRAN-flavoured printer for IR.
 
 The output mirrors the paper's listings (``do``, ``.EQ.``, 1-based array
-subscripts) so transformed programs can be compared to Figures 3 and 4 by
-eye and in golden tests.
+subscripts, ``merge(if_true, if_false, cond)``) so transformed programs
+can be compared to Figures 3 and 4 by eye and in golden tests, and it is
+the frontend grammar: ``parse_program(pretty(p)) == p`` unless a name is a
+frontend keyword or an ``.AND.``/``.OR.`` has one operand (nothing in the
+package builds either).
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ _CMP_NAMES = {
     ">=": ".GE.",
 }
 
+_TYPE_NAMES = {"f8": "real", "i8": "integer"}
+
 # Precedence for parenthesisation (higher binds tighter).
 _PREC = {"or": 1, "and": 2, "not": 3, "cmp": 4, "+": 5, "-": 5, "*": 6, "/": 6, "neg": 7}
 
@@ -43,7 +48,8 @@ def _const_str(value: int | float) -> str:
 
 
 def expr_str(expr: Expr, parent_prec: int = 0) -> str:
-    """Render an expression, inserting parentheses only where needed."""
+    """Render an expression, inserting parentheses only where the parser
+    would otherwise read a different tree."""
     if isinstance(expr, Const):
         text = _const_str(expr.value)
         return f"({text})" if text.startswith("-") and parent_prec > 5 else text
@@ -55,12 +61,16 @@ def expr_str(expr: Expr, parent_prec: int = 0) -> str:
     if isinstance(expr, BinOp):
         prec = _PREC[expr.op]
         lhs = expr_str(expr.lhs, prec)
-        # Right operand of - and / needs the stricter context.
-        rhs = expr_str(expr.rhs, prec + (1 if expr.op in "-/" else 0))
+        # The parser groups to the left, so a right operand of equal
+        # precedence keeps its parentheses: i + (j + k).
+        rhs = expr_str(expr.rhs, prec + 1)
         text = f"{lhs}{expr.op}{rhs}" if prec >= 6 else f"{lhs} {expr.op} {rhs}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(expr, UnOp):
-        text = f"-{expr_str(expr.operand, _PREC['neg'])}"
+        operand = expr_str(expr.operand, _PREC["neg"])
+        if isinstance(expr.operand, Const) and not operand.startswith("("):
+            operand = f"({operand})"  # `-2` reads back as the literal Const(-2)
+        text = f"-{operand}"
         return f"({text})" if parent_prec > _PREC["neg"] else text
     if isinstance(expr, Call):
         inner = ", ".join(expr_str(a) for a in expr.args)
@@ -122,16 +132,20 @@ def pretty_stmt(stmt: Stmt) -> str:
 
 
 def pretty(program) -> str:
-    """Render a whole program with declarations."""
+    """Render a whole program with declarations, in the grammar
+    :func:`repro.frontend.parse_program` reads."""
     lines = [f"program {program.name}"]
     if program.params:
-        lines.append(f"  ! parameters: {', '.join(program.params)}")
+        lines.append(f"  param {', '.join(program.params)}")
     for a in program.arrays:
         dims = ", ".join(expr_str(e) for e in a.extents)
-        lines.append(f"  real*8 {a.name}({dims})")
+        lines.append(f"  {_TYPE_NAMES[a.dtype]} {a.name}({dims})")
     for s in program.scalars:
-        lines.append(f"  real*8 {s.name}")
+        lines.append(f"  {_TYPE_NAMES[s.dtype]} {s.name}")
+    if program.outputs:
+        lines.append(f"  output {', '.join(program.outputs)}")
+    lines.append("begin")
     for stmt in program.body:
         _emit(stmt, lines, 1)
-    lines.append("end program")
+    lines.append("end")
     return "\n".join(lines)

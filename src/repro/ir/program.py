@@ -15,8 +15,9 @@ from repro.errors import IRError
 from repro.ir.expr import ArrayRef, Expr, VarRef, as_expr, walk_expr
 from repro.ir.stmt import Loop, Stmt, stmt_expressions, walk_stmts
 
-#: Supported element dtypes (numpy codes).
-DTYPES = ("f8", "f4", "i8")
+#: Supported element dtypes (numpy codes): the frontend's ``real`` and
+#: ``integer``.
+DTYPES = ("f8", "i8")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
-"""JSON (de)serialisation of IR programs.
+"""The IR as plain nested dicts: the document behind content hashes.
 
-Transformed kernels are artefacts worth persisting exactly — the golden
-tests pin pretty-printed text, but JSON keeps the full tree (including
-constructs the mini-Fortran frontend cannot express, like ``Select``).
-The format is a plain nested-dict encoding with a ``kind`` tag per node.
+:func:`program_to_dict` is what
+:func:`~repro.pipeline.recipe.program_fingerprint` hashes, and the node
+encoders feed the analysis memo keys. It is a one-way encoding with a
+``kind`` tag per node; a program's saved, re-readable form is its text
+(``str(program)``, which :func:`repro.frontend.parse_program` reads back).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Any
 
 from repro.errors import IRError
@@ -26,7 +26,7 @@ from repro.ir.expr import (
     UnOp,
     VarRef,
 )
-from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, Stmt
 
 
@@ -76,39 +76,6 @@ def expr_to_dict(e: Expr) -> dict[str, Any]:
     raise IRError(f"cannot serialise expression {e!r}")
 
 
-def expr_from_dict(d: dict[str, Any]) -> Expr:
-    """Decode one expression node."""
-    kind = d["kind"]
-    if kind == "const":
-        value = d["value"]
-        return Const(float(value) if d.get("float") else int(value))
-    if kind == "var":
-        return VarRef(d["name"])
-    if kind == "array":
-        return ArrayRef(d["name"], [expr_from_dict(x) for x in d["indices"]])
-    if kind == "binop":
-        return BinOp(d["op"], expr_from_dict(d["lhs"]), expr_from_dict(d["rhs"]))
-    if kind == "unop":
-        return UnOp(d["op"], expr_from_dict(d["operand"]))
-    if kind == "call":
-        return Call(d["func"], [expr_from_dict(a) for a in d["args"]])
-    if kind == "cmp":
-        return Cmp(d["op"], expr_from_dict(d["lhs"]), expr_from_dict(d["rhs"]))
-    if kind == "and":
-        return LogicalAnd([expr_from_dict(a) for a in d["args"]])
-    if kind == "or":
-        return LogicalOr([expr_from_dict(a) for a in d["args"]])
-    if kind == "not":
-        return LogicalNot(expr_from_dict(d["arg"]))
-    if kind == "select":
-        return Select(
-            expr_from_dict(d["cond"]),
-            expr_from_dict(d["if_true"]),
-            expr_from_dict(d["if_false"]),
-        )
-    raise IRError(f"unknown expression kind {kind!r}")
-
-
 def stmt_to_dict(s: Stmt) -> dict[str, Any]:
     """Encode one statement node."""
     if isinstance(s, Assign):
@@ -136,31 +103,6 @@ def stmt_to_dict(s: Stmt) -> dict[str, Any]:
     raise IRError(f"cannot serialise statement {s!r}")
 
 
-def stmt_from_dict(d: dict[str, Any]) -> Stmt:
-    """Decode one statement node."""
-    kind = d["kind"]
-    if kind == "assign":
-        target = expr_from_dict(d["target"])
-        if not isinstance(target, (VarRef, ArrayRef)):
-            raise IRError("assign target must be var or array reference")
-        return Assign(target, expr_from_dict(d["value"]))
-    if kind == "if":
-        return If(
-            expr_from_dict(d["cond"]),
-            [stmt_from_dict(t) for t in d["then"]],
-            [stmt_from_dict(t) for t in d["orelse"]],
-        )
-    if kind == "loop":
-        return Loop(
-            d["var"],
-            expr_from_dict(d["lower"]),
-            expr_from_dict(d["upper"]),
-            [stmt_from_dict(t) for t in d["body"]],
-            expr_from_dict(d["step"]),
-        )
-    raise IRError(f"unknown statement kind {kind!r}")
-
-
 def program_to_dict(p: Program) -> dict[str, Any]:
     """Encode a whole program."""
     return {
@@ -178,28 +120,3 @@ def program_to_dict(p: Program) -> dict[str, Any]:
         "outputs": list(p.outputs),
         "body": [stmt_to_dict(s) for s in p.body],
     }
-
-
-def program_from_dict(d: dict[str, Any]) -> Program:
-    """Decode a whole program (runs full validation)."""
-    return Program(
-        d["name"],
-        tuple(d["params"]),
-        tuple(
-            ArrayDecl(a["name"], tuple(expr_from_dict(e) for e in a["extents"]), a["dtype"])
-            for a in d["arrays"]
-        ),
-        tuple(ScalarDecl(s["name"], s["dtype"]) for s in d["scalars"]),
-        tuple(stmt_from_dict(s) for s in d["body"]),
-        tuple(d["outputs"]),
-    )
-
-
-def dumps(p: Program, *, indent: int | None = None) -> str:
-    """Program -> JSON text."""
-    return json.dumps(program_to_dict(p), indent=indent)
-
-
-def loads(text: str) -> Program:
-    """JSON text -> Program."""
-    return program_from_dict(json.loads(text))

@@ -14,15 +14,10 @@ trace simulation can sweep. The *ratios* that drive the figures are kept:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.machine.cache import CacheConfig
 from repro.machine.costmodel import CostModel
-
-#: Environment variable selecting the full-size machine for long sweeps.
-FULL_MACHINE_ENV = "REPRO_FULL_MACHINE"
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -67,7 +62,5 @@ def octane2_scaled() -> MachineConfig:
 
 
 def default_machine() -> MachineConfig:
-    """Scaled machine unless ``REPRO_FULL_MACHINE=1`` is set."""
-    if os.environ.get(FULL_MACHINE_ENV, "") == "1":
-        return octane2()
+    """The machine every sweep runs on: :func:`octane2_scaled`."""
     return octane2_scaled()

@@ -102,7 +102,6 @@ def test_table1_mismatch_fails(rows):
 def test_all_exit_code_follows_claims(rows, monkeypatch, capsys, perturb):
     chol = _with_tiled_l2_at_seq(rows["chol"], 184) if perturb else rows["chol"]
     monkeypatch.delenv("REPRO_SIZES", raising=False)
-    monkeypatch.delenv("REPRO_FULL_MACHINE", raising=False)
     monkeypatch.setattr(figure5, "generate", lambda config=None: rows["f5"])
     monkeypatch.setattr(figure678, "generate", lambda config=None: chol)
     monkeypatch.setattr(table1, "generate", lambda: rows["table"])

@@ -19,7 +19,6 @@ def tiny_config() -> SweepConfig:
 
 class TestSweepConfig:
     def test_default_config_scaled(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FULL_MACHINE", raising=False)
         monkeypatch.delenv("REPRO_SIZES", raising=False)
         cfg = default_config()
         assert cfg.machine.name == "octane2-scaled"

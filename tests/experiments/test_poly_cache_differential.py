@@ -96,12 +96,12 @@ def test_dependence_graph_matches_oracle(monkeypatch):
 
 
 def test_fixdeps_output_matches_oracle(monkeypatch):
-    from repro.ir.serialize import dumps
+    from repro.ir.serialize import program_to_dict
     from repro.kernels.recipes import build_variant
 
     def fixed() -> list[str]:
         return [
-            dumps(build_variant(kernel, "fixed"))
+            program_to_dict(build_variant(kernel, "fixed"))
             for kernel in ("lu", "qr", "cholesky")
         ]
 
@@ -133,14 +133,14 @@ def test_clear_caches_rebuilds_bit_identically(monkeypatch):
     """Satellite: a cleared process must rebuild exactly what it built
     before clearing (no state leaks through the analysis memos)."""
     from repro.experiments import runner
-    from repro.ir.serialize import dumps
+    from repro.ir.serialize import program_to_dict
     from repro.kernels.recipes import build_variant
 
     _toggle(monkeypatch, "on")
-    first = dumps(build_variant("lu", "tiled", tile=16))
+    first = program_to_dict(build_variant("lu", "tiled", tile=16))
     assert memo.stats()["memo_entries"] > 0
     runner.clear_caches()
     assert memo.stats()["memo_entries"] == 0
     assert memo.stats()["ops"] == {}
-    second = dumps(build_variant("lu", "tiled", tile=16))
+    second = program_to_dict(build_variant("lu", "tiled", tile=16))
     assert first == second

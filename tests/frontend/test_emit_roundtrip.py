@@ -1,13 +1,11 @@
-"""Emitter round-trip: parse(to_source(p)) is structurally identical to p."""
+"""Printer round-trip: parse_program(str(p)) is structurally identical to p."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.errors import IRError
 from repro.frontend import parse_program
-from repro.frontend.emit import to_source
 from repro.ir.builder import assign, cge, cle, idx, if_, loop, or_, sym, val
-from repro.ir.expr import Select
+from repro.ir.expr import BinOp, Select, UnOp
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.kernels.recipes import build_variant, registry_build_matrix
 from repro.kernels.registry import ALL_KERNELS, get_kernel
@@ -17,7 +15,7 @@ N = sym("N")
 
 
 def roundtrip(program: Program) -> Program:
-    text = to_source(program)
+    text = str(program)
     back = parse_program(text)
     assert back.name == program.name
     assert back.params == program.params
@@ -52,8 +50,7 @@ class TestRoundtripConstructs:
             "neg", ("N",), (ArrayDecl("A", (N,)),), (),
             (assign(idx("A", val(1)), val(-2.5)),),
         )
-        text = to_source(p)
-        back = parse_program(text)
+        back = roundtrip(p)
         import numpy as np
 
         from repro.exec import run_compiled
@@ -77,14 +74,37 @@ class TestRoundtripConstructs:
         p = Program("st", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
         roundtrip(p)
 
-    def test_select_rejected(self):
+    def test_select_roundtrips(self):
         body = assign(
             idx("A", val(1)),
             Select(cge(val(1), val(0)), val(1.0), val(2.0)),
         )
         p = Program("sel", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
-        with pytest.raises(IRError):
-            to_source(p)
+        assert "merge(1.0, 2.0, 1 .GE. 0)" in str(p)
+        roundtrip(p)
+
+
+_i = sym("i")
+_leaf = st.one_of(
+    st.integers(-3, 3).map(val),
+    st.floats(-4.0, 4.0, allow_nan=False).map(val),
+    st.just(_i),
+    st.just(sym("s")),
+    st.just(idx("A", _i)),
+)
+
+
+def _extend(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children).map(lambda t: BinOp(*t)),
+        children.map(lambda e: UnOp("-", e)),
+        st.tuples(children, children, children).map(
+            lambda t: Select(cge(t[0], val(1)), t[1], t[2])
+        ),
+    )
+
+
+_value = st.recursive(_leaf, _extend, max_leaves=8)
 
 
 @st.composite
@@ -92,7 +112,7 @@ def rand_program(draw):
     n_stmts = draw(st.integers(1, 4))
     stmts = []
     for idx_ in range(n_stmts):
-        c = draw(st.integers(0, 2))
+        c = draw(st.integers(0, 3))
         i = sym("i")
         if c == 0:
             stmts.append(assign(idx("A", i), i * draw(st.integers(1, 5)) + 1.5))
@@ -101,8 +121,10 @@ def rand_program(draw):
                 if_(cge(i, val(draw(st.integers(1, 4)))), assign("s", 2.0),
                     assign("s", 3.0))
             )
-        else:
+        elif c == 2:
             stmts.append(assign("s", sym("s") + 1.0))
+        else:
+            stmts.append(assign("s", draw(_value)))
     body = loop("i", 1, N, stmts)
     return Program(
         "rand", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("s"),), (body,)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import IRError, ParseError
 from repro.frontend import parse_program
-from repro.ir.expr import BinOp, Call, Const, LogicalAnd, LogicalOr
+from repro.ir.expr import BinOp, Call, Cmp, Const, LogicalAnd, LogicalOr, Select, UnOp
 from repro.ir.stmt import Assign, If, Loop
 
 
@@ -74,6 +74,19 @@ class TestExpressions:
     def test_unary_minus(self):
         (stmt,) = parse_body("x = -x + 1.0")
         assert stmt.value.op == "+"
+
+    def test_negative_literal_and_negated_group(self):
+        (lit, neg) = parse_body("x = -2\n x = -(2)")
+        assert lit.value == Const(-2)
+        assert neg.value == UnOp("-", Const(2))
+
+    def test_merge_is_select(self):
+        (stmt,) = parse_body("x = merge(A(1), x + 1.0, x .GE. 0.0 .OR. x < -1.0)")
+        assert isinstance(stmt.value, Select)
+        assert stmt.value.if_true.name == "A"
+        assert isinstance(stmt.value.if_false, BinOp)
+        assert isinstance(stmt.value.cond, LogicalOr)
+        assert isinstance(stmt.value.cond.args[0], Cmp)
 
     def test_intrinsics(self):
         (stmt,) = parse_body("x = sqrt(abs(x))")

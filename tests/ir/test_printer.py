@@ -16,7 +16,8 @@ from repro.ir.builder import (
     val,
 )
 from repro.ir.expr import Select
-from repro.ir.printer import expr_str, pretty_stmt
+from repro.ir.printer import expr_str, pretty, pretty_stmt
+from repro.ir.program import ArrayDecl, Program, ScalarDecl
 
 i, j, k, N = sym("i"), sym("j"), sym("k"), sym("N")
 
@@ -58,6 +59,36 @@ class TestExprPrinting:
 
     def test_negative_literal(self):
         assert expr_str(val(-2) * i) == "(-2)*i"
+
+    def test_negated_literal(self):
+        assert expr_str(-val(2)) == "-(2)"
+        assert expr_str(-val(-2)) == "-(-2)"
+
+    def test_right_nested_same_precedence(self):
+        assert expr_str(i + (j + k)) == "i + (j + k)"
+        assert expr_str(i * (j * k)) == "i*(j*k)"
+        assert expr_str((i + j) + k) == "i + j + k"
+
+
+class TestProgramPrinting:
+    def test_header_is_frontend_grammar(self):
+        p = Program(
+            "p", ("N",), (ArrayDecl("A", (N,)), ArrayDecl("P", (N,), "i8")),
+            (ScalarDecl("x"), ScalarDecl("m", "i8")),
+            (assign("x", 0.0),), ("A",),
+        )
+        assert pretty(p).splitlines() == [
+            "program p",
+            "  param N",
+            "  real A(N)",
+            "  integer P(N)",
+            "  real x",
+            "  integer m",
+            "  output A",
+            "begin",
+            "  x = 0.0",
+            "end",
+        ]
 
 
 class TestStmtPrinting:

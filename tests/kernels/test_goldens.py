@@ -2,19 +2,23 @@
 
 These protect the *shape* of the transformed code (guards, sweep loops,
 copy placement) against silent regressions; semantic equivalence is tested
-elsewhere.
+elsewhere. The listings are frontend source: each parses back to the
+program it pins.
 """
 
+from repro.frontend import parse_program
 from repro.ir import pretty
 from repro.kernels.recipes import build_variant
 
 
 JACOBI_FIXED = """\
 program jacobi_fixed
-  ! parameters: N, M
-  real*8 A(N, N)
-  real*8 H_A(N, N)
-  real*8 l_s
+  param N, M
+  real A(N, N)
+  real H_A(N, N)
+  real l_s
+  output A
+begin
   do c = 1, 1
     do c_2 = 2, N - 1
       H_A(c,c_2) = A(c,c_2)
@@ -34,13 +38,15 @@ program jacobi_fixed
       end do
     end do
   end do
-end program"""
+end"""
 
 
 CHOLESKY_FIXED = """\
 program cholesky_fixed
-  ! parameters: N
-  real*8 A(N, N)
+  param N
+  real A(N, N)
+  output A
+begin
   do k = 1, N - 1
     do j = k + 1, N
       do i = j, N
@@ -55,19 +61,25 @@ program cholesky_fixed
     end do
   end do
   A(N,N) = sqrt(A(N,N))
-end program"""
+end"""
 
 
 def test_jacobi_fixed_golden():
-    assert pretty(build_variant("jacobi", "fixed")) == JACOBI_FIXED
+    program = build_variant("jacobi", "fixed")
+    assert pretty(program) == JACOBI_FIXED
+    assert parse_program(JACOBI_FIXED) == program
 
 
 def test_cholesky_fixed_golden():
-    assert pretty(build_variant("cholesky", "fixed")) == CHOLESKY_FIXED
+    program = build_variant("cholesky", "fixed")
+    assert pretty(program) == CHOLESKY_FIXED
+    assert parse_program(CHOLESKY_FIXED) == program
 
 
 def test_lu_fixed_landmarks():
-    text = pretty(build_variant("lu", "fixed"))
+    program = build_variant("lu", "fixed")
+    text = pretty(program)
+    assert parse_program(text) == program
     # Figure 4a landmarks, independent of exact variable naming:
     landmarks = [
         "temp = 0.0",                 # search initialisation at the origin

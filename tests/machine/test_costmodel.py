@@ -57,10 +57,9 @@ class TestConfigs:
     def test_default_machine_env(self, monkeypatch):
         from repro.machine.configs import default_machine
 
-        monkeypatch.delenv("REPRO_FULL_MACHINE", raising=False)
-        assert default_machine().name == "octane2-scaled"
+        # No environment variable selects the machine.
         monkeypatch.setenv("REPRO_FULL_MACHINE", "1")
-        assert default_machine().name == "octane2"
+        assert default_machine() == octane2_scaled()
 
     def test_registers_default(self):
         assert octane2().registers == 32

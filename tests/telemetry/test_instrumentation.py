@@ -274,6 +274,21 @@ class TestParallelSweepMerge:
         # Parent-side assembly answered from the seeded memo.
         assert telemetry.counter_value("sweep.memo.hit") == len(self.POINTS)
 
+    def test_workers_inherit_the_native_core(self, monkeypatch):
+        """The parent loads the C core before it forks the pool, so a
+        parallel sweep under REPRO_NO_CACHE=1 (the test default) builds
+        native.c once, in the parent, not once per worker."""
+        import os
+
+        from repro.machine import native
+
+        monkeypatch.setattr(native, "_lib", None)
+        telemetry.enable()
+        runner.clear_caches()
+        runner.measure_points(self.POINTS, _config(), jobs=2)
+        builds = _spans("machine.native.build")
+        assert [(s.pid, s.attrs["cached"]) for s in builds] == [(os.getpid(), False)]
+
     def test_merged_span_ids_are_unique(self):
         """A worker resets its telemetry per point; ids issued after a
         reset must not repeat earlier ones, or the merged tree links one
