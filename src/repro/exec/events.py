@@ -131,10 +131,6 @@ class TraceBuffers:
     #: Encoded branch events in program order.
     branches: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
 
-    def memory_events(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode the memory trace into (array_id, linear_index, is_write)."""
-        return decode_memory_events(self.memory)
-
     def branch_events(self) -> tuple[np.ndarray, np.ndarray]:
         """Decode the branch trace into (site_id, taken)."""
         return decode_branch_events(self.branches)

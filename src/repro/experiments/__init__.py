@@ -14,8 +14,8 @@
 - :mod:`repro.experiments.claims` — the paper's Sec. 4 claims as bounds
   over the rows above, each printed as ``holds`` or ``FAILS``;
 - :mod:`repro.experiments.ablations` — design-choice studies beyond the
-  paper (tile-size policy, skewing, copy widening, associativity,
-  guard-cleanup contribution);
+  paper (tile policy, skewing, copy widening, associativity, write-back
+  traffic, guard cleanup), each with a checked claim;
 - :mod:`repro.experiments.pipeline_report` — per-pass build evidence
   (wall time, IR sizes) for every registered variant recipe;
 - :mod:`repro.experiments.report` — markdown + CSV artefact writer.

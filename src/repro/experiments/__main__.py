@@ -8,8 +8,9 @@ DIR`` (write span/metric run artefacts), ``--diff BASE NEW`` (directories
 for ``telemetry_report``).
 
 ``crossover`` scans a fixed N = 16..120 and rejects ``--quick`` and
-``--full``. ``claims``, ``all``, ``paperpoint`` and ``crossover`` print their claim
-rows (:mod:`repro.experiments.claims`) and exit 1 when any row FAILS.
+``--full``. ``claims``, ``ablations``, ``all``, ``paperpoint`` and
+``crossover`` print their claim rows (:mod:`repro.experiments.claims`) and
+exit 1 when any row FAILS.
 """
 
 from __future__ import annotations
@@ -111,7 +112,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.target in ("ablations", "all"):
         from repro.experiments import ablations
 
-        outputs.append(ablations.main(config))
+        text, rows = ablations.main(config)
+        outputs.append(text)
+        checked.extend(rows)
     if args.target == "paperpoint":
         outputs.append(paperpoint.main(config))
         outputs.append(

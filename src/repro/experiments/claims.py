@@ -11,9 +11,11 @@ generators return: ``figure5.generate``, ``figure678.generate``,
 ``python -m repro.experiments claims`` prints the sweep's table, ``all``
 prints it too (``--output`` writes it to ``claims.md`` beside the figures),
 and ``paperpoint`` and ``crossover`` print their own rows; each of these
-targets exits 1 when a row FAILS. "Past the L2 fill" means N above the
-machine's L2-fill order (the order of a square double array that fills L2:
-64 on the scaled machine, the paper's 512 on the real one).
+targets exits 1 when a row FAILS. The ablation studies check their own
+claims with the same :class:`Claim` (:mod:`repro.experiments.ablations`).
+"Past the L2 fill" means N above the machine's L2-fill order (the order
+of a square double array that fills L2: 64 on the scaled machine, the
+paper's 512 on the real one).
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ TITLE = "Claims — the paper's Sec. 4 shapes, checked on the sweep"
 
 @dataclass(frozen=True)
 class Claim:
-    """One statement, where the paper makes it, what was measured, the bound
-    checked and whether the bound holds."""
+    """One statement, where the paper (or the ablation study) makes it, what
+    was measured, the bound checked and whether the bound holds."""
 
     claim: str
     place: str
@@ -204,12 +206,13 @@ def generate(config: SweepConfig | None = None) -> list[Claim]:
                  jacobi_stats.generate(config), config.machine)
 
 
-def render(claims: list[Claim], title: str = TITLE) -> str:
-    """A markdown table, one row per claim, and a count of those that hold."""
+def render(claims: list[Claim], title: str = TITLE, place: str = "paper") -> str:
+    """A markdown table, one row per claim, and a count of those that hold;
+    *place* heads the column of :attr:`Claim.place`."""
     bad = sum(not c.holds for c in claims)
     return "\n".join([
         title, "",
-        "| claim | paper | measured | bound | verdict |",
+        f"| claim | {place} | measured | bound | verdict |",
         "|---|---|---|---|---|",
         *(f"| {c.claim} | {c.place} | {c.measured} | {c.bound} | {c.verdict} |"
           for c in claims),

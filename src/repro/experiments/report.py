@@ -96,9 +96,9 @@ def write_all(
     )
     written["claims"] = md
 
-    # Ablations (design-choice studies beyond the paper's figures).
+    # Ablations (beyond the paper's figures), ending with their claims.
     md = out / "ablations.md"
-    md.write_text(ablations.main(config) + "\n")
+    md.write_text(ablations.main(config)[0] + "\n")
     written["ablations"] = md
 
     # Per-pass pipeline evidence (build provenance for every variant).

@@ -185,6 +185,24 @@ def _params_for(kernel: str, n: int, config: SweepConfig) -> dict[str, int]:
     return params
 
 
+def point_inputs(
+    kernel: str, n: int, config: SweepConfig
+) -> tuple[dict[str, int], dict[str, np.ndarray]]:
+    """The parameters and inputs of one sweep point: made once per (kernel,
+    params, seed) and shared read-only (the executor copies its inputs)."""
+    params = _params_for(kernel, n, config)
+    key = (kernel, tuple(sorted(params.items())), config.seed)
+    inputs = _inputs.get(key)
+    if inputs is None:
+        rng = np.random.default_rng(config.seed)
+        with telemetry.span("sweep.inputs", kernel=kernel, n=n):
+            inputs = get_kernel(kernel).make_inputs(params, rng)
+        for array in inputs.values():
+            array.flags.writeable = False
+        _inputs[key] = inputs
+    return params, inputs
+
+
 def _point(
     recipe: VariantRecipe, n: int, config: SweepConfig, tile: int | None
 ) -> tuple[int | None, Program, PipelineReport, str]:
@@ -242,17 +260,7 @@ def measure_recipe(
             sp.set(source="disk")
         else:
             telemetry.counter("sweep.cache.miss")
-            params = _params_for(kernel, n, config)
-            inputs_key = (kernel, tuple(sorted(params.items())), config.seed)
-            inputs = _inputs.get(inputs_key)
-            if inputs is None:
-                rng = np.random.default_rng(config.seed)
-                with telemetry.span("sweep.inputs", kernel=kernel, n=n):
-                    inputs = get_kernel(kernel).make_inputs(params, rng)
-                # Read-only: the executor copies inputs into its own storage.
-                for array in inputs.values():
-                    array.flags.writeable = False
-                _inputs[inputs_key] = inputs
+            params, inputs = point_inputs(kernel, n, config)
             cp = _compiled.get_or_compute(
                 (recipe.fingerprint(), tile),
                 lambda: CompiledProgram(program, trace=True),

@@ -7,13 +7,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import ParseError
-
-KEYWORDS = frozenset(
-    {
-        "program", "param", "real", "integer", "output", "begin", "end",
-        "do", "if", "then", "else", "sqrt", "abs", "min", "max", "merge",
-    }
-)
+from repro.ir.program import KEYWORDS
 
 _DOT_OPS = {
     ".eq.": "==",

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Iterable, Union
 
+from repro.errors import IRError
+
 Number = Union[int, float]
 
 #: Arithmetic binary operators.
@@ -259,8 +261,8 @@ class LogicalAnd(Expr):
                 flat.extend(a.args)
             else:
                 flat.append(as_expr(a))
-        if not flat:
-            raise TypeError("LogicalAnd needs at least one operand")
+        if len(flat) < 2:
+            raise IRError(f"LogicalAnd needs at least two operands, got {len(flat)}")
         object.__setattr__(self, "args", tuple(flat))
 
     def children(self) -> tuple[Expr, ...]:
@@ -285,8 +287,8 @@ class LogicalOr(Expr):
                 flat.extend(a.args)
             else:
                 flat.append(as_expr(a))
-        if not flat:
-            raise TypeError("LogicalOr needs at least one operand")
+        if len(flat) < 2:
+            raise IRError(f"LogicalOr needs at least two operands, got {len(flat)}")
         object.__setattr__(self, "args", tuple(flat))
 
     def children(self) -> tuple[Expr, ...]:

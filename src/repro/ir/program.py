@@ -15,6 +15,12 @@ from repro.errors import IRError
 from repro.ir.expr import ArrayRef, Expr, VarRef, as_expr, walk_expr
 from repro.ir.stmt import Loop, Stmt, stmt_expressions, walk_stmts
 
+#: Reserved words of the program text (any case): no name may be one.
+KEYWORDS = frozenset({
+    "program", "param", "real", "integer", "output", "begin", "end",
+    "do", "if", "then", "else", "sqrt", "abs", "min", "max", "merge",
+})
+
 #: Supported element dtypes (numpy codes): the frontend's ``real`` and
 #: ``integer``.
 DTYPES = ("f8", "i8")
@@ -164,6 +170,9 @@ class Program:
                     raise IRError(f"duplicate declaration of {n!r} in {self.name}")
                 names.add(n)
         loops = self.loop_variables()
+        reserved = sorted(n for n in names | loops | {self.name} if n.lower() in KEYWORDS)
+        if reserved:
+            raise IRError(f"{self.name}: {reserved[0]!r} is a keyword of the program text")
         shadowed = sorted(loops.intersection(self.params))
         if shadowed:
             raise IRError(

@@ -241,7 +241,7 @@ def build_variant(
 #: Extra tile edges (beyond the default) the registry build matrix covers
 #: for the tiled variants — with the default-tile builds of all recipes
 #: this yields the 43 registered program points tracked by the
-#: differential tests, the CI oracle job and ``benchmarks/bench_compile``.
+#: differential tests and the golden corpus (``tests/golden/corpus.json``).
 MATRIX_EXTRA_TILES = (16, 32)
 
 

@@ -20,9 +20,11 @@ to drive the model:
   1 / 5) and the cycle aggregation;
 - :mod:`repro.machine.perfcounters` — the end-to-end "perfex" report;
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
-  that fuses all trace consumers into one bounded-memory pass.
+  that fuses all trace consumers into one bounded-memory pass;
 - :mod:`repro.machine.native` — the C memory core (decode, layout,
-  register window, L1/L2 loops), compiled on first use.
+  register window, L1/L2 and write-back loops), compiled on first use;
+- :mod:`repro.machine.writeback` — dirty-line write-back counts, read
+  only by the write-back ablation (``repro.experiments.ablations``).
 
 No oracle ships here: the per-access test oracles live in
 ``tests/machine/reference.py``, and ``tests/golden/corpus.json`` pins every

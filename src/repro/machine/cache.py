@@ -18,9 +18,9 @@ its flags) that moves a hit to the front of its set's list and pushes a
 miss in, for any associativity. The same call chains the L1 misses into
 an L2 level in order (:class:`~repro.machine.hierarchy.HierarchySink`).
 
-The loop, and :func:`stack_distances`, are checked against the per-access
-oracles in ``tests/machine/reference.py`` and, end to end, against the
-golden corpus (``tests/golden/corpus.json``).
+The loop is checked against the per-access oracle in
+``tests/machine/reference.py`` and, end to end, against the golden corpus
+(``tests/golden/corpus.json``).
 """
 
 from __future__ import annotations
@@ -123,64 +123,3 @@ def replay(l1: CacheSink, l2: CacheSink | None, addresses: np.ndarray) -> np.nda
         l2._accesses += misses
         l2._misses += l2_misses.value
     return miss
-
-
-class _Fenwick:
-    """Binary indexed tree over positions (1-based internally)."""
-
-    __slots__ = ("size", "tree")
-
-    def __init__(self, size: int):
-        self.size = size
-        self.tree = [0] * (size + 1)
-
-    def add(self, pos: int, delta: int) -> None:
-        tree = self.tree
-        i = pos + 1
-        size = self.size
-        while i <= size:
-            tree[i] += delta
-            i += i & -i
-
-    def prefix(self, pos: int) -> int:
-        """Sum of entries 0..pos inclusive."""
-        tree = self.tree
-        i = pos + 1
-        total = 0
-        while i > 0:
-            total += tree[i]
-            i -= i & -i
-        return total
-
-
-def stack_distances(addresses: np.ndarray, line_shift: int) -> np.ndarray:
-    """LRU stack distance of each access at *line* granularity.
-
-    Distance = number of distinct lines touched since the previous access to
-    the same line (``-1`` for cold accesses). A fully-associative LRU cache
-    of capacity ``C`` lines hits exactly the accesses with
-    ``0 <= distance < C`` — the Mattson inclusion property, used by tests
-    and by the LRW-style working-set diagnostics.
-
-    Position-map/Fenwick formulation: a Fenwick tree marks the *current*
-    last-occurrence position of every distinct line; the distance of an
-    access is the number of marks strictly between its line's previous
-    occurrence and itself: O(n log n) instead of the O(n·depth)
-    ``list.index`` walk of the test oracle.
-    """
-    lines = (np.asarray(addresses) >> line_shift).tolist()
-    n = len(lines)
-    out = np.empty(n, dtype=np.int64)
-    tree = _Fenwick(n)
-    last_pos: dict[int, int] = {}
-    for i, line in enumerate(lines):
-        prev = last_pos.get(line)
-        if prev is None:
-            out[i] = -1
-        else:
-            # marks in (prev, i) == distinct lines touched in between
-            out[i] = tree.prefix(i - 1) - tree.prefix(prev)
-            tree.add(prev, -1)
-        tree.add(i, 1)
-        last_pos[line] = i
-    return out

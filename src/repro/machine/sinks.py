@@ -21,9 +21,8 @@ Chunk types are stream-specific (duck-typed, per sink class):
   :class:`~repro.machine.perfcounters.MemoryPipelineSink` and the branch
   predictor sinks.
 - **address chunks** — 1-D ``int64`` byte-address arrays. Consumed by
-  :class:`~repro.machine.cache.CacheSink`,
-  :class:`~repro.machine.hierarchy.HierarchySink` and
-  :class:`~repro.machine.tlb.TLBSink`.
+  :class:`~repro.machine.cache.CacheSink` and
+  :class:`~repro.machine.hierarchy.HierarchySink`.
 - **access chunks** — ``(addresses, is_write)`` pairs. Consumed by
   :class:`~repro.machine.registers.RegisterFilterSink` and
   :class:`~repro.machine.writeback.WritebackSink`.

@@ -18,9 +18,8 @@ count; nothing is recorded twice.
 :func:`span` returns a stack-allocated timer that records nothing, and
 :func:`counter` returns immediately.
 Instrumented code paths therefore stay bit-identical and within noise of
-their un-instrumented cost (the overhead benchmark in
-``benchmarks/bench_machine.py`` bounds the *enabled* cost at <3% of
-producer throughput).
+their un-instrumented cost; ``docs/telemetry.md`` records the measured
+*enabled* cost of a full sweep.
 
 **Enabling:** the CLI's ``--telemetry DIR`` flag, or call :func:`enable`
 programmatically (tests use the in-memory collector this way).

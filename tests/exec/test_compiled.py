@@ -7,6 +7,7 @@ import pytest
 
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram, run_compiled
+from repro.exec.events import decode_memory_events
 from repro.experiments.runner import build_program
 from repro.ir.builder import (
     assign,
@@ -135,7 +136,7 @@ class TestTrace:
         body = loop("i", 1, N, [assign(idx("A", i), idx("A", i) + 1.0)])
         cp = CompiledProgram(prog([body]), trace=True)
         out = cp.run({"N": 8})
-        aid, lin, rw = out.trace.memory_events()
+        aid, lin, rw = decode_memory_events(out.trace.memory)
         assert len(aid) == out.counters.loads + out.counters.stores
         assert int((rw == 1).sum()) == out.counters.stores
 
@@ -143,7 +144,7 @@ class TestTrace:
         body = assign(idx("A", val(1)), idx("A", val(2)))
         cp = CompiledProgram(prog([body]), trace=True)
         out = cp.run({"N": 2})
-        _aid, lin, rw = out.trace.memory_events()
+        _aid, lin, rw = decode_memory_events(out.trace.memory)
         assert list(rw) == [0, 1]
         assert list(lin) == [1, 0]
 

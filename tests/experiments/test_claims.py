@@ -106,7 +106,7 @@ def test_all_exit_code_follows_claims(rows, monkeypatch, capsys, perturb):
     monkeypatch.setattr(figure678, "generate", lambda config=None: chol)
     monkeypatch.setattr(table1, "generate", lambda: rows["table"])
     monkeypatch.setattr(jacobi_stats, "generate", lambda config=None: rows["js"])
-    monkeypatch.setattr(ablations, "main", lambda config=None: "")
+    monkeypatch.setattr(ablations, "main", lambda config=None: ("", []))
     assert main(["all", "--full"]) == (1 if perturb else 0)
     assert ("3 of 12 claims FAIL" if perturb else "12 of 12 claims hold") in (
         capsys.readouterr().out

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 
-def run_cli(*args: str) -> str:
+def run_cli(*args: str, code: int = 0) -> str:
     import os
 
     env = dict(os.environ)
@@ -18,7 +18,7 @@ def run_cli(*args: str) -> str:
         env=env,
         timeout=600,
     )
-    assert out.returncode == 0, out.stderr
+    assert out.returncode == code, out.stderr
     return out.stdout
 
 
@@ -41,13 +41,19 @@ class TestCLI:
         assert "Jacobi in-text statistics" in text
 
     def test_ablations_tiny(self):
-        text = run_cli("ablations")
+        # N = 12 never fills L2, so the claims about N past the fill FAIL
+        # and the target exits 1, as `claims` does at tiny sizes.
+        text = run_cli("ablations", code=1)
         for title in (
             "tile-size policy", "Jacobi skewing", "ElimRW copy widening",
             "cache associativity", "undoing code sinking (N = 12)",
+            "dirty L2 write-back lines",
         ):
             assert f"Ablation — {title}" in text
         assert "exact    12" in text
+        assert "Claims — the ablations" in text
+        assert "| Tiling cuts Cholesky's dirty L2 write-backs past the L2 fill |" in text
+        assert "claims FAIL" in text
 
     def test_output_dir(self, tmp_path):
         text = run_cli("table1", "--output", str(tmp_path))

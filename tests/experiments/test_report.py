@@ -28,7 +28,8 @@ def test_write_all_artifacts(tmp_path):
     assert "seconds" in (tmp_path / "pipeline.csv").read_text().splitlines()[0]
     # the ablations file is exactly what the CLI target prints
     ablations_md = (tmp_path / "ablations.md").read_text()
-    assert ablations_md == ablations.main(config) + "\n"
+    assert ablations_md == ablations.main(config)[0] + "\n"
+    assert "Claims — the ablations" in ablations_md
     # the claims are checked on the same rows; one size cannot show a trend
     claims_md = (tmp_path / "claims.md").read_text()
     assert "| Each kernel gains more at the largest N than at the smallest |" in claims_md

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.errors import IRError
 from repro.ir.expr import (
     ArrayRef,
     BinOp,
@@ -118,10 +119,21 @@ class TestTraversal:
 
     def test_map_expr_covers_logicals(self):
         e = LogicalOr([LogicalNot(Cmp("<", VarRef("i"), Const(2))),
-                       LogicalAnd([Cmp("==", VarRef("j"), Const(1))])])
+                       LogicalAnd([Cmp("==", VarRef("j"), Const(1)),
+                                   Cmp(">", VarRef("i"), Const(0))])])
         assert map_expr(e, lambda n: n) == e
 
     def test_logical_and_flattens(self):
-        inner = LogicalAnd([Cmp("<", VarRef("i"), Const(1))])
+        # A one-operand conjunction would print as its bare operand and
+        # read back unequal, so it is rejected.
+        with pytest.raises(IRError, match="LogicalAnd needs at least two operands"):
+            LogicalAnd([Cmp("<", VarRef("i"), Const(1))])
+        inner = LogicalAnd([Cmp("<", VarRef("i"), Const(1)), Cmp("<", VarRef("j"), Const(1))])
         outer = LogicalAnd([inner, Cmp(">", VarRef("j"), Const(2))])
-        assert len(outer.args) == 2
+        assert len(outer.args) == 3
+
+    @pytest.mark.parametrize("cls", [LogicalAnd, LogicalOr])
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_logical_needs_two_operands(self, cls, count):
+        with pytest.raises(IRError, match=f"{cls.__name__} needs at least two operands"):
+            cls([Cmp("<", VarRef("i"), Const(k)) for k in range(count)])

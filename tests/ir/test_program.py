@@ -69,6 +69,23 @@ class TestValidation:
         with pytest.raises(IRError, match="loop 'do N' shadows parameter 'N'"):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (body,))
 
+    @pytest.mark.parametrize("name", ["max", "end", "merge", "output", "MAX", "Do"])
+    @pytest.mark.parametrize("kind", ["array", "scalar", "param", "loop", "program"])
+    def test_keyword_names_rejected(self, kind, name):
+        # The text of such a program would not parse back: `real max`
+        # reads `max` as the intrinsic.
+        array = name if kind == "array" else "A"
+        var = name if kind == "loop" else "i"
+        body = loop(var, 1, 3, [assign(idx(array, sym(var)), 0.0)])
+        with pytest.raises(IRError, match=f"{name!r} is a keyword of the program text"):
+            Program(
+                name if kind == "program" else "p",
+                (name,) if kind == "param" else (),
+                (ArrayDecl(array, (3,)),),
+                (ScalarDecl(name),) if kind == "scalar" else (),
+                (body,),
+            )
+
     def test_unknown_output_rejected(self):
         with pytest.raises(IRError):
             Program("p", ("N",), (ArrayDecl("A", (N,)),), (), (), outputs=("B",))

@@ -11,8 +11,6 @@ bit on every chunking:
   set-associative LRU simulator (:class:`~repro.machine.cache.CacheSink`);
 - :func:`writeback_reference` — the same walk with a dirty bit per
   resident line (:class:`~repro.machine.writeback.WritebackSink`);
-- :func:`stack_distances_reference` — the list-based Mattson stack
-  (:func:`~repro.machine.cache.stack_distances`);
 - :class:`TwoBitPredictor` — per-site 2-bit counters replayed site by
   site, one event at a time (:class:`~repro.machine.branch.TwoBitPredictorSink`,
   which settles whole runs of equal outcomes in closed form).
@@ -121,26 +119,6 @@ def writeback_reference(
     dirty = sum(1 for ways in sets for way in ways if way[1])
     misses = sum(int(m.sum()) for m in masks)
     return masks, WritebackResult(misses, writebacks, dirty)
-
-
-def stack_distances_reference(addresses: np.ndarray, line_shift: int) -> np.ndarray:
-    """LRU stack distance of each access at line granularity (``-1`` for
-    cold accesses), by ``list.index`` on an explicit Mattson stack."""
-    lines = (np.asarray(addresses) >> line_shift).tolist()
-    stack: list[int] = []
-    out = np.empty(len(lines), dtype=np.int64)
-    for pos, line in enumerate(lines):
-        try:
-            depth = stack.index(line)
-        except ValueError:
-            out[pos] = -1
-            stack.insert(0, line)
-            continue
-        out[pos] = depth
-        if depth:
-            del stack[depth]
-            stack.insert(0, line)
-    return out
 
 
 class TwoBitPredictor:

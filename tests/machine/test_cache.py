@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MachineError
-from repro.machine.cache import CacheConfig, CacheSink, stack_distances
-from repro.machine.reuse import reuse_profile
+from repro.machine.cache import CacheConfig, CacheSink
+from tests.machine.reference import simulate_cache_reference
 
 
 def cfg(size=256, line=32, assoc=2):
@@ -67,20 +67,12 @@ class TestSimulate:
             CacheSink(cfg()).feed(np.zeros((2, 2), dtype=np.int64))
 
 
-class TestStackDistances:
-    def test_cold_is_negative(self):
-        d = stack_distances(np.array([0, 64, 128]), 5)
-        assert list(d) == [-1, -1, -1]
-
-    def test_distance_counts_distinct_lines(self):
-        d = stack_distances(np.array([0, 64, 128, 0]), 5)
-        assert d[3] == 2
-
-    def test_fully_associative_from_distances(self):
-        addrs = np.array([0, 64, 128, 0, 64], dtype=np.int64)
-        prof = reuse_profile(addrs, 5)
-        assert prof.misses_at(2) == 5  # all miss
-        assert prof.misses_at(3) == 3
+def _fully_associative(ways: int) -> CacheConfig:
+    """One set of *ways* lines, one element per line: an LRU stack of
+    depth *ways*."""
+    config = CacheConfig("L", ways * 8, 8, ways)
+    assert config.num_sets == 1
+    return config
 
 
 @given(
@@ -89,20 +81,21 @@ class TestStackDistances:
 def test_lru_inclusion_property(track):
     """Mattson inclusion: bigger fully-associative LRU never misses more."""
     addrs = np.array(track, dtype=np.int64) * 8
-    prof = reuse_profile(addrs, 3)
-    m_small = prof.misses_at(2)
-    m_big = prof.misses_at(4)
-    assert m_big <= m_small
+    small = CacheSink(_fully_associative(2)).feed(addrs)
+    big = CacheSink(_fully_associative(4)).feed(addrs)
+    assert not (big & ~small).any()  # every hit of the small cache hits the big one
+    assert big.sum() <= small.sum()
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=150))
 def test_setassoc_agrees_with_stack_distance_when_one_set(track):
-    """A single-set cache of associativity A == fully-associative LRU of A."""
+    """A single-set cache of associativity A is a fully-associative LRU
+    stack of depth A: it misses exactly where the oracle's walk does."""
     addrs = np.array(track, dtype=np.int64) * 8
-    config = CacheConfig("L", 4 * 8, 8, 4)  # one set, 4 ways, line = element
-    assert config.num_sets == 1
-    misses = int(CacheSink(config).feed(addrs).sum())
-    assert misses == reuse_profile(addrs, 3).misses_at(4)
+    config = _fully_associative(4)
+    assert np.array_equal(
+        CacheSink(config).feed(addrs), simulate_cache_reference(config, addrs)
+    )
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=100))

@@ -1,4 +1,5 @@
-"""Unit tests for the write-back, TLB and reuse-distance models."""
+"""Unit tests for the write-back model, the one traffic instrument
+(read by the write-back ablation of ``repro.experiments.ablations``)."""
 
 import numpy as np
 import pytest
@@ -7,8 +8,6 @@ from hypothesis import strategies as st
 
 from repro.errors import MachineError
 from repro.machine.cache import CacheConfig
-from repro.machine.reuse import reuse_profile
-from repro.machine.tlb import TLBConfig, TLBSink
 from repro.machine.writeback import WritebackSink
 from tests.machine.reference import writeback_reference
 
@@ -92,103 +91,3 @@ class TestWriteback:
         ref_masks, ref = writeback_reference(config, chunks)
         assert sink.finish() == ref
         assert [m.tolist() for m in masks] == [m.tolist() for m in ref_masks]
-
-
-class TestTLB:
-    def test_within_page_hits(self):
-        cfg = TLBConfig(entries=4, page_bytes=4096)
-        addrs = np.arange(0, 4096, 8, dtype=np.int64)
-        sink = TLBSink(cfg)
-        sink.feed(addrs)
-        assert sink.finish() == 1
-
-    def test_capacity_thrash(self):
-        cfg = TLBConfig(entries=2, page_bytes=4096)
-        # cycle over 3 pages: every access misses after warmup
-        addrs = np.array([0, 4096, 8192] * 10, dtype=np.int64)
-        sink = TLBSink(cfg)
-        sink.feed(addrs)
-        assert sink.finish() == 30
-
-    def test_lru_order(self):
-        cfg = TLBConfig(entries=2, page_bytes=4096)
-        addrs = np.array([0, 4096, 0, 8192, 0], dtype=np.int64)
-        # page0 stays hot; 8192 evicts 4096.
-        sink = TLBSink(cfg)
-        sink.feed(addrs)
-        assert sink.finish() == 3
-
-    def test_config_validation(self):
-        with pytest.raises(MachineError):
-            TLBConfig(entries=0)
-        with pytest.raises(MachineError):
-            TLBConfig(page_bytes=3000)
-
-    def test_large_stride_column_walk_thrashes(self):
-        # 2-D column-major walk along a row: one access per page.
-        cfg = TLBConfig(entries=8, page_bytes=4096)
-        n = 1024  # leading dimension in elements: 8 KB per column
-        addrs = np.array([j * n * 8 for j in range(64)] * 2, dtype=np.int64)
-        sink = TLBSink(cfg)
-        sink.feed(addrs)
-        assert sink.finish() == 128  # never fits
-
-    def test_matches_stack_distances(self):
-        # A fully-associative LRU TLB of E entries misses exactly the
-        # accesses whose page stack distance is cold or >= E.
-        addrs = np.random.default_rng(5).integers(0, 40 * 4096, size=3000, dtype=np.int64)
-        for entries in (1, 4, 16, 64):
-            sink = TLBSink(TLBConfig(entries=entries))
-            for lo in range(0, 3000, 700):
-                sink.feed(addrs[lo : lo + 700])
-            assert sink.finish() == reuse_profile(addrs, 12).misses_at(entries)
-
-
-class TestReuseProfile:
-    def test_cold_only(self):
-        prof = reuse_profile(np.array([0, 64, 128], dtype=np.int64), 5)
-        assert prof.cold == 3 and prof.total == 3
-        assert prof.misses_at(4) == 3
-
-    def test_histogram_and_mrc(self):
-        # pattern with distance-1 reuse
-        addrs = np.array([0, 64, 0, 64, 0], dtype=np.int64)
-        prof = reuse_profile(addrs, 5)
-        assert prof.cold == 2
-        assert prof.histogram[1] == 3
-        assert prof.misses_at(2) == 2  # only cold
-        assert prof.misses_at(1) == 5  # distance-1 reuses all miss
-
-    def test_mrc_monotone(self):
-        rng = np.random.default_rng(1)
-        addrs = (rng.integers(0, 40, 400) * 64).astype(np.int64)
-        prof = reuse_profile(addrs, 6)
-        curve = prof.miss_ratio_curve([1, 2, 4, 8, 16, 32, 64])
-        ratios = [r for _, r in curve]
-        assert ratios == sorted(ratios, reverse=True)
-
-    def test_tiling_shifts_reuse_mass(self):
-        # The analysis-grade claim: tiled Cholesky has shorter reuse
-        # distances than sequential Cholesky.
-        from repro.exec.compiled import CompiledProgram
-        from repro.kernels import cholesky
-        from repro.kernels.recipes import build_variant
-        from repro.machine.layout import layout_for_program
-
-        params = {"N": 40}
-        inputs = cholesky.make_inputs(params)
-        profs = {}
-        for label, program in (
-            ("seq", cholesky.sequential()),
-            ("tiled", build_variant("cholesky", "tiled", tile=8)),
-        ):
-            cp = CompiledProgram(program, trace=True)
-            run = cp.run(params, inputs)
-            layout = layout_for_program(program, params)
-            aid, lin, _ = run.trace.memory_events()
-            addrs = layout.addresses(aid, lin, {v: k for k, v in run.array_ids.items()})
-            profs[label] = reuse_profile(addrs, 5)
-        assert (
-            profs["tiled"].mean_finite_distance()
-            < profs["seq"].mean_finite_distance()
-        )
