@@ -1,33 +1,45 @@
-"""Extracting array/scalar references from fused statement groups.
+"""The one access walk and the one same-element pair of the dependence layer.
 
 Each :class:`Reference` is one textual read or write occurrence together
 with:
 
-- affine subscript functions over (context + fused) variables — scalars are
+- affine subscript functions over the iteration dimensions — scalars are
   rank-0 with an empty subscript tuple;
-- the iteration sub-domain where the access may execute (group domain
-  refined by enclosing *affine* guards; *opaque* guards — LU's data-
-  dependent pivot test — widen to may-execute and mark the reference
-  inexact);
+- the iteration sub-domain where the access may execute: the enclosing
+  domain, refined by the bounds of inner loops (each inner loop variable
+  becomes a fresh dimension) and by enclosing *affine* guards; *opaque*
+  guards — LU's data-dependent pivot test — widen to may-execute and mark
+  the reference inexact;
 - for subscripts that mention a scalar with a declared value range (LU's
   ``m``), a fresh *fuzzy* dimension bounded by that range replaces the
   scalar, over-approximating the touched elements.
+
+The scalars are the names the analysed code assigns as ``VarRef``
+targets. A name it never assigns is loop-invariant there, so it is
+treated as a parameter.
+
+:func:`same_element` turns two references into the polyhedron of instance
+pairs that touch one element; every dependence question (the fused
+nest's Eq. 5–6 sets, a nest's self-dependences, ElimRW's write-once
+check) conjoins its own order constraints to it.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import DependenceError, NotAffineError
 from repro.ir.affine import cond_to_constraints, expr_to_linexpr
-from repro.ir.expr import ArrayRef, Expr, Select, VarRef, walk_expr
-from repro.ir.stmt import Assign, If, Loop, Stmt
-from repro.poly.constraint import Constraint, ge0
+from repro.ir.analysis import loop_bound_constraints
+from repro.ir.expr import ArrayRef, Expr, VarRef, walk_expr
+from repro.ir.stmt import Assign, If, Loop, Stmt, walk_stmts
+from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 from repro.trans.model import FusedNest, StmtGroup
+from repro.utils.naming import NameGenerator
 
 
 @dataclass(frozen=True)
@@ -41,21 +53,23 @@ class ValueRange:
 
 @dataclass(frozen=True)
 class Reference:
-    """One read or write occurrence inside a fused group."""
+    """One read or write occurrence."""
 
+    #: The fused group (0 outside a fused nest).
     group: int
     name: str
     is_write: bool
-    #: Affine subscripts over ctx+fused (+fuzzy) variables; () for scalars.
+    #: Affine subscripts over the domain's dimensions; () for scalars.
     subscripts: tuple[LinExpr, ...]
-    #: Iteration sub-domain (dims: ctx + fused + fuzzy vars of this ref).
+    #: Iteration sub-domain: enclosing dims, inner-loop dims, then the
+    #: fuzzy dims of this reference.
     domain: Polyhedron
     #: Fresh fuzzy dimension names introduced for this reference.
     fuzzy: tuple[str, ...]
-    #: 1-based assignment number within the group (paper's alpha); for a
-    #: read, the number of the assignment containing it (0 in guards).
+    #: 1-based assignment number within the walked body (paper's alpha);
+    #: for a read, the number of the assignment containing it (0 in guards).
     alpha: int
-    #: Position of the containing top-level statement in the group body.
+    #: Position of the containing top-level statement in the walked body.
     stmt_pos: int
     #: False when an opaque guard or fuzzy subscript widened this reference.
     exact: bool
@@ -65,39 +79,76 @@ class Reference:
         return tuple(s.rename(mapping) for s in self.subscripts)
 
 
+def assigned_scalars(stmts: Iterable[Stmt]) -> frozenset[str]:
+    """The names some assignment in *stmts* targets as a scalar."""
+    return frozenset(
+        s.target.name
+        for s in walk_stmts(stmts)
+        if isinstance(s, Assign) and isinstance(s.target, VarRef)
+    )
+
+
+class _Context(NamedTuple):
+    """Where a statement sits: its top-level position, the inner-loop
+    bounds and affine guards around it, how many opaque guards (or else
+    branches) widen it, and its inner loops' renamed dimensions."""
+
+    stmt_pos: int
+    constraints: tuple[Constraint, ...] = ()
+    opaque: int = 0
+    env: Mapping[str, str] = {}
+    dims: tuple[str, ...] = ()
+
+
 class _Extractor:
+    """Walks statements under an enclosing *domain*.
+
+    Without a *namer*, a nested loop is an error (a fused group body is
+    straight-line code); with one, each inner loop variable becomes a
+    fresh dimension bounded by its loop.
+    """
+
     def __init__(
         self,
-        nest: FusedNest,
-        group: StmtGroup,
+        domain: Polyhedron,
+        scalars: frozenset[str],
         value_ranges: Mapping[str, ValueRange],
+        *,
+        group: int = 0,
+        namer: NameGenerator | None = None,
     ):
-        self.nest = nest
-        self.group = group
+        self.domain = domain
+        self.scalars = scalars
         self.value_ranges = value_ranges
-        self.scalars = {s.name for s in nest.base.scalars}
-        self.dims = set(nest.context_vars) | set(nest.fused_vars)
-        self.params = set(nest.base.params)
+        self.group = group
+        self.namer = namer
         self.refs: list[Reference] = []
         self.alpha = 0
         self._fuzz_counter = itertools.count(1)
 
     # -- subscripts -----------------------------------------------------------
     def _subscript(
-        self, expr: Expr, fuzzy: list[str], extra: list[Constraint]
+        self,
+        expr: Expr,
+        env: Mapping[str, str],
+        dims: tuple[str, ...],
+        fuzzy: list[str],
+        extra: list[Constraint],
     ) -> LinExpr:
         """Affine subscript; scalars with value ranges become fuzzy dims."""
-        lin = expr_to_linexpr(expr)  # may raise NotAffineError
+        lin = expr_to_linexpr(expr).rename(env)  # may raise NotAffineError
         rename: dict[str, str] = {}
         for var in lin.variables():
-            if var in self.dims or var in self.params:
+            if var in dims:
                 continue
             vr = self.value_ranges.get(var)
             if vr is None:
-                raise DependenceError(
-                    f"group {self.group.index}: subscript {expr} uses scalar "
-                    f"{var!r} without a declared value range"
-                )
+                if var in self.scalars:
+                    raise DependenceError(
+                        f"group {self.group}: subscript {expr} uses scalar "
+                        f"{var!r} without a declared value range"
+                    )
+                continue  # loop-invariant: a parameter
             fresh = f"_fz{next(self._fuzz_counter)}"
             rename[var] = fresh
             fuzzy.append(fresh)
@@ -110,86 +161,85 @@ class _Extractor:
         self,
         node: ArrayRef | VarRef,
         is_write: bool,
-        guards: list[Constraint],
-        opaque_count: int,
-        stmt_pos: int,
+        ctx: _Context,
     ) -> None:
         fuzzy: list[str] = []
         extra: list[Constraint] = []
+        dims = self.domain.variables + ctx.dims
         if isinstance(node, ArrayRef):
-            name = node.name
-            subs = tuple(self._subscript(e, fuzzy, extra) for e in node.indices)
+            subs = tuple(
+                self._subscript(e, ctx.env, dims, fuzzy, extra) for e in node.indices
+            )
         else:
-            name = node.name
             subs = ()
         domain = Polyhedron(
-            self.group.domain.variables + tuple(fuzzy),
-            list(self.group.domain.constraints) + guards + extra,
+            dims + tuple(fuzzy),
+            list(self.domain.constraints) + list(ctx.constraints) + extra,
         )
         self.refs.append(
             Reference(
-                group=self.group.index,
-                name=name,
+                group=self.group,
+                name=node.name,
                 is_write=is_write,
                 subscripts=subs,
                 domain=domain,
                 fuzzy=tuple(fuzzy),
                 alpha=self.alpha,
-                stmt_pos=stmt_pos,
-                exact=(opaque_count == 0 and not fuzzy),
+                stmt_pos=ctx.stmt_pos,
+                exact=(ctx.opaque == 0 and not fuzzy),
             )
         )
 
-    # -- reads inside an expression -------------------------------------------
-    def _reads_in(
-        self, expr: Expr, guards: list[Constraint], opaque: int, stmt_pos: int
-    ) -> None:
+    def _reads_in(self, expr: Expr, ctx: _Context) -> None:
         for node in walk_expr(expr):
-            if isinstance(node, ArrayRef):
-                self._make_ref(node, False, guards, opaque, stmt_pos)
-            elif isinstance(node, VarRef) and node.name in self.scalars:
-                self._make_ref(node, False, guards, opaque, stmt_pos)
-            if isinstance(node, Select):
-                # Conservatively treat both arms as may-read (walk_expr
-                # already descends); nothing extra needed.
-                pass
+            if isinstance(node, ArrayRef) or (
+                isinstance(node, VarRef) and node.name in self.scalars
+            ):
+                self._make_ref(node, False, ctx)
 
     # -- statements ------------------------------------------------------------
-    def walk(self, stmts: tuple[Stmt, ...]) -> None:
+    def walk(self, stmts: Sequence[Stmt]) -> None:
         for pos, stmt in enumerate(stmts):
-            self._stmt(stmt, [], 0, pos)
+            self._stmt(stmt, _Context(pos))
 
-    def _stmt(
-        self, stmt: Stmt, guards: list[Constraint], opaque: int, stmt_pos: int
-    ) -> None:
+    def _stmt(self, stmt: Stmt, ctx: _Context) -> None:
         if isinstance(stmt, Assign):
             self.alpha += 1
-            self._reads_in(stmt.value, guards, opaque, stmt_pos)
+            self._reads_in(stmt.value, ctx)
             target = stmt.target
             if isinstance(target, ArrayRef):
                 for sub in target.indices:
-                    self._reads_in(sub, guards, opaque, stmt_pos)
-                self._make_ref(target, True, guards, opaque, stmt_pos)
+                    self._reads_in(sub, ctx)
+                self._make_ref(target, True, ctx)
             elif target.name in self.scalars:
-                self._make_ref(target, True, guards, opaque, stmt_pos)
+                self._make_ref(target, True, ctx)
         elif isinstance(stmt, If):
-            self._reads_in(stmt.cond, guards, opaque, stmt_pos)
+            self._reads_in(stmt.cond, ctx)
+            widened = ctx._replace(opaque=ctx.opaque + 1)
             try:
-                cs = cond_to_constraints(stmt.cond)
-                for s in stmt.then:
-                    self._stmt(s, guards + cs, opaque, stmt_pos)
-                for s in stmt.orelse:
-                    self._stmt(s, guards, opaque + 1, stmt_pos)
+                cs = tuple(c.rename(ctx.env) for c in cond_to_constraints(stmt.cond))
             except NotAffineError:
-                for s in stmt.then:
-                    self._stmt(s, guards, opaque + 1, stmt_pos)
-                for s in stmt.orelse:
-                    self._stmt(s, guards, opaque + 1, stmt_pos)
+                then_ctx = widened
+            else:
+                then_ctx = ctx._replace(constraints=ctx.constraints + cs)
+            for s in stmt.then:
+                self._stmt(s, then_ctx)
+            for s in stmt.orelse:
+                self._stmt(s, widened)
         elif isinstance(stmt, Loop):
-            raise DependenceError(
-                f"group {self.group.index}: nested loop over {stmt.var} in a "
-                "fused group body is not supported by the dependence analysis"
+            if self.namer is None:
+                raise DependenceError(
+                    f"group {self.group}: nested loop over {stmt.var} in a "
+                    "fused group body is not supported by the dependence analysis"
+                )
+            fresh = self.namer.fresh(stmt.var)
+            env = {**ctx.env, stmt.var: fresh}
+            bounds = tuple(c.rename(env) for c in loop_bound_constraints(stmt))
+            inner = ctx._replace(
+                constraints=ctx.constraints + bounds, env=env, dims=ctx.dims + (fresh,)
             )
+            for s in stmt.body:
+                self._stmt(s, inner)
         else:
             raise DependenceError(f"unsupported statement {stmt!r}")
 
@@ -199,7 +249,55 @@ def extract_references(
     group: StmtGroup,
     value_ranges: Mapping[str, ValueRange] | None = None,
 ) -> list[Reference]:
-    """All read/write references of *group*, in textual order."""
-    ex = _Extractor(nest, group, value_ranges or {})
+    """All read/write references of *group*, in textual order.
+
+    The scalars are those the nest's group bodies assign.
+    """
+    scalars = assigned_scalars(s for g in nest.groups for s in g.body)
+    ex = _Extractor(group.domain, scalars, value_ranges or {}, group=group.index)
     ex.walk(group.body)
     return ex.refs
+
+
+def nest_references(
+    loops: Sequence[Loop],
+    body: Sequence[Stmt],
+    value_ranges: Mapping[str, ValueRange] | None = None,
+) -> list[Reference]:
+    """All references of the statements *body* directly inside *loops*
+    (outermost first), in textual order; ``stmt_pos`` indexes *body*.
+
+    Inner loops get fresh dimensions; the scalars are those *body*
+    assigns.
+    """
+    loop_vars = tuple(l.var for l in loops)
+    domain = Polyhedron(
+        loop_vars, [c for l in loops for c in loop_bound_constraints(l)]
+    )
+    ex = _Extractor(
+        domain, assigned_scalars(body), value_ranges or {},
+        namer=NameGenerator(set(loop_vars)),
+    )
+    ex.walk(body)
+    return ex.refs
+
+
+def same_element(
+    src: Reference, dst: Reference, rename: Mapping[str, str]
+) -> Polyhedron:
+    """Pairs of instances of *src* and *dst* that touch one element.
+
+    *dst*'s dimensions are renamed by *rename* (a dimension it leaves
+    alone, such as a fused nest's context loop, is shared); both domains
+    are conjoined and the subscripts equated. The dimensions are *src*'s
+    iteration dims, *dst*'s renamed ones, then both fuzzy tuples.
+    """
+    dst_domain = dst.domain.rename(rename)
+    fuzzy = src.fuzzy + tuple(rename.get(f, f) for f in dst.fuzzy)
+    iteration = dict.fromkeys(
+        v for v in src.domain.variables + dst_domain.variables if v not in fuzzy
+    )
+    constraints = list(src.domain.constraints) + list(dst_domain.constraints)
+    for a, b in zip(src.subscripts, dst.subscripts_renamed(rename)):
+        constraints.append(eq0(a - b))
+    return Polyhedron(tuple(iteration) + fuzzy, constraints)

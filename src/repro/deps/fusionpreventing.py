@@ -17,7 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Literal, Mapping, Sequence
 
-from repro.deps.access import Reference, ValueRange, extract_references
+from repro.deps.access import (
+    Reference,
+    ValueRange,
+    extract_references,
+    same_element,
+)
 from repro.poly import memo
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.integer import check_feasibility
@@ -57,40 +62,16 @@ class Violation:
         )
 
 
-def _pair_polyhedron(
+def _order_constraints(
     nest: FusedNest,
     src_group: StmtGroup,
     dst_group: StmtGroup,
-    src: Reference,
-    dst: Reference,
+    dst_rename: dict[str, str],
     level: int,
-) -> Polyhedron:
-    """The violation set for one (src ref, dst ref, lex level) triple."""
-    ctx = nest.context_vars
-    fused = nest.fused_vars
-    prime_map = {v: primed(v) for v in fused}
-
-    # Rename the sink's fused dims (and fuzzy dims, to keep them distinct).
-    dst_fuzzy_map = {f: f + "_d" for f in dst.fuzzy}
-    dst_rename = {**prime_map, **dst_fuzzy_map}
-    dst_domain = dst.domain.rename(dst_rename)
-    dst_subs = dst.subscripts_renamed(dst_rename)
-
-    variables = (
-        ctx
-        + fused
-        + tuple(primed(v) for v in fused)
-        + src.fuzzy
-        + tuple(dst_fuzzy_map[f] for f in dst.fuzzy)
-    )
+) -> list[Constraint]:
+    """``exec_dst(I') < exec_src(I)``, reversed first at fused *level*."""
     constraints: list[Constraint] = []
-    constraints.extend(src.domain.constraints)
-    constraints.extend(dst_domain.constraints)
-    # Same element.
-    for a, b in zip(src.subscripts, dst_subs):
-        constraints.append(eq0(a - b))
-    # exec_dst(I') < exec_src(I) at `level`.
-    for j, v in enumerate(fused, start=1):
+    for j, v in enumerate(nest.fused_vars, start=1):
         e_src = src_group.exec_coordinate(v)
         e_dst = dst_group.exec_coordinate(v).rename(dst_rename)
         if j < level:
@@ -98,7 +79,7 @@ def _pair_polyhedron(
         elif j == level:
             constraints.append(ge0(e_src - e_dst - 1))
             break
-    return Polyhedron(variables, constraints)
+    return constraints
 
 
 def violated_dependences(
@@ -162,7 +143,6 @@ def _violated_dependences(
     refs_by_group: dict[int, list[Reference]] = {
         g.index: extract_references(nest, g, value_ranges) for g in nest.groups
     }
-    group_by_index = {g.index: g for g in nest.groups}
     n = len(nest.fused_vars)
     out: list[Violation] = []
     for g_src in nest.groups:
@@ -184,9 +164,18 @@ def _violated_dependences(
                             continue
                         if arrays is not None and src.name not in arrays:
                             continue
+                        # The sink's fused dims are primed, its fuzzy dims
+                        # kept distinct from the source's.
+                        dst_rename = {
+                            **{v: primed(v) for v in nest.fused_vars},
+                            **{f: f + "_d" for f in dst.fuzzy},
+                        }
+                        pair = same_element(src, dst, dst_rename)
                         for level in range(1, n + 1):
-                            poly = _pair_polyhedron(
-                                nest, g_src, g_dst, src, dst, level
+                            poly = pair.with_constraints(
+                                _order_constraints(
+                                    nest, g_src, g_dst, dst_rename, level
+                                )
                             )
                             res = check_feasibility(poly, param_lo=param_lo)
                             if res.feasible:

@@ -1,4 +1,4 @@
-"""Self-dependences of one perfect nest, as polyhedra.
+"""Self-dependences of one loop nest, as polyhedra.
 
 The final cache-tiling stage (Sec. 4) reorders a perfect nest's loops
 (strip-mine + interchange, skew + permute). Its legality is governed by the
@@ -10,23 +10,23 @@ dependences as polyhedra over (source iter, sink iter), one component per
 carrying loop level (plus the loop-independent one). Fuzzy subscripts and
 opaque guards widen the polyhedra conservatively, so a legality proof is
 sound; failure to prove means "unknown" (LU's data-dependent swaps).
+:func:`statement_components` is also the edge test of the statement
+dependence graph (:mod:`repro.deps.graph`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterator, Mapping, Sequence
 
-from repro.deps.access import ValueRange
-from repro.deps.graph import StmtAccess, _extract
+from repro.deps.access import Reference, ValueRange, nest_references, same_element
 from repro.errors import DependenceError
-from repro.ir.analysis import PerfectNest, as_perfect_nest, loop_bound_constraints
-from repro.ir.stmt import Stmt
+from repro.ir.analysis import as_perfect_nest
+from repro.ir.stmt import Loop, Stmt
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.integer import check_feasibility
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
-from repro.utils.naming import NameGenerator
 
 #: Sink-iteration dimension suffix.
 SINK = "__snk"
@@ -49,25 +49,9 @@ class SelfDependence:
         return LinExpr.var(v + SINK) - LinExpr.var(v)
 
 
-def _accesses_per_stmt(
-    nest: PerfectNest,
-    scalars: frozenset[str],
-    value_ranges: Mapping[str, ValueRange],
-) -> list[list[StmtAccess]]:
-    constraints: list[Constraint] = []
-    for loop in nest.loops:
-        constraints.extend(loop_bound_constraints(loop))
-    namer = NameGenerator(set(nest.loop_vars))
-    return [
-        _extract(stmt, nest.loop_vars, constraints, scalars, value_ranges, namer)
-        for stmt in nest.body
-    ]
-
-
 def self_dependences(
     stmt: Stmt,
     *,
-    scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
 ) -> list[SelfDependence]:
@@ -75,48 +59,48 @@ def self_dependences(
     nest = as_perfect_nest(stmt)
     if nest.depth == 0:
         raise DependenceError("not a loop nest")
-    accesses = _accesses_per_stmt(nest, scalars, value_ranges or {})
-    loop_vars = nest.loop_vars
     # Components per (kind, array), in first-seen order, without repeats.
     merged: dict[tuple[str, str], list[Polyhedron]] = {}
-    flat = [
-        (pos, acc) for pos, accs in enumerate(accesses) for acc in accs
-    ]
-    for pos1, r1 in flat:
-        for pos2, r2 in flat:
-            if r1.name != r2.name or not (r1.is_write or r2.is_write):
-                continue
-            kind = (
-                "output"
-                if r1.is_write and r2.is_write
-                else ("flow" if r1.is_write else "anti")
-            )
-            polys = merged.setdefault((kind, r1.name), [])
-            polys.extend(
-                p
-                for p in _components(r1, r2, pos1 <= pos2, loop_vars, param_lo)
-                if p not in polys
-            )
+    for r1, r2, components in statement_components(
+        nest.loops, nest.body, value_ranges, param_lo
+    ):
+        kind = (
+            "output"
+            if r1.is_write and r2.is_write
+            else ("flow" if r1.is_write else "anti")
+        )
+        polys = merged.setdefault((kind, r1.name), [])
+        polys.extend(p for p in components if p not in polys)
     return [
-        SelfDependence(kind, name, loop_vars, tuple(polys))
+        SelfDependence(kind, name, nest.loop_vars, tuple(polys))
         for (kind, name), polys in merged.items()
         if polys
     ]
 
 
-def _pair_base(r1: StmtAccess, r2: StmtAccess, loop_vars) -> Polyhedron:
-    ren = {v: v + SINK for v in r2.domain.variables}
-    d2 = r2.domain.rename(ren)
-    variables = tuple(dict.fromkeys(r1.domain.variables + d2.variables))
-    constraints = list(r1.domain.constraints) + list(d2.constraints)
-    for s1, s2 in zip(r1.subscripts, tuple(s.rename(ren) for s in r2.subscripts)):
-        constraints.append(eq0(s1 - s2))
-    return Polyhedron(variables, constraints)
+def statement_components(
+    loops: Sequence[Loop],
+    body: Sequence[Stmt],
+    value_ranges: Mapping[str, ValueRange] | None,
+    param_lo: int | Mapping[str, int],
+) -> Iterator[tuple[Reference, Reference, tuple[Polyhedron, ...]]]:
+    """Every conflicting reference pair of the statements *body* directly
+    inside *loops*, with its feasible dependence components (source
+    first: ``r1`` is the source, ``r2`` the sink)."""
+    loop_vars = tuple(l.var for l in loops)
+    refs = nest_references(loops, body, value_ranges)
+    for r1 in refs:
+        for r2 in refs:
+            if r1.name != r2.name or not (r1.is_write or r2.is_write):
+                continue
+            yield r1, r2, _components(
+                r1, r2, r1.stmt_pos <= r2.stmt_pos, loop_vars, param_lo
+            )
 
 
 def _components(
-    r1: StmtAccess,
-    r2: StmtAccess,
+    r1: Reference,
+    r2: Reference,
     src_textually_first: bool,
     loop_vars: tuple[str, ...],
     param_lo,
@@ -126,7 +110,7 @@ def _components(
     The source must execute before the sink: source iter lex-< sink iter,
     or equal iterations with the source textually first (level 0).
     """
-    base = _pair_base(r1, r2, loop_vars)
+    base = same_element(r1, r2, {v: v + SINK for v in r2.domain.variables})
     n = len(loop_vars)
     components: list[Polyhedron] = []
     levels = list(range(1, n + 1)) + ([0] if src_textually_first else [])

@@ -60,12 +60,6 @@ def decode_memory_events(
     return aid, lin, is_write
 
 
-def decode_branch_events(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Decode encoded branch events into (site_id, taken)."""
-    codes = np.asarray(codes, dtype=np.int64)
-    return codes >> 1, codes & 1
-
-
 def check_addressable(program_name: str, array_name: str, size: int) -> None:
     """Layout-time guard for the trace encoding.
 
@@ -130,10 +124,6 @@ class TraceBuffers:
     memory: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     #: Encoded branch events in program order.
     branches: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-    def branch_events(self) -> tuple[np.ndarray, np.ndarray]:
-        """Decode the branch trace into (site_id, taken)."""
-        return decode_branch_events(self.branches)
 
 
 @dataclass

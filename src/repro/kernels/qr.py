@@ -119,9 +119,7 @@ def fusable() -> Program:
     seq = sequential()
     (outer,) = seq.body
     items = list(outer.body)
-    distributed = distribute_loop(
-        items[6], scalars=frozenset(s.name for s in seq.scalars)
-    )
+    distributed = distribute_loop(items[6])
     if len(distributed) != 2:
         raise AssertionError("X nest must distribute into init + accumulation")
     items[6:7] = distributed

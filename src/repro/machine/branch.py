@@ -62,11 +62,6 @@ class BranchStats:
     resolved: int
     mispredicted: int
 
-    @property
-    def misprediction_rate(self) -> float:
-        """Mispredictions / resolved (0 for an empty trace)."""
-        return self.mispredicted / self.resolved if self.resolved else 0.0
-
 
 class TwoBitPredictorSink:
     """Streaming per-site 2-bit counters over encoded branch chunks.

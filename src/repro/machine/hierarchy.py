@@ -30,16 +30,6 @@ class HierarchyResult:
     l1_misses: int
     l2_misses: int
 
-    @property
-    def l1_miss_rate(self) -> float:
-        """L1 misses / accesses (0 for an empty trace)."""
-        return self.l1_misses / self.accesses if self.accesses else 0.0
-
-    @property
-    def l2_miss_rate(self) -> float:
-        """L2 misses / L1 misses (local miss rate; 0 when L1 never missed)."""
-        return self.l2_misses / self.l1_misses if self.l1_misses else 0.0
-
 
 class HierarchySink:
     """Streaming L1 → L2 replay over address chunks."""

@@ -55,14 +55,6 @@ class MemoryLayout:
             cursor += count * element_bytes
         return MemoryLayout(bases, dict(sizes), element_bytes)
 
-    def address_of(self, name: str, linear_index: int) -> int:
-        """Byte address of one element."""
-        if not 0 <= linear_index < self.sizes[name]:
-            raise MachineError(
-                f"{name}[{linear_index}] outside 0..{self.sizes[name] - 1}"
-            )
-        return self.bases[name] + linear_index * self.element_bytes
-
     def addresses(
         self, array_ids: np.ndarray, linear: np.ndarray, id_to_name: dict[int, str]
     ) -> np.ndarray:

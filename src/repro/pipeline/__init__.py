@@ -7,9 +7,11 @@ sequence, and :class:`PassManager` runs it with per-pass timing/size
 evidence (:mod:`repro.pipeline.manager`). The bundled kernels' variants
 are recipes registered in :mod:`repro.kernels.recipes`; each tiled
 recipe carries its kernel's schedule (the paper's Sec. 4: plain tiling,
-or a skew + permutation for the stencils), so a tiling is legal because
-:func:`repro.trans.legality.fully_permutable_under` proves it or because
-the recipe's skew makes it so, never because a small run agreed.
+or a skew + permutation for the stencils). No pass proves a schedule
+legal: the tier-1 tests run :func:`repro.trans.legality.fully_permutable_under`
+on each (``tests/trans/test_legality.py``,
+``tests/kernels/test_gauss_seidel.py``); a small run agreeing proves
+nothing.
 """
 
 from repro.pipeline.manager import (

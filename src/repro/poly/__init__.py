@@ -12,9 +12,8 @@ PIP functionality the paper's algorithm needs:
 - :mod:`repro.poly.fm` — exact Fourier–Motzkin elimination (rational), with
   unit-coefficient integer-exactness tracking.
 - :mod:`repro.poly.integer` — integer feasibility via substitution of
-  equalities + bounded branch-and-bound search.
-- :mod:`repro.poly.optimize` — proofs of affine inequalities over a
-  parameter domain (loop-bound domination).
+  equalities + bounded branch-and-bound search, and :func:`implies`, the
+  one implication test (guard pruning, loop-bound domination).
 - :mod:`repro.poly.enumerate` — integer-point enumeration, the witness
   search behind integer feasibility and the oracle used by tests.
 """
@@ -22,7 +21,7 @@ PIP functionality the paper's algorithm needs:
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import eliminate, project_onto
-from repro.poly.integer import find_integer_point, integer_feasible
+from repro.poly.integer import find_integer_point, implies, integer_feasible
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -36,5 +35,6 @@ __all__ = [
     "project_onto",
     "integer_feasible",
     "find_integer_point",
+    "implies",
     "enumerate_points",
 ]

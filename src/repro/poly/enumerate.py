@@ -98,8 +98,3 @@ def enumerate_points(
 
     yield from rec(0, env0)
 
-
-def count_points(poly: Polyhedron, param_env: Mapping[str, Coef] | None = None) -> int:
-    """Number of integer points (brute force)."""
-    return sum(1 for _ in enumerate_points(poly, param_env))
-

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.poly import memo
-from repro.poly.constraint import ge
+from repro.poly.constraint import Constraint, Kind, ge, ge0
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import project_onto
 from repro.poly.linexpr import Coef, LinExpr
@@ -65,6 +65,30 @@ def _rationally_empty(poly: Polyhedron) -> bool:
     widened = poly.with_variables(all_vars)
     shadow = project_onto(widened, [])
     return shadow.is_trivially_empty()
+
+
+def implies(poly: Polyhedron, constraint: Constraint) -> bool:
+    """Does every point of *poly* satisfy *constraint*?
+
+    Sound and exact up to the rational relaxation: ``e >= 0`` is implied
+    iff *poly* with ``e <= -1`` (its integer negation) is rationally
+    empty, and an equality iff both its inequalities are. A constant
+    constraint is decided on its own. False means "not proven".
+    """
+    if constraint.expr.is_constant():
+        return constraint.is_trivial_true()
+    return memo.memoize(
+        "implies",
+        (poly.fingerprint(), constraint.fingerprint_text()),
+        lambda: _implies(poly, constraint),
+    )
+
+
+def _implies(poly: Polyhedron, constraint: Constraint) -> bool:
+    e = constraint.expr
+    if constraint.kind is Kind.EQ:
+        return implies(poly, ge0(e)) and implies(poly, ge0(-e))
+    return rationally_empty(poly.with_constraints([ge0(-e - 1)]))
 
 
 def _probed(

@@ -1,7 +1,7 @@
 """Process-wide memoisation for the exact polyhedral engine.
 
 Every expensive polyhedral operation (Fourier–Motzkin elimination and
-projection, rational emptiness, integer feasibility, bound domination)
+projection, rational emptiness, integer feasibility, implication)
 is a pure function of immutable inputs, so its result can be keyed by the
 inputs' structural fingerprints and reused through one capped in-process
 LRU memo (65536 entries), shared by all operations and cleared

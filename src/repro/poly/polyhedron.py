@@ -121,14 +121,6 @@ class Polyhedron:
         """A new polyhedron with *extra* constraints conjoined."""
         return Polyhedron(self.variables, list(self.constraints) + list(extra))
 
-    def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        """Conjunction; the other polyhedron must use the same dimensions."""
-        if other.variables != self.variables:
-            raise PolyhedronError(
-                f"dimension mismatch: {self.variables} vs {other.variables}"
-            )
-        return self.with_constraints(other.constraints)
-
     def with_variables(self, variables: Sequence[str]) -> "Polyhedron":
         """Same constraints, different dimension tuple (add/drop dims)."""
         return Polyhedron(variables, self.constraints)

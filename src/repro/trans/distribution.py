@@ -94,22 +94,18 @@ def ordered_sccs(n: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
 def distribution_partition(
     loop: Loop,
     *,
-    scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
 ) -> list[list[int]]:
     """Maximal legal distribution: statement indices grouped by SCC, in a
     stable topological order (original order among independent groups)."""
-    edges = dependence_graph(
-        loop, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
+    edges = dependence_graph(loop, value_ranges=value_ranges, param_lo=param_lo)
     return ordered_sccs(len(loop.body), edges)
 
 
 def distribute_loop(
     loop: Loop,
     *,
-    scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
 ) -> list[Stmt]:
@@ -119,7 +115,7 @@ def distribute_loop(
     can be distributed).
     """
     partition = distribution_partition(
-        loop, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
+        loop, value_ranges=value_ranges, param_lo=param_lo
     )
     if len(partition) == 1:
         return [loop]

@@ -25,7 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.deps.access import Reference, ValueRange, extract_references
+from repro.deps.access import (
+    Reference,
+    ValueRange,
+    extract_references,
+    same_element,
+)
 from repro.deps.fusionpreventing import Violation, violated_dependences
 from repro.errors import TransformError
 from repro.ir.affine import constraint_to_cond, linexpr_to_expr
@@ -34,10 +39,10 @@ from repro.ir.program import ArrayDecl, ScalarDecl
 from repro.ir.stmt import Assign, If, Loop, Stmt
 from repro.poly.constraint import Constraint, Kind, eq0, ge0
 from repro.poly.fm import project_onto
-from repro.poly.integer import integer_feasible
+from repro.poly.integer import implies, integer_feasible
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
-from repro.trans.model import FusedNest, _implied_by, primed
+from repro.trans.model import FusedNest, primed
 from repro.utils.naming import NameGenerator
 
 
@@ -158,7 +163,7 @@ def _fix_pair(
     for _key, (wref, polys) in sorted(write_sets.items()):
         target, source = _copy_refs(copy_name, name, wref, is_scalar)
         for poly in polys:
-            guard = [c for c in poly.constraints if not _implied_by(space, c)]
+            guard = [c for c in poly.constraints if not implies(space, c)]
             copy = Assign(target, source)
             if guard:
                 copy_stmts.append(If(_conjunction(guard), (copy,)))
@@ -184,7 +189,7 @@ def _fix_pair(
         by_read.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
     ):
         disjuncts = [
-            [c for c in p.constraints if not _implied_by(ref.domain, c)]
+            [c for c in p.constraints if not implies(ref.domain, c)]
             for p in polys
         ]
         precopy_elems = None
@@ -257,15 +262,8 @@ def _writes_collide(nest, w1: Reference, w2: Reference, *, same_ref: bool, param
     """Can two (distinct) write instances of one context iteration write the
     same element?"""
     suffix = "_w2"
-    ren = {v: v + suffix for v in nest.fused_vars}
-    for f in w2.fuzzy:
-        ren[f] = f + suffix
-    d2 = w2.domain.rename(ren)
-    variables = tuple(dict.fromkeys(w1.domain.variables + d2.variables))
-    constraints: list[Constraint] = list(w1.domain.constraints) + list(d2.constraints)
-    for a, b in zip(w1.subscripts, w2.subscripts_renamed(ren)):
-        constraints.append(eq0(a - b))
-    base = Polyhedron(variables, constraints)
+    ren = {v: v + suffix for v in nest.fused_vars + w2.fuzzy}
+    base = same_element(w1, w2, ren)
     # Distinct instances: differ in some fused dimension.
     for v in nest.fused_vars:
         diff = LinExpr.var(v) - LinExpr.var(v + suffix)

@@ -26,10 +26,11 @@ from repro.ir.analysis import as_perfect_nest, loop_bound_constraints
 from repro.ir.expr import Expr, VarRef, map_expr
 from repro.ir.program import Program
 from repro.ir.stmt import Loop, Stmt, map_stmt_exprs
-from repro.poly.constraint import Constraint, Kind, eq0, ge0
+from repro.poly.constraint import Constraint, eq0
+from repro.poly.integer import implies
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
-from repro.trans.model import FusedNest, StmtGroup, _implied_by
+from repro.trans.model import FusedNest, StmtGroup
 from repro.trans.sinking import sink_guards
 
 
@@ -166,7 +167,7 @@ def _embed_item(
         assumed_param_domain(program.params).constraints
     )
     for c in space.constraints:
-        if not _implied_by(augmented, c) and not _covers(augmented, c):
+        if not implies(augmented, c):
             raise TransformError(
                 f"nest {k}: embedded domain violates fused bound {c}"
             )
@@ -183,13 +184,6 @@ def _embed_item(
     body = tuple(map_stmt_exprs(s, rn) for s in nest.body)
 
     # -- run-time guard: domain constraints the space does not already give
-    guard = tuple(c for c in domain.constraints if not _implied_by(space, c))
+    guard = tuple(c for c in domain.constraints if not implies(space, c))
     return StmtGroup(index=k, body=body, domain=domain, guard=guard)
 
-
-def _covers(domain: Polyhedron, c: Constraint) -> bool:
-    """Fallback for equality space constraints: accept if domain implies
-    both inequalities of the equality."""
-    if c.kind is not Kind.EQ:
-        return False
-    return _implied_by(domain, ge0(c.expr)) and _implied_by(domain, ge0(-c.expr))

@@ -36,7 +36,6 @@ def fully_permutable_under(
     U: Sequence[Sequence[int]],
     band: Sequence[int] | None = None,
     *,
-    scalars: frozenset[str] = frozenset(),
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
 ) -> bool:
@@ -47,9 +46,7 @@ def fully_permutable_under(
     set of instances with ``(U @ (sink - source))_r <= -1`` must be
     infeasible.
     """
-    deps = self_dependences(
-        stmt, scalars=scalars, value_ranges=value_ranges, param_lo=param_lo
-    )
+    deps = self_dependences(stmt, value_ranges=value_ranges, param_lo=param_lo)
     if not deps:
         return True
     depth = len(deps[0].loop_vars)

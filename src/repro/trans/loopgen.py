@@ -16,21 +16,21 @@ from repro.errors import TransformError
 from repro.ir.affine import linexpr_to_expr
 from repro.ir.expr import Call, Const, Expr
 from repro.ir.stmt import Loop, Stmt
+from repro.poly.constraint import ge0
 from repro.poly.fm import project_onto
+from repro.poly.integer import implies
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
 
 def _combine(
-    bounds: list[LinExpr], *, lower: bool, param_domain: Polyhedron | None = None
+    bounds: list[LinExpr], *, lower: bool, param_domain: Polyhedron
 ) -> Expr:
     """Single bound expression; ``max`` of lowers / ``min`` of uppers.
 
     Bounds provably dominated by another bound over the parameter domain are
     pruned first (FM projections produce many redundant combinations).
     """
-    from repro.poly.optimize import affine_ge
-
     uniq: list[LinExpr] = []
     for b in bounds:
         if b not in uniq:
@@ -39,11 +39,7 @@ def _combine(
     for b in uniq:
         dominated = any(
             other != b
-            and (
-                affine_ge(other, b, param_domain)
-                if lower
-                else affine_ge(b, other, param_domain)
-            )
+            and implies(param_domain, ge0(other - b if lower else b - other))
             for other in uniq
         )
         if not dominated:

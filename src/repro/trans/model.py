@@ -243,6 +243,7 @@ class FusedNest:
         from repro.ir.affine import constraint_to_cond
         from repro.ir.builder import ceq
         from repro.poly.fm import project_onto
+        from repro.poly.integer import implies
         from repro.utils.naming import NameGenerator
 
         namer = NameGenerator(self.base.all_names() | {primed(v) for v in self.fused_vars})
@@ -303,7 +304,7 @@ class FusedNest:
         space = self.space()
         membership = project_onto(group.domain, keep_outer)
         for c in membership.constraints:
-            if not _implied_by(space, c):
+            if not implies(space, c):
                 conds.append(constraint_to_cond(c))
         from repro.ir.builder import and_
 
@@ -317,28 +318,3 @@ def _guarded(guard: tuple[Constraint, ...], body: tuple[Stmt, ...]) -> tuple[Stm
     if cond is None:
         return body
     return (If(cond, body),)
-
-
-def _implied_by(space: Polyhedron, constraint: Constraint) -> bool:
-    """True when every point of *space* satisfies *constraint* (sound
-    rational check; equalities are implied only if literally present)."""
-    from repro.poly import memo
-    from repro.poly.constraint import Kind
-
-    if constraint.kind is Kind.EQ:
-        return constraint in space.constraints
-    return memo.memoize(
-        "implied",
-        (space.fingerprint(), constraint.fingerprint_text()),
-        lambda: _implied_by_check(space, constraint),
-    )
-
-
-def _implied_by_check(space: Polyhedron, constraint: Constraint) -> bool:
-    from repro.poly.constraint import ge0
-    from repro.poly.integer import rationally_empty
-
-    # Violation of e >= 0 over the integers: e <= -1.
-    violating = space.with_constraints([ge0(-constraint.expr - 1)])
-    return rationally_empty(violating)
-

@@ -26,8 +26,8 @@ from repro.ir.program import Program
 from repro.ir.stmt import If, Loop, Stmt
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.linexpr import LinExpr
+from repro.poly.integer import implies, rationally_empty
 from repro.poly.polyhedron import Polyhedron
-from repro.poly.simplify import is_implied
 from repro.trans.peel import substitute_var
 
 
@@ -65,13 +65,11 @@ def _simplify_guards(
                     )
                 )
             )
-            if all(is_implied(widened, c) for c in conds):
+            if all(implies(widened, c) for c in conds):
                 inner, inner_changed = _simplify_guards(s.then, facts)
                 out.extend(inner)
                 changed += 1 + inner_changed
                 continue
-            from repro.poly.integer import rationally_empty
-
             if rationally_empty(widened.with_constraints(conds)):
                 changed += 1
                 continue

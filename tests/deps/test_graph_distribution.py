@@ -64,8 +64,15 @@ class TestDependenceGraph:
         l = loop(
             "i", 1, N, [assign("s", sym("s") + 1.0), assign(idx("A", i), sym("s"))]
         )
-        g = dependence_graph(l, scalars=frozenset({"s"}))
+        g = dependence_graph(l)
         assert (0, 1) in g and (1, 0) in g  # s carried both ways
+
+    def test_assigned_scalar_is_a_dependence(self):
+        # do i: s = A(i); B(i) = s -- s is written by S1 and read by S2 in
+        # one iteration (flow) and overwritten by S1 in the next (anti).
+        l = loop("i", 1, N, [assign("s", idx("A", i)), assign(idx("B", i), sym("s"))])
+        g = dependence_graph(l)
+        assert (0, 1) in g and (1, 0) in g
 
 
 class TestDistribution:
@@ -138,6 +145,17 @@ class TestDistribution:
             [assign(idx("A", i), 1.0), assign(idx("B", i), 2.0)],
         )
         assert distribution_partition(l) == [[0], [1]]
+
+    def test_scalar_carried_loop_stays_whole(self):
+        # Split in two, the first loop would leave s = A(N) and every
+        # B(i) would read it.
+        l = loop("i", 1, N, [assign("s", idx("A", i)), assign(idx("B", i), sym("s"))])
+        (whole,) = distribute_loop(l)
+        assert whole == l
+        p = self.make_program(l, scalars=("s",))
+        a0 = np.arange(1.0, 9.0)
+        out = run_compiled(p, {"N": 8}, {"A": a0})
+        assert np.array_equal(out.arrays["B"], a0)
 
     def test_qr_x_nest_distributes(self):
         from repro.kernels import qr

@@ -24,6 +24,7 @@ from repro.ir.builder import (
 )
 from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from tests.machine.reference import decode_branch_events
 
 N = sym("N")
 i = sym("i")
@@ -152,7 +153,7 @@ class TestTrace:
         body = loop("i", 1, N, [if_(cne(i, 1), assign("s", 1.0))])
         cp = CompiledProgram(prog([body], scalars=("s",)), trace=True)
         out = cp.run({"N": 5})
-        sid, taken = out.trace.branch_events()
+        sid, taken = decode_branch_events(out.trace.branches)
         assert set(sid) == {0}
         assert list(taken) == [0, 1, 1, 1, 1]
         assert 0 in out.branch_sites

