@@ -55,11 +55,6 @@ class ExecutionError(ReproError):
     """Runtime failure while executing an IR program."""
 
 
-#: What a running program raises on a bad subscript, a division by zero or
-#: a math domain error; the executor re-raises these as ExecutionError.
-RUNTIME_FAILURES = (IndexError, KeyError, ZeroDivisionError, FloatingPointError, ValueError)
-
-
 class MachineError(ReproError):
     """Invalid machine-model configuration or simulation failure."""
 

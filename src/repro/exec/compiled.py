@@ -1,44 +1,27 @@
-"""IR -> Python compilation.
+"""IR -> C compilation.
 
 The hot path of every experiment is executing a kernel while recording its
-memory-access and branch traces. A tree-walking interpreter pays dispatch
-overhead on every node; instead we compile the IR once into a Python
-function and call it per run. The generated code executes one Python
-statement per IR statement per iteration, over flat column-major Python
-lists, with one encoded ``list.append`` per trace event.
+memory-access and branch traces. A program compiles into the text of one C
+function; construction builds nothing. Its first run builds the shared
+object through :func:`repro.machine.native.build`, the machine model's
+loader, and :func:`build` batches programs into one ``cc`` call. One
+object serves traced and untraced runs (tracing is a run-time flag); the
+arrays are column-major ``float64`` buffers. Events go into one ``int64``
+buffer per stream, and a callback feeds each full buffer to its
+:class:`~repro.machine.sinks.TraceSink`.
 
-An innermost loop runs little more than its subscript arithmetic, its
-trace appends and its real computation. The code generator applies the
-two classic scalar optimisations to its own loops, without changing any
-event or counter:
+The C keeps the semantics ``tests/exec/interp.py`` (the oracle) has: ``/``
+is true division, ``max``/``min`` fold left keeping the first operand on
+ties and NaN, and a division by zero, ``sqrt`` of a negative number, a
+subscript outside its extent or a loop step ``<= 0`` raises
+:class:`~repro.errors.ExecutionError`. Names are statically typed:
+parameters, loop variables, ``i8`` scalars and arrays, and ``+ - *``
+over them are integers, the rest is ``float64``; a subscript or loop
+bound that is not an integer, or an integer assigned a real, is rejected
+at construction.
 
-- *loop-invariant code motion*: a loop body's unconditional static costs
-  are added once per loop entry, as ``n * len(range)``, and a
-  linear-index term that reads nothing the loop binds or assigns is
-  computed once before the outermost loop it is invariant in (only terms
-  of ``+ - *`` over variables, so a zero-trip loop cannot raise anything
-  new);
-- *common-subexpression elimination*: within one straight-line run a
-  repeated subscript reuses its index temporary; each branch arm keeps its
-  own, and a scalar assignment forgets them all.
-
-Generated names start with ``_``, so IR identifiers may not.
-
-Every run goes through one driver that flushes the event buffers to
-:class:`~repro.machine.sinks.TraceSink` consumers in bounded NumPy
-chunks: the generated code checks the buffer level at the top of every
-iteration of the outermost loop and of every loop that contains a loop,
-and drains through the driver. An innermost loop runs without a check,
-so a drain can overshoot the buffer cap by one iteration of the loop
-around it, whole innermost loops included. Memory events therefore
-coalesce, in program order, into one pending buffer: the memory sink
-sees exactly ``chunk_events`` events per chunk and one shorter tail at
-the end of the run. :meth:`CompiledProgram.run_streaming` exposes the
-sinks; :meth:`CompiledProgram.run` feeds two
-:class:`~repro.machine.sinks.MaterializeSink` instances and returns the
-whole trace as one :class:`~repro.exec.events.TraceBuffers`.
-
-Cost accounting model (documented in DESIGN.md):
+Cost accounting model (documented in DESIGN.md), each block adding its
+static counts when it is entered:
 
 - array element load/store: 1 load/store event + ``rank`` integer address
   ops (+ the arithmetic inside the subscripts, counted as intops);
@@ -46,23 +29,22 @@ Cost accounting model (documented in DESIGN.md):
 - arithmetic outside subscripts: 1 flop per operator/intrinsic;
 - every ``if`` evaluation: 1 branch event (site-tagged, taken bit);
 - every loop iteration: 1 loop_iter + 2 intops (increment, bound check).
-
-The counts are the IR's, not the generated code's: a hoisted or reused
-index still costs its intops at every reference.
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import hashlib
+import operator
 from collections import namedtuple
 from dataclasses import fields
 from functools import partial
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
 from repro import telemetry
-from repro.errors import RUNTIME_FAILURES, ExecutionError
+from repro.errors import ExecutionError
 from repro.exec.events import (
     DEFAULT_CHUNK_EVENTS,
     Counters,
@@ -88,297 +70,224 @@ from repro.ir.expr import (
 )
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, Stmt
-
-_CMP_PY = {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+from repro.machine import native
 
 #: The fields of :class:`~repro.exec.events.Counters`, in order.
 _COUNTERS = tuple(f.name for f in fields(Counters))
+#: The kernel's ``out`` array: the counters, the two buffer levels, a
+#: failure (site, two values), then one slot per scalar (``i8`` ones are
+#: stored there, real ones in ``fout`` at the same position).
+_LEVELS = len(_COUNTERS)
+_FAILURE = _LEVELS + 2
+_OUT = _FAILURE + 3
+_CTYPE = {"i": "int64_t", "f": "double"}
+
+#: Shared by every program of one translation unit (``math.h`` is left
+#: out: parsing it costs every build more than the two declarations).
+#: Statement expressions keep Python's evaluation: each operand once,
+#: left to right, and a failure returns from the kernel.
+_PRELUDE = f"""\
+#include <stdint.h>
+
+double sqrt(double);
+double fabs(double);
+typedef int (*flush_fn)(int stream, int64_t n);
+
+#define FAIL(site, a, b) do {{ out[{_FAILURE}] = (site); out[{_FAILURE + 1}] = (a); \\
+    out[{_FAILURE + 2}] = (b); return 1; }} while (0)
+#define BOUND(site, v, n) if ((v) < 1 || (v) > (n)) FAIL(site, v, n)
+#define EVENT(stream, buf, n, code) do {{ if (trace) {{ buf[n] = (code); \\
+    if (++n == cap) {{ if (flush(stream, n)) return 2; n = 0; }} }} }} while (0)
+#define MEM(code) EVENT(0, mem, nm, code)
+#define BRA(code) EVENT(1, bra, nb, code)
+#define DIV(site, a, b) ({{ const double n_ = (a), d_ = (b); \\
+    if (d_ == 0) FAIL(site, 0, 0); n_ / d_; }})
+#define SQRT(site, a) ({{ const double x_ = (a); if (x_ < 0) FAIL(site, 0, 0); sqrt(x_); }})
+#define IABS(a) ({{ const int64_t x_ = (a); x_ < 0 ? -x_ : x_; }})
+#define MAX(T, a, b) ({{ const T a_ = (a), b_ = (b); b_ > a_ ? b_ : a_; }})
+#define MIN(T, a, b) ({{ const T a_ = (a), b_ = (b); b_ < a_ ? b_ : a_; }})
+"""
+
+_FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int64)
+_P = ctypes.c_void_p
+_ARGTYPES = (_P, _P, _P, _P, _P, ctypes.c_int64, ctypes.c_int, _FLUSH, _P, _P)
+_NONFINITE = {"inf": "__builtin_inf()", "-inf": "(-__builtin_inf())", "nan": '__builtin_nan("")'}
+
+#: Source digest -> loaded kernel: each source is built once per process.
+_kernels: dict[str, ctypes._CFuncPtr] = {}
 
 
-def _py(name: str) -> str:
-    """IR identifier as a safe Python identifier (keywords get a suffix)."""
-    import keyword
-
-    return name + "_kw" if keyword.iskeyword(name) else name
-
-
-def _reject_reserved_names(program: Program) -> None:
-    """Generated code owns every name that starts with ``_`` (buffers,
-    counters, temporaries); an IR name there could shadow one of them."""
-    reserved = sorted(n for n in program.all_names() if n.startswith("_"))
-    if reserved:
-        raise ExecutionError(
-            f"{program.name}: identifier {reserved[0]!r} starts with '_', "
-            f"which generated code reserves"
-        )
-
-
-def _pure_reads(expr: Expr) -> frozenset[str] | None:
-    """The names *expr* reads if it is only ``+ - *`` over constants and
-    variables, so that evaluating it early cannot raise; else ``None``."""
+def _kind(expr: Expr, kinds: Mapping[str, str]) -> str:
+    """``"i"`` if *expr* is integer-valued, else ``"f"``."""
     if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, VarRef):
-        return frozenset((expr.name,))
-    if isinstance(expr, UnOp):
-        return _pure_reads(expr.operand)
-    if isinstance(expr, BinOp) and expr.op != "/":
-        lhs, rhs = _pure_reads(expr.lhs), _pure_reads(expr.rhs)
-        if lhs is not None and rhs is not None:
-            return lhs | rhs
-    return None
-
-
-def _loop_writes(stmts: tuple[Stmt, ...], out: dict[int, set[str]]) -> set[str]:
-    """The names *stmts* bind or assign; stores each loop's own set in
-    *out*, keyed by the loop's ``id``."""
-    names: set[str] = set()
-    for s in stmts:
-        if isinstance(s, Assign) and isinstance(s.target, VarRef):
-            names.add(s.target.name)
-        elif isinstance(s, If):
-            names |= _loop_writes(s.then, out) | _loop_writes(s.orelse, out)
-        elif isinstance(s, Loop):
-            inner = out[id(s)] = _loop_writes(s.body, out) | {s.var}
-            names |= inner
-    return names
-
-
-class _Costs:
-    """Static operation counts of one block, accumulated during codegen."""
-
-    __slots__ = _COUNTERS
-
-    def __init__(self) -> None:
-        for name in _COUNTERS:
-            setattr(self, name, 0)
-
-    def lines(self, indent: str, times: str | None = None) -> list[str]:
-        """Statements adding the counts to the counters, *times* over."""
-        out = []
-        for name in _COUNTERS:
-            n = getattr(self, name)
-            if not n:
-                continue
-            if times is None:
-                inc = str(n)
-            elif n == 1:
-                inc = times
-            else:
-                inc = f"{n} * {times}"
-            out.append(f"{indent}_c_{name} += {inc}")
-        return out
+        return "i" if isinstance(expr.value, int) else "f"
+    if isinstance(expr, (VarRef, ArrayRef)):
+        return kinds[expr.name]
+    if isinstance(expr, BinOp) and expr.op == "/":
+        return "f"
+    if isinstance(expr, Call) and expr.func == "sqrt":
+        return "f"
+    if isinstance(expr, (Cmp, LogicalAnd, LogicalOr, LogicalNot)):
+        return "i"
+    parts = (expr.if_true, expr.if_false) if isinstance(expr, Select) else expr.children()
+    return "i" if all(_kind(e, kinds) == "i" for e in parts) else "f"
 
 
 class _Block:
-    """One indented block of generated code: its lines, its static costs,
-    and the linear-index temporaries its straight-line code may reuse
-    (keyed by index expression)."""
+    """One C block of generated code: its lines and its static costs."""
 
-    __slots__ = ("indent", "lines", "costs", "cse")
+    __slots__ = ("indent", "lines", "costs")
 
-    def __init__(self, indent: str, cse: Mapping[str, str] | None = None):
+    def __init__(self, indent: str):
         self.indent = indent
         self.lines: list[str] = []
-        self.costs = _Costs()
-        self.cse = dict(cse or {})
+        self.costs = dict.fromkeys(_COUNTERS, 0)
 
     def emit(self, line: str) -> None:
         self.lines.append(self.indent + line)
 
-    def arm(self) -> "_Block":
-        """A branch arm: it may reuse this block's temporaries, but the
-        ones it defines stay its own."""
-        return _Block(self.indent + "    ", self.cse)
-
     def close(self) -> list[str]:
         """The block's code, its static costs counted once on entry."""
-        return self.costs.lines(self.indent) + (self.lines or [self.indent + "pass"])
-
-
-class _Frame:
-    """A loop being generated: the names bound before it, the names its
-    body binds or assigns, and the invariant subscript terms computed once
-    before it."""
-
-    __slots__ = ("var", "bound", "written", "hoisted", "terms")
-
-    def __init__(self, var: str, bound: frozenset[str], written: set[str]):
-        self.var = var
-        self.bound = bound
-        self.written = written
-        self.hoisted: list[str] = []
-        self.terms: dict[str, str] = {}
-
-    def hoist(self, code: str, fresh) -> str:
-        """The temporary holding *code*, computed before the loop."""
-        tmp = self.terms.get(code)
-        if tmp is None:
-            tmp = self.terms[code] = fresh("h")
-            self.hoisted.append(f"{tmp} = {code}")
-        return tmp
+        return [
+            f"{self.indent}c_{name} += {n};" for name, n in self.costs.items() if n
+        ] + self.lines
 
 
 class _Codegen:
-    """Generates the body of the compiled kernel function."""
+    """Generates the C kernel function of one program. Every IR name is
+    emitted as ``v_<name>``; generated names never start with ``v_``."""
 
-    def __init__(self, program: Program, trace: bool):
-        _reject_reserved_names(program)
+    def __init__(self, program: Program):
         self.program = program
-        self.trace = trace
         self.array_ids = {a.name: i for i, a in enumerate(program.arrays)}
         self.branch_sites: dict[int, str] = {}
+        #: Failure message -> site; the message is formatted with the
+        #: site's two values.
+        self.failures: dict[str, int] = {}
         self._tmp = 0
-        #: Names bound throughout the kernel.
-        self.globals = frozenset(program.params) | {s.name for s in program.scalars}
-        #: The loops around the code being generated, outermost first.
-        self.frames: list[_Frame] = []
-        #: ``id`` of each loop -> the names its body binds or assigns.
-        self.writes: dict[int, set[str]] = {}
-        _loop_writes(program.body, self.writes)
-        #: Loops generated so far: a loop that generated others is guarded.
-        self._loops = 0
+        #: name -> "i" (integer) or "f" (real) of every variable and array.
+        self.kinds = {name: "i" for name in program.params}
+        for decl in program.scalars + program.arrays:
+            self.kinds[decl.name] = "i" if decl.dtype == "i8" else "f"
+        self.loop_vars = sorted(program.loop_variables())
+        for var in self.loop_vars:
+            if self.kinds.setdefault(var, "i") != "i":
+                self._reject(f"loop variable {var} is a real scalar")
 
-    # -- helpers ----------------------------------------------------------
-    def fresh(self, base: str) -> str:
+    def fresh(self) -> str:
         self._tmp += 1
-        return f"_{base}{self._tmp}"
+        return f"t{self._tmp}"
 
-    def _site(self, cond: Expr) -> int:
-        site = len(self.branch_sites)
-        self.branch_sites[site] = str(cond)
-        return site
+    def _reject(self, why: str):
+        raise ExecutionError(f"{self.program.name}: cannot compile: {why}")
 
-    def _event(self, array: str, is_write: bool, lin: str) -> str:
-        """The encoded memory event of element *lin* of *array*."""
-        base = memory_event_base(self.array_ids[array], is_write)
-        return f"{base} + {lin}" if base else lin
+    def _fail(self, message: str) -> int:
+        """The failure site raising *message*."""
+        return self.failures.setdefault(message, len(self.failures))
 
-    def _hoist_level(self, reads: frozenset[str]) -> int | None:
-        """Index of the outermost enclosing loop before which every name
-        in *reads* is bound and inside which none is bound or assigned."""
-        for level, frame in enumerate(self.frames):
-            if reads <= frame.bound and reads.isdisjoint(frame.written):
-                return level
-        return None
-
-    def _linear_index(self, ref: ArrayRef, blk: _Block) -> str:
-        """The flat (column-major) element index of *ref*.
-
-        A term invariant in enclosing loops is computed before the
-        outermost of them; the hoisted groups chain, so the innermost one
-        carries every invariant term. A repeated pure index reuses its
-        temporary within one straight-line run."""
-        blk.costs.intops += len(ref.indices)
-        inline: list[str] = []
-        hoisted: dict[int, list[str]] = {}
-        pure = True
-        for d, sub in enumerate(ref.indices):
-            code = self._expr(sub, blk, in_subscript=True)
-            term = f"(({code})-1)" if d == 0 else f"_s_{ref.name}_{d}*(({code})-1)"
-            reads = _pure_reads(sub)
-            pure = pure and reads is not None
-            level = None if reads is None else self._hoist_level(reads)
-            if level is None:
-                inline.append(term)
-            else:
-                hoisted.setdefault(level, []).append(term)
-        outer: list[str] = []
-        for level in sorted(hoisted):
-            code = " + ".join(outer + hoisted[level])
-            outer = [self.frames[level].hoist(code, self.fresh)]
-        if not inline:
-            return outer[0]
-        code = " + ".join(inline + outer)
-        if pure and code in blk.cse:
-            return blk.cse[code]
-        tmp = self.fresh("l")
-        blk.emit(f"{tmp} = {code}")
-        if pure:
-            blk.cse[code] = tmp
+    def _integer(self, expr: Expr, blk: _Block, what: str) -> str:
+        """A temporary holding integer-valued *expr*, which serves as *what*."""
+        if _kind(expr, self.kinds) != "i":
+            self._reject(f"{what} {expr} is not an integer")
+        tmp = self.fresh()
+        blk.emit(f"const int64_t {tmp} = {self._expr(expr, blk, in_subscript=True)};")
         return tmp
 
-    # -- expressions ----------------------------------------------------------
+    def _linear_index(self, ref: ArrayRef, blk: _Block) -> str:
+        """The flat (column-major) element index of *ref*, each subscript
+        checked against its extent."""
+        blk.costs["intops"] += len(ref.indices)
+        aid = self.array_ids[ref.name]
+        site = self._fail(f"subscript {{}} out of bounds 1..{{}} in {ref}")
+        terms = []
+        for d, sub in enumerate(ref.indices):
+            tmp = self._integer(sub, blk, f"subscript of {ref}:")
+            blk.emit(f"BOUND({site}, {tmp}, e{aid}_{d});")
+            terms.append(f"({tmp} - 1)" if d == 0 else f"s{aid}_{d} * ({tmp} - 1)")
+        lin = self.fresh()
+        blk.emit(f"const int64_t {lin} = {' + '.join(terms)};")
+        return lin
+
+    def _access(self, ref: ArrayRef, blk: _Block, is_write: bool) -> str:
+        """The element *ref* addresses, its memory event recorded."""
+        lin = self._linear_index(ref, blk)
+        blk.costs["stores" if is_write else "loads"] += 1
+        base = memory_event_base(self.array_ids[ref.name], is_write)
+        blk.emit(f"MEM(INT64_C({base}) + {lin});")
+        return f"v_{ref.name}[{lin}]"
+
     def _expr(self, expr: Expr, blk: _Block, *, in_subscript: bool = False) -> str:
-        costs = blk.costs
+        sub = partial(self._expr, blk=blk, in_subscript=in_subscript)
         if isinstance(expr, Const):
-            return repr(expr.value)
+            text = repr(expr.value)
+            return f"INT64_C({text})" if isinstance(expr.value, int) else _NONFINITE.get(text, text)
         if isinstance(expr, VarRef):
-            return _py(expr.name)
+            return f"v_{expr.name}"
         if isinstance(expr, ArrayRef):
-            lin = self._linear_index(expr, blk)
-            costs.loads += 1
-            if self.trace:
-                blk.emit(f"_ma({self._event(expr.name, False, lin)})")
-            return f"{_py(expr.name)}[{lin}]"
-        if isinstance(expr, BinOp):
-            lhs = self._expr(expr.lhs, blk, in_subscript=in_subscript)
-            rhs = self._expr(expr.rhs, blk, in_subscript=in_subscript)
-            if in_subscript:
-                costs.intops += 1
-            else:
-                costs.flops += 1
-            return f"({lhs} {expr.op} {rhs})"
-        if isinstance(expr, UnOp):
-            inner = self._expr(expr.operand, blk, in_subscript=in_subscript)
-            if in_subscript:
-                costs.intops += 1
-            else:
-                costs.flops += 1
-            return f"(-{inner})"
+            element = self._access(expr, blk, False)
+            return f"((int64_t){element})" if self.kinds[expr.name] == "i" else element
+        if isinstance(expr, (BinOp, UnOp)):
+            operands = [sub(e) for e in expr.children()]
+            blk.costs["intops" if in_subscript else "flops"] += 1
+            if isinstance(expr, UnOp):
+                return f"(-{operands[0]})"
+            if expr.op != "/":
+                return f"({operands[0]} {expr.op} {operands[1]})"
+            real = _kind(expr.lhs, self.kinds) + _kind(expr.rhs, self.kinds) != "ii"
+            site = self._fail(("float " if real else "") + "division by zero")
+            return f"DIV({site}, {operands[0]}, {operands[1]})"
         if isinstance(expr, Call):
-            args = [self._expr(a, blk, in_subscript=in_subscript) for a in expr.args]
-            costs.flops += 1
+            args = [sub(a) for a in expr.args]
+            blk.costs["flops"] += 1
+            kind = _kind(expr, self.kinds)
             if expr.func == "sqrt":
-                return f"_sqrt({args[0]})"
+                return f"SQRT({self._fail('math domain error')}, {args[0]})"
             if expr.func == "abs":
-                return f"abs({args[0]})"
-            return f"{expr.func}({', '.join(args)})"
+                return f"fabs({args[0]})" if kind == "f" else f"IABS({args[0]})"
+            acc = args[0]  # max/min fold left, as Python's do
+            for arg in args[1:]:
+                acc = f"{expr.func.upper()}({_CTYPE[kind]}, {acc}, {arg})"
+            return acc
         if isinstance(expr, Cmp):
-            lhs = self._expr(expr.lhs, blk, in_subscript=in_subscript)
-            rhs = self._expr(expr.rhs, blk, in_subscript=in_subscript)
-            costs.intops += 1
-            return f"({lhs} {_CMP_PY[expr.op]} {rhs})"
-        if isinstance(expr, LogicalAnd):
-            parts = [self._expr(a, blk, in_subscript=in_subscript) for a in expr.args]
-            return "(" + " and ".join(parts) + ")"
-        if isinstance(expr, LogicalOr):
-            parts = [self._expr(a, blk, in_subscript=in_subscript) for a in expr.args]
-            return "(" + " or ".join(parts) + ")"
+            lhs, rhs = sub(expr.lhs), sub(expr.rhs)
+            blk.costs["intops"] += 1
+            return f"({lhs} {expr.op} {rhs})"
+        if isinstance(expr, (LogicalAnd, LogicalOr)):
+            op = " && " if isinstance(expr, LogicalAnd) else " || "
+            return "(" + op.join(sub(a) for a in expr.args) + ")"
         if isinstance(expr, LogicalNot):
-            inner = self._expr(expr.arg, blk, in_subscript=in_subscript)
-            return f"(not {inner})"
+            return f"(!{sub(expr.arg)})"
         if isinstance(expr, Select):
-            tmp = self.fresh("sv")
+            tmp = self.fresh()
+            blk.emit(f"{_CTYPE[_kind(expr, self.kinds)]} {tmp};")
 
             def arm(value: Expr, arm_blk: _Block) -> None:
-                code = self._expr(value, arm_blk)
-                arm_blk.emit(f"{tmp} = {code}")
+                arm_blk.emit(f"{tmp} = {self._expr(value, arm_blk)};")
 
             self._branch(
                 expr.cond, blk, (partial(arm, expr.if_true), partial(arm, expr.if_false))
             )
             return tmp
-        raise ExecutionError(f"cannot compile expression {expr!r}")
+        self._reject(f"expression {expr!r}")
 
     def _branch(self, cond: Expr, blk: _Block, arms) -> None:
-        """``if cond: ... else: ...``, one site-tagged branch event first in
-        each arm; ``arms`` fill the taken and the not-taken arm. Each arm
-        counts its own costs when it runs."""
+        """``if (cond) {...} else {...}``, one site-tagged branch event
+        first in each arm; ``arms`` fill the taken and the not-taken arm.
+        Each arm counts its own costs when it runs."""
         code = self._expr(cond, blk)
-        blk.costs.branches += 1
-        site = self._site(cond) if self.trace else 0
-        blk.emit(f"if {code}:")
+        blk.costs["branches"] += 1
+        site = len(self.branch_sites)
+        self.branch_sites[site] = str(cond)
+        blk.emit(f"if ({code}) {{")
         for taken, fill in zip((1, 0), arms):
             if not taken:
-                blk.emit("else:")
-            arm = blk.arm()
-            if self.trace:
-                arm.emit(f"_ba({site * 2 + taken})")
+                blk.emit("} else {")
+            arm = _Block(blk.indent + "    ")
+            arm.emit(f"BRA({site * 2 + taken});")
             fill(arm)
             blk.lines += arm.close()
+        blk.emit("}")
 
-    # -- statements --------------------------------------------------------
     def _block(self, stmts: tuple[Stmt, ...], blk: _Block) -> None:
         for stmt in stmts:
             if isinstance(stmt, Assign):
@@ -386,93 +295,95 @@ class _Codegen:
             elif isinstance(stmt, If):
                 arms = (partial(self._block, stmt.then), partial(self._block, stmt.orelse))
                 self._branch(stmt.cond, blk, arms)
-                blk.cse.clear()  # the arms may assign scalars
             elif isinstance(stmt, Loop):
                 self._loop(stmt, blk)
-                blk.cse.clear()  # the loop rebinds names
             else:
-                raise ExecutionError(f"cannot compile statement {stmt!r}")
+                self._reject(f"statement {stmt!r}")
 
     def _assign(self, stmt: Assign, blk: _Block) -> None:
         value = self._expr(stmt.value, blk)
         target = stmt.target
+        if self.kinds[target.name] == "i" and _kind(stmt.value, self.kinds) != "i":
+            self._reject(f"integer {target} assigned the real {stmt.value}")
         if isinstance(target, VarRef):
-            blk.emit(f"{_py(target.name)} = {value}")
-            blk.cse.clear()  # a reusable index may read this scalar
-            return
-        lin = self._linear_index(target, blk)
-        blk.costs.stores += 1
-        if self.trace:
-            blk.emit(f"_ma({self._event(target.name, True, lin)})")
-        blk.emit(f"{_py(target.name)}[{lin}] = {value}")
+            blk.emit(f"v_{target.name} = {value};")
+        else:
+            blk.emit(f"{self._access(target, blk, True)} = {value};")
 
     def _loop(self, stmt: Loop, blk: _Block) -> None:
-        """The loop's per-iteration static costs are added once, times its
-        trip count, before it starts; its invariant index terms follow."""
-        lo = self._expr(stmt.lower, blk, in_subscript=True)
-        hi = self._expr(stmt.upper, blk, in_subscript=True)
-        step = self._expr(stmt.step, blk, in_subscript=True)
-        outer = self.frames[-1] if self.frames else None
-        bound = outer.bound | {outer.var} if outer else self.globals
-        frame = _Frame(stmt.var, bound, self.writes[id(stmt)])
+        """Bounds and step are evaluated once, before the first iteration;
+        the loop variable keeps its last value, as Python's ``for`` does."""
+        lo = self._integer(stmt.lower, blk, "loop bound")
+        hi = self._integer(stmt.upper, blk, "loop bound")
+        step = self._integer(stmt.step, blk, "loop step")
+        blk.emit(f"if ({step} <= 0) FAIL({self._fail('non-positive loop step {}')}, {step}, 0);")
+        k = self.fresh()
         body = _Block(blk.indent + "    ")
-        body.costs.loop_iters, body.costs.intops = 1, 2
-        self._loops += 1
-        loops = self._loops
-        self.frames.append(frame)
+        body.costs.update(loop_iters=1, intops=2)
+        body.emit(f"v_{stmt.var} = {k};")
         self._block(stmt.body, body)
-        self.frames.pop()
-        if self.trace and (not self.frames or self._loops > loops):
-            # Flush point: the event buffers may be drained to the trace
-            # sinks between iterations of the outermost loop and of loops
-            # that run other loops. An innermost loop goes without, so a
-            # drain may overshoot the cap by its events.
-            body.lines.insert(
-                0, f"{body.indent}if len(_mem) >= _cap or len(_bra) >= _cap: _flush()"
-            )
-        rng = self.fresh("r")
-        bounds = f"{lo}, ({hi}) + 1" + ("" if stmt.has_unit_step else f", {step}")
-        blk.emit(f"{rng} = range({bounds})")
-        blk.emit(f"_t = len({rng})")
-        blk.lines += body.costs.lines(blk.indent, "_t")
-        blk.lines += [blk.indent + line for line in frame.hoisted]
-        blk.emit(f"for {_py(stmt.var)} in {rng}:")
-        blk.lines += body.lines
+        blk.emit(f"for (int64_t {k} = {lo}; {k} <= {hi}; {k} += {step}) {{")
+        blk.lines += body.close()
+        blk.emit("}")
 
-    # -- whole function -------------------------------------------------------
     def generate(self) -> str:
+        """The kernel's parameter list and body; its name goes in front."""
         p = self.program
-        ind = "    "
-        out: list[str] = [
-            "def _kernel(_params, _arrays, _exts, _mem, _bra, _cap, _flush):"
+        decls = [
+            "int64_t nm = 0, nb = 0;",
+            "int64_t " + ", ".join(f"c_{name} = 0" for name in _COUNTERS) + ";",
+            *(f"int64_t v_{name} = params[{i}];" for i, name in enumerate(p.params)),
         ]
-        out.append(f"{ind}_sqrt = _math.sqrt")
-        for name in p.params:
-            out.append(f"{ind}{_py(name)} = _params[{name!r}]")
-        for a in p.arrays:
-            out.append(f"{ind}{_py(a.name)} = _arrays[{a.name!r}]")
-            for d in range(a.rank - 1):
-                # stride of dimension d+1 = product of extents 0..d
-                prod = "*".join(f"_exts[{a.name!r}][{e}]" for e in range(d + 1))
-                out.append(f"{ind}_s_{a.name}_{d + 1} = {prod}")
-        for s in p.scalars:
-            init = "0" if s.dtype == "i8" else "0.0"
-            out.append(f"{ind}{_py(s.name)} = {init}")
-        if self.trace:
-            out.append(f"{ind}_ma = _mem.append")
-            out.append(f"{ind}_ba = _bra.append")
-        out.append(f"{ind}" + " = ".join(f"_c_{name}" for name in _COUNTERS) + " = 0")
-        top = _Block(ind)
-        self._block(p.body, top)
-        out.extend(top.close())
-        scalar_dict = ", ".join(f"{s.name!r}: {_py(s.name)}" for s in p.scalars)
-        counters = ", ".join(f"_c_{name}" for name in _COUNTERS)
-        out.append(f"{ind}return ({counters}, {{{scalar_dict}}})")
-        return "\n".join(out)
+        dims = 0
+        for aid, a in enumerate(p.arrays):
+            decls.append(f"double *const v_{a.name} = arrays[{aid}];")
+            for d in range(a.rank):
+                decls.append(f"const int64_t e{aid}_{d} = exts[{dims + d}];")
+                if d:
+                    stride = f"s{aid}_{d - 1} * e{aid}_{d - 1}" if d > 1 else f"e{aid}_0"
+                    decls.append(f"const int64_t s{aid}_{d} = {stride};")
+            dims += a.rank
+        decls += [f"{_CTYPE[self.kinds[s.name]]} v_{s.name} = 0;" for s in p.scalars]
+        for var in sorted(set(self.loop_vars) - {s.name for s in p.scalars}):
+            decls.append(f"int64_t v_{var} = 0;")
+        body = _Block("    ")
+        self._block(p.body, body)
+        results = [
+            f"out[{i}] = {'c_' * (i < _LEVELS)}{name};"
+            for i, name in enumerate(_COUNTERS + ("nm", "nb"))
+        ]
+        for i, s in enumerate(p.scalars):
+            integral = self.kinds[s.name] == "i"
+            results.append(f"{'out' if integral else 'fout'}[{_OUT * integral + i}] = v_{s.name};")
+        return "\n".join([
+            "(const int64_t *params, double *const *arrays, const int64_t *exts,",
+            "    int64_t *mem, int64_t *bra, int64_t cap, int trace, flush_fn flush,",
+            "    int64_t *out, double *fout)",
+            "{",
+            *("    " + line for line in decls),
+            *body.close(),
+            *("    " + line for line in results + ["return 0;"]),
+            "}",
+            "",
+        ])
+
+
+def build(programs: Iterable["CompiledProgram"]) -> None:
+    """Build every program not yet built in this process, all in one
+    ``cc`` call (one ``exec.compile`` span)."""
+    todo = {cp.digest: cp for cp in programs if cp.digest not in _kernels}
+    if todo:
+        so = native.build(
+            _PRELUDE + "".join(f"\nint {cp.symbol}{cp.source}" for cp in todo.values()),
+            {cp.symbol: (_ARGTYPES, ctypes.c_int) for cp in todo.values()},
+            opt="-O1", stem="programs", span="exec.compile", programs=len(todo),
+        )
+        for digest, cp in todo.items():
+            _kernels[digest] = getattr(so, cp.symbol)
 
 
 class CompiledProgram:
-    """A program compiled to a Python callable.
+    """A program compiled to a C function.
 
     Compile once, run many times with different parameters/inputs::
 
@@ -489,46 +400,43 @@ class CompiledProgram:
     def __init__(self, program: Program, *, trace: bool = False):
         self.program = program
         self.trace = trace
-        with telemetry.span("exec.compile", program=program.name):
-            gen = _Codegen(program, trace)
-            self.source = gen.generate()
-            self.array_ids = gen.array_ids
-            self.branch_sites = gen.branch_sites
-            namespace: dict = {"_math": math}
-            exec(compile(self.source, f"<repro:{program.name}>", "exec"), namespace)
-            self._fn = namespace["_kernel"]
+        gen = _Codegen(program)
+        #: The C function, from its parameter list on.
+        self.source = gen.generate()
+        self.digest = hashlib.sha256(self.source.encode()).hexdigest()[:16]
+        self.symbol = f"program_{self.digest}"
+        self.array_ids = gen.array_ids
+        self.branch_sites = gen.branch_sites
+        self._failures = list(gen.failures)
+        self._integral = [gen.kinds[s.name] == "i" for s in program.scalars]
 
     def _prepare(
-        self,
-        params: Mapping[str, int],
-        inputs: Mapping[str, np.ndarray] | None,
-    ) -> tuple[dict[str, tuple[int, ...]], dict[str, list[float]]]:
-        """Evaluate extents, validate trace addressability, seed storage:
-        one flat column-major Python list per array."""
+        self, params: Mapping[str, int], inputs: Mapping[str, np.ndarray] | None
+    ) -> tuple[list[int], dict[str, np.ndarray]]:
+        """The parameter values and the storage: one column-major
+        ``float64`` array per array, copied from *inputs* or zero."""
         inputs = inputs or {}
         p = self.program
         missing = set(p.params) - set(params)
         if missing:
             raise ExecutionError(f"missing parameters: {sorted(missing)}")
-        exts: dict[str, tuple[int, ...]] = {}
-        storage: dict[str, list[float]] = {}
+        try:
+            values = [operator.index(params[name]) for name in p.params]
+        except TypeError as exc:
+            raise ExecutionError(f"{p.name}: parameters must be integers ({exc})") from None
+        storage: dict[str, np.ndarray] = {}
         for a in p.arrays:
             shape = evaluate_extents(a.extents, params)
-            exts[a.name] = shape
-            size = int(np.prod(shape))
             if self.trace:
-                check_addressable(p.name, a.name, size)
+                check_addressable(p.name, a.name, int(np.prod(shape)))
             given = inputs.get(a.name)
-            if given is not None:
-                arr = np.asarray(given, dtype=np.float64)
-                if arr.shape != shape:
-                    raise ExecutionError(
-                        f"input {a.name} has shape {arr.shape}, expected {shape}"
-                    )
-                storage[a.name] = arr.flatten(order="F").tolist()
-            else:
-                storage[a.name] = [0.0] * size
-        return exts, storage
+            arr = np.array(np.zeros(shape) if given is None else given, np.float64, order="F")
+            if arr.shape != shape:
+                raise ExecutionError(f"input {a.name} has shape {arr.shape}, expected {shape}")
+            if a.dtype == "i8" and not np.array_equal(arr, np.trunc(arr)):
+                raise ExecutionError(f"input {a.name} of an integer array is not integral")
+            storage[a.name] = arr
+        return values, storage
 
     def _drive(
         self,
@@ -539,69 +447,61 @@ class CompiledProgram:
         chunk_events: int,
     ) -> RunResult:
         """The one execution path behind :meth:`run` and
-        :meth:`run_streaming`: seed storage, call the generated kernel
-        with buffers that drain through the sinks, package the result
-        (``trace=None``)."""
-        exts, storage = self._prepare(params, inputs)
-        mem: list[int] = []
-        bra: list[int] = []
-        # Memory events waiting for a full chunk, in program order.
-        pending: list[np.ndarray] = []
-        pending_n = 0
+        :meth:`run_streaming`: seed storage, call the kernel with buffers
+        that drain through the sinks, package the result (``trace=None``)."""
+        values, storage = self._prepare(params, inputs)
+        build([self])
+        cap = chunk_events if self.trace else 1
+        buffers = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64))
+        sinks = (memory_sink, branch_sink)
+        failed: list[BaseException] = []
 
-        def push(events: np.ndarray) -> None:
-            """Queue memory events; feed every completed chunk."""
-            nonlocal pending_n
-            n = len(events)
-            if pending_n + n < chunk_events:
-                pending.append(events)
-                pending_n += n
-                return
-            off = 0
-            if pending:
-                off = chunk_events - pending_n
-                pending.append(events[:off])
-                memory_sink.feed(np.concatenate(pending))
-                pending.clear()
-            stop = off + (n - off) // chunk_events * chunk_events
-            for lo in range(off, stop, chunk_events):
-                memory_sink.feed(events[lo : lo + chunk_events])
-            # Copy the tail so the drained buffer is not kept alive.
-            pending_n = n - stop
-            if pending_n:
-                pending.append(events[stop:].copy())
+        def flush(stream: int, n: int) -> int:
+            """Feed one stream's *n* buffered events; 1 if its sink raised."""
+            try:
+                if sinks[stream] is not None:
+                    sinks[stream].feed(buffers[stream][:n])
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failed.append(exc)
+                return 1
+            return 0
 
-        def flush() -> None:
-            if mem:
-                if memory_sink is not None:
-                    push(np.asarray(mem, dtype=np.int64))
-                mem.clear()
-            if bra:
-                if branch_sink is not None:
-                    branch_sink.feed(np.asarray(bra, dtype=np.int64))
-                bra.clear()
+        arrays = list(storage.values())
+        out = np.zeros(_OUT + len(self._integral), dtype=np.int64)
+        fout = np.zeros(len(self._integral) + 1, dtype=np.float64)
+
+        def c_array(ctype, items: list):
+            return (ctype * (len(items) + 1))(*items)
 
         # Every sink feed happens inside the span, so the span tree nests
         # the sinks under it and its self time is trace production.
         with telemetry.span("exec.run", program=self.program.name):
-            try:
-                *counts, scalars = self._fn(
-                    dict(params), storage, exts, mem, bra, chunk_events, flush
-                )
-            except RUNTIME_FAILURES as exc:
+            status = _kernels[self.digest](
+                c_array(ctypes.c_int64, values),
+                c_array(ctypes.c_void_p, [a.ctypes.data for a in arrays]),
+                c_array(ctypes.c_int64, [e for a in arrays for e in a.shape]),
+                buffers[0].ctypes.data, buffers[1].ctypes.data, cap, self.trace,
+                _FLUSH(flush), out.ctypes.data, fout.ctypes.data,
+            )
+            if status == 1:
+                site, a, b = out[_FAILURE : _FAILURE + 3].tolist()
                 raise ExecutionError(
-                    f"runtime failure in {self.program.name}: {exc}"
-                ) from exc
-            flush()  # tail events after the last loop boundary
-            if pending:
-                memory_sink.feed(np.concatenate(pending))
+                    f"runtime failure in {self.program.name}: "
+                    + self._failures[site].format(a, b)
+                )
+            if status == 2:  # a sink raised
+                raise failed[0]
+            for stream, n in enumerate(out[_LEVELS:_FAILURE].tolist()):
+                if n and flush(stream, n):
+                    raise failed[0]
+        values = zip(self._integral, out[_OUT:].tolist(), fout.tolist())
         return RunResult(
-            arrays={
-                name: np.asarray(vals, dtype=np.float64).reshape(exts[name], order="F")
-                for name, vals in storage.items()
+            arrays=storage,
+            scalars={
+                s.name: i if integral else f
+                for s, (integral, i, f) in zip(self.program.scalars, values)
             },
-            scalars=scalars,
-            counters=Counters(*counts),
+            counters=Counters(*out[:_LEVELS].tolist()),
             array_ids=dict(self.array_ids),
             branch_sites=dict(self.branch_sites),
         )
@@ -611,19 +511,13 @@ class CompiledProgram:
         params: Mapping[str, int],
         inputs: Mapping[str, np.ndarray] | None = None,
     ) -> RunResult:
-        """Execute under *params*, seeding arrays from *inputs* (column-major
-        flattening); missing arrays start at zero.
-
-        Materializes the full trace when tracing is enabled — peak memory
-        grows with the event count. Use :meth:`run_streaming` to replay
-        the trace through sinks in bounded memory instead.
-        """
+        """Execute under *params*, seeding arrays from *inputs* (missing
+        arrays start at zero). A traced run materializes the whole trace;
+        :meth:`run_streaming` replays it in bounded memory instead."""
         from repro.machine.sinks import MaterializeSink
 
         mem_sink, bra_sink = MaterializeSink(), MaterializeSink()
-        result = self._drive(
-            params, inputs, mem_sink, bra_sink, DEFAULT_CHUNK_EVENTS
-        )
+        result = self._drive(params, inputs, mem_sink, bra_sink, DEFAULT_CHUNK_EVENTS)
         if self.trace:
             result.trace = TraceBuffers(mem_sink.finish(), bra_sink.finish())
         return result
@@ -641,20 +535,12 @@ class CompiledProgram:
 
         ``memory_sink`` / ``branch_sink`` receive 1-D ``int64`` chunks of
         encoded events (see :mod:`repro.exec.events`) in program order;
-        a ``None`` sink discards its stream. The returned
-        :class:`~repro.exec.events.RunResult` carries arrays, scalars and
-        counters but ``trace=None`` — the trace only ever existed as
-        chunks. The caller owns the sinks' lifecycle and calls their
-        ``finish()`` afterwards.
-
-        Every memory chunk has exactly ``chunk_events`` events except the
-        last, which holds the run's remainder: drained buffers join one
-        pending buffer in program order, and only completed slices reach
-        ``memory_sink``. The flush guard sits at the iteration boundaries
-        of the outermost loop and of every loop that contains a loop, so
-        a branch chunk may overshoot ``chunk_events`` by one iteration of
-        such a loop: by whole innermost loops' events, not by one
-        innermost iteration's.
+        a ``None`` sink discards its stream. Each chunk is a view of a
+        buffer the next chunk overwrites, and every chunk of a stream
+        has exactly ``chunk_events`` events except the run's remainder.
+        An exception a sink raises propagates unchanged. The returned
+        :class:`~repro.exec.events.RunResult` has ``trace=None``; the
+        caller calls the sinks' ``finish()``.
         """
         if not self.trace:
             raise ExecutionError("run_streaming() needs a traced program (trace=True)")

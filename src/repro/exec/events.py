@@ -1,8 +1,7 @@
 """Execution results: dynamic counters and event traces.
 
 The machine model is trace-driven: it replays the memory-access and branch
-traces produced by a run. Traces use compact integer encodings so the hot
-path is a single ``list.append`` per event:
+traces produced by a run. Each event is one ``int64``:
 
 - memory event: ``((array_id * 2 + is_write) << ADDR_BITS) | linear_index``
 - branch event: ``site_id * 2 + taken``
@@ -26,13 +25,7 @@ ADDR_MASK = (1 << ADDR_BITS) - 1
 
 
 def memory_event_base(array_id: int, is_write: bool | int) -> int:
-    """The high bits of a memory event code; add the linear index in.
-
-    The index is added, not OR-ed, so a negative index (a subscript below
-    the array's lower bound) borrows from these bits:
-    :meth:`~repro.machine.layout.MemoryLayout.addresses` rejects the
-    decoded event.
-    """
+    """The high bits of a memory event code; add the linear index in."""
     return (array_id * 2 + int(is_write)) << ADDR_BITS
 
 

@@ -14,7 +14,7 @@ from typing import Mapping
 import numpy as np
 
 from repro.errors import ValidationError
-from repro.exec.compiled import run_compiled
+from repro.exec.compiled import CompiledProgram, build
 from repro.exec.events import RunResult
 from repro.ir.program import Program
 
@@ -67,8 +67,9 @@ def assert_equivalent(
     arrays introduced by ``ElimRW`` are therefore ignored automatically.
     """
     outs = outputs if outputs is not None else original.outputs
-    ra = run_compiled(original, params, inputs)
-    rb = run_compiled(transformed, params, inputs)
+    engines = [CompiledProgram(p) for p in (original, transformed)]
+    build(engines)  # one compiler call for both
+    ra, rb = (cp.run(params, inputs) for cp in engines)
     problems = compare_outputs(ra, rb, outs, rtol=rtol, atol=atol)
     if problems:
         raise ValidationError(

@@ -44,7 +44,7 @@ import numpy as np
 
 from repro import telemetry
 from repro.errors import ReproError
-from repro.exec.compiled import CompiledProgram
+from repro.exec import compiled
 from repro.experiments.sweep import SweepConfig, resolve_jobs
 from repro.ir.program import Program
 from repro.kernels.registry import get_kernel, get_recipe
@@ -75,15 +75,14 @@ _log = logging.getLogger("repro.sweep")
 
 _memo: LRUCache = LRUCache(maxsize=4096)
 _built: LRUCache = LRUCache(maxsize=256)
-_compiled: LRUCache = LRUCache(maxsize=256)
 #: Sweep inputs per (kernel, params, seed): the variants of one point run
 #: on the same arrays, so they are made once and shared read-only.
 _inputs: LRUCache = LRUCache(maxsize=4)
 
 
 def clear_caches() -> None:
-    """Drop every in-process memo (measurements, built programs,
-    compiled engines, sweep inputs). Disk cache is untouched.
+    """Drop every in-process memo (measurements, built programs, sweep
+    inputs). Disk cache and the built C programs are untouched.
 
     Also the :func:`measure_points` pool initializer: forked workers
     inherit the parent's memos, and a sweep worker must re-measure (or
@@ -94,7 +93,6 @@ def clear_caches() -> None:
 
     _memo.clear()
     _built.clear()
-    _compiled.clear()
     _inputs.clear()
     poly_memo.clear_memos()
 
@@ -261,10 +259,7 @@ def measure_recipe(
         else:
             telemetry.counter("sweep.cache.miss")
             params, inputs = point_inputs(kernel, n, config)
-            cp = _compiled.get_or_compute(
-                (recipe.fingerprint(), tile),
-                lambda: CompiledProgram(program, trace=True),
-            )
+            cp = compiled.CompiledProgram(program, trace=True)
             _, report = measure_streaming(cp, params, config.machine, inputs)
             _store_cached(key, report)
             sp.set(source="computed")
@@ -326,20 +321,25 @@ def measure_points(
     memos (see :func:`clear_caches`) but share the disk cache; the
     parent then seeds its own memo from the workers' reports, so
     subsequent serial figure assembly reuses them byte-identically even
-    with ``REPRO_NO_CACHE=1``. The parent loads the C memory core
+    with ``REPRO_NO_CACHE=1``. Either way the parent first builds the
+    programs of every unmemoised point in one ``cc`` call
+    (:func:`repro.exec.compiled.build`), and it loads the C memory core
     (:func:`repro.machine.native.lib`) before it forks the pool, so the
-    workers share one build. A worker failure re-raises as a
+    workers share both builds. A worker failure re-raises as a
     :class:`~repro.errors.ReproError` naming the failed point, chained
     to the worker's exception.
     """
     points = [tuple(p) for p in points]
     jobs = resolve_jobs(jobs)
     todo: dict[tuple[str, str, int], tuple[int | None, PipelineReport, str]] = {}
+    programs = []
     for point in dict.fromkeys(points):
         kernel, variant, n = point
-        tile, _, pipeline, key = _point(get_recipe(kernel, variant), n, config, None)
+        tile, program, pipeline, key = _point(get_recipe(kernel, variant), n, config, None)
         if key not in _memo:
             todo[point] = (tile, pipeline, key)
+            programs.append(compiled.CompiledProgram(program, trace=True))
+    compiled.build(programs)
     if jobs > 1 and len(todo) > 1:
         from concurrent.futures import ProcessPoolExecutor, as_completed
 

@@ -22,7 +22,7 @@ later groups' writes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 from repro.deps.access import (
@@ -185,6 +185,13 @@ def _fix_pair(
     body = list(group_k.body)
     preamble: list[Stmt] = list(nest.preamble)
     precopied = redirected = 0
+    # Every write of the variable, for the pre-copy's never-written test.
+    writes = [
+        w
+        for g in (nest.groups if simplify else ())
+        for w in extract_references(nest, g, value_ranges)
+        if w.is_write and w.name == name
+    ]
     for (stmt_pos, *_rest), (ref, polys) in sorted(
         by_read.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
     ):
@@ -194,9 +201,7 @@ def _fix_pair(
         ]
         precopy_elems = None
         if simplify:
-            precopy_elems = _precopy_element_set(
-                nest, ref, disjuncts, param_lo, value_ranges
-            )
+            precopy_elems = _precopy_element_set(ref, disjuncts, writes, param_lo)
         if precopy_elems is not None:
             preamble.extend(
                 _emit_precopy(precopy_elems, copy_name, name, is_scalar, namer)
@@ -309,15 +314,14 @@ def _disjunction(disjuncts: list[list[Constraint]]) -> Expr:
 
 
 def _precopy_element_set(
-    nest: FusedNest,
     ref: Reference,
     disjuncts: list[list[Constraint]],
+    writes: list[Reference],
     param_lo,
-    value_ranges: Mapping[str, ValueRange] | None = None,
 ) -> Polyhedron | None:
-    """The elements read while ``C_R`` is false, when they are provably
-    never written anywhere in the program; None when the simplification
-    does not apply."""
+    """The elements read while ``C_R`` is false, when no instance of any
+    of *writes* (every write of the variable in the nest) touches them;
+    None when the simplification does not apply."""
     if not ref.subscripts:
         return None  # scalars: nothing to pre-copy
     # Complementable only for a single one-inequality disjunct.
@@ -326,31 +330,20 @@ def _precopy_element_set(
     c = disjuncts[0][0]
     if c.kind is not Kind.GE:
         return None
-    negated = ge0(-c.expr - 1)
-    e0 = ref.domain.with_constraints([negated])
+    unguarded = replace(ref, domain=ref.domain.with_constraints([ge0(-c.expr - 1)]))
+    for w in writes:
+        # Any instance of the write, in any context iteration.
+        ren = {v: v + "_w" for v in w.domain.variables}
+        if integer_feasible(same_element(unguarded, w, ren), param_lo=param_lo):
+            return None
     # Element coordinates as fresh dims bound to the subscripts.
+    e0 = unguarded.domain
     elem_vars = tuple(f"_e{d}" for d in range(len(ref.subscripts)))
     widened = e0.with_variables(e0.variables + elem_vars)
     widened = widened.with_constraints(
         [eq0(LinExpr.var(ev) - s) for ev, s in zip(elem_vars, ref.subscripts)]
     )
-    elems = project_onto(widened, list(elem_vars))
-    # Never-written check across every write of the variable in any group.
-    for g in nest.groups:
-        for w in extract_references(nest, g, value_ranges):
-            if not w.is_write or w.name != ref.name:
-                continue
-            ren = {v: v + "_w" for v in nest.fused_vars}
-            for f in w.fuzzy:
-                ren[f] = f + "_w"
-            wd = w.domain.rename(ren)
-            variables = tuple(dict.fromkeys(elem_vars + wd.variables))
-            cs = list(elems.constraints) + list(wd.constraints)
-            for ev, s in zip(elem_vars, w.subscripts_renamed(ren)):
-                cs.append(eq0(LinExpr.var(ev) - s))
-            if integer_feasible(Polyhedron(variables, cs), param_lo=param_lo):
-                return None
-    return elems
+    return project_onto(widened, list(elem_vars))
 
 
 def _emit_precopy(

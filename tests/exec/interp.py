@@ -25,7 +25,7 @@ from typing import Mapping
 
 import numpy as np
 
-from repro.errors import RUNTIME_FAILURES, ExecutionError, ValidationError
+from repro.errors import ExecutionError, ValidationError
 from repro.exec.compiled import run_compiled
 from repro.exec.events import (
     Counters,
@@ -54,6 +54,10 @@ from repro.ir.stmt import Assign, If, Loop, Stmt
 
 #: Event counters that both execution engines maintain independently.
 CHECKED_COUNTERS = ("loads", "stores", "branches", "loop_iters")
+
+#: What Python raises on a bad subscript, a division by zero or a math
+#: domain error; the interpreter re-raises these as ExecutionError.
+RUNTIME_FAILURES = (IndexError, KeyError, ZeroDivisionError, FloatingPointError, ValueError)
 
 
 def _number_sites(program: Program) -> dict[int, tuple[int, Expr]]:

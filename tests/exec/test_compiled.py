@@ -1,12 +1,14 @@
 """Unit tests for the compiling executor."""
 
-import ast
+import math
+import re
 
 import numpy as np
 import pytest
 
+from repro import telemetry
 from repro.errors import ExecutionError
-from repro.exec.compiled import CompiledProgram, run_compiled
+from repro.exec.compiled import CompiledProgram, build, run_compiled
 from repro.exec.events import decode_memory_events
 from repro.experiments.runner import build_program
 from repro.ir.builder import (
@@ -15,6 +17,8 @@ from repro.ir.builder import (
     cgt,
     cne,
     fabs,
+    fmax,
+    fmin,
     idx,
     if_,
     loop,
@@ -24,6 +28,7 @@ from repro.ir.builder import (
 )
 from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from tests.exec.interp import crosscheck_traces, run_interpreted
 from tests.machine.reference import decode_branch_events
 
 N = sym("N")
@@ -163,90 +168,272 @@ class TestTrace:
         assert out.trace is None
 
 
-class TestReservedNames:
-    """Generated code owns the names starting with ``_``: an IR name there
-    is rejected at compile time, naming the identifier."""
-
-    @staticmethod
-    def program_naming(kind: str, name: str) -> Program:
-        if kind == "param":
-            return prog([assign(idx("A", val(1)), sym(name))], params=("N", name))
-        if kind == "array":
-            return prog([assign(idx(name, val(1)), 1.0)], arrays=((name, 1),))
-        if kind == "scalar":
-            return prog([assign(name, 1.0)], scalars=(name,))
-        return prog([loop(name, 1, N, [assign(idx("A", sym(name)), 1.0)])])
-
-    @pytest.mark.parametrize(
-        "kind,name",
-        [("param", "_ma"), ("array", "_mem"), ("scalar", "_c_loads"), ("loop", "_t")],
-    )
-    def test_rejected(self, kind, name):
-        program = self.program_naming(kind, name)
-        for trace in (True, False):
-            with pytest.raises(ExecutionError, match=repr(name)):
-                CompiledProgram(program, trace=trace)
+def _innermost_loops(source: str) -> list[list[str]]:
+    """The body lines of every ``for`` of the generated C that holds no
+    other ``for``."""
+    lines = source.splitlines()
+    loops = []
+    for start, line in enumerate(lines):
+        if not line.lstrip().startswith("for ("):
+            continue
+        close = line[: len(line) - len(line.lstrip())] + "}"
+        end = lines.index(close, start + 1)
+        body = [s.strip() for s in lines[start + 1 : end]]
+        if not any(s.startswith("for (") for s in body):
+            loops.append(body)
+    return loops
 
 
-def _innermost_loops(source: str) -> list[ast.For]:
-    tree = ast.parse(source)
-    return [
-        node
-        for node in ast.walk(tree)
-        if isinstance(node, ast.For)
-        and not any(isinstance(n, ast.For) for n in ast.walk(node) if n is not node)
-    ]
-
-
-def _names(node: ast.AST) -> set[str]:
-    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)}
+#: What the body of an innermost loop may call: the kernel's macros, which
+#: reach the flush callback only when a chunk fills, and math intrinsics.
+_LEAN_CALLS = {"MEM", "BRA", "BOUND", "FAIL", "DIV", "SQRT", "IABS", "MAX", "MIN",
+               "INT64_C", "fabs", "sqrt"}
+_COUNTER = re.compile(r"c_(\w+) \+= \d+;")
 
 
 class TestHotLoop:
     """The innermost loops of generated kernels run little besides their
-    subscript arithmetic, trace appends and real computation."""
+    subscript arithmetic and checks, event appends and real computation."""
 
     @pytest.mark.parametrize("kernel,variant", [("lu", "seq"), ("qr", "tiled_sunk")])
     def test_innermost_loops_are_lean(self, kernel, variant):
         program, _, _ = build_program(kernel, variant, tile=4)
         loops = _innermost_loops(CompiledProgram(program, trace=True).source)
         assert loops
-        for node in loops:
-            # Unconditional costs are added before the loop, and the flush
-            # guard sits in the loops around it.
-            for stmt in node.body:
-                assert not _names(stmt) & {"_flush"}, ast.unparse(stmt)
-                if isinstance(stmt, ast.AugAssign):
-                    assert not stmt.target.id.startswith("_c_"), ast.unparse(stmt)
-            # Every stride product left inside reads a name the loop binds.
-            bound = {node.target.id} | {
-                t.id
-                for n in ast.walk(node)
-                if isinstance(n, ast.Assign)
-                for t in n.targets
-                if isinstance(t, ast.Name) and not t.id.startswith("_")
-            }
-            for n in ast.walk(node):
-                if isinstance(n, ast.BinOp) and isinstance(n.op, ast.Mult):
-                    if isinstance(n.left, ast.Name) and n.left.id.startswith("_s_"):
-                        assert _names(n.right) & bound, ast.unparse(n)
+        for body in loops:
+            # Static costs are added once on entry to each block, one
+            # statement per counter.
+            previous, run = "{", []
+            for stmt in body:
+                if _COUNTER.fullmatch(stmt):
+                    assert previous.endswith("{") or _COUNTER.fullmatch(previous), stmt
+                    run.append(_COUNTER.fullmatch(stmt).group(1))
+                    assert len(set(run)) == len(run), run
+                else:
+                    run = []
+                previous = stmt
+            text = "\n".join(body)
+            assert set(re.findall(r"(\w+)\(", text)) <= _LEAN_CALLS, text
+            # Every stride product reads a subscript computed in the loop.
+            local = set(re.findall(r"const int64_t (t\d+) =", text))
+            for tmp in re.findall(r"s\d+_\d+ \* \((t\d+) - 1\)", text):
+                assert tmp in local, text
 
     def test_lu_update_loop(self):
-        """``A(i,j) = A(i,j) - A(i,k)*A(k,j)``: four appends, one store,
-        and no counter statement at all."""
+        """``A(i,j) = A(i,j) - A(i,k)*A(k,j)``: four memory events, one
+        store, no branch, and one cost statement per counter."""
         program, _, _ = build_program("lu", "seq")
+        update_stmt = re.compile(
+            r"v_A\[t\d+\] = \(v_A\[t\d+\] - \(v_A\[t\d+\] \* v_A\[t\d+\]\)\);"
+        )
         loops = _innermost_loops(CompiledProgram(program, trace=True).source)
-        (update,) = [
-            node
-            for node in loops
-            if any(
-                isinstance(n, ast.Assign)
-                and isinstance(n.targets[0], ast.Subscript)
-                and isinstance(n.value, ast.BinOp)
-                and isinstance(n.value.op, ast.Sub)
-                for n in node.body
-            )
+        (update,) = [b for b in loops if any(update_stmt.fullmatch(s) for s in b)]
+        assert sum(s.startswith("MEM(") for s in update) == 4
+        assert sum(s.startswith("v_A[") for s in update) == 1
+        assert not any(s.startswith("if (") for s in update)
+        assert [s for s in update if _COUNTER.fullmatch(s)] == [
+            "c_loads += 3;",
+            "c_stores += 1;",
+            "c_flops += 2;",
+            "c_intops += 10;",
+            "c_loop_iters += 1;",
         ]
-        calls = [n.func.id for n in ast.walk(update) if isinstance(n, ast.Call)]
-        assert calls == ["_ma"] * 4
-        assert not any(isinstance(n, (ast.AugAssign, ast.If)) for n in ast.walk(update))
+
+
+#: engine name -> run(program, params, inputs, trace=...)
+_ENGINES = {"compiled": run_compiled, "interp": run_interpreted}
+_NAN_FIRST = {"A": np.array([np.nan, 1.0])}
+
+
+def _scalar_prog(*body):
+    """Scalars s (real) and m (integer) over one input array A(2)."""
+    return Program(
+        "sem",
+        ("N",),
+        (ArrayDecl("A", (val(2),)),),
+        (ScalarDecl("s"), ScalarDecl("m", "i8")),
+        tuple(body),
+    )
+
+
+@pytest.mark.parametrize("engine", sorted(_ENGINES))
+@pytest.mark.parametrize(
+    "body,expected",
+    [
+        pytest.param([assign("s", fmax(idx("A", 1), idx("A", 2)))], {"s": math.nan},
+                     id="max-nan-first"),
+        pytest.param([assign("s", fmax(idx("A", 2), idx("A", 1)))], {"s": 1.0},
+                     id="max-nan-second"),
+        pytest.param([assign("s", fmin(idx("A", 1), idx("A", 2)))], {"s": math.nan},
+                     id="min-nan-first"),
+        pytest.param([assign("s", fmin(idx("A", 2), idx("A", 1)))], {"s": 1.0},
+                     id="min-nan-second"),
+        pytest.param([assign("s", fmax(idx("A", 2), idx("A", 1), val(3.0)))], {"s": 3.0},
+                     id="max-folds-left"),
+        pytest.param([assign("s", N / 2)], {"s": 3.5}, id="integer-true-division"),
+        pytest.param([assign("s", idx("A", 2) / 0.0)], "float division by zero",
+                     id="divide-by-zero"),
+        pytest.param([assign("s", idx("A", 2) / -0.0)], "float division by zero",
+                     id="divide-by-negative-zero"),
+        pytest.param([assign("s", N / 0)], "division by zero", id="integer-divide-by-zero"),
+        pytest.param([assign("s", sqrt(val(-1.0)))], "math domain error",
+                     id="sqrt-negative"),
+        pytest.param([assign("s", sqrt(val(-0.0)))], {"s": -0.0}, id="sqrt-negative-zero"),
+        pytest.param([assign("m", -N), assign("m", fabs(sym("m")))], {"m": 7},
+                     id="abs-of-integer"),
+        pytest.param([assign("m", N * 2), assign("s", N * 0.5)], {"m": 14, "s": 3.5},
+                     id="scalar-types"),
+    ],
+)
+def test_python_semantics(engine, body, expected):
+    """Every rule the C keeps from Python, through both engines: the
+    values (NaN and the sign of zero included) and the types of the
+    returned scalars, or the runtime failure."""
+    run = _ENGINES[engine]
+    program = _scalar_prog(*body)
+    if isinstance(expected, str):
+        with pytest.raises(ExecutionError, match=expected):
+            run(program, {"N": 7}, _NAN_FIRST)
+        return
+    scalars = run(program, {"N": 7}, _NAN_FIRST).scalars
+    for name, want in expected.items():
+        assert type(scalars[name]) is type(want), (name, scalars[name])
+        assert repr(scalars[name]) == repr(want), (name, scalars[name])
+    defaults = {"s": 0.0, "m": 0}
+    for name in defaults.keys() - expected.keys():
+        assert repr(scalars[name]) == repr(defaults[name])
+
+
+class TestRuntimeChecks:
+    """What the oracle rejects, the compiled engine rejects too, traced or
+    not, with an ExecutionError."""
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize("step", [-1, 0])
+    def test_non_positive_step(self, engine, trace, step):
+        body = loop("i", N, 1, [assign(idx("A", i), 1.0)], step=step)
+        with pytest.raises(ExecutionError, match=f"non-positive loop step {step}"):
+            _ENGINES[engine](prog([body]), {"N": 5}, trace=trace)
+
+    def test_step_is_evaluated_at_run_time(self):
+        body = loop("i", 1, N, [assign(idx("A", i), 1.0)], step=sym("K"))
+        program = prog([body], params=("N", "K"))
+        assert list(run_compiled(program, {"N": 5, "K": 2}).arrays["A"]) == [1, 0, 1, 0, 1]
+        with pytest.raises(ExecutionError, match="non-positive loop step -2"):
+            run_compiled(program, {"N": 5, "K": -2})
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    @pytest.mark.parametrize("trace", [False, True])
+    @pytest.mark.parametrize(
+        "stmt,bad",
+        [
+            pytest.param(assign(idx("B", i), idx("A", i - 1)), "subscript 0 out of bounds "
+                         r"1\.\.5 in A\(i - 1\)", id="read-below"),
+            pytest.param(assign(idx("B", i + 1), idx("A", i)), "subscript 6 out of bounds "
+                         r"1\.\.5 in B\(i \+ 1\)", id="write-above"),
+        ],
+    )
+    def test_subscript_out_of_bounds(self, engine, trace, stmt, bad):
+        program = prog([loop("i", 1, N, [stmt])], arrays=(("A", 1), ("B", 1)))
+        a0 = np.arange(1.0, 6.0)
+        with pytest.raises(ExecutionError, match=bad):
+            _ENGINES[engine](program, {"N": 5}, {"A": a0}, trace=trace)
+
+    @pytest.mark.parametrize("engine", sorted(_ENGINES))
+    def test_real_subscript(self, engine):
+        # i / 2 is real: the compiled engine rejects it when it compiles,
+        # the oracle when the value is not integral.
+        program = prog([loop("i", 1, N, [assign(idx("A", i / 2), 1.0)])])
+        with pytest.raises(ExecutionError):
+            _ENGINES[engine](program, {"N": 4})
+
+    def test_rejections_name_the_construct(self):
+        with pytest.raises(ExecutionError, match=r"subscript of A\(i/2\)"):
+            CompiledProgram(prog([loop("i", 1, N, [assign(idx("A", i / 2), 1.0)])]))
+        with pytest.raises(ExecutionError, match="integer m assigned the real"):
+            CompiledProgram(_scalar_prog(assign("m", sqrt(N))))
+        with pytest.raises(ExecutionError, match="loop bound"):
+            CompiledProgram(prog([loop("i", 1, N / 2, [assign(idx("A", i), 1.0)])]))
+
+
+def test_names_of_the_generated_code_are_free():
+    """Every IR name is emitted with one prefix, so names the generated C
+    uses itself, C keywords and underscore names all compile."""
+    out, t1, flush = sym("out"), sym("t1"), sym("flush")
+    program = Program(
+        "names",
+        ("out", "_ma"),
+        (ArrayDecl("double", (out,)), ArrayDecl("mem", (out, out))),
+        (ScalarDecl("t1"), ScalarDecl("cap", "i8")),
+        (
+            loop("flush", 1, out, [
+                assign(idx("double", flush), flush * sym("_ma")),
+                loop("int", 1, flush, [
+                    assign(idx("mem", sym("int"), flush), idx("double", sym("int"))),
+                    assign("cap", sym("cap") + 1),
+                ]),
+                assign("t1", t1 + idx("double", flush)),
+            ]),
+        ),
+    )
+    compiled, _ = crosscheck_traces(program, {"out": 4, "_ma": 3})
+    assert compiled.scalars == {"t1": 30.0, "cap": 10}
+
+
+class _Boom(Exception):
+    pass
+
+
+class _FailingSink:
+    def feed(self, chunk):
+        raise _Boom(len(chunk))
+
+
+def test_sink_exception_crosses_the_kernel_unchanged():
+    body = loop("i", 1, N, [assign(idx("A", i), idx("A", i) + 1.0)])
+    cp = CompiledProgram(prog([body]), trace=True)
+    with pytest.raises(_Boom) as raised:
+        cp.run_streaming({"N": 10}, memory_sink=_FailingSink(), chunk_events=4)
+    assert raised.value.args == (4,)  # the first full chunk
+    with pytest.raises(_Boom):  # and a tail that never filled a chunk
+        cp.run_streaming({"N": 10}, memory_sink=_FailingSink(), chunk_events=64)
+
+
+class TestBuilds:
+    """Construction emits C and builds nothing; each source is built once
+    per process, traced and untraced alike, and :func:`build` batches."""
+
+    @pytest.fixture
+    def builds(self):
+        telemetry.reset()
+        telemetry.enable()
+        yield lambda: [s for s in telemetry.spans() if s.name == "exec.compile"]
+        telemetry.disable()
+        telemetry.reset()
+
+    @staticmethod
+    def fresh(tag: float) -> Program:
+        """A program no other test builds (the tag is in its text)."""
+        return prog([loop("i", 1, N, [assign(idx("A", i), idx("A", i) + tag)])])
+
+    def test_first_run_builds_once(self, builds):
+        program = self.fresh(7.0625)
+        traced = CompiledProgram(program, trace=True)
+        untraced = CompiledProgram(program)
+        assert traced.source == untraced.source
+        assert builds() == []
+        traced.run({"N": 3})
+        untraced.run({"N": 3})
+        CompiledProgram(program).run({"N": 3})
+        [span] = builds()
+        assert span.attrs["programs"] == 1 and span.attrs["cached"] is False
+        assert span.attrs["compile_wall_s"] > 0 and span.attrs["compile_cpu_s"] >= 0
+
+    def test_batch_is_one_compiler_call(self, builds):
+        engines = [CompiledProgram(self.fresh(tag)) for tag in (7.125, 7.1875, 7.25)]
+        build(engines + engines[:1])
+        for cp in engines:
+            cp.run({"N": 2})
+        [span] = builds()
+        assert span.attrs["programs"] == 3

@@ -5,8 +5,7 @@ The generator builds small but adversarial programs: nested triangular
 loops that may run zero times, guards, a float accumulator, an integer
 pivot index assigned inside the nest and used in subscripts (LU's ``m``),
 a 2-D array subscripted by outer and inner loop variables, and ``Select``
-arms that load the same element: the shapes whose index arithmetic the
-code generator hoists out of loops or reuses within a straight-line run.
+arms that load the same element.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ import pytest
 
 import numpy as np
 
-from repro.errors import ExecutionError, MachineError
+from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
@@ -28,14 +28,15 @@ class TestMeasure:
             measure_streaming(cp, {"N": 8}, octane2_scaled())
 
     def test_subscript_below_lower_bound_is_rejected(self):
-        """``x = A(0)`` must not wrap to ``A(N)``: the decoded event lies
-        outside the layout, and the error names the array."""
+        """``x = A(0)`` must not wrap to ``A(N)``: the executor checks the
+        subscript before its event reaches the layout, and the error names
+        the reference (the layout's own check is tested on raw events)."""
         p = Program(
             "under", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("x"),),
             (assign("x", idx("A", 0)),),
         )
         cp = CompiledProgram(p, trace=True)
-        with pytest.raises(MachineError, match=r"\bA\[-1\]"):
+        with pytest.raises(ExecutionError, match=r"subscript 0 out of bounds 1\.\.3 in A\(0\)"):
             measure_streaming(
                 cp, {"N": 3}, octane2_scaled(), {"A": np.array([1.0, 2.0, 3.0])}
             )

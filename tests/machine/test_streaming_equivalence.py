@@ -203,16 +203,14 @@ class _SizeRecordingSink(MaterializeSink):
 def test_streaming_executor_reproduces_trace(kernel, variant, tile, chunk_events):
     # Streaming at any chunk size must emit the exact encoded event
     # stream of the materializing run (qr tiled_sunk: a guard trace), and
-    # the memory sink must see exact chunk_events-sized chunks plus one
-    # tail, however far each flush at an iteration boundary overshoots
-    # the cap.
+    # each sink must see exact chunk_events-sized chunks plus one tail.
     program, _, _ = build_program(kernel, variant, tile=tile)
     mod = get_kernel(kernel)
     params = {"N": 10}
     inputs = mod.make_inputs(params, np.random.default_rng(5))
     cp = CompiledProgram(program, trace=True)
     run = cp.run(params, inputs)
-    mem_sink, bra_sink = _SizeRecordingSink(), MaterializeSink()
+    mem_sink, bra_sink = _SizeRecordingSink(), _SizeRecordingSink()
     streamed = cp.run_streaming(
         params,
         inputs,
@@ -222,8 +220,9 @@ def test_streaming_executor_reproduces_trace(kernel, variant, tile, chunk_events
     )
     assert streamed.trace is None
     assert len(mem_sink.sizes) > 1
-    assert set(mem_sink.sizes[:-1]) == {chunk_events}
-    assert 0 < mem_sink.sizes[-1] <= chunk_events
+    for sizes in (mem_sink.sizes, bra_sink.sizes):
+        assert set(sizes[:-1]) <= {chunk_events}
+        assert all(0 < n <= chunk_events for n in sizes[-1:])
     assert np.array_equal(mem_sink.finish(), run.trace.memory)
     assert np.array_equal(bra_sink.finish(), run.trace.branches)
     assert streamed.counters.as_dict() == run.counters.as_dict()

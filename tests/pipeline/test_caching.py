@@ -45,7 +45,7 @@ def test_runner_memos_are_capped_and_clearable(monkeypatch):
     runner.clear_caches()
     assert all(
         cache.maxsize is not None
-        for cache in (runner._memo, runner._built, runner._compiled)
+        for cache in (runner._memo, runner._built, runner._inputs)
     )
     runner.build_program("cholesky", "seq")
     assert len(runner._built) == 1
