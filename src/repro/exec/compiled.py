@@ -8,7 +8,10 @@ loader, and :func:`build` batches programs into one ``cc`` call. One
 object serves traced and untraced runs (tracing is a run-time flag); the
 arrays are column-major ``float64`` buffers. Events go into one ``int64``
 buffer per stream, and a callback feeds each full buffer to its
-:class:`~repro.machine.sinks.TraceSink`.
+:class:`~repro.machine.sinks.TraceSink`. A memory event is the element's
+byte address ``<< 1 | is_write``: each run passes the kernel its
+arrays' bases in :func:`~repro.machine.layout.layout_for_program`, so one
+object serves every problem size.
 
 The C keeps the semantics ``tests/exec/interp.py`` (the oracle) has: ``/``
 is true division, ``max``/``min`` fold left keeping the first operand on
@@ -28,6 +31,9 @@ static counts when it is entered:
 - scalar variables live in registers: no memory events;
 - arithmetic outside subscripts: 1 flop per operator/intrinsic;
 - every ``if`` evaluation: 1 branch event (site-tagged, taken bit);
+- an operand of ``.and.``/``.or.`` after the first runs only when the
+  operands before it leave the result open (its accesses and branches
+  happen only then, as in the oracle); its arithmetic counts in full;
 - every loop iteration: 1 loop_iter + 2 intops (increment, bound check).
 """
 
@@ -50,9 +56,7 @@ from repro.exec.events import (
     Counters,
     RunResult,
     TraceBuffers,
-    check_addressable,
     evaluate_extents,
-    memory_event_base,
 )
 from repro.ir.expr import (
     ArrayRef,
@@ -71,6 +75,7 @@ from repro.ir.expr import (
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, Stmt
 from repro.machine import native
+from repro.machine.layout import ELEMENT_BYTES, layout_for_program
 
 #: The fields of :class:`~repro.exec.events.Counters`, in order.
 _COUNTERS = tuple(f.name for f in fields(Counters))
@@ -110,7 +115,7 @@ typedef int (*flush_fn)(int stream, int64_t n);
 
 _FLUSH = ctypes.CFUNCTYPE(ctypes.c_int, ctypes.c_int, ctypes.c_int64)
 _P = ctypes.c_void_p
-_ARGTYPES = (_P, _P, _P, _P, _P, ctypes.c_int64, ctypes.c_int, _FLUSH, _P, _P)
+_ARGTYPES = (_P, _P, _P, _P, _P, _P, ctypes.c_int64, ctypes.c_int, _FLUSH, _P, _P)
 _NONFINITE = {"inf": "__builtin_inf()", "-inf": "(-__builtin_inf())", "nan": '__builtin_nan("")'}
 
 #: Source digest -> loaded kernel: each source is built once per process.
@@ -209,11 +214,12 @@ class _Codegen:
         return lin
 
     def _access(self, ref: ArrayRef, blk: _Block, is_write: bool) -> str:
-        """The element *ref* addresses, its memory event recorded."""
+        """The element *ref* addresses, its memory event (the element's
+        byte address ``<< 1 | is_write``) recorded."""
         lin = self._linear_index(ref, blk)
         blk.costs["stores" if is_write else "loads"] += 1
-        base = memory_event_base(self.array_ids[ref.name], is_write)
-        blk.emit(f"MEM(INT64_C({base}) + {lin});")
+        write = " + 1" if is_write else ""
+        blk.emit(f"MEM(m{self.array_ids[ref.name]} + {2 * ELEMENT_BYTES} * {lin}{write});")
         return f"v_{ref.name}[{lin}]"
 
     def _expr(self, expr: Expr, blk: _Block, *, in_subscript: bool = False) -> str:
@@ -253,8 +259,23 @@ class _Codegen:
             blk.costs["intops"] += 1
             return f"({lhs} {expr.op} {rhs})"
         if isinstance(expr, (LogicalAnd, LogicalOr)):
-            op = " && " if isinstance(expr, LogicalAnd) else " || "
-            return "(" + op.join(sub(a) for a in expr.args) + ")"
+            # Short-circuit: each operand after the first is a block of its
+            # own that runs only while the operands before it leave the
+            # result open, so its accesses, loads and branches happen only
+            # then; its arithmetic is counted as if it always ran.
+            tmp = self.fresh()
+            blk.emit(f"int64_t {tmp} = {sub(expr.args[0])} != 0;")
+            undecided = tmp if isinstance(expr, LogicalAnd) else f"!{tmp}"
+            for arg in expr.args[1:]:
+                blk.emit(f"if ({undecided}) {{")
+                inner = _Block(blk.indent + "    ")
+                inner.emit(f"{tmp} = {self._expr(arg, inner, in_subscript=in_subscript)} != 0;")
+                for name in ("intops", "flops"):
+                    blk.costs[name] += inner.costs[name]
+                    inner.costs[name] = 0
+                blk.lines += inner.close()
+                blk.emit("}")
+            return tmp
         if isinstance(expr, LogicalNot):
             return f"(!{sub(expr.arg)})"
         if isinstance(expr, Select):
@@ -337,6 +358,7 @@ class _Codegen:
         dims = 0
         for aid, a in enumerate(p.arrays):
             decls.append(f"double *const v_{a.name} = arrays[{aid}];")
+            decls.append(f"const int64_t m{aid} = 2 * bases[{aid}];")
             for d in range(a.rank):
                 decls.append(f"const int64_t e{aid}_{d} = exts[{dims + d}];")
                 if d:
@@ -357,8 +379,8 @@ class _Codegen:
             results.append(f"{'out' if integral else 'fout'}[{_OUT * integral + i}] = v_{s.name};")
         return "\n".join([
             "(const int64_t *params, double *const *arrays, const int64_t *exts,",
-            "    int64_t *mem, int64_t *bra, int64_t cap, int trace, flush_fn flush,",
-            "    int64_t *out, double *fout)",
+            "    const int64_t *bases, int64_t *mem, int64_t *bra, int64_t cap, int trace,",
+            "    flush_fn flush, int64_t *out, double *fout)",
             "{",
             *("    " + line for line in decls),
             *body.close(),
@@ -405,16 +427,17 @@ class CompiledProgram:
         self.source = gen.generate()
         self.digest = hashlib.sha256(self.source.encode()).hexdigest()[:16]
         self.symbol = f"program_{self.digest}"
-        self.array_ids = gen.array_ids
         self.branch_sites = gen.branch_sites
         self._failures = list(gen.failures)
         self._integral = [gen.kinds[s.name] == "i" for s in program.scalars]
 
     def _prepare(
         self, params: Mapping[str, int], inputs: Mapping[str, np.ndarray] | None
-    ) -> tuple[list[int], dict[str, np.ndarray]]:
-        """The parameter values and the storage: one column-major
-        ``float64`` array per array, copied from *inputs* or zero."""
+    ) -> tuple[list[int], dict[str, np.ndarray], list[int]]:
+        """The parameter values, the storage (one column-major ``float64``
+        array per array, copied from *inputs* or zero) and, for a traced
+        run, each array's base address in the run's layout, from which the
+        memory events are written."""
         inputs = inputs or {}
         p = self.program
         missing = set(p.params) - set(params)
@@ -424,11 +447,10 @@ class CompiledProgram:
             values = [operator.index(params[name]) for name in p.params]
         except TypeError as exc:
             raise ExecutionError(f"{p.name}: parameters must be integers ({exc})") from None
+        bases = layout_for_program(p, params).bases if self.trace else {}
         storage: dict[str, np.ndarray] = {}
         for a in p.arrays:
             shape = evaluate_extents(a.extents, params)
-            if self.trace:
-                check_addressable(p.name, a.name, int(np.prod(shape)))
             given = inputs.get(a.name)
             arr = np.array(np.zeros(shape) if given is None else given, np.float64, order="F")
             if arr.shape != shape:
@@ -436,7 +458,7 @@ class CompiledProgram:
             if a.dtype == "i8" and not np.array_equal(arr, np.trunc(arr)):
                 raise ExecutionError(f"input {a.name} of an integer array is not integral")
             storage[a.name] = arr
-        return values, storage
+        return values, storage, [bases.get(a.name, 0) for a in p.arrays]
 
     def _drive(
         self,
@@ -449,7 +471,7 @@ class CompiledProgram:
         """The one execution path behind :meth:`run` and
         :meth:`run_streaming`: seed storage, call the kernel with buffers
         that drain through the sinks, package the result (``trace=None``)."""
-        values, storage = self._prepare(params, inputs)
+        values, storage, bases = self._prepare(params, inputs)
         build([self])
         cap = chunk_events if self.trace else 1
         buffers = (np.empty(cap, dtype=np.int64), np.empty(cap, dtype=np.int64))
@@ -480,6 +502,7 @@ class CompiledProgram:
                 c_array(ctypes.c_int64, values),
                 c_array(ctypes.c_void_p, [a.ctypes.data for a in arrays]),
                 c_array(ctypes.c_int64, [e for a in arrays for e in a.shape]),
+                c_array(ctypes.c_int64, bases),
                 buffers[0].ctypes.data, buffers[1].ctypes.data, cap, self.trace,
                 _FLUSH(flush), out.ctypes.data, fout.ctypes.data,
             )
@@ -502,7 +525,6 @@ class CompiledProgram:
                 for s, (integral, i, f) in zip(self.program.scalars, values)
             },
             counters=Counters(*out[:_LEVELS].tolist()),
-            array_ids=dict(self.array_ids),
             branch_sites=dict(self.branch_sites),
         )
 
@@ -536,8 +558,10 @@ class CompiledProgram:
         ``memory_sink`` / ``branch_sink`` receive 1-D ``int64`` chunks of
         encoded events (see :mod:`repro.exec.events`) in program order;
         a ``None`` sink discards its stream. Each chunk is a view of a
-        buffer the next chunk overwrites, and every chunk of a stream
-        has exactly ``chunk_events`` events except the run's remainder.
+        buffer the next chunk overwrites, so a sink may overwrite it too
+        (:class:`~repro.machine.perfcounters.MemoryPipelineSink` does).
+        Every chunk of a stream has exactly ``chunk_events`` events
+        except the run's remainder.
         An exception a sink raises propagates unchanged. The returned
         :class:`~repro.exec.events.RunResult` has ``trace=None``; the
         caller calls the sinks' ``finish()``.

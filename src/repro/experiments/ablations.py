@@ -30,16 +30,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import astuple, dataclass, replace
-from types import SimpleNamespace
 
 from repro.exec.compiled import CompiledProgram
-from repro.exec.events import decode_memory_events
 from repro.experiments.claims import Claim, render
 from repro.experiments.runner import build_program, measure_recipe, measure_variant, point_inputs
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels import jacobi
 from repro.kernels.registry import get_recipe
-from repro.machine.layout import layout_for_program
 from repro.machine.writeback import WritebackResult, WritebackSink
 from repro.pipeline.passes import TILE, FixDeps, Fuse, Source, Tile
 from repro.pipeline.recipe import VariantRecipe
@@ -239,16 +236,8 @@ def _writeback(variant: str, n: int, config: SweepConfig) -> WritebackResult:
     tile = None if variant == "seq" else config.tile_for(n)
     program, _, _ = build_program("cholesky", variant, tile=tile)
     params, inputs = point_inputs("cholesky", n, config)
-    cp = CompiledProgram(program, trace=True)
-    layout = layout_for_program(program, params)
-    names = {v: k for k, v in cp.array_ids.items()}
     sink = WritebackSink(config.machine.l2)
-
-    def feed(codes) -> None:  # encoded events -> (addresses, is_write)
-        aid, lin, rw = decode_memory_events(codes)
-        sink.feed((layout.addresses(aid, lin, names), rw))
-
-    cp.run_streaming(params, inputs, memory_sink=SimpleNamespace(feed=feed))
+    CompiledProgram(program, trace=True).run_streaming(params, inputs, memory_sink=sink)
     return sink.finish()
 
 

@@ -9,7 +9,7 @@ a chunk, ``finish`` for the totals), and that protocol is the only way
 to drive the model:
 
 - :mod:`repro.machine.layout` — column-major array placement in a flat
-  address space;
+  address space, from which a traced run writes its byte addresses;
 - :mod:`repro.machine.registers` — the register-window load filter;
 - :mod:`repro.machine.cache` — set-associative LRU data-cache simulation;
 - :mod:`repro.machine.hierarchy` — two-level (L1 + unified L2) filtering;
@@ -21,8 +21,8 @@ to drive the model:
 - :mod:`repro.machine.perfcounters` — the end-to-end "perfex" report;
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
   that fuses all trace consumers into one bounded-memory pass;
-- :mod:`repro.machine.native` — the C memory core (decode, layout,
-  register window, L1/L2 and write-back loops), compiled on first use;
+- :mod:`repro.machine.native` — the C memory core (register window,
+  L1/L2 and write-back loops), compiled on first use;
 - :mod:`repro.machine.writeback` — dirty-line write-back counts, read
   only by the write-back ablation (``repro.experiments.ablations``).
 

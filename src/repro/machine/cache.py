@@ -94,26 +94,36 @@ class CacheSink:
 
     def feed(self, addresses: np.ndarray) -> np.ndarray:
         """Replay one chunk; returns the chunk's per-access miss mask."""
-        return replay(self, None, addresses)
+        miss = np.empty(len(addresses), dtype=bool)
+        replay(self, None, addresses, miss)
+        return miss
 
     def finish(self) -> CacheResult:
         """Access and miss totals of the whole stream."""
         return CacheResult(self._accesses, self._misses)
 
 
-def replay(l1: CacheSink, l2: CacheSink | None, addresses: np.ndarray) -> np.ndarray:
+def replay(
+    l1: CacheSink, l2: CacheSink | None, addresses: np.ndarray, miss: np.ndarray | None = None
+) -> None:
     """Replay one chunk through *l1* and, in order, its misses through
-    *l2* (if any) in one C call; returns the chunk's *l1* miss mask."""
+    *l2* (if any) in one C call; writes the *l1* miss mask into *miss*
+    (a ``bool`` array of the chunk's length) if one is given."""
     addresses = np.asarray(addresses)
     if addresses.ndim != 1:
         raise MachineError("addresses must be a 1-D array")
     addresses = np.ascontiguousarray(addresses, dtype=np.int64)
     n = len(addresses)
-    miss = np.empty(n, dtype=bool)
+    if miss is not None and not (
+        miss.dtype == bool and miss.shape == (n,) and miss.flags.c_contiguous
+        and miss.flags.writeable
+    ):
+        raise MachineError(f"the miss mask must be a writable contiguous bool array of {n}")
     l2_misses = ctypes.c_int64(0)
     misses = native.lib().cache(
         *l1._level, *(l2._level if l2 else (None, 0, 0, 0)),
-        addresses.ctypes.data, n, miss.ctypes.data, ctypes.byref(l2_misses),
+        addresses.ctypes.data, n, None if miss is None else miss.ctypes.data,
+        ctypes.byref(l2_misses),
     )
     if misses < 0:
         raise MachineError("addresses must be non-negative")
@@ -122,4 +132,3 @@ def replay(l1: CacheSink, l2: CacheSink | None, addresses: np.ndarray) -> np.nda
     if l2 is not None:
         l2._accesses += misses
         l2._misses += l2_misses.value
-    return miss

@@ -9,8 +9,9 @@ chunk goes through one C loop (:func:`~repro.machine.cache.replay`) that
 walks every access through L1's per-set MRU lists and, on an L1 miss,
 straight on through L2's, so L2 sees the misses in program order without
 a second pass. The loop is compiled once per key (C source, compiler,
-flags) by :mod:`repro.machine.native`. ``feed`` returns each chunk's L1
-miss mask; ``finish`` returns the miss totals.
+flags) by :mod:`repro.machine.native`. ``feed`` writes no per-access
+mask (:class:`~repro.machine.cache.CacheSink` returns one for a single
+level); ``finish`` returns the miss totals.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ class HierarchySink:
         self._l1 = CacheSink(l1)
         self._l2 = CacheSink(l2)
 
-    def feed(self, addresses: np.ndarray) -> np.ndarray:
-        """Replay one chunk; returns its L1 miss mask."""
-        return replay(self._l1, self._l2, addresses)
+    def feed(self, addresses: np.ndarray) -> None:
+        """Replay one chunk of byte addresses."""
+        replay(self._l1, self._l2, addresses)
 
     def finish(self) -> HierarchyResult:
         """Accumulated miss statistics."""

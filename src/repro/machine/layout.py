@@ -1,9 +1,10 @@
 """Mapping array elements to machine addresses.
 
-The paper's kernels are Fortran programs (column-major); the executor's
-memory trace carries ``(array_id, linear_index)`` pairs where the linear
-index is already the column-major element offset. This module assigns each
-array a base address and turns traces into address streams.
+The paper's kernels are Fortran programs (column-major). This module
+assigns each array a base address; a traced run writes each access as
+its element's byte address (``base + 8 * column-major offset``; see
+:mod:`repro.exec.events` for the event form), so the memory trace is the
+address stream the machine model replays.
 
 Base placement matters for cache behaviour (the paper's problem-size sweep
 is designed to expose pathological conflict cases); arrays are placed
@@ -13,15 +14,18 @@ allocator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.errors import MachineError
-from repro.machine import native
+from repro.errors import ExecutionError, MachineError
 
 #: Size of a double-precision element (all paper kernels use doubles).
 ELEMENT_BYTES = 8
+#: Every byte address must lie below this: a memory event is
+#: ``address << 1 | is_write`` in one ``int64``.
+ADDRESS_LIMIT = 1 << 62
 
 
 @dataclass(frozen=True)
@@ -55,75 +59,32 @@ class MemoryLayout:
             cursor += count * element_bytes
         return MemoryLayout(bases, dict(sizes), element_bytes)
 
-    def addresses(
-        self, array_ids: np.ndarray, linear: np.ndarray, id_to_name: dict[int, str]
-    ) -> np.ndarray:
-        """Byte addresses of a whole trace of decoded (hence non-negative)
-        linear indices, in one C loop (``layout`` in ``native.c``).
-
-        Raises :class:`MachineError`, naming the array and index, for the
-        first event outside the layout: an array id *id_to_name* does not
-        map, or an index past the end of its array. Only the flat index is
-        checked: a subscript that overflows one dimension but stays inside
-        the array (``A(N+1, 1)`` is ``A(1, 2)``) addresses a real element
-        and passes.
-        """
-        n = max(id_to_name, default=-1) + 1
-        base_by_id = np.zeros(n, dtype=np.int64)
-        size_by_id = np.zeros(n, dtype=np.int64)  # unmapped ids hold nothing
-        for aid, name in id_to_name.items():
-            base_by_id[aid] = self.bases[name]
-            size_by_id[aid] = self.sizes[name]
-        array_ids = np.ascontiguousarray(array_ids, dtype=np.int64)
-        linear = np.ascontiguousarray(linear, dtype=np.int64)
-        if len(linear) != len(array_ids):
-            raise MachineError(
-                f"{len(array_ids)} array ids but {len(linear)} linear indices"
-            )
-        out = np.empty(len(array_ids), dtype=np.int64)
-        bad = native.lib().layout(
-            array_ids.ctypes.data, linear.ctypes.data, len(array_ids),
-            base_by_id.ctypes.data, size_by_id.ctypes.data, n,
-            self.element_bytes, out.ctypes.data,
-        )
-        if bad >= 0:
-            raise self._outside(int(array_ids[bad]), int(linear[bad]), id_to_name)
-        return out
-
-    def _outside(self, aid: int, lin: int, id_to_name: dict[int, str]) -> MachineError:
-        """The error for one decoded event outside the layout."""
-        from repro.exec.events import ADDR_BITS
-
-        name = id_to_name.get(aid)
-        if name is None:
-            msg = f"array id {aid} (index {lin}) is not in the layout"
-        else:
-            msg = f"{name}[{lin}] outside 0..{self.sizes[name] - 1}"
-        if lin >= 1 << (ADDR_BITS - 1):
-            # A negative index borrows from the event code's array-id
-            # bits: this event is a read of array aid+1 or a write of aid.
-            off = lin - (1 << ADDR_BITS)
-            guesses = [
-                f"{verb} {id_to_name[a]}[{off}]"
-                for verb, a in (("a read of", aid + 1), ("a write of", aid))
-                if a in id_to_name
-            ]
-            if guesses:
-                msg += f"; likely a negative index: {' or '.join(guesses)}"
-        return MachineError(msg)
+    # Kept only for perfbench/tracer.py, which wraps it by name; not on the production path.
+    def addresses(self, name: str, linear: np.ndarray) -> np.ndarray:
+        """Byte addresses of the elements *linear* of array *name*."""
+        return self.bases[name] + self.element_bytes * np.asarray(linear, dtype=np.int64)
 
 
 def layout_for_program(program, params, *, align: int = 128) -> MemoryLayout:
-    """Build the layout of *program*'s arrays at concrete *params*.
+    """Build the layout of *program*'s arrays at concrete *params*: the one
+    layout a traced run writes its addresses from.
 
-    Deterministic given (program, params) — usable before a run even
-    starts, which is what lets the streaming pipeline map addresses
-    chunk-by-chunk while the program is still executing.
+    Raises :class:`~repro.errors.ExecutionError`, naming the program and
+    the array, if an array's last byte lies at or past
+    :data:`ADDRESS_LIMIT`.
     """
     from repro.exec.events import evaluate_extents
 
-    sizes: dict[str, int] = {}
-    for decl in program.arrays:
-        shape = evaluate_extents(decl.extents, params)
-        sizes[decl.name] = int(np.prod(shape))
-    return MemoryLayout.build(sizes, align=align)
+    sizes = {
+        decl.name: math.prod(evaluate_extents(decl.extents, params))
+        for decl in program.arrays
+    }
+    layout = MemoryLayout.build(sizes, align=align)
+    for name, base in layout.bases.items():
+        last = base + layout.sizes[name] * layout.element_bytes - 1
+        if last >= ADDRESS_LIMIT:
+            raise ExecutionError(
+                f"{program.name}: array {name} ends at byte address {last}; memory "
+                f"events need every address below 2**62 ({ADDRESS_LIMIT})"
+            )
+    return layout

@@ -1,37 +1,9 @@
-/* The machine model's memory core: sequential loops over one chunk,
- * loaded by repro/machine/native.py. The Python entry points own the state
- * arrays carried across chunks; every loop must equal the per-access
- * oracles in tests/machine/reference.py bit for bit. */
+/* The machine model's memory core: sequential loops over one chunk of
+ * memory events (event = byte_address << 1 | is_write), loaded by
+ * repro/machine/native.py. The Python entry points own the state arrays
+ * carried across chunks; every loop must equal the per-access oracles in
+ * tests/machine/reference.py bit for bit. */
 #include <stdint.h>
-
-/* code = ((array_id * 2 + is_write) << addr_bits) | linear_index */
-void decode(const int64_t *codes, int64_t n, int64_t addr_bits,
-            int64_t *aid, int64_t *lin, uint8_t *write)
-{
-    const int64_t mask = ((int64_t)1 << addr_bits) - 1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t head = codes[i] >> addr_bits;
-        aid[i] = head >> 1;
-        lin[i] = codes[i] & mask;
-        write[i] = (uint8_t)(head & 1);
-    }
-}
-
-/* out = base[aid] + lin * element_bytes. Returns the position of the first
- * event outside the layout (id not in 0..nids-1, or index past its array's
- * size), or -1. */
-int64_t layout(const int64_t *aid, const int64_t *lin, int64_t n,
-               const int64_t *base, const int64_t *size, int64_t nids,
-               int64_t element_bytes, int64_t *out)
-{
-    for (int64_t i = 0; i < n; i++) {
-        int64_t a = aid[i];
-        if ((uint64_t)a >= (uint64_t)nids || (uint64_t)lin[i] >= (uint64_t)size[a])
-            return i;
-        out[i] = base[a] + lin[i] * element_bytes;
-    }
-    return -1;
-}
 
 static inline uint64_t slot_hash(int64_t e, int64_t hbits)
 {
@@ -43,22 +15,29 @@ static inline uint64_t slot_hash(int64_t e, int64_t hbits)
  * table of 2**hbits entries (linear probing). State, -1 meaning "none":
  *   [used, head (most recent), tail | elem | prev | next (cap each) | table]
  * A resident element moves to the head; any other takes a free slot or
- * evicts the tail's. Loads to resident elements are elided (keep = 0);
- * returns their count. */
+ * evicts the tail's. Loads to resident elements are elided; the byte
+ * addresses of the other events go to out[0..kept), in order, and the
+ * count kept is returned. out may be events itself: event i is read
+ * before out[i] can be written. */
 int64_t regfilter(int64_t *st, int64_t cap, int64_t hbits,
-                  const int64_t *addr, const uint8_t *write, int64_t n,
-                  int64_t element_shift, uint8_t *keep)
+                  const int64_t *events, int64_t n, int64_t element_shift,
+                  int64_t *out)
 {
+    if (cap == 0) {
+        for (int64_t i = 0; i < n; i++)
+            out[i] = events[i] >> 1;
+        return n;
+    }
     int64_t *elem = st + 3, *prev = elem + cap, *next = prev + cap, *table = next + cap;
     const uint64_t hmask = ((uint64_t)1 << hbits) - 1;
-    int64_t used = st[0], head = st[1], tail = st[2], elided = 0;
+    int64_t used = st[0], head = st[1], tail = st[2], kept = 0;
     for (int64_t i = 0; i < n; i++) {
-        int64_t e = addr[i] >> element_shift, s;
+        int64_t ev = events[i], e = ev >> (element_shift + 1), s;
         uint64_t h = slot_hash(e, hbits);
         while ((s = table[h]) >= 0 && elem[s] != e)
             h = (h + 1) & hmask;
-        keep[i] = s < 0 || write[i];
-        elided += !keep[i];
+        out[kept] = ev >> 1;
+        kept += s < 0 || (ev & 1);
         if (s >= 0) {
             if (s == head)
                 continue;
@@ -104,7 +83,7 @@ int64_t regfilter(int64_t *st, int64_t cap, int64_t hbits,
     st[0] = used;
     st[1] = head;
     st[2] = tail;
-    return elided;
+    return kept;
 }
 
 /* One set-associative LRU level: each set's resident lines, most recent
@@ -128,8 +107,9 @@ static inline int cache_access(int64_t *ways, int64_t nsets, int64_t assoc, int6
 }
 
 /* Byte addresses through L1 (ways1) and each L1 miss, in order, through L2
- * (ways2; nsets2 = 0 for a single level). Writes the L1 miss mask and
- * *l2_misses; returns the L1 miss count, or -1 at a negative address. */
+ * (ways2; nsets2 = 0 for a single level). Writes the L1 miss mask if miss
+ * is not NULL, and *l2_misses; returns the L1 miss count, or -1 at a
+ * negative address. */
 int64_t cache(int64_t *ways1, int64_t nsets1, int64_t assoc1, int64_t shift1,
               int64_t *ways2, int64_t nsets2, int64_t assoc2, int64_t shift2,
               const int64_t *addr, int64_t n, uint8_t *miss, int64_t *l2_misses)
@@ -139,7 +119,8 @@ int64_t cache(int64_t *ways1, int64_t nsets1, int64_t assoc1, int64_t shift1,
         if (addr[i] < 0)
             return -1;
         int m = cache_access(ways1, nsets1, assoc1, addr[i] >> shift1);
-        miss[i] = (uint8_t)m;
+        if (miss)
+            miss[i] = (uint8_t)m;
         misses1 += m;
         if (m && nsets2)
             misses2 += cache_access(ways2, nsets2, assoc2, addr[i] >> shift2);
@@ -148,20 +129,20 @@ int64_t cache(int64_t *ways1, int64_t nsets1, int64_t assoc1, int64_t shift1,
     return misses1;
 }
 
-/* One write-allocate, write-back LRU level: `ways` as in cache(), plus a
- * dirty flag per way that moves with its line. A store dirties its line;
- * a miss evicts the set's last way, and a dirty victim adds one to
- * *writebacks. Writes the miss mask; returns the miss count, or -1 at a
- * negative address. */
+/* One write-allocate, write-back LRU level over memory events: `ways` as
+ * in cache(), plus a dirty flag per way that moves with its line. A store
+ * dirties its line; a miss evicts the set's last way, and a dirty victim
+ * adds one to *writebacks. Writes the miss mask; returns the miss count,
+ * or -1 at a negative address. */
 int64_t writeback(int64_t *ways, uint8_t *dirty, int64_t nsets, int64_t assoc,
-                  int64_t shift, const int64_t *addr, const uint8_t *write,
-                  int64_t n, uint8_t *miss, int64_t *writebacks)
+                  int64_t shift, const int64_t *events, int64_t n, uint8_t *miss,
+                  int64_t *writebacks)
 {
     int64_t misses = 0, evicted = 0;
     for (int64_t i = 0; i < n; i++) {
-        if (addr[i] < 0)
+        if (events[i] < 0)
             return -1;
-        int64_t line = addr[i] >> shift, set = assoc * set_of(nsets, line);
+        int64_t line = events[i] >> (shift + 1), set = assoc * set_of(nsets, line);
         int64_t *w = ways + set;
         uint8_t *d = dirty + set;
         int64_t k = 0;
@@ -175,7 +156,7 @@ int64_t writeback(int64_t *ways, uint8_t *dirty, int64_t nsets, int64_t assoc,
             d[k] = d[k - 1];
         }
         w[0] = line;
-        d[0] = (uint8_t)((!m & was_dirty) | write[i]);
+        d[0] = (uint8_t)((!m & was_dirty) | (events[i] & 1));
         miss[i] = (uint8_t)m;
         misses += m;
     }

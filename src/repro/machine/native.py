@@ -1,6 +1,6 @@
 """The one loader of compiled C: the machine model's memory core
-(``native.c``; :func:`lib`: decode, layout, register window, L1/L2 and
-the write-back level) and the programs :mod:`repro.exec.compiled` emits.
+(``native.c``; :func:`lib`: register window, L1/L2 and the write-back
+level) and the programs :mod:`repro.exec.compiled` emits.
 
 :func:`build` compiles C with ``cc <opt> -ffp-contract=off -shared -fPIC``
 (``-O2`` for the core; ``-O1`` for programs, whose compile time counts
@@ -41,11 +41,9 @@ FLAGS = ("-ffp-contract=off", "-shared", "-fPIC")
 _P, _I = ctypes.c_void_p, ctypes.c_int64
 #: name -> (argument types, result type) of every entry point of the core.
 _SIGNATURES = {
-    "decode": ((_P, _I, _I, _P, _P, _P), None),
-    "layout": ((_P, _P, _I, _P, _P, _I, _I, _P), _I),
-    "regfilter": ((_P, _I, _I, _P, _P, _I, _I, _P), _I),
+    "regfilter": ((_P, _I, _I, _P, _I, _I, _P), _I),
     "cache": ((_P, _I, _I, _I, _P, _I, _I, _I, _P, _I, _P, _P), _I),
-    "writeback": ((_P, _P, _I, _I, _I, _P, _P, _I, _P, _P), _I),
+    "writeback": ((_P, _P, _I, _I, _I, _P, _I, _P, _P), _I),
 }
 
 _lib: ctypes.CDLL | None = None

@@ -2,10 +2,10 @@
 
 :func:`measure_streaming` executes a compiled program and drives the whole
 machine model in a single fused pass over bounded trace chunks — the trace
-never exists as one object. It lays the arrays out in memory, replays the
-memory trace through the register filter and cache hierarchy and the
-branch trace through the 2-bit predictor, and aggregates cycles with the
-cost model — yielding every observable the paper's Figures 5–8 plot. The
+never exists as one object. It replays the memory trace (byte addresses
+in the run's layout) through the register filter and cache hierarchy and
+the branch trace through the 2-bit predictor, and aggregates cycles with
+the cost model — yielding every observable the paper's Figures 5–8 plot. The
 sinks are chunking-invariant and the pipeline preserves program order, so
 the report equals the one the per-access oracles compute from the whole
 trace; the golden corpus (``tests/golden/corpus.json``) stores that
@@ -20,13 +20,12 @@ from typing import Mapping
 import numpy as np
 
 from repro import telemetry
-from repro.exec.events import Counters, RunResult, decode_memory_events
+from repro.exec.events import Counters, RunResult
 from repro.ir.program import Program
 from repro.machine import native
 from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.configs import MachineConfig
 from repro.machine.hierarchy import HierarchyResult, HierarchySink
-from repro.machine.layout import MemoryLayout, layout_for_program
 from repro.machine.registers import RegisterFilterSink
 from repro.telemetry.instrument import stage_clock
 
@@ -70,40 +69,37 @@ class PerfReport:
         }
 
 
-class MemoryPipelineSink:
-    """Fused memory-side pipeline over encoded memory-event chunks.
+# Kept only for perfbench/tracer.py, which wraps this name; not on the production path.
+def decode_memory_events(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split memory events into (byte addresses, is_write)."""
+    events = np.asarray(events, dtype=np.int64)
+    return events >> 1, (events & 1).astype(bool)
 
-    Each chunk flows decode → address mapping → register filter →
-    L1 → L2 in one pass, one C loop per stage (:mod:`repro.machine.native`).
-    With telemetry enabled, each stage's time, events and chunks are
-    recorded as a ``machine.memory.{decode,layout,regfilter,l1l2}`` span
+
+class MemoryPipelineSink:
+    """Fused memory-side pipeline over memory-event chunks.
+
+    Each chunk flows register filter → L1 → L2 in one pass, one C loop
+    per stage (:mod:`repro.machine.native`). The filter compacts the
+    survivors' byte addresses in place into the chunk, which ``feed``
+    therefore overwrites: the producer's buffer carries the chunk from
+    production to L2. With telemetry enabled, each stage's time, events
+    and chunks are recorded as a ``machine.memory.{regfilter,l1l2}`` span
     under the ``exec.run`` span that fed the chunks.
     """
 
-    def __init__(
-        self,
-        machine: MachineConfig,
-        layout: MemoryLayout,
-        id_to_name: dict[int, str],
-    ):
+    def __init__(self, machine: MachineConfig):
         native.lib()  # build or load the C core before any stage is timed
-        self._layout = layout
-        self._id_to_name = id_to_name
         self._registers = RegisterFilterSink(machine.registers)
         self._hierarchy = HierarchySink(machine.l1, machine.l2)
         self._clock = stage_clock("machine.memory")
 
-    def feed(self, codes: np.ndarray) -> None:
-        """Push one encoded chunk through the whole memory pipeline."""
+    def feed(self, events: np.ndarray) -> None:
+        """Push one chunk through the whole memory pipeline."""
         clock = self._clock
         clock.start()
-        aid, lin, rw = decode_memory_events(codes)
-        clock.lap("decode", len(codes))
-        addresses = self._layout.addresses(aid, lin, self._id_to_name)
-        clock.lap("layout", len(addresses))
-        keep = self._registers.feed((addresses, rw))
-        clock.lap("regfilter", len(addresses))
-        to_memory = addresses[keep]
+        to_memory = self._registers.feed((events, events))
+        clock.lap("regfilter", len(events))
         self._hierarchy.feed(to_memory)
         clock.lap("l1l2", len(to_memory))
 
@@ -165,9 +161,7 @@ def measure_streaming(
     with telemetry.span(
         "machine.measure_streaming", program=program.name, machine=machine.name
     ):
-        layout = layout_for_program(program, params)
-        id_to_name = {v: k for k, v in compiled.array_ids.items()}
-        memory_sink = MemoryPipelineSink(machine, layout, id_to_name)
+        memory_sink = MemoryPipelineSink(machine)
         branch_sink = TwoBitPredictorSink()
         kwargs = {} if chunk_events is None else {"chunk_events": chunk_events}
         result = compiled.run_streaming(

@@ -15,15 +15,17 @@ The model is a fully-associative LRU window of *element* addresses:
 - stores always reach memory (write-through towards the cache model) and
   make their element register-resident (store-to-load forwarding).
 
-:class:`RegisterFilterSink` is the model: ``feed`` returns each chunk's
-to-memory mask, ``finish`` the number of elided loads.
+:class:`RegisterFilterSink` is the model: ``feed`` compacts each chunk
+of memory events (``byte_address << 1 | is_write``, see
+:mod:`repro.exec.events`) to the byte addresses that go to memory,
+``finish`` returns the number of elided loads.
 
 **Engine.** ``feed`` hands each chunk to one C loop (``regfilter`` in
 ``native.c``, built by :mod:`repro.machine.native` under a key of the C
 source, the compiler and its flags): a linked recency list over
 ``capacity`` slots plus an element → slot hash table, so hits and
-evictions are O(1). Its state array carries across chunks, so the masks
-equal the per-access LRU walk's bit for bit on any chunking.
+evictions are O(1). Its state array carries across chunks, so the
+survivors equal the per-access LRU walk's on any chunking.
 """
 
 from __future__ import annotations
@@ -38,11 +40,13 @@ ELEMENT_SHIFT = 3
 
 
 class RegisterFilterSink:
-    """Streaming LRU register window over ``(addresses, is_write)`` chunks.
+    """Streaming LRU register window over ``(events, out)`` chunks.
 
-    ``feed`` returns the chunk's keep mask (``True`` where the access goes
-    to memory) so the fused pipeline can filter the address stream before
-    the cache hierarchy; the window itself persists across chunks.
+    ``feed`` writes the byte addresses of the chunk's events that go to
+    memory, in order, to the front of ``out`` (which may be ``events``
+    itself: the filter compacts in place) and returns them as a view, so
+    the fused pipeline hands the survivors to the cache hierarchy without
+    a copy; the window itself persists across chunks.
     """
 
     def __init__(self, capacity: int = 32):
@@ -59,25 +63,24 @@ class RegisterFilterSink:
         self._hits = 0
 
     def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Filter one chunk; returns its boolean to-memory mask."""
-        addresses, is_write = chunk
-        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        writes = np.ascontiguousarray(is_write, dtype=bool)
-        n = len(addresses)
-        if len(writes) != n:
+        """Filter one chunk; returns the survivors' addresses, ``out[:kept]``."""
+        events, out = chunk
+        events = np.ascontiguousarray(events, dtype=np.int64)
+        n = len(events)
+        if not (
+            isinstance(out, np.ndarray) and out.dtype == np.int64
+            and out.flags.c_contiguous and out.flags.writeable and len(out) >= n
+        ):
             raise MachineError(
-                f"register filter chunk has {n} addresses but "
-                f"{len(writes)} write flags"
+                f"register filter output must be a writable contiguous int64 "
+                f"array of at least {n} elements"
             )
-        if self.capacity == 0 or n == 0:
-            return np.ones(n, dtype=bool)
-        keep = np.empty(n, dtype=bool)
-        self._hits += native.lib().regfilter(
+        kept = native.lib().regfilter(
             self._state.ctypes.data, self.capacity, self._table_bits,
-            addresses.ctypes.data, writes.ctypes.data, n, ELEMENT_SHIFT,
-            keep.ctypes.data,
+            events.ctypes.data, n, ELEMENT_SHIFT, out.ctypes.data,
         )
-        return keep
+        self._hits += n - kept
+        return out[:kept]
 
     def finish(self) -> int:
         """Number of loads elided by register reuse."""

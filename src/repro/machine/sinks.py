@@ -16,25 +16,28 @@ The protocol is deliberately tiny::
 
 Chunk types are stream-specific (duck-typed, per sink class):
 
-- **encoded event chunks** — 1-D ``int64`` arrays straight from the
-  executor (see :mod:`repro.exec.events` for the encodings). Consumed by
-  :class:`~repro.machine.perfcounters.MemoryPipelineSink` and the branch
-  predictor sinks.
+- **event chunks** — 1-D ``int64`` arrays straight from the executor
+  (see :mod:`repro.exec.events`): memory events ``byte_address << 1 |
+  is_write``, consumed by
+  :class:`~repro.machine.perfcounters.MemoryPipelineSink` and
+  :class:`~repro.machine.writeback.WritebackSink`, and branch events,
+  consumed by the branch predictor sink.
 - **address chunks** — 1-D ``int64`` byte-address arrays. Consumed by
   :class:`~repro.machine.cache.CacheSink` and
   :class:`~repro.machine.hierarchy.HierarchySink`.
-- **access chunks** — ``(addresses, is_write)`` pairs. Consumed by
-  :class:`~repro.machine.registers.RegisterFilterSink` and
-  :class:`~repro.machine.writeback.WritebackSink`.
+- **filter chunks** — ``(events, out)`` pairs of memory events and the
+  ``int64`` buffer their survivors' addresses are compacted into (it may
+  be ``events`` itself). Consumed by
+  :class:`~repro.machine.registers.RegisterFilterSink`.
 
 Sinks must be chunking-invariant: feeding one big chunk or many small ones
 in the same order yields bit-identical results (the equivalence tests
 exercise exactly this property).
 
 Sinks are the machine model's only interface. There is no separate
-whole-trace API: a caller holding a whole trace feeds it as one chunk,
-and a caller that wants per-access outcomes keeps the masks ``feed``
-returns.
+whole-trace API: a caller holding a whole trace feeds it as one chunk.
+``CacheSink`` and ``WritebackSink`` return a per-access miss mask from
+``feed``; the production path writes none.
 """
 
 from __future__ import annotations

@@ -43,9 +43,10 @@ class WritebackResult:
 class WritebackSink:
     """Streaming write-allocate/write-back replay.
 
-    Consumes ``(addresses, is_write)`` chunks; each set's resident lines
-    (most recent first, ``-1`` = empty way) and their dirty flags persist
-    across chunks.
+    Consumes chunks of memory events (``byte_address << 1 | is_write``,
+    see :mod:`repro.exec.events`), so a traced run streams straight into
+    it; each set's resident lines (most recent first, ``-1`` = empty way)
+    and their dirty flags persist across chunks.
     """
 
     def __init__(self, config: CacheConfig):
@@ -55,21 +56,16 @@ class WritebackSink:
         self._writebacks = ctypes.c_int64(0)
         self._miss_count = 0
 
-    def feed(self, chunk: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
-        """Replay one chunk; returns its per-access miss mask."""
-        addresses, is_write = chunk
-        if len(addresses) != len(is_write):
-            raise MachineError("addresses and is_write must align")
-        addresses = np.ascontiguousarray(addresses, dtype=np.int64)
-        writes = np.ascontiguousarray(is_write, dtype=bool)
-        n = len(addresses)
+    def feed(self, events: np.ndarray) -> np.ndarray:
+        """Replay one chunk of memory events; returns its miss mask."""
+        events = np.ascontiguousarray(events, dtype=np.int64)
+        n = len(events)
         miss = np.empty(n, dtype=bool)
         config = self.config
         misses = native.lib().writeback(
             self._ways.ctypes.data, self._dirty.ctypes.data,
             config.num_sets, config.assoc, config.line_shift,
-            addresses.ctypes.data, writes.ctypes.data, n,
-            miss.ctypes.data, ctypes.byref(self._writebacks),
+            events.ctypes.data, n, miss.ctypes.data, ctypes.byref(self._writebacks),
         )
         if misses < 0:
             raise MachineError("addresses must be non-negative")

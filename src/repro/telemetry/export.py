@@ -169,8 +169,6 @@ def render_tree(spans: list[Span]) -> str:
 #: events.
 POINT_LAYERS = {
     "produce": "exec.run",
-    "decode": "machine.memory.decode",
-    "layout": "machine.memory.layout",
     "regfilter": "machine.memory.regfilter",
     "l1l2": "machine.memory.l1l2",
     "branch": "machine.branch",
@@ -207,7 +205,7 @@ def render_point_table(spans: list[Span]) -> str:
             events[path[-1]] += node.events
         if "exec.run" not in seconds:
             continue
-        events["exec.run"] = events["machine.memory.decode"]
+        events["exec.run"] = events["machine.memory.regfilter"]
         row = [point.attrs.get("kernel"), point.attrs.get("variant"), point.attrs.get("n"),
                events["exec.run"]]
         for name in POINT_LAYERS.values():

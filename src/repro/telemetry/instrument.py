@@ -1,15 +1,14 @@
 """The one sink timer: :class:`StageClock`.
 
 A sink times the stages *inside* its ``feed`` (the fused memory
-pipeline's decode, layout, register filter and L1/L2; the branch
-predictor's one stage) with one clock read per stage per chunk. At
-``finish`` the clock records one ``<prefix>.<stage>`` span per stage,
-carrying the stage's accumulated time and its ``events`` and ``chunks``
-counts, parented to the span that was open at its first ``start()``
-(``exec.run``, which feeds the sinks): so ``exec.run``'s self time is
-trace production alone. A clock that never lapped records nothing. With
-telemetry off, :func:`stage_clock` returns a clock whose methods do
-nothing.
+pipeline's register filter and L1/L2; the branch predictor's one stage)
+with one clock read per stage per chunk. At ``finish`` the clock
+records one ``<prefix>.<stage>`` span per stage, carrying the stage's
+accumulated time and its ``events`` and ``chunks`` counts, parented to
+the span that was open at its first ``start()`` (``exec.run``, which
+feeds the sinks): so ``exec.run``'s self time is trace production alone.
+A clock that never lapped records nothing. With telemetry off,
+:func:`stage_clock` returns a clock whose methods do nothing.
 """
 
 from __future__ import annotations

@@ -8,9 +8,12 @@ static-cost scheme, so the event counts can be cross-checked too (flop /
 intop classification is codegen-specific and left at zero here).
 
 A traced interpretation records memory and branch events in the
-:mod:`repro.exec.events` encoding, with branch sites numbered in the
-compiler's order (pre-order over the IR, a statement's value before its
-target), so the two engines' traces can be compared event for event.
+:mod:`repro.exec.events` encoding (memory events from the same
+:func:`~repro.machine.layout.layout_for_program` the compiled engine
+uses), with branch sites numbered in the compiler's order (pre-order over
+the IR, a statement's value before its target), so the two engines'
+traces can be compared event for event. A scalar holds its declared type
+(``i8``: ``int``, otherwise ``float``), as the compiled engine's does.
 
 :data:`CHECKED_COUNTERS` names the counters both engines maintain;
 :func:`crosscheck_engines` compares one program's two runs on them and on
@@ -27,13 +30,7 @@ import numpy as np
 
 from repro.errors import ExecutionError, ValidationError
 from repro.exec.compiled import run_compiled
-from repro.exec.events import (
-    Counters,
-    RunResult,
-    TraceBuffers,
-    evaluate_extents,
-    memory_event_base,
-)
+from repro.exec.events import Counters, RunResult, TraceBuffers, evaluate_extents
 from repro.exec.validate import compare_outputs
 from repro.ir.expr import (
     ArrayRef,
@@ -51,6 +48,7 @@ from repro.ir.expr import (
 )
 from repro.ir.program import Program
 from repro.ir.stmt import Assign, If, Loop, Stmt
+from repro.machine.layout import ELEMENT_BYTES, layout_for_program
 
 #: Event counters that both execution engines maintain independently.
 CHECKED_COUNTERS = ("loads", "stores", "branches", "loop_iters")
@@ -105,7 +103,8 @@ class _Interp:
     ):
         self.program = program
         self.counters = Counters()
-        self.array_ids = {a.name: i for i, a in enumerate(program.arrays)}
+        #: Each array's base byte address, or None when not tracing.
+        self.bases = layout_for_program(program, params).bases if trace else None
         #: Encoded events, or None when not tracing.
         self.mem: list[int] | None = [] if trace else None
         self.bra: list[int] | None = [] if trace else None
@@ -127,8 +126,10 @@ class _Interp:
             else:
                 arr = np.zeros(shape, dtype=np.float64)
             self.arrays[a.name] = arr
-        for s in program.scalars:
-            self.env[s.name] = 0 if s.dtype == "i8" else 0.0
+        #: scalar name -> its declared type, which every assignment keeps.
+        self.scalar_types = {s.name: int if s.dtype == "i8" else float for s in program.scalars}
+        for name, kind in self.scalar_types.items():
+            self.env[name] = kind(0)
 
     def _branch(self, node, taken) -> bool:
         """Record the branch event of *node* and return its outcome."""
@@ -153,10 +154,9 @@ class _Interp:
                 )
             idx.append(v - 1)
         if self.mem is not None:
-            flat = np.ravel_multi_index(idx, shape, order="F")
-            self.mem.append(
-                memory_event_base(self.array_ids[ref.name], is_write) + int(flat)
-            )
+            flat = int(np.ravel_multi_index(idx, shape, order="F"))
+            address = self.bases[ref.name] + ELEMENT_BYTES * flat
+            self.mem.append(address << 1 | is_write)
         return tuple(idx)
 
     def eval(self, expr: Expr):
@@ -222,7 +222,8 @@ class _Interp:
             value = self.eval(stmt.value)
             target = stmt.target
             if isinstance(target, VarRef):
-                self.env[target.name] = value
+                kind = self.scalar_types.get(target.name)
+                self.env[target.name] = value if kind is None else kind(value)
             else:
                 self.counters.stores += 1
                 self.arrays[target.name][self._index(target, True)] = value
@@ -275,13 +276,19 @@ def run_interpreted(
             if trace
             else None
         ),
-        array_ids=dict(interp.array_ids) if trace else {},
         branch_sites={site: str(cond) for site, cond in interp.sites.values()},
     )
 
 
 def _disagreements(compiled: RunResult, interpreted: RunResult, outputs) -> list[str]:
     problems = compare_outputs(compiled, interpreted, outputs)
+    for name, value in compiled.scalars.items():
+        other = interpreted.scalars.get(name)
+        if type(value) is not type(other):
+            problems.append(
+                f"scalar {name}: compiled {type(value).__name__} {value!r} vs "
+                f"interpreted {type(other).__name__} {other!r}"
+            )
     for name in CHECKED_COUNTERS:
         a = getattr(compiled.counters, name)
         b = getattr(interpreted.counters, name)

@@ -9,9 +9,9 @@ import pytest
 from repro import telemetry
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram, build, run_compiled
-from repro.exec.events import decode_memory_events
 from repro.experiments.runner import build_program
 from repro.ir.builder import (
+    and_,
     assign,
     ceq,
     cgt,
@@ -22,14 +22,16 @@ from repro.ir.builder import (
     idx,
     if_,
     loop,
+    or_,
     sqrt,
     sym,
     val,
 )
 from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from repro.machine.layout import layout_for_program
 from tests.exec.interp import crosscheck_traces, run_interpreted
-from tests.machine.reference import decode_branch_events
+from tests.machine.reference import decode_branch_events, split_memory_events
 
 N = sym("N")
 i = sym("i")
@@ -142,17 +144,17 @@ class TestTrace:
         body = loop("i", 1, N, [assign(idx("A", i), idx("A", i) + 1.0)])
         cp = CompiledProgram(prog([body]), trace=True)
         out = cp.run({"N": 8})
-        aid, lin, rw = decode_memory_events(out.trace.memory)
-        assert len(aid) == out.counters.loads + out.counters.stores
-        assert int((rw == 1).sum()) == out.counters.stores
+        _addresses, rw = split_memory_events(out.trace.memory)
+        assert len(rw) == out.counters.loads + out.counters.stores
+        assert int(rw.sum()) == out.counters.stores
 
     def test_trace_order_load_before_store(self):
         body = assign(idx("A", val(1)), idx("A", val(2)))
         cp = CompiledProgram(prog([body]), trace=True)
         out = cp.run({"N": 2})
-        _aid, lin, rw = decode_memory_events(out.trace.memory)
+        addresses, rw = split_memory_events(out.trace.memory)
         assert list(rw) == [0, 1]
-        assert list(lin) == [1, 0]
+        assert list(addresses) == [8, 0]
 
     def test_branch_trace_sites(self):
         body = loop("i", 1, N, [if_(cne(i, 1), assign("s", 1.0))])
@@ -162,6 +164,42 @@ class TestTrace:
         assert set(sid) == {0}
         assert list(taken) == [0, 1, 1, 1, 1]
         assert 0 in out.branch_sites
+
+    @pytest.mark.parametrize("engine", ["compiled", "interp"])
+    def test_memory_events_are_layout_addresses(self, engine):
+        """A memory event is ``(base + 8 * column-major offset) << 1 |
+        is_write``, with the bases of the run's layout (A is 5 doubles, so
+        B starts at the next 128-byte boundary)."""
+        j = sym("j")
+        body = loop("j", 1, N, [loop("i", 1, N, [
+            assign(idx("B", i, j), idx("A", i) + idx("B", i, j)),
+        ])])
+        program = prog([body], arrays=(("A", 1), ("B", 2)))
+        n = 5
+        bases = layout_for_program(program, {"N": n}).bases
+        assert bases == {"A": 0, "B": 128}
+        expected = []
+        for jj in range(n):
+            for ii in range(n):
+                b = bases["B"] + 8 * (ii + n * jj)
+                expected += [(bases["A"] + 8 * ii) << 1, b << 1, b << 1 | 1]
+        run = _ENGINES[engine](program, {"N": n}, trace=True)
+        assert run.trace.memory.tolist() == expected
+
+    @pytest.mark.parametrize(
+        "cond",
+        [
+            pytest.param(and_(cgt(i, 1), cgt(idx("A", i - 1), 0.0)), id="and"),
+            pytest.param(or_(ceq(i, 1), cgt(idx("A", i - 1), 0.0)), id="or"),
+        ],
+    )
+    def test_logical_operators_short_circuit(self, cond):
+        """An operand after the first runs only when the ones before it
+        leave the result open: at i = 1, A(i-1) is neither checked nor
+        loaded nor counted, in both engines."""
+        program = prog([loop("i", 1, N, [if_(cond, assign(idx("A", i), 1.0))])])
+        compiled, interpreted = crosscheck_traces(program, {"N": 4}, {"A": np.ones(4)})
+        assert compiled.counters.loads == interpreted.counters.loads == 3
 
     def test_untraced_has_no_buffers(self):
         out = run_compiled(prog([assign(idx("A", val(1)), 0.0)]), {"N": 1})
@@ -283,6 +321,8 @@ def _scalar_prog(*body):
                      id="abs-of-integer"),
         pytest.param([assign("m", N * 2), assign("s", N * 0.5)], {"m": 14, "s": 3.5},
                      id="scalar-types"),
+        pytest.param([assign("s", fmax(idx("A", 2), N, idx("A", 1)))], {"s": 7.0},
+                     id="real-scalar-keeps-its-type"),
     ],
 )
 def test_python_semantics(engine, body, expected):

@@ -4,11 +4,12 @@
 
 Programs are built with the analysis memo bypassed
 (``tests/poly/memo_oracle.py``) and run materialized. Each report comes
-from the whole materialized trace: the production decode and layout
-(they have no oracle), then the per-access oracles of
+from the whole materialized trace (byte addresses and write flags, see
+:mod:`repro.exec.events`) through the per-access oracles of
 ``tests/machine/reference.py`` for the register filter, L1, L2 on the L1
-misses, and the branch predictor, then the production cost aggregation. Regenerate only when a change is meant to
-alter these answers, and say so.
+misses, and the branch predictor, then the production cost aggregation.
+Regenerate only when a change is meant to alter these answers, and say
+so.
 """
 
 from __future__ import annotations
@@ -26,29 +27,25 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.errors import ExecutionError  # noqa: E402
 from repro.exec.compiled import CompiledProgram  # noqa: E402
-from repro.exec.events import decode_memory_events  # noqa: E402
 from repro.kernels.recipes import registry_program_hashes  # noqa: E402
 from repro.machine.configs import octane2_scaled  # noqa: E402
 from repro.machine.hierarchy import HierarchyResult  # noqa: E402
-from repro.machine.layout import layout_for_program  # noqa: E402
 from repro.machine.perfcounters import PerfReport, _assemble_report  # noqa: E402
 from tests.golden import corpus  # noqa: E402
 from tests.machine.reference import (  # noqa: E402
     TwoBitPredictor,
     decode_branch_events,
     register_filter_reference,
+    split_memory_events,
     simulate_cache_reference,
 )
 from tests.poly.memo_oracle import bypass_memo  # noqa: E402
 
 
-def oracle_report(program, params, run) -> PerfReport:
+def oracle_report(program, run) -> PerfReport:
     """The PerfReport of one materialized run, from the oracles."""
     machine = octane2_scaled()
-    layout = layout_for_program(program, params)
-    id_to_name = {v: k for k, v in run.array_ids.items()}
-    aid, lin, rw = decode_memory_events(run.trace.memory)
-    addresses = layout.addresses(aid, lin, id_to_name)
+    addresses, rw = split_memory_events(run.trace.memory)
     [keep], load_hits = register_filter_reference([(addresses, rw)], machine.registers)
     to_memory = addresses[keep]
     l1_miss = simulate_cache_reference(machine.l1, to_memory)
@@ -66,7 +63,7 @@ def oracle_entry(kernel: str, variant: str) -> dict:
     except ExecutionError as exc:
         return {"error": type(exc).__name__}
     entry = corpus.run_observables(program, run)
-    entry["report"] = oracle_report(program, params, run).as_dict()
+    entry["report"] = oracle_report(program, run).as_dict()
     return entry
 
 

@@ -121,6 +121,18 @@ def writeback_reference(
     return masks, WritebackResult(misses, writebacks, dirty)
 
 
+def memory_events(addresses: np.ndarray, is_write: np.ndarray) -> np.ndarray:
+    """Memory events (``byte_address << 1 | is_write``) of aligned
+    address and write-flag arrays."""
+    return np.asarray(addresses, dtype=np.int64) << 1 | np.asarray(is_write).astype(np.int64)
+
+
+def split_memory_events(events: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(byte addresses, ``bool`` write flags) of memory events."""
+    events = np.asarray(events, dtype=np.int64)
+    return events >> 1, (events & 1).astype(bool)
+
+
 def decode_branch_events(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Decode encoded branch events (``site_id * 2 + taken``) into
     (site_id, taken)."""

@@ -55,10 +55,11 @@ def test_simulator_matches_reference(config, track):
 @given(st.lists(st.integers(0, 63), min_size=1, max_size=200))
 def test_writeback_misses_match_reference(track):
     from repro.machine.writeback import WritebackSink
+    from tests.machine.reference import memory_events
 
     config = CacheConfig("L", 256, 16, 2)
     addrs = np.array(track, dtype=np.int64) * 8
     writes = np.zeros(len(addrs))
-    misses = WritebackSink(config).feed((addrs, writes))
+    misses = WritebackSink(config).feed(memory_events(addrs, writes))
     slow = reference_lru(config, addrs)
     assert misses.tolist() == slow

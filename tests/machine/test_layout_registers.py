@@ -3,15 +3,26 @@
 import numpy as np
 import pytest
 
-from repro.errors import MachineError
+from repro.errors import ExecutionError, MachineError
+from repro.exec.compiled import CompiledProgram
+from repro.ir.builder import assign, idx, sym
+from repro.ir.program import ArrayDecl, Program, ScalarDecl
 from repro.machine.layout import MemoryLayout
 from repro.machine.registers import RegisterFilterSink
+from tests.machine.reference import memory_events
+
+N = sym("N")
 
 
-def address_of(layout, name, linear_index):
-    """Byte address of one element, through the vectorised path."""
-    ids = {0: name}
-    return int(layout.addresses(np.array([0]), np.array([linear_index]), ids)[0])
+def traced_addresses(reads):
+    """The byte addresses a traced run records when it adds the elements
+    *reads* (array name, subscript) of A(8) and B(8) to a scalar."""
+    body = tuple(assign("x", sym("x") + idx(name, sub)) for name, sub in reads)
+    program = Program(
+        "reads", ("N",), (ArrayDecl("A", (N,)), ArrayDecl("B", (N,))), (ScalarDecl("x"),), body
+    )
+    run = CompiledProgram(program, trace=True).run({"N": 8})
+    return (run.trace.memory >> 1).tolist()
 
 
 class TestLayout:
@@ -21,36 +32,25 @@ class TestLayout:
         assert layout.bases["B"] == 128  # 80 bytes rounded up
 
     def test_address_of(self):
-        layout = MemoryLayout.build({"A": 10})
-        assert address_of(layout, "A", 2) == 16
+        assert traced_addresses([("A", 3)]) == [16]
 
     def test_bounds_checked(self):
-        layout = MemoryLayout.build({"A": 4})
-        with pytest.raises(MachineError):
-            address_of(layout, "A", 4)
+        with pytest.raises(ExecutionError, match=r"subscript 9 out of bounds 1\.\.8 in A\(9\)"):
+            traced_addresses([("A", 9)])
 
     def test_vectorised_addresses(self):
-        layout = MemoryLayout.build({"A": 8, "B": 8}, align=64)
-        aid = np.array([0, 1, 0])
-        lin = np.array([0, 0, 3])
-        out = layout.addresses(aid, lin, {0: "A", 1: "B"})
-        assert list(out) == [0, 64, 24]
+        # A(8) holds bytes 0..63, so B starts at the next 128-byte boundary.
+        assert traced_addresses([("A", 1), ("B", 1), ("A", 4)]) == [0, 128, 24]
 
     def test_vectorised_addresses_bounds_checked(self):
-        """An index past its array's end, or an array id outside the
-        layout, raises a MachineError naming the array and index."""
-        layout = MemoryLayout.build({"A": 8, "B": 8}, align=64)
-        names = {0: "A", 1: "B"}
-        with pytest.raises(MachineError, match=r"B\[8\] outside 0\.\.7"):
-            layout.addresses(np.array([0, 1]), np.array([7, 8]), names)
-        with pytest.raises(MachineError, match="array id 2 .* not in the layout"):
-            layout.addresses(np.array([0, 2]), np.array([0, 0]), names)
-        # A(0) read: index -1 added to A's event code decodes as array id
-        # -1 with index 2**40 - 1, which the message traces back to A.
-        with pytest.raises(MachineError, match=r"array id -1 .*a read of A\[-1\]"):
-            layout.addresses(np.array([-1]), np.array([2**40 - 1]), names)
-        empty = np.array([], dtype=np.int64)
-        assert len(layout.addresses(empty, empty, names)) == 0
+        """A subscript below 1 or past its extent never reaches the trace,
+        even where its address would lie inside the layout (A(9) and B(0)
+        fall in the alignment gap between A and B): the run fails naming
+        the reference."""
+        for sub in (0, 9):
+            for name in "AB":
+                with pytest.raises(ExecutionError, match=rf"subscript {sub} out of bounds"):
+                    traced_addresses([("A", 1), (name, sub)])
 
     def test_bad_alignment(self):
         with pytest.raises(MachineError):
@@ -61,54 +61,62 @@ class TestLayout:
             MemoryLayout.build({"A": 0})
 
 
+def survivors(sink, addresses, writes):
+    """Feed one chunk of events made of *addresses* and *writes*; the
+    addresses that go to memory, compacted in place."""
+    events = memory_events(np.array(addresses, dtype=np.int64), np.array(writes))
+    kept = sink.feed((events, events))
+    assert kept.base is events or kept.base is events.base
+    return kept.tolist()
+
+
 class TestRegisterFilter:
     def test_repeat_load_elided(self):
-        addrs = np.array([0, 0, 0], dtype=np.int64)
-        w = np.array([0, 0, 0])
         sink = RegisterFilterSink(capacity=4)
-        assert list(sink.feed((addrs, w))) == [True, False, False]
+        assert survivors(sink, [0, 0, 0], [0, 0, 0]) == [0]
         assert sink.finish() == 2
 
     def test_store_always_to_memory_but_makes_resident(self):
-        addrs = np.array([0, 0], dtype=np.int64)
-        w = np.array([1, 0])
-        keep = RegisterFilterSink(capacity=4).feed((addrs, w))
-        assert list(keep) == [True, False]  # forwarding
+        sink = RegisterFilterSink(capacity=4)
+        assert survivors(sink, [0, 0, 8, 8], [1, 0, 0, 1]) == [0, 8, 8]  # forwarding
 
     def test_capacity_eviction_lru(self):
         # touch 0,8,16 with capacity 2: 0 evicted, reload misses.
-        addrs = np.array([0, 8, 16, 0], dtype=np.int64)
-        w = np.zeros(4)
-        keep = RegisterFilterSink(capacity=2).feed((addrs, w))
-        assert list(keep) == [True, True, True, True]
+        sink = RegisterFilterSink(capacity=2)
+        assert survivors(sink, [0, 8, 16, 0], [0] * 4) == [0, 8, 16, 0]
 
     def test_zero_capacity_disables(self):
-        addrs = np.array([0, 0], dtype=np.int64)
         sink = RegisterFilterSink(capacity=0)
-        sink.feed((addrs, np.zeros(2)))
+        assert survivors(sink, [0, 0, 8], [0, 1, 0]) == [0, 0, 8]
         assert sink.finish() == 0
 
     def test_element_granularity(self):
         # different elements of the same cache line are distinct registers
-        addrs = np.array([0, 4], dtype=np.int64)  # same 8-byte element!
         sink = RegisterFilterSink(capacity=4)
-        sink.feed((addrs, np.zeros(2)))
-        assert sink.finish() == 1  # 4 >> 3 == 0 too
+        assert survivors(sink, [0, 4, 8], [0, 0, 0]) == [0, 8]  # 4 >> 3 == 0 too
+        assert sink.finish() == 1
 
     def test_negative_capacity(self):
         with pytest.raises(MachineError):
             RegisterFilterSink(capacity=-1)
 
-    @pytest.mark.parametrize("flags", [2, 4])
-    def test_write_mask_length_must_match(self, flags):
-        addrs = np.array([0, 8, 0], dtype=np.int64)
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_output_must_hold_the_chunk(self, n):
+        # n reads: n - 1 distinct elements, then the first one again.
+        addresses = [8 * i for i in range(n - 1)] + [0]
+        events = memory_events(np.array(addresses, dtype=np.int64), np.zeros(n))
         sink = RegisterFilterSink(capacity=4)
-        with pytest.raises(MachineError, match=f"3 addresses but {flags} write"):
-            sink.feed((addrs, np.zeros(flags)))
+        for out in (np.empty(n - 1, dtype=np.int64), np.empty(n, dtype=np.int32), [0] * n):
+            with pytest.raises(MachineError, match=f"at least {n} elements"):
+                sink.feed((events, out))
+        out = np.full(n + 2, -1, dtype=np.int64)
+        assert sink.feed((events, out)).tolist() == addresses[:-1]
+        # a separate output leaves the events be
+        assert events.tolist() == [a << 1 for a in addresses]
 
     def test_wide_address_span(self):
-        # Elements 2**60 apart, negative ones included, are distinct
+        # Elements 2**61 apart, negative ones included, are distinct
         # elements like any other.
-        addrs = np.array([-(1 << 62), 1 << 62, -(1 << 62), 1 << 62], dtype=np.int64)
-        keep = RegisterFilterSink(capacity=4).feed((addrs, np.zeros(4)))
-        assert list(keep) == [True, True, False, False]
+        far = 1 << 61
+        sink = RegisterFilterSink(capacity=4)
+        assert survivors(sink, [-far, far, -far, far], [0] * 4) == [-far, far]

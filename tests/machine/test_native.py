@@ -34,10 +34,13 @@ def spans():
 
 
 def _works(core) -> bool:
-    codes = np.array([(3 << 40) | 5], dtype=np.int64)
-    aid, lin, write = (np.empty(1, dtype=t) for t in (np.int64, np.int64, bool))
-    core.decode(codes.ctypes.data, 1, 40, aid.ctypes.data, lin.ctypes.data, write.ctypes.data)
-    return (aid[0], lin[0], write[0]) == (1, 5, True)
+    """A one-element register window compacts two loads of one element to
+    the first one's address."""
+    state = np.full(3 + 3 + 4, -1, dtype=np.int64)  # 3 + 3 * capacity + 2**2
+    state[0] = 0
+    events = np.array([40 << 1, 44 << 1], dtype=np.int64)
+    kept = core.regfilter(state.ctypes.data, 1, 2, events.ctypes.data, 2, 3, events.ctypes.data)
+    return kept == 1 and events[0] == 40
 
 
 def _objects(directory: Path) -> list[Path]:
@@ -53,7 +56,7 @@ def test_missing_compiler_is_named(tmp_path, monkeypatch):
 
 def test_failed_compile_shows_command_and_stderr(tmp_path, monkeypatch):
     broken = tmp_path / "broken.c"
-    broken.write_text("int decode(void) { return undeclared_name; }\n")
+    broken.write_text("int regfilter(void) { return undeclared_name; }\n")
     monkeypatch.setattr(native, "SOURCE", broken)
     with pytest.raises(MachineError, match=r"(?s)-shared -fPIC -o .*broken\.c.*undeclared_name"):
         native.load(tmp_path / "cache")

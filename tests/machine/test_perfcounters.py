@@ -6,8 +6,10 @@ import numpy as np
 
 from repro.errors import ExecutionError
 from repro.exec.compiled import CompiledProgram
+from repro.experiments.runner import build_program
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from repro.kernels.registry import get_kernel
 from repro.machine.configs import octane2_scaled
 from repro.machine.perfcounters import measure_streaming
 
@@ -29,8 +31,8 @@ class TestMeasure:
 
     def test_subscript_below_lower_bound_is_rejected(self):
         """``x = A(0)`` must not wrap to ``A(N)``: the executor checks the
-        subscript before its event reaches the layout, and the error names
-        the reference (the layout's own check is tested on raw events)."""
+        subscript before it records the event, and the error names the
+        reference."""
         p = Program(
             "under", ("N",), (ArrayDecl("A", (N,)),), (ScalarDecl("x"),),
             (assign("x", idx("A", 0)),),
@@ -90,3 +92,20 @@ class TestMeasure:
 def _measure(program, params):
     cp = CompiledProgram(program, trace=True)
     return measure_streaming(cp, params, octane2_scaled())[1]
+
+
+def test_chunking_leaves_the_report_unchanged():
+    """The memory sink compacts each chunk in place: a run streamed in odd
+    chunks, or one event at a time, reports what one whole-trace chunk
+    does."""
+    program, _, _ = build_program("qr", "tiled_sunk", tile=4)
+    params = {"N": 10}
+    inputs = get_kernel("qr").make_inputs(params, np.random.default_rng(3))
+    cp = CompiledProgram(program, trace=True)
+    events = len(cp.run(params, inputs).trace.memory)
+    whole, *chunked = (
+        measure_streaming(cp, params, octane2_scaled(), inputs, chunk_events=size)[1]
+        for size in (events, 97, 1)
+    )
+    assert whole.accesses > 0 and whole.register_load_hits > 0
+    assert chunked == [whole, whole]

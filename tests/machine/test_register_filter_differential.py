@@ -6,6 +6,8 @@ traces mix short and long reuses, tiny and wide element pools, and
 windows that fill, evict and refill, across chunk boundaries that cut
 through the carried window: whole traces, 1-event chunks, random cuts
 and full 64K chunks. Real Figure-5 traces at N=72 run through it too.
+Every chunk's survivors (the addresses the filter compacts, in order)
+and the count of elided loads must equal the walk's.
 """
 
 from __future__ import annotations
@@ -14,14 +16,16 @@ import numpy as np
 import pytest
 
 from repro.exec.compiled import CompiledProgram
-from repro.exec.events import decode_memory_events
 from repro.experiments.runner import build_program
 from repro.experiments.sweep import SCALED_JACOBI_M, SweepConfig
 from repro.kernels.registry import get_kernel
 from repro.machine.configs import octane2_scaled
-from repro.machine.layout import layout_for_program
 from repro.machine.registers import ELEMENT_SHIFT, RegisterFilterSink
-from tests.machine.reference import register_filter_reference
+from tests.machine.reference import (
+    memory_events,
+    register_filter_reference,
+    split_memory_events,
+)
 
 
 def _uniform_pool(rng, n, pool):
@@ -104,6 +108,18 @@ def _chunks(addresses, writes, bounds):
     ]
 
 
+def _check(chunks, capacity):
+    """Feed *chunks* as memory events, each compacted in place, and compare
+    every chunk's survivors and the elided-load count with the walk's."""
+    sink = RegisterFilterSink(capacity)
+    ref_masks, ref_hits = register_filter_reference(chunks, capacity)
+    assert len(ref_masks) == len(chunks)
+    for (addresses, writes), want in zip(chunks, ref_masks):
+        events = memory_events(addresses, writes)
+        assert np.array_equal(sink.feed((events, events)), addresses[want])
+    assert sink.finish() == ref_hits
+
+
 @pytest.mark.parametrize("capacity", [0, 1, 2, 32, 64, 300])
 @pytest.mark.parametrize("kind", sorted(TRACES))
 def test_matches_walk_on_any_chunking(kind, capacity):
@@ -114,14 +130,7 @@ def test_matches_walk_on_any_chunking(kind, capacity):
     addresses = (elements.astype(np.int64) << ELEMENT_SHIFT) + rng.integers(0, 8, n)
     writes = rng.random(n) < rng.choice([0.0, 0.2, 0.6])
     for bounds in _chunkings(rng, n):
-        chunks = _chunks(addresses, writes, bounds)
-        sink = RegisterFilterSink(capacity)
-        masks = [sink.feed(chunk) for chunk in chunks]
-        ref_masks, ref_hits = register_filter_reference(chunks, capacity)
-        assert len(masks) == len(ref_masks)
-        for got, want in zip(masks, ref_masks):
-            assert got.dtype == bool and np.array_equal(got, want)
-        assert sink.finish() == ref_hits
+        _check(_chunks(addresses, writes, bounds), capacity)
 
 
 @pytest.mark.parametrize("kind", sorted(TRACES))
@@ -131,12 +140,7 @@ def test_matches_walk_across_a_one_event_chunk(kind):
     rng = np.random.default_rng(5)
     addresses = TRACES[kind](rng, 4000, 32).astype(np.int64) << ELEMENT_SHIFT
     writes = np.zeros(len(addresses), dtype=bool)
-    chunks = _chunks(addresses, writes, [0, 1500, 1501, 4000])
-    sink = RegisterFilterSink(32)
-    masks = [sink.feed(chunk) for chunk in chunks]
-    ref_masks, ref_hits = register_filter_reference(chunks, 32)
-    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
-    assert sink.finish() == ref_hits
+    _check(_chunks(addresses, writes, [0, 1500, 1501, 4000]), 32)
 
 
 @pytest.mark.parametrize("capacity", [1, 32, 64])
@@ -148,17 +152,12 @@ def test_matches_walk_in_full_size_chunks(kind, capacity):
     n = 3 * 65_536 + 1_000
     addresses = TRACES[kind](rng, n, capacity).astype(np.int64) << ELEMENT_SHIFT
     writes = rng.random(n) < 0.2
-    chunks = _chunks(addresses, writes, [*range(0, n, 65_536), n])
-    sink = RegisterFilterSink(capacity)
-    masks = [sink.feed(chunk) for chunk in chunks]
-    ref_masks, ref_hits = register_filter_reference(chunks, capacity)
-    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
-    assert sink.finish() == ref_hits
+    _check(_chunks(addresses, writes, [*range(0, n, 65_536), n]), capacity)
 
 
 def _recipe_trace(kernel, variant, n):
-    """The address and write streams of one Figure-5 point, as the
-    streaming memory sink sees them."""
+    """The memory events of one Figure-5 point, as the streaming memory
+    sink sees them."""
     config = SweepConfig(octane2_scaled(), (n,), SCALED_JACOBI_M)
     program, _, _ = build_program(
         kernel, variant, tile=config.tile_for(n) if variant == "tiled" else None
@@ -167,26 +166,24 @@ def _recipe_trace(kernel, variant, n):
     if "M" in get_kernel(kernel).PARAMS:
         params["M"] = config.jacobi_m
     inputs = get_kernel(kernel).make_inputs(params, np.random.default_rng(0))
-    run = CompiledProgram(program, trace=True).run(params, inputs)
-    aid, lin, writes = decode_memory_events(run.trace.memory)
-    id_to_name = {v: k for k, v in run.array_ids.items()}
-    return layout_for_program(program, params).addresses(aid, lin, id_to_name), writes
+    return CompiledProgram(program, trace=True).run(params, inputs).trace.memory
 
 
 @pytest.mark.parametrize("kernel, variant, n", [("jacobi", "tiled", 72), ("qr", "seq", 72)])
 def test_real_recipe_traces(kernel, variant, n):
     # Figure-5 traces in full-size chunks: jacobi tiled's time loop puts
     # long gaps between reuses, far longer than the N=12 golden corpus's.
-    addresses, writes = _recipe_trace(kernel, variant, n)
+    events = _recipe_trace(kernel, variant, n)
+    addresses, writes = split_memory_events(events)
     [want], want_hits = register_filter_reference([(addresses, writes)], 32)
     for size in (65_536, 49_999):
         sink = RegisterFilterSink(32)
-        masks = [
-            sink.feed((addresses[lo : lo + size], writes[lo : lo + size]))
-            for lo in range(0, len(addresses), size)
+        kept = [
+            sink.feed((chunk, np.empty_like(chunk)))
+            for chunk in (events[lo : lo + size] for lo in range(0, len(events), size))
         ]
-        assert len(masks) > 1
-        assert np.array_equal(np.concatenate(masks), want)
+        assert len(kept) > 1
+        assert np.array_equal(np.concatenate(kept), addresses[want])
         assert sink.finish() == want_hits
 
 
@@ -200,9 +197,4 @@ def test_long_stream_in_large_chunks():
     elements = np.where(rng.random(n) < 0.4, reread, sweep)
     addresses = elements.astype(np.int64) << ELEMENT_SHIFT
     writes = rng.random(n) < 0.25
-    chunks = _chunks(addresses, writes, [0, 16_384, 32_768, n])
-    sink = RegisterFilterSink(32)
-    masks = [sink.feed(chunk) for chunk in chunks]
-    ref_masks, ref_hits = register_filter_reference(chunks, 32)
-    assert all(np.array_equal(a, b) for a, b in zip(masks, ref_masks))
-    assert sink.finish() == ref_hits
+    _check(_chunks(addresses, writes, [0, 16_384, 32_768, n]), 32)

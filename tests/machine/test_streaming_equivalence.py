@@ -21,13 +21,18 @@ from repro.exec.compiled import CompiledProgram
 from repro.experiments.runner import build_program
 from repro.kernels.registry import get_kernel
 from repro.machine.branch import TwoBitPredictorSink
-from repro.machine.cache import CacheConfig, CacheSink
+from repro.machine.cache import CacheConfig, CacheSink, replay
 from repro.machine.hierarchy import HierarchySink
 from repro.machine.registers import RegisterFilterSink
 from repro.machine.sinks import MaterializeSink
 from repro.machine.writeback import WritebackSink
 from tests.golden import corpus
-from tests.machine.reference import TwoBitPredictor, simulate_cache_reference
+from tests.machine.reference import (
+    TwoBitPredictor,
+    memory_events,
+    register_filter_reference,
+    simulate_cache_reference,
+)
 
 
 def random_chunks(rng, array, *extra):
@@ -83,8 +88,14 @@ class TestCacheSinkAgainstOracle:
         l2_ref = simulate_cache_reference(l2, addrs[l1_ref])
         for bounds in ([0, 5000], list(range(0, 5001, 1)), [0, 1, 2, 777, 4000, 5000]):
             sink = HierarchySink(l1, l2)
-            masks = [sink.feed(addrs[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+            levels = CacheSink(l1), CacheSink(l2)
+            masks = []
+            for lo, hi in zip(bounds, bounds[1:]):
+                sink.feed(addrs[lo:hi])
+                masks.append(np.empty(hi - lo, dtype=bool))
+                replay(*levels, addrs[lo:hi], masks[-1])
             assert np.array_equal(np.concatenate(masks), l1_ref)
+            assert levels[1].finish().misses == int(l2_ref.sum())
             result = sink.finish()
             assert result.accesses == len(addrs)
             assert result.l1_misses == int(l1_ref.sum())
@@ -107,39 +118,40 @@ class TestSinkChunkingInvariance:
         l1 = CacheConfig("L1", 512, 32, 2)
         l2 = CacheConfig("L2", 4096, 64, 2)
         whole_sink = HierarchySink(l1, l2)
-        whole_mask = whole_sink.feed(self.addrs)
+        whole_sink.feed(self.addrs)
         whole = whole_sink.finish()
         sink = HierarchySink(l1, l2)
-        masks = [sink.feed(chunk) for (chunk,) in random_chunks(self.rng, self.addrs)]
+        for (chunk,) in random_chunks(self.rng, self.addrs):
+            sink.feed(chunk)
         assert sink.finish() == whole
-        assert np.array_equal(np.concatenate(masks), whole_mask)
         assert whole.l1_misses == int(
             simulate_cache_reference(l1, self.addrs).sum()
         )
 
     def test_writeback(self):
         cfg = CacheConfig("L2", 4096, 64, 2)
+        events = memory_events(self.addrs, self.writes)
         whole_sink = WritebackSink(cfg)
-        whole_mask = whole_sink.feed((self.addrs, self.writes))
+        whole_mask = whole_sink.feed(events)
         sink = WritebackSink(cfg)
-        masks = [
-            sink.feed((chunk, w))
-            for chunk, w in random_chunks(self.rng, self.addrs, self.writes)
-        ]
+        masks = [sink.feed(chunk) for (chunk,) in random_chunks(self.rng, events)]
         assert sink.finish() == whole_sink.finish()
         assert np.array_equal(np.concatenate(masks), whole_mask)
         assert np.array_equal(whole_mask, simulate_cache_reference(cfg, self.addrs))
 
     def test_register_filter(self):
+        events = memory_events(self.addrs, self.writes)
         whole = RegisterFilterSink(capacity=8)
-        whole_mask = whole.feed((self.addrs, self.writes))
+        whole_kept = whole.feed((events, np.empty_like(events)))
         sink = RegisterFilterSink(capacity=8)
-        masks = [
-            sink.feed((chunk, w))
-            for chunk, w in random_chunks(self.rng, self.addrs, self.writes)
+        kept = [
+            sink.feed((chunk, np.empty_like(chunk)))
+            for (chunk,) in random_chunks(self.rng, events)
         ]
-        assert np.array_equal(np.concatenate(masks), whole_mask)
+        assert np.array_equal(np.concatenate(kept), whole_kept)
         assert sink.finish() == whole.finish()
+        [mask], hits = register_filter_reference([(self.addrs, self.writes)], 8)
+        assert np.array_equal(whole_kept, self.addrs[mask]) and whole.finish() == hits
 
     def test_branch_sink(self):
         sites = self.rng.integers(0, 5, size=400, dtype=np.int64)

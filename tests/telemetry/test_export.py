@@ -107,7 +107,7 @@ class TestTextRenderers:
         spans = [
             span("sweep.point", 1, None, 3.0, kernel="lu", variant="seq", n=72),
             span("exec.run", 2, 1, 2.0),
-            span("machine.memory.decode", 4, 2, 0.1, events=1000),
+            span("machine.memory.regfilter", 4, 2, 0.1, events=1000),
             span("machine.memory.l1l2", 5, 2, 0.4, events=800),
             span("machine.branch", 6, 2, 0.5, events=50),
             # A disk-cache hit runs no machine model: no row.
@@ -117,10 +117,12 @@ class TestTextRenderers:
         assert header.split()[:6] == ["kernel", "variant", "N", "events", "produce", "s"]
         cells = row.split()
         assert cells[:4] == ["lu", "seq", "72", "1000"]
-        # produce = exec.run minus the sinks it fed, rated by memory events.
+        # produce = exec.run minus the sinks it fed, rated by the memory
+        # events the register filter saw.
         assert cells[4:8] == ["1.000", "1000", "0.100", "10000"]
-        assert cells[12:14] == ["0.400", "2000"]  # l1l2
-        assert cells[14:16] == ["0.500", "100"]  # branch
+        assert cells[8:10] == ["0.400", "2000"]  # l1l2
+        assert cells[10:12] == ["0.500", "100"]  # branch
+        assert len(cells) == 12  # no decode or layout columns
         assert render_point_table(spans[-1:]) == "(no measured points)"
 
     def test_summary_sections(self):

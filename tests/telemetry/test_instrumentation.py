@@ -25,7 +25,7 @@ def _flat_program(body):
     return Program("t", ("N",), (ArrayDecl("A", (sym("N"),)),), (), tuple(body))
 
 
-STAGES = ("decode", "layout", "regfilter", "l1l2")
+STAGES = ("regfilter", "l1l2")
 
 
 def _spans(name):
@@ -94,7 +94,7 @@ class TestPipelineAndMachineSpans:
         telemetry.enable()
         runner.clear_caches()
         runner.measure_variant("cholesky", "seq", 8, _config())
-        assert len(_spans("machine.memory.decode")) == 1
+        assert len(_spans("machine.memory.regfilter")) == 1
         assert _spans("machine.branch") == []
 
     def test_memory_stage_spans_and_counters(self):
@@ -108,12 +108,14 @@ class TestPipelineAndMachineSpans:
             assert s.parent_id == run.span_id
             assert s.duration <= run.duration
             events[stage] = s.attrs["events"]
-        assert events["decode"] == events["layout"] == events["regfilter"]
         # Only the loads the register window did not elide reach L1.
         assert events["l1l2"] == report.accesses
         assert events["regfilter"] - events["l1l2"] == report.register_load_hits
         # Every stage sees every chunk.
         assert len({_spans(f"machine.memory.{stage}")[0].attrs["chunks"] for stage in STAGES}) == 1
+        # The trace is addresses: the register filter is the first stage.
+        memory = {s.name for s in telemetry.spans() if s.name.startswith("machine.memory.")}
+        assert memory == {f"machine.memory.{stage}" for stage in STAGES}
 
 
 class TestSweepCounters:

@@ -16,7 +16,7 @@ from repro.experiments.telemetry_report import (
 from repro.telemetry.export import write_jsonl
 from repro.telemetry.spans import Span
 
-STAGES = ("decode", "layout", "regfilter", "l1l2")
+STAGES = ("regfilter", "l1l2")
 RUN_PATH = "sweep.point/machine.measure_streaming/exec.run"
 
 
