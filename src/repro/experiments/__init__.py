@@ -18,12 +18,15 @@
   traffic, guard cleanup), each with a checked claim;
 - :mod:`repro.experiments.pipeline_report` — per-pass build evidence
   (wall time, IR sizes) for every registered variant recipe;
-- :mod:`repro.experiments.report` — markdown + CSV artefact writer.
+- :mod:`repro.experiments.report` — the one table from CLI target to
+  its sections (printed text, CSV rows, checked claims), built from rows
+  generated once per run, and the ``--output`` writer of those sections.
 
 Run from the command line::
 
     python -m repro.experiments figure5
     python -m repro.experiments claims --full
+    python -m repro.experiments all --full --output results/
 """
 
 from repro.experiments.runner import (

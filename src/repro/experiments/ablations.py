@@ -17,10 +17,11 @@ Each study varies one design choice DESIGN.md calls out:
 
 Each study is a ``*_rows`` function (the measured numbers) plus a
 ``render_*`` function (the printed table), like :mod:`figure5`;
-:func:`check` makes one :class:`~repro.experiments.claims.Claim` per study
-from its rows alone, printed after the tables, and the ``ablations`` and
-``all`` targets exit 1 when one FAILS. Every number but the write-back
-lines (a ``PerfReport`` holds none) is a
+:func:`generate` runs them all once, :func:`check` makes one
+:class:`~repro.experiments.claims.Claim` per study from its rows alone,
+and :func:`render` prints the tables and then the claims; the
+``ablations`` and ``all`` targets exit 1 when one FAILS. Every number
+but the write-back lines (a ``PerfReport`` holds none) is a
 :func:`~repro.experiments.runner.measure_recipe` point: the variants
 outside the registry are the local recipes below, so they share the
 runner's memo, disk cache and ``sweep.point`` telemetry.
@@ -28,11 +29,11 @@ runner's memo, disk cache and ``sweep.point`` telemetry.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import astuple, dataclass, replace
 
 from repro.exec.compiled import CompiledProgram
-from repro.experiments.claims import Claim, render
+from repro.experiments import claims
+from repro.experiments.claims import Claim
 from repro.experiments.runner import build_program, measure_recipe, measure_variant, point_inputs
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels import jacobi
@@ -229,10 +230,8 @@ class WritebackRow:
     tiled_lines: int
 
 
-@functools.lru_cache(maxsize=16)
 def _writeback(variant: str, n: int, config: SweepConfig) -> WritebackResult:
-    """One run streamed into the sink (memoised: ``all --output`` prints
-    what it wrote)."""
+    """One run streamed into the sink."""
     tile = None if variant == "seq" else config.tile_for(n)
     program, _, _ = build_program("cholesky", variant, tile=tile)
     params, inputs = point_inputs("cholesky", n, config)
@@ -369,27 +368,28 @@ def check(tile_policy: list[TilePolicyRow], skew: list[SkewRow],
     ]
 
 
-def main(config: SweepConfig | None = None) -> tuple[str, list[Claim]]:
-    """All ablations in report order, then their claim table; returns the
-    text and the claims (the targets exit 1 when one FAILS)."""
-    config = config or default_config(quick=True)
-    fill = config.machine.l2_fill_order()
-    n = config.sizes[-1]
-    tile_policy = tile_policy_rows(config)
-    skew = skew_rows(config)
-    copy_widen = copy_widen_rows(config)
-    associativity = associativity_rows(config)
-    writeback = writeback_rows(config)
-    undo_sinking = undo_sinking_rows(config)
-    checked = check(tile_policy, skew, copy_widen, associativity, writeback, undo_sinking,
-                    ipc_row(config, n), fill)
-    text = "\n\n".join((
-        render_tile_policy(tile_policy),
-        render_skew(skew),
-        render_copy_widen(copy_widen),
-        render_associativity(associativity),
-        render_undo_sinking(undo_sinking, n),
-        render_writeback(writeback),
-        render(checked, TITLE, place="study"),
+def generate(config: SweepConfig | None = None) -> dict:
+    """Every study's rows, keyed by :func:`check`'s parameter names."""
+    config = config or default_config()
+    return {
+        "tile_policy": tile_policy_rows(config),
+        "skew": skew_rows(config),
+        "copy_widen": copy_widen_rows(config),
+        "associativity": associativity_rows(config),
+        "writeback": writeback_rows(config),
+        "undo_sinking": undo_sinking_rows(config),
+        "ipc": ipc_row(config, config.sizes[-1]),
+    }
+
+
+def render(studies: dict, checked: list[Claim]) -> str:
+    """All ablations in report order, then their claim table."""
+    return "\n\n".join((
+        render_tile_policy(studies["tile_policy"]),
+        render_skew(studies["skew"]),
+        render_copy_widen(studies["copy_widen"]),
+        render_associativity(studies["associativity"]),
+        render_undo_sinking(studies["undo_sinking"], studies["ipc"].n),
+        render_writeback(studies["writeback"]),
+        claims.render(checked, TITLE, place="study"),
     ))
-    return text, checked

@@ -11,8 +11,9 @@ generators return: ``figure5.generate``, ``figure678.generate``,
 ``python -m repro.experiments claims`` prints the sweep's table, ``all``
 prints it too (``--output`` writes it to ``claims.md`` beside the figures),
 and ``paperpoint`` and ``crossover`` print their own rows; each of these
-targets exits 1 when a row FAILS. The ablation studies check their own
-claims with the same :class:`Claim` (:mod:`repro.experiments.ablations`).
+targets exits 1 when a row FAILS (:mod:`repro.experiments.report`). The
+ablation studies check their own claims with the same :class:`Claim`
+(:mod:`repro.experiments.ablations`).
 "Past the L2 fill" means N above the machine's L2-fill order (the order
 of a square double array that fills L2: 64 on the scaled machine, the
 paper's 512 on the real one).
@@ -22,13 +23,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments import figure5, figure678, jacobi_stats, table1
+from repro.experiments import table1
 from repro.experiments.crossover import Crossover
 from repro.experiments.figure5 import Figure5Row
 from repro.experiments.figure678 import CholRow
 from repro.experiments.jacobi_stats import JacobiStatsRow
 from repro.experiments.paperpoint import PaperPoint
-from repro.experiments.sweep import SweepConfig, default_config
 from repro.machine.configs import MachineConfig
 
 #: Heading of the sweep's claim table (the ``claims`` target, ``claims.md``).
@@ -197,13 +197,6 @@ def check(
     fill = machine.l2_fill_order()
     return [*figure5_claims(f5_rows, fill), *figure678_claims(chol_rows, fill),
             *table1_claims(table), *jacobi_claims(js_rows)]
-
-
-def generate(config: SweepConfig | None = None) -> list[Claim]:
-    """Measure (or reuse) the sweep's rows and check their claims."""
-    config = config or default_config()
-    return check(figure5.generate(config), figure678.generate(config), table1.generate(),
-                 jacobi_stats.generate(config), config.machine)
 
 
 def render(claims: list[Claim], title: str = TITLE, place: str = "paper") -> str:

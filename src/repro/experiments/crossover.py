@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import measure_variant
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels.registry import KERNELS
 from repro.machine.configs import MachineConfig
@@ -40,16 +40,17 @@ def find_crossover(
     step: int = 8,
 ) -> Crossover:
     """Scan N in [lo, hi] for the sunk-tiled break-even point."""
-    probes: list[tuple[int, float]] = []
-    break_even: int | None = None
-    for n in range(lo, hi + 1, step):
-        seq = measure_variant(kernel, "seq", n, config).report
-        tiled = measure_variant(kernel, "tiled_sunk", n, config).report
-        speedup = seq.total_cycles / tiled.total_cycles
-        probes.append((n, speedup))
-        if break_even is None and speedup >= 1.0:
-            break_even = n
-    return Crossover(kernel=kernel, break_even_n=break_even, probes=tuple(probes))
+    sizes = range(lo, hi + 1, step)
+    cycles = [
+        m.report.total_cycles
+        for m in measure_points(
+            [(kernel, variant, n) for n in sizes for variant in ("seq", "tiled_sunk")],
+            config,
+        )
+    ]
+    probes = tuple(zip(sizes, (s / t for s, t in zip(cycles[::2], cycles[1::2]))))
+    break_even = next((n for n, speedup in probes if speedup >= 1.0), None)
+    return Crossover(kernel=kernel, break_even_n=break_even, probes=probes)
 
 
 def generate(config: SweepConfig | None = None) -> list[Crossover]:
@@ -77,9 +78,3 @@ def render(results: list[Crossover], machine: MachineConfig) -> str:
         rows,
         title="Crossover — sunk-tiled codes break even against sequential",
     )
-
-
-def main(config: SweepConfig | None = None) -> str:
-    """Generate and render."""
-    config = config or default_config()
-    return render(generate(config), config.machine)

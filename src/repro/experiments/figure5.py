@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import measure_points, run_pair
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels.registry import KERNELS
 from repro.utils.tables import render_table
@@ -37,14 +37,10 @@ class Figure5Row:
 
 
 def generate(config: SweepConfig | None = None) -> list[Figure5Row]:
-    """Measure every (kernel, size) pair.
-
-    The full grid is prefetched through :func:`measure_points` first
-    (parallel when ``REPRO_JOBS`` > 1); the assembly loop below then hits
-    the memo, so serial and parallel runs emit identical rows.
-    """
+    """Measure every (kernel, size) pair in one :func:`measure_points` grid
+    (parallel when ``REPRO_JOBS`` > 1; the rows are equal either way)."""
     config = config or default_config()
-    measure_points(
+    measured = measure_points(
         [
             (kernel, variant, n)
             for kernel in KERNELS
@@ -53,21 +49,17 @@ def generate(config: SweepConfig | None = None) -> list[Figure5Row]:
         ],
         config,
     )
-    rows: list[Figure5Row] = []
-    for kernel in KERNELS:
-        for n in config.sizes:
-            seq, tiled, speedup = run_pair(kernel, n, config)
-            rows.append(
-                Figure5Row(
-                    kernel=kernel,
-                    n=n,
-                    tile=tiled.tile or 0,
-                    seq_cycles=seq.report.total_cycles,
-                    tiled_cycles=tiled.report.total_cycles,
-                    speedup=speedup,
-                )
-            )
-    return rows
+    return [
+        Figure5Row(
+            kernel=seq.kernel,
+            n=seq.n,
+            tile=tiled.tile or 0,
+            seq_cycles=seq.report.total_cycles,
+            tiled_cycles=tiled.report.total_cycles,
+            speedup=seq.report.total_cycles / tiled.report.total_cycles,
+        )
+        for seq, tiled in zip(measured[::2], measured[1::2])
+    ]
 
 
 def render(rows: list[Figure5Row]) -> str:
@@ -96,8 +88,3 @@ def render(rows: list[Figure5Row]) -> str:
             f"  {kernel:9s} measured {lo:.2f}..{hi:.2f}   paper {plo:.2f}..{phi:.2f}"
         )
     return "\n".join(lines)
-
-
-def main(config: SweepConfig | None = None) -> str:
-    """Generate and render."""
-    return render(generate(config))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import measure_points, measure_variant
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.utils.tables import render_table
 
@@ -52,18 +52,19 @@ class CholRow:
 def generate(config: SweepConfig | None = None, kernel: str = KERNEL) -> list[CholRow]:
     """Measure the Cholesky (by default) seq/tiled sweep."""
     config = config or default_config()
-    measure_points(
-        [
-            (kernel, variant, n)
-            for n in config.sizes
-            for variant in ("seq", "tiled_sunk")
-        ],
-        config,
-    )
+    reports = [
+        m.report
+        for m in measure_points(
+            [
+                (kernel, variant, n)
+                for n in config.sizes
+                for variant in ("seq", "tiled_sunk")
+            ],
+            config,
+        )
+    ]
     rows = []
-    for n in config.sizes:
-        seq = measure_variant(kernel, "seq", n, config).report
-        tiled = measure_variant(kernel, "tiled_sunk", n, config).report
+    for n, seq, tiled in zip(config.sizes, reports[::2], reports[1::2]):
         rows.append(
             CholRow(
                 n=n,
@@ -139,12 +140,4 @@ def render_figure8(rows: list[CholRow]) -> str:
         ],
         title="Figure 8 — CHOL graduated instructions",
         float_fmt=",.2f",
-    )
-
-
-def main(config: SweepConfig | None = None) -> str:
-    """All three figures."""
-    rows = generate(config)
-    return "\n\n".join(
-        [render_figure6(rows), render_figure7(rows), render_figure8(rows)]
     )

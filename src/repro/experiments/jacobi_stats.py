@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import measure_variant
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.utils.tables import render_table
 
@@ -40,10 +40,15 @@ class JacobiStatsRow:
 def generate(config: SweepConfig | None = None) -> list[JacobiStatsRow]:
     """Loads and instruction counts, seq vs tiled Jacobi."""
     config = config or default_config()
+    reports = [
+        m.report
+        for m in measure_points(
+            [("jacobi", variant, n) for n in config.sizes for variant in ("seq", "fixed")],
+            config,
+        )
+    ]
     rows = []
-    for n in config.sizes:
-        seq = measure_variant("jacobi", "seq", n, config).report
-        tiled = measure_variant("jacobi", "fixed", n, config).report
+    for n, seq, tiled in zip(config.sizes, reports[::2], reports[1::2]):
         rows.append(
             JacobiStatsRow(
                 n=n,
@@ -79,8 +84,3 @@ def render(rows: list[JacobiStatsRow]) -> str:
         f"average instruction reduction: {avg_instr:.1%} (paper: "
         f"{PAPER_INSTR_REDUCTION:.1%})"
     )
-
-
-def main(config: SweepConfig | None = None) -> str:
-    """Generate and render."""
-    return render(generate(config))

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.runner import measure_variant
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import SweepConfig
 from repro.machine.configs import octane2
 
@@ -44,8 +44,7 @@ def measure(kernel: str = "cholesky", n: int = PAPER_N) -> PaperPoint:
     config = SweepConfig(
         machine=octane2(), sizes=(n,), jacobi_m=500, tile_policy="pdat"
     )
-    seq = measure_variant(kernel, "seq", n, config)
-    tiled = measure_variant(kernel, "tiled", n, config)
+    seq, tiled = measure_points([(kernel, "seq", n), (kernel, "tiled", n)], config)
     return PaperPoint(
         n=n,
         tile=tiled.tile or 0,
@@ -59,9 +58,8 @@ def measure(kernel: str = "cholesky", n: int = PAPER_N) -> PaperPoint:
     )
 
 
-def main(config=None) -> str:
-    """Render the anchor-point comparison."""
-    point = measure()
+def render(point: PaperPoint) -> str:
+    """The anchor-point comparison."""
     return "\n".join(
         [
             "Paper anchor point — Cholesky, true Octane2 geometry",

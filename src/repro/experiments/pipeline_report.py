@@ -35,7 +35,3 @@ def rows(reports: list[PipelineReport]) -> list[dict]:
 def render(reports: list[PipelineReport]) -> str:
     """All per-pass tables, one per recipe."""
     return "\n\n".join(report.render() for report in reports)
-
-
-def main(config: SweepConfig | None = None) -> str:
-    return render(generate(config))

@@ -1,133 +1,206 @@
-"""Writing experiment results to disk (markdown + CSV).
+"""The experiment targets: one table from CLI target to its sections.
 
-``python -m repro.experiments all --output results/`` drops one markdown
-report plus machine-readable CSV series per experiment, so plots and
-paper-comparison tables can be rebuilt without re-running the sweeps, and
-``claims.md``: the paper's claims checked on those same rows.
+Each entry of :data:`TARGETS` is a function of one run's :class:`Rows`
+that returns the target's :class:`Section`\\ s: the printed text, the
+optional CSV rows and the claims that text checks. :class:`Rows`
+generates each table the paper reports (Figs. 5-8, Table 1, the Jacobi
+statistics) once per run, on first use, so ``all`` measures every point
+once and checks the claims on the very rows it prints.
+
+``python -m repro.experiments <target>`` prints the sections and exits 1
+when one of their claims FAILS; with ``--output DIR`` it also writes them
+(:func:`write`): ``<name>.md`` per section, ``<name>.csv`` beside it when
+the section has rows, and ``config.md``. So ``all --output results/``
+writes the figures, Table 1, the Jacobi statistics, ``claims.md`` and
+``ablations.md``, and ``pipeline --output results/`` the per-pass build
+evidence.
 """
 
 from __future__ import annotations
 
 import csv
-import io
-from dataclasses import asdict
+from collections.abc import Callable
+from dataclasses import asdict, dataclass
+from functools import cached_property
 from pathlib import Path
 
 from repro.experiments import (
     ablations,
     claims,
+    crossover,
     figure5,
     figure678,
     jacobi_stats,
+    paperpoint,
     pipeline_report,
     table1,
 )
-from repro.experiments.sweep import SweepConfig, default_config
+from repro.experiments.claims import Claim
+from repro.experiments.sweep import SweepConfig
+
+
+@dataclass(frozen=True)
+class Section:
+    """One artefact of a target: printed, and written to ``<name>.md``
+    (plus ``<name>.csv`` when *csv* is not ``None``) under ``--output``."""
+
+    name: str
+    text: str
+    csv: list[dict] | None = None
+    #: The claim rows *text* prints; one that FAILS sets the exit code.
+    claims: tuple[Claim, ...] = ()
+
+
+class Rows:
+    """The rows of one run, each table generated once, on first use."""
+
+    def __init__(self, config: SweepConfig):
+        self.config = config
+
+    @cached_property
+    def figure5(self) -> list[figure5.Figure5Row]:
+        return figure5.generate(self.config)
+
+    @cached_property
+    def figure678(self) -> list[figure678.CholRow]:
+        return figure678.generate(self.config)
+
+    @cached_property
+    def table1(self) -> dict[str, dict[str, bool]]:
+        return table1.generate()
+
+    @cached_property
+    def jacobi(self) -> list[jacobi_stats.JacobiStatsRow]:
+        return jacobi_stats.generate(self.config)
+
+
+def _figure5(rows: Rows) -> list[Section]:
+    return [Section("figure5", figure5.render(rows.figure5),
+                    [asdict(r) for r in rows.figure5])]
+
+
+def _figure(which: str) -> Callable[[Rows], list[Section]]:
+    render = getattr(figure678, f"render_{which}")
+    return lambda rows: [Section(which, render(rows.figure678),
+                                 [asdict(r) for r in rows.figure678])]
+
+
+def _figure678(rows: Rows) -> list[Section]:
+    text = "\n\n".join(
+        render(rows.figure678)
+        for render in (figure678.render_figure6, figure678.render_figure7,
+                       figure678.render_figure8)
+    )
+    return [Section("figure678", text, [asdict(r) for r in rows.figure678])]
+
+
+def _table1(rows: Rows) -> list[Section]:
+    return [Section("table1", table1.render(rows.table1),
+                    [{"method": m, **cols} for m, cols in rows.table1.items()])]
+
+
+def _jacobi(rows: Rows) -> list[Section]:
+    return [Section("jacobi_stats", jacobi_stats.render(rows.jacobi),
+                    [asdict(r) for r in rows.jacobi])]
+
+
+def _claims(rows: Rows) -> list[Section]:
+    checked = claims.check(rows.figure5, rows.figure678, rows.table1, rows.jacobi,
+                           rows.config.machine)
+    return [Section("claims", claims.render(checked), claims=tuple(checked))]
+
+
+def _ablations(rows: Rows) -> list[Section]:
+    studies = ablations.generate(rows.config)
+    checked = ablations.check(**studies, fill=rows.config.machine.l2_fill_order())
+    return [Section("ablations", ablations.render(studies, checked),
+                    claims=tuple(checked))]
+
+
+def _paperpoint(rows: Rows) -> list[Section]:
+    point = paperpoint.measure()
+    checked = claims.paperpoint_claims(point)
+    text = "\n\n".join([paperpoint.render(point),
+                        claims.render(checked, "Claims — anchor point")])
+    return [Section("paperpoint", text, claims=tuple(checked))]
+
+
+def _crossover(rows: Rows) -> list[Section]:
+    results = crossover.generate(rows.config)
+    checked = claims.crossover_claims(results, rows.config.machine)
+    text = "\n\n".join([crossover.render(results, rows.config.machine),
+                        claims.render(checked, "Claims — crossover")])
+    return [Section("crossover", text, claims=tuple(checked))]
+
+
+def _pipeline(rows: Rows) -> list[Section]:
+    reports = pipeline_report.generate(rows.config)
+    return [Section("pipeline", pipeline_report.render(reports),
+                    pipeline_report.rows(reports))]
+
+
+def _all(rows: Rows) -> list[Section]:
+    return [*_figure5(rows), *_figure678(rows), *_table1(rows), *_jacobi(rows),
+            *_claims(rows), *_ablations(rows)]
+
+
+#: CLI target -> its sections. ``telemetry_report`` reads two run
+#: directories instead of a config and is handled by the CLI alone.
+TARGETS: dict[str, Callable[[Rows], list[Section]]] = {
+    "figure5": _figure5,
+    "figure6": _figure("figure6"),
+    "figure7": _figure("figure7"),
+    "figure8": _figure("figure8"),
+    "table1": _table1,
+    "jacobi": _jacobi,
+    "claims": _claims,
+    "ablations": _ablations,
+    "paperpoint": _paperpoint,
+    "crossover": _crossover,
+    "pipeline": _pipeline,
+    "all": _all,
+}
+
+
+def sections(target: str, config: SweepConfig) -> list[Section]:
+    """The sections of one *target*, from rows generated once."""
+    return TARGETS[target](Rows(config))
 
 
 def _write_csv(path: Path, rows: list[dict]) -> None:
-    if not rows:
-        path.write_text("")
-        return
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    path.write_text(buf.getvalue())
+    with path.open("w", newline="") as fh:
+        if rows:
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+            writer.writeheader()
+            writer.writerows(rows)
 
 
-def write_all(
-    output_dir: str | Path, config: SweepConfig | None = None
+def write(
+    to_write: list[Section], directory: str | Path, config: SweepConfig
 ) -> dict[str, Path]:
-    """Run every experiment and write its artefacts under *output_dir*.
-
-    Returns a mapping of experiment name to the markdown file written.
-    """
-    config = config or default_config()
-    out = Path(output_dir)
+    """Write each section (``<name>.md``, and ``<name>.csv`` when it has
+    rows) and the configuration's provenance (``config.md``) under
+    *directory*; returns section name -> markdown file."""
+    out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    written: dict[str, Path] = {}
-
-    # Figure 5
-    f5_rows = figure5.generate(config)
-    _write_csv(out / "figure5.csv", [asdict(r) for r in f5_rows])
-    md = out / "figure5.md"
-    md.write_text(figure5.render(f5_rows) + "\n")
-    written["figure5"] = md
-
-    # Figures 6-8
-    chol_rows = figure678.generate(config)
-    _write_csv(out / "figure678.csv", [asdict(r) for r in chol_rows])
-    md = out / "figure678.md"
-    md.write_text(
-        "\n\n".join(
-            [
-                figure678.render_figure6(chol_rows),
-                figure678.render_figure7(chol_rows),
-                figure678.render_figure8(chol_rows),
-            ]
-        )
-        + "\n"
-    )
-    written["figure678"] = md
-
-    # Table 1
-    table = table1.generate()
-    md = out / "table1.md"
-    md.write_text(table1.render(table) + "\n")
-    _write_csv(
-        out / "table1.csv",
-        [{"method": m, **cols} for m, cols in table.items()],
-    )
-    written["table1"] = md
-
-    # Jacobi stats
-    js_rows = jacobi_stats.generate(config)
-    _write_csv(out / "jacobi_stats.csv", [asdict(r) for r in js_rows])
-    md = out / "jacobi_stats.md"
-    md.write_text(jacobi_stats.render(js_rows) + "\n")
-    written["jacobi_stats"] = md
-
-    # The paper's claims, checked on the rows above (the `claims` target).
-    md = out / "claims.md"
-    md.write_text(
-        claims.render(claims.check(f5_rows, chol_rows, table, js_rows, config.machine))
-        + "\n"
-    )
-    written["claims"] = md
-
-    # Ablations (beyond the paper's figures), ending with their claims.
-    md = out / "ablations.md"
-    md.write_text(ablations.main(config)[0] + "\n")
-    written["ablations"] = md
-
-    # Per-pass pipeline evidence (build provenance for every variant).
-    pl_reports = pipeline_report.generate(config)
-    _write_csv(out / "pipeline.csv", pipeline_report.rows(pl_reports))
-    md = out / "pipeline.md"
-    md.write_text(pipeline_report.render(pl_reports) + "\n")
-    written["pipeline"] = md
-
-    # Configuration provenance.
-    (out / "config.md").write_text(
-        "\n".join(
-            [
-                "# sweep configuration",
-                f"- machine: {config.machine.name}",
-                f"- L1: {config.machine.l1.size_bytes} B, "
-                f"{config.machine.l1.line_bytes} B lines, "
-                f"{config.machine.l1.assoc}-way",
-                f"- L2: {config.machine.l2.size_bytes} B, "
-                f"{config.machine.l2.line_bytes} B lines, "
-                f"{config.machine.l2.assoc}-way",
-                f"- registers: {config.machine.registers}",
-                f"- instruction cycles: {config.machine.costs.instruction_cycles}",
-                f"- sizes: {list(config.sizes)}",
-                f"- jacobi M: {config.jacobi_m}",
-                f"- tile policy: {config.tile_policy}",
-                f"- seed: {config.seed}",
-                "",
-            ]
-        )
-    )
-    return written
+    paths: dict[str, Path] = {}
+    for section in to_write:
+        if section.csv is not None:
+            _write_csv(out / f"{section.name}.csv", section.csv)
+        paths[section.name] = out / f"{section.name}.md"
+        paths[section.name].write_text(section.text + "\n")
+    m = config.machine
+    (out / "config.md").write_text("\n".join([
+        "# sweep configuration",
+        f"- machine: {m.name}",
+        *(f"- {level}: {c.size_bytes} B, {c.line_bytes} B lines, {c.assoc}-way"
+          for level, c in (("L1", m.l1), ("L2", m.l2))),
+        f"- registers: {m.registers}",
+        f"- instruction cycles: {m.costs.instruction_cycles}",
+        f"- sizes: {list(config.sizes)}",
+        f"- jacobi M: {config.jacobi_m}",
+        f"- tile policy: {config.tile_policy}",
+        f"- seed: {config.seed}",
+        "",
+    ]))
+    return paths

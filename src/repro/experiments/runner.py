@@ -1,15 +1,16 @@
 """Running kernel variants under the machine model.
 
-:func:`measure_recipe` is the single code path behind every printed
-number: take a :class:`~repro.pipeline.recipe.VariantRecipe`, bind the
+Every printed number takes one code path: resolve a
+:class:`~repro.pipeline.recipe.VariantRecipe` at one size (bind the
 sweep's tile if its ``Tile`` passes ask for one, build its program with
-the :class:`~repro.pipeline.manager.PassManager` (keeping the per-pass
-timing report), compile with tracing, run on deterministic inputs, replay
-the traces through the simulated Octane2, and return the
-:class:`~repro.machine.perfcounters.PerfReport`. :func:`measure_variant`
-is the same call for a recipe looked up in the **recipe registry**
-(:mod:`repro.kernels.recipes`); the ablations measure their unregistered
-recipes directly.
+the :class:`~repro.pipeline.manager.PassManager`, keeping the per-pass
+timing report, and fingerprint it), compile it with tracing, run it on
+deterministic inputs, replay the traces through the simulated Octane2,
+and return the :class:`~repro.machine.perfcounters.PerfReport`.
+:func:`measure_points` takes that path for a grid of registered points
+(:mod:`repro.kernels.recipes`), :func:`measure_recipe` for one recipe
+(the ablations measure their unregistered recipes directly) and
+:func:`measure_variant` for one registered point.
 
 Measurements are memoised in-process (capped LRU; :func:`clear_caches`
 resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
@@ -23,13 +24,15 @@ the filename, so stale entries are simply never read again. No
 hand-bumped version tag to forget.
 
 Sweep grids fan out across processes with :func:`measure_points`
-(``REPRO_JOBS``, default 1). Every worker starts with *empty* in-process
-memos (:func:`clear_caches` runs as the pool initializer) but shares the
-fingerprint-keyed disk cache, whose writes are atomic
-(temp file + ``os.replace``) so a concurrent reader can never observe a
-truncated report. The figure generators then assemble their output
-through the unchanged serial path, which finds every point already
-memoised — parallel runs are byte-identical to serial ones.
+(``REPRO_JOBS``, default 1). The parent resolves every point once
+(build, fingerprint, generated C, one ``cc`` call for the batch) and
+forks the pool; each worker measures points the parent resolved, on the
+programs it built, so no worker builds or compiles. Workers share the
+fingerprint-keyed disk cache, whose writes are atomic (temp file +
+``os.replace``) so a concurrent reader can never observe a truncated
+report, and the parent memoises what they return. The figure generators
+use the measurements :func:`measure_points` returns, so parallel runs are
+byte-identical to serial ones.
 """
 
 from __future__ import annotations
@@ -65,9 +68,7 @@ class VariantMeasurement:
     n: int
     tile: int | None
     report: PerfReport
-    #: Per-pass build evidence (None when the measurement came from cache
-    #: without a fresh in-process build this call — never the case today,
-    #: since the fingerprint requires building the program).
+    #: Per-pass build evidence of the measured program.
     pipeline: PipelineReport | None = None
 
 
@@ -82,13 +83,8 @@ _inputs: LRUCache = LRUCache(maxsize=4)
 
 def clear_caches() -> None:
     """Drop every in-process memo (measurements, built programs, sweep
-    inputs). Disk cache and the built C programs are untouched.
-
-    Also the :func:`measure_points` pool initializer: forked workers
-    inherit the parent's memos, and a sweep worker must re-measure (or
-    disk-load) rather than answer from inherited state, so each worker
-    starts cold in-process and warm on disk.
-    """
+    inputs, the polyhedral analysis memo). Disk cache and the built C
+    programs are untouched."""
     from repro.poly import memo as poly_memo
 
     _memo.clear()
@@ -201,12 +197,28 @@ def point_inputs(
     return params, inputs
 
 
+@dataclass(frozen=True)
+class _Point:
+    """One resolved measurement point: the recipe's build at its tile and
+    the memo/disk key (a human-readable prefix plus the content
+    fingerprint)."""
+
+    recipe: VariantRecipe
+    n: int
+    tile: int | None
+    program: Program
+    pipeline: PipelineReport
+    key: str
+
+    def measured(self, report: PerfReport) -> VariantMeasurement:
+        r = self.recipe
+        return VariantMeasurement(r.kernel, r.variant, self.n, self.tile, report, self.pipeline)
+
+
 def _point(
     recipe: VariantRecipe, n: int, config: SweepConfig, tile: int | None
-) -> tuple[int | None, Program, PipelineReport, str]:
-    """Resolve one measurement point: tile policy, build, and the memo/disk
-    key (a human-readable prefix plus the content fingerprint, shared by
-    the parent and every sweep worker).
+) -> _Point:
+    """Resolve one measurement point: tile policy, build and key.
 
     A recipe whose :class:`~repro.pipeline.passes.Tile` passes read the
     ``TILE`` placeholder takes the sweep's tile unless *tile* is given.
@@ -214,17 +226,115 @@ def _point(
     if tile is None and recipe.takes_tile:
         tile = config.tile_for(n)
     program, pipeline = _build(recipe, tile)
-    key = f"{recipe.kernel}-{recipe.variant}-N{n}-" + measurement_fingerprint(
-        recipe,
-        program,
-        config.machine,
-        {
-            "params": _params_for(recipe.kernel, n, config),
-            "tile": tile,
-            "seed": config.seed,
-        },
-    )
-    return tile, program, pipeline, key
+    run = {"params": _params_for(recipe.kernel, n, config), "tile": tile, "seed": config.seed}
+    fingerprint = measurement_fingerprint(recipe, program, config.machine, run)
+    key = f"{recipe.kernel}-{recipe.variant}-N{n}-{fingerprint}"
+    return _Point(recipe, n, tile, program, pipeline, key)
+
+
+def _measure(
+    point: _Point, cp: compiled.CompiledProgram, config: SweepConfig
+) -> PerfReport:
+    """The report of one point that is not memoised: from disk, or run on
+    the machine model through *cp* (its built program) and stored."""
+    kernel, n = point.recipe.kernel, point.n
+    # One span per *measured* grid point: memo hits never reach here, so a
+    # sweep's `sweep.point` span count equals the number of points that
+    # actually went to disk or to the machine model.
+    with telemetry.span(
+        "sweep.point", kernel=kernel, variant=point.recipe.variant, n=n
+    ) as sp:
+        report = _load_cached(point.key)
+        if report is not None:
+            telemetry.counter("sweep.cache.hit")
+            sp.set(source="disk")
+            return report
+        telemetry.counter("sweep.cache.miss")
+        params, inputs = point_inputs(kernel, n, config)
+        _, report = measure_streaming(cp, params, config.machine, inputs)
+        _store_cached(point.key, report)
+        sp.set(source="computed")
+        return report
+
+
+#: The to-do points of the running parallel sweep, by key, each with its
+#: built program. Set before the pool forks, so a worker measures the
+#: point the parent resolved instead of building it again.
+_pending: dict[str, tuple[_Point, compiled.CompiledProgram]] = {}
+
+
+def _measure_pending(
+    key: str, config: SweepConfig, with_telemetry: bool
+) -> tuple[str, dict[str, float], dict | None]:
+    """Sweep-pool body: measure one to-do point; return its report as a
+    dict and (when the parent is recording) the worker's telemetry, reset
+    per point so a forked worker never re-exports inherited parent spans.
+    """
+    if with_telemetry:
+        telemetry.reset()
+        telemetry.enable()
+    report = _measure(*_pending[key], config).as_dict()
+    return key, report, telemetry.export_state() if with_telemetry else None
+
+
+def _measure_all(
+    points: list[_Point], config: SweepConfig, jobs: int
+) -> list[VariantMeasurement]:
+    """The measurements of resolved *points*, in order.
+
+    Points not yet memoised are measured once each: the parent builds
+    their programs in one ``cc`` call (:func:`repro.exec.compiled.build`)
+    and, with ``jobs`` > 1 and more than one to measure, loads the C
+    memory core (:func:`repro.machine.native.lib`) and forks a pool whose
+    workers inherit both builds and the resolved points. A worker failure
+    re-raises as a :class:`~repro.errors.ReproError` naming the failed
+    point, chained to the worker's exception.
+    """
+    global _pending
+    todo: dict[str, tuple[_Point, compiled.CompiledProgram]] = {}
+    for point in points:
+        if point.key in _memo:
+            telemetry.counter("sweep.memo.hit")
+        elif point.key not in todo:
+            todo[point.key] = (point, compiled.CompiledProgram(point.program, trace=True))
+    compiled.build(cp for _, cp in todo.values())
+    if jobs < 2 or len(todo) < 2:
+        for key, (point, cp) in todo.items():
+            _memo[key] = point.measured(_measure(point, cp, config))
+        return [_memo[point.key] for point in points]
+
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
+    native.lib()  # loaded before forking: no worker compiles its own
+    with_telemetry = telemetry.enabled()
+    _pending = todo
+    try:
+        with ProcessPoolExecutor(
+            max_workers=min(jobs, len(todo)), mp_context=multiprocessing.get_context("fork")
+        ) as pool:
+            futures = {
+                pool.submit(_measure_pending, key, config, with_telemetry): key for key in todo
+            }
+            for fut in as_completed(futures):
+                try:
+                    key, data, state = fut.result()
+                except Exception as exc:
+                    for other in futures:
+                        other.cancel()  # fail fast: drop the queued points
+                    point, _ = todo[futures[fut]]
+                    raise ReproError(
+                        f"sweep point (kernel={point.recipe.kernel}, "
+                        f"variant={point.recipe.variant}, N={point.n}) "
+                        f"failed in a worker: {exc}"
+                    ) from exc
+                # Fold each worker's spans/metrics into the parent so a
+                # parallel sweep yields one coherent trace.
+                telemetry.absorb(state)
+                _memo[key] = todo[key][0].measured(PerfReport(**data))
+    finally:
+        _pending = {}
+    return [_memo[point.key] for point in points]
 
 
 def measure_recipe(
@@ -234,38 +344,10 @@ def measure_recipe(
     *,
     tile: int | None = None,
 ) -> VariantMeasurement:
-    """Measure *recipe* at size *n* (memoised in-process and on disk).
-
-    Every printed number goes through here; the recipe need not be
-    registered. The trace streams through the fused sink pipeline in
-    bounded memory.
-    """
-    tile, program, pipeline, key = _point(recipe, n, config, tile)
-    if key in _memo:
-        telemetry.counter("sweep.memo.hit")
-        return _memo[key]
-
-    kernel, variant = recipe.kernel, recipe.variant
-    # One span per *measured* grid point: memo hits above never reach
-    # here, so a sweep's `sweep.point` span count equals the number of
-    # points that actually went to disk or to the machine model.
-    with telemetry.span(
-        "sweep.point", kernel=kernel, variant=variant, n=n
-    ) as sp:
-        report = _load_cached(key)
-        if report is not None:
-            telemetry.counter("sweep.cache.hit")
-            sp.set(source="disk")
-        else:
-            telemetry.counter("sweep.cache.miss")
-            params, inputs = point_inputs(kernel, n, config)
-            cp = compiled.CompiledProgram(program, trace=True)
-            _, report = measure_streaming(cp, params, config.machine, inputs)
-            _store_cached(key, report)
-            sp.set(source="computed")
-        result = VariantMeasurement(kernel, variant, n, tile, report, pipeline)
-        _memo[key] = result
-        return result
+    """Measure *recipe* at size *n* (memoised in-process and on disk); the
+    recipe need not be registered."""
+    (measured,) = _measure_all([_point(recipe, n, config, tile)], config, 1)
+    return measured
 
 
 def measure_variant(
@@ -281,105 +363,33 @@ def measure_variant(
     return measure_recipe(get_recipe(kernel, variant), n, config, tile=tile)
 
 
-def _measure_point_worker(
-    point: tuple[str, str, int],
-    config: SweepConfig,
-    with_telemetry: bool = False,
-) -> tuple[tuple[str, str, int], dict[str, float], dict | None]:
-    """Sweep-pool body: measure one point, return its report as a dict
-    plus (when the parent is recording) the worker's serialized telemetry.
-
-    Runs in a worker whose in-process memos were cleared by the pool
-    initializer; the measurement also lands in the shared disk cache (if
-    enabled) via the atomic writer. Telemetry is reset *per point* so a
-    forking pool never re-exports inherited parent spans — the parent
-    absorbs exactly one point's evidence per returned state.
-    """
-    if with_telemetry:
-        telemetry.reset()
-        telemetry.enable()
-    kernel, variant, n = point
-    report = measure_variant(kernel, variant, n, config).report.as_dict()
-    state = telemetry.export_state() if with_telemetry else None
-    return point, report, state
-
-
 def measure_points(
     points: list[tuple[str, str, int]],
     config: SweepConfig,
     *,
     jobs: int | None = None,
 ) -> list[VariantMeasurement]:
-    """Measure a grid of (kernel, variant, N) points, optionally in
-    parallel, and return them in input order.
+    """Measure a grid of registered (kernel, variant, N) points, optionally
+    in parallel, and return them in input order.
 
-    ``jobs`` (default: ``REPRO_JOBS``, i.e. 1) sets the worker-process
-    count. With 1 the points run serially through
-    :func:`measure_variant` — exactly the historical code path. With
-    more, the *unmemoised* points fan out across a
-    ``ProcessPoolExecutor`` whose workers start with cleared in-process
-    memos (see :func:`clear_caches`) but share the disk cache; the
-    parent then seeds its own memo from the workers' reports, so
-    subsequent serial figure assembly reuses them byte-identically even
-    with ``REPRO_NO_CACHE=1``. Either way the parent first builds the
-    programs of every unmemoised point in one ``cc`` call
-    (:func:`repro.exec.compiled.build`), and it loads the C memory core
-    (:func:`repro.machine.native.lib`) before it forks the pool, so the
-    workers share both builds. A worker failure re-raises as a
-    :class:`~repro.errors.ReproError` naming the failed point, chained
-    to the worker's exception.
+    Each distinct point is resolved (built, fingerprinted) once, and each
+    one not memoised is measured once: serially with ``jobs`` 1 (the
+    default: ``REPRO_JOBS``, i.e. 1), else across a forked
+    ``ProcessPoolExecutor`` whose workers measure the parent's resolved
+    points on its built programs and share the disk cache. Either way the
+    reports land in the parent's memo, so serial and parallel runs return
+    identical measurements, even with ``REPRO_NO_CACHE=1``.
     """
     points = [tuple(p) for p in points]
-    jobs = resolve_jobs(jobs)
-    todo: dict[tuple[str, str, int], tuple[int | None, PipelineReport, str]] = {}
-    programs = []
-    for point in dict.fromkeys(points):
-        kernel, variant, n = point
-        tile, program, pipeline, key = _point(get_recipe(kernel, variant), n, config, None)
-        if key not in _memo:
-            todo[point] = (tile, pipeline, key)
-            programs.append(compiled.CompiledProgram(program, trace=True))
-    compiled.build(programs)
-    if jobs > 1 and len(todo) > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
-
-        # Load the C core before forking: the workers inherit it instead
-        # of each compiling its own (under REPRO_NO_CACHE=1).
-        native.lib()
-        with_telemetry = telemetry.enabled()
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(todo)), initializer=clear_caches
-        ) as pool:
-            futures = {
-                pool.submit(_measure_point_worker, p, config, with_telemetry): p
-                for p in todo
-            }
-            for fut in as_completed(futures):
-                try:
-                    point, data, state = fut.result()
-                except Exception as exc:
-                    for other in futures:
-                        other.cancel()  # fail fast: drop the queued points
-                    kernel, variant, n = futures[fut]
-                    raise ReproError(
-                        f"sweep point (kernel={kernel}, variant={variant}, "
-                        f"N={n}) failed in a worker: {exc}"
-                    ) from exc
-                # Fold each worker's spans/metrics into the parent so a
-                # parallel sweep yields one coherent trace.
-                telemetry.absorb(state)
-                tile, pipeline, key = todo[point]
-                _memo[key] = VariantMeasurement(
-                    *point, tile, PerfReport(**data), pipeline
-                )
-    return [measure_variant(k, v, n, config) for k, v, n in points]
+    resolved = {
+        p: _point(get_recipe(p[0], p[1]), p[2], config, None) for p in dict.fromkeys(points)
+    }
+    return _measure_all([resolved[p] for p in points], config, resolve_jobs(jobs))
 
 
 def run_pair(
     kernel: str, n: int, config: SweepConfig
 ) -> tuple[VariantMeasurement, VariantMeasurement, float]:
     """(seq, tiled, speedup) for one kernel and size."""
-    seq = measure_variant(kernel, "seq", n, config)
-    tiled = measure_variant(kernel, "tiled", n, config)
-    speedup = seq.report.total_cycles / tiled.report.total_cycles
-    return seq, tiled, speedup
+    seq, tiled = measure_points([(kernel, "seq", n), (kernel, "tiled", n)], config)
+    return seq, tiled, seq.report.total_cycles / tiled.report.total_cycles

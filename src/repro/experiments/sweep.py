@@ -37,9 +37,9 @@ def resolve_jobs(override: int | None = None) -> int:
 
     *override*, else ``REPRO_JOBS``, else 1 — serial by default, so figure
     output is produced by exactly the code path it always was. Parallel
-    runs are byte-identical anyway (workers only warm the caches; the
-    figures assemble from the same measurements), so ``REPRO_JOBS=4`` is
-    purely a wall-clock knob.
+    runs are byte-identical anyway (workers measure the points the parent
+    resolved and return their reports), so ``REPRO_JOBS=4`` is purely a
+    wall-clock knob.
     """
     if override is None:
         text = os.environ.get("REPRO_JOBS", "1")
@@ -83,6 +83,8 @@ def default_config(*, quick: bool = True) -> SweepConfig:
             raise ReproError(
                 f"REPRO_SIZES={env_sizes!r} is not a comma-separated list of integers"
             ) from None
+        if not sizes:
+            raise ReproError(f"REPRO_SIZES={env_sizes!r} lists no size")
         if any(n < 1 for n in sizes):
             raise ReproError(f"REPRO_SIZES={env_sizes!r}: every size must be positive")
     return SweepConfig(default_machine(), tuple(sizes), SCALED_JACOBI_M)

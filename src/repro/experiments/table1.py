@@ -211,8 +211,3 @@ def render(table: dict[str, dict[str, bool]] | None = None) -> str:
         else f"MISMATCHES vs paper: {', '.join(mismatches)}"
     )
     return f"{text}\n\n{verdict}"
-
-
-def main(config=None) -> str:
-    """Generate and render (config ignored; structural analysis only)."""
-    return render()

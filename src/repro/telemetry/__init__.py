@@ -129,7 +129,7 @@ def record_span(name: str, start: float, duration: float, **attrs: Any) -> Span 
 
 
 def current_span() -> ActiveSpan | None:
-    """The innermost open span of this thread (``None`` when disabled)."""
+    """The innermost open span (``None`` when disabled)."""
     return _collector.current() if _enabled else None
 
 

@@ -9,38 +9,32 @@ Time is never a metric: a span records it once (:mod:`.spans`).
 
 from __future__ import annotations
 
-import threading
 from typing import Any
 
 __all__ = ["MetricsRegistry", "merge_snapshots"]
 
 
 class MetricsRegistry:
-    """Thread-safe named counters with snapshot export."""
+    """Named counters with snapshot export (one per process)."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
         self._counters: dict[str, float] = {}
 
     def counter_add(self, name: str, n: float = 1) -> None:
-        with self._lock:
-            self._counters[name] = self._counters.get(name, 0) + n
+        self._counters[name] = self._counters.get(name, 0) + n
 
     def counter_value(self, name: str) -> float:
         """Current value of a counter (0 when never incremented)."""
-        with self._lock:
-            return self._counters.get(name, 0)
+        return self._counters.get(name, 0)
 
     def snapshot(self) -> dict[str, Any]:
         """JSON-able state: ``{"counters": {name: value}}``, sorted."""
-        with self._lock:
-            return {"counters": dict(sorted(self._counters.items()))}
+        return {"counters": dict(sorted(self._counters.items()))}
 
     def merge_snapshot(self, snap: dict[str, Any]) -> None:
         """Fold another registry's snapshot into this one (counters add)."""
-        with self._lock:
-            for k, v in snap.get("counters", {}).items():
-                self._counters[k] = self._counters.get(k, 0) + v
+        for k, v in snap.get("counters", {}).items():
+            self._counters[k] = self._counters.get(k, 0) + v
 
 
 def merge_snapshots(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:

@@ -1,8 +1,11 @@
-"""Span tracing: nested, monotonic-clocked, thread- and process-tagged.
+"""Span tracing: nested, monotonic-clocked, process-tagged.
 
 A *span* is one timed region of work (`pipeline.pass`, `exec.run`,
-`sweep.point`, ...). Spans nest: each thread keeps a stack of open spans,
-and a span records its parent's id so exporters can rebuild the tree.
+`sweep.point`, ...). Spans nest: the process keeps one stack of open
+spans, and a span records its parent's id so exporters can rebuild the
+tree. Telemetry is single-threaded: no thread of ``repro`` opens a span,
+and sweep workers are processes whose spans the parent absorbs. A span
+still records its pid and thread id, so older traces load unchanged.
 Timing uses ``time.perf_counter`` (monotonic); the per-process clock
 origin is arbitrary, so cross-process ordering is by pid, not timestamp.
 
@@ -137,42 +140,29 @@ class ActiveSpan:
 
 
 class SpanCollector:
-    """Accumulates finished spans; one per process.
-
-    Thread-safe: each thread has its own open-span stack
-    (``threading.local``) and finished spans are appended under a lock.
-    """
+    """Accumulates finished spans; one per process, with one stack of open
+    spans."""
 
     def __init__(self) -> None:
         self._finished: list[Span] = []
-        self._local = threading.local()
-        self._lock = threading.Lock()
+        self._stack: list[ActiveSpan] = []
 
     # -- stack bookkeeping -----------------------------------------------
-    def _stack(self) -> list[ActiveSpan]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = self._local.stack = []
-        return stack
-
-    def _issue_id(self) -> int:
-        return next(_SPAN_IDS)  # one C call: atomic under the GIL
-
     def _push(self, span: ActiveSpan) -> None:
-        stack = self._stack()
-        span.span_id = self._issue_id()
+        stack = self._stack
+        span.span_id = next(_SPAN_IDS)
         span.parent_id = stack[-1].span_id if stack else None
         stack.append(span)
 
     def _pop(self, span: ActiveSpan, error: str | None) -> None:
-        stack = self._stack()
+        stack = self._stack
         # Pop down to (and including) *span* even if an inner span leaked
         # open — __exit__ must leave the stack balanced no matter what.
         while stack:
             top = stack.pop()
             if top is span:
                 break
-        self._record(
+        self._finished.append(
             Span(
                 name=span.name,
                 start=span.start,
@@ -186,46 +176,41 @@ class SpanCollector:
             )
         )
 
-    def _record(self, span: Span) -> None:
-        with self._lock:
-            self._finished.append(span)
-
     # -- public API -------------------------------------------------------
     def span(self, name: str, attrs: dict[str, Any] | None = None) -> ActiveSpan:
         """An open span context manager, parented to the current top."""
         return ActiveSpan(self, name, dict(attrs or {}))
 
     def current(self) -> ActiveSpan | None:
-        """The top of this thread's stack: the parent of a span opened or
-        recorded now."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The top of the stack: the parent of a span opened or recorded
+        now."""
+        return self._stack[-1] if self._stack else None
 
     def record(
         self, name: str, start: float, duration: float, attrs: dict[str, Any] | None = None
     ) -> Span:
         """Record a pre-timed ("complete") span, parented to the current
-        top of this thread's stack — for work timed piecewise, like a
-        sink's accumulated ``feed`` time."""
-        stack = self._stack()
+        top of the stack — for work timed piecewise, like a sink's
+        accumulated ``feed`` time."""
+        stack = self._stack
         span = Span(
             name=name,
             start=start,
             duration=duration,
-            span_id=self._issue_id(),
+            span_id=next(_SPAN_IDS),
             parent_id=stack[-1].span_id if stack else None,
             pid=os.getpid(),
             tid=threading.get_ident(),
             attrs=dict(attrs or {}),
         )
-        self._record(span)
+        self._finished.append(span)
         return span
 
     @contextmanager
     def nest(self, span: ActiveSpan) -> Iterator[None]:
         """Parent the spans opened or recorded in this block to *span*,
         open or already closed."""
-        stack = self._stack()
+        stack = self._stack
         stack.append(span)
         try:
             yield
@@ -236,14 +221,12 @@ class SpanCollector:
     def absorb(self, spans: list[Span]) -> None:
         """Merge spans serialized by another process (ids are unique per
         ``(pid, span_id)``; parent links stay within the source process)."""
-        with self._lock:
-            self._finished.extend(spans)
+        self._finished.extend(spans)
 
     def finished(self) -> list[Span]:
         """Snapshot of all finished spans, in completion order."""
-        with self._lock:
-            return list(self._finished)
+        return list(self._finished)
 
     def open_depth(self) -> int:
-        """Open spans on the calling thread's stack (0 when balanced)."""
-        return len(self._stack())
+        """Open spans on the stack (0 when balanced)."""
+        return len(self._stack)

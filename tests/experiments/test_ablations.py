@@ -155,9 +155,9 @@ def test_each_claim_fails_on_its_own_rows(change, study):
 def test_ablations_target_exits_on_fails(monkeypatch, capsys):
     from repro.experiments.__main__ import main
 
-    failing = _check(writeback=[])
-    monkeypatch.setattr(ablations, "main", lambda config=None: ("tables", failing))
+    monkeypatch.setattr(ablations, "generate", lambda config=None: {**ROWS, "writeback": []})
     assert main(["ablations"]) == 1
-    assert "tables" in capsys.readouterr().out
-    monkeypatch.setattr(ablations, "main", lambda config=None: ("tables", _check()))
+    assert "1 of 7 claims FAIL" in capsys.readouterr().out
+    monkeypatch.setattr(ablations, "generate", lambda config=None: ROWS)
     assert main(["ablations"]) == 0
+    assert "7 of 7 claims hold" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from repro.experiments.figure678 import CholRow
 from repro.experiments.jacobi_stats import JacobiStatsRow
 from repro.experiments.paperpoint import PaperPoint
 from repro.machine.configs import octane2_scaled
+from tests.experiments.test_ablations import ROWS as ABLATION_ROWS
 
 RESULTS = Path(__file__).resolve().parents[2] / "results"
 _TYPES = {"int": int, "float": float, "str": str}
@@ -106,7 +107,7 @@ def test_all_exit_code_follows_claims(rows, monkeypatch, capsys, perturb):
     monkeypatch.setattr(figure678, "generate", lambda config=None: chol)
     monkeypatch.setattr(table1, "generate", lambda: rows["table"])
     monkeypatch.setattr(jacobi_stats, "generate", lambda config=None: rows["js"])
-    monkeypatch.setattr(ablations, "main", lambda config=None: ("", []))
+    monkeypatch.setattr(ablations, "generate", lambda config=None: ABLATION_ROWS)
     assert main(["all", "--full"]) == (1 if perturb else 0)
     assert ("3 of 12 claims FAIL" if perturb else "12 of 12 claims hold") in (
         capsys.readouterr().out

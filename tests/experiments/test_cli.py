@@ -56,9 +56,14 @@ class TestCLI:
         assert "claims FAIL" in text
 
     def test_output_dir(self, tmp_path):
+        # --output writes the sections of the target that ran, and the
+        # configuration; nothing else is measured.
         text = run_cli("table1", "--output", str(tmp_path))
-        assert (tmp_path / "figure5.csv").exists()
-        assert "wrote figure5" in text
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "config.md", "table1.csv", "table1.md",
+        ]
+        assert "wrote table1" in text
+        assert (tmp_path / "table1.md").read_text() == text.split("\n", 1)[1]
 
     def test_bad_target_rejected(self):
         out = subprocess.run(

@@ -109,8 +109,9 @@ class TestFigures:
         rows = figure678.generate(replace(tiny_config, sizes=(12,)))
         assert len(rows) == 1
         assert rows[0].tiled_instructions > rows[0].seq_instructions
-        out = figure678.main(replace(tiny_config, sizes=(12,)))
-        assert "Figure 6" in out and "Figure 7" in out and "Figure 8" in out
+        assert "Figure 6" in figure678.render_figure6(rows)
+        assert "Figure 7" in figure678.render_figure7(rows)
+        assert "Figure 8" in figure678.render_figure8(rows)
 
     def test_jacobi_stats_direction(self, tiny_config):
         from repro.experiments import jacobi_stats

@@ -39,6 +39,8 @@ class TestResolveJobs:
             ("REPRO_JOBS", "two", resolve_jobs),
             ("REPRO_SIZES", "24,x", default_config),
             ("REPRO_SIZES", "0", default_config),
+            ("REPRO_SIZES", ",", default_config),
+            ("REPRO_SIZES", " ", default_config),
         ],
     )
     def test_bad_env_value_names_variable(self, monkeypatch, var, value, resolve):
@@ -127,8 +129,7 @@ class TestMeasurePoints:
         real = runner.measure_variant("cholesky", "seq", 8, config)
         sentinel = replace(real.report, total_cycles=12345.0)
         recipe = get_recipe("cholesky", "seq")
-        *_, key = runner._point(recipe, 8, config, None)
-        runner._store_cached(key, sentinel)
+        runner._store_cached(runner._point(recipe, 8, config, None).key, sentinel)
         runner.clear_caches()  # workers must go to disk, not inherit memos
         results = runner.measure_points(
             [("cholesky", "seq", 8), ("lu", "seq", 8)], config, jobs=2

@@ -1,38 +1,78 @@
-"""Tests for the report writer."""
+"""The target table: one run prints and writes the same sections, each
+table generated once."""
 
-from repro.experiments import ablations
-from repro.experiments.report import write_all
-from repro.experiments.sweep import SweepConfig
-from repro.machine.configs import octane2_scaled
+from collections import Counter
+
+import pytest
+
+from repro.experiments import (
+    ablations,
+    figure5,
+    figure678,
+    jacobi_stats,
+    report,
+    runner,
+    table1,
+)
+from repro.experiments.__main__ import main
+from repro.experiments.sweep import default_config
 
 
-def test_write_all_artifacts(tmp_path):
-    config = SweepConfig(
-        machine=octane2_scaled(), sizes=(12,), jacobi_m=2, tile_policy="pdat"
+def _count_calls(monkeypatch, functions) -> Counter:
+    calls = Counter()
+    for module, name in functions:
+        original = getattr(module, name)
+
+        def wrapper(*args, _original=original, _name=f"{module.__name__}.{name}", **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+def test_all_output_generates_once_and_writes_what_it_prints(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_SIZES", "12")
+    runner.clear_caches()
+    generators = [(m, "generate") for m in (figure5, figure678, table1, jacobi_stats)]
+    calls = _count_calls(monkeypatch, [*generators, (ablations, "tile_policy_rows")])
+    code = main(["all", "--output", str(tmp_path)])
+    out = capsys.readouterr().out
+    assert sorted(calls.values()) == [1] * 5, calls
+    # One size cannot show a trend: some sweep claims FAIL.
+    assert code == 1
+    names = ["figure5", "figure678", "table1", "jacobi_stats", "claims", "ablations"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        [f"{n}.md" for n in names] + [f"{n}.csv" for n in names[:4]] + ["config.md"]
     )
-    written = write_all(tmp_path, config)
-    assert set(written) == {
-        "figure5", "figure678", "table1", "jacobi_stats", "claims", "ablations",
-        "pipeline",
-    }
-    for path in written.values():
-        assert path.exists() and path.read_text().strip()
-    # CSVs alongside the markdown
-    assert (tmp_path / "figure5.csv").exists()
+    lines = out.split("\n", len(names))
+    assert lines[:-1] == [f"wrote {n}: {tmp_path / n}.md" for n in names]
+    # stdout after the "wrote" lines is every markdown file, in order.
+    assert lines[-1] == "\n".join((tmp_path / f"{n}.md").read_text() for n in names)
     csv_text = (tmp_path / "figure5.csv").read_text()
     assert "speedup" in csv_text.splitlines()[0]
     assert len(csv_text.splitlines()) == 1 + 4  # header + four kernels
-    # per-pass timing shows up in the pipeline report
-    pipeline_md = (tmp_path / "pipeline.md").read_text()
-    assert "ms total" in pipeline_md and "FixDeps" in pipeline_md
-    assert "seconds" in (tmp_path / "pipeline.csv").read_text().splitlines()[0]
-    # the ablations file is exactly what the CLI target prints
-    ablations_md = (tmp_path / "ablations.md").read_text()
-    assert ablations_md == ablations.main(config)[0] + "\n"
-    assert "Claims — the ablations" in ablations_md
-    # the claims are checked on the same rows; one size cannot show a trend
+    assert "Claims — the ablations" in (tmp_path / "ablations.md").read_text()
     claims_md = (tmp_path / "claims.md").read_text()
     assert "| Each kernel gains more at the largest N than at the smallest |" in claims_md
     assert "claims FAIL" in claims_md
-    # provenance
-    assert "octane2-scaled" in (tmp_path / "config.md").read_text()
+    assert "- sizes: [12]" in (tmp_path / "config.md").read_text()
+
+
+def test_pipeline_output(tmp_path, capsys):
+    assert main(["pipeline", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    pipeline_md = (tmp_path / "pipeline.md").read_text()
+    assert "ms total" in pipeline_md and "FixDeps" in pipeline_md
+    assert "seconds" in (tmp_path / "pipeline.csv").read_text().splitlines()[0]
+
+
+@pytest.mark.parametrize("target", ["figure6", "figure7", "figure8"])
+def test_figure_targets_print_one_figure_each(target, monkeypatch):
+    monkeypatch.setenv("REPRO_SIZES", "12")
+    [section] = report.sections(target, default_config())
+    title = {"figure6": "Figure 6", "figure7": "Figure 7", "figure8": "Figure 8"}[target]
+    assert section.name == target and title in section.text
+    assert all(other not in section.text for other in ("Figure 6", "Figure 7", "Figure 8")
+               if other != title)
+    assert [row["n"] for row in section.csv] == [12]

@@ -209,8 +209,7 @@ class TestSweepCounters:
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         recipe = get_recipe("lu", "seq")
-        *_, key = runner._point(recipe, 8, config, None)
-        path = tmp_path / f"{key}.json"
+        path = tmp_path / f"{runner._point(recipe, 8, config, None).key}.json"
         path.write_text(json.dumps(cold.as_dict())[:40])
         runner.clear_caches()
         telemetry.enable()
@@ -273,8 +272,25 @@ class TestParallelSweepMerge:
         assert all(s.pid != os.getpid() for s in points)
         # Metric snapshots merged additively across the pool.
         assert telemetry.counter_value("sweep.cache.miss") == len(self.POINTS)
-        # Parent-side assembly answered from the seeded memo.
-        assert telemetry.counter_value("sweep.memo.hit") == len(self.POINTS)
+        # Each point is measured once: nothing re-queries the memo.
+        assert telemetry.counter_value("sweep.memo.hit") == 0
+
+    def test_workers_build_nothing(self):
+        """The parent resolves every point (one pipeline.recipe span per
+        build) and the workers measure what it resolved: no worker
+        builds, and the rows equal a serial run's."""
+        import os
+
+        runner.clear_caches()
+        serial = runner.measure_points(self.POINTS, _config(), jobs=1)
+        runner.clear_caches()
+        telemetry.enable()
+        parallel = runner.measure_points(self.POINTS, _config(), jobs=2)
+        assert [m.report for m in parallel] == [m.report for m in serial]
+        builds = _spans("pipeline.recipe")
+        assert len(builds) == len(self.POINTS)
+        assert {s.pid for s in builds} == {os.getpid()}
+        assert all(s.pid != os.getpid() for s in _spans("sweep.point"))
 
     def test_workers_inherit_the_native_core(self, monkeypatch):
         """The parent loads the C core before it forks the pool, so a

@@ -1,8 +1,6 @@
-"""Span mechanics: nesting, balance under exceptions, thread/process tags."""
+"""Span mechanics: nesting, balance under exceptions, process tags."""
 
 from __future__ import annotations
-
-import threading
 
 import pytest
 
@@ -110,24 +108,3 @@ class TestAttrs:
         [span] = telemetry.spans()
         assert span.duration >= 0
         assert telemetry.snapshot() == {"counters": {}}
-
-
-class TestThreads:
-    def test_threads_get_independent_stacks(self):
-        telemetry.enable()
-        done = threading.Event()
-
-        def work():
-            with telemetry.span("worker"):
-                done.wait(timeout=5)
-
-        with telemetry.span("main"):
-            t = threading.Thread(target=work)
-            t.start()
-            done.set()
-            t.join()
-        [main], [worker] = _by_name("main"), _by_name("worker")
-        # The worker's span must not be parented into the main thread's
-        # open span — stacks are per-thread.
-        assert worker.parent_id is None
-        assert worker.tid != main.tid

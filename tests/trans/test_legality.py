@@ -6,9 +6,10 @@ dependences are affine:
 - Cholesky: the (kt, j, k, i) tiling needs the (k, j) band permutable;
 - QR: the (it, jt, i, j, k) tiling needs the (i, j) band permutable;
 - Jacobi: raw time tiling is illegal; after the paper's skew the nest
-  FixDeps emits is proven fully permutable. Scalarizing ``L`` afterwards
-  makes every iteration reuse one scalar, whose output and anti
-  dependences no skew can orient, so the proof runs before that step;
+  FixDeps emits is proven fully permutable, and the registry's tiled
+  recipe skews exactly that nest. Scalarizing ``L`` makes every
+  iteration reuse one scalar, whose output and anti dependences no skew
+  can orient, so the recipe scalarizes after skewing and tiling;
 - LU: the pivot machinery is non-affine — the conservative analysis must
   *refuse* to prove it (the reference tests in ``test_fixdeps_kernels``
   cover LU's tiling at sizes spanning several tiles);
@@ -21,11 +22,12 @@ Every answer comes from the one check, :func:`fully_permutable_under`.
 import pytest
 
 from repro.deps.selfdeps import self_dependences
+from repro.ir.stmt import Loop
 from repro.kernels import lu
 from repro.kernels.recipes import build_variant, get_recipe
 from repro.kernels.registry import get_kernel
 from repro.pipeline.manager import PassManager
-from repro.pipeline.passes import PassContext, Scalarize
+from repro.pipeline.passes import PassContext, Scalarize, SkewPermute
 from repro.pipeline.recipe import VariantRecipe
 from repro.poly.constraint import eq0, ge0
 from repro.poly.integer import integer_feasible
@@ -130,6 +132,21 @@ class TestJacobi:
 
     def test_paper_skew_proven_permutable(self, jacobi_nest):
         assert fully_permutable_under(jacobi_nest, PAPER_SKEW)
+
+    def test_registry_skew_input_proven(self):
+        # The registry's tiled recipe skews the FixDeps output: run its
+        # passes up to SkewPermute and prove the skew on exactly the nest
+        # that pass rewrites.
+        recipe = get_recipe("jacobi", "tiled")
+        [at] = [i for i, p in enumerate(recipe.passes) if isinstance(p, SkewPermute)]
+        skew = recipe.passes[at]
+        assert skew.skews == {1: {0: 1}, 2: {0: 1}} and skew.order == (1, 2, 0)
+        ctx = PassContext(kernel=get_kernel("jacobi"))
+        program, _ = PassManager().build(
+            VariantRecipe("jacobi", "tiled", recipe.passes[:at]), ctx
+        )
+        [nest] = [s for s in program.body if isinstance(s, Loop) and s.var == skew.nest]
+        assert fully_permutable_under(nest, PAPER_SKEW)
 
     def test_skew_without_permute_also_permutable(self, jacobi_nest):
         U = skew_matrix(3, {1: {0: 1}, 2: {0: 1}})
