@@ -69,7 +69,7 @@ def main(argv: list[str] | None = None) -> int:
 
     sections = report.sections(args.target, config)
     if args.output:
-        for name, path in report.write(sections, args.output, config).items():
+        for name, path in report.write(sections, args.output).items():
             print(f"wrote {name}: {path}")
     print("\n\n".join(section.text for section in sections))
     if args.telemetry:

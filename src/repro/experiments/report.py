@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import csv
 from collections.abc import Callable
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
 
@@ -46,6 +46,9 @@ class Section:
 
     name: str
     text: str
+    #: The configuration *text* was measured on; ``--output`` writes it
+    #: to ``config.md``.
+    config: SweepConfig
     csv: list[dict] | None = None
     #: The claim rows *text* prints; one that FAILS sets the exit code.
     claims: tuple[Claim, ...] = ()
@@ -75,13 +78,13 @@ class Rows:
 
 
 def _figure5(rows: Rows) -> list[Section]:
-    return [Section("figure5", figure5.render(rows.figure5),
+    return [Section("figure5", figure5.render(rows.figure5), rows.config,
                     [asdict(r) for r in rows.figure5])]
 
 
 def _figure(which: str) -> Callable[[Rows], list[Section]]:
     render = getattr(figure678, f"render_{which}")
-    return lambda rows: [Section(which, render(rows.figure678),
+    return lambda rows: [Section(which, render(rows.figure678), rows.config,
                                  [asdict(r) for r in rows.figure678])]
 
 
@@ -91,29 +94,31 @@ def _figure678(rows: Rows) -> list[Section]:
         for render in (figure678.render_figure6, figure678.render_figure7,
                        figure678.render_figure8)
     )
-    return [Section("figure678", text, [asdict(r) for r in rows.figure678])]
+    return [Section("figure678", text, rows.config,
+                    [asdict(r) for r in rows.figure678])]
 
 
 def _table1(rows: Rows) -> list[Section]:
-    return [Section("table1", table1.render(rows.table1),
+    return [Section("table1", table1.render(rows.table1), rows.config,
                     [{"method": m, **cols} for m, cols in rows.table1.items()])]
 
 
 def _jacobi(rows: Rows) -> list[Section]:
-    return [Section("jacobi_stats", jacobi_stats.render(rows.jacobi),
+    return [Section("jacobi_stats", jacobi_stats.render(rows.jacobi), rows.config,
                     [asdict(r) for r in rows.jacobi])]
 
 
 def _claims(rows: Rows) -> list[Section]:
     checked = claims.check(rows.figure5, rows.figure678, rows.table1, rows.jacobi,
                            rows.config.machine)
-    return [Section("claims", claims.render(checked), claims=tuple(checked))]
+    return [Section("claims", claims.render(checked), rows.config,
+                    claims=tuple(checked))]
 
 
 def _ablations(rows: Rows) -> list[Section]:
     studies = ablations.generate(rows.config)
     checked = ablations.check(**studies, fill=rows.config.machine.l2_fill_order())
-    return [Section("ablations", ablations.render(studies, checked),
+    return [Section("ablations", ablations.render(studies, checked), rows.config,
                     claims=tuple(checked))]
 
 
@@ -122,7 +127,8 @@ def _paperpoint(rows: Rows) -> list[Section]:
     checked = claims.paperpoint_claims(point)
     text = "\n\n".join([paperpoint.render(point),
                         claims.render(checked, "Claims — anchor point")])
-    return [Section("paperpoint", text, claims=tuple(checked))]
+    return [Section("paperpoint", text, paperpoint.paper_config(point.n),
+                    claims=tuple(checked))]
 
 
 def _crossover(rows: Rows) -> list[Section]:
@@ -130,12 +136,14 @@ def _crossover(rows: Rows) -> list[Section]:
     checked = claims.crossover_claims(results, rows.config.machine)
     text = "\n\n".join([crossover.render(results, rows.config.machine),
                         claims.render(checked, "Claims — crossover")])
-    return [Section("crossover", text, claims=tuple(checked))]
+    # The scan fixes its own sizes; the rest of the config is the run's.
+    scanned = replace(rows.config, sizes=tuple(n for n, _ in results[0].probes))
+    return [Section("crossover", text, scanned, claims=tuple(checked))]
 
 
 def _pipeline(rows: Rows) -> list[Section]:
     reports = pipeline_report.generate(rows.config)
-    return [Section("pipeline", pipeline_report.render(reports),
+    return [Section("pipeline", pipeline_report.render(reports), rows.config,
                     pipeline_report.rows(reports))]
 
 
@@ -175,23 +183,9 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
             writer.writerows(rows)
 
 
-def write(
-    to_write: list[Section], directory: str | Path, config: SweepConfig
-) -> dict[str, Path]:
-    """Write each section (``<name>.md``, and ``<name>.csv`` when it has
-    rows) and the configuration's provenance (``config.md``) under
-    *directory*; returns section name -> markdown file."""
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
-    paths: dict[str, Path] = {}
-    for section in to_write:
-        if section.csv is not None:
-            _write_csv(out / f"{section.name}.csv", section.csv)
-        paths[section.name] = out / f"{section.name}.md"
-        paths[section.name].write_text(section.text + "\n")
+def _config_lines(config: SweepConfig) -> list[str]:
     m = config.machine
-    (out / "config.md").write_text("\n".join([
-        "# sweep configuration",
+    return [
         f"- machine: {m.name}",
         *(f"- {level}: {c.size_bytes} B, {c.line_bytes} B lines, {c.assoc}-way"
           for level, c in (("L1", m.l1), ("L2", m.l2))),
@@ -201,6 +195,32 @@ def write(
         f"- jacobi M: {config.jacobi_m}",
         f"- tile policy: {config.tile_policy}",
         f"- seed: {config.seed}",
-        "",
-    ]))
+    ]
+
+
+def write(to_write: list[Section], directory: str | Path) -> dict[str, Path]:
+    """Write each section (``<name>.md``, and ``<name>.csv`` when it has
+    rows) under *directory*, and ``config.md``: the configuration the
+    sections were measured on, one block per distinct configuration
+    (naming its sections) when they differ. Returns section name ->
+    markdown file."""
+    out = Path(directory)
+    out.mkdir(parents=True, exist_ok=True)
+    paths: dict[str, Path] = {}
+    by_config: dict[SweepConfig, list[str]] = {}
+    for section in to_write:
+        if section.csv is not None:
+            _write_csv(out / f"{section.name}.csv", section.csv)
+        paths[section.name] = out / f"{section.name}.md"
+        paths[section.name].write_text(section.text + "\n")
+        by_config.setdefault(section.config, []).append(section.name)
+    blocks = [
+        "\n".join([
+            "# sweep configuration"
+            + ("" if len(by_config) == 1 else f" ({', '.join(names)})"),
+            *_config_lines(config),
+        ])
+        for config, names in by_config.items()
+    ]
+    (out / "config.md").write_text("\n\n".join(blocks) + "\n")
     return paths

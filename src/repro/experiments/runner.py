@@ -232,23 +232,34 @@ def _point(
     return _Point(recipe, n, tile, program, pipeline, key)
 
 
+def _from_disk(point: _Point) -> PerfReport | None:
+    """The report of *point* from the disk cache, recorded as its
+    ``sweep.point`` span (``source="disk"``); ``None`` on a miss, which
+    records no span (the point's computing run records it)."""
+    start = telemetry.perf_counter()
+    report = _load_cached(point.key)
+    if report is not None:
+        telemetry.counter("sweep.cache.hit")
+        telemetry.record_span(
+            "sweep.point", start, telemetry.perf_counter() - start,
+            kernel=point.recipe.kernel, variant=point.recipe.variant, n=point.n,
+            source="disk",
+        )
+    return report
+
+
 def _measure(
     point: _Point, cp: compiled.CompiledProgram, config: SweepConfig
 ) -> PerfReport:
-    """The report of one point that is not memoised: from disk, or run on
-    the machine model through *cp* (its built program) and stored."""
+    """The report of one point that is neither memoised nor on disk: run
+    on the machine model through *cp* (its built program) and stored."""
     kernel, n = point.recipe.kernel, point.n
-    # One span per *measured* grid point: memo hits never reach here, so a
-    # sweep's `sweep.point` span count equals the number of points that
-    # actually went to disk or to the machine model.
+    # One span per *measured* grid point: memo hits never reach here and a
+    # disk hit records its own, so a sweep's `sweep.point` span count
+    # equals the number of points that went to disk or to the machine model.
     with telemetry.span(
         "sweep.point", kernel=kernel, variant=point.recipe.variant, n=n
     ) as sp:
-        report = _load_cached(point.key)
-        if report is not None:
-            telemetry.counter("sweep.cache.hit")
-            sp.set(source="disk")
-            return report
         telemetry.counter("sweep.cache.miss")
         params, inputs = point_inputs(kernel, n, config)
         _, report = measure_streaming(cp, params, config.machine, inputs)
@@ -282,21 +293,29 @@ def _measure_all(
 ) -> list[VariantMeasurement]:
     """The measurements of resolved *points*, in order.
 
-    Points not yet memoised are measured once each: the parent builds
-    their programs in one ``cc`` call (:func:`repro.exec.compiled.build`)
-    and, with ``jobs`` > 1 and more than one to measure, loads the C
-    memory core (:func:`repro.machine.native.lib`) and forks a pool whose
-    workers inherit both builds and the resolved points. A worker failure
-    re-raises as a :class:`~repro.errors.ReproError` naming the failed
-    point, chained to the worker's exception.
+    Points not yet memoised are looked up on disk first, and only the
+    misses are measured, once each: the parent builds their programs in
+    one ``cc`` call (:func:`repro.exec.compiled.build`; none when every
+    point is on disk) and, with ``jobs`` > 1 and more than one to measure,
+    loads the C memory core (:func:`repro.machine.native.lib`) and forks a
+    pool whose workers inherit both builds and the resolved points. A
+    worker failure re-raises as a :class:`~repro.errors.ReproError` naming
+    the failed point, chained to the worker's exception.
     """
     global _pending
-    todo: dict[str, tuple[_Point, compiled.CompiledProgram]] = {}
+    unmemoised: dict[str, _Point] = {}
     for point in points:
         if point.key in _memo:
             telemetry.counter("sweep.memo.hit")
-        elif point.key not in todo:
-            todo[point.key] = (point, compiled.CompiledProgram(point.program, trace=True))
+        else:
+            unmemoised.setdefault(point.key, point)
+    todo: dict[str, tuple[_Point, compiled.CompiledProgram]] = {}
+    for key, point in unmemoised.items():
+        report = _from_disk(point)
+        if report is not None:
+            _memo[key] = point.measured(report)
+        else:
+            todo[key] = (point, compiled.CompiledProgram(point.program, trace=True))
     compiled.build(cp for _, cp in todo.values())
     if jobs < 2 or len(todo) < 2:
         for key, (point, cp) in todo.items():

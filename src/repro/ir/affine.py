@@ -7,8 +7,6 @@ these helpers recognise the affine fragment and convert in both directions.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro.errors import NotAffineError
 from repro.ir.expr import (
     BinOp,
@@ -74,8 +72,8 @@ def linexpr_to_expr(lin: LinExpr) -> Expr:
     if not lin.is_integral():
         raise NotAffineError(f"cannot emit fractional coefficients: {lin}")
 
-    def term(var: str, coef: Fraction) -> Expr:
-        mag = abs(int(coef))
+    def term(var: str, coef: int) -> Expr:
+        mag = abs(coef)
         return VarRef(var) if mag == 1 else BinOp("*", Const(mag), VarRef(var))
 
     pos = [(v, c) for v, c in sorted(lin.terms.items()) if c > 0]

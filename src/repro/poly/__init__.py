@@ -4,7 +4,8 @@ This subpackage is a from-scratch replacement for the slice of isl / Omega /
 PIP functionality the paper's algorithm needs:
 
 - :mod:`repro.poly.linexpr` — affine expressions ``sum c_i * x_i + c0`` with
-  :class:`fractions.Fraction` coefficients.
+  exact coefficients: an ``int`` unless the value is fractional, then a
+  :class:`fractions.Fraction`.
 - :mod:`repro.poly.constraint` — ``e >= 0`` / ``e == 0`` constraints with
   integer normalisation and tightening.
 - :mod:`repro.poly.polyhedron` — conjunctions of constraints over an ordered

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Mapping
 
 from repro.poly import memo
@@ -141,26 +140,22 @@ _INTERN = _make_intern_table()
 
 
 def _normalise(expr: LinExpr, kind: Kind) -> LinExpr:
-    terms = expr.terms
-    if not terms:
+    if expr.is_constant():
         return expr
     # Scale to integer coefficients.
-    denoms = [c.denominator for c in terms.values()] + [expr.constant.denominator]
-    lcm = math.lcm(*denoms)
-    expr = expr * lcm
-    coefs = [int(c) for c in expr.terms.values()]
-    g = math.gcd(*coefs)
-    if g > 1:
-        if kind is Kind.GE:
-            # a.x + c >= 0 with a = g*a'  =>  a'.x + floor(c/g) >= 0 (integers)
-            new_terms = {v: c / g for v, c in expr.terms.items()}
-            floored = Fraction(math.floor(expr.constant / g))
-            expr = LinExpr(new_terms, floored)
-        elif expr.constant % g == 0:
-            expr = expr / g
+    if not expr.is_integral():
+        expr = expr * math.lcm(
+            expr.constant.denominator, *(c.denominator for _, c in expr.terms_items())
+        )
+    g = math.gcd(*(c for _, c in expr.terms_items()))
+    const = expr.constant
+    # a.x + c >= 0 with a = g*a'  =>  a'.x + floor(c/g) >= 0 (integers); an
+    # equality divides only when g divides c.
+    if g > 1 and (kind is Kind.GE or const % g == 0):
+        expr = LinExpr._raw({v: c // g for v, c in expr.terms_items()}, const // g)
     if kind is Kind.EQ:
-        first = min(expr.terms)
-        if expr.terms[first] < 0:
+        first = min(v for v, _ in expr.terms_items())
+        if expr.coeff(first) < 0:
             expr = -expr
     return expr
 

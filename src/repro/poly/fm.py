@@ -13,23 +13,24 @@ Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
 - ``eliminate`` and ``project_onto`` are memoised per-process on the
   polyhedron's structural fingerprint, and both cache raised
   ``CaseSplitError``/``PolyhedronError`` outcomes;
-- the dominant bound combination ``e_lo * (-n) + e_up * p`` takes a
-  pure-addition fast path when both coefficients on the eliminated
-  variable are unit (the common case for loop nests), skipping two
-  ``LinExpr`` allocations and all ``Fraction`` multiplies;
+- normalised constraints hold ``int`` coefficients (``repro.poly.linexpr``
+  stores a ``Fraction`` only for a fractional value), so bound combination,
+  pruning and the intern and memo keys add, compare and hash plain ints;
+- in the dominant bound combination ``e_lo * (-n) + e_up * p`` both
+  factors are usually 1 (unit coefficients, the common case for loop
+  nests), and ``LinExpr * 1`` returns the expression itself, so the
+  combination costs one addition;
 - ``_cheapest_variable`` counts bounds for *all* candidates in one pass
   over the constraints instead of one pass per candidate.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError
 from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind, ge0
-from repro.poly.linexpr import LinExpr
+from repro.poly.linexpr import Coef, LinExpr
 from repro.poly.polyhedron import Polyhedron
 
 # Safety valve against pathological constraint blowup.
@@ -99,8 +100,8 @@ def _eliminate(poly: Polyhedron, var: str, require_exact: bool) -> Polyhedron:
             substituted = [k.substitute({var: replacement}) for k in others]
             return Polyhedron(new_vars, _prune(substituted))
 
-    lowers: list[tuple[Fraction, LinExpr]] = []  # (coef>0, expr)
-    uppers: list[tuple[Fraction, LinExpr]] = []  # (coef<0, expr)
+    lowers: list[tuple[Coef, LinExpr]] = []  # (coef>0, expr)
+    uppers: list[tuple[Coef, LinExpr]] = []  # (coef<0, expr)
     passthrough: list[Constraint] = []
     for c in poly.constraints:
         a = c.expr.coeff(var)
@@ -118,12 +119,7 @@ def _eliminate(poly: Polyhedron, var: str, require_exact: bool) -> Polyhedron:
                 raise CaseSplitError(
                     f"eliminating {var}: bound pair with coefficients {p}, {n}"
                 )
-            if p == 1 and n == -1:
-                # Unit coefficients on both bounds: the combination
-                # degenerates to a plain sum (no Fraction multiplies).
-                new_expr = e_lo + e_up
-            else:
-                new_expr = e_lo * (-n) + e_up * p
+            new_expr = e_lo * (-n) + e_up * p
             assert new_expr.coeff(var) == 0
             combined.append(ge0(new_expr))
     if len(combined) > MAX_CONSTRAINTS:

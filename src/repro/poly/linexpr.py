@@ -5,39 +5,35 @@ dependence analysis and code generation: loop bounds, array subscripts,
 dependence-distance objectives and symbolic tile sizes are all ``LinExpr``
 instances over loop variables and problem-size parameters (``N``, ``M``).
 
-Coefficients are :class:`fractions.Fraction` so all arithmetic is exact;
-Fourier–Motzkin elimination divides by coefficients and would be unsound in
-floating point.
+Arithmetic is exact: Fourier–Motzkin elimination divides by coefficients
+and would be unsound in floating point. A stored coefficient or constant is
+an ``int`` when it is integral and a :class:`fractions.Fraction` only when
+it is not (:func:`_coef` enforces this after every operation). Normalised
+constraints have integer coefficients, so the elimination hot path adds
+and hashes plain ints; ``int`` and ``Fraction`` of equal value hash, compare
+and print alike, so keys and fingerprints do not depend on the type.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Mapping, Union
 
 Coef = Union[int, Fraction]
 
 
-def _frac(value: Coef) -> Fraction:
-    if isinstance(value, Fraction):
+def _coef(value: Coef) -> Coef:
+    """*value* as an ``int`` if it is integral, else as a ``Fraction``."""
+    if value.__class__ is int:
         return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, Integral):
+        return int(value)
     if isinstance(value, Rational):
-        return Fraction(value)
+        return _coef(Fraction(value))
     raise TypeError(f"coefficient must be rational, got {type(value).__name__}")
-
-
-def _fadd(a: Fraction, b: Fraction) -> Fraction:
-    """Fraction addition with an integer fast path.
-
-    The common case throughout Fourier–Motzkin is denominator-1 values;
-    adding those as plain ints skips ``Fraction.__add__``'s gcd work.
-    """
-    if a.denominator == 1 and b.denominator == 1:
-        return Fraction(a.numerator + b.numerator)
-    return a + b
 
 
 class LinExpr:
@@ -57,18 +53,19 @@ class LinExpr:
             for var, coef in terms.items():
                 if not isinstance(var, str):
                     raise TypeError(f"variable name must be str, got {var!r}")
-                f = _frac(coef)
-                if f != 0:
-                    items[var] = f
-        self._terms: dict[str, Fraction] = items
-        self._const: Fraction = _frac(const)
+                c = _coef(coef)
+                if c != 0:
+                    items[var] = c
+        self._terms: dict[str, Coef] = items
+        self._const: Coef = _coef(const)
         self._hash: int | None = None
         self._key: tuple | None = None
 
     @classmethod
-    def _raw(cls, terms: dict[str, Fraction], const: Fraction) -> "LinExpr":
+    def _raw(cls, terms: dict[str, Coef], const: Coef) -> "LinExpr":
         """Internal fast constructor: *terms* must already be a fresh dict
-        of nonzero ``Fraction`` values and *const* a ``Fraction``."""
+        of nonzero coefficients and every value, *const* included, must
+        already be normalised by :func:`_coef`."""
         self = object.__new__(cls)
         self._terms = terms
         self._const = const
@@ -89,12 +86,12 @@ class LinExpr:
 
     # -- inspection --------------------------------------------------------
     @property
-    def terms(self) -> dict[str, Fraction]:
+    def terms(self) -> dict[str, Coef]:
         """Variable -> coefficient mapping (zero coefficients omitted)."""
         return dict(self._terms)
 
     @property
-    def constant(self) -> Fraction:
+    def constant(self) -> Coef:
         """The constant term."""
         return self._const
 
@@ -117,9 +114,9 @@ class LinExpr:
         const, terms = self.key()
         return f"{const}:" + ",".join(f"{v}*{c}" for v, c in terms)
 
-    def coeff(self, var: str) -> Fraction:
+    def coeff(self, var: str) -> Coef:
         """Coefficient of *var* (0 if absent)."""
-        return self._terms.get(var, Fraction(0))
+        return self._terms.get(var, 0)
 
     def variables(self) -> frozenset[str]:
         """The set of variables with non-zero coefficient."""
@@ -131,8 +128,8 @@ class LinExpr:
 
     def is_integral(self) -> bool:
         """True iff all coefficients and the constant are integers."""
-        return self._const.denominator == 1 and all(
-            c.denominator == 1 for c in self._terms.values()
+        return self._const.__class__ is int and all(
+            c.__class__ is int for c in self._terms.values()
         )
 
     # -- arithmetic ---------------------------------------------------------
@@ -140,16 +137,12 @@ class LinExpr:
         other = _coerce(other)
         terms = dict(self._terms)
         for var, coef in other._terms.items():
-            prev = terms.get(var)
-            if prev is None:
-                terms[var] = coef
+            merged = terms.get(var, 0) + coef
+            if merged == 0:
+                del terms[var]
             else:
-                merged = _fadd(prev, coef)
-                if merged == 0:
-                    del terms[var]
-                else:
-                    terms[var] = merged
-        return LinExpr._raw(terms, _fadd(self._const, other._const))
+                terms[var] = _coef(merged)
+        return LinExpr._raw(terms, _coef(self._const + other._const))
 
     __radd__ = __add__
 
@@ -165,70 +158,70 @@ class LinExpr:
         return _coerce(other) + (-self)
 
     def __mul__(self, scalar: Coef) -> "LinExpr":
-        f = _frac(scalar)
+        f = _coef(scalar)
+        if f == 1:
+            return self
         if f == 0:
-            return LinExpr._raw({}, Fraction(0))
-        # Fraction products of nonzero factors are nonzero, so the no-zero
+            return LinExpr._raw({}, 0)
+        # Products of nonzero factors are nonzero, so the no-zero
         # invariant survives without re-filtering.
         return LinExpr._raw(
-            {v: c * f for v, c in self._terms.items()}, self._const * f
+            {v: _coef(c * f) for v, c in self._terms.items()}, _coef(self._const * f)
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar: Coef) -> "LinExpr":
-        f = _frac(scalar)
+        f = _coef(scalar)
         if f == 0:
             raise ZeroDivisionError("division of LinExpr by zero")
+        # Fraction(1) / f, never 1 / f: int / int is a float.
         return self * (Fraction(1) / f)
 
     # -- substitution / evaluation ------------------------------------------
     def substitute(self, bindings: Mapping[str, "LinExpr | Coef"]) -> "LinExpr":
         """Replace each bound variable by an affine expression."""
-        terms: dict[str, Fraction] = {}
+        terms: dict[str, Coef] = {}
         const = self._const
         for var, coef in self._terms.items():
             bound = bindings.get(var)
             if bound is None and var not in bindings:
-                prev = terms.get(var)
-                merged = coef if prev is None else _fadd(prev, coef)
+                merged = terms.get(var, 0) + coef
                 if merged == 0:
                     terms.pop(var, None)
                 else:
-                    terms[var] = merged
+                    terms[var] = _coef(merged)
                 continue
             replacement = _coerce(bound)
-            const = _fadd(const, replacement._const * coef)
+            const = const + replacement._const * coef
             for v, c in replacement._terms.items():
-                prev = terms.get(v)
-                merged = c * coef if prev is None else _fadd(prev, c * coef)
+                merged = terms.get(v, 0) + c * coef
                 if merged == 0:
                     terms.pop(v, None)
                 else:
-                    terms[v] = merged
-        return LinExpr._raw(terms, const)
+                    terms[v] = _coef(merged)
+        return LinExpr._raw(terms, _coef(const))
 
     def rename(self, mapping: Mapping[str, str]) -> "LinExpr":
         """Rename variables; unmapped variables keep their names."""
-        terms: dict[str, Fraction] = {}
+        terms: dict[str, Coef] = {}
         for var, coef in self._terms.items():
             new = mapping.get(var, var)
-            prev = terms.get(new)
-            merged = coef if prev is None else _fadd(prev, coef)
+            merged = terms.get(new, 0) + coef
             if merged == 0:
                 terms.pop(new, None)
             else:
-                terms[new] = merged
+                terms[new] = _coef(merged)
         return LinExpr._raw(terms, self._const)
 
-    def evaluate(self, env: Mapping[str, Coef]) -> Fraction:
+    def evaluate(self, env: Mapping[str, Coef]) -> Coef:
         """Evaluate with every variable bound in *env*."""
         total = self._const
         for var, coef in self._terms.items():
             if var not in env:
                 raise KeyError(f"unbound variable {var!r} in LinExpr.evaluate")
-            total += coef * _frac(env[var])
-        return total
+            total += coef * _coef(env[var])
+        return _coef(total)
 
     # -- comparisons / hashing -----------------------------------------------
     def __eq__(self, other: object) -> bool:

@@ -10,12 +10,14 @@ from repro.experiments import (
     figure5,
     figure678,
     jacobi_stats,
+    paperpoint,
     report,
     runner,
     table1,
 )
 from repro.experiments.__main__ import main
 from repro.experiments.sweep import default_config
+from tests.experiments.test_claims import ANCHOR
 
 
 def _count_calls(monkeypatch, functions) -> Counter:
@@ -76,3 +78,37 @@ def test_figure_targets_print_one_figure_each(target, monkeypatch):
     assert all(other not in section.text for other in ("Figure 6", "Figure 7", "Figure 8")
                if other != title)
     assert [row["n"] for row in section.csv] == [12]
+
+
+def test_paperpoint_output_writes_the_config_it_measured_on(tmp_path, monkeypatch, capsys):
+    # The anchor point's numbers stand in for the measurement.
+    monkeypatch.setattr(paperpoint, "measure", lambda: ANCHOR)
+    assert main(["paperpoint", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "config.md").read_text() == "\n".join([
+        "# sweep configuration",
+        "- machine: octane2",
+        "- L1: 32768 B, 32 B lines, 2-way",
+        "- L2: 2097152 B, 128 B lines, 2-way",
+        "- registers: 32",
+        "- instruction cycles: 0.25",
+        "- sizes: [238]",
+        "- jacobi M: 500",
+        "- tile policy: pdat",
+        "- seed: 20050615",
+        "",
+    ])
+
+
+def test_write_names_the_sections_of_each_config(tmp_path):
+    scaled = default_config()
+    true = paperpoint.paper_config()
+    sections = [report.Section("a", "A", scaled), report.Section("b", "B", true),
+                report.Section("c", "C", scaled, csv=[{"x": 1}])]
+    paths = report.write(sections, tmp_path)
+    assert list(paths) == ["a", "b", "c"]
+    config_md = (tmp_path / "config.md").read_text()
+    first, second = config_md.split("\n\n")
+    assert first.startswith("# sweep configuration (a, c)\n- machine: octane2-scaled\n")
+    assert second.startswith("# sweep configuration (b)\n- machine: octane2\n")
+    assert second.endswith("- sizes: [238]\n- jacobi M: 500\n- tile policy: pdat\n- seed: 20050615\n")

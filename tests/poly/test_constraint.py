@@ -25,6 +25,7 @@ class TestNormalisation:
 
         c = ge0(i * Fraction(1, 2) - Fraction(3, 2))
         assert c.expr == i - 3
+        assert type(c.expr.coeff("i")) is int and type(c.expr.constant) is int
 
     def test_equality_sign_canonical(self):
         a = eq0(i - j)

@@ -33,6 +33,8 @@ class TestConstruction:
         e = LinExpr({"x": Fraction(1, 2)})
         assert e.coeff("x") == Fraction(1, 2)
         assert not e.is_integral()
+        # An integral Fraction is stored as an int.
+        assert type(LinExpr({"x": Fraction(4, 2)}).coeff("x")) is int
 
 
 class TestArithmetic:
@@ -58,7 +60,7 @@ class TestArithmetic:
 
     def test_divide(self):
         e = (LinExpr.var("i") * 4) / 2
-        assert e.coeff("i") == 2
+        assert e.coeff("i") == 2 and type(e.coeff("i")) is int
 
     def test_divide_by_zero(self):
         with pytest.raises(ZeroDivisionError):

@@ -198,6 +198,31 @@ class TestSweepCounters:
         assert _spans("sweep.point")[0].attrs["source"] == "disk"
         assert _spans("sweep.inputs") == []
 
+    def test_warm_figure5_compiles_nothing(self, tmp_path, monkeypatch, capsys):
+        """A second figure5 run over the same cache directory reads every
+        point from disk before it generates any C: no exec.compile span,
+        even with no program loaded in the process."""
+        from repro.exec import compiled
+        from repro.experiments.__main__ import main
+
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.setenv("REPRO_SIZES", "12")
+        runner.clear_caches()
+        assert main(["figure5"]) == 0
+        cold = capsys.readouterr().out
+        runner.clear_caches()
+        monkeypatch.setattr(compiled, "_kernels", {})
+        telemetry.enable()
+        assert main(["figure5"]) == 0
+        assert capsys.readouterr().out == cold
+        assert _spans("exec.compile") == []
+        points = _spans("sweep.point")
+        assert len(points) == 8
+        assert {s.attrs["source"] for s in points} == {"disk"}
+        assert telemetry.counter_value("sweep.cache.hit") == 8
+        assert telemetry.counter_value("sweep.cache.miss") == 0
+
     def test_torn_entry_recomputed_end_to_end(self, tmp_path, monkeypatch):
         """A truncated file at a point's real cache path is discarded,
         counted, recomputed to the cold answer and rewritten whole."""
