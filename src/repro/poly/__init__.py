@@ -10,8 +10,9 @@ PIP functionality the paper's algorithm needs:
   integer normalisation and tightening.
 - :mod:`repro.poly.polyhedron` — conjunctions of constraints over an ordered
   variable tuple.
-- :mod:`repro.poly.fm` — exact Fourier–Motzkin elimination (rational), with
-  unit-coefficient integer-exactness tracking.
+- :mod:`repro.poly.fm` — exact Fourier–Motzkin elimination (rational) on
+  integer rows: one core for elimination, projection and rational
+  emptiness, with unit-coefficient integer-exactness checks.
 - :mod:`repro.poly.integer` — integer feasibility via substitution of
   equalities + bounded branch-and-bound search, and :func:`implies`, the
   one implication test (guard pruning, loop-bound domination).

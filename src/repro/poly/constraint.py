@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from enum import Enum
+from fractions import Fraction
 from typing import Mapping
 
 from repro.poly import memo
@@ -139,6 +140,42 @@ def _make_intern_table():
 _INTERN = _make_intern_table()
 
 
+#: ``(is_eq, {var: coef}, const)``: a constraint ``sum coef*var + const``
+#: ``== 0`` (``is_eq``) or ``>= 0`` as plain data, the form Fourier–Motzkin
+#: (:mod:`repro.poly.fm`) works on. Coefficients are nonzero ``int``s; a
+#: row is never mutated, so rows share their term dicts freely.
+Row = tuple[bool, dict[str, int], Coef]
+
+
+def normal_row(
+    is_eq: bool, terms: dict[str, int], const: int, scale: int = 1
+) -> Row:
+    """The normal form of the constraint ``(terms + const) / scale``, for
+    integer *terms*, *const* and positive *scale*.
+
+    With ``g`` the gcd of the coefficients, ``a.x + c >= 0`` with
+    ``a = g*a'`` becomes ``a'.x + floor(c/g) >= 0`` (integers); an equality
+    divides only when ``g`` divides ``c``, and otherwise keeps its
+    smallest integral multiple. An equality's first variable (by name)
+    gets a positive coefficient. A constant row keeps its exact value.
+    The result shares *terms* when they need no change.
+    """
+    if not terms:
+        if scale != 1:
+            const = const // scale if const % scale == 0 else Fraction(const, scale)
+        return (is_eq, terms, const)
+    g = math.gcd(*terms.values())
+    if is_eq and const % g:
+        g = math.gcd(g, const, scale)
+    if g > 1:
+        terms = {v: a // g for v, a in terms.items()}
+        const //= g
+    if is_eq and terms[min(terms)] < 0:
+        terms = {v: -a for v, a in terms.items()}
+        const = -const
+    return (is_eq, terms, const)
+
+
 def _normalise(expr: LinExpr, kind: Kind) -> LinExpr:
     if expr.is_constant():
         return expr
@@ -147,17 +184,8 @@ def _normalise(expr: LinExpr, kind: Kind) -> LinExpr:
         expr = expr * math.lcm(
             expr.constant.denominator, *(c.denominator for _, c in expr.terms_items())
         )
-    g = math.gcd(*(c for _, c in expr.terms_items()))
-    const = expr.constant
-    # a.x + c >= 0 with a = g*a'  =>  a'.x + floor(c/g) >= 0 (integers); an
-    # equality divides only when g divides c.
-    if g > 1 and (kind is Kind.GE or const % g == 0):
-        expr = LinExpr._raw({v: c // g for v, c in expr.terms_items()}, const // g)
-    if kind is Kind.EQ:
-        first = min(v for v, _ in expr.terms_items())
-        if expr.coeff(first) < 0:
-            expr = -expr
-    return expr
+    _, terms, const = normal_row(kind is Kind.EQ, expr._terms, expr._const)
+    return expr if terms is expr._terms else LinExpr._raw(terms, const)
 
 
 def ge0(expr: LinExpr) -> Constraint:

@@ -9,7 +9,8 @@ Strategy (sound and, for the affine programs handled here, complete):
 
 1. **Rational emptiness** — eliminate all dimensions *and* parameters with
    Fourier–Motzkin; a constant contradiction proves integer emptiness for
-   all parameter values. This direction needs no integrality reasoning.
+   all parameter values, and the elimination stops at the first one. This
+   direction needs no integrality reasoning.
 2. **Witness search** — otherwise, bound each parameter to a probe window
    ``lo <= p <= lo + width`` and search for an integer point by enumeration.
    A witness proves non-emptiness. For the unit-coefficient systems produced
@@ -27,7 +28,7 @@ from typing import Mapping
 from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind, ge, ge0
 from repro.poly.enumerate import enumerate_points
-from repro.poly.fm import project_onto
+from repro.poly.fm import rationally_empty
 from repro.poly.linexpr import Coef, LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -48,23 +49,6 @@ class FeasibilityResult:
     #: True when the answer was proven (rational emptiness or witness);
     #: False when the conservative default was used.
     decisive: bool
-
-
-def rationally_empty(poly: Polyhedron) -> bool:
-    """True iff the rational relaxation (parameters existential) is empty."""
-    if poly.is_trivially_empty():
-        return True
-    return memo.memoize(
-        "rempty", (poly.fingerprint(),), lambda: _rationally_empty(poly)
-    )
-
-
-def _rationally_empty(poly: Polyhedron) -> bool:
-    # Promote parameters to dimensions, then eliminate everything.
-    all_vars = tuple(poly.variables) + tuple(sorted(poly.parameters()))
-    widened = poly.with_variables(all_vars)
-    shadow = project_onto(widened, [])
-    return shadow.is_trivially_empty()
 
 
 def implies(poly: Polyhedron, constraint: Constraint) -> bool:

@@ -5,13 +5,14 @@ dependence analysis and code generation: loop bounds, array subscripts,
 dependence-distance objectives and symbolic tile sizes are all ``LinExpr``
 instances over loop variables and problem-size parameters (``N``, ``M``).
 
-Arithmetic is exact: Fourier–Motzkin elimination divides by coefficients
-and would be unsound in floating point. A stored coefficient or constant is
-an ``int`` when it is integral and a :class:`fractions.Fraction` only when
-it is not (:func:`_coef` enforces this after every operation). Normalised
-constraints have integer coefficients, so the elimination hot path adds
-and hashes plain ints; ``int`` and ``Fraction`` of equal value hash, compare
-and print alike, so keys and fingerprints do not depend on the type.
+Arithmetic is exact: bounds divide by coefficients and would be unsound in
+floating point. A stored coefficient or constant is an ``int`` when it is
+integral and a :class:`fractions.Fraction` only when it is not
+(:func:`_coef` enforces this after every operation). Normalised
+constraints have integer coefficients, which Fourier–Motzkin
+(:mod:`repro.poly.fm`) reads as integer rows; ``int`` and ``Fraction`` of
+equal value hash, compare and print alike, so keys and fingerprints do not
+depend on the type.
 """
 
 from __future__ import annotations

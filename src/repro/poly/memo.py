@@ -19,9 +19,10 @@ The memo has no off switch. Its oracle lives in tests
 (``tests/poly/memo_oracle.py``): it replaces :func:`memoize` with a plain
 ``compute()`` call, which reaches every analysis operation because each
 caller looks the function up as ``memo.memoize`` at call time. Every
-operation runs the same code either way (hash-consing and the FM
-unit-coefficient fast path included), so a bypassed build must produce
-byte-identical dependence graphs, FixDeps output and program hashes —
+operation runs the same code either way (hash-consing included; the
+Fourier–Motzkin steps inside one projection are never memoised), so a
+bypassed build must produce byte-identical dependence graphs, FixDeps
+output and program hashes —
 asserted by ``tests/experiments/test_poly_cache_differential.py``, by the
 golden corpus (``tests/golden``, whose 43 program hashes are written with
 the memo bypassed and compared in tier-1 with it on) and by CI jobs.

@@ -1,13 +1,15 @@
 """Edge cases of the Fourier–Motzkin layer and the loop generator."""
 
+from fractions import Fraction
+
 import pytest
 
 from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError, TransformError
 from repro.poly import memo
-from repro.poly.constraint import eq0, ge, le
+from repro.poly.constraint import eq0, ge, ge0, le
 from repro.poly.fm import MAX_CONSTRAINTS, _prune, eliminate, project_onto
-from repro.poly.integer import check_feasibility
+from repro.poly.integer import check_feasibility, rationally_empty
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -15,17 +17,27 @@ i, j, N = LinExpr.var("i"), LinExpr.var("j"), LinExpr.var("N")
 
 
 class TestPrune:
+    """Rows are ``(is_eq, {var: coef}, const)``."""
+
     def test_tighter_ge_wins(self):
-        kept = _prune([ge(i, 3), ge(i, 5)])
-        assert kept == [ge(i, 5)]
+        # i - 3 >= 0, j >= 0, i - 5 >= 0: the tighter bound takes the
+        # first one's place.
+        kept = _prune(
+            [(False, {"i": 1}, -3), (False, {"j": 1}, 0), (False, {"i": 1}, -5)]
+        )
+        assert kept == [(False, {"i": 1}, -5), (False, {"j": 1}, 0)]
 
     def test_contradictory_equalities_kept(self):
-        kept = _prune([eq0(i - 1), eq0(i - 2)])
-        assert len(kept) == 2
+        kept = _prune(
+            [(True, {"i": 1}, -1), (True, {"i": 1}, -2), (True, {"i": 1}, -2)]
+        )
+        assert kept == [(True, {"i": 1}, -1), (True, {"i": 1}, -2)]
 
     def test_trivially_true_dropped(self):
-        kept = _prune([ge(LinExpr.const(1), 0), ge(i, 0)])
-        assert kept == [ge(i, 0)]
+        kept = _prune(
+            [(False, {}, 1), (True, {}, 0), (False, {"i": 1}, 0), (False, {}, -1)]
+        )
+        assert kept == [(False, {"i": 1}, 0), (False, {}, -1)]
 
 
 class TestEliminateEdges:
@@ -144,6 +156,69 @@ class TestFMOutcomes:
         # 2i == N is infeasible for odd N: enumeration finds nothing.
         p = Polyhedron(("i",), [eq0(i * 2 - N), ge(i, 0), le(i, N)])
         assert not check_feasibility(p, {"N": 7}).feasible
+
+
+class TestEarlyExit:
+    """Emptiness stops at the first constant contradiction; projection
+    takes every step and keeps the false constant."""
+
+    @staticmethod
+    def _contradiction_then_blowup():
+        # x >= 1 and x <= 0 contradict, and x is the cheapest variable;
+        # i (80 lower x 80 upper bounds) would be eliminated next.
+        x = LinExpr.var("x")
+        lowers = [ge(i, j * k) for k in range(1, 81)]
+        uppers = [le(i, j * k + 100) for k in range(1, 81)]
+        return Polyhedron(("x", "i", "j"), [ge(x, 1), le(x, 0)] + lowers + uppers)
+
+    def test_contradiction_before_a_blowup_is_empty(self):
+        assert rationally_empty(self._contradiction_then_blowup())
+        assert not check_feasibility(self._contradiction_then_blowup()).feasible
+
+    def test_projection_still_takes_the_blowup_step(self):
+        with pytest.raises(PolyhedronError, match="80 lower x 80 upper"):
+            project_onto(self._contradiction_then_blowup(), [])
+
+    def test_projection_keeps_the_false_constant(self):
+        p = Polyhedron(("i", "j"), [ge(i, 1), le(i, 0), ge(j, 0), le(j, N)])
+        assert project_onto(p, ["j"]).constraints == (
+            ge(j, 0),
+            le(j, N),
+            ge0(LinExpr.const(-1)),
+        )
+
+    def test_substituted_constant_keeps_its_value(self):
+        # 2i + 1 == 0 gives i = -1/2, so i >= 0 becomes -1/2 >= 0.
+        p = Polyhedron(("i",), [eq0(i * 2 + 1), ge(i, 0)])
+        assert project_onto(p, []).constraints == (
+            ge0(LinExpr.const(Fraction(-1, 2))),
+        )
+        assert rationally_empty(p)
+
+
+class TestCounters:
+    def test_counters_match_hand_counts(self):
+        telemetry.enable()
+        try:
+            telemetry.reset()
+            memo.clear_memos()
+            # Bound combination: i has 1 lower (i >= 0) and 2 upper bounds
+            # (i <= N, i <= j); N - j >= 0 passes through. 4 rows in, 1 + 1x2 out.
+            tri = Polyhedron(("i", "j"), [ge(i, 0), le(i, N), le(i, j), le(j, N)])
+            assert project_onto(tri, ["j"]).constraints == (
+                le(j, N),
+                ge0(N),
+                ge(j, 0),
+            )
+            # Substitution: j == i + 1 rewrites the 2 other rows.
+            line = Polyhedron(("i", "j"), [eq0(j - i - 1), ge(i, 1), le(j, 4)])
+            assert eliminate(line, "j").constraints == (ge(i, 1), le(i, 3))
+            assert telemetry.counter_value("poly.fm.eliminations") == 2
+            assert telemetry.counter_value("poly.fm.constraints_in") == 4 + 3
+            assert telemetry.counter_value("poly.fm.constraints_out") == 3 + 2
+        finally:
+            telemetry.disable()
+            telemetry.reset()
 
 
 class TestLoopgenEdges:

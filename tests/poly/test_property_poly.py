@@ -2,37 +2,52 @@
 
 Random small conjunctive systems are generated and every solver answer is
 checked against enumeration — the strongest guard we have on the
-FM/feasibility stack that the dependence analysis trusts.
+FM/feasibility stack that the dependence analysis trusts. A system may
+hold equalities with coefficients -2..2 (so Fourier–Motzkin substitutes
+through non-unit coefficients) and terms in a parameter ``N`` bounded to
+[1, 3], so emptiness is asked with the parameter existential.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
 from hypothesis import given, strategies as st
 
-from repro.poly.constraint import equals, ge, ge0, le
+from repro.poly.constraint import Constraint, eq0, equals, ge, ge0, le
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import project_onto
-from repro.poly.integer import integer_feasible, rationally_empty
+from repro.poly.integer import check_feasibility, integer_feasible, rationally_empty
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
 VARS = ("x", "y", "z")
+BOX = range(-4, 5)
+N_VALUES = range(1, 4)
 
 
 @st.composite
 def small_polyhedron(draw):
-    """A random conjunctive system over (x, y, z), box-bounded to [-4, 4]."""
-    constraints = []
+    """A random conjunctive system over (x, y, z), box-bounded to [-4, 4],
+    with parameter N in [1, 3], up to three extra inequalities and up to
+    two equalities."""
+    n = LinExpr.var("N")
+    constraints = [ge(n, N_VALUES[0]), le(n, N_VALUES[-1])]
     for v in VARS:
         lo = draw(st.integers(-4, 2))
         hi = draw(st.integers(lo, 4))
         constraints.append(ge(LinExpr.var(v), lo))
         constraints.append(le(LinExpr.var(v), hi))
-    n_extra = draw(st.integers(0, 3))
-    for _ in range(n_extra):
+
+    def draw_expr():
         coefs = {v: draw(st.integers(-2, 2)) for v in VARS}
-        const = draw(st.integers(-4, 4))
-        constraints.append(ge0(LinExpr(coefs, const)))
+        coefs["N"] = draw(st.integers(-1, 1))
+        return LinExpr(coefs, draw(st.integers(-4, 4)))
+
+    for _ in range(draw(st.integers(0, 3))):
+        constraints.append(ge0(draw_expr()))
+    for _ in range(draw(st.integers(0, 2))):
+        constraints.append(eq0(draw_expr()))
     return Polyhedron(VARS, constraints)
 
 
@@ -42,32 +57,63 @@ def small_objective(draw):
     return LinExpr(coefs, draw(st.integers(-2, 2)))
 
 
+def brute_points(poly: Polyhedron, n: int) -> set[tuple[int, ...]]:
+    """Every integer point of *poly* at N = n, by testing the whole box."""
+    return {
+        p
+        for p in product(BOX, BOX, BOX)
+        if poly.contains({"x": p[0], "y": p[1], "z": p[2], "N": n})
+    }
+
+
+def points(poly: Polyhedron, n: int) -> list[dict[str, int]]:
+    return list(enumerate_points(poly, {"N": n}))
+
+
 @given(small_polyhedron())
 def test_rational_emptiness_is_sound(poly):
-    # rationally_empty == True must imply zero integer points.
+    # rationally_empty == True must imply zero integer points for every N.
     if rationally_empty(poly):
-        assert next(enumerate_points(poly, {}), None) is None
+        assert all(not brute_points(poly, n) for n in N_VALUES)
 
 
 @given(small_polyhedron())
 def test_integer_feasibility_matches_enumeration(poly):
-    has_points = next(enumerate_points(poly, {}), None) is not None
-    assert integer_feasible(poly, {}) == has_points
+    per_n = {n: bool(brute_points(poly, n)) for n in N_VALUES}
+    for n in N_VALUES:
+        assert integer_feasible(poly, {"N": n}) == per_n[n]
+    # Parameter open: rational emptiness, then a witness search. Only a
+    # rationally feasible set without a witness may get the conservative
+    # (indecisive) "feasible".
+    result = check_feasibility(poly)
+    if result.decisive:
+        assert result.feasible == any(per_n.values())
+    else:
+        assert result.feasible and not any(per_n.values())
+
+
+@given(small_polyhedron())
+def test_enumeration_is_lexicographic(poly):
+    for n in N_VALUES:
+        got = [tuple(p[v] for v in VARS) for p in points(poly, n)]
+        assert got == sorted(brute_points(poly, n))
 
 
 @given(small_polyhedron())
 def test_projection_is_superset_and_rationally_tight(poly):
     proj = project_onto(poly, ["x", "y"])
-    full = {(p["x"], p["y"]) for p in enumerate_points(poly, {})}
-    shadow = {(p["x"], p["y"]) for p in enumerate_points(proj, {})}
-    # FM gives the rational shadow: every true point survives projection.
-    assert full <= shadow
+    for n in N_VALUES:
+        full = {(x, y) for x, y, _ in brute_points(poly, n)}
+        shadow = {(p["x"], p["y"]) for p in points(proj, n)}
+        # FM gives the rational shadow: every true point survives projection.
+        assert full <= shadow
 
 
 @given(small_polyhedron())
-def test_enumeration_is_lexicographic(poly):
-    pts = [tuple(p[v] for v in VARS) for p in enumerate_points(poly, {})]
-    assert pts == sorted(set(pts))
+def test_projection_constraints_are_normalised(poly):
+    for keep in (["x", "y"], ["z"], []):
+        for c in project_onto(poly, keep).constraints:
+            assert Constraint(c.expr, c.kind) is c
 
 
 @given(small_polyhedron(), small_objective())
@@ -78,16 +124,20 @@ def test_objective_shadow_bounds_brute_force(poly, objective):
         [equals(LinExpr.var("t"), objective)]
     )
     _, uppers = project_onto(widened, ["t"]).bounds_on("t")
-    values = [objective.evaluate(p) for p in enumerate_points(poly, {})]
-    if not values or not uppers:
-        return
-    assert min(u.evaluate({}) for u in uppers) >= max(values)
+    for n in N_VALUES:
+        values = [
+            objective.evaluate(dict(zip(VARS, p))) for p in brute_points(poly, n)
+        ]
+        if values and uppers:
+            assert min(u.evaluate({"N": n}) for u in uppers) >= max(values)
 
 
 @given(small_polyhedron())
 def test_contains_agrees_with_enumeration_membership(poly):
-    pts = {tuple(p[v] for v in VARS) for p in enumerate_points(poly, {})}
-    for x in range(-4, 5, 2):
-        for y in range(-4, 5, 2):
-            for z in range(-4, 5, 2):
-                assert ((x, y, z) in pts) == poly.contains({"x": x, "y": y, "z": z})
+    for n in N_VALUES:
+        pts = {tuple(p[v] for v in VARS) for p in points(poly, n)}
+        for x in range(-4, 5, 2):
+            for y in range(-4, 5, 2):
+                for z in range(-4, 5, 2):
+                    env = {"x": x, "y": y, "z": z, "N": n}
+                    assert ((x, y, z) in pts) == poly.contains(env)
