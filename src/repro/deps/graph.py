@@ -22,7 +22,6 @@ from typing import Mapping
 from repro.deps.access import ValueRange
 from repro.deps.selfdeps import statement_components
 from repro.ir.stmt import Loop
-from repro.poly import memo
 
 
 def dependence_graph(
@@ -38,32 +37,8 @@ def dependence_graph(
     before some conflicting instance of statement ``b`` (flow, anti or
     output — all are ordering constraints for distribution). A scalar the
     loop assigns carries dependences like a rank-0 array.
-
-    The edge set is memoised on the loop's serialized content, so every
-    variant of a kernel reuses one analysis per distinct loop nest.
     """
     value_ranges = value_ranges or {}
-    from repro.ir.serialize import expr_to_dict, stmt_to_dict
-
-    key_doc = {
-        "loop": stmt_to_dict(loop),
-        "ranges": {
-            name: [expr_to_dict(vr.lower), expr_to_dict(vr.upper)]
-            for name, vr in sorted(value_ranges.items())
-        },
-    }
-    return memo.memoize(
-        "depgraph",
-        (memo.stable_key(key_doc), memo.env_key(param_lo)),
-        lambda: _edges(loop, value_ranges, param_lo),
-    )
-
-
-def _edges(
-    loop: Loop,
-    value_ranges: Mapping[str, ValueRange],
-    param_lo: int | Mapping[str, int],
-) -> frozenset[tuple[int, int]]:
     return frozenset(
         (r1.stmt_pos, r2.stmt_pos)
         for r1, r2, components in statement_components(

@@ -11,8 +11,8 @@ PIP functionality the paper's algorithm needs:
 - :mod:`repro.poly.polyhedron` — conjunctions of constraints over an ordered
   variable tuple.
 - :mod:`repro.poly.fm` — exact Fourier–Motzkin elimination (rational) on
-  integer rows: one core for elimination, projection and rational
-  emptiness, with unit-coefficient integer-exactness checks.
+  integer rows: one core for projection and rational emptiness, with
+  unit-coefficient integer-exactness checks.
 - :mod:`repro.poly.integer` — integer feasibility via substitution of
   equalities + bounded branch-and-bound search, and :func:`implies`, the
   one implication test (guard pruning, loop-bound domination).
@@ -22,7 +22,7 @@ PIP functionality the paper's algorithm needs:
 
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.enumerate import enumerate_points
-from repro.poly.fm import eliminate, project_onto
+from repro.poly.fm import project_onto
 from repro.poly.integer import find_integer_point, implies, integer_feasible
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
@@ -33,7 +33,6 @@ __all__ = [
     "ge0",
     "eq0",
     "Polyhedron",
-    "eliminate",
     "project_onto",
     "integer_feasible",
     "find_integer_point",

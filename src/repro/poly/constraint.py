@@ -14,7 +14,6 @@ from enum import Enum
 from fractions import Fraction
 from typing import Mapping
 
-from repro.poly import memo
 from repro.poly.linexpr import Coef, LinExpr
 
 
@@ -38,36 +37,20 @@ class Constraint:
     - canonicalise the sign of ``EQ`` constraints (first variable coefficient
       positive) so equal constraints compare equal.
 
-    Constraints are **hash-consed**: construction from the same raw
-    ``(expr, kind)`` returns the same object, so repeated normalisation
-    is skipped, equality usually short-circuits on identity, and cached
-    hashes/fingerprints amortise across every polyhedron sharing the
-    constraint.
+    The hash and :meth:`fingerprint_text` are computed once, on first use.
     """
 
     __slots__ = ("expr", "kind", "_hash", "_fp")
 
-    def __new__(cls, expr: LinExpr, kind: Kind):
+    def __init__(self, expr: LinExpr, kind: Kind):
         if not isinstance(expr, LinExpr):
             raise TypeError(
                 f"Constraint expr must be LinExpr, got {type(expr).__name__}"
             )
-        key = (kind, expr.key())
-        cached = _INTERN.get(key)
-        if cached is not None:
-            return cached
-        self = super().__new__(cls)
         self.expr = _normalise(expr, kind)
         self.kind = kind
         self._hash = None
         self._fp = None
-        _INTERN[key] = self
-        return self
-
-    def __init__(self, expr: LinExpr, kind: Kind):
-        # All state is set in __new__ (which may return an interned
-        # instance that must not be re-initialised).
-        pass
 
     def __reduce__(self):
         return (Constraint, (self.expr, self.kind))
@@ -129,15 +112,6 @@ class Constraint:
 
     def __str__(self) -> str:
         return f"{self.expr} {self.kind.value} 0"
-
-
-def _make_intern_table():
-    from repro.utils.caching import LRUCache
-
-    return memo.register_cache(LRUCache(maxsize=65536))
-
-
-_INTERN = _make_intern_table()
 
 
 #: ``(is_eq, {var: coef}, const)``: a constraint ``sum coef*var + const``

@@ -3,7 +3,7 @@
 FM computes the *rational* shadow of a polyhedron. For the affine programs
 this package handles (loop bounds and subscripts with unit coefficients on
 the eliminated variable), the rational shadow coincides with the integer
-shadow; ``eliminate(..., require_exact=True)`` enforces that condition and
+shadow; ``project_onto(..., require_exact=True)`` enforces that condition and
 raises :class:`~repro.errors.CaseSplitError` when it does not hold, so
 callers can fall back to enumeration instead of silently using an
 over-approximation.
@@ -25,10 +25,10 @@ A step leaves the rows the polyhedron of that step would hold:
 
 Performance notes (see ``docs/architecture.md``, *Analysis-layer caching*):
 
-- ``eliminate``, ``project_onto`` and ``rationally_empty`` are memoised
-  per-process on the polyhedron's structural fingerprint, and cache
-  raised ``CaseSplitError`` / ``PolyhedronError`` outcomes; the steps
-  inside one call are not memoised;
+- ``project_onto`` and ``rationally_empty`` are memoised per-process on
+  the polyhedron's structural fingerprint, and cache raised
+  ``CaseSplitError`` / ``PolyhedronError`` outcomes; the steps inside
+  one call are not memoised;
 - a step allocates only dicts and tuples: no ``LinExpr``,
   ``Constraint`` or ``Polyhedron``, no fingerprint and no memo lookup;
 - an emptiness test (:func:`rationally_empty`) stops at the first constant
@@ -258,24 +258,6 @@ def _project(
         drop.remove(var)
         dims_left.remove(var)
     return rows
-
-
-def eliminate(poly: Polyhedron, var: str, *, require_exact: bool = False) -> Polyhedron:
-    """Existentially eliminate dimension *var*.
-
-    Equalities involving *var* are used for substitution when possible (exact
-    for unit coefficients); remaining bounds are combined pairwise.
-    """
-    if var not in poly.variables:
-        raise PolyhedronError(f"{var!r} is not a dimension of {poly!r}")
-
-    def compute() -> Polyhedron:
-        rows = _step(_rows(poly), var, list(poly.variables), require_exact, False)
-        return Polyhedron(
-            tuple(v for v in poly.variables if v != var), _constraints(rows)
-        )
-
-    return memo.memoize("elim", (poly.fingerprint(), var, require_exact), compute)
 
 
 def project_onto(

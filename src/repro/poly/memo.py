@@ -1,14 +1,15 @@
 """Process-wide memoisation for the exact polyhedral engine.
 
-Every expensive polyhedral operation (Fourier–Motzkin elimination and
-projection, rational emptiness, integer feasibility, implication)
-is a pure function of immutable inputs, so its result can be keyed by the
-inputs' structural fingerprints and reused through one capped in-process
-LRU memo (65536 entries), shared by all operations and cleared
-by :func:`clear_memos` (which `repro.experiments.clear_caches` calls, so
-sweep-pool workers start from a clean slate). Nothing is persisted: a
-cold 43-program registry build takes about a second, so an on-disk layer
-would save nothing measurable and could replay answers from older code.
+Every expensive polyhedral operation (Fourier–Motzkin projection,
+rational emptiness, integer feasibility, implication, violated
+dependences) is a pure function of immutable inputs, so its result can
+be keyed by the inputs' structural fingerprints and reused through one
+capped in-process LRU memo (65536 entries), shared by all operations
+and cleared by :func:`clear_memos` (which
+`repro.experiments.clear_caches` calls, so sweep-pool workers start from
+a clean slate). Nothing is persisted: a cold 43-program registry build
+takes about a second, so an on-disk layer would save nothing measurable
+and could replay answers from older code.
 
 Negative results are cached too: a deterministic failure (an FM blow-up,
 an inexact elimination under ``require_exact``) is as expensive to
@@ -18,11 +19,11 @@ message.
 The memo has no off switch. Its oracle lives in tests
 (``tests/poly/memo_oracle.py``): it replaces :func:`memoize` with a plain
 ``compute()`` call, which reaches every analysis operation because each
-caller looks the function up as ``memo.memoize`` at call time. Every
-operation runs the same code either way (hash-consing included; the
-Fourier–Motzkin steps inside one projection are never memoised), so a
-bypassed build must produce byte-identical dependence graphs, FixDeps
-output and program hashes —
+caller looks the function up as ``memo.memoize`` at call time. The memo
+is the analysis layer's only cache (the Fourier–Motzkin steps inside one
+projection are never memoised), so a bypassed build runs the same code
+and must produce byte-identical dependence graphs, FixDeps output and
+program hashes —
 asserted by ``tests/experiments/test_poly_cache_differential.py``, by the
 golden corpus (``tests/golden``, whose 43 program hashes are written with
 the memo bypassed and compared in tier-1 with it on) and by CI jobs.
@@ -47,18 +48,9 @@ _CACHEABLE_ERRORS = (CaseSplitError, UnboundedError, PolyhedronError)
 
 _memo: LRUCache = LRUCache(maxsize=_MEMO_SIZE)
 
-#: Extra caches (hash-consing intern tables, …) cleared with the memo.
-_registered: list[LRUCache] = []
-
 #: Per-operation hit/miss counts, always maintained (telemetry
 #: counters mirror the aggregates only while telemetry is enabled).
 _stats: dict[str, dict[str, int]] = {}
-
-
-def register_cache(cache: LRUCache) -> LRUCache:
-    """Register an auxiliary cache for :func:`clear_memos` to clear."""
-    _registered.append(cache)
-    return cache
 
 
 def _count(op: str, outcome: str) -> None:
@@ -106,11 +98,9 @@ def memoize(op: str, key: tuple, compute: Callable[[], Any]) -> Any:
 
 
 def clear_memos() -> None:
-    """Drop every analysis memo and intern table."""
+    """Drop the analysis memo and its stats."""
     global _memo, _stats
     _memo = LRUCache(maxsize=_MEMO_SIZE)
-    for cache in _registered:
-        cache.clear()
     _stats = {}
 
 

@@ -13,65 +13,35 @@ from typing import Iterable, Mapping, Sequence
 import hashlib
 
 from repro.errors import PolyhedronError
-from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind
 from repro.poly.linexpr import Coef, LinExpr
-
-
-def _make_intern_table():
-    from repro.utils.caching import LRUCache
-
-    return memo.register_cache(LRUCache(maxsize=16384))
-
-
-_INTERN = _make_intern_table()
 
 
 class Polyhedron:
     """Immutable conjunction of affine constraints over named dimensions.
 
-    Construction is **hash-consed**: building from the same dimension
-    tuple and the same ordered constraint sequence returns the same
-    object, skipping re-deduplication and sharing the cached hash and
-    structural :meth:`fingerprint`. The intern key keeps constraint
-    *order* — equal sets built in different orders stay distinct objects
-    (and distinct fingerprints) so memoised analysis results can never
-    reorder downstream output.
+    Equality is set equality of the constraints, but the structural
+    :meth:`fingerprint` keeps constraint *order*: equal sets built in
+    different orders have distinct fingerprints, so memoised analysis
+    results (keyed by fingerprint) can never reorder downstream output.
     """
 
-    __slots__ = ("variables", "constraints", "_hash", "_fp")
+    __slots__ = ("variables", "constraints", "_fp")
 
-    def __new__(cls, variables: Sequence[str], constraints: Iterable[Constraint] = ()):
+    def __init__(self, variables: Sequence[str], constraints: Iterable[Constraint] = ()):
         vars_tuple = tuple(variables)
-        given = tuple(constraints)
-        key = (vars_tuple, given)
-        cached = _INTERN.get(key)
-        if cached is not None:
-            return cached
         if len(set(vars_tuple)) != len(vars_tuple):
             raise PolyhedronError(f"duplicate dimension names in {vars_tuple}")
         # Deduplicate while preserving order; drop trivially-true constraints.
-        seen: set[Constraint] = set()
         kept: list[Constraint] = []
-        for c in given:
+        for c in dict.fromkeys(constraints):
             if not isinstance(c, Constraint):
                 raise TypeError(f"expected Constraint, got {type(c).__name__}")
-            if c.is_trivial_true() or c in seen:
-                continue
-            seen.add(c)
-            kept.append(c)
-        self = super().__new__(cls)
+            if not c.is_trivial_true():
+                kept.append(c)
         self.variables: tuple[str, ...] = vars_tuple
         self.constraints: tuple[Constraint, ...] = tuple(kept)
-        self._hash = None
         self._fp = None
-        _INTERN[key] = self
-        return self
-
-    def __init__(self, variables: Sequence[str], constraints: Iterable[Constraint] = ()):
-        # All state is set in __new__ (which may return an interned
-        # instance that must not be re-initialised).
-        pass
 
     def __reduce__(self):
         return (Polyhedron, (self.variables, self.constraints))
@@ -83,12 +53,11 @@ class Polyhedron:
         memo.
         """
         if self._fp is None:
-            h = hashlib.blake2b(digest_size=16)
-            h.update(",".join(self.variables).encode())
-            for c in self.constraints:
-                h.update(b"|")
-                h.update(c.fingerprint_text().encode())
-            self._fp = h.hexdigest()
+            text = "|".join(
+                [",".join(self.variables)]
+                + [c.fingerprint_text() for c in self.constraints]
+            )
+            self._fp = hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
         return self._fp
 
     # -- basic queries -----------------------------------------------------

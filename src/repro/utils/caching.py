@@ -53,15 +53,6 @@ class LRUCache(MutableMapping):
             self._data.popitem(last=False)
             self.evictions += 1
 
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        """Recency-refreshing lookup without the ``Mapping.get`` exception
-        round-trip (this is the hot path of the intern tables)."""
-        data = self._data
-        if key in data:
-            data.move_to_end(key)
-            return data[key]
-        return default
-
     def __delitem__(self, key: Hashable) -> None:
         del self._data[key]
 

@@ -6,8 +6,7 @@ attribute makes every operation recompute through the same code. A build
 with the memo bypassed must produce exactly what the memoised build does.
 
 Used by ``pytest --memo-off`` (``tests/conftest.py``), the golden corpus
-regeneration, the in-process differential tests and the compile
-benchmark's subprocess child.
+regeneration and the in-process differential tests.
 """
 
 from __future__ import annotations

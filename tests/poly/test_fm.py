@@ -5,7 +5,7 @@ import pytest
 from repro.errors import CaseSplitError, PolyhedronError
 from repro.poly.constraint import eq0, ge, ge0, le
 from repro.poly.enumerate import enumerate_points
-from repro.poly.fm import eliminate, project_onto
+from repro.poly.fm import project_onto
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -20,35 +20,35 @@ def box(n=5):
 
 class TestEliminate:
     def test_eliminate_unknown_var(self):
-        with pytest.raises(PolyhedronError):
-            eliminate(box(), "z")
+        with pytest.raises(PolyhedronError, match="'z'"):
+            project_onto(box(), ["i", "z"])
 
     def test_box_projection(self):
-        p = eliminate(box(4), "j")
+        p = project_onto(box(4), ["i"])
         assert p.variables == ("i",)
         assert p.contains({"i": 1}) and p.contains({"i": 4})
         assert not p.contains({"i": 5})
 
     def test_equality_substitution(self):
         p = Polyhedron(("i", "j"), [eq0(j - i - 1), ge(i, 1), le(j, 4)])
-        out = eliminate(p, "j")
+        out = project_onto(p, ["i"])
         # j = i + 1 <= 4  =>  i <= 3
         assert out.contains({"i": 3}) and not out.contains({"i": 4})
 
     def test_pairwise_combination(self):
         # i <= j and j <= 4  =>  i <= 4
         p = Polyhedron(("i", "j"), [ge0(j - i), ge0(LinExpr.const(4) - j)])
-        out = eliminate(p, "j")
+        out = project_onto(p, ["i"])
         assert out.contains({"i": 4}) and not out.contains({"i": 5})
 
     def test_require_exact_rejects_non_unit(self):
         p = Polyhedron(("i", "j"), [ge0(j * 2 - i), ge0(i - j * 2)])
         with pytest.raises(CaseSplitError):
-            eliminate(p, "j", require_exact=True)
+            project_onto(p, ["i"], require_exact=True)
 
     def test_empty_detection_after_elimination(self):
         p = Polyhedron(("i", "j"), [ge(j, i + 1), le(j, i)])
-        out = eliminate(p, "j")
+        out = project_onto(p, ["i"])
         assert out.is_trivially_empty()
 
 

@@ -8,7 +8,7 @@ from repro import telemetry
 from repro.errors import CaseSplitError, PolyhedronError, TransformError
 from repro.poly import memo
 from repro.poly.constraint import eq0, ge, ge0, le
-from repro.poly.fm import MAX_CONSTRAINTS, _prune, eliminate, project_onto
+from repro.poly.fm import MAX_CONSTRAINTS, _prune, project_onto
 from repro.poly.integer import check_feasibility, rationally_empty
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
@@ -44,7 +44,7 @@ class TestEliminateEdges:
     def test_no_bounds_on_one_side(self):
         # only lower bounds: eliminating drops all information about i
         p = Polyhedron(("i", "j"), [ge(i, j), ge(j, 0)])
-        out = eliminate(p, "i")
+        out = project_onto(p, ["j"])
         assert out.variables == ("j",)
         assert out.contains({"j": 5})
 
@@ -54,12 +54,12 @@ class TestEliminateEdges:
         uppers = [le(i, LinExpr.var(f"b{k}")) for k in range(80)]
         p = Polyhedron(("i",), lowers + uppers)
         with pytest.raises(PolyhedronError):
-            eliminate(p, "i")
+            project_onto(p, [])
         assert 80 * 80 > MAX_CONSTRAINTS
 
     def test_equality_with_nonunit_coefficient_substitutes(self):
         p = Polyhedron(("i", "j"), [eq0(i * 2 - j), ge(j, 0), le(j, 8)])
-        out = eliminate(p, "i")
+        out = project_onto(p, ["j"])
         # rational substitution: j/2 in [0, 8] -> j in [0, 8]
         assert out.contains({"j": 8})
 
@@ -68,7 +68,7 @@ class TestEliminateEdges:
         uppers = [le(i, LinExpr.var(f"b{k}")) for k in range(80)]
         p = Polyhedron(("i",), lowers + uppers)
         with pytest.raises(PolyhedronError) as exc:
-            eliminate(p, "i")
+            project_onto(p, [])
         msg = str(exc.value)
         assert "'i'" in msg  # the variable being eliminated
         assert str(MAX_CONSTRAINTS) in msg  # the cap that was exceeded
@@ -84,7 +84,7 @@ class TestEliminateEdges:
             uppers = [le(i, LinExpr.var(f"b{k}")) for k in range(80)]
             p = Polyhedron(("i",), lowers + uppers)
             with pytest.raises(PolyhedronError):
-                eliminate(p, "i")
+                project_onto(p, [])
             assert telemetry.counter_value("poly.fm.blowup") == 1
         finally:
             telemetry.disable()
@@ -95,26 +95,26 @@ class TestRequireExact:
     def test_nonunit_equality_raises(self):
         p = Polyhedron(("i", "j"), [eq0(i * 2 - j), ge(j, 0), le(j, 8)])
         with pytest.raises(CaseSplitError, match="not unit"):
-            eliminate(p, "i", require_exact=True)
+            project_onto(p, ["j"], require_exact=True)
 
     def test_nonunit_bound_pair_raises(self):
         # 2i >= j and 3i <= N: both coefficients non-unit.
         p = Polyhedron(("i", "j"), [ge(i * 2, j), le(i * 3, N), ge(j, 0)])
         with pytest.raises(CaseSplitError, match="bound pair"):
-            eliminate(p, "i", require_exact=True)
+            project_onto(p, ["j"], require_exact=True)
 
     def test_one_unit_side_is_accepted(self):
         # i >= j (unit) with 2i <= N (non-unit): one unit side suffices.
         p = Polyhedron(("i", "j"), [ge(i, j), le(i * 2, N), ge(j, 0)])
-        out = eliminate(p, "i", require_exact=True)
+        out = project_onto(p, ["j"], require_exact=True)
         assert "j" in out.variables
 
     def test_exact_matches_inexact_on_unit_system(self):
         p = Polyhedron(
             ("i", "j"), [ge(i, 0), le(i, N), ge(j, i), le(j, N)]
         )
-        exact = eliminate(p, "i", require_exact=True)
-        loose = eliminate(p, "i")
+        exact = project_onto(p, ["j"], require_exact=True)
+        loose = project_onto(p, ["j"])
         assert exact == loose
 
 
@@ -212,7 +212,7 @@ class TestCounters:
             )
             # Substitution: j == i + 1 rewrites the 2 other rows.
             line = Polyhedron(("i", "j"), [eq0(j - i - 1), ge(i, 1), le(j, 4)])
-            assert eliminate(line, "j").constraints == (ge(i, 1), le(i, 3))
+            assert project_onto(line, ["i"]).constraints == (ge(i, 1), le(i, 3))
             assert telemetry.counter_value("poly.fm.eliminations") == 2
             assert telemetry.counter_value("poly.fm.constraints_in") == 4 + 3
             assert telemetry.counter_value("poly.fm.constraints_out") == 3 + 2

@@ -1,4 +1,5 @@
-"""The analysis-layer memo: caching, keys, interning, stats."""
+"""The analysis-layer memo: caching, keys, stats, and the structural
+identity (pickling, fingerprints) of its keys."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import pytest
 from repro.errors import CaseSplitError
 from repro.poly import memo
 from repro.poly.constraint import Constraint, Kind, ge, le
+from repro.poly.fm import project_onto
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 from tests.poly.memo_oracle import MEMOIZE, bypass_memo
@@ -98,19 +100,25 @@ class TestKeys:
         assert memo.env_key({"N": 8, "M": 2}) == "M=2,N=8"
 
 
-class TestInterning:
-    def test_equal_constraints_pointer_equal(self):
-        assert ge(i, 3) is ge(i, 3)
-
-    def test_equal_polyhedra_pointer_equal(self):
-        assert _box() is _box()
-
-    def test_interning_holds_when_memo_disabled(self, monkeypatch):
-        # The bypass skips only the analysis memo; hash-consing is part of
-        # the one construction path.
+    def test_constraint_order_keys_separate_projections(self, monkeypatch):
+        # Set-equal inputs in different constraint orders are two memo
+        # entries, so a hit can never hand one the other's row order.
+        j = LinExpr.var("j")
+        cs = [ge(j, 1), le(j, N), ge(i, 0), le(i, j)]
+        a = Polyhedron(("i", "j"), cs)
+        b = Polyhedron(("i", "j"), [cs[1], cs[0], *cs[2:]])
+        assert a == b
+        got = [project_onto(p, ["j"]) for p in (a, b)]
+        assert memo.stats()["ops"]["proj"] == {"hit": 0, "miss": 2}
+        assert got[0].constraints != got[1].constraints
         bypass_memo(monkeypatch)
-        assert _box() is _box()
-        assert ge(i, 3) is ge(i, 3)
+        for p, result in zip((a, b), got):
+            assert result.constraints == project_onto(p, ["j"]).constraints
+
+
+class TestInterning:
+    """Structural identity of constraints and polyhedra, which the memo
+    keys rely on."""
 
     def test_pickle_round_trip(self):
         p = _box()
