@@ -30,6 +30,7 @@ from repro.experiments.figure678 import CholRow
 from repro.experiments.jacobi_stats import JacobiStatsRow
 from repro.experiments.paperpoint import PaperPoint
 from repro.machine.configs import MachineConfig
+from repro.machine.costmodel import CostModel
 
 #: Heading of the sweep's claim table (the ``claims`` target, ``claims.md``).
 TITLE = "Claims — the paper's Sec. 4 shapes, checked on the sweep"
@@ -89,8 +90,9 @@ def figure5_claims(rows: list[Figure5Row], fill: int) -> list[Claim]:
     ]
 
 
-def figure678_claims(rows: list[CholRow], fill: int) -> list[Claim]:
-    """Cholesky's miss-cycle, branch and instruction shapes (tiled_sunk)."""
+def figure678_claims(rows: list[CholRow], fill: int, costs: CostModel) -> list[Claim]:
+    """Cholesky's miss-cycle, branch and instruction shapes (tiled_sunk);
+    *costs* prices resolved and mispredicted branches."""
     past = [r for r in rows if r.n > fill]
     l2 = {r.n: r.seq_l2_cycles / max(r.tiled_l2_cycles, 1.0) for r in past}
     l1 = {r.n: r.seq_l1_cycles / max(r.tiled_l1_cycles, 1.0) for r in past}
@@ -98,6 +100,10 @@ def figure678_claims(rows: list[CholRow], fill: int) -> list[Claim]:
              for r in past}
     instr = [r.tiled_instructions / r.seq_instructions for r in rows]
     tiled = [r.tiled_branch_resolved for r in rows]
+    missed = [r.tiled_branch_mispredicted for r in rows]
+    # (misprediction cycles, resolution cycles) of the tiled code per N
+    branch = [(r.tiled_branch_mispredicted * costs.branch_mispredict_cycles,
+               r.tiled_branch_resolved * costs.branch_resolve_cycles) for r in rows]
     return [
         Claim("Tiling cuts Cholesky's L2 miss cycles ~6-10x past the L2 fill", "Fig. 6",
               ", ".join(f"N={n} {x:.2f}x" for n, x in l2.items()) or "no N past the fill",
@@ -116,6 +122,12 @@ def figure678_claims(rows: list[CholRow], fill: int) -> list[Claim]:
               f"saved / branch cycles {_span(list(saved.values()), '.1f')}",
               f"tiled branch cycles < seq - tiled L2 cycles at every N > {fill}",
               bool(past) and all(x > 1.0 for x in saved.values())),
+        Claim("Misprediction cycles stay below resolution cycles at every N", "Fig. 7",
+              f"tiled {min(missed):,}-{max(missed):,} mispredicted; misprediction / "
+              f"resolution cycles {_span([m / max(r, 1.0) for m, r in branch], '.1%', '')}",
+              f"tiled {costs.branch_mispredict_cycles:g} x mispredicted < "
+              f"{costs.branch_resolve_cycles:g} x resolved at every N",
+              all(m < r for m, r in branch)),
         Claim('"Relatively large increases in dynamic instruction counts": ~1.5x',
               "Fig. 8", f"tiled / seq {_span(instr)}",
               "1.4x <= tiled / seq instructions <= 1.6x at every N",
@@ -195,7 +207,8 @@ def check(
 ) -> list[Claim]:
     """Every claim of the sweep's figures, Table 1 and Jacobi statistics."""
     fill = machine.l2_fill_order()
-    return [*figure5_claims(f5_rows, fill), *figure678_claims(chol_rows, fill),
+    return [*figure5_claims(f5_rows, fill),
+            *figure678_claims(chol_rows, fill, machine.costs),
             *table1_claims(table), *jacobi_claims(js_rows)]
 
 

@@ -12,13 +12,13 @@ derived.
 from __future__ import annotations
 
 from repro.experiments.runner import build_program
-from repro.experiments.sweep import SweepConfig
 from repro.kernels.registry import ALL_KERNELS, variants_for
 from repro.pipeline.manager import PipelineReport
 
 
-def generate(config: SweepConfig | None = None) -> list[PipelineReport]:
-    """One :class:`PipelineReport` per registered (kernel, variant)."""
+def generate() -> list[PipelineReport]:
+    """One :class:`PipelineReport` per registered (kernel, variant); the
+    builds use no sweep configuration."""
     reports: list[PipelineReport] = []
     for kernel in ALL_KERNELS:
         for variant in variants_for(kernel):

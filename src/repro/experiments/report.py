@@ -10,7 +10,8 @@ once and checks the claims on the very rows it prints.
 ``python -m repro.experiments <target>`` prints the sections and exits 1
 when one of their claims FAILS; with ``--output DIR`` it also writes them
 (:func:`write`): ``<name>.md`` per section, ``<name>.csv`` beside it when
-the section has rows, and ``config.md``. So ``all --output results/``
+the section has rows, and ``config.md`` when a section was measured on a
+sweep configuration. So ``all --output results/``
 writes the figures, Table 1, the Jacobi statistics, ``claims.md`` and
 ``ablations.md``, and ``pipeline --output results/`` the per-pass build
 evidence.
@@ -47,8 +48,9 @@ class Section:
     name: str
     text: str
     #: The configuration *text* was measured on; ``--output`` writes it
-    #: to ``config.md``.
-    config: SweepConfig
+    #: to ``config.md``. ``None`` for a section that measures nothing on
+    #: a sweep configuration (the pipeline builds).
+    config: SweepConfig | None
     csv: list[dict] | None = None
     #: The claim rows *text* prints; one that FAILS sets the exit code.
     claims: tuple[Claim, ...] = ()
@@ -142,8 +144,8 @@ def _crossover(rows: Rows) -> list[Section]:
 
 
 def _pipeline(rows: Rows) -> list[Section]:
-    reports = pipeline_report.generate(rows.config)
-    return [Section("pipeline", pipeline_report.render(reports), rows.config,
+    reports = pipeline_report.generate()
+    return [Section("pipeline", pipeline_report.render(reports), None,
                     pipeline_report.rows(reports))]
 
 
@@ -202,8 +204,9 @@ def write(to_write: list[Section], directory: str | Path) -> dict[str, Path]:
     """Write each section (``<name>.md``, and ``<name>.csv`` when it has
     rows) under *directory*, and ``config.md``: the configuration the
     sections were measured on, one block per distinct configuration
-    (naming its sections) when they differ. Returns section name ->
-    markdown file."""
+    (naming its sections) when they differ; sections without one add no
+    block, and none at all leave ``config.md`` as it was. Returns section
+    name -> markdown file."""
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     paths: dict[str, Path] = {}
@@ -213,7 +216,10 @@ def write(to_write: list[Section], directory: str | Path) -> dict[str, Path]:
             _write_csv(out / f"{section.name}.csv", section.csv)
         paths[section.name] = out / f"{section.name}.md"
         paths[section.name].write_text(section.text + "\n")
-        by_config.setdefault(section.config, []).append(section.name)
+        if section.config is not None:
+            by_config.setdefault(section.config, []).append(section.name)
+    if not by_config:
+        return paths
     blocks = [
         "\n".join([
             "# sweep configuration"

@@ -297,7 +297,7 @@ def _measure_all(
     misses are measured, once each: the parent builds their programs in
     one ``cc`` call (:func:`repro.exec.compiled.build`; none when every
     point is on disk) and, with ``jobs`` > 1 and more than one to measure,
-    loads the C memory core (:func:`repro.machine.native.lib`) and forks a
+    loads the C machine core (:func:`repro.machine.native.lib`) and forks a
     pool whose workers inherit both builds and the resolved points. A
     worker failure re-raises as a :class:`~repro.errors.ReproError` naming
     the failed point, chained to the worker's exception.

@@ -21,8 +21,9 @@ to drive the model:
 - :mod:`repro.machine.perfcounters` — the end-to-end "perfex" report;
 - :mod:`repro.machine.sinks` — the streaming :class:`TraceSink` protocol
   that fuses all trace consumers into one bounded-memory pass;
-- :mod:`repro.machine.native` — the C memory core (register window,
-  L1/L2 and write-back loops), compiled on first use;
+- :mod:`repro.machine.native` — the C memory and branch core (register
+  window, L1/L2, write-back and 2-bit predictor loops), compiled on first
+  use;
 - :mod:`repro.machine.writeback` — dirty-line write-back counts, read
   only by the write-back ablation (``repro.experiments.ablations``).
 

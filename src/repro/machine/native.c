@@ -1,8 +1,9 @@
-/* The machine model's memory core: sequential loops over one chunk of
- * memory events (event = byte_address << 1 | is_write), loaded by
- * repro/machine/native.py. The Python entry points own the state arrays
- * carried across chunks; every loop must equal the per-access oracles in
- * tests/machine/reference.py bit for bit. */
+/* The machine model's memory and branch core: sequential loops over one
+ * chunk of memory events (event = byte_address << 1 | is_write) or branch
+ * events (code = site * 2 + taken), loaded by repro/machine/native.py. The
+ * Python entry points own the state arrays carried across chunks; every
+ * loop must equal the per-event oracles in tests/machine/reference.py bit
+ * for bit. */
 #include <stdint.h>
 
 static inline uint64_t slot_hash(int64_t e, int64_t hbits)
@@ -162,4 +163,21 @@ int64_t writeback(int64_t *ways, uint8_t *dirty, int64_t nsets, int64_t assoc,
     }
     *writebacks += evicted;
     return misses;
+}
+
+/* Per-site 2-bit saturating counters over one chunk of branch codes:
+ * state[site] in 0..3 predicts taken at 2 or more, and moves one step
+ * toward each outcome. state must cover every site of the chunk and codes
+ * must be non-negative (the caller checks both). Returns the chunk's
+ * mispredictions. */
+int64_t branch(uint8_t *state, const int64_t *codes, int64_t n)
+{
+    int64_t missed = 0;
+    for (int64_t i = 0; i < n; i++) {
+        uint8_t *s = state + (codes[i] >> 1);
+        int taken = codes[i] & 1;
+        missed += (*s >> 1) != taken;
+        *s = taken ? *s + (*s < 3) : *s - (*s > 0);
+    }
+    return missed;
 }

@@ -1,6 +1,7 @@
-"""The one loader of compiled C: the machine model's memory core
-(``native.c``; :func:`lib`: register window, L1/L2 and the write-back
-level) and the programs :mod:`repro.exec.compiled` emits.
+"""The one loader of compiled C: the machine model's memory and branch
+core (``native.c``; :func:`lib`: register window, L1/L2, the write-back
+level and the 2-bit branch predictor) and the programs
+:mod:`repro.exec.compiled` emits.
 
 :func:`build` compiles C with ``cc <opt> -ffp-contract=off -shared -fPIC``
 (``-O2`` for the core; ``-O1`` for programs, whose compile time counts
@@ -44,13 +45,15 @@ _SIGNATURES = {
     "regfilter": ((_P, _I, _I, _P, _I, _I, _P), _I),
     "cache": ((_P, _I, _I, _I, _P, _I, _I, _I, _P, _I, _P, _P), _I),
     "writeback": ((_P, _P, _I, _I, _I, _P, _I, _P, _P), _I),
+    "branch": ((_P, _P, _I), _I),
 }
 
 _lib: ctypes.CDLL | None = None
 
 
 def lib() -> ctypes.CDLL:
-    """The memory core, compiled or fetched from the cache on first use."""
+    """The memory and branch core, compiled or fetched from the cache on
+    first use."""
     global _lib
     if _lib is None:
         _lib = build()

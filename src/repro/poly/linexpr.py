@@ -74,6 +74,10 @@ class LinExpr:
         self._key = None
         return self
 
+    def __reduce__(self):
+        # Rebuilt from its terms, so no cached hash crosses processes.
+        return (LinExpr, (self._terms, self._const))
+
     # -- constructors -----------------------------------------------------
     @staticmethod
     def const(value: Coef) -> "LinExpr":

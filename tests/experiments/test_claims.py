@@ -89,7 +89,24 @@ def test_cholesky_l2_perturbation_fails_figure6(rows):
     assert "N=184 1.00x" in l2.measured
     # Nothing saved at N=184 also sinks the L1-vs-L2 and branch-overhead rows.
     assert [c.place for c in checked if not c.holds] == ["Fig. 6", "Fig. 6", "Fig. 7"]
-    assert "3 of 12 claims FAIL" in claims.render(checked)
+    assert "3 of 13 claims FAIL" in claims.render(checked)
+
+
+@pytest.mark.parametrize("share", [4, 5])
+def test_cholesky_misprediction_perturbation_fails_figure7(rows, share):
+    """A fifth (or a quarter) of the tiled branches at N=88 mispredicted:
+    their cycles reach the resolution cycles, and that row alone FAILS."""
+    chol = [
+        dataclasses.replace(r, tiled_branch_mispredicted=-(-r.tiled_branch_resolved // share))
+        if r.n == 88 else r
+        for r in rows["chol"]
+    ]
+    checked = _check(rows, chol)
+    assert [c.claim for c in checked if not c.holds] == [
+        "Misprediction cycles stay below resolution cycles at every N"
+    ]
+    row = next(c for c in checked if not c.holds)
+    assert row.place == "Fig. 7" and row.bound == "tiled 5 x mispredicted < 1 x resolved at every N"
 
 
 def test_table1_mismatch_fails(rows):
@@ -109,7 +126,7 @@ def test_all_exit_code_follows_claims(rows, monkeypatch, capsys, perturb):
     monkeypatch.setattr(jacobi_stats, "generate", lambda config=None: rows["js"])
     monkeypatch.setattr(ablations, "generate", lambda config=None: ABLATION_ROWS)
     assert main(["all", "--full"]) == (1 if perturb else 0)
-    assert ("3 of 12 claims FAIL" if perturb else "12 of 12 claims hold") in (
+    assert ("3 of 13 claims FAIL" if perturb else "13 of 13 claims hold") in (
         capsys.readouterr().out
     )
 

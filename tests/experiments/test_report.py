@@ -71,6 +71,19 @@ def test_pipeline_output(tmp_path, capsys):
     assert "seconds" in (tmp_path / "pipeline.csv").read_text().splitlines()[0]
 
 
+def test_pipeline_output_leaves_config_md_alone(tmp_path, capsys):
+    # The pipeline builds use no sweep configuration, so writing them
+    # beside the sweep's results must not rewrite its config.md.
+    sentinel = b"# sweep configuration\n- sizes: [88, 120, 152, 184]\n"
+    (tmp_path / "config.md").write_bytes(sentinel)
+    assert main(["pipeline", "--output", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "config.md").read_bytes() == sentinel
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.md", "pipeline.csv", "pipeline.md"
+    ]
+
+
 def test_committed_pipeline_matches_a_fresh_build(tmp_path):
     # results/pipeline.csv comes from a `pipeline --output` run that no CI
     # step repeats (its timings vary); every other column must still

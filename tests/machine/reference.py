@@ -13,7 +13,7 @@ bit on every chunking:
   resident line (:class:`~repro.machine.writeback.WritebackSink`);
 - :class:`TwoBitPredictor` — per-site 2-bit counters replayed site by
   site, one event at a time (:class:`~repro.machine.branch.TwoBitPredictorSink`,
-  which settles whole runs of equal outcomes in closed form).
+  whose C loop walks each chunk in program order).
 
 ``tests/golden/regen.py`` builds the golden corpus's reports from these.
 """
@@ -144,9 +144,9 @@ class TwoBitPredictor:
     """Per-site 2-bit saturating counter (init: weakly taken).
 
     States 0..3; predict taken when state >= 2; increment on taken,
-    decrement on not-taken, saturating. :meth:`simulate` steps through
-    every event, so it checks the sink's closed-form run replay rather
-    than repeating it.
+    decrement on not-taken, saturating. :meth:`simulate` groups the
+    events by site, so it checks the sink's in-order walk rather than
+    repeating it.
     """
 
     def simulate(self, site_ids: np.ndarray, taken: np.ndarray) -> BranchStats:

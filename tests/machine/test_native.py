@@ -43,6 +43,16 @@ def _works(core) -> bool:
     return kept == 1 and events[0] == 40
 
 
+def test_branch_entry_point_updates_the_callers_counters():
+    """Site 0 (weakly taken) mispredicts its first not-taken and learns;
+    site 1 predicts its taken and saturates."""
+    core = native.lib()
+    state = np.full(2, 2, dtype=np.uint8)
+    codes = np.array([0 * 2 + 0, 0 * 2 + 0, 1 * 2 + 1], dtype=np.int64)
+    assert core.branch(state.ctypes.data, codes.ctypes.data, 3) == 1
+    assert state.tolist() == [0, 3]
+
+
 def _objects(directory: Path) -> list[Path]:
     return sorted(directory.glob("native-*.so"))
 

@@ -1,10 +1,18 @@
 """Unit tests for LinExpr arithmetic and canonicalisation."""
 
+import os
+import pickle
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from repro.poly.constraint import ge
 from repro.poly.linexpr import LinExpr
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestConstruction:
@@ -101,3 +109,41 @@ class TestIdentity:
         e = LinExpr({"i": 1, "j": -2}, 3)
         text = str(e)
         assert "i" in text and "2*j" in text and "3" in text
+
+
+class TestPickle:
+    """A pickle carries the terms and constant, never a cached hash."""
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_round_trip(self, protocol):
+        e = LinExpr({"i": 2, "j": Fraction(-1, 3)}, 5)
+        hash(e)
+        f = pickle.loads(pickle.dumps(e, protocol))
+        assert f == e and hash(f) == hash(e) and f in {e}
+        assert f.terms == e.terms and f.constant == e.constant
+        c = ge(e, 0)
+        assert pickle.loads(pickle.dumps(c, protocol)) in {c}
+
+    def test_loads_under_another_hash_seed(self):
+        """Pickled where ``hash("i")`` is one value, loaded where it is
+        another: the loaded expression and constraint still find their
+        fresh equals in a set."""
+        build = "from repro.poly.linexpr import LinExpr; from repro.poly.constraint import ge; "
+        dump = build + (
+            "import pickle, sys; e = LinExpr.var('i') + 3; c = ge(e, 0); hash(e); hash(c); "
+            "sys.stdout.write(pickle.dumps((e, c)).hex())"
+        )
+        load = build + (
+            "import pickle, sys; e, c = pickle.loads(bytes.fromhex(sys.stdin.read())); "
+            "f = LinExpr.var('i') + 3; print(e == f, e in {f}, c in {ge(f, 0)})"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        pickled = subprocess.run(
+            [sys.executable, "-c", dump], env={**env, "PYTHONHASHSEED": "1"},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        loaded = subprocess.run(
+            [sys.executable, "-c", load], env={**env, "PYTHONHASHSEED": "2"},
+            input=pickled, capture_output=True, text=True, check=True,
+        ).stdout
+        assert loaded.split() == ["True", "True", "True"]
