@@ -12,8 +12,11 @@ and return the :class:`~repro.machine.perfcounters.PerfReport`.
 (the ablations measure their unregistered recipes directly) and
 :func:`measure_variant` for one registered point.
 
-Measurements are memoised in-process (capped LRU; :func:`clear_caches`
-resets) and, optionally, on disk (``REPRO_CACHE_DIR``; set
+Builds go straight to the manager, whose one memo of built pass
+prefixes (:mod:`repro.pipeline.manager`) runs FixDeps once per kernel
+however many variants and tile edges follow it. Measurements are
+memoised in-process (capped LRU; :func:`clear_caches` resets both) and,
+optionally, on disk (``REPRO_CACHE_DIR``; set
 ``REPRO_NO_CACHE=1`` to disable). Disk-cache keys embed a **content
 fingerprint** of the recipe, the emitted program, and the machine config
 (:func:`repro.pipeline.recipe.measurement_fingerprint`), including a
@@ -53,6 +56,7 @@ from repro.ir.program import Program
 from repro.kernels.registry import get_kernel, get_recipe
 from repro.machine import native
 from repro.machine.perfcounters import PerfReport, measure_streaming
+from repro.pipeline import manager
 from repro.pipeline.manager import PassManager, PipelineReport
 from repro.pipeline.passes import PassContext
 from repro.pipeline.recipe import VariantRecipe, measurement_fingerprint
@@ -75,20 +79,19 @@ class VariantMeasurement:
 _log = logging.getLogger("repro.sweep")
 
 _memo: LRUCache = LRUCache(maxsize=4096)
-_built: LRUCache = LRUCache(maxsize=256)
 #: Sweep inputs per (kernel, params, seed): the variants of one point run
 #: on the same arrays, so they are made once and shared read-only.
 _inputs: LRUCache = LRUCache(maxsize=4)
 
 
 def clear_caches() -> None:
-    """Drop every in-process memo (measurements, built programs, sweep
-    inputs, the polyhedral analysis memo). Disk cache and the built C
-    programs are untouched."""
+    """Drop every in-process memo (measurements, built pass prefixes,
+    sweep inputs, the polyhedral analysis memo). Disk cache and the built
+    C programs are untouched."""
     from repro.poly import memo as poly_memo
 
     _memo.clear()
-    _built.clear()
+    manager.clear_memo()
     _inputs.clear()
     poly_memo.clear_memos()
 
@@ -145,17 +148,10 @@ def _store_cached(key: str, report: PerfReport) -> None:
 def _build(
     recipe: VariantRecipe, tile: int | None, time_tile: int | None = None
 ) -> tuple[Program, PipelineReport]:
-    """Build *recipe* at one tile binding (memoised on the recipe's
-    content, so two recipes share a build only if they describe the same
-    passes)."""
-
-    def compute():
-        ctx = PassContext(
-            kernel=get_kernel(recipe.kernel), tile=tile, time_tile=time_tile
-        )
-        return PassManager().build(recipe, ctx)
-
-    return _built.get_or_compute((recipe.fingerprint(), tile, time_tile), compute)
+    """Build *recipe* at one tile binding (the manager's prefix memo
+    shares every pass two builds have in common)."""
+    ctx = PassContext(kernel=get_kernel(recipe.kernel), tile=tile, time_tile=time_tile)
+    return PassManager().build(recipe, ctx)
 
 
 def build_program(

@@ -8,6 +8,7 @@ possibly straight-line epilogue code, e.g. LU's peeled last iteration).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -134,10 +135,13 @@ class Program:
         )
 
     def with_name(self, name: str) -> "Program":
-        """Copy under a new name."""
-        return Program(
-            name, self.params, self.arrays, self.scalars, self.body, self.outputs
-        )
+        """Copy under a new name. The declarations and body are already
+        checked, so only the name is."""
+        if name.lower() in KEYWORDS:
+            raise IRError(f"{name}: {name!r} is a keyword of the program text")
+        renamed = copy.copy(self)
+        object.__setattr__(renamed, "name", name)
+        return renamed
 
     def adding_arrays(self, extra: Iterable[ArrayDecl]) -> "Program":
         """Copy with extra array declarations (for copy arrays ``H``)."""

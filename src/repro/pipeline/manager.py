@@ -6,10 +6,19 @@ statistics. Each pass also declares its semantic effect (``preserve`` /
 ``break`` / ``restore``); the manager does not act on it. The tests check
 those declarations by execution at every pass boundary
 (``tests/pipeline/verify.py``).
+
+Builds share work through one in-process memo keyed on **pass
+prefixes**: the kernel plus each leading pass's type and bound
+description (:meth:`~repro.pipeline.passes.Pass.bind`). A recipe resumes
+after its longest built prefix, so ``fixed``, ``tiled_sunk`` and
+``tiled`` run Source, Fuse and FixDeps once per kernel, and builds at
+different tile edges share every pass before the ``Tile``. A resumed
+build reuses the prefix's pass records verbatim.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -17,9 +26,10 @@ from repro import telemetry
 from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.ir.stmt import If, Loop, Stmt
-from repro.pipeline.passes import PassContext
+from repro.pipeline.passes import Pass, PassContext
 from repro.pipeline.recipe import VariantRecipe
 from repro.trans.model import FusedNest
+from repro.utils.caching import LRUCache
 
 
 @dataclass(frozen=True)
@@ -143,18 +153,57 @@ class PipelineReport:
         )
 
 
+#: Built pass prefixes: prefix key (:func:`_prefix_keys`) -> (value,
+#: records) of the recipe prefix ending at that pass.
+_prefixes: LRUCache = LRUCache(maxsize=512)
+
+
+def clear_memo() -> None:
+    """Forget every built prefix."""
+    _prefixes.clear()
+
+
+def _prefix_keys(kernel: Any, passes: list[Pass]) -> list[tuple]:
+    """The memo key of each prefix of the bound *passes*: the kernel plus,
+    for each pass up to and including this one, its type (two pass classes
+    never collide) and its description as JSON text."""
+    keys: list[tuple] = []
+    key: tuple = (kernel,)
+    for p in passes:
+        text = json.dumps(p.describe(), sort_keys=True, separators=(",", ":"), default=str)
+        key = (*key, type(p), text)
+        keys.append(key)
+    return keys
+
+
 class PassManager:
     """Run recipes and record per-pass evidence."""
 
     def run(
         self, recipe: VariantRecipe, ctx: PassContext | None = None
     ) -> tuple[Program | FusedNest, PipelineReport]:
-        """Apply every pass of *recipe*; return (final value, report)."""
+        """Apply every pass of *recipe*; return (final value, report).
+
+        The passes after the longest prefix already built in this process
+        run; a build that runs none records no span.
+        """
+        if not recipe.passes:
+            raise TransformError(f"recipe {recipe.name} has no passes")
         ctx = ctx or PassContext()
-        report = PipelineReport(recipe=recipe.name)
+        passes = [p.bind(ctx) for p in recipe.passes]
+        keys = _prefix_keys(ctx.kernel, passes)
         value: Program | FusedNest | None = None
-        with telemetry.span("pipeline.recipe", recipe=recipe.name):
-            for p in recipe.passes:
+        records: tuple[PassRecord, ...] = ()
+        reused = 0
+        for i in range(len(keys), 0, -1):
+            hit = _prefixes.get(keys[i - 1])
+            if hit is not None:
+                (value, records), reused = hit, i
+                break
+        if reused == len(passes):
+            return value, PipelineReport(recipe.name, list(records))
+        with telemetry.span("pipeline.recipe", recipe=recipe.name, reused=reused):
+            for p, key in zip(passes[reused:], keys[reused:]):
                 before = ir_stats(value) if value is not None else IRStats(0, 0, 0, 0)
                 # The span doubles as the pass stopwatch: its duration is
                 # the PassRecord's wall time whether telemetry records or
@@ -174,18 +223,17 @@ class PassManager:
                     guards_after=after.guards,
                     depth_after=after.depth,
                 )
-                report.records.append(
+                records += (
                     PassRecord(
                         name=p.name,
                         seconds=psp.duration,
                         before=before,
                         after=after,
                         detail=detail_fn() if callable(detail_fn) else "",
-                    )
+                    ),
                 )
-        if value is None:
-            raise TransformError(f"recipe {recipe.name} has no passes")
-        return value, report
+                _prefixes[key] = (value, records)
+        return value, PipelineReport(recipe.name, list(records))
 
     def build(
         self, recipe: VariantRecipe, ctx: PassContext | None = None

@@ -19,7 +19,7 @@ except between a ``break`` and the next ``restore``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Mapping
 
 from repro.errors import TransformError
@@ -104,6 +104,12 @@ class Pass:
         """Plain-data description (must be JSON-serialisable and capture
         every parameter that affects the emitted program)."""
         return {"pass": self.name}
+
+    def bind(self, ctx: PassContext) -> Pass:
+        """This pass with every bind-time input it reads from *ctx*
+        resolved, so that :meth:`describe` names its whole effect (the
+        build memo keys on it)."""
+        return self
 
     def apply(self, value: Program | FusedNest, ctx: PassContext):
         """Transform *value* under *ctx*."""
@@ -358,14 +364,19 @@ class Tile(Pass):
             return size
         raise TransformError(f"{self.name}: unknown tile placeholder {size!r}")
 
+    def bind(self, ctx: PassContext) -> Tile:
+        """This tiling with the placeholders resolved to edges."""
+        return replace(
+            self, sizes={var: self._resolve(size, ctx) for var, size in self.sizes.items()}
+        )
+
     def apply(self, value, ctx: PassContext) -> Program:
         from repro.trans.tiling import tile_program
 
         program = _expect_program(value, self.name)
-        sizes = {var: self._resolve(size, ctx) for var, size in self.sizes.items()}
         return tile_program(
             program,
-            sizes,
+            self.bind(ctx).sizes,
             order=self.order,
             nest_index=_locate_nest(program, self.nest, self.name),
             name=self.rename,

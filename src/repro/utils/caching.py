@@ -13,7 +13,7 @@ from __future__ import annotations
 import os
 from collections import OrderedDict
 from pathlib import Path
-from typing import Any, Callable, Hashable, Iterator, MutableMapping
+from typing import Any, Hashable, Iterator, MutableMapping
 
 
 def cache_dir() -> Path | None:
@@ -36,8 +36,6 @@ class LRUCache(MutableMapping):
             raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
         self.maxsize = maxsize
         self._data: OrderedDict[Hashable, Any] = OrderedDict()
-        self.hits = 0
-        self.misses = 0
         self.evictions = 0
 
     def __getitem__(self, key: Hashable) -> Any:
@@ -65,24 +63,9 @@ class LRUCache(MutableMapping):
     def __contains__(self, key: Hashable) -> bool:
         return key in self._data
 
-    def get_or_compute(self, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """Return the cached value, computing (and caching) it on a miss."""
-        try:
-            value = self[key]
-        except KeyError:
-            self.misses += 1
-            value = compute()
-            self[key] = value
-        else:
-            self.hits += 1
-        return value
-
     def clear(self) -> None:
         self._data.clear()
 
     def __repr__(self) -> str:
         cap = "∞" if self.maxsize is None else self.maxsize
-        return (
-            f"LRUCache({len(self._data)}/{cap}, hits={self.hits}, "
-            f"misses={self.misses}, evictions={self.evictions})"
-        )
+        return f"LRUCache({len(self._data)}/{cap}, evictions={self.evictions})"

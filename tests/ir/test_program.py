@@ -122,4 +122,13 @@ class TestAccessors:
         assert p.outputs == ("A",)
 
     def test_with_name(self):
-        assert simple().with_name("q").name == "q"
+        renamed = simple().with_name("q")
+        assert renamed.name == "q"
+        fresh = Program("q", ("N",), simple().arrays, (), simple().body)
+        assert renamed == fresh and hash(renamed) == hash(fresh)
+        assert simple().name == "p"
+
+    @pytest.mark.parametrize("name", ["do", "Merge"])
+    def test_with_name_rejects_keywords(self, name):
+        with pytest.raises(IRError, match=f"{name!r} is a keyword of the program text"):
+            simple().with_name(name)

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import runner
+from repro.pipeline import manager
 from repro.utils.caching import LRUCache
 
 
@@ -15,20 +16,6 @@ def test_lru_evicts_least_recently_used():
     assert "b" not in cache
     assert set(cache) == {"a", "c"}
     assert cache.evictions == 1
-
-
-def test_lru_get_or_compute_counts_hits():
-    cache = LRUCache(maxsize=4)
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return 42
-
-    assert cache.get_or_compute("k", compute) == 42
-    assert cache.get_or_compute("k", compute) == 42
-    assert len(calls) == 1
-    assert (cache.hits, cache.misses) == (1, 1)
 
 
 def test_lru_rejects_bad_maxsize():
@@ -45,9 +32,9 @@ def test_runner_memos_are_capped_and_clearable(monkeypatch):
     runner.clear_caches()
     assert all(
         cache.maxsize is not None
-        for cache in (runner._memo, runner._built, runner._inputs)
+        for cache in (runner._memo, manager._prefixes, runner._inputs)
     )
     runner.build_program("cholesky", "seq")
-    assert len(runner._built) == 1
+    assert len(manager._prefixes) == 1
     runner.clear_caches()
-    assert len(runner._built) == 0
+    assert len(manager._prefixes) == 0

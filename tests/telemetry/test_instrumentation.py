@@ -59,14 +59,19 @@ class TestPipelineAndMachineSpans:
     def test_pass_spans_carry_ir_stats(self):
         telemetry.enable()
         runner.clear_caches()
-        runner.build_program("cholesky", "tiled", tile=4)
+        _, _, recipe = runner.build_program("cholesky", "tiled", tile=4)
         [recipe_span] = _spans("pipeline.recipe")
+        assert recipe_span.attrs["reused"] == 0
         pass_spans = _spans("pipeline.pass")
-        assert len(pass_spans) >= 2
+        assert len(pass_spans) == len(recipe.passes)
         for s in pass_spans:
             assert s.parent_id == recipe_span.span_id
             assert s.attrs["stmts_after"] > 0
             assert "pass" in s.attrs
+        # A second build of the same point runs no pass and records no span.
+        runner.build_program("cholesky", "tiled", tile=4)
+        assert len(_spans("pipeline.recipe")) == 1
+        assert len(_spans("pipeline.pass")) == len(recipe.passes)
 
     def test_streaming_sink_spans_and_counters(self):
         telemetry.enable()
