@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.errors import MachineError
 from repro.machine import native
 from repro.telemetry.instrument import stage_clock
 
@@ -55,7 +56,7 @@ class TwoBitPredictorSink:
     def feed(self, codes: np.ndarray) -> None:
         """Update every site's counter with one chunk of events.
 
-        Raises ``ValueError`` on a negative code, which encodes no site,
+        Raises :class:`~repro.errors.MachineError` on a negative code, which encodes no site,
         before any counter changes.
         """
         codes = np.ascontiguousarray(codes, dtype=np.int64)
@@ -65,7 +66,7 @@ class TwoBitPredictorSink:
         self._clock.start()
         if codes.min() < 0:
             first = int(codes[np.argmax(codes < 0)])
-            raise ValueError(f"negative branch code {first}: codes are site*2 + taken")
+            raise MachineError(f"negative branch code {first}: codes are site*2 + taken")
         sites = (int(codes.max()) >> 1) + 1
         if sites > len(self._states):
             self._states = np.concatenate(

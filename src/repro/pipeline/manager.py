@@ -13,13 +13,14 @@ description (:meth:`~repro.pipeline.passes.Pass.bind`). A recipe resumes
 after its longest built prefix, so ``fixed``, ``tiled_sunk`` and
 ``tiled`` run Source, Fuse and FixDeps once per kernel, and builds at
 different tile edges share every pass before the ``Tile``. A resumed
-build reuses the prefix's pass records verbatim.
+build reuses the prefix's pass records, marked ``reused``: the report
+shows no time for them and counts only the passes that ran.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro import telemetry
@@ -90,13 +91,15 @@ def ir_stats(value: Program | FusedNest) -> IRStats:
 
 @dataclass(frozen=True)
 class PassRecord:
-    """Evidence for one executed pass."""
+    """Evidence for one executed pass. A ``reused`` record comes from the
+    build memo: its ``seconds`` are those of the build that ran the pass."""
 
     name: str
     seconds: float
     before: IRStats
     after: IRStats
     detail: str = ""
+    reused: bool = False
 
 
 @dataclass
@@ -108,21 +111,22 @@ class PipelineReport:
 
     @property
     def total_seconds(self) -> float:
-        """Wall time summed over all passes."""
-        return sum(r.seconds for r in self.records)
+        """Wall time summed over the passes this build ran."""
+        return sum(r.seconds for r in self.records if not r.reused)
 
     def as_rows(self) -> list[dict[str, Any]]:
-        """Flat dict rows (CSV-friendly)."""
+        """Flat dict rows (CSV-friendly); a reused pass took 0 seconds."""
         return [
             {
                 "recipe": self.recipe,
                 "pass": r.name,
-                "seconds": round(r.seconds, 6),
+                "seconds": 0.0 if r.reused else round(r.seconds, 6),
                 "stmts_before": r.before.statements,
                 "stmts_after": r.after.statements,
                 "loops_after": r.after.loops,
                 "guards_after": r.after.guards,
                 "depth_after": r.after.depth,
+                "reused": r.reused,
                 "detail": r.detail,
             }
             for r in self.records
@@ -135,7 +139,7 @@ class PipelineReport:
         rows = [
             [
                 r.name,
-                r.seconds * 1e3,
+                "reused" if r.reused else r.seconds * 1e3,
                 r.after.statements,
                 r.after.loops,
                 r.after.guards,
@@ -185,7 +189,8 @@ class PassManager:
         """Apply every pass of *recipe*; return (final value, report).
 
         The passes after the longest prefix already built in this process
-        run; a build that runs none records no span.
+        run; a build that runs none records no span. The records of the
+        built prefix come back marked ``reused``.
         """
         if not recipe.passes:
             raise TransformError(f"recipe {recipe.name} has no passes")
@@ -198,7 +203,9 @@ class PassManager:
         for i in range(len(keys), 0, -1):
             hit = _prefixes.get(keys[i - 1])
             if hit is not None:
-                (value, records), reused = hit, i
+                value, records = hit
+                records = tuple(replace(r, reused=True) for r in records)
+                reused = i
                 break
         if reused == len(passes):
             return value, PipelineReport(recipe.name, list(records))
@@ -211,9 +218,8 @@ class PassManager:
                 with telemetry.span(
                     "pipeline.pass", **{"recipe": recipe.name, "pass": p.name}
                 ) as psp:
-                    value = p.apply(value, ctx)
+                    value, note = p.apply_noted(value, ctx)
                 after = ir_stats(value)
-                detail_fn = getattr(p, "detail", None)
                 # IR-stat deltas ride on the pass span (attrs may be set
                 # after exit; the recorded span shares the dict).
                 psp.set(
@@ -229,7 +235,7 @@ class PassManager:
                         seconds=psp.duration,
                         before=before,
                         after=after,
-                        detail=detail_fn() if callable(detail_fn) else "",
+                        detail=note,
                     ),
                 )
                 _prefixes[key] = (value, records)

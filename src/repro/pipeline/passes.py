@@ -115,6 +115,11 @@ class Pass:
         """Transform *value* under *ctx*."""
         raise NotImplementedError
 
+    def apply_noted(self, value: Program | FusedNest, ctx: PassContext) -> tuple[Any, str]:
+        """(:meth:`apply`'s result, the audit note the pipeline report
+        shows for this application; empty unless a pass has one)."""
+        return self.apply(value, ctx), ""
+
 
 def _expect_program(value, who: str) -> Program:
     if not isinstance(value, Program):
@@ -223,23 +228,19 @@ class FixDeps(Pass):
         }
 
     def apply(self, value, ctx: PassContext) -> Program:
+        return self.apply_noted(value, ctx)[0]
+
+    def apply_noted(self, value, ctx: PassContext) -> tuple[Program, str]:
+        """The fixed program and what the repair did: the collapsed
+        groups and the copy arrays, or "already legal"."""
         from repro.trans.fixdeps import fix_dependences
 
-        nest = _expect_nest(value, self.name)
         report = fix_dependences(
-            nest,
+            _expect_nest(value, self.name),
             value_ranges=self.value_ranges,
             widen_copies=self.widen_copies,
         )
         program = report.program(self.rename)
-        object.__setattr__(self, "_last_report", report)
-        return program
-
-    def detail(self) -> str:
-        """Audit line from the most recent application."""
-        report = getattr(self, "_last_report", None)
-        if report is None:
-            return ""
         collapsed = report.ww_wr.collapsed_groups()
         copies = [ins.copy_array for ins in report.rw.insertions]
         bits = []
@@ -247,7 +248,7 @@ class FixDeps(Pass):
             bits.append(f"collapsed {collapsed}")
         if copies:
             bits.append(f"copies {copies}")
-        return "; ".join(bits) or "already legal"
+        return program, "; ".join(bits) or "already legal"
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,9 @@ from repro.ir.builder import (
 )
 from repro.ir.expr import Select
 from repro.ir.program import ArrayDecl, Program, ScalarDecl
+from repro.kernels.registry import get_kernel
 from repro.machine.layout import layout_for_program
+from repro.machine.sinks import MaterializeSink
 from tests.exec.interp import crosscheck_traces, run_interpreted
 from tests.machine.reference import decode_branch_events, split_memory_events
 
@@ -477,3 +479,54 @@ class TestBuilds:
             cp.run({"N": 2})
         [span] = builds()
         assert span.attrs["programs"] == 3
+
+
+class _SizeRecordingSink(MaterializeSink):
+    """Materializes the stream and records each chunk's length."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes: list[int] = []
+
+    def feed(self, chunk: np.ndarray) -> None:
+        self.sizes.append(len(chunk))
+        super().feed(chunk)
+
+
+@pytest.mark.parametrize("chunk_events", [1, 64])
+@pytest.mark.parametrize(
+    "kernel,variant,tile",
+    [
+        pytest.param("cholesky", "seq", None, id="cholesky-seq"),
+        pytest.param("lu", "tiled", 4, id="lu-tiled"),
+        pytest.param("qr", "tiled_sunk", 4, id="qr-tiled_sunk"),
+    ],
+)
+def test_streaming_executor_reproduces_trace(kernel, variant, tile, chunk_events):
+    # Streaming at any chunk size must emit the exact encoded event
+    # stream of the materializing run (qr tiled_sunk: a guard trace), and
+    # each sink must see exact chunk_events-sized chunks plus one tail.
+    program, _, _ = build_program(kernel, variant, tile=tile)
+    mod = get_kernel(kernel)
+    params = {"N": 10}
+    inputs = mod.make_inputs(params, np.random.default_rng(5))
+    cp = CompiledProgram(program, trace=True)
+    run = cp.run(params, inputs)
+    mem_sink, bra_sink = _SizeRecordingSink(), _SizeRecordingSink()
+    streamed = cp.run_streaming(
+        params,
+        inputs,
+        memory_sink=mem_sink,
+        branch_sink=bra_sink,
+        chunk_events=chunk_events,
+    )
+    assert streamed.trace is None
+    assert len(mem_sink.sizes) > 1
+    for sizes in (mem_sink.sizes, bra_sink.sizes):
+        assert set(sizes[:-1]) <= {chunk_events}
+        assert all(0 < n <= chunk_events for n in sizes[-1:])
+    assert np.array_equal(mem_sink.finish(), run.trace.memory)
+    assert np.array_equal(bra_sink.finish(), run.trace.branches)
+    assert streamed.counters.as_dict() == run.counters.as_dict()
+    for name in run.arrays:
+        assert np.array_equal(streamed.arrays[name], run.arrays[name])

@@ -1,10 +1,11 @@
 """The golden corpus itself: it covers the registry, the production build
-reproduces its 43 program fingerprints and every recipe's materialized
-run, and drift fails readably.
+reproduces its 43 program fingerprints, every recipe's materialized run
+and its streamed report, and drift fails readably.
 
-The streamed reports are replayed beside the machine model, in
-``tests/machine/test_streaming_equivalence.py``. All replays compare
-through :func:`tests.golden.corpus.assert_matches`.
+All replays compare through :func:`tests.golden.corpus.assert_matches`.
+The machine model's C core is checked against its oracles, on the
+corpus's recorded traces among other streams, by
+``tests/machine/test_core_differential.py``.
 """
 
 from __future__ import annotations
@@ -37,6 +38,11 @@ def test_program_fingerprints_match_corpus():
 def test_recipe_bit_identical(kernel, variant):
     """``cp.run()``: program, source, counters, traces, arrays, scalars."""
     corpus.check_run(kernel, variant)
+
+
+@pytest.mark.parametrize("kernel,variant", corpus.RECIPES)
+def test_every_recipe_streams_bit_identical(kernel, variant):
+    corpus.check_report(kernel, variant)
 
 
 def _changed_lines(err) -> list[str]:

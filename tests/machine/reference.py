@@ -15,7 +15,9 @@ bit on every chunking:
   site, one event at a time (:class:`~repro.machine.branch.TwoBitPredictorSink`,
   whose C loop walks each chunk in program order).
 
-``tests/golden/regen.py`` builds the golden corpus's reports from these.
+``tests/golden/regen.py`` builds the golden corpus's reports from these,
+and ``tests/machine/test_core_differential.py`` compares each entry point
+of the C core with its oracle on every chunking.
 """
 
 from __future__ import annotations

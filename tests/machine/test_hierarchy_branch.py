@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.errors import MachineError
 from repro.machine.branch import BranchStats, TwoBitPredictorSink
 from repro.machine.cache import CacheConfig
 from repro.machine.hierarchy import HierarchySink
@@ -149,6 +150,6 @@ class TestTwoBit:
 
 def test_sink_rejects_negative_codes():
     sink = TwoBitPredictorSink()
-    with pytest.raises(ValueError, match="negative branch code -3"):
+    with pytest.raises(MachineError, match="negative branch code -3"):
         sink.feed(np.array([4, -3, 5, -1], dtype=np.int64))
     assert sink.finish() == BranchStats(0, 0)

@@ -15,6 +15,7 @@ from repro.pipeline import (
     PassManager,
     VariantRecipe,
     ir_stats,
+    manager,
 )
 from tests.pipeline.verify import verify_recipe
 
@@ -73,6 +74,21 @@ def test_report_records_timing_and_sizes():
     assert {"pass", "seconds", "stmts_after"} <= set(rows[0])
     rendered = report.render()
     assert "lu/tiled" in rendered and "ms total" in rendered
+
+
+def test_reused_records_are_marked_and_not_timed():
+    manager.clear_memo()
+    ctx = PassContext(kernel=get_kernel("lu"))
+    PassManager().build(get_recipe("lu", "fixed"), ctx)
+    _, report = PassManager().build(get_recipe("lu", "tiled"), ctx)
+    assert [r.reused for r in report.records] == [True] * 3 + [False] * 3
+    assert report.total_seconds == sum(r.seconds for r in report.records[3:])
+    rows = report.as_rows()
+    assert [row["reused"] for row in rows] == [r.reused for r in report.records]
+    assert [row["seconds"] for row in rows[:3]] == [0.0] * 3
+    lines = report.render().splitlines()[3:]
+    assert [line.split()[1] == "reused" for line in lines] == [True] * 3 + [False] * 3
+    assert f"({report.total_seconds * 1e3:.1f} ms total)" in report.render()
 
 
 def test_fixdeps_detail_reports_collapses():

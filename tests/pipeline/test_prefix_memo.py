@@ -1,14 +1,15 @@
 """The manager's memo of built pass prefixes: a shared build equals a
-cold one, keys tell pass classes apart, and a build runs only the passes
-after its longest built prefix."""
+cold one, keys tell pass classes apart, a build runs only the passes
+after its longest built prefix and marks the records it reused, and no
+build writes onto the registry's shared pass instances."""
 
 from dataclasses import replace
 
 import pytest
 
 from repro import telemetry
-from repro.kernels.recipes import get_recipe, registry_build_matrix
-from repro.kernels.registry import get_kernel
+from repro.kernels.recipes import build_variant, get_recipe, registry_build_matrix
+from repro.kernels.registry import ALL_KERNELS, get_kernel, variants_for
 from repro.pipeline import Pass, PassContext, PassManager, Source, VariantRecipe
 from repro.pipeline import manager
 from repro.pipeline.recipe import program_fingerprint
@@ -30,7 +31,7 @@ def _build(kernel, variant, tile=None):
 
 
 def _evidence(report):
-    return [replace(r, seconds=0.0) for r in report.records]
+    return [replace(r, seconds=0.0, reused=False) for r in report.records]
 
 
 def test_shared_builds_equal_cold_builds():
@@ -78,6 +79,7 @@ def test_a_new_tile_edge_runs_only_the_passes_after_the_tile():
     assert passes == ["Tile", "UndoSinking"]
     [recipe_span] = [s for s in telemetry.spans() if s.name == "pipeline.recipe"]
     assert recipe_span.attrs["reused"] == 4
+    assert sum(r.reused for r in report.records) == 4
     assert [r.name for r in report.records] == [
         p.name for p in get_recipe("lu", "tiled").passes
     ]
@@ -86,3 +88,13 @@ def test_a_new_tile_edge_runs_only_the_passes_after_the_tile():
     _build("lu", "tiled", tile=8)
     _build("lu", "tiled")
     assert [s.name for s in telemetry.spans()].count("pipeline.recipe") == 1
+
+
+def test_a_build_changes_no_pass():
+    # The registry shares pass instances between recipes (FixDeps between
+    # fixed, tiled_sunk and tiled): a build must leave each as it was.
+    passes = [p for k in ALL_KERNELS for v in variants_for(k) for p in get_recipe(k, v).passes]
+    before = [dict(vars(p)) for p in passes]
+    for kernel, variant, tile in registry_build_matrix():
+        build_variant(kernel, variant, tile=tile)
+    assert [vars(p) for p in passes] == before
