@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from repro.errors import MachineError
 from repro.machine.cache import CacheConfig, CacheSink
+from tests.machine.reference import simulate_cache_reference
 
 
 def cfg(size=256, line=32, assoc=2):
@@ -84,6 +85,17 @@ def test_lru_inclusion_property(track):
     big = CacheSink(_fully_associative(4)).feed(addrs)
     assert not (big & ~small).any()  # every hit of the small cache hits the big one
     assert big.sum() <= small.sum()
+
+
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=150))
+def test_setassoc_agrees_with_stack_distance_when_one_set(track):
+    """A single-set cache of associativity A is a fully-associative LRU
+    stack of depth A: it misses exactly where the oracle's walk does."""
+    addrs = np.array(track, dtype=np.int64) * 8
+    config = _fully_associative(4)
+    assert np.array_equal(
+        CacheSink(config).feed(addrs), simulate_cache_reference(config, addrs)
+    )
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=100))

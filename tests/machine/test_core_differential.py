@@ -14,12 +14,16 @@ branch     ``TwoBitPredictorSink``                            ``TwoBitPredictor`
 =========  =================================================  ===========================
 
 :data:`ENTRIES` lists one row per sink. Every row is fed random families
-over a sweep of geometries, the golden corpus's recorded traces and, for
-the register filter, two N = 72 Figure-5 traces. Each stream is cut
+over a sweep of geometries (the register filter's and the branch
+predictor's sweeps keep their ids in ``test_register_filter_differential.py``
+and ``test_branch_differential.py``), the golden corpus's recorded traces
+and, for the register filter, two N = 72 Figure-5 traces. Each stream is cut
 whole, one event per chunk (the short streams), at random cuts with
 empty and 1-event chunks, and in 65,536-event chunks plus a tail (the
 long streams). Every chunk's output (survivors or miss mask) and the
 ``finish()`` totals must equal the oracle's walk of the whole stream.
+The other differential files in this directory call :func:`check` with
+streams and cuttings of their own.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def memory_stream(rng, family, n, shift, capacity):
 SITES = 300
 
 
-def _branches(rng, n, ids):
+def branches(rng, n, ids):
     """*n* events over the site *ids*: a third of the sites biased, a
     third alternating, a third random."""
     kinds = rng.integers(0, 3, size=len(ids))
@@ -272,7 +276,7 @@ def branch_stream(rng, n):
     low = rng.choice(2 * SITES, size=SITES, replace=False)
     high = 2 * SITES + rng.choice(8 * SITES, size=SITES, replace=False)
     return np.concatenate(
-        (_branches(rng, n // 2, low), _branches(rng, n - n // 2, np.concatenate((low, high))))
+        (branches(rng, n // 2, low), branches(rng, n - n // 2, np.concatenate((low, high))))
     )
 
 
@@ -298,10 +302,11 @@ def chunkings(rng, n):
         yield "64K", [*range(0, n, DEFAULT_CHUNK_EVENTS), n]
 
 
-def check(entry, geometry, stream, rng, what):
-    """Feed *stream* on every chunking and compare with the oracle's walk."""
+def check(entry, geometry, stream, rng, what, cuttings=None):
+    """Feed *stream* on every chunking, or on the (name, bounds) pairs of
+    *cuttings*, and compare with the oracle's walk."""
     cut, totals = entry.oracle(geometry, stream)
-    for how, bounds in chunkings(rng, len(stream)):
+    for how, bounds in cuttings or chunkings(rng, len(stream)):
         spans = list(zip(bounds, bounds[1:]))
         outs, got = entry.run(geometry, [stream[lo:hi] for lo, hi in spans])
         if cut is not None:
@@ -313,17 +318,19 @@ def check(entry, geometry, stream, rng, what):
 # --- Random families --------------------------------------------------------
 
 
+#: The register filter's and the branch predictor's random sweeps run
+#: under their own test ids, in test_register_filter_differential.py and
+#: test_branch_differential.py.
+SWEPT_HERE = ["cache", "hierarchy", "writeback"]
+
+
 @pytest.mark.parametrize(
-    "name, gid", [(name, gid) for name, e in ENTRIES.items() for gid in e.geometries]
+    "name, gid", [(name, gid) for name in SWEPT_HERE for gid in ENTRIES[name].geometries]
 )
 def test_random_streams(name, gid):
     entry = ENTRIES[name]
     geometry = entry.geometries[gid]
     rng = np.random.default_rng(list(f"{name}-{gid}".encode()))
-    if entry.scale is None:
-        for n in (SHORT, 3000, 3000):
-            check(entry, geometry, branch_stream(rng, n), rng, f"branch stream of {n}")
-        return
     shift, capacity = entry.scale(geometry)
     n = min(max(SHORT, 6 * capacity), 600)
     for family in FAMILIES:
