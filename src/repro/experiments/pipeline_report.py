@@ -13,12 +13,16 @@ from __future__ import annotations
 
 from repro.experiments.runner import build_program
 from repro.kernels.registry import ALL_KERNELS, variants_for
-from repro.pipeline.manager import PipelineReport
+from repro.pipeline.manager import PipelineReport, clear_memo
 
 
 def generate() -> list[PipelineReport]:
     """One :class:`PipelineReport` per registered (kernel, variant); the
-    builds use no sweep configuration."""
+    builds use no sweep configuration. The build memo is cleared first, so
+    the report shows a cold build of the registry whatever this process
+    built before: which records are reused, and the total of the passes
+    that ran."""
+    clear_memo()
     reports: list[PipelineReport] = []
     for kernel in ALL_KERNELS:
         for variant in variants_for(kernel):

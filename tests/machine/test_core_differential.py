@@ -13,17 +13,11 @@ writeback  ``WritebackSink``                                  ``writeback_refere
 branch     ``TwoBitPredictorSink``                            ``TwoBitPredictor``
 =========  =================================================  ===========================
 
-:data:`ENTRIES` lists one row per sink. Every row is fed random families
-over a sweep of geometries (the register filter's and the branch
-predictor's sweeps keep their ids in ``test_register_filter_differential.py``
-and ``test_branch_differential.py``), the golden corpus's recorded traces
-and, for the register filter, two N = 72 Figure-5 traces. Each stream is cut
-whole, one event per chunk (the short streams), at random cuts with
-empty and 1-event chunks, and in 65,536-event chunks plus a tail (the
-long streams). Every chunk's output (survivors or miss mask) and the
-``finish()`` totals must equal the oracle's walk of the whole stream.
-The other differential files in this directory call :func:`check` with
-streams and cuttings of their own.
+:func:`check` feeds a stream whole, one event per chunk, at random cuts
+and in 65,536-event chunks, and compares every chunk's output and the
+``finish()`` totals with the oracle's walk of the whole stream. This file
+feeds it recorded and long streams; the other differential files here
+sweep the stream families over geometries and capacities.
 """
 
 from __future__ import annotations
@@ -59,11 +53,8 @@ from tests.machine.reference import (
 
 # --- The entry points -------------------------------------------------------
 #
-# ``run(geometry, chunks)`` feeds the production sink and returns (each
-# chunk's output or None, totals); ``oracle(geometry, stream)`` walks the
-# whole stream and returns (the output expected of chunk [lo:hi) or None,
-# totals). Memory streams are events (``byte_address << 1 | is_write``),
-# branch streams codes (``site * 2 + taken``).
+# Memory streams are events (``byte_address << 1 | is_write``), branch
+# streams codes (``site * 2 + taken``).
 
 
 def _regfilter(capacity, chunks):
@@ -128,7 +119,7 @@ def _branch_oracle(_, codes):
     return None, TwoBitPredictor().simulate(*decode_branch_events(codes))
 
 
-def _cache_config(assoc, nsets, line=32, name="L"):
+def cache_config(assoc, nsets, line=32, name="L"):
     return CacheConfig(name, nsets * assoc * line, line, assoc)
 
 
@@ -136,46 +127,32 @@ def _cache_config(assoc, nsets, line=32, name="L"):
 class Entry:
     """One production sink over an entry point of the C core."""
 
-    name: str
+    #: (geometry, chunks) -> (each chunk's output or None, totals).
     run: Callable
+    #: (geometry, whole stream) -> (chunk bounds -> its expected output,
+    #: or None; totals).
     oracle: Callable
-    #: Random-family geometries, by test id.
-    geometries: dict[str, Any]
     #: (log2 of a stream unit's bytes, capacity in units) of a geometry,
     #: for the memory families; None for the branch predictor.
     scale: Callable | None
-    #: The production geometry, for the recorded streams.
+    #: The production geometry.
     machine: Any
-
-
-MACHINE = octane2_scaled()
-_CACHES = {f"{a}x{s}": _cache_config(a, s) for a in (1, 2, 4, 8, 16) for s in (1, 4, 12, 100)}
-_HIERARCHIES = {
-    f"{a1}x{s1}-{a2}x{s2}": (_cache_config(a1, s1, 32, "L1"), _cache_config(a2, s2, 64, "L2"))
-    for a1, a2 in ((1, 2), (2, 2), (2, 8), (4, 16), (16, 1))
-    for s1, s2 in ((16, 64), (12, 100))
-}
 
 
 def _lines(config):
     return config.line_shift, config.num_sets * config.assoc
 
 
+MACHINE = octane2_scaled()
 ENTRIES = {
-    e.name: e
-    for e in (
-        Entry("regfilter", _regfilter, _regfilter_oracle,
-              {f"cap{c}": c for c in (0, 1, 2, 32, 64, 300)},
-              lambda c: (ELEMENT_SHIFT, c), MACHINE.registers),
-        Entry("cache", _cache, _cache_oracle, _CACHES, _lines, MACHINE.l1),
-        Entry("hierarchy", _hierarchy, _hierarchy_oracle, _HIERARCHIES,
-              lambda levels: _lines(levels[0]), (MACHINE.l1, MACHINE.l2)),
-        Entry("writeback", _writeback, _writeback_oracle,
-              {k: c for k, c in _CACHES.items() if c.assoc <= 8}, _lines, MACHINE.l2),
-        Entry("branch", _branch, _branch_oracle, {"sites": None}, None, None),
-    )
+    "regfilter": Entry(_regfilter, _regfilter_oracle, lambda c: (ELEMENT_SHIFT, c),
+                       MACHINE.registers),
+    "cache": Entry(_cache, _cache_oracle, _lines, MACHINE.l1),
+    "hierarchy": Entry(_hierarchy, _hierarchy_oracle, lambda levels: _lines(levels[0]),
+                       (MACHINE.l1, MACHINE.l2)),
+    "writeback": Entry(_writeback, _writeback_oracle, _lines, MACHINE.l2),
+    "branch": Entry(_branch, _branch_oracle, None, None),
 }
-MEMORY = [name for name, e in ENTRIES.items() if e.scale is not None]
 
 # --- Streams ----------------------------------------------------------------
 
@@ -228,11 +205,11 @@ def _hot_set(rng, n, c):
 
 #: Memory families: (rng, n, capacity in units) -> unit indices.
 FAMILIES = {
-    "small-pool": lambda rng, n, c: rng.integers(0, max(2, c + c // 2), size=n),
-    "wide-pool": lambda rng, n, c: rng.integers(0, 4 * c + 40, size=n),
+    "uniform-small-pool": lambda rng, n, c: rng.integers(0, max(2, c + c // 2), size=n),
+    "uniform-wide-pool": lambda rng, n, c: rng.integers(0, 4 * c + 40, size=n),
     "hot-set": _hot_set,
     "two-halves": _two_halves,
-    "jacobi-like": _jacobi_like,
+    "jacobi-tiled-like": _jacobi_like,
     "all-distinct": lambda rng, n, c: np.arange(n) * 3,
     "single-element": lambda rng, n, c: np.full(n, 17),
 }
@@ -315,49 +292,35 @@ def check(entry, geometry, stream, rng, what, cuttings=None):
         assert got == totals, f"{what}, {how}"
 
 
-# --- Random families --------------------------------------------------------
-
-
-#: The register filter's and the branch predictor's random sweeps run
-#: under their own test ids, in test_register_filter_differential.py and
-#: test_branch_differential.py.
-SWEPT_HERE = ["cache", "hierarchy", "writeback"]
-
-
-@pytest.mark.parametrize(
-    "name, gid", [(name, gid) for name in SWEPT_HERE for gid in ENTRIES[name].geometries]
-)
-def test_random_streams(name, gid):
-    entry = ENTRIES[name]
-    geometry = entry.geometries[gid]
-    rng = np.random.default_rng(list(f"{name}-{gid}".encode()))
+def check_families(entry, geometry, rng):
+    """:func:`check` on every memory family at *geometry*, on streams six
+    times its capacity (400 to 600 events)."""
     shift, capacity = entry.scale(geometry)
     n = min(max(SHORT, 6 * capacity), 600)
     for family in FAMILIES:
         check(entry, geometry, memory_stream(rng, family, n, shift, capacity), rng, family)
 
 
-@pytest.mark.parametrize(
-    "name, gid",
-    [("regfilter", "cap1"), ("regfilter", "cap32"), ("regfilter", "cap300"), ("cache", "4x12"),
-     ("hierarchy", "2x12-2x100"), ("writeback", "2x4"), ("branch", "sites")],
-)
-def test_long_streams(name, gid):
-    # Two full production chunks and a tail: each family in turn, so the
-    # carried state changes character across real chunk boundaries.
+# --- Long streams ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["cache", "hierarchy", "writeback", "branch"])
+def test_long_streams(name):
+    # Two full production chunks and a tail, each family in turn, so the
+    # carried state changes character across real chunk boundaries. The
+    # register filter's run in test_matches_walk_in_full_size_chunks.
     entry = ENTRIES[name]
-    geometry = entry.geometries[gid]
-    rng = np.random.default_rng(list(f"{name}-{gid}-64K".encode()))
+    rng = np.random.default_rng(list(f"{name}-64K".encode()))
     n = 2 * DEFAULT_CHUNK_EVENTS + 1_000
     if entry.scale is None:
         stream = branch_stream(rng, n)
     else:
-        shift, capacity = entry.scale(geometry)
+        shift, capacity = entry.scale(entry.machine)
         part = n // len(FAMILIES) + 1
         stream = np.concatenate(
             [memory_stream(rng, f, part, shift, capacity) for f in FAMILIES]
         )[:n]
-    check(entry, geometry, stream, rng, f"{name} long stream")
+    check(entry, entry.machine, stream, rng, f"{name} long stream")
 
 
 # --- Recorded streams -------------------------------------------------------
@@ -371,9 +334,7 @@ def _figure5_instance(kernel, variant, n):
     config = SweepConfig(MACHINE, (n,), SCALED_JACOBI_M)
     tile = config.tile_for(n) if variant == "tiled" else None
     program, _, _ = build_program(kernel, variant, tile=tile)
-    params = {"N": n}
-    if "M" in get_kernel(kernel).PARAMS:
-        params["M"] = config.jacobi_m
+    params = {"N": n, "M": config.jacobi_m} if "M" in get_kernel(kernel).PARAMS else {"N": n}
     return program, params, get_kernel(kernel).make_inputs(params, np.random.default_rng(0))
 
 
@@ -402,7 +363,7 @@ def test_recorded_streams(label, recorded):
     rng = np.random.default_rng(len(label))
     # The N = 72 traces run through the register filter only, as the
     # Figure-5 sweep's first stage sees them.
-    names = ["regfilter"] if "@" in label else [*MEMORY, "branch"]
+    names = ["regfilter"] if "@" in label else list(ENTRIES)
     for name in names:
         entry = ENTRIES[name]
         stream = trace.branches if name == "branch" else trace.memory

@@ -3,7 +3,7 @@ cold one, keys tell pass classes apart, a build runs only the passes
 after its longest built prefix and marks the records it reused, and no
 build writes onto the registry's shared pass instances."""
 
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -93,8 +93,12 @@ def test_a_new_tile_edge_runs_only_the_passes_after_the_tile():
 def test_a_build_changes_no_pass():
     # The registry shares pass instances between recipes (FixDeps between
     # fixed, tiled_sunk and tiled): a build must leave each as it was.
+    # Each pass holds exactly its fields, and the same objects as before,
+    # whatever earlier builds in this process did.
     passes = [p for k in ALL_KERNELS for v in variants_for(k) for p in get_recipe(k, v).passes]
     before = [dict(vars(p)) for p in passes]
     for kernel, variant, tile in registry_build_matrix():
         build_variant(kernel, variant, tile=tile)
-    assert [vars(p) for p in passes] == before
+    for p, was in zip(passes, before):
+        assert vars(p).keys() == {f.name for f in fields(p)}, p
+        assert all(vars(p)[k] is v for k, v in was.items()), p
