@@ -1,7 +1,8 @@
 """Experiment harness regenerating every table and figure of the paper.
 
-- :mod:`repro.experiments.runner` — run one variant recipe under the
-  machine model and collect its perfex-style report;
+- :mod:`repro.experiments.runner` — measure a grid of points (a
+  registered variant or a recipe, at a size and optionally a tile edge)
+  under the machine model, one perfex-style report each;
 - :mod:`repro.experiments.sweep` — problem-size sweeps and scaling rules
   (paper sizes vs. scaled-machine sizes);
 - :mod:`repro.experiments.figure5` … ``figure678`` — the paper's figures;
@@ -14,7 +15,7 @@
 - :mod:`repro.experiments.claims` — the paper's Sec. 4 claims as bounds
   over the rows above, each printed as ``holds`` or ``FAILS``;
 - :mod:`repro.experiments.ablations` — design-choice studies beyond the
-  paper (tile policy, skewing, copy widening, associativity, write-back
+  paper (tile edge, skewing, copy widening, associativity, write-back
   traffic, guard cleanup), each with a checked claim;
 - :mod:`repro.experiments.pipeline_report` — per-pass build evidence
   (wall time, IR sizes) for every registered variant recipe;
@@ -34,9 +35,6 @@ from repro.experiments.runner import (
     build_program,
     clear_caches,
     measure_points,
-    measure_recipe,
-    measure_variant,
-    run_pair,
 )
 from repro.experiments.sweep import SweepConfig, default_config, resolve_jobs
 
@@ -45,9 +43,6 @@ __all__ = [
     "build_program",
     "clear_caches",
     "measure_points",
-    "measure_recipe",
-    "measure_variant",
-    "run_pair",
     "SweepConfig",
     "default_config",
     "resolve_jobs",

@@ -2,11 +2,10 @@
 
 Targets: the keys of :data:`repro.experiments.report.TARGETS` (figure5,
 figure6, figure7, figure8, table1, jacobi, claims, ablations, paperpoint,
-crossover, pipeline, all) and telemetry_report. Flags: ``--quick``
-(4-point sweep, the default), ``--full`` (6-point scaled sweep),
-``--output DIR`` (also write the printed sections as markdown + CSV, and
-``config.md``), ``--telemetry DIR`` (write span/metric run artefacts),
-``--diff BASE NEW`` (directories for ``telemetry_report``).
+crossover, pipeline, all). Flags: ``--quick`` (4-point sweep, the
+default), ``--full`` (6-point scaled sweep), ``--output DIR`` (also write
+the printed sections as markdown + CSV, and ``config.md``),
+``--telemetry DIR`` (write span/metric run artefacts).
 
 ``crossover`` scans a fixed N = 16..120 and rejects ``--quick`` and
 ``--full``. The exit code is 1 when a claim row the target prints FAILS
@@ -26,7 +25,7 @@ from repro.experiments.sweep import default_config
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(prog="python -m repro.experiments")
-    parser.add_argument("target", choices=[*report.TARGETS, "telemetry_report"])
+    parser.add_argument("target", choices=list(report.TARGETS))
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--quick", action="store_true", help="4-point sweep (default)")
     mode.add_argument("--full", action="store_true", help="full scaled sweep")
@@ -40,13 +39,6 @@ def main(argv: list[str] | None = None) -> int:
         help="record spans/metrics and write trace.jsonl, metrics.json, "
         "summary.txt, trace_chrome.json to DIR",
     )
-    parser.add_argument(
-        "--diff",
-        nargs=2,
-        metavar=("BASELINE", "CURRENT"),
-        help="two --telemetry run directories to compare "
-        "(required by the telemetry_report target)",
-    )
     args = parser.parse_args(argv)
     if args.target == "crossover" and (args.quick or args.full):
         parser.error(
@@ -58,14 +50,6 @@ def main(argv: list[str] | None = None) -> int:
         telemetry.enable()
 
     config = default_config(quick=not args.full)
-
-    if args.target == "telemetry_report":
-        if not args.diff:
-            parser.error("telemetry_report needs --diff BASELINE CURRENT")
-        from repro.experiments import telemetry_report
-
-        print(telemetry_report.main(args.diff[0], args.diff[1]))
-        return 0
 
     sections = report.sections(args.target, config)
     if args.output:

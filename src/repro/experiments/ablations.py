@@ -2,8 +2,8 @@
 
 Each study varies one design choice DESIGN.md calls out:
 
-- ``tile_policy``   — PDAT vs LRW vs fixed square tiles (the paper says
-  LRW and PDAT "almost always coincide"; verify);
+- ``tile``          — PDAT vs LRW vs fixed square tile edges (the paper
+  says LRW and PDAT "almost always coincide"; verify);
 - ``skew``          — Jacobi tiled with vs without the skew + time-
   innermost permutation (how much of the win is the time tiling);
 - ``copy_widen``    — ElimRW with exact violating-write guards vs widened
@@ -21,9 +21,11 @@ Each study is a ``*_rows`` function (the measured numbers) plus a
 :class:`~repro.experiments.claims.Claim` per study from its rows alone,
 and :func:`render` prints the tables and then the claims; the
 ``ablations`` and ``all`` targets exit 1 when one FAILS. Every number
-but the write-back lines (a ``PerfReport`` holds none) is a
-:func:`~repro.experiments.runner.measure_recipe` point: the variants
-outside the registry are the local recipes below, so they share the
+but the write-back lines (a ``PerfReport`` holds none) comes from one
+:func:`~repro.experiments.runner.measure_points` call per study (per
+machine for associativity), so a study's programs build in one ``cc``
+call. Its points name the variants outside the registry by the local
+recipes below and the tile study's edges explicitly; they share the
 runner's memo, disk cache and ``sweep.point`` telemetry.
 """
 
@@ -34,16 +36,19 @@ from dataclasses import astuple, dataclass, replace
 from repro.exec.compiled import CompiledProgram
 from repro.experiments import claims
 from repro.experiments.claims import Claim
-from repro.experiments.runner import build_program, measure_recipe, measure_variant, point_inputs
+from repro.experiments.runner import build_program, measure_points, point_inputs
 from repro.experiments.sweep import SweepConfig, default_config
 from repro.kernels import jacobi
 from repro.kernels.registry import get_recipe
 from repro.machine.writeback import WritebackResult, WritebackSink
 from repro.pipeline.passes import TILE, FixDeps, Fuse, Source, Tile
 from repro.pipeline.recipe import VariantRecipe
+from repro.tilesize.lrw import lrw_tile
 from repro.utils.tables import render_table
 
-TILE_POLICIES = ("pdat", "lrw", "fixed:4", "fixed:16")
+#: The tile study's columns: the sweep's PDAT edge, LRW's at each N and
+#: two fixed edges (:func:`_tile_edges`).
+TILE_COLUMNS = ("pdat", "lrw", "fixed:4", "fixed:16")
 
 #: Heading of the ablations' claim table.
 TITLE = "Claims — the ablations, checked on the rows above"
@@ -95,9 +100,16 @@ def _span(values, fmt: str = ".2f") -> str:
     return lo if lo == hi else f"{lo}-{hi}"
 
 
+def _measure_groups(groups: list[list[tuple]], config: SweepConfig) -> list[list]:
+    """The measurements of every group of points, grouped alike, from one
+    :func:`~repro.experiments.runner.measure_points` call."""
+    measured = iter(measure_points([p for group in groups for p in group], config))
+    return [[next(measured) for _ in group] for group in groups]
+
+
 @dataclass(frozen=True)
-class TilePolicyRow:
-    """Cholesky speedup over seq under each of :data:`TILE_POLICIES`."""
+class TileRow:
+    """Cholesky speedup over seq at each of :data:`TILE_COLUMNS`' edges."""
 
     n: int
     pdat: float
@@ -106,23 +118,23 @@ class TilePolicyRow:
     fixed16: float
 
 
-def tile_policy_rows(config: SweepConfig | None = None) -> list[TilePolicyRow]:
-    """Cholesky speedup under PDAT, LRW and two fixed tile sizes."""
+def _tile_edges(config: SweepConfig, n: int) -> tuple[int, ...]:
+    return config.tile, lrw_tile(config.machine.l1, n), 4, 16
+
+
+def tile_rows(config: SweepConfig | None = None) -> list[TileRow]:
+    """Cholesky speedup under PDAT, LRW and two fixed tile edges."""
     config = config or default_config()
-    rows = []
-    for n in config.sizes:
-        seq = measure_variant("cholesky", "seq", n, config)
-        speedups = [
-            _speedup(seq, measure_variant(
-                "cholesky", "tiled", n, replace(config, tile_policy=policy)))
-            for policy in TILE_POLICIES
-        ]
-        rows.append(TilePolicyRow(n, *speedups))
-    return rows
+    groups = _measure_groups([
+        [("cholesky", "seq", n), *(("cholesky", "tiled", n, t) for t in _tile_edges(config, n))]
+        for n in config.sizes
+    ], config)
+    return [TileRow(n, *(_speedup(seq, t) for t in tiled))
+            for n, (seq, *tiled) in zip(config.sizes, groups)]
 
 
-def render_tile_policy(rows: list[TilePolicyRow]) -> str:
-    return _table(["N", *TILE_POLICIES], rows,
+def render_tile(rows: list[TileRow]) -> str:
+    return _table(["N", *TILE_COLUMNS], rows,
                   "Ablation — tile-size policy (cholesky speedup over seq)")
 
 
@@ -138,13 +150,12 @@ class SkewRow:
 def skew_rows(config: SweepConfig | None = None) -> list[SkewRow]:
     """Jacobi: full skewed+time-tiled vs space-only tiling of the fixed code."""
     config = config or default_config()
-    rows = []
-    for n in config.sizes:
-        seq = measure_variant("jacobi", "seq", n, config)
-        tiled = measure_variant("jacobi", "tiled", n, config)
-        space_only = measure_recipe(JACOBI_SPACE_TILED, n, config)
-        rows.append(SkewRow(n, _speedup(seq, tiled), _speedup(seq, space_only)))
-    return rows
+    groups = _measure_groups([
+        [("jacobi", "seq", n), ("jacobi", "tiled", n), ("jacobi", JACOBI_SPACE_TILED, n)]
+        for n in config.sizes
+    ], config)
+    return [SkewRow(n, _speedup(seq, tiled), _speedup(seq, space_only))
+            for n, (seq, tiled, space_only) in zip(config.sizes, groups)]
 
 
 def render_skew(rows: list[SkewRow]) -> str:
@@ -166,13 +177,10 @@ class CopyWidenRow:
 def copy_widen_rows(config: SweepConfig | None = None) -> list[CopyWidenRow]:
     """ElimRW copy widening: guard complexity vs behaviour."""
     config = config or default_config()
-    rows = []
-    for recipe in JACOBI_COPIES:
-        for n in config.sizes[:2]:
-            r = measure_recipe(recipe, n, config).report
-            rows.append(CopyWidenRow(recipe.variant, n, r.graduated_instructions,
-                                     r.branches_resolved, r.total_cycles))
-    return rows
+    measured = measure_points(
+        [("jacobi", recipe, n) for recipe in JACOBI_COPIES for n in config.sizes[:2]], config)
+    return [CopyWidenRow(m.variant, m.n, m.report.graduated_instructions,
+                         m.report.branches_resolved, m.report.total_cycles) for m in measured]
 
 
 def render_copy_widen(rows: list[CopyWidenRow]) -> str:
@@ -202,10 +210,9 @@ def associativity_rows(config: SweepConfig | None = None) -> list[AssociativityR
         machine = replace(config.machine, name=f"{config.machine.name}-a{assoc}",
                           l1=replace(config.machine.l1, assoc=assoc),
                           l2=replace(config.machine.l2, assoc=assoc))
-        cfg = replace(config, machine=machine)
-        for n in config.sizes[:2]:
-            seq = measure_variant("cholesky", "seq", n, cfg)
-            tiled = measure_variant("cholesky", "tiled", n, cfg)
+        groups = _measure_groups([[("cholesky", "seq", n), ("cholesky", "tiled", n)]
+                                  for n in config.sizes[:2]], replace(config, machine=machine))
+        for n, (seq, tiled) in zip(config.sizes[:2], groups):
             rows.append(AssociativityRow(
                 assoc, n, seq.report.l1_misses, tiled.report.l1_misses,
                 seq.report.l2_misses, tiled.report.l2_misses, _speedup(seq, tiled),
@@ -232,7 +239,7 @@ class WritebackRow:
 
 def _writeback(variant: str, n: int, config: SweepConfig) -> WritebackResult:
     """One run streamed into the sink."""
-    tile = None if variant == "seq" else config.tile_for(n)
+    tile = None if variant == "seq" else config.tile
     program, _, _ = build_program("cholesky", variant, tile=tile)
     params, inputs = point_inputs("cholesky", n, config)
     sink = WritebackSink(config.machine.l2)
@@ -278,16 +285,13 @@ def undo_sinking_rows(config: SweepConfig | None = None) -> list[UndoSinkingRow]
     """
     config = config or default_config()
     n = config.sizes[-1]
-    rows = []
-    for kernel in ("lu", "qr", "cholesky", "jacobi"):
-        seq = measure_variant(kernel, "seq", n, config)
-        clean = measure_variant(kernel, "tiled", n, config)
-        sunk = measure_variant(kernel, "tiled_sunk", n, config)
-        instr_ratio = (sunk.report.graduated_instructions
-                       / clean.report.graduated_instructions)
-        rows.append(UndoSinkingRow(kernel, _speedup(seq, sunk), _speedup(seq, clean),
-                                   instr_ratio))
-    return rows
+    kernels = ("lu", "qr", "cholesky", "jacobi")
+    groups = _measure_groups([[(k, v, n) for v in ("seq", "tiled", "tiled_sunk")]
+                              for k in kernels], config)
+    return [UndoSinkingRow(kernel, _speedup(seq, sunk), _speedup(seq, clean),
+                           sunk.report.graduated_instructions
+                           / clean.report.graduated_instructions)
+            for kernel, (seq, clean, sunk) in zip(kernels, groups)]
 
 
 def render_undo_sinking(rows: list[UndoSinkingRow], n: int) -> str:
@@ -307,18 +311,19 @@ class IpcRow:
 def ipc_row(config: SweepConfig, n: int) -> IpcRow:
     """The IPC sensitivity, from the Cholesky points the undo-sinking study
     measures (memo hits): only the cost of an instruction changes."""
-    seq, tiled = (measure_variant("cholesky", v, n, config).report for v in ("seq", "tiled"))
+    seq, tiled = (m.report for m in measure_points(
+        [("cholesky", "seq", n), ("cholesky", "tiled", n)], config))
     extra = 1.0 - config.machine.costs.instruction_cycles
     scalar = [r.total_cycles + r.graduated_instructions * extra for r in (seq, tiled)]
     return IpcRow(n, seq.total_cycles / tiled.total_cycles, scalar[0] / scalar[1])
 
 
-def check(tile_policy: list[TilePolicyRow], skew: list[SkewRow],
+def check(tile: list[TileRow], skew: list[SkewRow],
           copy_widen: list[CopyWidenRow], associativity: list[AssociativityRow],
           writeback: list[WritebackRow], undo_sinking: list[UndoSinkingRow],
           ipc: IpcRow, fill: int) -> list[Claim]:
     """One claim per study, each decided by that study's rows alone."""
-    ratios = [r.pdat / r.lrw for r in tile_policy]
+    ratios = [r.pdat / r.lrw for r in tile]
     past = [r for r in skew if r.n > fill]
     widened = {r.n: r.branches for r in copy_widen if r.copies == "widened"}
     exact = {r.n: r.branches for r in copy_widen if r.copies == "exact"}
@@ -372,7 +377,7 @@ def generate(config: SweepConfig | None = None) -> dict:
     """Every study's rows, keyed by :func:`check`'s parameter names."""
     config = config or default_config()
     return {
-        "tile_policy": tile_policy_rows(config),
+        "tile": tile_rows(config),
         "skew": skew_rows(config),
         "copy_widen": copy_widen_rows(config),
         "associativity": associativity_rows(config),
@@ -385,7 +390,7 @@ def generate(config: SweepConfig | None = None) -> dict:
 def render(studies: dict, checked: list[Claim]) -> str:
     """All ablations in report order, then their claim table."""
     return "\n\n".join((
-        render_tile_policy(studies["tile_policy"]),
+        render_tile(studies["tile"]),
         render_skew(studies["skew"]),
         render_copy_widen(studies["copy_widen"]),
         render_associativity(studies["associativity"]),

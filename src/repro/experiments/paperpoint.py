@@ -42,7 +42,7 @@ class PaperPoint:
 
 def paper_config(n: int = PAPER_N) -> SweepConfig:
     """The true Octane2 geometry at the one size *n*, with the PDAT tile."""
-    return SweepConfig(machine=octane2(), sizes=(n,), jacobi_m=500, tile_policy="pdat")
+    return SweepConfig(machine=octane2(), sizes=(n,), jacobi_m=500)
 
 
 def measure(kernel: str = "cholesky", n: int = PAPER_N) -> PaperPoint:

@@ -154,8 +154,7 @@ def _all(rows: Rows) -> list[Section]:
             *_claims(rows), *_ablations(rows)]
 
 
-#: CLI target -> its sections. ``telemetry_report`` reads two run
-#: directories instead of a config and is handled by the CLI alone.
+#: CLI target -> its sections.
 TARGETS: dict[str, Callable[[Rows], list[Section]]] = {
     "figure5": _figure5,
     "figure6": _figure("figure6"),
@@ -195,7 +194,7 @@ def _config_lines(config: SweepConfig) -> list[str]:
         f"- instruction cycles: {m.costs.instruction_cycles}",
         f"- sizes: {list(config.sizes)}",
         f"- jacobi M: {config.jacobi_m}",
-        f"- tile policy: {config.tile_policy}",
+        f"- tile: pdat ({config.tile})",
         f"- seed: {config.seed}",
     ]
 

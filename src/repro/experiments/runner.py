@@ -1,16 +1,16 @@
 """Running kernel variants under the machine model.
 
-Every printed number takes one code path: resolve a
-:class:`~repro.pipeline.recipe.VariantRecipe` at one size (bind the
-sweep's tile if its ``Tile`` passes ask for one, build its program with
+Every printed number takes one code path, :func:`measure_points`: resolve
+each point's :class:`~repro.pipeline.recipe.VariantRecipe` at its size
+(bind its tile if its ``Tile`` passes ask for one, build its program with
 the :class:`~repro.pipeline.manager.PassManager`, keeping the per-pass
-timing report, and fingerprint it), compile it with tracing, run it on
-deterministic inputs, replay the traces through the simulated Octane2,
-and return the :class:`~repro.machine.perfcounters.PerfReport`.
-:func:`measure_points` takes that path for a grid of registered points
-(:mod:`repro.kernels.recipes`), :func:`measure_recipe` for one recipe
-(the ablations measure their unregistered recipes directly) and
-:func:`measure_variant` for one registered point.
+timing report, and fingerprint it), compile the programs with tracing in
+one batch, run them on deterministic inputs, replay the traces through
+the simulated Octane2, and return the
+:class:`~repro.machine.perfcounters.PerfReport`\\ s. A point names a
+registered variant (:mod:`repro.kernels.recipes`) or an unregistered
+recipe of its kernel (the ablations' local recipes), and optionally a
+tile edge; without one a tiled point takes the sweep's PDAT edge.
 
 Builds go straight to the manager, whose one memo of built pass
 prefixes (:mod:`repro.pipeline.manager`) runs FixDeps once per kernel
@@ -145,18 +145,14 @@ def _store_cached(key: str, report: PerfReport) -> None:
         )
 
 
-def _build(
-    recipe: VariantRecipe, tile: int | None, time_tile: int | None = None
-) -> tuple[Program, PipelineReport]:
+def _build(recipe: VariantRecipe, tile: int | None) -> tuple[Program, PipelineReport]:
     """Build *recipe* at one tile binding (the manager's prefix memo
     shares every pass two builds have in common)."""
-    ctx = PassContext(kernel=get_kernel(recipe.kernel), tile=tile, time_tile=time_tile)
-    return PassManager().build(recipe, ctx)
+    return PassManager().build(recipe, PassContext(kernel=get_kernel(recipe.kernel), tile=tile))
 
 
 def build_program(
-    kernel: str, variant: str, *, tile: int | None = None,
-    time_tile: int | None = None,
+    kernel: str, variant: str, *, tile: int | None = None
 ) -> tuple[Program, PipelineReport, VariantRecipe]:
     """Build one variant through its registered recipe (memoised).
 
@@ -164,7 +160,7 @@ def build_program(
     listing the registered choices.
     """
     recipe = get_recipe(kernel, variant)
-    program, pipeline = _build(recipe, tile, time_tile)
+    program, pipeline = _build(recipe, tile)
     return program, pipeline, recipe
 
 
@@ -212,19 +208,28 @@ class _Point:
 
 
 def _point(
-    recipe: VariantRecipe, n: int, config: SweepConfig, tile: int | None
+    kernel: str, variant: str | VariantRecipe, n: int, tile: int | None, config: SweepConfig
 ) -> _Point:
-    """Resolve one measurement point: tile policy, build and key.
+    """Resolve one measurement point: recipe, tile, build and key.
 
     A recipe whose :class:`~repro.pipeline.passes.Tile` passes read the
-    ``TILE`` placeholder takes the sweep's tile unless *tile* is given.
+    ``TILE`` placeholder takes *tile*, else the sweep's edge; a tile on a
+    recipe that reads none, or a recipe of another kernel, is a
+    :class:`~repro.errors.ReproError` naming the point.
     """
-    if tile is None and recipe.takes_tile:
-        tile = config.tile_for(n)
+    recipe = get_recipe(kernel, variant) if isinstance(variant, str) else variant
+    where = f"point (kernel={kernel}, variant={recipe.variant}, N={n}, tile={tile})"
+    if recipe.kernel != kernel:
+        raise ReproError(f"{where}: recipe {recipe.name} is not a {kernel} recipe")
+    if not recipe.takes_tile:
+        if tile is not None:
+            raise ReproError(f"{where}: recipe {recipe.name} takes no tile")
+    elif tile is None:
+        tile = config.tile
     program, pipeline = _build(recipe, tile)
-    run = {"params": _params_for(recipe.kernel, n, config), "tile": tile, "seed": config.seed}
+    run = {"params": _params_for(kernel, n, config), "tile": tile, "seed": config.seed}
     fingerprint = measurement_fingerprint(recipe, program, config.machine, run)
-    key = f"{recipe.kernel}-{recipe.variant}-N{n}-{fingerprint}"
+    key = f"{kernel}-{recipe.variant}-N{n}-{fingerprint}"
     return _Point(recipe, n, tile, program, pipeline, key)
 
 
@@ -352,41 +357,19 @@ def _measure_all(
     return [_memo[point.key] for point in points]
 
 
-def measure_recipe(
-    recipe: VariantRecipe,
-    n: int,
-    config: SweepConfig,
-    *,
-    tile: int | None = None,
-) -> VariantMeasurement:
-    """Measure *recipe* at size *n* (memoised in-process and on disk); the
-    recipe need not be registered."""
-    (measured,) = _measure_all([_point(recipe, n, config, tile)], config, 1)
-    return measured
-
-
-def measure_variant(
-    kernel: str,
-    variant: str,
-    n: int,
-    config: SweepConfig,
-    *,
-    tile: int | None = None,
-) -> VariantMeasurement:
-    """Measure one registered (kernel, variant, N) point: a registry
-    lookup in front of :func:`measure_recipe`."""
-    return measure_recipe(get_recipe(kernel, variant), n, config, tile=tile)
-
-
 def measure_points(
-    points: list[tuple[str, str, int]],
+    points: list[tuple],
     config: SweepConfig,
     *,
     jobs: int | None = None,
 ) -> list[VariantMeasurement]:
-    """Measure a grid of registered (kernel, variant, N) points, optionally
-    in parallel, and return them in input order.
+    """Measure a grid of points, optionally in parallel, and return them
+    in input order (memoised in-process and on disk).
 
+    A point is ``(kernel, variant, n)`` or ``(kernel, variant, n, tile)``:
+    *variant* is a registered name or a
+    :class:`~repro.pipeline.recipe.VariantRecipe` of *kernel*, and *tile*
+    an explicit edge for a recipe that takes one (see :func:`_point`).
     Each distinct point is resolved (built, fingerprinted) once, and each
     one not memoised is measured once: serially with ``jobs`` 1 (the
     default: ``REPRO_JOBS``, i.e. 1), else across a forked
@@ -395,16 +378,13 @@ def measure_points(
     reports land in the parent's memo, so serial and parallel runs return
     identical measurements, even with ``REPRO_NO_CACHE=1``.
     """
-    points = [tuple(p) for p in points]
-    resolved = {
-        p: _point(get_recipe(p[0], p[1]), p[2], config, None) for p in dict.fromkeys(points)
-    }
-    return _measure_all([resolved[p] for p in points], config, resolve_jobs(jobs))
-
-
-def run_pair(
-    kernel: str, n: int, config: SweepConfig
-) -> tuple[VariantMeasurement, VariantMeasurement, float]:
-    """(seq, tiled, speedup) for one kernel and size."""
-    seq, tiled = measure_points([(kernel, "seq", n), (kernel, "tiled", n)], config)
-    return seq, tiled, seq.report.total_cycles / tiled.report.total_cycles
+    resolved: dict[tuple, _Point] = {}
+    grid = []
+    for kernel, variant, n, *edge in points:
+        tile = edge[0] if edge else None
+        # A recipe holds dicts (a Tile's sizes), so it is keyed by identity.
+        key = (kernel, variant if isinstance(variant, str) else id(variant), n, tile)
+        if key not in resolved:
+            resolved[key] = _point(kernel, variant, n, tile, config)
+        grid.append(resolved[key])
+    return _measure_all(grid, config, resolve_jobs(jobs))

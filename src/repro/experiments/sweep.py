@@ -1,4 +1,4 @@
-"""Sweep configuration: problem sizes, machine, tile policy.
+"""Sweep configuration: problem sizes, machine and the sweep's tile edge.
 
 The paper sweeps N = 200..2500 at multiples of 238 (about 10 points
 bracketing the size where one array fills the 2 MB L2: 512x512 doubles)
@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from repro.errors import ReproError
 from repro.machine.configs import MachineConfig, default_machine
-from repro.tilesize.lrw import lrw_tile
 from repro.tilesize.pdat import pdat_tile
 
 #: Scaled sweep: same ratio band around the L2-filling order (64). Like the
@@ -57,18 +56,13 @@ class SweepConfig:
     machine: MachineConfig
     sizes: tuple[int, ...]
     jacobi_m: int
-    tile_policy: str = "pdat"  # "pdat" | "lrw" | "fixed:<edge>"
     seed: int = 20050615
 
-    def tile_for(self, n: int) -> int:
-        """Tile edge for problem size *n* under the configured policy."""
-        if self.tile_policy == "pdat":
-            return pdat_tile(self.machine.l1)
-        if self.tile_policy == "lrw":
-            return lrw_tile(self.machine.l1, n)
-        if self.tile_policy.startswith("fixed:"):
-            return int(self.tile_policy.split(":", 1)[1])
-        raise ValueError(f"unknown tile policy {self.tile_policy!r}")
+    @property
+    def tile(self) -> int:
+        """The sweep's tile edge: PDAT's for the machine's L1 (Sec. 4), the
+        edge of every tiled point that names none."""
+        return pdat_tile(self.machine.l1)
 
 
 def default_config(*, quick: bool = True) -> SweepConfig:

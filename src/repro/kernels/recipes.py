@@ -4,12 +4,11 @@ One table replaces five hand-rolled builder families: every standard
 (kernel, variant) is a :class:`~repro.pipeline.recipe.VariantRecipe` built
 here from the kernel modules' *definitions* (source programs, fusion
 embeddings, value ranges) plus the Section-4 schedule data (tile orders,
-skews), and is measurable by name through
-:func:`repro.experiments.runner.measure_variant`. The table is fixed; a
-further variant — an alternate tile shape, an ablation — is a recipe built
-where it is used and measured with
-:func:`repro.experiments.runner.measure_recipe` (see
-:mod:`repro.experiments.ablations`).
+skews), and is measurable by name as a
+:func:`repro.experiments.runner.measure_points` point. The table is fixed;
+a further variant — an alternate tile shape, an ablation — is a recipe
+built where it is used and named by the point in place of the variant
+name (see :mod:`repro.experiments.ablations`).
 
 The standard variants mirror the paper:
 

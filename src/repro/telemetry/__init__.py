@@ -38,7 +38,7 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
-from repro.telemetry.metrics import MetricsRegistry, merge_snapshots  # noqa: F401
+from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.spans import (
     ActiveSpan,
     DisabledSpan,
@@ -66,7 +66,6 @@ __all__ = [
     "Span",
     "SpanCollector",
     "MetricsRegistry",
-    "merge_snapshots",
 ]
 
 perf_counter = time.perf_counter  # the one clock every span uses

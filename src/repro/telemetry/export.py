@@ -2,15 +2,14 @@
 
 Four consumers of the same span/metric data:
 
-- :func:`write_jsonl` / :func:`read_jsonl` — one span per line, lossless
-  round-trip (the durable raw format; ``trace.jsonl``);
+- :func:`write_jsonl` — one span per line, lossless (each line is a
+  :meth:`Span.from_dict` input; the durable raw format, ``trace.jsonl``);
 - :func:`chrome_trace` / :func:`write_chrome_trace` — Chrome
   ``trace_event`` "complete" (``ph: "X"``) events, loadable in
   ``chrome://tracing`` or https://ui.perfetto.dev for flamegraph viewing
   (``trace_chrome.json``);
 - :func:`aggregate` — spans grouped by name path (count, total and self
-  seconds, events), the one aggregation the text views and the
-  ``telemetry_report`` diff read;
+  seconds, events), the one aggregation the text views read;
 - :func:`render_tree` — that aggregation as a tree (count, total/self/mean
   milliseconds), the "where did the time go" view;
 - :func:`render_point_table` — one row per measured sweep point: its
@@ -33,7 +32,6 @@ from repro.utils.tables import render_table
 
 __all__ = [
     "write_jsonl",
-    "read_jsonl",
     "chrome_trace",
     "write_chrome_trace",
     "PathStats",
@@ -45,24 +43,13 @@ __all__ = [
 
 
 def write_jsonl(spans: list[Span], path: str | Path) -> Path:
-    """One JSON object per line; lossless against :func:`read_jsonl`."""
+    """One JSON object per line (:meth:`Span.as_dict`); lossless."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w") as f:
         for span in spans:
             f.write(json.dumps(span.as_dict()) + "\n")
     return path
-
-
-def read_jsonl(path: str | Path) -> list[Span]:
-    """Inverse of :func:`write_jsonl`."""
-    spans = []
-    with Path(path).open() as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                spans.append(Span.from_dict(json.loads(line)))
-    return spans
 
 
 def chrome_trace(spans: list[Span]) -> list[dict[str, Any]]:

@@ -1,9 +1,10 @@
 """Metrics registry: named counters.
 
 Snapshots are plain JSON-able dicts (``{"counters": {...}}``), and
-:func:`merge_snapshots` adds counters, so it is **associative and
-commutative**: per-worker snapshots from a parallel sweep can be folded
-into the parent in any order (asserted by the telemetry test-suite).
+:meth:`MetricsRegistry.merge_snapshot` adds counters, so folding is
+**associative and commutative**: per-worker snapshots from a parallel
+sweep can be folded into the parent in any order (asserted by the
+telemetry test-suite).
 Time is never a metric: a span records it once (:mod:`.spans`).
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 from typing import Any
 
-__all__ = ["MetricsRegistry", "merge_snapshots"]
+__all__ = ["MetricsRegistry"]
 
 
 class MetricsRegistry:
@@ -35,11 +36,3 @@ class MetricsRegistry:
         """Fold another registry's snapshot into this one (counters add)."""
         for k, v in snap.get("counters", {}).items():
             self._counters[k] = self._counters.get(k, 0) + v
-
-
-def merge_snapshots(a: dict[str, Any], b: dict[str, Any]) -> dict[str, Any]:
-    """Pure snapshot merge (associative, commutative)."""
-    reg = MetricsRegistry()
-    reg.merge_snapshot(a)
-    reg.merge_snapshot(b)
-    return reg.snapshot()

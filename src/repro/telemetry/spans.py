@@ -226,7 +226,3 @@ class SpanCollector:
     def finished(self) -> list[Span]:
         """Snapshot of all finished spans, in completion order."""
         return list(self._finished)
-
-    def open_depth(self) -> int:
-        """Open spans on the stack (0 when balanced)."""
-        return len(self._stack)

@@ -5,6 +5,7 @@ Their claims are pure functions of the rows, checked on hand-made rows."""
 from __future__ import annotations
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.experiments import ablations, claims, runner
 from repro.experiments.sweep import SweepConfig
 from repro.machine.configs import octane2_scaled
 from repro.pipeline.recipe import program_fingerprint
+from repro.tilesize.lrw import lrw_tile
 
 
 @pytest.fixture(autouse=True)
@@ -28,7 +30,7 @@ def clean_telemetry():
 
 def _config() -> SweepConfig:
     return SweepConfig(
-        machine=octane2_scaled(), sizes=(12,), jacobi_m=2, tile_policy="pdat"
+        machine=octane2_scaled(), sizes=(12,), jacobi_m=2
     )
 
 
@@ -70,9 +72,11 @@ def test_local_recipes_are_sweep_points_served_from_disk(tmp_path, monkeypatch):
 
 def test_local_recipes_bind_the_sweep_tile_only_when_tiled():
     config = _config()
-    space = runner.measure_recipe(ablations.JACOBI_SPACE_TILED, 12, config)
-    assert space.tile == config.tile_for(12)
-    widened, exact = (runner.measure_recipe(r, 12, config) for r in ablations.JACOBI_COPIES)
+    space, widened, exact = runner.measure_points(
+        [("jacobi", r, 12) for r in (ablations.JACOBI_SPACE_TILED, *ablations.JACOBI_COPIES)],
+        config,
+    )
+    assert space.tile == config.tile
     assert widened.tile is None and exact.tile is None
     assert widened.report.branches_resolved < exact.report.branches_resolved
 
@@ -82,11 +86,43 @@ def test_build_memo_follows_recipe_content():
     a build."""
     exact = ablations.JACOBI_COPIES[1]
     renamed = replace(ablations.JACOBI_COPIES[0], variant="exact")
-    a = runner.measure_recipe(exact, 12, _config())
-    b = runner.measure_recipe(renamed, 12, _config())
+    a, b = runner.measure_points([("jacobi", exact, 12), ("jacobi", renamed, 12)], _config())
     assert a.report != b.report
     programs = [runner._build(r, None)[0] for r in (exact, renamed)]
     assert program_fingerprint(programs[0]) != program_fingerprint(programs[1])
+
+
+def test_each_study_measures_its_grid_in_one_call(monkeypatch):
+    """One measure_points call per study (per machine for associativity),
+    so a study's programs build in one batch; the tile study names its
+    four edges on the points."""
+    calls = []
+    report = SimpleNamespace(total_cycles=2.0, graduated_instructions=1, branches_resolved=1,
+                             l1_misses=1, l2_misses=1)
+
+    def fake(points, config):
+        calls.append((points, config.machine.name))
+        return [SimpleNamespace(variant=getattr(v, "variant", v), n=n, report=report)
+                for _, v, n, *_ in points]
+
+    monkeypatch.setattr(ablations, "measure_points", fake)
+    config = _config()
+    for study, machines in [
+        (ablations.tile_rows, [config.machine.name]),
+        (ablations.skew_rows, [config.machine.name]),
+        (ablations.copy_widen_rows, [config.machine.name]),
+        (ablations.associativity_rows, [f"{config.machine.name}-a{a}" for a in (1, 2, 4)]),
+        (ablations.undo_sinking_rows, [config.machine.name]),
+    ]:
+        calls.clear()
+        study(config)
+        assert [machine for _, machine in calls] == machines, study.__name__
+    calls.clear()
+    ablations.tile_rows(config)
+    [(points, _)] = calls
+    assert [p[3] for p in points if len(p) == 4] == [
+        config.tile, lrw_tile(config.machine.l1, 12), 4, 16
+    ]
 
 
 # The claim checks on hand-made rows (the full sweep's numbers): every
@@ -94,8 +130,8 @@ def test_build_memo_follows_recipe_content():
 
 FILL = 64
 ROWS = {
-    "tile_policy": [ablations.TilePolicyRow(120, 2.651, 2.791, 2.019, 2.791),
-                    ablations.TilePolicyRow(184, 2.817, 2.835, 2.144, 2.835)],
+    "tile": [ablations.TileRow(120, 2.651, 2.791, 2.019, 2.791),
+             ablations.TileRow(184, 2.817, 2.835, 2.144, 2.835)],
     "skew": [ablations.SkewRow(24, 1.154, 1.288), ablations.SkewRow(88, 4.653, 1.874),
              ablations.SkewRow(184, 3.662, 1.883)],
     "copy_widen": [ablations.CopyWidenRow("widened", 24, 222455, 0, 140320.0),
@@ -128,8 +164,8 @@ def test_claims_hold_on_the_measured_rows():
 @pytest.mark.parametrize(
     "change,study",
     [
-        ({"tile_policy": _last("tile_policy", lrw=3.6)}, "tile policy"),
-        ({"tile_policy": []}, "tile policy"),
+        ({"tile": _last("tile", lrw=3.6)}, "tile policy"),
+        ({"tile": []}, "tile policy"),
         ({"skew": _last("skew", space_only=3.7)}, "skew"),
         ({"skew": ROWS["skew"][:1]}, "skew"),  # no N past the fill
         ({"copy_widen": _last("copy_widen", branches=0)}, "copy widening"),

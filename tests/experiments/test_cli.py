@@ -102,21 +102,3 @@ class TestTelemetryCLI:
         plain = run_cli("table1")
         traced = run_cli("table1", "--telemetry", str(tmp_path / "t"))
         assert traced.startswith(plain)  # report text unchanged; paths appended
-
-    def test_telemetry_report_diff(self, tmp_path):
-        run_cli("table1", "--telemetry", str(tmp_path / "a"))
-        run_cli("table1", "--telemetry", str(tmp_path / "b"))
-        text = run_cli(
-            "telemetry_report", "--diff", str(tmp_path / "a"), str(tmp_path / "b")
-        )
-        assert "Telemetry diff" in text
-        assert "Time per layer" in text
-
-    def test_telemetry_report_requires_diff(self):
-        out = subprocess.run(
-            [sys.executable, "-m", "repro.experiments", "telemetry_report"],
-            capture_output=True,
-            text=True,
-        )
-        assert out.returncode != 0
-        assert "--diff" in out.stderr

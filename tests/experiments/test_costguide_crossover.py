@@ -10,7 +10,7 @@ from repro.machine.configs import octane2, octane2_scaled
 @pytest.fixture(scope="module")
 def config() -> SweepConfig:
     return SweepConfig(
-        machine=octane2_scaled(), sizes=(16, 24), jacobi_m=3, tile_policy="pdat"
+        machine=octane2_scaled(), sizes=(16, 24), jacobi_m=3
     )
 
 

@@ -4,16 +4,18 @@ from dataclasses import replace
 
 import pytest
 
-from repro.experiments import default_config
-from repro.experiments.runner import measure_variant, run_pair
+from repro.errors import ReproError
+from repro.experiments import default_config, runner
+from repro.experiments.runner import measure_points
 from repro.experiments.sweep import QUICK_SIZES, SCALED_SIZES, SweepConfig
+from repro.kernels.registry import get_recipe
 from repro.machine.configs import octane2_scaled
 
 
 @pytest.fixture(scope="module")
 def tiny_config() -> SweepConfig:
     return SweepConfig(
-        machine=octane2_scaled(), sizes=(12, 16), jacobi_m=3, tile_policy="pdat"
+        machine=octane2_scaled(), sizes=(12, 16), jacobi_m=3
     )
 
 
@@ -29,39 +31,49 @@ class TestSweepConfig:
         monkeypatch.setenv("REPRO_SIZES", "10,20")
         assert default_config().sizes == (10, 20)
 
-    def test_tile_policies(self, tiny_config):
-        assert tiny_config.tile_for(16) == 11
-        lrw = replace(tiny_config, tile_policy="lrw")
-        assert lrw.tile_for(16) >= 2
-        fixed = replace(tiny_config, tile_policy="fixed:7")
-        assert fixed.tile_for(16) == 7
-        bad = replace(tiny_config, tile_policy="magic")
-        with pytest.raises(ValueError):
-            bad.tile_for(16)
+    def test_sweep_tile_is_pdat(self, tiny_config):
+        assert tiny_config.tile == 11
 
 
 class TestRunner:
-    def test_measure_variant_all_kernels(self, tiny_config):
-        for kernel in ("cholesky", "jacobi"):
-            m = measure_variant(kernel, "seq", 12, tiny_config)
+    def test_measure_points_all_kernels(self, tiny_config):
+        for m in measure_points([(k, "seq", 12) for k in ("cholesky", "jacobi")], tiny_config):
             assert m.report.accesses > 0
             assert m.report.total_cycles > 0
 
     def test_memoisation_returns_same_object(self, tiny_config):
-        a = measure_variant("cholesky", "seq", 12, tiny_config)
-        b = measure_variant("cholesky", "seq", 12, tiny_config)
+        (a,) = measure_points([("cholesky", "seq", 12)], tiny_config)
+        (b,) = measure_points([("cholesky", "seq", 12)], tiny_config)
         assert a is b
 
-    def test_run_pair_speedup_positive(self, tiny_config):
-        seq, tiled, speedup = run_pair("jacobi", 16, tiny_config)
-        assert speedup > 0
-        assert tiled.tile == 11
+    def test_tiled_pair_speedup_positive(self, tiny_config):
+        seq, tiled = measure_points([("jacobi", "seq", 16), ("jacobi", "tiled", 16)], tiny_config)
+        assert seq.report.total_cycles / tiled.report.total_cycles > 0
+        assert seq.tile is None and tiled.tile == 11
 
     def test_unknown_variant(self, tiny_config):
-        from repro.errors import ReproError
-
         with pytest.raises(ReproError):
-            measure_variant("jacobi", "bogus", 12, tiny_config)
+            measure_points([("jacobi", "bogus", 12)], tiny_config)
+
+    def test_explicit_tiles_reach_the_build(self, tiny_config):
+        four, sixteen = measure_points(
+            [("cholesky", "tiled", 12, 4), ("cholesky", "tiled", 12, 16)], tiny_config
+        )
+        assert (four.tile, sixteen.tile) == (4, 16)
+        assert four.report != sixteen.report
+        programs = [runner._point("cholesky", "tiled", 12, t, tiny_config).program
+                    for t in (4, 16)]
+        assert programs[0] != programs[1]
+        assert programs[0] == runner.build_program("cholesky", "tiled", tile=4)[0]
+
+    def test_tile_on_an_untiled_recipe_names_the_point(self, tiny_config):
+        with pytest.raises(ReproError, match=r"kernel=cholesky, variant=seq, N=12, tile=4"):
+            measure_points([("cholesky", "seq", 12, 4)], tiny_config)
+
+    def test_recipe_of_another_kernel_names_the_point(self, tiny_config):
+        recipe = get_recipe("lu", "seq")
+        with pytest.raises(ReproError, match=r"kernel=cholesky, variant=seq.*lu/seq"):
+            measure_points([("cholesky", recipe, 12)], tiny_config)
 
 
 class TestTable1:

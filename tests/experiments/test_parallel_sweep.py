@@ -11,7 +11,6 @@ import pytest
 from repro.errors import ExecutionError, ReproError
 from repro.experiments import figure5, runner
 from repro.experiments.sweep import default_config, resolve_jobs
-from repro.kernels.registry import get_recipe
 
 
 def _config(sizes=(8,)):
@@ -59,7 +58,7 @@ class TestAtomicDiskCache:
     @pytest.fixture
     def report(self):
         runner.clear_caches()
-        return runner.measure_variant("cholesky", "seq", 8, _config()).report
+        return runner.measure_points([("cholesky", "seq", 8)], _config())[0].report
 
     def test_store_load_roundtrip(self, cache_dir, report):
         runner._store_cached("k1", report)
@@ -105,7 +104,7 @@ class TestMeasurePoints:
         REPRO_NO_CACHE=1)."""
         runner.clear_caches()
         [m] = runner.measure_points([("lu", "seq", 8)], _config(), jobs=2)
-        again = runner.measure_variant("lu", "seq", 8, _config())
+        again = runner.measure_points([("lu", "seq", 8)], _config())[0]
         assert again is m  # identity: memo hit, not a recomputation
 
     def test_worker_failure_names_the_point(self, monkeypatch):
@@ -126,10 +125,9 @@ class TestMeasurePoints:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = _config()
         runner.clear_caches()
-        real = runner.measure_variant("cholesky", "seq", 8, config)
+        real = runner.measure_points([("cholesky", "seq", 8)], config)[0]
         sentinel = replace(real.report, total_cycles=12345.0)
-        recipe = get_recipe("cholesky", "seq")
-        runner._store_cached(runner._point(recipe, 8, config, None).key, sentinel)
+        runner._store_cached(runner._point("cholesky", "seq", 8, None, config).key, sentinel)
         runner.clear_caches()  # workers must go to disk, not inherit memos
         results = runner.measure_points(
             [("cholesky", "seq", 8), ("lu", "seq", 8)], config, jobs=2
@@ -155,7 +153,7 @@ class TestMeasurePoints:
             raise AssertionError("should have been served from disk cache")
 
         monkeypatch.setattr(runner, "measure_streaming", boom)
-        m = runner.measure_variant("cholesky", "seq", 8, config)
+        m = runner.measure_points([("cholesky", "seq", 8)], config)[0]
         assert m.report.total_cycles > 0
 
 

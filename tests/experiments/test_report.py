@@ -39,7 +39,7 @@ def test_all_output_generates_once_and_writes_what_it_prints(tmp_path, monkeypat
     monkeypatch.setenv("REPRO_SIZES", "12")
     runner.clear_caches()
     generators = [(m, "generate") for m in (figure5, figure678, table1, jacobi_stats)]
-    calls = _count_calls(monkeypatch, [*generators, (ablations, "tile_policy_rows")])
+    calls = _count_calls(monkeypatch, [*generators, (ablations, "tile_rows")])
     code = main(["all", "--output", str(tmp_path)])
     out = capsys.readouterr().out
     assert sorted(calls.values()) == [1] * 5, calls
@@ -123,7 +123,7 @@ def test_paperpoint_output_writes_the_config_it_measured_on(tmp_path, monkeypatc
         "- instruction cycles: 0.25",
         "- sizes: [238]",
         "- jacobi M: 500",
-        "- tile policy: pdat",
+        "- tile: pdat (45)",
         "- seed: 20050615",
         "",
     ])
@@ -140,4 +140,4 @@ def test_write_names_the_sections_of_each_config(tmp_path):
     first, second = config_md.split("\n\n")
     assert first.startswith("# sweep configuration (a, c)\n- machine: octane2-scaled\n")
     assert second.startswith("# sweep configuration (b)\n- machine: octane2\n")
-    assert second.endswith("- sizes: [238]\n- jacobi M: 500\n- tile policy: pdat\n- seed: 20050615\n")
+    assert second.endswith("- sizes: [238]\n- jacobi M: 500\n- tile: pdat (45)\n- seed: 20050615\n")

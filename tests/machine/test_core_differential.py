@@ -332,7 +332,7 @@ FIGURE5 = [("jacobi", "tiled", 72), ("qr", "seq", 72)]
 
 def _figure5_instance(kernel, variant, n):
     config = SweepConfig(MACHINE, (n,), SCALED_JACOBI_M)
-    tile = config.tile_for(n) if variant == "tiled" else None
+    tile = config.tile if variant == "tiled" else None
     program, _, _ = build_program(kernel, variant, tile=tile)
     params = {"N": n, "M": config.jacobi_m} if "M" in get_kernel(kernel).PARAMS else {"N": n}
     return program, params, get_kernel(kernel).make_inputs(params, np.random.default_rng(0))

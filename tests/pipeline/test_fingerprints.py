@@ -5,7 +5,7 @@ import dataclasses
 import shutil
 from pathlib import Path
 
-from repro.experiments import clear_caches, measure_variant
+from repro.experiments import clear_caches, measure_points
 from repro.experiments.sweep import SweepConfig
 from repro.kernels.recipes import build_variant, get_recipe
 from repro.machine.configs import octane2_scaled
@@ -74,14 +74,14 @@ def test_disk_cache_roundtrip_and_invalidation(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
     config = SweepConfig(
-        machine=octane2_scaled(), sizes=(12,), jacobi_m=2, tile_policy="pdat"
+        machine=octane2_scaled(), sizes=(12,), jacobi_m=2
     )
-    first = measure_variant("cholesky", "seq", 12, config)
+    first = measure_points([("cholesky", "seq", 12)], config)[0]
     files = list(tmp_path.glob("cholesky-seq-N12-*.json"))
     assert len(files) == 1
 
     clear_caches()
-    again = measure_variant("cholesky", "seq", 12, config)
+    again = measure_points([("cholesky", "seq", 12)], config)[0]
     assert again.report == first.report
 
     clear_caches()
@@ -92,9 +92,8 @@ def test_disk_cache_roundtrip_and_invalidation(tmp_path, monkeypatch):
             machine.costs, l2_miss_cycles=machine.costs.l2_miss_cycles * 2
         ),
     )
-    changed = measure_variant(
-        "cholesky", "seq", 12,
-        dataclasses.replace(config, machine=bumped),
+    (changed,) = measure_points(
+        [("cholesky", "seq", 12)], dataclasses.replace(config, machine=bumped)
     )
     # new key on disk, and the numbers actually moved
     assert len(list(tmp_path.glob("cholesky-seq-N12-*.json"))) == 2
@@ -105,9 +104,9 @@ def test_measurement_carries_pipeline_report(monkeypatch):
     monkeypatch.setenv("REPRO_NO_CACHE", "1")
     clear_caches()
     config = SweepConfig(
-        machine=octane2_scaled(), sizes=(12,), jacobi_m=2, tile_policy="pdat"
+        machine=octane2_scaled(), sizes=(12,), jacobi_m=2
     )
-    m = measure_variant("lu", "tiled", 12, config)
+    m = measure_points([("lu", "tiled", 12)], config)[0]
     assert m.pipeline is not None
     assert [r.name for r in m.pipeline.records] == [
         "Source", "Fuse", "FixDeps", "ExpandScalar", "Tile", "UndoSinking"

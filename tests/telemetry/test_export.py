@@ -8,7 +8,6 @@ from repro import telemetry
 from repro.telemetry.export import (
     aggregate,
     chrome_trace,
-    read_jsonl,
     render_point_table,
     render_summary,
     render_tree,
@@ -32,6 +31,10 @@ def _spans():
             error="ValueError: boom",
         ),
     ]
+
+
+def read_jsonl(path):
+    return [Span.from_dict(json.loads(line)) for line in path.read_text().splitlines()]
 
 
 class TestJsonl:

@@ -11,7 +11,6 @@ from repro.exec.compiled import CompiledProgram
 from repro.experiments import runner
 from repro.experiments.sweep import default_config
 from repro.ir.builder import assign, idx, loop, sym
-from repro.kernels.registry import get_recipe
 from repro.ir.program import ArrayDecl, Program
 from repro.machine.perfcounters import PerfReport
 from repro.pipeline import recipe as recipe_mod
@@ -36,10 +35,10 @@ class TestBitIdentical:
     def test_reports_identical_enabled_vs_disabled(self):
         """Telemetry must be a pure observer: same PerfReport."""
         runner.clear_caches()
-        baseline = runner.measure_variant("cholesky", "seq", 8, _config()).report
+        baseline = runner.measure_points([("cholesky", "seq", 8)], _config())[0].report
         runner.clear_caches()
         telemetry.enable()
-        instrumented = runner.measure_variant("cholesky", "seq", 8, _config()).report
+        instrumented = runner.measure_points([("cholesky", "seq", 8)], _config())[0].report
         assert instrumented == baseline
 
     def test_compiled_source_is_identical(self):
@@ -76,7 +75,7 @@ class TestPipelineAndMachineSpans:
     def test_streaming_sink_spans_and_counters(self):
         telemetry.enable()
         runner.clear_caches()
-        runner.measure_variant("lu", "seq", 8, _config())
+        runner.measure_points([("lu", "seq", 8)], _config())[0]
         [point] = _spans("sweep.point")
         assert point.attrs["source"] == "computed"
         [ms] = _spans("machine.measure_streaming")
@@ -98,14 +97,14 @@ class TestPipelineAndMachineSpans:
         # Sequential Cholesky has no guards, so its branch sink is never fed.
         telemetry.enable()
         runner.clear_caches()
-        runner.measure_variant("cholesky", "seq", 8, _config())
+        runner.measure_points([("cholesky", "seq", 8)], _config())[0]
         assert len(_spans("machine.memory.regfilter")) == 1
         assert _spans("machine.branch") == []
 
     def test_memory_stage_spans_and_counters(self):
         telemetry.enable()
         runner.clear_caches()
-        report = runner.measure_variant("lu", "tiled", 8, _config()).report
+        report = runner.measure_points([("lu", "tiled", 8)], _config())[0].report
         [run] = _spans("exec.run")
         events = {}
         for stage in STAGES:
@@ -127,8 +126,8 @@ class TestSweepCounters:
     def test_memo_hit_skips_point_span(self):
         telemetry.enable()
         runner.clear_caches()
-        runner.measure_variant("lu", "seq", 8, _config())
-        runner.measure_variant("lu", "seq", 8, _config())
+        runner.measure_points([("lu", "seq", 8)], _config())[0]
+        runner.measure_points([("lu", "seq", 8)], _config())[0]
         assert len(_spans("sweep.point")) == 1
         assert telemetry.counter_value("sweep.memo.hit") == 1
         assert telemetry.counter_value("sweep.cache.miss") == 1
@@ -154,7 +153,7 @@ class TestSweepCounters:
         config = _config()
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         runner.clear_caches()
-        cold = runner.measure_variant("lu", "seq", 8, config).report
+        cold = runner.measure_points([("lu", "seq", 8)], config)[0].report
 
         not_a_dir = tmp_path / "cache"
         not_a_dir.write_text("")
@@ -163,7 +162,7 @@ class TestSweepCounters:
         runner.clear_caches()
         telemetry.enable()
         with caplog.at_level("WARNING", logger="repro.sweep"):
-            report = runner.measure_variant("lu", "seq", 8, config).report
+            report = runner.measure_points([("lu", "seq", 8)], config)[0].report
         assert report == cold
         assert telemetry.counter_value("sweep.cache.write_failed") == 1
         assert "cannot write entry" in caplog.text
@@ -175,10 +174,10 @@ class TestSweepCounters:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = _config()
         runner.clear_caches()
-        runner.measure_variant("lu", "seq", 8, config)  # populates disk
+        runner.measure_points([("lu", "seq", 8)], config)[0]  # populates disk
         runner.clear_caches()
         telemetry.enable()
-        runner.measure_variant("lu", "seq", 8, config)
+        runner.measure_points([("lu", "seq", 8)], config)[0]
         [point] = _spans("sweep.point")
         assert point.attrs["source"] == "disk"
         assert telemetry.counter_value("sweep.cache.hit") == 1
@@ -191,7 +190,7 @@ class TestSweepCounters:
         config = _config()
         runner.clear_caches()
         telemetry.enable()
-        runner.measure_variant("qr", "seq", 8, config)
+        runner.measure_points([("qr", "seq", 8)], config)[0]
         [point] = _spans("sweep.point")
         [inputs] = _spans("sweep.inputs")
         assert point.attrs["source"] == "computed"
@@ -199,7 +198,7 @@ class TestSweepCounters:
         assert inputs.attrs == {"kernel": "qr", "n": 8}
         telemetry.reset()
         runner.clear_caches()
-        runner.measure_variant("qr", "seq", 8, config)
+        runner.measure_points([("qr", "seq", 8)], config)[0]
         assert _spans("sweep.point")[0].attrs["source"] == "disk"
         assert _spans("sweep.inputs") == []
 
@@ -234,16 +233,15 @@ class TestSweepCounters:
         config = _config()
         monkeypatch.setenv("REPRO_NO_CACHE", "1")
         runner.clear_caches()
-        cold = runner.measure_variant("lu", "seq", 8, config).report
+        cold = runner.measure_points([("lu", "seq", 8)], config)[0].report
 
         monkeypatch.delenv("REPRO_NO_CACHE")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        recipe = get_recipe("lu", "seq")
-        path = tmp_path / f"{runner._point(recipe, 8, config, None).key}.json"
+        path = tmp_path / f"{runner._point('lu', 'seq', 8, None, config).key}.json"
         path.write_text(json.dumps(cold.as_dict())[:40])
         runner.clear_caches()
         telemetry.enable()
-        report = runner.measure_variant("lu", "seq", 8, config).report
+        report = runner.measure_points([("lu", "seq", 8)], config)[0].report
         assert report == cold
         assert PerfReport(**json.loads(path.read_text())) == cold
         assert telemetry.counter_value("sweep.cache.corrupt") == 1
@@ -255,7 +253,7 @@ class TestSweepCounters:
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         config = _config()
         runner.clear_caches()
-        first = runner.measure_variant("lu", "seq", 8, config).report
+        first = runner.measure_points([("lu", "seq", 8)], config)[0].report
         [old] = tmp_path.glob("lu-seq-N8-*.json")
 
         monkeypatch.setattr(recipe_mod, "implementation_digest", lambda: "edited")
@@ -269,7 +267,7 @@ class TestSweepCounters:
         monkeypatch.setattr(runner, "_load_cached", spy)
         runner.clear_caches()
         telemetry.enable()
-        again = runner.measure_variant("lu", "seq", 8, config).report
+        again = runner.measure_points([("lu", "seq", 8)], config)[0].report
         assert telemetry.counter_value("sweep.cache.miss") == 1
         assert telemetry.counter_value("sweep.cache.hit") == 0
         assert old.stem not in read_keys

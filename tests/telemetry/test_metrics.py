@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
-from repro.telemetry.metrics import MetricsRegistry, merge_snapshots
+from repro.telemetry.metrics import MetricsRegistry
 
 
 def _snap(counters=()):
     reg = MetricsRegistry()
     for name, n in counters:
         reg.counter_add(name, n)
+    return reg.snapshot()
+
+
+def _fold(*snaps):
+    """The snapshot of one registry that folded *snaps* in order, as the
+    parent of a parallel sweep folds its workers'."""
+    reg = MetricsRegistry()
+    for snap in snaps:
+        reg.merge_snapshot(snap)
     return reg.snapshot()
 
 
@@ -19,20 +28,18 @@ C = _snap(counters=[("misses", 2), ("corrupt", 1)])
 
 class TestMergeAlgebra:
     def test_associative(self):
-        assert merge_snapshots(merge_snapshots(A, B), C) == merge_snapshots(
-            A, merge_snapshots(B, C)
-        )
+        assert _fold(_fold(A, B), C) == _fold(A, _fold(B, C))
 
     def test_commutative(self):
-        assert merge_snapshots(A, B) == merge_snapshots(B, A)
+        assert _fold(A, B) == _fold(B, A)
 
     def test_merge_rules(self):
-        m = merge_snapshots(A, B)
+        m = _fold(A, B)
         assert m == {"counters": {"hits": 7, "lat": 1.5, "misses": 1}}  # counters add
 
     def test_identity(self):
         empty = MetricsRegistry().snapshot()
-        assert merge_snapshots(A, empty) == A
+        assert _fold(A, empty) == A
 
 
 class TestRegistry:

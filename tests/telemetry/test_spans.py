@@ -54,11 +54,13 @@ class TestExceptionBalance:
             with collector.span("outer"):
                 with collector.span("inner"):
                     raise ValueError("boom")
-        assert collector.open_depth() == 0
-        inner, outer = collector.finished()
+        with collector.span("after"):
+            pass
+        inner, outer, after = collector.finished()
         assert (inner.name, outer.name) == ("inner", "outer")
         assert inner.error == "ValueError: boom"
         assert outer.error == "ValueError: boom"
+        assert after.parent_id is None  # the stack emptied
 
     def test_leaked_inner_span_does_not_wedge_the_stack(self):
         collector = SpanCollector()
@@ -66,8 +68,10 @@ class TestExceptionBalance:
         outer.__enter__()
         collector.span("leaked").__enter__()  # never exited
         outer.__exit__(None, None, None)
-        assert collector.open_depth() == 0
         assert [s.name for s in collector.finished()] == ["outer"]
+        with collector.span("after"):
+            pass
+        assert collector.finished()[-1].parent_id is None  # the stack emptied
 
     def test_facade_exception_still_propagates(self):
         telemetry.enable()
