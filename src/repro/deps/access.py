@@ -18,16 +18,17 @@ The scalars are the names the analysed code assigns as ``VarRef``
 targets. A name it never assigns is loop-invariant there, so it is
 treated as a parameter.
 
-:func:`same_element` turns two references into the polyhedron of instance
-pairs that touch one element; every dependence question (the fused
-nest's Eq. 5–6 sets, a nest's self-dependences, ElimRW's write-once
-check) conjoins its own order constraints to it.
+:func:`same_element` turns a source and a sink reference, the sink
+renamed once by :meth:`Reference.renamed`, into the polyhedron of
+instance pairs that touch one element; every dependence question (the
+fused nest's Eq. 5–6 sets, a nest's self-dependences, ElimRW's
+write-once check) conjoins its own order constraints to it.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from repro.errors import DependenceError, NotAffineError
@@ -74,9 +75,15 @@ class Reference:
     #: False when an opaque guard or fuzzy subscript widened this reference.
     exact: bool
 
-    def subscripts_renamed(self, mapping: Mapping[str, str]) -> tuple[LinExpr, ...]:
-        """Subscripts with variables renamed."""
-        return tuple(s.rename(mapping) for s in self.subscripts)
+    def renamed(self, mapping: Mapping[str, str]) -> "Reference":
+        """This reference with its dimensions (iteration and fuzzy) and
+        subscripts renamed by *mapping*: the sink of a same-element pair."""
+        return replace(
+            self,
+            subscripts=tuple(s.rename(mapping) for s in self.subscripts),
+            domain=self.domain.rename(mapping),
+            fuzzy=tuple(mapping.get(f, f) for f in self.fuzzy),
+        )
 
 
 def assigned_scalars(stmts: Iterable[Stmt]) -> frozenset[str]:
@@ -282,22 +289,20 @@ def nest_references(
     return ex.refs
 
 
-def same_element(
-    src: Reference, dst: Reference, rename: Mapping[str, str]
-) -> Polyhedron:
+def same_element(src: Reference, dst: Reference) -> Polyhedron:
     """Pairs of instances of *src* and *dst* that touch one element.
 
-    *dst*'s dimensions are renamed by *rename* (a dimension it leaves
-    alone, such as a fused nest's context loop, is shared); both domains
-    are conjoined and the subscripts equated. The dimensions are *src*'s
-    iteration dims, *dst*'s renamed ones, then both fuzzy tuples.
+    *dst* is the sink already renamed (:meth:`Reference.renamed`); a
+    dimension the rename left alone, such as a fused nest's context loop,
+    is shared. Both domains are conjoined and the subscripts equated. The
+    dimensions are *src*'s iteration dims, *dst*'s, then both fuzzy
+    tuples.
     """
-    dst_domain = dst.domain.rename(rename)
-    fuzzy = src.fuzzy + tuple(rename.get(f, f) for f in dst.fuzzy)
+    fuzzy = src.fuzzy + dst.fuzzy
     iteration = dict.fromkeys(
-        v for v in src.domain.variables + dst_domain.variables if v not in fuzzy
+        v for v in src.domain.variables + dst.domain.variables if v not in fuzzy
     )
-    constraints = list(src.domain.constraints) + list(dst_domain.constraints)
-    for a, b in zip(src.subscripts, dst.subscripts_renamed(rename)):
+    constraints = list(src.domain.constraints) + list(dst.domain.constraints)
+    for a, b in zip(src.subscripts, dst.subscripts):
         constraints.append(eq0(a - b))
     return Polyhedron(tuple(iteration) + fuzzy, constraints)

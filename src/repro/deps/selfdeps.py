@@ -110,7 +110,7 @@ def _components(
     The source must execute before the sink: source iter lex-< sink iter,
     or equal iterations with the source textually first (level 0).
     """
-    base = same_element(r1, r2, {v: v + SINK for v in r2.domain.variables})
+    base = same_element(r1, r2.renamed({v: v + SINK for v in r2.domain.variables}))
     n = len(loop_vars)
     components: list[Polyhedron] = []
     levels = list(range(1, n + 1)) + ([0] if src_textually_first else [])

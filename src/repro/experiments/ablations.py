@@ -203,14 +203,16 @@ class AssociativityRow:
 
 
 def associativity_rows(config: SweepConfig | None = None) -> list[AssociativityRow]:
-    """Cholesky misses under 1/2/4-way caches of the same capacity."""
+    """Cholesky misses under 1/2/4-way caches of the same capacity, tiled
+    at the base machine's PDAT edge on every machine, so only the
+    associativity varies."""
     config = config or default_config()
     rows = []
     for assoc in (1, 2, 4):
         machine = replace(config.machine, name=f"{config.machine.name}-a{assoc}",
                           l1=replace(config.machine.l1, assoc=assoc),
                           l2=replace(config.machine.l2, assoc=assoc))
-        groups = _measure_groups([[("cholesky", "seq", n), ("cholesky", "tiled", n)]
+        groups = _measure_groups([[("cholesky", "seq", n), ("cholesky", "tiled", n, config.tile)]
                                   for n in config.sizes[:2]], replace(config, machine=machine))
         for n, (seq, tiled) in zip(config.sizes[:2], groups):
             rows.append(AssociativityRow(

@@ -52,6 +52,19 @@ class Constraint:
         self._hash = None
         self._fp = None
 
+    @classmethod
+    def normal(cls, expr: LinExpr, kind: Kind) -> "Constraint":
+        """The constraint of *expr*, which is already in normal form (a
+        :func:`normal_row`, or a normal expression renamed without
+        merging variables or moving an equality's sign): the constructor
+        without its normalisation."""
+        c = object.__new__(cls)
+        c.expr = expr
+        c.kind = kind
+        c._hash = None
+        c._fp = None
+        return c
+
     def __reduce__(self):
         return (Constraint, (self.expr, self.kind))
 
@@ -91,8 +104,16 @@ class Constraint:
         return Constraint(self.expr.substitute(bindings), self.kind)
 
     def rename(self, mapping: Mapping[str, str]) -> "Constraint":
-        """Rename variables."""
-        return Constraint(self.expr.rename(mapping), self.kind)
+        """Rename variables. The result stays normal unless two variables
+        merge or an equality's first variable gets a negative
+        coefficient; only then is it normalised again."""
+        expr = self.expr.rename(mapping)
+        terms = expr._terms
+        if len(terms) == len(self.expr._terms) and (
+            self.kind is Kind.GE or not terms or terms[min(terms)] > 0
+        ):
+            return Constraint.normal(expr, self.kind)
+        return Constraint(expr, self.kind)
 
     # -- identity -------------------------------------------------------------
     def __eq__(self, other: object) -> bool:

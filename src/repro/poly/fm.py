@@ -58,8 +58,9 @@ def _rows(poly: Polyhedron) -> list[Row]:
 
 
 def _constraints(rows: list[Row]) -> list[Constraint]:
+    """The constraints of normal rows (every row :func:`_project` keeps)."""
     return [
-        Constraint(LinExpr._raw(dict(terms), const), Kind.EQ if is_eq else Kind.GE)
+        Constraint.normal(LinExpr._raw(dict(terms), const), Kind.EQ if is_eq else Kind.GE)
         for is_eq, terms, const in rows
     ]
 

@@ -1,13 +1,16 @@
 """Process-wide memoisation for the exact polyhedral engine.
 
 Every expensive polyhedral operation (Fourier–Motzkin projection,
-rational emptiness, integer feasibility, implication, violated
-dependences) is a pure function of immutable inputs, so its result can
-be keyed by the inputs' structural fingerprints and reused through one
-capped in-process LRU memo (65536 entries), shared by all operations
-and cleared by :func:`clear_memos` (which
-`repro.experiments.clear_caches` calls, so sweep-pool workers start from
-a clean slate). Nothing is persisted: a cold 43-program registry build
+rational emptiness, integer feasibility, implication) is a pure function
+of immutable inputs, so its result can be keyed by the inputs'
+structural fingerprints and reused through one capped in-process LRU
+memo (65536 entries), shared by all operations and cleared by
+:func:`clear_memos` (which `repro.experiments.clear_caches` calls, so
+sweep-pool workers start from a clean slate). Violated dependences are
+not memoised here: FixDeps asks them through one
+:class:`~repro.deps.fusionpreventing.DependenceSession` per run, which
+reuses references and pair verdicts only while their objects are
+unchanged. Nothing is persisted: a cold 43-program registry build
 takes about a second, so an on-disk layer would save nothing measurable
 and could replay answers from older code.
 
@@ -31,8 +34,6 @@ the memo bypassed and compared in tier-1 with it on) and by CI jobs.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Callable
 
 from repro import telemetry
@@ -116,12 +117,6 @@ def stats() -> dict[str, Any]:
         "totals": totals,
         "memo_entries": len(_memo),
     }
-
-
-def stable_key(data: Any) -> str:
-    """Short stable digest of any JSON-serialisable value."""
-    text = json.dumps(data, sort_keys=True, separators=(",", ":"), default=str)
-    return hashlib.blake2b(text.encode(), digest_size=16).hexdigest()
 
 
 def env_key(env) -> str:

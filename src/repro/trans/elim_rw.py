@@ -25,13 +25,12 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
-from repro.deps.access import (
-    Reference,
-    ValueRange,
-    extract_references,
-    same_element,
+from repro.deps.access import Reference, ValueRange, same_element
+from repro.deps.fusionpreventing import (
+    DependenceSession,
+    Violation,
+    violated_dependences,
 )
-from repro.deps.fusionpreventing import Violation, violated_dependences
 from repro.errors import TransformError
 from repro.ir.affine import constraint_to_cond, linexpr_to_expr
 from repro.ir.expr import ArrayRef, Expr, Select, VarRef, map_expr
@@ -73,15 +72,21 @@ def eliminate_rw(
     param_lo: int | Mapping[str, int] = 4,
     simplify: bool = True,
     widen_copies: bool = True,
+    session: DependenceSession | None = None,
 ) -> ElimRWResult:
     """Fix every fusion-preventing anti-dependence by copying.
 
     ``widen_copies`` copies at every instance of a violating write reference
     instead of only the exactly-violating instances (simpler guards, same
-    semantics given the write-once check).
+    semantics given the write-once check). The anti set and the
+    pre-copy's writes come through *session* (FixDeps's, else one of its
+    own).
     """
+    if session is None:
+        session = DependenceSession()
     violations = violated_dependences(
-        nest, ("anti",), value_ranges=value_ranges, param_lo=param_lo
+        nest, ("anti",), value_ranges=value_ranges, param_lo=param_lo,
+        session=session,
     )
     if not violations:
         return ElimRWResult(nest, ())
@@ -108,7 +113,7 @@ def eliminate_rw(
         )
         current, record = _fix_pair(
             current, name, k, vios, copy_name, param_lo, simplify, namer,
-            value_ranges, widen_copies,
+            value_ranges, widen_copies, session,
         )
         insertions.append(record)
     return ElimRWResult(current, tuple(insertions))
@@ -126,8 +131,9 @@ def _fix_pair(
     param_lo,
     simplify: bool,
     namer: NameGenerator,
-    value_ranges: Mapping[str, ValueRange] | None = None,
-    widen: bool = True,
+    value_ranges: Mapping[str, ValueRange] | None,
+    widen: bool,
+    session: DependenceSession,
 ) -> tuple[FusedNest, CopyInsertion]:
     for v in vios:
         if v.dst.fuzzy or v.src.fuzzy:
@@ -189,7 +195,7 @@ def _fix_pair(
     writes = [
         w
         for g in (nest.groups if simplify else ())
-        for w in extract_references(nest, g, value_ranges)
+        for w in session.references(nest, g, value_ranges)
         if w.is_write and w.name == name
     ]
     for (stmt_pos, *_rest), (ref, polys) in sorted(
@@ -268,7 +274,7 @@ def _writes_collide(nest, w1: Reference, w2: Reference, *, same_ref: bool, param
     same element?"""
     suffix = "_w2"
     ren = {v: v + suffix for v in nest.fused_vars + w2.fuzzy}
-    base = same_element(w1, w2, ren)
+    base = same_element(w1, w2.renamed(ren))
     # Distinct instances: differ in some fused dimension.
     for v in nest.fused_vars:
         diff = LinExpr.var(v) - LinExpr.var(v + suffix)
@@ -334,7 +340,7 @@ def _precopy_element_set(
     for w in writes:
         # Any instance of the write, in any context iteration.
         ren = {v: v + "_w" for v in w.domain.variables}
-        if integer_feasible(same_element(unguarded, w, ren), param_lo=param_lo):
+        if integer_feasible(same_element(unguarded, w.renamed(ren)), param_lo=param_lo):
             return None
     # Element coordinates as fresh dims bound to the subscripts.
     e0 = unguarded.domain

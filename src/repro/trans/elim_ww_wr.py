@@ -19,7 +19,11 @@ from typing import Mapping
 
 from repro.deps.access import ValueRange
 from repro.deps.distances import collapse_dims
-from repro.deps.fusionpreventing import Violation, violated_dependences
+from repro.deps.fusionpreventing import (
+    DependenceSession,
+    Violation,
+    violated_dependences,
+)
 from repro.errors import TransformError
 from repro.trans.model import FusedNest
 
@@ -51,8 +55,15 @@ def eliminate_ww_wr(
     value_ranges: Mapping[str, ValueRange] | None = None,
     param_lo: int | Mapping[str, int] = 4,
     verify: bool = True,
+    session: DependenceSession | None = None,
 ) -> ElimWWWRResult:
-    """Run the bottom-up tiling loop; returns the fixed nest and audit."""
+    """Run the bottom-up tiling loop; returns the fixed nest and audit.
+
+    Every round asks through *session* (FixDeps's, else one of its own),
+    so a round retests only the pairs the last collapse changed.
+    """
+    if session is None:
+        session = DependenceSession()
     groups = list(nest.groups)
     current = nest
     rounds: list[TilingRound] = []
@@ -63,6 +74,7 @@ def eliminate_ww_wr(
             src_group=groups[k - 1].index,
             value_ranges=value_ranges,
             param_lo=param_lo,
+            session=session,
         )
         if not violations:
             rounds.append(TilingRound(groups[k - 1].index, (), ()))
@@ -87,6 +99,7 @@ def eliminate_ww_wr(
                 src_group=groups[k - 1].index,
                 value_ranges=value_ranges,
                 param_lo=param_lo,
+                session=session,
             )
             if remaining:
                 raise TransformError(

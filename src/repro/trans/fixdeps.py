@@ -4,6 +4,12 @@
 anti-dependence analysis sees the post-tiling execution order — Sec. 3.1.2
 notes the elimination *relies* on the flow/output violations being gone),
 then array copying with guard simplification (line 6).
+
+One :class:`~repro.deps.fusionpreventing.DependenceSession` serves the
+whole run: every ElimWW_WR round, ElimRW and the final verification ask
+their dependence questions through it, so a question whose groups have
+not changed since it was last asked is answered from the session. The
+session is dropped when the run returns.
 """
 
 from __future__ import annotations
@@ -12,7 +18,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.deps.access import ValueRange
-from repro.deps.fusionpreventing import violated_dependences
+from repro.deps.fusionpreventing import DependenceSession, violated_dependences
 from repro.errors import TransformError
 from repro.ir.program import Program
 from repro.trans.elim_rw import ElimRWResult, eliminate_rw
@@ -52,12 +58,14 @@ def fix_dependences(
     paper's Theorems 1 and 2. (The re-check skips reads already redirected
     to copy arrays, which is everything ``ElimRW`` rewrote.)
     """
+    session = DependenceSession()
     ww = eliminate_ww_wr(
-        nest, value_ranges=value_ranges, param_lo=param_lo, verify=verify
+        nest, value_ranges=value_ranges, param_lo=param_lo, verify=verify,
+        session=session,
     )
     rw = eliminate_rw(
         ww.nest, value_ranges=value_ranges, param_lo=param_lo,
-        widen_copies=widen_copies,
+        widen_copies=widen_copies, session=session,
     )
     if verify:
         remaining = violated_dependences(
@@ -65,6 +73,7 @@ def fix_dependences(
             ("flow", "output"),
             value_ranges=value_ranges,
             param_lo=param_lo,
+            session=session,
         )
         # Copy statements in prologues are not re-analysed structurally (the
         # prologue is metadata), so flow/output violations re-appearing here

@@ -128,52 +128,6 @@ class FusedNest:
         """Fused loop variables, outermost first."""
         return tuple(v for v, _, _ in self.fused_loops)
 
-    def fingerprint(self) -> str:
-        """Stable content digest of the whole fused program state.
-
-        Covers everything dependence analysis can observe — base program,
-        context loops, fused loop specs, and each group's body, domain,
-        guard, collapse map and prologue — so it keys the cross-variant
-        dependence memo in :mod:`repro.deps`: variants of one kernel share
-        identical nests until a transform actually rewrites them, and then
-        their fingerprints (and memo entries) diverge. Cached per instance
-        (transforms build new instances via ``replace``, so the content
-        under one instance never changes).
-        """
-        cached = getattr(self, "_fp", None)
-        if cached is not None:
-            return cached
-        from repro.ir.serialize import expr_to_dict, program_to_dict, stmt_to_dict
-        from repro.poly import memo
-
-        def group_doc(g: StmtGroup) -> dict:
-            return {
-                "i": g.index,
-                "body": [stmt_to_dict(s) for s in g.body],
-                "dom": [g.domain.fingerprint(), list(g.domain.variables)],
-                "guard": [c.fingerprint_text() for c in g.guard],
-                "collapsed": {
-                    v: g.collapsed[v].fingerprint_text()
-                    for v in sorted(g.collapsed)
-                },
-                "pro": [stmt_to_dict(s) for s in g.prologue],
-            }
-
-        doc = {
-            "base": program_to_dict(self.base),
-            "ctx": [stmt_to_dict(l) for l in self.context],
-            "fused": [
-                [v, expr_to_dict(lo), expr_to_dict(hi)]
-                for v, lo, hi in self.fused_loops
-            ],
-            "groups": [group_doc(g) for g in self.groups],
-            "pre": [stmt_to_dict(s) for s in self.preamble],
-            "epi": [stmt_to_dict(s) for s in self.epilogue],
-        }
-        fp = memo.stable_key(doc)
-        object.__setattr__(self, "_fp", fp)  # frozen dataclass, pure cache
-        return fp
-
     def space(self) -> Polyhedron:
         """Iteration space over context + fused variables."""
         from repro.ir.analysis import loop_bound_constraints

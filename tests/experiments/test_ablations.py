@@ -125,6 +125,31 @@ def test_each_study_measures_its_grid_in_one_call(monkeypatch):
     ]
 
 
+def test_associativity_machines_share_one_tiled_program(monkeypatch):
+    """Only the associativity varies: every machine's tiled point names the
+    base machine's PDAT edge, so all three build the same program."""
+    edges = []
+    report = SimpleNamespace(total_cycles=2.0, l1_misses=1, l2_misses=1)
+
+    def fake(points, config):
+        edges.extend(
+            (config.machine.name, p[3] if len(p) == 4 else config.tile)
+            for p in points if p[1] == "tiled"
+        )
+        return [SimpleNamespace(report=report) for _ in points]
+
+    monkeypatch.setattr(ablations, "measure_points", fake)
+    config = SweepConfig(machine=octane2_scaled(), sizes=(24, 56), jacobi_m=2)
+    ablations.associativity_rows(config)
+    assert len({machine for machine, _ in edges}) == 3
+    programs = {
+        program_fingerprint(runner.build_program("cholesky", "tiled", tile=edge)[0])
+        for _, edge in edges
+    }
+    assert len(programs) == 1
+    assert {edge for _, edge in edges} == {config.tile}
+
+
 # The claim checks on hand-made rows (the full sweep's numbers): every
 # claim holds as measured, and each perturbation FAILS exactly one.
 
@@ -137,7 +162,7 @@ ROWS = {
     "copy_widen": [ablations.CopyWidenRow("widened", 24, 222455, 0, 140320.0),
                    ablations.CopyWidenRow("exact", 24, 288807, 12584, 158588.0)],
     "associativity": [ablations.AssociativityRow(1, 56, 8805, 5754, 224, 224, 1.141),
-                      ablations.AssociativityRow(4, 56, 7814, 6091, 224, 224, 1.078)],
+                      ablations.AssociativityRow(4, 56, 7814, 5727, 224, 224, 1.096)],
     "writeback": [ablations.WritebackRow(88, 5361, 859, 5361, 859),
                   ablations.WritebackRow(120, 30089, 3453, 30089, 3453)],
     "undo_sinking": [ablations.UndoSinkingRow("lu", 1.702, 2.846, 2.601),

@@ -15,7 +15,7 @@ from itertools import product
 from hypothesis import given, strategies as st
 
 from repro.poly import fm
-from repro.poly.constraint import eq0, equals, ge, ge0, le, normal_row
+from repro.poly.constraint import Constraint, eq0, equals, ge, ge0, le, normal_row
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import project_onto
 from repro.poly.integer import check_feasibility, integer_feasible, rationally_empty
@@ -118,6 +118,22 @@ def test_projection_constraints_are_normalised(poly):
         drop = [v for v in poly.variables if v not in keep]
         for row in fm._project(fm._rows(poly), poly.variables, drop):
             assert normal_row(*row) == row
+
+
+@given(
+    small_polyhedron(),
+    st.dictionaries(st.sampled_from(VARS + ("N",)), st.sampled_from(VARS + ("N", "w"))),
+)
+def test_renamed_constraints_are_normal(poly, mapping):
+    # A rename skips normalisation unless variables merge or an
+    # equality's sign moves; the result equals a full normalisation,
+    # term order included.
+    for c in poly.constraints:
+        renamed = c.rename(mapping)
+        fresh = Constraint(c.expr.rename(mapping), c.kind)
+        assert renamed == fresh
+        assert list(renamed.expr.terms_items()) == list(fresh.expr.terms_items())
+        assert renamed.fingerprint_text() == fresh.fingerprint_text()
 
 
 @given(small_polyhedron(), small_objective())
