@@ -14,7 +14,7 @@ collapsing rounds are taken into account), decided by integer feasibility.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from repro.deps.fusionpreventing import Violation
 from repro.poly.constraint import ge0
@@ -34,12 +34,7 @@ def _distance_objective(
     return e_src - e_dst
 
 
-def collapse_dims(
-    nest: FusedNest,
-    violations: Sequence[Violation],
-    *,
-    param_lo: int | Mapping[str, int] = 4,
-) -> tuple[str, ...]:
+def collapse_dims(nest: FusedNest, violations: Sequence[Violation]) -> tuple[str, ...]:
     """Fused dimensions (in fused order) in which some violation has a
     distance >= 1."""
     return tuple(
@@ -47,10 +42,7 @@ def collapse_dims(
         for var in nest.fused_vars
         if any(
             integer_feasible(
-                v.poly.with_constraints(
-                    [ge0(_distance_objective(nest, v, var) - 1)]
-                ),
-                param_lo=param_lo,
+                v.poly.with_constraints([ge0(_distance_objective(nest, v, var) - 1)])
             )
             for v in violations
         )

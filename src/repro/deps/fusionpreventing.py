@@ -30,7 +30,6 @@ from repro.deps.access import (
     extract_references,
     same_element,
 )
-from repro.poly import memo
 from repro.poly.constraint import Constraint, eq0, ge0
 from repro.poly.integer import FeasibilityResult, check_feasibility
 from repro.poly.linexpr import LinExpr
@@ -38,10 +37,6 @@ from repro.poly.polyhedron import Polyhedron
 from repro.trans.model import FusedNest, StmtGroup, primed
 
 Kind = Literal["flow", "output", "anti"]
-
-#: Default inclusive lower bound assumed for problem-size parameters when
-#: probing dependence feasibility.
-DEFAULT_PARAM_LO = 4
 
 
 @dataclass(frozen=True)
@@ -99,10 +94,10 @@ class DependenceSession:
     - each sink reference renamed into the pair's naming;
     - each pair's verdict (its feasible levels, each with its polyhedron
       and :class:`~repro.poly.integer.FeasibilityResult`), keyed on both
-      references, both groups' execution coordinates over the fused
-      variables and ``param_lo``. A collapse changes a group's
-      coordinates and an ElimRW rewrite its body (so its references), and
-      either one forces a retest.
+      references and both groups' execution coordinates over the fused
+      variables. A collapse changes a group's coordinates and an ElimRW
+      rewrite its body (so its references), and either one forces a
+      retest.
 
     Keys hold object identities, and each entry holds the objects its key
     names, so no identity can be reused while the session lives. Nothing
@@ -160,7 +155,6 @@ class DependenceSession:
         src_group: int | None,
         arrays: Sequence[str] | None,
         value_ranges: Mapping[str, ValueRange] | None,
-        param_lo: int | Mapping[str, int],
     ) -> list[Violation]:
         """:func:`violated_dependences` of *nest*, through this session."""
         groups = [
@@ -176,7 +170,6 @@ class DependenceSession:
         coords = {
             g.index: tuple(g.exec_coordinate(v) for v in fused) for g in groups
         }
-        lo_key = memo.env_key(param_lo)
         out: list[Violation] = []
         for g_src in groups:
             if src_group is not None and g_src.index != src_group:
@@ -200,7 +193,7 @@ class DependenceSession:
                                 continue
                             if arrays is not None and src.name not in arrays:
                                 continue
-                            key = (id(src), id(dst), fused, src_coords, dst_coords, lo_key)
+                            key = (id(src), id(dst), fused, src_coords, dst_coords)
                             hit = self._verdicts.get(key)
                             if hit is None:
                                 if orders is None:
@@ -208,7 +201,7 @@ class DependenceSession:
                                         src_coords,
                                         tuple(e.rename(prime) for e in dst_coords),
                                     )
-                                levels = self._test(src, dst, fused, orders, param_lo)
+                                levels = self._test(src, dst, fused, orders)
                                 self._verdicts[key] = (src, dst, levels)
                                 telemetry.counter("deps.pairs.tested")
                             else:
@@ -236,14 +229,13 @@ class DependenceSession:
         dst: Reference,
         fused: tuple[str, ...],
         orders: list[list[Constraint]],
-        param_lo: int | Mapping[str, int],
     ) -> tuple[_Level, ...]:
         """The feasible levels of the pair (*src*, *dst*)."""
         pair = same_element(src, self._sink(dst, fused))
         levels: list[_Level] = []
         for level, order in enumerate(orders, start=1):
             poly = pair.with_constraints(order)
-            res = check_feasibility(poly, param_lo=param_lo)
+            res = check_feasibility(poly)
             if res.feasible:
                 levels.append((level, poly, res))
         return tuple(levels)
@@ -261,7 +253,6 @@ def violated_dependences(
     src_group: int | None = None,
     arrays: Sequence[str] | None = None,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = DEFAULT_PARAM_LO,
     session: DependenceSession | None = None,
 ) -> list[Violation]:
     """All feasible fusion-preventing dependences of *nest*.
@@ -279,7 +270,6 @@ def violated_dependences(
         src_group=src_group,
         arrays=arrays,
         value_ranges=value_ranges,
-        param_lo=param_lo,
     )
 
 

@@ -28,7 +28,6 @@ def dependence_graph(
     loop: Loop,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
 ) -> frozenset[tuple[int, int]]:
     """Edges of the dependence graph of the statements directly inside
     *loop*, as ``(a, b)`` pairs of statement positions.
@@ -41,8 +40,6 @@ def dependence_graph(
     value_ranges = value_ranges or {}
     return frozenset(
         (r1.stmt_pos, r2.stmt_pos)
-        for r1, r2, components in statement_components(
-            (loop,), loop.body, value_ranges, param_lo
-        )
+        for r1, r2, components in statement_components((loop,), loop.body, value_ranges)
         if components and r1.stmt_pos != r2.stmt_pos
     )

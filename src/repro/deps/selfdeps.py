@@ -53,7 +53,6 @@ def self_dependences(
     stmt: Stmt,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
 ) -> list[SelfDependence]:
     """All loop-carried and loop-independent dependences of a perfect nest."""
     nest = as_perfect_nest(stmt)
@@ -61,9 +60,7 @@ def self_dependences(
         raise DependenceError("not a loop nest")
     # Components per (kind, array), in first-seen order, without repeats.
     merged: dict[tuple[str, str], list[Polyhedron]] = {}
-    for r1, r2, components in statement_components(
-        nest.loops, nest.body, value_ranges, param_lo
-    ):
+    for r1, r2, components in statement_components(nest.loops, nest.body, value_ranges):
         kind = (
             "output"
             if r1.is_write and r2.is_write
@@ -82,7 +79,6 @@ def statement_components(
     loops: Sequence[Loop],
     body: Sequence[Stmt],
     value_ranges: Mapping[str, ValueRange] | None,
-    param_lo: int | Mapping[str, int],
 ) -> Iterator[tuple[Reference, Reference, tuple[Polyhedron, ...]]]:
     """Every conflicting reference pair of the statements *body* directly
     inside *loops*, with its feasible dependence components (source
@@ -93,9 +89,7 @@ def statement_components(
         for r2 in refs:
             if r1.name != r2.name or not (r1.is_write or r2.is_write):
                 continue
-            yield r1, r2, _components(
-                r1, r2, r1.stmt_pos <= r2.stmt_pos, loop_vars, param_lo
-            )
+            yield r1, r2, _components(r1, r2, r1.stmt_pos <= r2.stmt_pos, loop_vars)
 
 
 def _components(
@@ -103,7 +97,6 @@ def _components(
     r2: Reference,
     src_textually_first: bool,
     loop_vars: tuple[str, ...],
-    param_lo,
 ) -> tuple[Polyhedron, ...]:
     """The feasible dependence components, one per carrying level.
 
@@ -123,6 +116,6 @@ def _components(
             elif depth == level:
                 constraints.append(ge0(diff - 1))
         poly = base.with_constraints(constraints)
-        if check_feasibility(poly, param_lo=param_lo).feasible:
+        if check_feasibility(poly).feasible:
             components.append(poly)
     return tuple(components)

@@ -11,8 +11,9 @@ Strategy (sound and, for the affine programs handled here, complete):
    Fourier–Motzkin; a constant contradiction proves integer emptiness for
    all parameter values, and the elimination stops at the first one. This
    direction needs no integrality reasoning.
-2. **Witness search** — otherwise, bound each parameter to a probe window
-   ``lo <= p <= lo + width`` and search for an integer point by enumeration.
+2. **Witness search** — otherwise, bound each parameter to the probe window
+   ``PARAM_LO <= p <= PARAM_LO + PARAM_WIDTH`` and search for an integer
+   point by enumeration.
    A witness proves non-emptiness. For the unit-coefficient systems produced
    by loop nests, rational feasibility implies an integer witness in a small
    window, so the two steps together are decisive; if neither fires we
@@ -32,11 +33,12 @@ from repro.poly.fm import rationally_empty
 from repro.poly.linexpr import Coef, LinExpr
 from repro.poly.polyhedron import Polyhedron
 
-#: Default inclusive lower bound assumed for every symbolic parameter
-#: (problem sizes are at least a few iterations in all paper kernels).
-DEFAULT_PARAM_LO = 1
+#: The smallest admissible problem size: every symbolic parameter is at
+#: least this (the paper's kernels run at N >= 200). The witness search
+#: probes from it, and loop generation prunes bounds over it.
+PARAM_LO = 4
 #: Width of the probe window used in the witness search.
-DEFAULT_PARAM_WIDTH = 11
+PARAM_WIDTH = 11
 
 
 @dataclass(frozen=True)
@@ -75,45 +77,32 @@ def _implies(poly: Polyhedron, constraint: Constraint) -> bool:
     return rationally_empty(poly.with_constraints([ge0(-e - 1)]))
 
 
-def _probed(
-    poly: Polyhedron,
-    param_lo: Mapping[str, int] | int,
-    width: int,
-) -> tuple[Polyhedron, dict[str, int]]:
-    """Turn parameters into dimensions bounded to probe windows."""
+def _probed(poly: Polyhedron) -> Polyhedron:
+    """*poly* with its parameters turned into dimensions bounded to the
+    probe window."""
     params = sorted(poly.parameters())
-    lo_of = (
-        dict(param_lo)
-        if isinstance(param_lo, Mapping)
-        else {p: param_lo for p in params}
-    )
     bounds = []
     for p in params:
-        lo = lo_of.get(p, DEFAULT_PARAM_LO)
-        bounds.append(ge(LinExpr.var(p), lo))
-        bounds.append(ge(LinExpr.const(lo + width), LinExpr.var(p)))
+        bounds.append(ge(LinExpr.var(p), PARAM_LO))
+        bounds.append(ge(LinExpr.const(PARAM_LO + PARAM_WIDTH), LinExpr.var(p)))
     widened = poly.with_variables(tuple(poly.variables) + tuple(params))
-    return widened.with_constraints(bounds), {p: lo_of.get(p, DEFAULT_PARAM_LO) for p in params}
+    return widened.with_constraints(bounds)
 
 
 def find_integer_point(
     poly: Polyhedron,
     param_env: Mapping[str, Coef] | None = None,
-    *,
-    param_lo: Mapping[str, int] | int = DEFAULT_PARAM_LO,
-    param_width: int = DEFAULT_PARAM_WIDTH,
 ) -> dict[str, int] | None:
     """Search for one integer point.
 
     With *param_env* given, parameters are fixed and the search is exact.
-    Otherwise parameters are probed over windows starting at *param_lo*.
+    Otherwise parameters are probed over the window from :data:`PARAM_LO`.
     """
     if param_env is not None or not poly.parameters():
         for point in enumerate_points(poly, param_env, limit=1):
             return point
         return None
-    probed, _ = _probed(poly, param_lo, param_width)
-    for point in enumerate_points(probed, {}, limit=1):
+    for point in enumerate_points(_probed(poly), {}, limit=1):
         return point
     return None
 
@@ -121,35 +110,24 @@ def find_integer_point(
 def check_feasibility(
     poly: Polyhedron,
     param_env: Mapping[str, Coef] | None = None,
-    *,
-    param_lo: Mapping[str, int] | int = DEFAULT_PARAM_LO,
-    param_width: int = DEFAULT_PARAM_WIDTH,
 ) -> FeasibilityResult:
     """Full-detail integer feasibility (see module docstring)."""
     return memo.memoize(
         "feas",
-        (
-            poly.fingerprint(),
-            memo.env_key(param_env),
-            memo.env_key(param_lo),
-            param_width,
-        ),
-        lambda: _check_feasibility(poly, param_env, param_lo, param_width),
+        (poly.fingerprint(), memo.env_key(param_env)),
+        lambda: _check_feasibility(poly, param_env),
     )
 
 
 def _check_feasibility(
-    poly: Polyhedron,
-    param_env: Mapping[str, Coef] | None,
-    param_lo: Mapping[str, int] | int,
-    param_width: int,
+    poly: Polyhedron, param_env: Mapping[str, Coef] | None
 ) -> FeasibilityResult:
     if param_env is not None:
         witness = find_integer_point(poly, param_env)
         return FeasibilityResult(witness is not None, witness, decisive=True)
     if rationally_empty(poly):
         return FeasibilityResult(False, None, decisive=True)
-    witness = find_integer_point(poly, param_lo=param_lo, param_width=param_width)
+    witness = find_integer_point(poly)
     if witness is not None:
         return FeasibilityResult(True, witness, decisive=True)
     # Rationally feasible but no integer witness in the probe window:
@@ -160,11 +138,6 @@ def _check_feasibility(
 def integer_feasible(
     poly: Polyhedron,
     param_env: Mapping[str, Coef] | None = None,
-    *,
-    param_lo: Mapping[str, int] | int = DEFAULT_PARAM_LO,
-    param_width: int = DEFAULT_PARAM_WIDTH,
 ) -> bool:
     """Boolean form of :func:`check_feasibility`."""
-    return check_feasibility(
-        poly, param_env, param_lo=param_lo, param_width=param_width
-    ).feasible
+    return check_feasibility(poly, param_env).feasible

@@ -23,8 +23,9 @@ The memo has no off switch. Its oracle lives in tests
 (``tests/poly/memo_oracle.py``): it replaces :func:`memoize` with a plain
 ``compute()`` call, which reaches every analysis operation because each
 caller looks the function up as ``memo.memoize`` at call time. The memo
-is the analysis layer's only cache (the Fourier–Motzkin steps inside one
-projection are never memoised), so a bypassed build runs the same code
+is the analysis layer's only process-wide cache (the Fourier–Motzkin
+steps inside one projection are never memoised, and a dependence session
+lives only for one FixDeps run), so a bypassed build runs the same code
 and must produce byte-identical dependence graphs, FixDeps output and
 program hashes —
 asserted by ``tests/experiments/test_poly_cache_differential.py``, by the
@@ -120,9 +121,7 @@ def stats() -> dict[str, Any]:
 
 
 def env_key(env) -> str:
-    """Canonical key fragment for a parameter binding / bound mapping."""
+    """Canonical key fragment for a parameter binding."""
     if env is None:
         return "-"
-    if isinstance(env, int):
-        return str(env)
     return ",".join(f"{k}={env[k]}" for k in sorted(env))

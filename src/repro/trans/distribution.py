@@ -95,11 +95,10 @@ def distribution_partition(
     loop: Loop,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
 ) -> list[list[int]]:
     """Maximal legal distribution: statement indices grouped by SCC, in a
     stable topological order (original order among independent groups)."""
-    edges = dependence_graph(loop, value_ranges=value_ranges, param_lo=param_lo)
+    edges = dependence_graph(loop, value_ranges=value_ranges)
     return ordered_sccs(len(loop.body), edges)
 
 
@@ -107,16 +106,13 @@ def distribute_loop(
     loop: Loop,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
 ) -> list[Stmt]:
     """Split *loop* into the maximal legal sequence of loops.
 
     Returns the replacement statements (a single-element list when nothing
     can be distributed).
     """
-    partition = distribution_partition(
-        loop, value_ranges=value_ranges, param_lo=param_lo
-    )
+    partition = distribution_partition(loop, value_ranges=value_ranges)
     if len(partition) == 1:
         return [loop]
     out: list[Stmt] = []

@@ -41,6 +41,7 @@ from repro.poly.fm import project_onto
 from repro.poly.integer import implies, integer_feasible
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
+from repro.trans.loopgen import emit_loops
 from repro.trans.model import FusedNest, primed
 from repro.utils.naming import NameGenerator
 
@@ -69,7 +70,6 @@ def eliminate_rw(
     nest: FusedNest,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
     simplify: bool = True,
     widen_copies: bool = True,
     session: DependenceSession | None = None,
@@ -85,8 +85,7 @@ def eliminate_rw(
     if session is None:
         session = DependenceSession()
     violations = violated_dependences(
-        nest, ("anti",), value_ranges=value_ranges, param_lo=param_lo,
-        session=session,
+        nest, ("anti",), value_ranges=value_ranges, session=session
     )
     if not violations:
         return ElimRWResult(nest, ())
@@ -112,7 +111,7 @@ def eliminate_rw(
             else namer.fresh(f"H_{name}_{k}")
         )
         current, record = _fix_pair(
-            current, name, k, vios, copy_name, param_lo, simplify, namer,
+            current, name, k, vios, copy_name, simplify, namer,
             value_ranges, widen_copies, session,
         )
         insertions.append(record)
@@ -128,7 +127,6 @@ def _fix_pair(
     k: int,
     vios: list[Violation],
     copy_name: str,
-    param_lo,
     simplify: bool,
     namer: NameGenerator,
     value_ranges: Mapping[str, ValueRange] | None,
@@ -140,7 +138,7 @@ def _fix_pair(
             raise TransformError(
                 f"{v.describe()}: copying with fuzzy subscripts is not supported"
             )
-    _check_write_once(nest, name, k, vios, param_lo)
+    _check_write_once(nest, name, k, vios)
 
     space = nest.space()
     is_scalar = nest.base.has_scalar(name)
@@ -207,7 +205,7 @@ def _fix_pair(
         ]
         precopy_elems = None
         if simplify:
-            precopy_elems = _precopy_element_set(ref, disjuncts, writes, param_lo)
+            precopy_elems = _precopy_element_set(ref, disjuncts, writes)
         if precopy_elems is not None:
             preamble.extend(
                 _emit_precopy(precopy_elems, copy_name, name, is_scalar, namer)
@@ -251,7 +249,7 @@ def _fix_pair(
     return result, record
 
 
-def _check_write_once(nest, name, k, vios, param_lo) -> None:
+def _check_write_once(nest, name, k, vios) -> None:
     """Verify each violating element is overwritten by at most one write
     instance per context iteration (makes every violating write the
     paper's min-earliest overwrite of its element)."""
@@ -261,7 +259,7 @@ def _check_write_once(nest, name, k, vios, param_lo) -> None:
     refs = list(write_refs.values())
     for i, w1 in enumerate(refs):
         for w2 in refs[i:]:
-            if _writes_collide(nest, w1, w2, same_ref=w1 is w2, param_lo=param_lo):
+            if _writes_collide(nest, w1, w2, same_ref=w1 is w2):
                 raise TransformError(
                     f"ElimRW on {name}: multiple same-context writes can hit "
                     "one element; the min-earliest copy set would need a "
@@ -269,7 +267,7 @@ def _check_write_once(nest, name, k, vios, param_lo) -> None:
                 )
 
 
-def _writes_collide(nest, w1: Reference, w2: Reference, *, same_ref: bool, param_lo) -> bool:
+def _writes_collide(nest, w1: Reference, w2: Reference, *, same_ref: bool) -> bool:
     """Can two (distinct) write instances of one context iteration write the
     same element?"""
     suffix = "_w2"
@@ -280,14 +278,14 @@ def _writes_collide(nest, w1: Reference, w2: Reference, *, same_ref: bool, param
         diff = LinExpr.var(v) - LinExpr.var(v + suffix)
         for sign in (1, -1):
             poly = base.with_constraints([ge0(diff * sign - 1)])
-            if integer_feasible(poly, param_lo=param_lo):
+            if integer_feasible(poly):
                 return True
     if not same_ref:
         # Same iteration but different statements also collide.
         same = base.with_constraints(
             [eq0(LinExpr.var(v) - LinExpr.var(v + suffix)) for v in nest.fused_vars]
         )
-        if integer_feasible(same, param_lo=param_lo):
+        if integer_feasible(same):
             return True
     return False
 
@@ -323,7 +321,6 @@ def _precopy_element_set(
     ref: Reference,
     disjuncts: list[list[Constraint]],
     writes: list[Reference],
-    param_lo,
 ) -> Polyhedron | None:
     """The elements read while ``C_R`` is false, when no instance of any
     of *writes* (every write of the variable in the nest) touches them;
@@ -340,7 +337,7 @@ def _precopy_element_set(
     for w in writes:
         # Any instance of the write, in any context iteration.
         ren = {v: v + "_w" for v in w.domain.variables}
-        if integer_feasible(same_element(unguarded, w.renamed(ren)), param_lo=param_lo):
+        if integer_feasible(same_element(unguarded, w.renamed(ren))):
             return None
     # Element coordinates as fresh dims bound to the subscripts.
     e0 = unguarded.domain
@@ -357,31 +354,10 @@ def _emit_precopy(
 ) -> list[Stmt]:
     """Loops copying every element of *elems* into the copy array."""
     assert not is_scalar
-    elem_vars = list(elems.variables)
-    loop_names = {ev: namer.fresh("c") for ev in elem_vars}
-    subs = [VarRef(loop_names[ev]) for ev in elem_vars]
-    body: tuple[Stmt, ...] = (
-        Assign(ArrayRef(copy_name, subs), ArrayRef(name, subs)),
-    )
-    for d in reversed(range(len(elem_vars))):
-        prefix = elem_vars[: d + 1]
-        proj = project_onto(elems, prefix)
-        lowers, uppers = proj.bounds_on(elem_vars[d])
-        if not lowers or not uppers:
-            raise TransformError(f"pre-copy element set unbounded in dim {d}")
-        from repro.trans.loopgen import _combine
-        from repro.trans.model import assumed_param_domain
-
-        pd = assumed_param_domain(
-            {v for b in lowers + uppers for v in b.variables()} - set(elem_vars)
-        )
-        ren = {ev: loop_names[ev] for ev in elem_vars}
-        lo = _combine([b.rename(ren) for b in lowers], lower=True, param_domain=pd)
-        hi = _combine([b.rename(ren) for b in uppers], lower=False, param_domain=pd)
-        body = (
-            Loop(loop_names[elem_vars[d]], lo, hi, body),
-        )
-    return list(body)
+    names = {ev: namer.fresh("c") for ev in elems.variables}
+    subs = [VarRef(c) for c in names.values()]
+    body = (Assign(ArrayRef(copy_name, subs), ArrayRef(name, subs)),)
+    return [emit_loops(elems.rename(names), list(names.values()), body)]
 
 
 def _redirect_read(

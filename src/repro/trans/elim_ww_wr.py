@@ -53,7 +53,6 @@ def eliminate_ww_wr(
     nest: FusedNest,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
     verify: bool = True,
     session: DependenceSession | None = None,
 ) -> ElimWWWRResult:
@@ -73,13 +72,12 @@ def eliminate_ww_wr(
             ("flow", "output"),
             src_group=groups[k - 1].index,
             value_ranges=value_ranges,
-            param_lo=param_lo,
             session=session,
         )
         if not violations:
             rounds.append(TilingRound(groups[k - 1].index, (), ()))
             continue
-        dims = collapse_dims(current, violations, param_lo=param_lo)
+        dims = collapse_dims(current, violations)
         if not dims:
             raise TransformError(
                 f"group {groups[k - 1].index}: violations found "
@@ -98,7 +96,6 @@ def eliminate_ww_wr(
                 ("flow", "output"),
                 src_group=groups[k - 1].index,
                 value_ranges=value_ranges,
-                param_lo=param_lo,
                 session=session,
             )
             if remaining:

@@ -43,7 +43,6 @@ def fix_dependences(
     nest: FusedNest,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
     widen_copies: bool = True,
     verify: bool = True,
 ) -> FixDepsReport:
@@ -60,19 +59,17 @@ def fix_dependences(
     """
     session = DependenceSession()
     ww = eliminate_ww_wr(
-        nest, value_ranges=value_ranges, param_lo=param_lo, verify=verify,
-        session=session,
+        nest, value_ranges=value_ranges, verify=verify, session=session
     )
     rw = eliminate_rw(
-        ww.nest, value_ranges=value_ranges, param_lo=param_lo,
-        widen_copies=widen_copies, session=session,
+        ww.nest, value_ranges=value_ranges, widen_copies=widen_copies,
+        session=session,
     )
     if verify:
         remaining = violated_dependences(
             rw.nest,
             ("flow", "output"),
             value_ranges=value_ranges,
-            param_lo=param_lo,
             session=session,
         )
         # Copy statements in prologues are not re-analysed structurally (the

@@ -37,7 +37,6 @@ def fully_permutable_under(
     band: Sequence[int] | None = None,
     *,
     value_ranges: Mapping[str, ValueRange] | None = None,
-    param_lo: int | Mapping[str, int] = 4,
 ) -> bool:
     """Prove that after the unimodular map ``u = U @ x`` the *band* of
     transformed dimensions (default: all) is fully permutable.
@@ -46,7 +45,7 @@ def fully_permutable_under(
     set of instances with ``(U @ (sink - source))_r <= -1`` must be
     infeasible.
     """
-    deps = self_dependences(stmt, value_ranges=value_ranges, param_lo=param_lo)
+    deps = self_dependences(stmt, value_ranges=value_ranges)
     if not deps:
         return True
     depth = len(deps[0].loop_vars)
@@ -62,6 +61,6 @@ def fully_permutable_under(
             )
             for poly in dep.polys:
                 probe = poly.with_constraints([ge0(-transformed - 1)])
-                if check_feasibility(probe, param_lo=param_lo).feasible:
+                if check_feasibility(probe).feasible:
                     return False
     return True

@@ -27,6 +27,7 @@ from repro.ir.expr import Expr
 from repro.ir.program import Program
 from repro.ir.stmt import If, Loop, Stmt
 from repro.poly.constraint import Constraint
+from repro.poly.integer import PARAM_LO
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
@@ -34,21 +35,15 @@ from repro.poly.polyhedron import Polyhedron
 #: dependence polyhedra.
 PRIME = "__p"
 
-#: Problem-size parameters are assumed to be at least this large when
-#: proving bound domination during code generation (the paper's kernels run
-#: at N >= 200; degenerate tiny sizes would only change which redundant
-#: bound is emitted, never correctness of the guarded code).
-ASSUMED_PARAM_LO = 4
-
-
 def assumed_param_domain(params) -> "Polyhedron":
-    """``{ p >= ASSUMED_PARAM_LO }`` over the given parameter names."""
+    """``{ p >= PARAM_LO }`` over the given parameter names: the domain
+    over which code generation proves one loop bound dominates another
+    (degenerate tiny sizes would only change which redundant bound is
+    emitted, never correctness of the guarded code)."""
     from repro.poly.constraint import ge0
 
     names = tuple(params)
-    return Polyhedron(
-        names, [ge0(LinExpr.var(p) - ASSUMED_PARAM_LO) for p in names]
-    )
+    return Polyhedron(names, [ge0(LinExpr.var(p) - PARAM_LO) for p in names])
 
 
 def primed(name: str) -> str:

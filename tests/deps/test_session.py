@@ -97,10 +97,10 @@ def test_lu_asks_each_question_once(monkeypatch):
     tested = []
     test = DependenceSession._test
 
-    def testing(self, src, dst, fused, orders, param_lo):
+    def testing(self, src, dst, fused, orders):
         key = (src, dst, tuple(str(c) for order in orders for c in order))
         tested.append(key)
-        return test(self, src, dst, fused, orders, param_lo)
+        return test(self, src, dst, fused, orders)
 
     monkeypatch.setattr(DependenceSession, "violated", asking)
     monkeypatch.setattr(DependenceSession, "references", asking_refs)

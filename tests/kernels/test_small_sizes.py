@@ -1,8 +1,9 @@
 """Boundary sizes: every kernel variant at the smallest meaningful N.
 
-The transformations assume parameters of at least ASSUMED_PARAM_LO = 4;
-these tests pin correct behaviour exactly at that floor (and just above),
-where peeled iterations, boundary copies and partial tiles all degenerate.
+The analyses assume parameters of at least ``repro.poly.integer.PARAM_LO``
+(4); these tests pin correct behaviour exactly at that floor (and just
+above), where peeled iterations, boundary copies and partial tiles all
+degenerate.
 """
 
 import numpy as np

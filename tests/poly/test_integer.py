@@ -2,6 +2,7 @@
 
 from repro.poly.constraint import eq0, ge, le
 from repro.poly.integer import (
+    PARAM_LO,
     check_feasibility,
     find_integer_point,
     integer_feasible,
@@ -44,9 +45,15 @@ class TestWitnessSearch:
         assert pt is not None and 2 <= pt["i"] <= pt["N"] - 1
 
     def test_param_lo_respected(self):
-        # needs N >= 6 to have a point; probe window from 1 still finds it
+        # needs N >= 6 to have a point; the probe window from PARAM_LO = 4
+        # reaches it
         p = Polyhedron(("i",), [ge(i, 6), le(i, N)])
         assert integer_feasible(p)
+        # Points only below the floor are never witnessed: the answer is
+        # the conservative, indecisive "feasible".
+        below = Polyhedron(("i",), [ge(i, 1), le(i, N), le(N, PARAM_LO - 1)])
+        res = check_feasibility(below)
+        assert res.feasible and not res.decisive and res.witness is None
 
     def test_decisive_empty(self):
         p = Polyhedron(("i",), [ge(i, N + 1), le(i, N)])

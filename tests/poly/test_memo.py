@@ -96,7 +96,6 @@ class TestMemoize:
 class TestKeys:
     def test_env_key_forms(self):
         assert memo.env_key(None) == "-"
-        assert memo.env_key(4) == "4"
         assert memo.env_key({"N": 8, "M": 2}) == "M=2,N=8"
 
 

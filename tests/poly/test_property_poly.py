@@ -5,7 +5,8 @@ checked against enumeration — the strongest guard we have on the
 FM/feasibility stack that the dependence analysis trusts. A system may
 hold equalities with coefficients -2..2 (so Fourier–Motzkin substitutes
 through non-unit coefficients) and terms in a parameter ``N`` bounded to
-[1, 3], so emptiness is asked with the parameter existential.
+[4, 6] (admissible sizes, at or above ``PARAM_LO``), so emptiness is asked
+with the parameter existential.
 """
 
 from __future__ import annotations
@@ -18,19 +19,25 @@ from repro.poly import fm
 from repro.poly.constraint import Constraint, eq0, equals, ge, ge0, le, normal_row
 from repro.poly.enumerate import enumerate_points
 from repro.poly.fm import project_onto
-from repro.poly.integer import check_feasibility, integer_feasible, rationally_empty
+from repro.poly.integer import (
+    PARAM_LO,
+    PARAM_WIDTH,
+    check_feasibility,
+    integer_feasible,
+    rationally_empty,
+)
 from repro.poly.linexpr import LinExpr
 from repro.poly.polyhedron import Polyhedron
 
 VARS = ("x", "y", "z")
 BOX = range(-4, 5)
-N_VALUES = range(1, 4)
+N_VALUES = range(4, 7)
 
 
 @st.composite
 def small_polyhedron(draw):
     """A random conjunctive system over (x, y, z), box-bounded to [-4, 4],
-    with parameter N in [1, 3], up to three extra inequalities and up to
+    with parameter N in [4, 6], up to three extra inequalities and up to
     two equalities."""
     n = LinExpr.var("N")
     constraints = [ge(n, N_VALUES[0]), le(n, N_VALUES[-1])]
@@ -89,6 +96,9 @@ def test_integer_feasibility_matches_enumeration(poly):
     result = check_feasibility(poly)
     if result.decisive:
         assert result.feasible == any(per_n.values())
+        # A witness probes only admissible sizes.
+        if result.witness is not None:
+            assert PARAM_LO <= result.witness["N"] <= PARAM_LO + PARAM_WIDTH
     else:
         assert result.feasible and not any(per_n.values())
 

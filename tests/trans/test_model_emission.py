@@ -6,6 +6,7 @@ from repro.exec import run_compiled
 from repro.ir import pretty, val
 from repro.ir.builder import assign, idx, loop, sym
 from repro.ir.program import ArrayDecl, Program
+from repro.poly.integer import PARAM_LO
 from repro.trans.fusion import NestEmbedding, fuse_siblings
 from repro.trans.model import assumed_param_domain, primed
 
@@ -58,6 +59,9 @@ class TestHelpers:
         dom = assumed_param_domain(("N", "M"))
         assert dom.contains({"N": 4, "M": 10})
         assert not dom.contains({"N": 3, "M": 10})
+        # The floor is the witness search's: one admissible problem size.
+        assert dom.contains({"N": PARAM_LO, "M": PARAM_LO})
+        assert not dom.contains({"N": PARAM_LO - 1, "M": PARAM_LO})
 
     def test_guard_free_group_emitted_bare(self):
         # Two identical-domain nests: second group needs no guard at all.
